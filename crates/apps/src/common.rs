@@ -2,7 +2,7 @@
 
 use genima_proto::{
     ops_source, Addr, BarrierId, LockId, NodeId, Op, OpSource, PageId, ProcId, ServeClass,
-    Topology, PAGE_SIZE,
+    SvmParams, SvmSystem, Topology, PAGE_SIZE,
 };
 use genima_sim::{Dur, Time};
 
@@ -24,6 +24,25 @@ pub struct WorkloadSpec {
     /// Arrival discipline of the op streams (closed-loop SPLASH phases
     /// vs open-loop paced serving traffic).
     pub arrival: Arrival,
+}
+
+impl WorkloadSpec {
+    /// Builds the SVM cluster that runs this workload: sizes `params`
+    /// from the spec's hints (lock count, bus demand, warmup barrier),
+    /// hands the op streams to the processors and assigns the page
+    /// homes. This is the one way a workload becomes a system — every
+    /// runner, auditor and ablation goes through it, so they all
+    /// measure the same cluster.
+    pub fn into_system(self, mut params: SvmParams) -> SvmSystem {
+        params.locks = self.locks.max(1);
+        params.bus_demand_per_proc = self.bus_demand_per_proc;
+        params.warmup_barrier = self.warmup_barrier;
+        let mut sys = SvmSystem::new(params, self.sources);
+        for (start, count, node) in self.homes {
+            sys.assign_homes(start, count, node);
+        }
+        sys
+    }
 }
 
 /// How a workload's operations arrive at the processors.

@@ -15,7 +15,7 @@
 
 use genima::{run_app, sequential_time, FeatureSet, TextTable, Topology};
 use genima_apps::{App, BarnesSpatial, Fft, RadixLocal, WaterNsquared};
-use genima_proto::{SvmParams, SvmSystem};
+use genima_proto::SvmParams;
 
 /// Runs `app` with parameter tweaks applied on top of a feature set.
 fn run_tweaked(
@@ -24,17 +24,9 @@ fn run_tweaked(
     features: FeatureSet,
     tweak: impl FnOnce(&mut SvmParams),
 ) -> genima::RunReport {
-    let spec = app.spec(topo);
     let mut params = SvmParams::new(topo, features);
-    params.locks = spec.locks.max(1);
-    params.bus_demand_per_proc = spec.bus_demand_per_proc;
-    params.warmup_barrier = spec.warmup_barrier;
     tweak(&mut params);
-    let mut sys = SvmSystem::new(params, spec.sources);
-    for (start, count, node) in spec.homes {
-        sys.assign_homes(start, count, node);
-    }
-    sys.run()
+    app.spec(topo).into_system(params).run()
 }
 
 /// Ablation: post-queue depth sweep on Barnes-spatial under GeNIMA
@@ -230,19 +222,13 @@ pub fn home_placement(topo: Topology) -> TextTable {
         ("first-touch", false, true),
         ("round-robin striping", false, false),
     ] {
-        let spec = app.spec(topo);
-        let mut params = SvmParams::new(topo, FeatureSet::genima());
-        params.locks = spec.locks.max(1);
-        params.bus_demand_per_proc = spec.bus_demand_per_proc;
-        params.warmup_barrier = spec.warmup_barrier;
-        params.first_touch_homes = first_touch;
-        let mut sys = SvmSystem::new(params, spec.sources);
-        if use_app_homes {
-            for (start, count, node) in spec.homes {
-                sys.assign_homes(start, count, node);
-            }
+        let mut spec = app.spec(topo);
+        if !use_app_homes {
+            spec.homes.clear();
         }
-        let r = sys.run();
+        let mut params = SvmParams::new(topo, FeatureSet::genima());
+        params.first_touch_homes = first_touch;
+        let r = spec.into_system(params).run();
         t.row(vec![
             label.to_string(),
             format!("{:.2}", r.speedup(seq)),

@@ -1,0 +1,178 @@
+//! `bench engine` — engine hot-path throughput: the timing-wheel
+//! [`EventQueue`] versus the pre-pass `BinaryHeap` oracle, plus
+//! whole-system events/sec and steady-state allocation rates.
+//!
+//! * **Calibration** (`hold-*` rows) — the classic hold model: a queue
+//!   holds N pending events; every step pops the head and schedules a
+//!   replacement at `now + U(1µs, 1ms)`, so the wheel pays its full
+//!   slot-scan and lazy-sort cost while the heap pays its O(log N)
+//!   sift at depth N. Both queues see the identical offset stream, and
+//!   each is timed as the fastest of five chunks so the ratio does not
+//!   depend on which queue a noisy neighbour happened to hit.
+//! * **System** (`sys-*` rows) — full protocol runs timed end to end:
+//!   simulated events per wall-clock second and heap allocations per
+//!   event via the driver's counting global allocator.
+//!
+//! Gates: the wheel is at least 3× the heap on the largest hold
+//! population, and its steady-state allocation rate stays at or below
+//! 0.1 allocations per event — the arena-style slot storage must
+//! recycle its capacity, not reallocate per event.
+
+use std::time::Instant;
+
+use genima::{Column, RunConfig, TextTable, Topology};
+use genima_apps::{App, Fft, OceanRowwise};
+use genima_obs::bench::row;
+use genima_obs::{BenchReport, Json};
+use genima_sim::{EventQueue, HeapQueue, SplitMix64, Time};
+
+use crate::{allocs, gate_failed_runs, run_cell, time_ns, Args};
+
+/// Timed hold-model steps per population.
+const ITERS: usize = 200_000;
+
+/// Hold-model offset: uniform in [1µs, 1ms). The lower bound keeps the
+/// replacement out of the slot currently draining (the wheel's slot
+/// sort then amortises over a whole slot, as in a real run); the upper
+/// bound spans the wheel's full epoch so far-tier traffic is exercised.
+fn offset(rng: &mut SplitMix64) -> u64 {
+    1_000 + rng.next_u64() % 999_000
+}
+
+/// Pre-fills a queue with `n` pending events from `rng`.
+fn fill(push: &mut impl FnMut(Time, u64), rng: &mut SplitMix64, n: usize) {
+    for i in 0..n as u64 {
+        push(Time::from_ns(offset(rng)), i);
+    }
+}
+
+/// Runs the hold model on `q` through its `pop` and `push`: warms up
+/// over roughly one epoch, then returns (ns per event as the fastest
+/// of five chunks, allocations per event over that timed window). The
+/// replacement offset is derived from the popped instant, so both
+/// queue implementations (which pop identical instants) schedule the
+/// identical event stream.
+fn hold<Q>(
+    n: usize,
+    q: &mut Q,
+    pop: fn(&mut Q) -> Option<(Time, u64)>,
+    push: fn(&mut Q, Time, u64),
+) -> (f64, f64) {
+    let mut step = || {
+        let now = pop(q).expect("hold model never drains").0.as_ns();
+        let off = now % 999_000 + 1_000;
+        push(q, Time::from_ns(now + off), off);
+        off as usize
+    };
+    for _ in 0..n.min(ITERS) {
+        step();
+    }
+    let before = allocs();
+    let ns = time_ns(ITERS, step);
+    // `time_ns` makes a warmup chunk plus five timed chunks of calls.
+    (ns, (allocs() - before) as f64 / (ITERS / 5 * 6) as f64)
+}
+
+/// The hold model at population `n`: identical initial fill and
+/// identical pop-driven offset stream on both queues, so both do the
+/// same scheduling work. The wheel's allocation rate covers only
+/// post-warmup steps: slot capacities established during the fill must
+/// be recycled, not regrown. Returns (heap ns/event, wheel ns/event,
+/// wheel allocations/event).
+fn run_hold(seed: u64, n: usize) -> (f64, f64, f64) {
+    let mut rng = SplitMix64::new(seed);
+    let mut heap: HeapQueue<u64> = HeapQueue::new();
+    fill(&mut |t, e| heap.push(t, e), &mut rng, n);
+    let (heap_ns, _) = hold(n, &mut heap, HeapQueue::pop, HeapQueue::push);
+
+    let mut rng = SplitMix64::new(seed);
+    let mut wheel: EventQueue<u64> = EventQueue::new();
+    fill(&mut |t, e| wheel.push(t, e), &mut rng, n);
+    let (wheel_ns, wheel_allocs) = hold(n, &mut wheel, EventQueue::pop, EventQueue::push);
+    (heap_ns, wheel_ns, wheel_allocs)
+}
+
+pub fn run(args: &Args) -> BenchReport {
+    println!(
+        "engine hot path: {ITERS} hold steps per population, seed {:#x}",
+        args.seed
+    );
+    let mut rep = BenchReport::new("engine", args.seed);
+    rep.set_meta("iters", ITERS as u64);
+
+    let mut table = TextTable::new(vec![
+        "hold",
+        "heap(ns/ev)",
+        "wheel(ns/ev)",
+        "speedup",
+        "allocs/ev",
+    ]);
+    for pow in [10u32, 14, 17] {
+        let n = 1usize << pow;
+        let (heap_ns, wheel_ns, wheel_allocs) = run_hold(args.seed ^ pow as u64, n);
+        let speedup = heap_ns / wheel_ns;
+        table.row(vec![
+            format!("2^{pow}"),
+            format!("{heap_ns:.1}"),
+            format!("{wheel_ns:.1}"),
+            format!("{speedup:.2}"),
+            format!("{wheel_allocs:.4}"),
+        ]);
+        let mut cell = Json::obj();
+        cell.set("kind", "hold".into());
+        cell.set("name", format!("hold-2^{pow}").as_str().into());
+        cell.set("pending", (n as u64).into());
+        cell.set("heap_ns_per_event", heap_ns.into());
+        cell.set("wheel_ns_per_event", wheel_ns.into());
+        cell.set("speedup", speedup.into());
+        cell.set("wheel_allocs_per_event", wheel_allocs.into());
+        let i = rep.push(cell);
+        if pow == 17 {
+            let name = "hold-2^17: wheel >= 3x the heap";
+            rep.gate(name, row(i, "speedup"), ">=", 3.0);
+            let name = "hold-2^17: <= 0.1 allocations per event in steady state";
+            rep.gate(name, row(i, "wheel_allocs_per_event"), "<=", 0.1);
+        }
+    }
+    println!("{table}");
+
+    let apps: Vec<(&str, Box<dyn App>)> = vec![
+        ("ocean", Box::new(OceanRowwise::with_grid(256, 8))),
+        ("fft", Box::new(Fft::with_points(1 << 16))),
+    ];
+    let mut stable = TextTable::new(vec!["system", "events", "events/sec", "allocs/ev"]);
+    let mut failed = 0u64;
+    for (name, app) in &apps {
+        for column in [Column::all()[0], Column::all()[4]] {
+            let label = format!("{name}/{}", column.name());
+            let cfg = RunConfig::from_column(Topology::new(4, 2), column).with_seed(args.seed);
+            let before = allocs();
+            let start = Instant::now();
+            let Some(out) = run_cell(&label, app.as_ref(), &cfg, &mut failed) else {
+                continue;
+            };
+            let wall = start.elapsed().as_nanos() as f64;
+            let events = out.report.events;
+            let events_per_sec = events as f64 / (wall / 1e9);
+            let allocs_per_event = (allocs() - before) as f64 / events.max(1) as f64;
+            stable.row(vec![
+                label.clone(),
+                events.to_string(),
+                format!("{events_per_sec:.0}"),
+                format!("{allocs_per_event:.1}"),
+            ]);
+            let mut cell = Json::obj();
+            cell.set("kind", "system".into());
+            cell.set("name", label.as_str().into());
+            cell.set("events", events.into());
+            cell.set("events_per_sec", events_per_sec.into());
+            cell.set("allocs_per_event", allocs_per_event.into());
+            let i = rep.push(cell);
+            let name = format!("{label}: the run delivered events");
+            rep.gate(name, row(i, "events"), ">", 0u64);
+        }
+    }
+    println!("{stable}");
+    gate_failed_runs(&mut rep, failed);
+    rep
+}

@@ -1,0 +1,94 @@
+//! `bench rdma` — the 1999-vs-2025 hardware comparison: runs the full
+//! GeNIMA protocol on the LANai hardware profile and on the modern
+//! RNIC profile over the application suite and reports what a quarter
+//! century of NI hardware buys the *same* protocol code: one row per
+//! (application, hardware profile) carrying the parallel time, speedup
+//! over the sequential run, the host-interrupt count, and the RNIC's
+//! own counters (doorbells rung, CQEs posted, ODP faults taken).
+//!
+//! Gates — the comparison must keep making sense:
+//!
+//! * both profiles take **zero** host interrupts (the full GeNIMA
+//!   feature set is interrupt-free on any hardware),
+//! * the RNIC rows show doorbell and CQE activity, the LANai rows
+//!   none,
+//! * GeNIMA-2025 beats GeNIMA-1999 on simulated time for every
+//!   application — if modern hardware loses to a 33 MHz LANai, the
+//!   model is wrong.
+
+use genima::{sequential_time, Column, FeatureSet, Json, RunConfig, Topology};
+use genima_obs::bench::row;
+use genima_obs::BenchReport;
+
+use crate::{gate_failed_runs, gate_interrupt_free, run_cell, topo_json, Args};
+
+pub fn run(args: &Args) -> BenchReport {
+    let topo = Topology::new(4, 4);
+    let columns = [Column::lanai(FeatureSet::genima()), Column::genima_2025()];
+    let mut rep = BenchReport::new("rdma", args.seed);
+    rep.set_meta("topo", topo_json(topo));
+    let mut failed = 0u64;
+    println!(
+        "{:<16} {:>12} {:>9} {:>8} {:>6} {:>10} {:>10} {:>6}",
+        "app/profile", "time(ms)", "speedup", "vs-1999", "intr", "doorbells", "cqes", "odp"
+    );
+    for app in &args.apps {
+        let seq = sequential_time(app.as_ref());
+        let mut lanai_ms = 0.0f64;
+        for column in columns {
+            let what = format!("{}/{}", app.name(), column.name());
+            let cfg = RunConfig::from_column(topo, column).with_seed(args.seed);
+            let Some(out) = run_cell(&what, app.as_ref(), &cfg, &mut failed) else {
+                continue;
+            };
+            let r = &out.report;
+            let ms = r.parallel_time().as_ms();
+            let vs_1999 = if column.hw.is_rdma() && ms > 0.0 {
+                lanai_ms / ms
+            } else {
+                lanai_ms = ms;
+                1.0
+            };
+            println!(
+                "{:<16} {:>12.2} {:>9.2} {:>8.2} {:>6} {:>10} {:>10} {:>6}",
+                format!("{}/{}", app.name(), r.hw),
+                ms,
+                r.speedup(seq),
+                vs_1999,
+                r.counters.interrupts,
+                r.ni.doorbells,
+                r.ni.cqes,
+                r.ni.odp_faults,
+            );
+            let mut cell = Json::obj();
+            cell.set("app", app.name().into());
+            cell.set("column", column.name().into());
+            cell.set("hw", r.hw.into());
+            cell.set("time_ms", ms.into());
+            cell.set("speedup", r.speedup(seq).into());
+            cell.set("speedup_vs_1999", vs_1999.into());
+            cell.set("interrupts", r.counters.interrupts.into());
+            cell.set("doorbells", r.ni.doorbells.into());
+            cell.set("cqes", r.ni.cqes.into());
+            cell.set("odp_faults", r.ni.odp_faults.into());
+            cell.set("op_latency", r.op_latency.json());
+            let i = rep.push(cell);
+            gate_interrupt_free(&mut rep, &what, i, "interrupts");
+            if column.hw.is_rdma() {
+                for counter in ["doorbells", "cqes"] {
+                    let name = format!("{what}: RNIC {counter} moved");
+                    rep.gate(name, row(i, counter), ">", 0u64);
+                }
+                let name = format!("{}: 2025 hardware beats 1999", app.name());
+                rep.gate(name, row(i, "speedup_vs_1999"), ">", 1.0);
+            } else {
+                for counter in ["doorbells", "cqes", "odp_faults"] {
+                    let name = format!("{what}: no RNIC {counter} on the LANai");
+                    rep.gate(name, row(i, counter), "==", 0u64);
+                }
+            }
+        }
+    }
+    gate_failed_runs(&mut rep, failed);
+    rep
+}

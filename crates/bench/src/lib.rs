@@ -1,9 +1,8 @@
-//! Benchmark harness for the GeNIMA reproduction.
+//! The paper's evaluation as runnable binaries.
 //!
 //! The `repro` binary regenerates every table and figure of the
-//! paper's evaluation; the Criterion benches in `benches/` measure the
-//! substrate itself (event queue, diff engine, network, NI lock
-//! round-trips). This library exposes the ablation studies shared
-//! between the binary and the benches.
+//! paper's evaluation; the `bench` binary runs the gated experiments
+//! (`bench <kind>`, see `src/bin/bench/main.rs`). This library holds
+//! the ablation studies `repro` prints.
 
 pub mod ablations;

@@ -66,24 +66,19 @@ pub fn check_app_races(app: &dyn App, topo: Topology) -> Result<Vec<Race>, Sched
     detect_races(&app_programs(app, topo))
 }
 
-/// Runs `app` on the SVM cluster with tracing enabled and audits the
-/// protocol and NI lock traces against every applicable invariant.
+/// Runs `app` fault-free with tracing enabled on one evaluation
+/// [`Column`] (a bare [`FeatureSet`] means the 1999 LANai) and audits
+/// the protocol and NI lock traces against every applicable invariant.
+/// `Column::genima_2025()` audits the full GeNIMA protocol on the 2025
+/// RNIC with masked-CAS locks (the NI lock-chain replay sees no
+/// firmware grant events there; the protocol invariants and the
+/// interrupt-free cross-check still apply in full).
 ///
-/// Mirrors `genima::run_app` exactly, so an audited run measures the
-/// same system as an ordinary one (tracing is purely observational).
-pub fn run_app_audited(app: &dyn App, topo: Topology, features: FeatureSet) -> AuditedRun {
-    run_app_audited_with(app, topo, features, |_| {})
-        .expect("a fault-free audited run cannot abort")
-}
-
-/// Runs `app` with tracing enabled for one evaluation [`Column`] and
-/// audits the traces. `Column::genima_2025()` audits the full GeNIMA
-/// protocol on the 2025 RNIC with masked-CAS locks (the NI lock-chain
-/// replay sees no firmware grant events there; the protocol invariants
-/// and the interrupt-free cross-check still apply in full).
-pub fn run_app_audited_on(app: &dyn App, topo: Topology, column: Column) -> AuditedRun {
-    run_app_audited_on_with(app, topo, column, |_| {})
-        .expect("a fault-free audited run cannot abort")
+/// Builds the cluster exactly like `genima::run_app`, so an audited
+/// run measures the same system as an ordinary one (tracing is purely
+/// observational).
+pub fn run_app_audited(app: &dyn App, topo: Topology, column: impl Into<Column>) -> AuditedRun {
+    run_app_audited_with(app, topo, column, |_| {}).expect("a fault-free audited run cannot abort")
 }
 
 /// Like [`run_app_audited`], but lets `configure` adjust the built
@@ -103,35 +98,12 @@ pub fn run_app_audited_on(app: &dyn App, topo: Topology, column: Column) -> Audi
 pub fn run_app_audited_with(
     app: &dyn App,
     topo: Topology,
-    features: FeatureSet,
+    column: impl Into<Column>,
     configure: impl FnOnce(&mut SvmSystem),
 ) -> Result<AuditedRun, ProtoError> {
-    run_app_audited_on_with(app, topo, Column::lanai(features), configure)
-}
-
-/// Like [`run_app_audited_on`], but lets `configure` adjust the built
-/// [`SvmSystem`] before the run and surfaces a run abort instead of
-/// panicking.
-///
-/// # Errors
-///
-/// Same contract as [`run_app_audited_with`].
-pub fn run_app_audited_on_with(
-    app: &dyn App,
-    topo: Topology,
-    column: Column,
-    configure: impl FnOnce(&mut SvmSystem),
-) -> Result<AuditedRun, ProtoError> {
+    let column = column.into();
     let features = column.features;
-    let spec = app.spec(topo);
-    let mut params = column.params(topo);
-    params.locks = spec.locks.max(1);
-    params.bus_demand_per_proc = spec.bus_demand_per_proc;
-    params.warmup_barrier = spec.warmup_barrier;
-    let mut sys = SvmSystem::new(params, spec.sources);
-    for (start, count, node) in spec.homes {
-        sys.assign_homes(start, count, node);
-    }
+    let mut sys = app.spec(topo).into_system(column.params(topo));
     sys.set_tracing(true);
     configure(&mut sys);
     let report = sys.try_run()?;

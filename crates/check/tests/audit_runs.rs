@@ -3,7 +3,7 @@
 //! protocol invariants.
 
 use genima_apps::{App, BarnesOriginal, OceanRowwise, WaterNsquared};
-use genima_check::{run_app_audited, run_app_audited_on, run_app_audited_on_with};
+use genima_check::{run_app_audited, run_app_audited_with};
 use genima_fault::{FaultPlan, PlanInjector};
 use genima_proto::{Column, FeatureSet, Topology};
 use genima_sim::RunSeed;
@@ -51,7 +51,7 @@ fn genima_2025_audits_clean_across_workloads() {
         Box::new(BarnesOriginal::with_bodies(512, 1)),
     ];
     for app in &apps {
-        let run = run_app_audited_on(app.as_ref(), topo, Column::genima_2025());
+        let run = run_app_audited(app.as_ref(), topo, Column::genima_2025());
         assert!(
             run.audit.is_clean(),
             "{} under GeNIMA-2025: {}",
@@ -90,7 +90,7 @@ fn genima_2025_audits_clean_at_ten_percent_loss() {
     let plan = FaultPlan::new().drop_rate(0.10).duplicate_rate(0.05);
     let injector = PlanInjector::new(plan, RunSeed::new(0x2025));
     let stats = injector.stats_handle();
-    let run = run_app_audited_on_with(&app, topo, Column::genima_2025(), |sys| {
+    let run = run_app_audited_with(&app, topo, Column::genima_2025(), |sys| {
         sys.set_fault_injector(Box::new(injector));
     })
     .unwrap_or_else(|e| panic!("GeNIMA-2025 aborted under 10% loss: {e}"));
@@ -155,5 +155,25 @@ fn ni_lock_trace_appears_only_under_genima() {
                 features.name()
             );
         }
+    }
+}
+
+/// `run_app_audited{,_with}` take a column or a bare feature set; the
+/// feature set is that column on the 1999 LANai, not a second recipe.
+#[test]
+fn a_feature_set_audits_as_its_lanai_column() {
+    let topo = Topology::new(2, 2);
+    let app = OceanRowwise::with_grid(128, 2);
+    for features in FeatureSet::ALL {
+        let column = Column::lanai(features);
+        let bare = run_app_audited(&app, topo, features);
+        let on_column = run_app_audited(&app, topo, column);
+        assert_eq!(bare.report.to_json(), on_column.report.to_json());
+        assert_eq!(bare.audit.proto_events, on_column.audit.proto_events);
+
+        let bare = run_app_audited_with(&app, topo, features, |_| {}).expect("clean run");
+        let on_column = run_app_audited_with(&app, topo, column, |_| {}).expect("clean run");
+        assert_eq!(bare.report.to_json(), on_column.report.to_json());
+        assert_eq!(bare.features, on_column.features);
     }
 }

@@ -35,8 +35,7 @@ mod tables;
 pub mod experiments;
 
 pub use runner::{
-    run_app, run_app_configured, run_app_on, run_app_on_hwdsm, sequential_time, AppOutcome,
-    ConfiguredOutcome, RunConfig,
+    run_app, run_app_configured, run_app_on_hwdsm, sequential_time, ConfiguredOutcome, RunConfig,
 };
 pub use tables::TextTable;
 

@@ -4,19 +4,8 @@ use genima_apps::App;
 use genima_fault::{FaultPlan, FaultStats, PlanInjector};
 use genima_hwdsm::{HwDsm, HwDsmConfig, HwReport};
 use genima_obs::{ObsConfig, ObsReport, Recorder};
-use genima_proto::{
-    BarrierImpl, Column, FeatureSet, HwProfile, ProtoError, RunReport, SvmSystem, Topology,
-};
+use genima_proto::{BarrierImpl, Column, FeatureSet, HwProfile, ProtoError, RunReport, Topology};
 use genima_sim::{Dur, RunSeed};
-
-/// Result of running one application on one protocol configuration.
-#[derive(Debug, Clone)]
-pub struct AppOutcome {
-    /// The protocol variant used.
-    pub features: FeatureSet,
-    /// The full measurement report.
-    pub report: RunReport,
-}
 
 /// Everything a whole-run invocation can vary besides the application:
 /// cluster shape, protocol variant, the single workspace-level RNG
@@ -127,7 +116,10 @@ pub struct ConfiguredOutcome {
     pub obs: ObsReport,
 }
 
-/// Runs `app` on the SVM cluster with the given protocol variant.
+/// Runs `app` fault-free on one evaluation [`Column`] — a feature set
+/// on a hardware generation. A bare [`FeatureSet`] means that feature
+/// set on the paper's 1999 LANai; `Column::genima_2025()` runs the
+/// full GeNIMA protocol on the 2025 RNIC model with masked-CAS locks.
 ///
 /// # Example
 ///
@@ -142,27 +134,10 @@ pub struct ConfiguredOutcome {
 /// );
 /// assert!(out.report.counters.barriers > 0);
 /// ```
-pub fn run_app(app: &dyn App, topo: Topology, features: FeatureSet) -> AppOutcome {
-    run_app_on(app, topo, Column::lanai(features))
-}
-
-/// Runs `app` on the cluster for one evaluation [`Column`] — a feature
-/// set on a hardware generation. `Column::genima_2025()` runs the full
-/// GeNIMA protocol on the 2025 RNIC model with masked-CAS locks.
-pub fn run_app_on(app: &dyn App, topo: Topology, column: Column) -> AppOutcome {
-    let spec = app.spec(topo);
-    let mut params = column.params(topo);
-    params.locks = spec.locks.max(1);
-    params.bus_demand_per_proc = spec.bus_demand_per_proc;
-    params.warmup_barrier = spec.warmup_barrier;
-    let mut sys = SvmSystem::new(params, spec.sources);
-    for (start, count, node) in spec.homes {
-        sys.assign_homes(start, count, node);
-    }
-    let report = sys.run();
-    AppOutcome {
-        features: column.features,
-        report,
+pub fn run_app(app: &dyn App, topo: Topology, column: impl Into<Column>) -> ConfiguredOutcome {
+    match run_app_configured(app, &RunConfig::from_column(topo, column.into())) {
+        Ok(out) => out,
+        Err(e) => panic!("protocol run aborted: {e}"),
     }
 }
 
@@ -170,7 +145,7 @@ pub fn run_app_on(app: &dyn App, topo: Topology, column: Column) -> AppOutcome {
 /// when the plan is active.
 ///
 /// An inactive plan ([`FaultPlan::none`]) installs no injector at all,
-/// so clean configured runs are bit-identical to [`run_app`].
+/// so [`run_app`] is exactly the clean case of this function.
 ///
 /// # Errors
 ///
@@ -178,23 +153,16 @@ pub fn run_app_on(app: &dyn App, topo: Topology, column: Column) -> AppOutcome {
 /// retransmission budget against an unresponsive peer (e.g. an
 /// [`FaultPlan::outage`] longer than the full backoff schedule).
 pub fn run_app_configured(app: &dyn App, cfg: &RunConfig) -> Result<ConfiguredOutcome, ProtoError> {
-    let spec = app.spec(cfg.topo);
     let column = Column {
         features: cfg.features,
         hw: cfg.hw,
     };
     let mut params = column.params(cfg.topo);
-    params.locks = spec.locks.max(1);
-    params.bus_demand_per_proc = spec.bus_demand_per_proc;
-    params.warmup_barrier = spec.warmup_barrier;
     if let Some(b) = cfg.barrier {
         params.barrier = b;
     }
     params.degraded = cfg.degraded;
-    let mut sys = SvmSystem::new(params, spec.sources);
-    for (start, count, node) in spec.homes {
-        sys.assign_homes(start, count, node);
-    }
+    let mut sys = app.spec(cfg.topo).into_system(params);
     let stats = if cfg.faults.is_active() {
         let injector = PlanInjector::new(cfg.faults.clone(), cfg.seed);
         let handle = injector.stats_handle();
@@ -282,8 +250,8 @@ mod tests {
     fn genima_2025_runs_interrupt_free_and_faster_than_1999() {
         let app = OceanRowwise::with_grid(128, 4);
         let topo = Topology::new(2, 2);
-        let old = run_app_on(&app, topo, Column::lanai(FeatureSet::genima()));
-        let new = run_app_on(&app, topo, Column::genima_2025());
+        let old = run_app(&app, topo, Column::lanai(FeatureSet::genima()));
+        let new = run_app(&app, topo, Column::genima_2025());
         assert_eq!(new.report.counters.interrupts, 0);
         assert_eq!(new.report.hw, "RNIC-2025");
         assert!(new.report.ni.doorbells > 0, "RNIC path must ring doorbells");
@@ -293,6 +261,18 @@ mod tests {
             new.report.finish,
             old.report.finish
         );
+    }
+
+    #[test]
+    fn a_feature_set_names_its_lanai_column() {
+        let app = OceanRowwise::with_grid(128, 2);
+        let topo = Topology::new(2, 2);
+        for features in FeatureSet::ALL {
+            let bare = run_app(&app, topo, features);
+            let column = run_app(&app, topo, Column::lanai(features));
+            assert_eq!(bare.report.to_json(), column.report.to_json());
+            assert_eq!(bare.features, features);
+        }
     }
 
     #[test]

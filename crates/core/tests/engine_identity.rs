@@ -9,7 +9,7 @@
 //! Regenerate with:
 //! `GOLDEN_PRINT=1 cargo test -p genima --test engine_identity -- --nocapture`
 
-use genima::{run_app_on, Column};
+use genima::{run_app, Column};
 use genima_apps::{App, Fft, OceanRowwise, WaterNsquared};
 
 /// FNV-1a over the full JSON text: cheap, dependency-free, and any
@@ -60,7 +60,7 @@ fn run_reports_match_pre_pass_golden_hashes() {
     let mut got = Vec::new();
     for (name, app) in apps() {
         for column in Column::all() {
-            let out = run_app_on(app.as_ref(), topo, column);
+            let out = run_app(app.as_ref(), topo, column);
             let json = out.report.to_json();
             got.push((name, column.name(), fnv1a(json.as_bytes())));
         }

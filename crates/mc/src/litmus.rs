@@ -292,7 +292,7 @@ pub fn corpus() -> Vec<Litmus> {
 /// Larger classic shapes whose state spaces exceed what CI can
 /// exhaust on the NI-rich columns: still fully checkable by name
 /// (`mc --litmus sb --column Base` exhausts in under a minute), and
-/// covered by bounded exploration in `mc_bench`.
+/// covered by bounded exploration in `bench mc`.
 pub fn extended() -> Vec<Litmus> {
     vec![
         Litmus {

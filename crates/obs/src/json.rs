@@ -209,6 +209,30 @@ impl Json {
     }
 }
 
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::u64(n)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::str(s)
+    }
+}
+
 fn write_num(n: f64, out: &mut String) {
     if !n.is_finite() {
         out.push_str("null");

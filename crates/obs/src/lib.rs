@@ -12,19 +12,24 @@
 //!   ([`timeline_json`]) with one track per node host and one per NI
 //!   firmware, and flow arrows for cross-node handoffs;
 //! * a dependency-free JSON value ([`Json`]) used for `RunReport`
-//!   serialization, `BENCH_*.json` trajectories and schema checks;
+//!   serialization and `BENCH_*.json` trajectories;
+//! * the one bench report-and-gate schema ([`BenchReport`]): rows plus
+//!   gates as data, with a single checker shared by the `bench` driver
+//!   and `xtask obs-schema`;
 //! * text summaries ([`trace_top`], [`monitor_tables`]) shared by
 //!   `xtask obs-summary` and the examples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bench;
 pub mod json;
 pub mod ring;
 pub mod span;
 pub mod summary;
 pub mod timeline;
 
+pub use bench::BenchReport;
 pub use json::{Json, JsonError};
 pub use ring::{ObsConfig, ObsHandle, ObsReport, Recorder};
 pub use span::{

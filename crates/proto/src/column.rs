@@ -93,6 +93,14 @@ impl Column {
     }
 }
 
+/// A bare feature set names its column on the paper's 1999 testbed,
+/// so the run entry points take either.
+impl From<FeatureSet> for Column {
+    fn from(features: FeatureSet) -> Column {
+        Column::lanai(features)
+    }
+}
+
 impl fmt::Display for Column {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())

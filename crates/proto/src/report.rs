@@ -31,7 +31,7 @@ impl OpLatency {
     /// Per-op-kind tail latency as JSON: `{fetch|lock|barrier:
     /// {n, p50_us, p95_us, p99_us}}`. Used both inside the
     /// [`RunReport`] JSON (under `op_latency`) and by bench
-    /// trajectories (`fault_matrix`, `rdma_bench`) so every row
+    /// reports (`bench fault_matrix`, `bench rdma`) so every row
     /// carries p50/p95/p99 per op kind, not just means.
     pub fn json(&self) -> Json {
         let hist = |h: &Histogram| {

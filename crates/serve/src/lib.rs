@@ -28,7 +28,7 @@
 //! Both workloads implement [`genima_apps::App`], so all six protocol
 //! columns run them unchanged; per-op latency lands in
 //! `RunReport::serve` via [`Op::ServeEnd`](genima_proto::Op::ServeEnd)
-//! and the `serving_bench` bin gates the tails
+//! and `bench serving` (in `genima-bench`) gates the tails
 //! (`BENCH_serving.json`).
 
 mod arrival;

@@ -330,7 +330,7 @@ impl<E> Default for EventQueue<E> {
 
 /// The pre-pass binary-heap queue, kept as the reference oracle the
 /// timing wheel is property-tested against (and benchmarked against in
-/// `sim_bench`). Not part of the production engine.
+/// `bench engine`). Not part of the production engine.
 #[cfg(any(test, feature = "ref-heap"))]
 pub mod reference {
     use std::cmp::Ordering;

@@ -23,21 +23,21 @@
 //! pinned [`CLIPPY_ALLOW`] list, so the allow-list lives in one
 //! reviewed place instead of scattered CI flags.
 //!
-//! Two observability commands ride along:
+//! Three observability commands ride along:
 //!
 //! * `xtask obs-summary <file> [top]` — prints a top-N aggregation of
 //!   a Chrome-trace timeline (per span kind and per node), or the NI
 //!   monitor tables when given a `RunReport` JSON instead.
-//! * `xtask obs-schema <file>...` — checks `BENCH_breakdowns.json` /
-//!   `BENCH_fault_matrix.json` / `BENCH_barrier.json` /
-//!   `BENCH_rdma.json` / `BENCH_critpath.json` against the expected
-//!   shape; CI fails the `obs-smoke`, `coll-smoke`, `rdma-smoke` and
-//!   `critpath-smoke` jobs on a mismatch.
-//! * `xtask prof-summary <BENCH_critpath.json>` — validates a
+//! * `xtask obs-schema <file>...` — checks `BENCH_<kind>.json`
+//!   reports with [`BenchReport::check`], the same call the `bench`
+//!   driver makes on the report it just built: shape, then every
+//!   declared gate recomputed from the rows it references. CI fails
+//!   the `bench` matrix job on a rejection.
+//! * `xtask prof-summary <BENCH_critpath.json>` — checks a
 //!   critical-path report and renders the per-(app, column) segment
-//!   breakdown table.
+//!   breakdown table from its rows.
 
-use genima_obs::{monitor_tables, trace_top, Grid, Json};
+use genima_obs::{monitor_tables, trace_top, BenchReport, Grid, Json};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -69,8 +69,10 @@ const PROTOCOL_PATHS: &[&str] = &[
     "crates/mc/src/litmus.rs",
     "crates/mc/src/trace.rs",
     "crates/mc/src/bin/mc.rs",
-    "crates/mc/src/bin/mc_bench.rs",
-    "crates/bench/src/bin/sim_bench.rs",
+    "crates/bench/src/bin/bench/mc.rs",
+    "crates/bench/src/bin/bench/engine.rs",
+    "crates/bench/src/bin/bench/serving.rs",
+    "crates/obs/src/bench.rs",
     "crates/obs/src/json.rs",
     "crates/obs/src/ring.rs",
     "crates/obs/src/span.rs",
@@ -87,7 +89,6 @@ const PROTOCOL_PATHS: &[&str] = &[
     "crates/serve/src/walk.rs",
     "crates/serve/src/zipf.rs",
     "crates/serve/src/lib.rs",
-    "crates/serve/src/bin/serving_bench.rs",
 ];
 
 /// Clippy lints deliberately allowed workspace-wide by `xtask clippy`,
@@ -95,11 +96,6 @@ const PROTOCOL_PATHS: &[&str] = &[
 /// warnings`. Keep this list empty unless a lint is structurally
 /// unavoidable — prefer a scoped in-source `#[allow]` with a comment.
 const CLIPPY_ALLOW: &[(&str, &str)] = &[];
-
-/// The six evaluation columns every breakdowns report must carry:
-/// the paper's five on the 1999 LANai, plus the full GeNIMA protocol
-/// on the 2025 RNIC.
-const COLUMNS: &[&str] = &["Base", "DW", "DW+RF", "DW+RF+DD", "GeNIMA", "GeNIMA-2025"];
 
 /// One rule violation at a source line.
 #[derive(Debug, PartialEq, Eq)]
@@ -364,765 +360,21 @@ fn run_obs_summary(path: &str, top: usize) -> ExitCode {
     }
 }
 
-fn check_breakdowns_schema(v: &Json) -> Result<(), String> {
-    let apps = v
-        .get("apps")
-        .and_then(Json::as_obj)
-        .ok_or_else(|| "missing `apps` object".to_string())?;
-    if apps.is_empty() {
-        return Err("`apps` is empty".to_string());
-    }
-    for (name, entry) in apps {
-        if entry.get("sequential_ms").and_then(Json::as_f64).is_none() {
-            return Err(format!("app {name}: missing numeric `sequential_ms`"));
-        }
-        let cols = entry
-            .get("columns")
-            .ok_or_else(|| format!("app {name}: missing `columns`"))?;
-        for col in COLUMNS {
-            let c = cols
-                .get(col)
-                .ok_or_else(|| format!("app {name}: missing column `{col}`"))?;
-            for key in ["parallel_ms", "speedup"] {
-                if c.get(key).and_then(Json::as_f64).is_none() {
-                    return Err(format!("app {name} column {col}: missing numeric `{key}`"));
-                }
-            }
-            for key in ["shares", "counters"] {
-                if c.get(key).and_then(Json::as_obj).is_none() {
-                    return Err(format!("app {name} column {col}: missing object `{key}`"));
-                }
-            }
-            let interrupts = c
-                .get("counters")
-                .and_then(|cc| cc.get("interrupts"))
-                .and_then(Json::as_u64);
-            if interrupts.is_none() {
-                return Err(format!(
-                    "app {name} column {col}: counters missing integer `interrupts`"
-                ));
-            }
-        }
-    }
-    Ok(())
+/// Loads a `BENCH_<kind>.json` report and runs the one checker over
+/// it; on success returns the report and its bench kind.
+fn load_report(path: &str) -> Result<(Json, String), String> {
+    let v = load_json(path)?;
+    BenchReport::check(&v).map_err(|errors| errors.join("\n    "))?;
+    let kind = v.get("bench").and_then(Json::as_str).unwrap_or_default();
+    let kind = kind.to_string();
+    Ok((v, kind))
 }
 
-/// Every bench-trajectory row carries per-op-kind tail latency under
-/// `op_latency`: `{fetch|lock|barrier: {n, p50_us, p95_us, p99_us}}`.
-fn check_op_latency(row: &Json, i: usize) -> Result<(), String> {
-    let ol = row
-        .get("op_latency")
-        .ok_or_else(|| format!("row {i}: missing `op_latency` object"))?;
-    for class in ["fetch", "lock", "barrier"] {
-        let c = ol
-            .get(class)
-            .ok_or_else(|| format!("row {i}: op_latency missing `{class}`"))?;
-        if c.get("n").and_then(Json::as_u64).is_none() {
-            return Err(format!("row {i}: op_latency.{class}: missing integer `n`"));
-        }
-        for key in ["p50_us", "p95_us", "p99_us"] {
-            if c.get(key).and_then(Json::as_f64).is_none() {
-                return Err(format!(
-                    "row {i}: op_latency.{class}: missing numeric `{key}`"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn check_fault_matrix_schema(v: &Json) -> Result<(), String> {
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing `rows` array".to_string())?;
-    if rows.is_empty() {
-        return Err("`rows` is empty".to_string());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        if row.get("column").and_then(Json::as_str).is_none() {
-            return Err(format!("row {i}: missing string `column`"));
-        }
-        for key in ["drop_rate", "time_ms"] {
-            if row.get(key).and_then(Json::as_f64).is_none() {
-                return Err(format!("row {i}: missing numeric `{key}`"));
-            }
-        }
-        for key in [
-            "retransmits",
-            "duplicates_suppressed",
-            "injected_drops",
-            "injected_dups",
-            "injected_delays",
-            "interrupts",
-        ] {
-            if row.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("row {i}: missing integer `{key}`"));
-            }
-        }
-        if row.get("audit_clean").and_then(Json::as_bool).is_none() {
-            return Err(format!("row {i}: missing boolean `audit_clean`"));
-        }
-        check_op_latency(row, i)?;
-    }
-    Ok(())
-}
-
-/// `BENCH_serving.json`: every (workload, column) cell of the
-/// open-loop serving sweep, with the bench's own gates re-checked —
-/// interrupt-free columns take zero host interrupts and keep merged
-/// p99 under their per-column bound, the op-stream hash is identical
-/// across a workload's columns, and Base's tail is never better than
-/// GeNIMA's.
-fn check_serving_schema(v: &Json) -> Result<(), String> {
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing `rows` array".to_string())?;
-    if rows.is_empty() {
-        return Err("`rows` is empty".to_string());
-    }
-    let mut hashes: std::collections::BTreeMap<&str, &str> = std::collections::BTreeMap::new();
-    let mut seen: std::collections::BTreeMap<&str, std::collections::BTreeSet<&str>> =
-        std::collections::BTreeMap::new();
-    let mut p99s: std::collections::BTreeMap<(&str, &str), f64> = std::collections::BTreeMap::new();
-    for (i, row) in rows.iter().enumerate() {
-        for key in ["workload", "column", "stream_hash"] {
-            if row.get(key).and_then(Json::as_str).is_none() {
-                return Err(format!("row {i}: missing string `{key}`"));
-            }
-        }
-        for key in [
-            "time_ms",
-            "mops_offered",
-            "mops_sustained",
-            "p50_us",
-            "p99_us",
-            "p999_us",
-            "p99_bound_us",
-        ] {
-            if row.get(key).and_then(Json::as_f64).is_none() {
-                return Err(format!("row {i}: missing numeric `{key}`"));
-            }
-        }
-        for key in [
-            "interrupts",
-            "failed_ops",
-            "retransmits",
-            "mgmt_deliveries",
-            "outage_drops",
-        ] {
-            if row.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("row {i}: missing integer `{key}`"));
-            }
-        }
-        let serve = row
-            .get("serve_latency")
-            .ok_or_else(|| format!("row {i}: missing `serve_latency`"))?;
-        let mut completed = 0u64;
-        for class in ["read", "write", "walk"] {
-            let c = serve
-                .get(class)
-                .ok_or_else(|| format!("row {i}: serve_latency missing class `{class}`"))?;
-            completed += c
-                .get("n")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("row {i} class {class}: missing integer `n`"))?;
-            for key in ["p50_us", "p95_us", "p99_us", "p999_us"] {
-                if c.get(key).and_then(Json::as_f64).is_none() {
-                    return Err(format!("row {i} class {class}: missing numeric `{key}`"));
-                }
-            }
-        }
-        if completed == 0 {
-            return Err(format!("row {i}: no completed serve ops in any class"));
-        }
-        let workload = row.get("workload").and_then(Json::as_str).unwrap_or("");
-        let column = row.get("column").and_then(Json::as_str).unwrap_or("");
-        let hash = row.get("stream_hash").and_then(Json::as_str).unwrap_or("");
-        if let Some(first) = hashes.get(workload) {
-            if *first != hash {
-                return Err(format!(
-                    "row {i}: `{workload}` op-stream hash differs across columns — \
-                     the workload seam leaked protocol state"
-                ));
-            }
-        } else {
-            hashes.insert(workload, hash);
-        }
-        if let Some(c) = COLUMNS.iter().find(|c| **c == column) {
-            seen.entry(workload).or_default().insert(c);
-        }
-        let p99 = row.get("p99_us").and_then(Json::as_f64).unwrap_or(0.0);
-        p99s.insert((workload, column), p99);
-        let bound = row
-            .get("p99_bound_us")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        if column.starts_with("GeNIMA") {
-            if row.get("interrupts").and_then(Json::as_u64) != Some(0) {
-                return Err(format!("row {i}: host interrupts on {column} under churn"));
-            }
-            if bound <= 0.0 {
-                return Err(format!("row {i}: {column} row carries no p99 gate"));
-            }
-        }
-        if bound > 0.0 && p99 > bound {
-            return Err(format!(
-                "row {i}: {workload}/{column} p99 {p99:.0}us exceeds its {bound:.0}us gate"
-            ));
-        }
-    }
-    for (workload, columns) in &seen {
-        if columns.len() != COLUMNS.len() {
-            return Err(format!(
-                "workload `{workload}`: only {}/{} evaluation columns present",
-                columns.len(),
-                COLUMNS.len()
-            ));
-        }
-        let base = p99s.get(&(*workload, "Base")).copied().unwrap_or(0.0);
-        let genima = p99s.get(&(*workload, "GeNIMA")).copied().unwrap_or(0.0);
-        if base < genima {
-            return Err(format!(
-                "workload `{workload}`: Base p99 {base:.0}us beats GeNIMA's {genima:.0}us — \
-                 no interrupt-processing tail visible"
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn check_barrier_schema(v: &Json) -> Result<(), String> {
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing `rows` array".to_string())?;
-    if rows.is_empty() {
-        return Err("`rows` is empty".to_string());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        if row.get("mode").and_then(Json::as_str).is_none() {
-            return Err(format!("row {i}: missing string `mode`"));
-        }
-        for key in ["barrier_us", "time_ms"] {
-            if row.get(key).and_then(Json::as_f64).is_none() {
-                return Err(format!("row {i}: missing numeric `{key}`"));
-            }
-        }
-        for key in ["nodes", "fanout", "barriers", "manager_msgs", "interrupts"] {
-            if row.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("row {i}: missing integer `{key}`"));
-            }
-        }
-        let ni = row
-            .get("ni_barrier")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("row {i}: missing boolean `ni_barrier`"))?;
-        if ni && row.get("manager_msgs").and_then(Json::as_u64) != Some(0) {
-            return Err(format!(
-                "row {i}: NI-tree barrier reported nonzero `manager_msgs`"
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn check_diff_schema(v: &Json) -> Result<(), String> {
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing `rows` array".to_string())?;
-    if rows.is_empty() {
-        return Err("`rows` is empty".to_string());
-    }
-    let mut sparse_seen = false;
-    for (i, row) in rows.iter().enumerate() {
-        let case = row
-            .get("case")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: missing string `case`"))?;
-        for key in [
-            "ref_ns",
-            "block_ns",
-            "tracked_ns",
-            "speedup_block",
-            "speedup_tracked",
-        ] {
-            if row.get(key).and_then(Json::as_f64).is_none() {
-                return Err(format!("row {i}: missing numeric `{key}`"));
-            }
-        }
-        for key in ["runs", "bytes"] {
-            if row.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("row {i}: missing integer `{key}`"));
-            }
-        }
-        if row.get("identical").and_then(Json::as_bool) != Some(true) {
-            return Err(format!(
-                "row {i}: `identical` must be true — the engines must be bit-identical"
-            ));
-        }
-        if case == "sparse" {
-            sparse_seen = true;
-            let speedup = row
-                .get("speedup_block")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("row {i}: missing numeric `speedup_block`"))?;
-            if speedup < 3.0 {
-                return Err(format!(
-                    "row {i}: sparse block-scan speedup {speedup:.2}x below the 3x gate"
-                ));
-            }
-        }
-    }
-    if !sparse_seen {
-        return Err("no `sparse` case row".to_string());
-    }
-    Ok(())
-}
-
-/// `BENCH_rdma.json`: the 1999-vs-2025 hardware comparison. Beyond
-/// shape, this is a sanity gate on the comparison itself: every row
-/// must be interrupt-free, RNIC rows must show doorbell/CQE activity
-/// and beat their LANai counterpart, LANai rows must not report RNIC
-/// counters.
-fn check_rdma_schema(v: &Json) -> Result<(), String> {
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing `rows` array".to_string())?;
-    if rows.is_empty() {
-        return Err("`rows` is empty".to_string());
-    }
-    let mut rnic_rows = 0usize;
-    let mut lanai_rows = 0usize;
-    for (i, row) in rows.iter().enumerate() {
-        for key in ["app", "column", "hw"] {
-            if row.get(key).and_then(Json::as_str).is_none() {
-                return Err(format!("row {i}: missing string `{key}`"));
-            }
-        }
-        for key in ["time_ms", "speedup", "speedup_vs_1999"] {
-            if row.get(key).and_then(Json::as_f64).is_none() {
-                return Err(format!("row {i}: missing numeric `{key}`"));
-            }
-        }
-        for key in ["interrupts", "doorbells", "cqes", "odp_faults"] {
-            if row.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("row {i}: missing integer `{key}`"));
-            }
-        }
-        check_op_latency(row, i)?;
-        if row.get("interrupts").and_then(Json::as_u64) != Some(0) {
-            return Err(format!(
-                "row {i}: nonzero host interrupts — GeNIMA is interrupt-free on any hardware"
-            ));
-        }
-        let doorbells = row.get("doorbells").and_then(Json::as_u64);
-        let cqes = row.get("cqes").and_then(Json::as_u64);
-        if row.get("column").and_then(Json::as_str) == Some("GeNIMA-2025") {
-            rnic_rows += 1;
-            if doorbells == Some(0) || cqes == Some(0) {
-                return Err(format!("row {i}: RNIC row with flat doorbell/CQE counters"));
-            }
-            match row.get("speedup_vs_1999").and_then(Json::as_f64) {
-                Some(r) if r > 1.0 => {}
-                Some(r) => {
-                    return Err(format!(
-                        "row {i}: 2025 hardware does not beat 1999 (ratio {r:.2})"
-                    ));
-                }
-                None => return Err(format!("row {i}: missing numeric `speedup_vs_1999`")),
-            }
-        } else {
-            lanai_rows += 1;
-            if doorbells != Some(0) || cqes != Some(0) {
-                return Err(format!("row {i}: LANai row reporting RNIC counters"));
-            }
-        }
-    }
-    if rnic_rows == 0 || lanai_rows == 0 {
-        return Err(format!(
-            "need both profiles: {lanai_rows} LANai and {rnic_rows} RNIC rows"
-        ));
-    }
-    Ok(())
-}
-
-/// The five attribution segments every critpath row must carry.
-const SEGMENTS: &[&str] = &[
-    "interrupt",
-    "firmware",
-    "wire",
-    "host_handler",
-    "queue_retry",
-];
-
-/// `BENCH_critpath.json`: per-op critical-path attribution across all
-/// six columns. Beyond shape, this re-checks the bench's own gates
-/// from the written report: segment totals must sum to `total_ns`
-/// exactly, the GeNIMA columns must carry zero interrupt-segment time,
-/// and Base must show a nonzero interrupt share.
-fn check_critpath_schema(v: &Json) -> Result<(), String> {
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing `rows` array".to_string())?;
-    if rows.is_empty() {
-        return Err("`rows` is empty".to_string());
-    }
-    let mut seen: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    for (i, row) in rows.iter().enumerate() {
-        for key in ["app", "column", "hw"] {
-            if row.get(key).and_then(Json::as_str).is_none() {
-                return Err(format!("row {i}: missing string `{key}`"));
-            }
-        }
-        for key in ["time_ms", "speedup", "interrupt_share"] {
-            if row.get(key).and_then(Json::as_f64).is_none() {
-                return Err(format!("row {i}: missing numeric `{key}`"));
-            }
-        }
-        for key in ["ops", "total_ns"] {
-            if row.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("row {i}: missing integer `{key}`"));
-            }
-        }
-        let segs = row
-            .get("segments_ns")
-            .ok_or_else(|| format!("row {i}: missing `segments_ns`"))?;
-        let mut sum = 0u64;
-        for seg in SEGMENTS {
-            let ns = segs
-                .get(seg)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("row {i}: segments_ns missing integer `{seg}`"))?;
-            sum += ns;
-        }
-        if Some(sum) != row.get("total_ns").and_then(Json::as_u64) {
-            return Err(format!(
-                "row {i}: segment attribution does not sum to `total_ns`"
-            ));
-        }
-        let column = row
-            .get("column")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: missing string `column`"))?;
-        if let Some(c) = COLUMNS.iter().find(|c| **c == column) {
-            seen.insert(c);
-        }
-        let interrupt_ns = segs.get("interrupt").and_then(Json::as_u64);
-        if column.starts_with("GeNIMA") && interrupt_ns != Some(0) {
-            return Err(format!(
-                "row {i}: interrupt time on a {column} critical path"
-            ));
-        }
-        if column == "Base" && interrupt_ns == Some(0) {
-            return Err(format!(
-                "row {i}: Base critical path shows zero interrupt time"
-            ));
-        }
-        let classes = row
-            .get("classes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("row {i}: missing `classes` array"))?;
-        for (j, c) in classes.iter().enumerate() {
-            if c.get("class").and_then(Json::as_str).is_none() {
-                return Err(format!("row {i} class {j}: missing string `class`"));
-            }
-            for key in ["count", "p50_ns", "p95_ns", "p99_ns"] {
-                if c.get(key).and_then(Json::as_u64).is_none() {
-                    return Err(format!("row {i} class {j}: missing integer `{key}`"));
-                }
-            }
-        }
-    }
-    if seen.len() != COLUMNS.len() {
-        return Err(format!(
-            "only {}/{} evaluation columns present",
-            seen.len(),
-            COLUMNS.len()
-        ));
-    }
-    Ok(())
-}
-
-fn check_mc_schema(v: &Json) -> Result<(), String> {
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing `rows` array".to_string())?;
-    if rows.is_empty() {
-        return Err("`rows` is empty".to_string());
-    }
-    let mut ci_rows = 0usize;
-    for (i, row) in rows.iter().enumerate() {
-        for key in ["litmus", "column", "tier"] {
-            if row.get(key).and_then(Json::as_str).is_none() {
-                return Err(format!("row {i}: missing string `{key}`"));
-            }
-        }
-        for key in [
-            "schedules",
-            "sleep_pruned",
-            "truncated",
-            "violations",
-            "distinct_outcomes",
-            "steps_total",
-        ] {
-            if row.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("row {i}: missing integer `{key}`"));
-            }
-        }
-        if row.get("states_per_sec").and_then(Json::as_f64).is_none() {
-            return Err(format!("row {i}: missing numeric `states_per_sec`"));
-        }
-        if row.get("exhaustive").and_then(Json::as_bool).is_none() {
-            return Err(format!("row {i}: missing boolean `exhaustive`"));
-        }
-        if row.get("violations").and_then(Json::as_u64) != Some(0) {
-            return Err(format!("row {i}: litmus exploration found violations"));
-        }
-        if row.get("truncated").and_then(Json::as_u64) != Some(0) {
-            return Err(format!(
-                "row {i}: exploration hit the depth bound — raise max_steps"
-            ));
-        }
-        // Every CI-corpus cell must be a completed exhaustive proof;
-        // only the extended classic shapes may report bounded coverage.
-        if row.get("tier").and_then(Json::as_str) == Some("ci") {
-            ci_rows += 1;
-            if row.get("exhaustive").and_then(Json::as_bool) != Some(true) {
-                return Err(format!("row {i}: CI-corpus cell is not exhaustive"));
-            }
-        }
-    }
-    if ci_rows < 10 {
-        return Err(format!(
-            "only {ci_rows} CI-corpus rows — expected the full litmus × column grid"
-        ));
-    }
-    // The DPOR-vs-naive calibration must show real pruning on a cell
-    // DPOR itself exhausted.
-    let calib = v
-        .get("calibration")
-        .ok_or_else(|| "missing `calibration` object".to_string())?;
-    for key in ["dpor_schedules", "naive_schedules"] {
-        if calib.get(key).and_then(Json::as_u64).is_none() {
-            return Err(format!("calibration: missing integer `{key}`"));
-        }
-    }
-    if calib.get("dpor_exhaustive").and_then(Json::as_bool) != Some(true) {
-        return Err("calibration: DPOR side must be an exhaustive proof".to_string());
-    }
-    match calib.get("prune_ratio").and_then(Json::as_f64) {
-        Some(ratio) if ratio >= 5.0 => {}
-        Some(ratio) => {
-            return Err(format!(
-                "calibration: DPOR prune ratio {ratio:.1}x below the 5x gate"
-            ));
-        }
-        None => return Err("calibration: missing numeric `prune_ratio`".to_string()),
-    }
-    let m = v
-        .get("mutant")
-        .ok_or_else(|| "missing `mutant` object".to_string())?;
-    for key in ["name", "litmus", "column"] {
-        if m.get(key).and_then(Json::as_str).is_none() {
-            return Err(format!("mutant: missing string `{key}`"));
-        }
-    }
-    if m.get("caught").and_then(Json::as_bool) != Some(true) {
-        return Err("mutant: seeded bug was not caught".to_string());
-    }
-    if m.get("replay_ok").and_then(Json::as_bool) != Some(true) {
-        return Err("mutant: counterexample failed replay verification".to_string());
-    }
-    let to_violation = m
-        .get("schedules_to_violation")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| "mutant: missing integer `schedules_to_violation`".to_string())?;
-    if to_violation >= 10_000 {
-        return Err(format!(
-            "mutant: caught only after {to_violation} schedules (gate: < 10000)"
-        ));
-    }
-    if m.get("minimized_steps").and_then(Json::as_u64).is_none() {
-        return Err("mutant: missing integer `minimized_steps`".to_string());
-    }
-    Ok(())
-}
-
-/// The channel-key spellings a `schedule_trace` may use (the `Display`
-/// forms of the proto crate's `ChanKey`).
-const CHAN_KEY_PREFIXES: &[&str] = &[
-    "wire:", "mem:", "fetch:", "lock:", "coll:", "atom:", "proc:", "hnd:",
-];
-
-fn valid_chan_key(s: &str) -> bool {
-    CHAN_KEY_PREFIXES.iter().any(|p| s.starts_with(p)) && s.len() > s.find(':').unwrap_or(0) + 1
-}
-
-fn check_schedule_trace_schema(v: &Json) -> Result<(), String> {
-    for key in ["litmus", "column", "violation"] {
-        if v.get(key).and_then(Json::as_str).is_none() {
-            return Err(format!("missing string `{key}`"));
-        }
-    }
-    match v.get("mutation") {
-        Some(Json::Null) | Some(Json::Str(_)) => {}
-        Some(_) => return Err("`mutation` must be a string or null".to_string()),
-        None => return Err("missing `mutation`".to_string()),
-    }
-    let prefix = v
-        .get("prefix")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing `prefix` array".to_string())?;
-    for (i, k) in prefix.iter().enumerate() {
-        let s = k
-            .as_str()
-            .ok_or_else(|| format!("prefix[{i}]: must be a string channel key"))?;
-        if !valid_chan_key(s) {
-            return Err(format!("prefix[{i}]: `{s}` is not a channel key"));
-        }
-    }
-    let steps = v
-        .get("steps")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing `steps` array".to_string())?;
-    if steps.len() < prefix.len() {
-        return Err("`steps` must cover at least the forced prefix".to_string());
-    }
-    for (i, s) in steps.iter().enumerate() {
-        let key = s
-            .get("key")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("steps[{i}]: missing string `key`"))?;
-        if !valid_chan_key(key) {
-            return Err(format!("steps[{i}]: `{key}` is not a channel key"));
-        }
-        if s.get("label").and_then(Json::as_str).is_none() {
-            return Err(format!("steps[{i}]: missing string `label`"));
-        }
-    }
-    Ok(())
-}
-
-/// Dispatches a parsed bench report to the matching schema check.
-fn check_schema(v: &Json) -> Result<&'static str, String> {
-    if v.get("kind").and_then(Json::as_str) == Some("schedule_trace") {
-        return check_schedule_trace_schema(v).map(|()| "schedule_trace");
-    }
-    if v.get("seed").and_then(Json::as_u64).is_none() {
-        return Err("missing integer `seed`".to_string());
-    }
-    match v.get("bench").and_then(Json::as_str) {
-        Some("breakdowns") => check_breakdowns_schema(v).map(|()| "breakdowns"),
-        Some("fault_matrix") => check_fault_matrix_schema(v).map(|()| "fault_matrix"),
-        Some("serving") => check_serving_schema(v).map(|()| "serving"),
-        Some("barrier") => check_barrier_schema(v).map(|()| "barrier"),
-        Some("diff") => check_diff_schema(v).map(|()| "diff"),
-        Some("mc") => check_mc_schema(v).map(|()| "mc"),
-        Some("rdma") => check_rdma_schema(v).map(|()| "rdma"),
-        Some("critpath") => check_critpath_schema(v).map(|()| "critpath"),
-        Some("engine") => check_engine_schema(v).map(|()| "engine"),
-        Some(other) => Err(format!("unknown bench kind `{other}`")),
-        None => Err("missing string `bench`".to_string()),
-    }
-}
-
-/// `BENCH_engine.json`: the event-engine hot-path report. `hold` rows
-/// compare the timing wheel against the retired `BinaryHeap` on the
-/// hold model; `system` rows report whole-run events/sec. The largest
-/// hold population re-checks the CI floor: the wheel must be at least
-/// 3x the heap and allocate at most 0.1 times per event in steady
-/// state.
-fn check_engine_schema(v: &Json) -> Result<(), String> {
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing `rows` array".to_string())?;
-    if rows.is_empty() {
-        return Err("`rows` is empty".to_string());
-    }
-    let mut largest_hold: Option<(u64, f64, f64)> = None;
-    let mut system_seen = false;
-    for (i, row) in rows.iter().enumerate() {
-        let kind = row
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: missing string `kind`"))?;
-        if row.get("name").and_then(Json::as_str).is_none() {
-            return Err(format!("row {i}: missing string `name`"));
-        }
-        match kind {
-            "hold" => {
-                let pending = row
-                    .get("pending")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("row {i}: missing integer `pending`"))?;
-                for key in [
-                    "heap_ns_per_event",
-                    "wheel_ns_per_event",
-                    "speedup",
-                    "wheel_allocs_per_event",
-                ] {
-                    if row.get(key).and_then(Json::as_f64).is_none() {
-                        return Err(format!("row {i}: missing numeric `{key}`"));
-                    }
-                }
-                let speedup = row.get("speedup").and_then(Json::as_f64).unwrap_or(0.0);
-                let allocs = row
-                    .get("wheel_allocs_per_event")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(f64::MAX);
-                if largest_hold.is_none_or(|(p, _, _)| pending > p) {
-                    largest_hold = Some((pending, speedup, allocs));
-                }
-            }
-            "system" => {
-                system_seen = true;
-                if row.get("events").and_then(Json::as_u64).is_none() {
-                    return Err(format!("row {i}: missing integer `events`"));
-                }
-                for key in ["events_per_sec", "allocs_per_event"] {
-                    if row.get(key).and_then(Json::as_f64).is_none() {
-                        return Err(format!("row {i}: missing numeric `{key}`"));
-                    }
-                }
-            }
-            other => return Err(format!("row {i}: unknown row kind `{other}`")),
-        }
-    }
-    let Some((pending, speedup, allocs)) = largest_hold else {
-        return Err("no `hold` calibration row".to_string());
-    };
-    if speedup < 3.0 {
-        return Err(format!(
-            "hold-{pending}: wheel speedup {speedup:.2}x below the 3x gate"
-        ));
-    }
-    if allocs > 0.1 {
-        return Err(format!(
-            "hold-{pending}: {allocs:.3} allocations per event above the 0.1 gate"
-        ));
-    }
-    if !system_seen {
-        return Err("no `system` throughput row".to_string());
-    }
-    Ok(())
-}
-
-/// Renders one `BENCH_critpath.json` as the per-(app, column) segment
-/// breakdown table: microseconds per attribution segment plus the
-/// interrupt share of the summed critical paths.
-fn critpath_grid(v: &Json) -> Result<Grid, String> {
-    check_critpath_schema(v)?;
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing `rows` array".to_string())?;
+/// Renders the rows of a checked `BENCH_critpath.json` as the
+/// per-(app, column) segment breakdown table: microseconds per
+/// attribution segment plus the interrupt share of the summed
+/// critical paths.
+fn critpath_grid(v: &Json) -> Grid {
     let mut grid = Grid::new(vec![
         "app",
         "column",
@@ -1134,18 +386,16 @@ fn critpath_grid(v: &Json) -> Result<Grid, String> {
         "queue(us)",
         "intr%",
     ]);
-    for row in rows {
+    for row in v.get("rows").and_then(Json::as_arr).unwrap_or_default() {
         let cell = |key: &str| {
             row.get(key)
                 .and_then(Json::as_str)
                 .unwrap_or_default()
                 .to_string()
         };
-        let segs = row
-            .get("segments_ns")
-            .ok_or_else(|| "missing `segments_ns`".to_string())?;
         let us = |seg: &str| {
-            let ns = segs.get(seg).and_then(Json::as_u64).unwrap_or_default();
+            let ns = row.get("segments_ns").and_then(|s| s.get(seg));
+            let ns = ns.and_then(Json::as_u64).unwrap_or_default();
             format!("{:.1}", ns as f64 / 1e3)
         };
         let share = row
@@ -1167,16 +417,20 @@ fn critpath_grid(v: &Json) -> Result<Grid, String> {
             format!("{:.1}%", share * 100.0),
         ]);
     }
-    Ok(grid)
+    grid
 }
 
-/// `xtask prof-summary <BENCH_critpath.json>`: validates the report
-/// and prints the critical-path breakdown table.
+/// `xtask prof-summary <BENCH_critpath.json>`: checks the report and
+/// prints the critical-path breakdown table.
 fn run_prof_summary(path: &str) -> ExitCode {
-    match load_json(path).and_then(|v| critpath_grid(&v).map(|g| g.render())) {
-        Ok(table) => {
-            println!("{table}");
+    match load_report(path) {
+        Ok((v, kind)) if kind == "critpath" => {
+            println!("{}", critpath_grid(&v).render());
             ExitCode::SUCCESS
+        }
+        Ok((_, kind)) => {
+            eprintln!("xtask prof-summary: {path}: a `{kind}` report, not `critpath`");
+            ExitCode::FAILURE
         }
         Err(e) => {
             eprintln!("xtask prof-summary: {path}: {e}");
@@ -1192,8 +446,8 @@ fn run_obs_schema(paths: &[String]) -> ExitCode {
     }
     let mut failures = 0u32;
     for path in paths {
-        match load_json(path).and_then(|v| check_schema(&v)) {
-            Ok(kind) => println!("xtask obs-schema: {path}: valid {kind} report"),
+        match load_report(path) {
+            Ok((_, kind)) => println!("xtask obs-schema: {path}: valid {kind} report"),
             Err(e) => {
                 eprintln!("xtask obs-schema: {path}: {e}");
                 failures += 1;
@@ -1391,478 +645,18 @@ mod tests {
         assert_eq!(lint_source("x.rs", src).len(), 1);
     }
 
-    fn minimal_breakdowns_json() -> String {
-        let cols: Vec<String> = COLUMNS
-            .iter()
-            .map(|c| {
-                format!(
-                    "\"{c}\":{{\"parallel_ms\":1.0,\"speedup\":2.0,\
-                     \"shares\":{{}},\"counters\":{{\"interrupts\":0}}}}"
-                )
-            })
-            .collect();
-        format!(
-            "{{\"bench\":\"breakdowns\",\"seed\":42,\"apps\":{{\"LU\":{{\
-             \"sequential_ms\":9.0,\"columns\":{{{}}}}}}}}}",
-            cols.join(",")
-        )
-    }
-
     #[test]
-    fn breakdowns_schema_accepts_all_six_columns() {
-        let v = Json::parse(&minimal_breakdowns_json()).expect("fixture parses");
-        assert_eq!(check_schema(&v), Ok("breakdowns"));
-    }
-
-    fn minimal_engine_json() -> String {
-        "{\"bench\":\"engine\",\"seed\":42,\"iters\":1000,\"rows\":[\
-         {\"kind\":\"hold\",\"name\":\"hold-2^17\",\"pending\":131072,\
-         \"heap_ns_per_event\":300.0,\"wheel_ns_per_event\":50.0,\
-         \"speedup\":6.0,\"wheel_allocs_per_event\":0.01},\
-         {\"kind\":\"system\",\"name\":\"ocean/Base\",\"events\":1000,\
-         \"events_per_sec\":500000.0,\"allocs_per_event\":3.0}]}"
-            .to_string()
-    }
-
-    #[test]
-    fn engine_schema_round_trips() {
-        let v = Json::parse(&minimal_engine_json()).expect("fixture parses");
-        assert_eq!(check_schema(&v), Ok("engine"));
-    }
-
-    #[test]
-    fn engine_schema_enforces_the_speedup_floor() {
-        let text = minimal_engine_json().replace("\"speedup\":6.0", "\"speedup\":2.0");
-        let v = Json::parse(&text).expect("fixture parses");
-        let err = check_schema(&v).expect_err("must flag the slow wheel");
-        assert!(err.contains("below the 3x gate"), "{err}");
-    }
-
-    #[test]
-    fn engine_schema_enforces_the_allocation_floor() {
-        let text = minimal_engine_json().replace(
-            "\"wheel_allocs_per_event\":0.01",
-            "\"wheel_allocs_per_event\":0.7",
-        );
-        let v = Json::parse(&text).expect("fixture parses");
-        let err = check_schema(&v).expect_err("must flag the allocating wheel");
-        assert!(err.contains("above the 0.1 gate"), "{err}");
-    }
-
-    #[test]
-    fn breakdowns_schema_rejects_missing_column() {
-        let text = minimal_breakdowns_json().replace("\"GeNIMA\"", "\"GeNIMA-typo\"");
-        let v = Json::parse(&text).expect("fixture parses");
-        let err = check_schema(&v).expect_err("must flag the missing column");
-        assert!(err.contains("GeNIMA"), "{err}");
-    }
-
-    /// Per-op-kind tail-latency fragment every trajectory row carries.
-    const OP_LATENCY_FRAG: &str = "\"op_latency\":{\
-         \"fetch\":{\"n\":10,\"p50_us\":4.0,\"p95_us\":9.0,\"p99_us\":12.0},\
-         \"lock\":{\"n\":5,\"p50_us\":2.0,\"p95_us\":3.0,\"p99_us\":3.5},\
-         \"barrier\":{\"n\":8,\"p50_us\":20.0,\"p95_us\":40.0,\"p99_us\":55.0}}";
-
-    #[test]
-    fn fault_matrix_schema_round_trips() {
-        let row = format!(
-            "{{\"drop_rate\":0.05,\"column\":\"Base\",\"time_ms\":3.5,\
-             \"retransmits\":2,\"duplicates_suppressed\":1,\
-             \"injected_drops\":4,\"injected_dups\":1,\"injected_delays\":2,\
-             \"interrupts\":0,\"audit_clean\":true,{OP_LATENCY_FRAG}}}"
-        );
-        let text = format!("{{\"bench\":\"fault_matrix\",\"seed\":7,\"rows\":[{row}]}}");
-        let v = Json::parse(&text).expect("fixture parses");
-        assert_eq!(check_schema(&v), Ok("fault_matrix"));
-        let broken = text.replace("\"audit_clean\":true", "\"audit_clean\":3");
-        let v = Json::parse(&broken).expect("fixture parses");
-        assert!(check_schema(&v).is_err());
-        // Tail latency is part of the trajectory contract.
-        let no_tail = text.replace("\"op_latency\"", "\"op_lat\"");
-        let v = Json::parse(&no_tail).expect("fixture parses");
-        let err = check_schema(&v).expect_err("rows must carry op_latency");
-        assert!(err.contains("op_latency"), "{err}");
-        let no_p99 = text.replacen("\"p99_us\":12.0", "\"p99\":12.0", 1);
-        let v = Json::parse(&no_p99).expect("fixture parses");
-        let err = check_schema(&v).expect_err("classes must carry p99_us");
-        assert!(err.contains("p99_us"), "{err}");
-    }
-
-    fn minimal_serving_json() -> String {
-        let serve = "\"serve_latency\":{\
-             \"read\":{\"n\":90,\"p50_us\":40.0,\"p95_us\":300.0,\"p99_us\":900.0,\"p999_us\":2000.0},\
-             \"write\":{\"n\":10,\"p50_us\":60.0,\"p95_us\":400.0,\"p99_us\":1100.0,\"p999_us\":2600.0},\
-             \"walk\":{\"n\":0,\"p50_us\":0.0,\"p95_us\":0.0,\"p99_us\":0.0,\"p999_us\":0.0}}";
-        let rows: Vec<String> = COLUMNS
-            .iter()
-            .map(|column| {
-                let interrupt_free = column.starts_with("GeNIMA");
-                let (p99, bound, intr) = if interrupt_free {
-                    (8389.0, 33554.0, 0)
-                } else {
-                    (67109.0, 0.0, 900)
-                };
-                format!(
-                    "{{\"workload\":\"kv\",\"column\":\"{column}\",\"time_ms\":55.0,\
-                     \"mops_offered\":0.02,\"mops_sustained\":0.012,\
-                     \"p50_us\":500.0,\"p99_us\":{p99:.1},\"p999_us\":{p99:.1},\
-                     \"p99_bound_us\":{bound:.1},\"interrupts\":{intr},\
-                     \"failed_ops\":2,\"retransmits\":300,\"mgmt_deliveries\":1,\
-                     \"outage_drops\":80,\"stream_hash\":\"00c0ffee00c0ffee\",{serve}}}"
-                )
-            })
-            .collect();
-        format!(
-            "{{\"bench\":\"serving\",\"seed\":7,\"nodes\":4,\"ops\":800,\
-             \"horizon_ms\":40.0,\"rows\":[{}]}}",
-            rows.join(",")
-        )
-    }
-
-    #[test]
-    fn serving_schema_round_trips() {
-        let v = Json::parse(&minimal_serving_json()).expect("fixture parses");
-        assert_eq!(check_schema(&v), Ok("serving"));
-    }
-
-    #[test]
-    fn serving_schema_gates_the_tails() {
-        let base = minimal_serving_json();
-        for (broken, needle) in [
-            // An interrupt-free column taking host interrupts.
-            (
-                base.replace(
-                    "\"p99_bound_us\":33554.0,\"interrupts\":0",
-                    "\"p99_bound_us\":33554.0,\"interrupts\":5",
-                ),
-                "interrupt",
-            ),
-            // A gated row whose p99 breaks its own bound.
-            (
-                base.replace("\"p99_us\":8389.0", "\"p99_us\":67109.0"),
-                "gate",
-            ),
-            // A column whose op stream drifted from its siblings.
-            (
-                base.replacen("00c0ffee00c0ffee", "deadbeefdeadbeef", 1),
-                "hash",
-            ),
-            // Per-class tails are part of the contract.
-            (
-                base.replace("\"p999_us\":2000.0", "\"p999\":2000.0"),
-                "p999_us",
-            ),
-            // A report missing one of the six evaluation columns.
-            (
-                base.replace("\"column\":\"DW\"", "\"column\":\"DWX\""),
-                "columns present",
-            ),
-        ] {
-            let v = Json::parse(&broken).expect("fixture parses");
-            let err = check_schema(&v).expect_err("must fail the serving gate");
-            assert!(err.contains(needle), "`{err}` misses `{needle}`");
+    fn prof_summary_renders_every_row_of_the_checked_in_report() {
+        let path = repo_root().join("BENCH_critpath.json");
+        let (v, kind) = load_report(path.to_str().expect("utf-8 path")).expect("valid report");
+        assert_eq!(kind, "critpath");
+        let table = critpath_grid(&v).render();
+        let rows = v.get("rows").and_then(Json::as_arr).expect("checked");
+        // Header, rule, one line per row.
+        assert_eq!(table.lines().count(), rows.len() + 2, "{table}");
+        for column in ["Base", "DW+RF+DD", "GeNIMA-2025", "intr%"] {
+            assert!(table.contains(column), "missing {column} in:\n{table}");
         }
-        // Base beating GeNIMA means the interrupt tail vanished.
-        let inverted = base.replace(
-            "\"p50_us\":500.0,\"p99_us\":67109.0",
-            "\"p50_us\":500.0,\"p99_us\":4000.0",
-        );
-        let v = Json::parse(&inverted).expect("fixture parses");
-        let err = check_schema(&v).expect_err("Base must not beat GeNIMA");
-        assert!(err.contains("tail"), "{err}");
-    }
-
-    fn minimal_rdma_json() -> String {
-        let lanai = format!(
-            "{{\"app\":\"FFT\",\"column\":\"GeNIMA\",\"hw\":\"LANai-1999\",\
-             \"time_ms\":10.0,\"speedup\":5.0,\"speedup_vs_1999\":1.0,\
-             \"interrupts\":0,\"doorbells\":0,\"cqes\":0,\"odp_faults\":0,\
-             {OP_LATENCY_FRAG}}}"
-        );
-        let rnic = format!(
-            "{{\"app\":\"FFT\",\"column\":\"GeNIMA-2025\",\"hw\":\"RNIC-2025\",\
-             \"time_ms\":6.0,\"speedup\":8.3,\"speedup_vs_1999\":1.7,\
-             \"interrupts\":0,\"doorbells\":900,\"cqes\":1800,\"odp_faults\":64,\
-             {OP_LATENCY_FRAG}}}"
-        );
-        format!("{{\"bench\":\"rdma\",\"seed\":7,\"rows\":[{lanai},{rnic}]}}")
-    }
-
-    #[test]
-    fn rdma_schema_round_trips() {
-        let v = Json::parse(&minimal_rdma_json()).expect("fixture parses");
-        assert_eq!(check_schema(&v), Ok("rdma"));
-    }
-
-    #[test]
-    fn rdma_schema_gates_the_comparison() {
-        let base = minimal_rdma_json();
-        for (broken, needle) in [
-            (
-                base.replace(
-                    "\"interrupts\":0,\"doorbells\":900",
-                    "\"interrupts\":3,\"doorbells\":900",
-                ),
-                "interrupt",
-            ),
-            (
-                base.replace(
-                    "\"doorbells\":900,\"cqes\":1800",
-                    "\"doorbells\":0,\"cqes\":1800",
-                ),
-                "flat",
-            ),
-            (
-                base.replace("\"speedup_vs_1999\":1.7", "\"speedup_vs_1999\":0.8"),
-                "beat",
-            ),
-            (
-                base.replace("\"doorbells\":0,\"cqes\":0", "\"doorbells\":5,\"cqes\":0"),
-                "LANai",
-            ),
-        ] {
-            let v = Json::parse(&broken).expect("fixture parses");
-            let err = check_schema(&v).expect_err("must fail the gate");
-            assert!(err.contains(needle), "{err} should mention {needle}");
-        }
-        // A report with only one profile is not a comparison.
-        let one_sided =
-            minimal_rdma_json().replace("\"column\":\"GeNIMA\",", "\"column\":\"GeNIMA-2025\",");
-        let v = Json::parse(&one_sided).expect("fixture parses");
-        assert!(check_schema(&v).is_err());
-    }
-
-    #[test]
-    fn barrier_schema_round_trips() {
-        let row = "{\"nodes\":16,\"mode\":\"ni-tree-4\",\"fanout\":4,\
-                   \"barrier_us\":268.9,\"time_ms\":3.2,\"barriers\":12,\
-                   \"manager_msgs\":0,\"interrupts\":0,\"ni_barrier\":true}";
-        let text = format!("{{\"bench\":\"barrier\",\"seed\":7,\"iters\":12,\"rows\":[{row}]}}");
-        let v = Json::parse(&text).expect("fixture parses");
-        assert_eq!(check_schema(&v), Ok("barrier"));
-        let broken = text.replace("\"manager_msgs\":0", "\"manager_msgs\":5");
-        let v = Json::parse(&broken).expect("fixture parses");
-        let err = check_schema(&v).expect_err("NI rows must carry zero manager messages");
-        assert!(err.contains("manager_msgs"), "{err}");
-    }
-
-    #[test]
-    fn diff_schema_round_trips() {
-        let row = "{\"case\":\"sparse\",\"runs\":8,\"bytes\":48,\
-                   \"ref_ns\":1500.0,\"block_ns\":250.0,\"tracked_ns\":60.0,\
-                   \"speedup_block\":6.0,\"speedup_tracked\":25.0,\"identical\":true}";
-        let text = format!("{{\"bench\":\"diff\",\"seed\":7,\"iters\":4000,\"rows\":[{row}]}}");
-        let v = Json::parse(&text).expect("fixture parses");
-        assert_eq!(check_schema(&v), Ok("diff"));
-        let slow = text.replace("\"speedup_block\":6.0", "\"speedup_block\":1.4");
-        let v = Json::parse(&slow).expect("fixture parses");
-        let err = check_schema(&v).expect_err("sparse speedup below 3x must fail");
-        assert!(err.contains("gate"), "{err}");
-        let wrong = text.replace("\"identical\":true", "\"identical\":false");
-        let v = Json::parse(&wrong).expect("fixture parses");
-        let err = check_schema(&v).expect_err("non-identical output must fail");
-        assert!(err.contains("identical"), "{err}");
-    }
-
-    fn minimal_critpath_json() -> String {
-        let row = |column: &str, intr: u64| {
-            format!(
-                "{{\"app\":\"FFT\",\"column\":\"{column}\",\"hw\":\"LANai-1999\",\
-                 \"time_ms\":4.2,\"speedup\":5.0,\"ops\":120,\"total_ns\":{},\
-                 \"segments_ns\":{{\"interrupt\":{intr},\"firmware\":200,\"wire\":300,\
-                 \"host_handler\":100,\"queue_retry\":400}},\
-                 \"interrupt_share\":0.1,\
-                 \"classes\":[{{\"class\":\"fetch\",\"count\":80,\
-                 \"p50_ns\":900,\"p95_ns\":2100,\"p99_ns\":3000}}]}}",
-                intr + 1000
-            )
-        };
-        let rows: Vec<String> = COLUMNS
-            .iter()
-            .map(|c| row(c, if c.starts_with("GeNIMA") { 0 } else { 50 }))
-            .collect();
-        format!(
-            "{{\"bench\":\"critpath\",\"seed\":7,\"rows\":[{}]}}",
-            rows.join(",")
-        )
-    }
-
-    #[test]
-    fn critpath_schema_round_trips() {
-        let v = Json::parse(&minimal_critpath_json()).expect("fixture parses");
-        assert_eq!(check_schema(&v), Ok("critpath"));
-    }
-
-    #[test]
-    fn critpath_schema_gates_attribution_and_interrupts() {
-        let base = minimal_critpath_json();
-        for (broken, needle) in [
-            // Segment sums must reproduce total_ns exactly.
-            (
-                base.replacen("\"queue_retry\":400", "\"queue_retry\":401", 1),
-                "sum",
-            ),
-            // A GeNIMA row with interrupt time fails the thesis gate.
-            (
-                base.replace(
-                    "\"column\":\"GeNIMA\",\"hw\":\"LANai-1999\",\
-                     \"time_ms\":4.2,\"speedup\":5.0,\"ops\":120,\"total_ns\":1000,\
-                     \"segments_ns\":{\"interrupt\":0",
-                    "\"column\":\"GeNIMA\",\"hw\":\"LANai-1999\",\
-                     \"time_ms\":4.2,\"speedup\":5.0,\"ops\":120,\"total_ns\":1005,\
-                     \"segments_ns\":{\"interrupt\":5",
-                ),
-                "GeNIMA",
-            ),
-            // A Base row with zero interrupt time is equally wrong.
-            (
-                base.replacen("\"interrupt\":50", "\"interrupt\":0", 1)
-                    .replacen("\"total_ns\":1050", "\"total_ns\":1000", 1),
-                "Base",
-            ),
-        ] {
-            let v = Json::parse(&broken).expect("fixture parses");
-            let err = check_schema(&v).expect_err("must fail the gate");
-            assert!(err.contains(needle), "{err} should mention {needle}");
-        }
-        // Dropping a column breaks the six-column requirement.
-        let missing = base.replace("\"column\":\"DW\",", "\"column\":\"DW-typo\",");
-        let v = Json::parse(&missing).expect("fixture parses");
-        let err = check_schema(&v).expect_err("must require all six columns");
-        assert!(err.contains("columns"), "{err}");
-    }
-
-    #[test]
-    fn critpath_grid_renders_every_row() {
-        let v = Json::parse(&minimal_critpath_json()).expect("fixture parses");
-        let table = critpath_grid(&v).expect("valid report").render();
-        for col in COLUMNS {
-            assert!(table.contains(col), "missing {col} in:\n{table}");
-        }
-        assert!(table.contains("intr%"));
-    }
-
-    #[test]
-    fn schema_rejects_unknown_kind() {
-        let v = Json::parse("{\"bench\":\"mystery\",\"seed\":1}").expect("fixture parses");
-        assert!(check_schema(&v).is_err());
-    }
-
-    fn minimal_mc_json() -> String {
-        let row = |litmus: &str, column: &str, tier: &str| {
-            format!(
-                "{{\"litmus\":\"{litmus}\",\"column\":\"{column}\",\"tier\":\"{tier}\",\
-                 \"schedules\":100,\
-                 \"sleep_pruned\":40,\"truncated\":0,\"violations\":0,\
-                 \"distinct_outcomes\":2,\"steps_total\":5000,\
-                 \"states_per_sec\":12000.0,\"exhaustive\":true}}"
-            )
-        };
-        let ci: Vec<String> = ["mp", "lost-update", "mono", "mp-bar", "barrier-epoch"]
-            .iter()
-            .flat_map(|l| ["Base", "GeNIMA"].iter().map(|c| row(l, c, "ci")))
-            .collect();
-        format!(
-            "{{\"bench\":\"mc\",\"seed\":1999,\"rows\":[{},{}],\
-             \"calibration\":{{\"litmus\":\"lock-handoff\",\"column\":\"Base\",\
-             \"dpor_schedules\":800000,\"dpor_exhaustive\":true,\
-             \"naive_schedules\":4000000,\"naive_capped\":true,\"prune_ratio\":5.0}},\
-             \"mutant\":{{\"name\":\"reorder-write-notice\",\"litmus\":\"mp\",\
-             \"column\":\"GeNIMA\",\"caught\":true,\"replay_ok\":true,\
-             \"schedules_to_violation\":180,\"minimized_steps\":32}}}}",
-            ci.join(","),
-            row("lock-handoff", "Base", "extended"),
-        )
-    }
-
-    #[test]
-    fn mc_schema_round_trips() {
-        let v = Json::parse(&minimal_mc_json()).expect("fixture parses");
-        assert_eq!(check_schema(&v), Ok("mc"));
-    }
-
-    #[test]
-    fn mc_schema_gates_violations_pruning_and_mutant() {
-        let base = minimal_mc_json();
-        for (broken, needle) in [
-            (
-                base.replacen("\"violations\":0", "\"violations\":1", 1),
-                "violation",
-            ),
-            (
-                base.replacen("\"truncated\":0", "\"truncated\":3", 1),
-                "depth bound",
-            ),
-            (
-                base.replace("\"prune_ratio\":5.0", "\"prune_ratio\":2.0"),
-                "5x gate",
-            ),
-            (
-                base.replace("\"dpor_exhaustive\":true", "\"dpor_exhaustive\":false"),
-                "exhaustive proof",
-            ),
-            (
-                base.replacen("\"exhaustive\":true", "\"exhaustive\":false", 1),
-                "not exhaustive",
-            ),
-            (
-                base.replace("\"caught\":true", "\"caught\":false"),
-                "not caught",
-            ),
-            (
-                base.replace("\"replay_ok\":true", "\"replay_ok\":false"),
-                "replay",
-            ),
-            (
-                base.replace(
-                    "\"schedules_to_violation\":180",
-                    "\"schedules_to_violation\":20000",
-                ),
-                "10000",
-            ),
-        ] {
-            let v = Json::parse(&broken).expect("fixture parses");
-            let err = check_schema(&v).expect_err("must fail the gate");
-            assert!(err.contains(needle), "{err} should mention {needle}");
-        }
-        // Dropping the calibration object entirely must also fail.
-        let no_cal = base.replace("\"calibration\"", "\"calibration_gone\"");
-        let v = Json::parse(&no_cal).expect("fixture parses");
-        assert!(check_schema(&v).is_err());
-    }
-
-    fn minimal_trace_json() -> String {
-        "{\"kind\":\"schedule_trace\",\"litmus\":\"mp\",\"column\":\"GeNIMA\",\
-         \"mutation\":\"reorder-write-notice\",\"violation\":\"audit: stale acquire\",\
-         \"prefix\":[\"proc:0\",\"wire:0>1\"],\
-         \"steps\":[{\"key\":\"proc:0\",\"label\":\"resume p0\"},\
-                    {\"key\":\"wire:0>1\",\"label\":\"pkt\"},\
-                    {\"key\":\"mem:1<0\",\"label\":\"deposit\"}]}"
-            .to_string()
-    }
-
-    #[test]
-    fn schedule_trace_schema_round_trips() {
-        let v = Json::parse(&minimal_trace_json()).expect("fixture parses");
-        assert_eq!(check_schema(&v), Ok("schedule_trace"));
-    }
-
-    #[test]
-    fn schedule_trace_schema_rejects_bad_keys_and_short_steps() {
-        let base = minimal_trace_json();
-        let bad_key = base.replace("\"proc:0\",\"wire:0>1\"", "\"proc:0\",\"bogus:1\"");
-        let v = Json::parse(&bad_key).expect("fixture parses");
-        assert!(check_schema(&v)
-            .expect_err("bad key")
-            .contains("channel key"));
-        // Steps shorter than the forced prefix cannot replay it.
-        let short = base.replace(
-            ",{\"key\":\"wire:0>1\",\"label\":\"pkt\"},\
-             {\"key\":\"mem:1<0\",\"label\":\"deposit\"}",
-            "",
-        );
-        let v = Json::parse(&short).expect("fixture parses");
-        assert!(check_schema(&v).is_err());
     }
 
     #[test]
