@@ -1,0 +1,109 @@
+//! Allocation budget of the protocol hot path (ROADMAP item 1c).
+//!
+//! PR 13 made version timestamps allocation-free — borrowed vector
+//! clocks, flat per-page version maps, recycled per-interval buffers
+//! (DESIGN.md §21). This test keeps that from rotting silently: it
+//! counts heap allocations inside `try_run` on a lock-dominated and a
+//! diff-dominated workload, on all six columns, and fails when
+//! allocations per delivered event exceed the value measured at PR 13
+//! by more than a quarter. A count, not a time: the same on every
+//! machine. The parent of PR 13 reads 0.73–1.22 on the six Water runs and
+//! 2.57–2.97 on the six Ocean runs, 2.5–4 times the table below.
+//!
+//! When a change moves a number on purpose, print the new table with
+//! `BUDGET_PRINT=1 cargo test -p genima --test alloc_budget -- --nocapture`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+use genima::{Column, Topology};
+use genima_apps::{App, OceanRowwise, WaterNsquared};
+
+struct Counting;
+
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's own
+// layout and pointer, so `System`'s contract is the caller's contract;
+// the counter never touches the allocated memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        // SAFETY: forwarded unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        // SAFETY: forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Headroom over the measured value before the test fails.
+const SLACK: f64 = 1.25;
+
+/// (app, column) -> allocations per delivered event inside `try_run`
+/// as measured at PR 13, 4 nodes x 2 procs.
+const MEASURED: &[(&str, &str, f64)] = &[
+    ("water-nsq", "Base", 0.446),
+    ("water-nsq", "DW", 0.246),
+    ("water-nsq", "DW+RF", 0.221),
+    ("water-nsq", "DW+RF+DD", 0.213),
+    ("water-nsq", "GeNIMA", 0.194),
+    ("water-nsq", "GeNIMA-2025", 0.200),
+    ("ocean", "Base", 1.177),
+    ("ocean", "DW", 0.999),
+    ("ocean", "DW+RF", 1.007),
+    ("ocean", "DW+RF+DD", 1.007),
+    ("ocean", "GeNIMA", 1.102),
+    ("ocean", "GeNIMA-2025", 1.057),
+];
+
+fn apps() -> Vec<(&'static str, Box<dyn App>)> {
+    vec![
+        ("water-nsq", Box::new(WaterNsquared::with_molecules(256, 2))),
+        ("ocean", Box::new(OceanRowwise::with_grid(256, 8))),
+    ]
+}
+
+// The only test in this binary: the counter is process-wide, and a
+// second test running beside this one would be counted into it.
+#[test]
+fn allocations_per_event_stay_within_the_pr13_budget() {
+    let topo = Topology::new(4, 2);
+    let mut got = Vec::new();
+    for (name, app) in apps() {
+        for column in Column::all() {
+            let mut sys = app.spec(topo).into_system(column.params(topo));
+            let before = CALLS.load(Relaxed);
+            let report = sys.run();
+            let allocs = CALLS.load(Relaxed) - before;
+            got.push((name, column.name(), allocs as f64 / report.events as f64));
+        }
+    }
+    if std::env::var("BUDGET_PRINT").is_ok() {
+        for (app, col, per_event) in &got {
+            println!("    (\"{app}\", \"{col}\", {per_event:.3}),");
+        }
+        return;
+    }
+    assert_eq!(got.len(), MEASURED.len(), "budget table out of date");
+    for ((app, col, per_event), (ma, mc, measured)) in got.iter().zip(MEASURED) {
+        assert_eq!((app, col), (ma, mc), "budget table order drifted");
+        assert!(
+            *per_event <= measured * SLACK,
+            "{app} on {col}: {per_event:.3} allocations per event, budget \
+             {measured:.3} x {SLACK} — find the new allocation site (DESIGN.md §21) \
+             or, if it is wanted, re-measure the table"
+        );
+    }
+}

@@ -88,6 +88,11 @@ impl PageId {
     }
 }
 
+/// A hash map keyed by [`PageId`] on the simulator's fixed hasher
+/// (see [`genima_sim::FixedState`] for why, and for the rule that such
+/// a map is looked up, never iterated into a result).
+pub type PageMap<V> = std::collections::HashMap<PageId, V, genima_sim::FixedState>;
+
 impl fmt::Display for PageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "page{}", self.0)

@@ -34,7 +34,7 @@ mod mprotect;
 mod pool;
 mod protect;
 
-pub use addr::{pages_in_range, Addr, PageId, PAGE_SIZE};
+pub use addr::{pages_in_range, Addr, PageId, PageMap, PAGE_SIZE};
 pub use bus::BusModel;
 pub use config::MemConfig;
 pub use diff::{

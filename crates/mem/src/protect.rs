@@ -6,9 +6,7 @@
 //! process; the protocol layer decides when to upgrade or invalidate
 //! and charges [`MprotectModel`](crate::MprotectModel) costs.
 
-use std::collections::HashMap;
-
-use crate::addr::PageId;
+use crate::addr::{PageId, PageMap};
 
 /// Hardware protection of one page for one process.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -52,7 +50,7 @@ impl Access {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
-    map: HashMap<PageId, Access>,
+    map: PageMap<Access>,
     invalidations: u64,
     upgrades: u64,
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use genima_mem::PageId;
-
 /// An internal protocol-state inconsistency.
 ///
 /// The protocol hot paths surface these instead of panicking on a bare
@@ -11,12 +9,6 @@ use genima_mem::PageId;
 /// missing, so a violation points straight at the broken transition.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProtoError {
-    /// A home-side operation referenced a page with no home-page
-    /// record (it must be created before diffs or waiters reach it).
-    UnknownHomePage {
-        /// The page the operation referenced.
-        page: PageId,
-    },
     /// A node exhausted every retransmission attempt talking to a
     /// peer: the peer is presumed dead or partitioned, and the run
     /// cannot make progress. Surfaced by
@@ -54,9 +46,6 @@ pub enum ProtoError {
 impl fmt::Display for ProtoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProtoError::UnknownHomePage { page } => {
-                write!(f, "no home-page state for {page:?}")
-            }
             ProtoError::PeerUnreachable { node, peer } => {
                 write!(
                     f,

@@ -46,14 +46,75 @@ impl DirtyPage {
     }
 }
 
+/// The pages one process wrote in one interval with their write state,
+/// ascending by page.
+///
+/// A sorted vector, not a tree: closing an interval hands the open
+/// set to the [`PendingInterval`] as it is, and the flush hands the
+/// emptied buffer back for the next interval.
+#[derive(Clone, Debug, Default)]
+pub struct DirtySet {
+    pages: Vec<(PageId, DirtyPage)>,
+}
+
+impl DirtySet {
+    fn position(&self, page: PageId) -> Result<usize, usize> {
+        self.pages.binary_search_by_key(&page, |&(pg, _)| pg)
+    }
+
+    /// Returns `true` if no page is dirty.
+    pub fn is_empty(&self) -> bool {
+        self.pages.is_empty()
+    }
+
+    /// Returns `true` if `page` is dirty.
+    pub fn contains(&self, page: PageId) -> bool {
+        self.position(page).is_ok()
+    }
+
+    /// The write state of `page`, if dirty.
+    pub fn get(&self, page: PageId) -> Option<&DirtyPage> {
+        self.position(page).ok().map(|i| &self.pages[i].1)
+    }
+
+    /// The write state of `page`, if dirty.
+    pub fn get_mut(&mut self, page: PageId) -> Option<&mut DirtyPage> {
+        self.position(page).ok().map(|i| &mut self.pages[i].1)
+    }
+
+    /// Marks `page` dirty with write state `dp`, replacing any earlier
+    /// state of the page.
+    pub fn insert(&mut self, page: PageId, dp: DirtyPage) {
+        match self.position(page) {
+            Ok(i) => self.pages[i].1 = dp,
+            Err(i) => self.pages.insert(i, (page, dp)),
+        }
+    }
+
+    /// Removes `page`, returning its write state if it was dirty.
+    pub fn remove(&mut self, page: PageId) -> Option<DirtyPage> {
+        self.position(page).ok().map(|i| self.pages.remove(i).1)
+    }
+
+    /// The dirty pages, ascending.
+    pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.pages.iter().map(|&(pg, _)| pg)
+    }
+
+    /// Empties the set in ascending page order, keeping its buffer.
+    pub fn drain(&mut self) -> impl Iterator<Item = (PageId, DirtyPage)> + '_ {
+        self.pages.drain(..)
+    }
+}
+
 /// A closed interval whose diffs have not yet been flushed to the
 /// homes (lazy diffing in the non-DD protocols).
 #[derive(Clone, Debug)]
 pub struct PendingInterval {
     /// Interval number.
     pub interval: u32,
-    /// Dirty pages with their write state, ascending by page.
-    pub pages: Vec<(PageId, DirtyPage)>,
+    /// Dirty pages with their write state.
+    pub pages: DirtySet,
 }
 
 #[cfg(test)]
@@ -78,5 +139,29 @@ mod tests {
         assert_eq!(d.runs(), 2);
         assert_eq!(d.bytes(), 12);
         assert!(d.twin.is_none());
+    }
+
+    #[test]
+    fn dirty_set_stays_sorted_and_keeps_its_buffer() {
+        let mut s = DirtySet::default();
+        for i in [7, 2, 9, 4] {
+            s.insert(PageId::new(i), DirtyPage::default());
+        }
+        s.get_mut(PageId::new(4)).unwrap().ranges.add(0, 8);
+        let order: Vec<usize> = s.pages().map(|p| p.index()).collect();
+        assert_eq!(order, vec![2, 4, 7, 9]);
+        assert!(s.contains(PageId::new(9)) && !s.contains(PageId::new(3)));
+
+        // Re-inserting a page replaces its state, as the map did.
+        s.insert(PageId::new(4), DirtyPage::default());
+        assert_eq!(s.get(PageId::new(4)).unwrap().bytes(), 0);
+
+        assert!(s.remove(PageId::new(7)).is_some());
+        assert!(s.remove(PageId::new(7)).is_none());
+        let cap = s.pages.capacity();
+        let drained: Vec<usize> = s.drain().map(|(p, _)| p.index()).collect();
+        assert_eq!(drained, vec![2, 4, 9]);
+        assert!(s.is_empty());
+        assert_eq!(s.pages.capacity(), cap);
     }
 }

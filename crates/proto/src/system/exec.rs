@@ -289,7 +289,7 @@ impl SvmSystem {
         }
         let dp = self.procs[p]
             .dirty
-            .get_mut(&page)
+            .get_mut(page)
             .expect("writable page must be in the dirty set");
         dp.ranges.add(offset, len);
     }
@@ -306,8 +306,7 @@ impl SvmSystem {
     pub(crate) fn finish_proc(&mut self, p: usize) {
         // Flush any trailing open interval so other processes never
         // wait on diffs that would otherwise be lost.
-        let t = self.procs[p].clock;
-        self.flush_everything(t, p);
+        self.flush_everything(p);
         let t = self.procs[p].clock;
         self.procs[p].state = ProcState::Done;
         self.procs[p].finished_at = Some(t);

@@ -4,13 +4,12 @@ use genima_mem::{Access, Diff, Page, PageId};
 use genima_nic::Tag;
 use genima_sim::Time;
 
-use super::home::HomeSlotMut;
-use super::{Block, CopyState, Flow, Pending, ProcState, ReqMap, SvmSystem, SysEvent};
-use crate::error::ProtoError;
+use super::{Block, Flow, NodeRt, Pending, ProcRt, ProcState, SvmSystem, SysEvent};
 use crate::ids::ProcId;
 use crate::interval::DirtyPage;
 use crate::ops::Op;
 use crate::trace::TraceEvent;
+use crate::version::VersionMap;
 
 impl SvmSystem {
     /// Handles a read or write fault on `page` by process `p` at
@@ -46,11 +45,10 @@ impl SvmSystem {
         }
 
         let home = self.home_of(page).index();
-        let required = self.node_required(node, p, page);
 
         if node == home {
-            let hp = self.home_pages.slot_mut(page);
-            if Self::covered(hp.applied, &required) {
+            let applied = &*self.home_pages.slot_mut(page).applied;
+            if Self::covers_node_required(applied, &self.procs[p], &self.nodes[node], page) {
                 // Home-local fault: protection change only.
                 let mpro = self.p.mem.mprotect.cost(1);
                 let mut cost = trap + self.p.proto.fault_finish + mpro;
@@ -98,7 +96,7 @@ impl SvmSystem {
 
         // Valid cached node copy?
         if let Some(copy) = self.nodes[node].copies.get(&page) {
-            if Self::covered(&copy.ts, &required) {
+            if Self::covers_node_required(&copy.ts, &self.procs[p], &self.nodes[node], page) {
                 let mpro = self.p.mem.mprotect.cost(1);
                 let mut cost = trap + self.p.proto.fault_finish + mpro;
                 if write {
@@ -153,7 +151,7 @@ impl SvmSystem {
                 Pending::PageRequestMsg {
                     requester: node,
                     page,
-                    required,
+                    required: self.node_required(node, p, page),
                 },
                 fetch_op,
             );
@@ -241,17 +239,18 @@ impl SvmSystem {
         t: Time,
         node: usize,
         page: PageId,
-        ts: ReqMap,
+        ts: VersionMap,
         data: Option<Page>,
         op: u64,
     ) {
-        let need = self.inflight_required(node, page);
-        if Self::covered(&ts, &need) {
-            self.install_copy(t, node, page, ts, data);
+        if Self::covers_inflight_required(&ts, &self.procs, &self.nodes[node], page) {
+            self.nodes[node].copies.entry(page).or_default().ts = ts;
+            self.install_copy(t, node, page, data);
             return;
         }
         // Stale reply: ask the home again with the tightened
         // requirement (served once the missing diffs are applied).
+        let need = self.inflight_required(node, page);
         self.counters.fetch_retries += 1;
         self.obs_record(|o| {
             o.instant_op(
@@ -285,20 +284,39 @@ impl SvmSystem {
 
     /// The joined version requirement of every process waiting on an
     /// in-flight fetch of `page` at `node`, evaluated *now* (includes
-    /// the node's current local-flush watermark).
-    fn inflight_required(&self, node: usize, page: PageId) -> ReqMap {
-        let mut need = ReqMap::new();
-        if let Some(waiters) = self.nodes[node].inflight.get(&page) {
-            for &w in waiters {
-                for (q, i) in self.node_required(node, w, page) {
-                    let e = need.entry(q).or_insert(0);
-                    *e = (*e).max(i);
-                }
+    /// the node's current local-flush watermark). Built only where the
+    /// requirement itself travels: a re-request message, a trace event.
+    fn inflight_required(&self, node: usize, page: PageId) -> VersionMap {
+        let mut need = self.nodes[node]
+            .local_flushed
+            .get(&page)
+            .cloned()
+            .unwrap_or_default();
+        for &w in self.nodes[node].inflight.get(&page).into_iter().flatten() {
+            if let Some(req) = self.procs[w].required.get(&page) {
+                need.join(req);
             }
-        } else if let Some(lf) = self.nodes[node].local_flushed.get(&page) {
-            need = lf.clone();
         }
         need
+    }
+
+    /// Returns `true` if `have` covers [`Self::inflight_required`],
+    /// without building it: covering a join is covering each operand.
+    fn covers_inflight_required(
+        have: &VersionMap,
+        procs: &[ProcRt],
+        node: &NodeRt,
+        page: PageId,
+    ) -> bool {
+        node.local_flushed
+            .get(&page)
+            .is_none_or(|lf| have.covers(lf))
+            && node.inflight.get(&page).into_iter().flatten().all(|&w| {
+                procs[w]
+                    .required
+                    .get(&page)
+                    .is_none_or(|req| have.covers(req))
+            })
     }
 
     /// A remote-fetched page arrived; validate its timestamp against
@@ -308,10 +326,12 @@ impl SvmSystem {
         if !self.nodes[node].inflight.contains_key(&page) {
             return; // superseded
         }
-        let need = self.inflight_required(node, page);
         let hp = self.home_pages.slot_mut(page);
-        if Self::covered(hp.applied, &need) {
-            let ts = hp.applied.clone();
+        if Self::covers_inflight_required(hp.applied, &self.procs, &self.nodes[node], page) {
+            // The copy takes the home's version into the buffer its
+            // previous version left behind.
+            let copy = self.nodes[node].copies.entry(page).or_default();
+            copy.ts.clone_from(hp.applied);
             let data = if self.p.data_mode {
                 Some(match hp.data.as_ref() {
                     Some(d) => self.pool.copy_of(d),
@@ -320,7 +340,7 @@ impl SvmSystem {
             } else {
                 None
             };
-            self.install_copy(t, node, page, ts, data);
+            self.install_copy(t, node, page, data);
         } else {
             self.counters.fetch_retries += 1;
             self.obs_record(|o| {
@@ -341,13 +361,14 @@ impl SvmSystem {
     }
 
     /// Installs a fetched page into the node cache and wakes the
-    /// processes blocked on it.
+    /// processes blocked on it. The caller has already stored the
+    /// fetched version in the copy's `ts` (moved out of a reply, or
+    /// copied from the home's `applied` in place).
     pub(crate) fn install_copy(
         &mut self,
         t: Time,
         node: usize,
         page: PageId,
-        ts: ReqMap,
         mut data: Option<Page>,
     ) {
         self.counters.page_transfers += 1;
@@ -360,19 +381,13 @@ impl SvmSystem {
                 .get(&page)
                 .and_then(|c| c.data.as_ref());
             if let Some(old) = old {
-                let locals: Vec<usize> = self
-                    .p
-                    .topo
-                    .procs_of(crate::ids::NodeId::new(node))
-                    .map(|q| q.index())
-                    .collect();
                 let mut scratch = std::mem::take(&mut self.diff_scratch);
-                for q in locals {
+                for &q in &self.node_procs[node] {
                     // Open interval: writes live in the old node copy.
                     // The tracked scan covers exactly this writer's
                     // ranges; looping over every local writer covers
                     // the union a full scan would find.
-                    if let Some(dp) = self.procs[q].dirty.get(&page) {
+                    if let Some(dp) = self.procs[q].dirty.get(page) {
                         if let Some(twin) = &dp.twin {
                             scratch
                                 .compute_tracked(twin, old, &dp.ranges)
@@ -383,13 +398,11 @@ impl SvmSystem {
                     // diffs have not reached the home yet, so the
                     // incoming version cannot contain them.
                     for pi in &self.procs[q].pending_intervals {
-                        for (pg, dp) in &pi.pages {
-                            if *pg == page {
-                                if let Some(twin) = &dp.twin {
-                                    scratch
-                                        .compute_tracked(twin, old, &dp.ranges)
-                                        .apply(incoming);
-                                }
+                        if let Some(dp) = pi.pages.get(page) {
+                            if let Some(twin) = &dp.twin {
+                                scratch
+                                    .compute_tracked(twin, old, &dp.ranges)
+                                    .apply(incoming);
                             }
                         }
                     }
@@ -397,19 +410,20 @@ impl SvmSystem {
                 self.diff_scratch = scratch;
             }
         }
+        let copy = self.nodes[node].copies.entry(page).or_default();
+        if let Some(old_data) = std::mem::replace(&mut copy.data, data) {
+            self.pool.recycle(old_data);
+        }
         if self.trace.is_some() {
-            let required = self.inflight_required(node, page);
+            let ts = self.nodes[node].copies[&page].ts.iter().collect();
+            let required = self.inflight_required(node, page).iter().collect();
             self.emit(TraceEvent::PageInstalled {
                 at: t,
                 node,
                 page,
-                ts: ts.clone(),
+                ts,
                 required,
             });
-        }
-        let prev = self.nodes[node].copies.insert(page, CopyState { ts, data });
-        if let Some(old_data) = prev.and_then(|c| c.data) {
-            self.pool.recycle(old_data);
         }
         if let Some(waiters) = self.nodes[node].inflight.remove(&page) {
             for p in waiters {
@@ -433,18 +447,12 @@ impl SvmSystem {
         if self.trace.is_some() {
             let home = self.home_of(page).index();
             let ts = if home == node {
-                self.home_pages
-                    .get(page)
-                    .map(|h| h.applied.clone())
-                    .unwrap_or_default()
+                self.home_pages.get(page).map(|h| h.applied)
             } else {
-                self.nodes[node]
-                    .copies
-                    .get(&page)
-                    .map(|c| c.ts.clone())
-                    .unwrap_or_default()
+                self.nodes[node].copies.get(&page).map(|c| &c.ts)
             };
-            let required = self.node_required(node, p, page);
+            let ts = ts.into_iter().flat_map(VersionMap::iter).collect();
+            let required = self.node_required(node, p, page).iter().collect();
             self.emit(TraceEvent::FaultDone {
                 at: t,
                 proc: p,
@@ -495,68 +503,74 @@ impl SvmSystem {
         home: usize,
         requester: usize,
         page: PageId,
-        required: ReqMap,
+        required: VersionMap,
         op: u64,
     ) {
         let hp = self.home_pages.slot_mut(page);
-        if Self::covered(hp.applied, &required) {
-            let ts = hp.applied.clone();
-            let data = if self.p.data_mode {
-                Some(match hp.data.as_ref() {
-                    Some(d) => self.pool.copy_of(d),
-                    None => self.pool.zeroed(),
-                })
-            } else {
-                None
-            };
-            let tag = self.tag_op(
-                Pending::PageReply {
-                    node: requester,
-                    page,
-                    ts,
-                    data,
-                },
-                op,
-            );
-            let bytes = genima_mem::PAGE_SIZE as u32 + self.p.proto.page_ts_bytes;
-            let post = self.vmmc.deposit(
-                t,
-                crate::ids::NodeId::new(home).nic(),
-                crate::ids::NodeId::new(requester).nic(),
-                bytes,
-                tag,
-            );
-            self.absorb_post(post);
+        if hp.applied.covers(&required) {
+            self.reply_page(t, home, requester, page, op);
         } else {
             hp.pending_reqs.push((requester, required, op));
         }
     }
 
+    /// Sends the home copy of `page` and its version to `requester`.
+    fn reply_page(&mut self, t: Time, home: usize, requester: usize, page: PageId, op: u64) {
+        let hp = self.home_pages.slot_mut(page);
+        let ts = hp.applied.clone();
+        let data = if self.p.data_mode {
+            Some(match hp.data.as_ref() {
+                Some(d) => self.pool.copy_of(d),
+                None => self.pool.zeroed(),
+            })
+        } else {
+            None
+        };
+        let tag = self.tag_op(
+            Pending::PageReply {
+                node: requester,
+                page,
+                ts,
+                data,
+            },
+            op,
+        );
+        let bytes = genima_mem::PAGE_SIZE as u32 + self.p.proto.page_ts_bytes;
+        let post = self.vmmc.deposit(
+            t,
+            crate::ids::NodeId::new(home).nic(),
+            crate::ids::NodeId::new(requester).nic(),
+            bytes,
+            tag,
+        );
+        self.absorb_post(post);
+    }
+
     /// The version requirement for `p` fetching `page`: the diffs its
     /// applied write notices demand, *plus* whatever this node's own
     /// writers have already flushed for the page (never install a
-    /// version that rolls back local writes).
-    pub(crate) fn node_required(&self, node: usize, p: usize, page: PageId) -> ReqMap {
+    /// version that rolls back local writes). Built only where the
+    /// requirement itself travels: a Base page request, a trace event.
+    pub(crate) fn node_required(&self, node: usize, p: usize, page: PageId) -> VersionMap {
         let mut req = self.procs[p]
             .required
             .get(&page)
             .cloned()
             .unwrap_or_default();
         if let Some(lf) = self.nodes[node].local_flushed.get(&page) {
-            for (&q, &i) in lf {
-                let e = req.entry(q).or_insert(0);
-                *e = (*e).max(i);
-            }
+            req.join(lf);
         }
         req
     }
 
-    /// Fallible home-page lookup: the typed [`ProtoError`] names the
-    /// missing page instead of a bare `unwrap()` panic.
-    pub(crate) fn home_page_mut(&mut self, page: PageId) -> Result<HomeSlotMut<'_>, ProtoError> {
-        self.home_pages
-            .try_slot_mut(page)
-            .ok_or(ProtoError::UnknownHomePage { page })
+    /// Returns `true` if `have` covers [`Self::node_required`],
+    /// without building it: covering a join is covering each operand.
+    fn covers_node_required(have: &VersionMap, proc: &ProcRt, node: &NodeRt, page: PageId) -> bool {
+        proc.required.get(&page).is_none_or(|r| have.covers(r))
+            && node
+                .local_flushed
+                .get(&page)
+                .is_none_or(|lf| have.covers(lf))
     }
 
     /// Applies a diff (or just its timestamp, in dirty-range mode) to
@@ -571,12 +585,6 @@ impl SvmSystem {
     /// home copy. Equal interval numbers are re-applied — an early
     /// flush followed by further writes sends the same interval again
     /// with the newer content.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::UnknownHomePage`] if the page's home
-    /// state disappears while waking waiters (a protocol-state
-    /// inconsistency; home pages are never removed during a run).
     pub(crate) fn apply_diff_at_home(
         &mut self,
         t: Time,
@@ -585,14 +593,13 @@ impl SvmSystem {
         page: PageId,
         diff: Option<Diff>,
         deposited: bool,
-    ) -> Result<(), ProtoError> {
+    ) {
         let stale = self
             .home_pages
             .get(page)
-            .and_then(|h| h.applied.get(&(writer as u32)))
-            .is_some_and(|&cur| interval < cur);
+            .is_some_and(|h| interval < h.applied.get(writer as u32));
         if stale {
-            return Ok(());
+            return;
         }
         self.emit(TraceEvent::DiffApplied {
             at: t,
@@ -646,47 +653,42 @@ impl SvmSystem {
                 }
             }
         }
-        let e = hp.applied.entry(writer as u32).or_insert(0);
-        *e = (*e).max(interval);
+        hp.applied.raise(writer as u32, interval);
 
-        // Snapshot the new version and take both wait lists in one
-        // lookup; nothing below advances `applied` for this page
-        // (completing a fault or serving a request only reads it), so
-        // re-checking against the snapshot is exact.
-        let applied = hp.applied.clone();
-        let waiters = std::mem::take(hp.waiters);
-        let pending = std::mem::take(hp.pending_reqs);
-
-        // Wake home-local waiters whose requirement is now satisfied.
-        let mut still_waiting = Vec::new();
-        for p in waiters {
-            let req = self.procs[p]
+        // Decide who the new version satisfies, then wake them. Nothing
+        // below advances `applied` for this page (completing a fault or
+        // sending a reply only reads it), so deciding first is exact and
+        // needs no snapshot of the version.
+        let applied = &*hp.applied;
+        let procs = &self.procs;
+        let mut woken = std::mem::take(&mut self.scratch_procs);
+        woken.clear();
+        hp.waiters.retain(|&p| {
+            let ready = procs[p]
                 .required
                 .get(&page)
-                .cloned()
-                .unwrap_or_default();
-            if Self::covered(&applied, &req) {
-                self.complete_fault(t, p, page);
-            } else {
-                still_waiting.push(p);
+                .is_none_or(|req| applied.covers(req));
+            if ready {
+                woken.push(p);
             }
-        }
-
-        // Serve deferred Base requests that are now satisfiable.
-        let mut still_pending = Vec::new();
-        for (req_node, req, req_op) in pending {
-            if Self::covered(&applied, &req) {
-                self.home_serve_page_request(t, home, req_node, page, req, req_op);
-            } else {
-                still_pending.push((req_node, req, req_op));
+            !ready
+        });
+        // Deferred Base requests; allocates only when one is served.
+        let mut served: Vec<(usize, u64)> = Vec::new();
+        hp.pending_reqs.retain(|(req_node, req, req_op)| {
+            let ready = applied.covers(req);
+            if ready {
+                served.push((*req_node, *req_op));
             }
-        }
+            !ready
+        });
 
-        if !still_waiting.is_empty() || !still_pending.is_empty() {
-            let hp = self.home_page_mut(page)?;
-            hp.waiters.extend(still_waiting);
-            hp.pending_reqs.extend(still_pending);
+        for &p in &woken {
+            self.complete_fault(t, p, page);
         }
-        Ok(())
+        self.scratch_procs = woken;
+        for (req_node, req_op) in served {
+            self.reply_page(t, home, req_node, page, req_op);
+        }
     }
 }

@@ -12,35 +12,35 @@
 
 use genima_mem::{Page, PageId};
 
-use super::ReqMap;
+use crate::version::VersionMap;
 
 /// Column store of per-page home state, indexed by `PageId::index()`.
 /// All columns always have identical length.
 #[derive(Default)]
 pub(crate) struct HomeTable {
     /// Per writer: latest interval whose diffs are applied here.
-    applied: Vec<ReqMap>,
+    applied: Vec<VersionMap>,
     /// Home copy contents (data mode only).
     data: Vec<Option<Page>>,
     /// Base: deferred page requests awaiting diffs, with the fetch op
     /// each serves.
-    pending_reqs: Vec<Vec<(usize, ReqMap, u64)>>,
+    pending_reqs: Vec<Vec<(usize, VersionMap, u64)>>,
     /// Home-local processes waiting for diffs.
     waiters: Vec<Vec<usize>>,
 }
 
 /// Shared view of one page's columns.
 pub(crate) struct HomeSlot<'a> {
-    pub(crate) applied: &'a ReqMap,
+    pub(crate) applied: &'a VersionMap,
     pub(crate) data: &'a Option<Page>,
     pub(crate) waiters: &'a Vec<usize>,
 }
 
 /// Mutable view of one page's columns.
 pub(crate) struct HomeSlotMut<'a> {
-    pub(crate) applied: &'a mut ReqMap,
+    pub(crate) applied: &'a mut VersionMap,
     pub(crate) data: &'a mut Option<Page>,
-    pub(crate) pending_reqs: &'a mut Vec<(usize, ReqMap, u64)>,
+    pub(crate) pending_reqs: &'a mut Vec<(usize, VersionMap, u64)>,
     pub(crate) waiters: &'a mut Vec<usize>,
 }
 
@@ -74,23 +74,8 @@ impl HomeTable {
         }
     }
 
-    /// Mutable view that refuses to materialise: `None` if the page
-    /// was never created (the old `get_mut` missing-entry case).
-    pub(crate) fn try_slot_mut(&mut self, page: PageId) -> Option<HomeSlotMut<'_>> {
-        let i = page.index();
-        if i >= self.applied.len() {
-            return None;
-        }
-        Some(HomeSlotMut {
-            applied: &mut self.applied[i],
-            data: &mut self.data[i],
-            pending_reqs: &mut self.pending_reqs[i],
-            waiters: &mut self.waiters[i],
-        })
-    }
-
     fn grow(&mut self, len: usize) {
-        self.applied.resize_with(len, ReqMap::new);
+        self.applied.resize_with(len, VersionMap::new);
         self.data.resize_with(len, || None);
         self.pending_reqs.resize_with(len, Vec::new);
         self.waiters.resize_with(len, Vec::new);

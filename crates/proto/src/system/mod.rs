@@ -17,10 +17,10 @@ mod tests;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use genima_mem::{Diff, MemConfig, Page, PageId, PageTable, PAGE_SIZE};
+use genima_mem::{Diff, MemConfig, Page, PageId, PageMap, PageTable, PAGE_SIZE};
 use genima_nic::{Event as CommEvent, LockId, NicId, Post, Step, Tag, Upcall};
 use genima_rnic::HwProfile;
-use genima_sim::{Dur, EventQueue, InlineVec, Resource, Time};
+use genima_sim::{Dur, EventQueue, FixedState, InlineVec, Resource, Time};
 use genima_vmmc::Vmmc;
 
 use crate::breakdown::{Breakdown, Counters};
@@ -28,15 +28,13 @@ use crate::config::{BarrierImpl, ProtoConfig};
 use crate::error::ProtoError;
 use crate::features::FeatureSet;
 use crate::ids::{BarrierId, NodeId, Topology};
-use crate::interval::{DirtyPage, IntervalRecord, PendingInterval};
+use crate::interval::{DirtySet, IntervalRecord, PendingInterval};
 use crate::ops::{Op, OpSource};
 use crate::report::RunReport;
 use crate::sched::{ChanKey, Choice, EventPicker, Mutation, SchedObj};
 use crate::trace::TraceEvent;
 use crate::vclock::VClock;
-
-/// A sparse per-writer timestamp: writer index → latest interval.
-pub(crate) type ReqMap = BTreeMap<u32, u32>;
+use crate::version::VersionMap;
 
 /// Control flow of operation execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,13 +164,13 @@ pub(crate) enum Pending {
     PageRequestMsg {
         requester: usize,
         page: PageId,
-        required: ReqMap,
+        required: VersionMap,
     },
     /// Base: page reply (deposit) arriving at the requester.
     PageReply {
         node: usize,
         page: PageId,
-        ts: ReqMap,
+        ts: VersionMap,
         data: Option<Page>,
     },
     /// RF: page fetch completion at the requester.
@@ -253,7 +251,7 @@ pub(crate) enum Job {
     PageRequest {
         requester: usize,
         page: PageId,
-        required: ReqMap,
+        required: VersionMap,
         op: u64,
     },
     ApplyDiff {
@@ -342,9 +340,9 @@ pub(crate) struct ProcRt {
     pub(crate) seen: Vec<u32>,
     pub(crate) pt: PageTable,
     /// Per page: the diffs (writer → interval) a valid copy must have.
-    pub(crate) required: HashMap<PageId, ReqMap>,
+    pub(crate) required: PageMap<VersionMap>,
     /// Open interval: dirty pages.
-    pub(crate) dirty: BTreeMap<PageId, DirtyPage>,
+    pub(crate) dirty: DirtySet,
     /// Pages flushed early (mid-interval) that still need a notice.
     pub(crate) flushed_early: Vec<PageId>,
     /// Closed intervals whose diffs have not been flushed (lazy).
@@ -378,8 +376,9 @@ pub(crate) struct NodeLock {
 }
 
 /// A node's cached copy of a remote page.
+#[derive(Default)]
 pub(crate) struct CopyState {
-    pub(crate) ts: ReqMap,
+    pub(crate) ts: VersionMap,
     pub(crate) data: Option<Page>,
 }
 
@@ -389,11 +388,11 @@ pub(crate) struct NodeRt {
     pub(crate) handler: Resource,
     /// Per writer: highest interval whose record has arrived here.
     pub(crate) arrived: Vec<u32>,
-    pub(crate) copies: HashMap<PageId, CopyState>,
+    pub(crate) copies: PageMap<CopyState>,
     /// Per page: the highest interval each *local* writer has flushed
     /// to the home. A fetched copy must cover these — otherwise the
     /// incoming version would roll back this node's own writes.
-    pub(crate) local_flushed: HashMap<PageId, ReqMap>,
+    pub(crate) local_flushed: PageMap<VersionMap>,
     /// Pages with an in-flight fetch and the processes waiting on it.
     pub(crate) inflight: BTreeMap<PageId, Vec<usize>>,
     pub(crate) locks: Vec<NodeLock>,
@@ -473,9 +472,14 @@ pub struct SvmSystem {
     pub(crate) scratch_pages: Vec<PageId>,
     /// Reusable conflicted-page buffer for `apply_invalidations`.
     pub(crate) scratch_conflicts: Vec<PageId>,
+    /// Reusable woken-process buffer for `apply_diff_at_home`.
+    pub(crate) scratch_procs: Vec<usize>,
+    /// Emptied dirty sets handed back by `flush_interval`; the next
+    /// interval to open takes one instead of growing a new buffer.
+    pub(crate) spare_dirty: Vec<DirtySet>,
     /// One past the highest page index observed (for pin accounting).
     pub(crate) shared_extent: usize,
-    pub(crate) tags: HashMap<u64, Pending>,
+    pub(crate) tags: HashMap<u64, Pending, FixedState>,
     pub(crate) next_tag: u64,
     /// Monotonic sequence feeding fetch/lock operation ids (barrier
     /// and diff ids are structural — see `genima_obs::op_barrier_id`).
@@ -554,8 +558,8 @@ impl SvmSystem {
                 vc: VClock::new(nprocs),
                 seen: vec![0; nprocs],
                 pt: PageTable::new(),
-                required: HashMap::new(),
-                dirty: BTreeMap::new(),
+                required: PageMap::default(),
+                dirty: DirtySet::default(),
                 flushed_early: Vec::new(),
                 pending_intervals: Vec::new(),
                 bd: Breakdown::default(),
@@ -569,8 +573,8 @@ impl SvmSystem {
             .map(|_| NodeRt {
                 handler: Resource::new("protocol-handler"),
                 arrived: vec![0; nprocs],
-                copies: HashMap::new(),
-                local_flushed: HashMap::new(),
+                copies: PageMap::default(),
+                local_flushed: PageMap::default(),
                 inflight: BTreeMap::new(),
                 locks: (0..params.locks).map(|_| NodeLock::default()).collect(),
                 steal_rr: 0,
@@ -614,8 +618,10 @@ impl SvmSystem {
                 .collect(),
             scratch_pages: Vec::new(),
             scratch_conflicts: Vec::new(),
+            scratch_procs: Vec::new(),
+            spare_dirty: Vec::new(),
             shared_extent: 0,
-            tags: HashMap::new(),
+            tags: HashMap::default(),
             next_tag: 1,
             op_seq: 0,
             op_hist: crate::report::OpLatency::default(),
@@ -1458,13 +1464,6 @@ impl SvmSystem {
         }
     }
 
-    /// Returns `true` if `applied` covers `required` pointwise.
-    pub(crate) fn covered(applied: &ReqMap, required: &ReqMap) -> bool {
-        required
-            .iter()
-            .all(|(q, i)| applied.get(q).copied().unwrap_or(0) >= *i)
-    }
-
     /// Charges an interrupt on `node` at `t` with handler service
     /// `svc`, attributed to operation `op` (0 = unattributed); returns
     /// the handler completion time. Also accrues the steal penalty the
@@ -1628,9 +1627,7 @@ impl SvmSystem {
                 page,
                 diff,
             } => {
-                if let Err(e) = self.apply_diff_at_home(t, writer, interval, page, diff, true) {
-                    panic!("direct-diff timestamp update failed: {e}");
-                }
+                self.apply_diff_at_home(t, writer, interval, page, diff, true);
             }
             Pending::LockRequestMsg {
                 lock,
@@ -1731,7 +1728,7 @@ impl SvmSystem {
                         ),
                     );
                 } else {
-                    self.release_at_node(t, barrier, node, vc, upto, op);
+                    self.release_at_node(t, barrier, node, &vc, upto, op);
                 }
             }
         }
@@ -1750,11 +1747,7 @@ impl SvmSystem {
                 interval,
                 page,
                 diff,
-            } => {
-                if let Err(e) = self.apply_diff_at_home(t, writer, interval, page, diff, false) {
-                    panic!("home diff-apply job failed: {e}");
-                }
-            }
+            } => self.apply_diff_at_home(t, writer, interval, page, diff, false),
             Job::LockForward {
                 lock,
                 proc,
@@ -1779,7 +1772,7 @@ impl SvmSystem {
                 vc,
                 upto,
                 op,
-            } => self.release_at_node(t, barrier, node, vc, upto, op),
+            } => self.release_at_node(t, barrier, node, &vc, upto, op),
         }
     }
 

@@ -59,27 +59,23 @@ impl SvmSystem {
     /// Closes `p`'s open interval (if it wrote anything): creates the
     /// interval record, write-protects the dirty pages again, and
     /// returns the pending interval for later (or immediate) flushing.
-    pub(crate) fn end_interval(
-        &mut self,
-        cursor: Time,
-        p: usize,
-        bucket: Bucket,
-    ) -> Option<PendingInterval> {
-        let dirty = std::mem::take(&mut self.procs[p].dirty);
-        let early = std::mem::take(&mut self.procs[p].flushed_early);
-        if dirty.is_empty() && early.is_empty() {
+    pub(crate) fn end_interval(&mut self, p: usize, bucket: Bucket) -> Option<PendingInterval> {
+        if self.procs[p].dirty.is_empty() && self.procs[p].flushed_early.is_empty() {
             return None;
         }
-        let _ = cursor;
+        // The next interval opens on a buffer an earlier flush emptied.
+        let next = self.spare_dirty.pop().unwrap_or_default();
+        let dirty = std::mem::replace(&mut self.procs[p].dirty, next);
+        let early = std::mem::take(&mut self.procs[p].flushed_early);
         let i = self.procs[p].vc.bump(ProcId::new(p));
         self.procs[p].seen[p] = i;
-        // The BTreeMap keys are already sorted and unique; only an
-        // early mid-interval flush forces a re-sort. The grouping pass
-        // below reuses the same key list via the scratch buffer instead
-        // of collecting the keys a second time.
+        // The dirty set is already sorted and unique; only an early
+        // mid-interval flush forces a re-sort. The grouping pass below
+        // reuses the same page list via the scratch buffer instead of
+        // collecting the pages a second time.
         let mut scratch = std::mem::take(&mut self.scratch_pages);
         scratch.clear();
-        scratch.extend(dirty.keys().copied());
+        scratch.extend(dirty.pages());
         let mut pages: Vec<PageId> = Vec::with_capacity(scratch.len() + early.len());
         pages.extend_from_slice(&scratch);
         if !early.is_empty() {
@@ -113,7 +109,7 @@ impl SvmSystem {
 
         Some(PendingInterval {
             interval: i,
-            pages: dirty.into_iter().collect(),
+            pages: dirty,
         })
     }
 
@@ -124,13 +120,13 @@ impl SvmSystem {
         &mut self,
         mut cursor: Time,
         p: usize,
-        pi: PendingInterval,
+        mut pi: PendingInterval,
         sink: Sink,
         direct: bool,
     ) -> Time {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         let my_nic = NodeId::new(node).nic();
-        for (page, mut dp) in pi.pages {
+        for (page, mut dp) in pi.pages.drain() {
             self.counters.diffs += 1;
             // The diff operation's id is structural — any observer of
             // (writer, interval, page) derives the same id, so deposit
@@ -140,8 +136,7 @@ impl SvmSystem {
                 // A future fetch of this page by this node must not
                 // install a version older than this flush.
                 let lf = self.nodes[node].local_flushed.entry(page).or_default();
-                let e = lf.entry(p as u32).or_insert(0);
-                *e = (*e).max(pi.interval);
+                lf.raise(p as u32, pi.interval);
             }
             let cost = self.p.mem.diff_cost(dp.runs());
             self.charge(sink, cost);
@@ -165,9 +160,7 @@ impl SvmSystem {
                 let apply = self.p.mem.diff_apply;
                 self.charge(sink, apply);
                 cursor += apply;
-                if let Err(e) = self.apply_diff_at_home(cursor, p, pi.interval, page, diff, false) {
-                    panic!("local home flush failed: {e}");
-                }
+                self.apply_diff_at_home(cursor, p, pi.interval, page, diff, false);
             } else if direct && self.p.hw.nic.scatter_gather {
                 // §5 extension: one scatter-gather message carries all
                 // runs plus the timestamp.
@@ -269,6 +262,7 @@ impl SvmSystem {
                 self.procs[q].clock = self.procs[q].clock.max(cursor);
             }
         }
+        self.spare_dirty.push(pi.pages);
         cursor
     }
 
@@ -301,32 +295,33 @@ impl SvmSystem {
         let direct = self.p.features.dd;
         for i in 0..self.node_procs[node].len() {
             let p = self.node_procs[node][i];
-            let pending = std::mem::take(&mut self.procs[p].pending_intervals);
-            for pi in pending {
-                cursor = self.flush_interval(cursor, p, pi, sink, direct);
-            }
+            cursor = self.flush_pending_of(cursor, p, sink, direct);
         }
         cursor
     }
 
     /// Flushes `p`'s own closed intervals (barrier arrival).
-    pub(crate) fn flush_proc_pending(
-        &mut self,
-        mut cursor: Time,
-        p: usize,
-        bucket: Bucket,
-    ) -> Time {
+    pub(crate) fn flush_proc_pending(&mut self, cursor: Time, p: usize, bucket: Bucket) -> Time {
         let direct = self.p.features.dd;
-        let pending = std::mem::take(&mut self.procs[p].pending_intervals);
-        for pi in pending {
-            cursor = self.flush_interval(cursor, p, pi, Sink::Proc(p, bucket), direct);
+        self.flush_pending_of(cursor, p, Sink::Proc(p, bucket), direct)
+    }
+
+    /// Flushes `p`'s closed intervals oldest first and leaves it the
+    /// emptied list (a flush closes no interval, so nothing is queued
+    /// behind the ones being flushed).
+    fn flush_pending_of(&mut self, mut cursor: Time, p: usize, sink: Sink, direct: bool) -> Time {
+        let mut pending = std::mem::take(&mut self.procs[p].pending_intervals);
+        for pi in pending.drain(..) {
+            cursor = self.flush_interval(cursor, p, pi, sink, direct);
         }
+        debug_assert!(self.procs[p].pending_intervals.is_empty());
+        self.procs[p].pending_intervals = pending;
         cursor
     }
 
     /// Flushes everything a finishing process still holds.
-    pub(crate) fn flush_everything(&mut self, cursor: Time, p: usize) {
-        if let Some(pi) = self.end_interval(cursor, p, Bucket::AcqRel) {
+    pub(crate) fn flush_everything(&mut self, p: usize) {
+        if let Some(pi) = self.end_interval(p, Bucket::AcqRel) {
             self.procs[p].pending_intervals.push(pi);
         }
         let cursor = self.procs[p].clock;
@@ -337,13 +332,7 @@ impl SvmSystem {
 
     /// Eagerly broadcasts an interval record to every other node via
     /// remote deposit (the DW mechanism).
-    pub(crate) fn broadcast_record(
-        &mut self,
-        mut cursor: Time,
-        p: usize,
-        interval: u32,
-        bucket: Bucket,
-    ) -> Time {
+    pub(crate) fn broadcast_record(&mut self, mut cursor: Time, p: usize, interval: u32) -> Time {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         if self.p.proto.pull_notices {
             // Pull mode (§2's alternative): nothing is pushed at the
@@ -392,10 +381,6 @@ impl SvmSystem {
             }
         }
         self.procs[p].clock = self.procs[p].clock.max(cursor);
-        match bucket {
-            Bucket::AcqRel => {}
-            Bucket::Barrier => {}
-        }
         cursor
     }
 
@@ -490,7 +475,6 @@ impl SvmSystem {
     ) -> Time {
         let nprocs = self.p.topo.procs();
         let my_node = self.p.topo.node_of(ProcId::new(p));
-        let vc = self.procs[p].vc.clone();
         let mut pages = std::mem::take(&mut self.scratch_pages);
         pages.clear();
         for q in 0..nprocs {
@@ -498,12 +482,12 @@ impl SvmSystem {
             // hardware coherence (HLRC-SMP): their modifications are
             // already visible locally, so their records require no
             // invalidation and no diff waiting here.
+            let to = self.procs[p].vc.get(ProcId::new(q));
             if q == p || self.p.topo.node_of(ProcId::new(q)) == my_node {
-                self.procs[p].seen[q] = vc.get(ProcId::new(q));
+                self.procs[p].seen[q] = to;
                 continue;
             }
             let from = self.procs[p].seen[q];
-            let to = vc.get(ProcId::new(q));
             for i in from + 1..=to {
                 // `records` and `procs` are disjoint fields, so the
                 // record's page list is walked in place (the old code
@@ -514,8 +498,7 @@ impl SvmSystem {
                 };
                 for &page in &rec.pages {
                     let req = self.procs[p].required.entry(page).or_default();
-                    let e = req.entry(q as u32).or_insert(0);
-                    *e = (*e).max(i);
+                    req.raise(q as u32, i);
                     pages.push(page);
                 }
             }
@@ -532,7 +515,7 @@ impl SvmSystem {
             pages
                 .iter()
                 .copied()
-                .filter(|pg| self.procs[p].dirty.contains_key(pg)),
+                .filter(|&pg| self.procs[p].dirty.contains(pg)),
         );
         for &pg in &conflicted {
             cursor = self.flush_page_early(cursor, p, pg, bucket);
@@ -562,14 +545,16 @@ impl SvmSystem {
     /// *next* interval number; the page joins that interval's record
     /// when it closes.
     fn flush_page_early(&mut self, cursor: Time, p: usize, page: PageId, bucket: Bucket) -> Time {
-        let Some(dp) = self.procs[p].dirty.remove(&page) else {
+        let Some(dp) = self.procs[p].dirty.remove(page) else {
             return cursor;
         };
         self.procs[p].flushed_early.push(page);
         let next_interval = self.procs[p].vc.get(ProcId::new(p)) + 1;
+        let mut pages = self.spare_dirty.pop().unwrap_or_default();
+        pages.insert(page, dp);
         let pi = PendingInterval {
             interval: next_interval,
-            pages: vec![(page, dp)],
+            pages,
         };
         let direct = self.p.features.dd;
         self.flush_interval(cursor, p, pi, Sink::Proc(p, bucket), direct)
@@ -632,8 +617,7 @@ impl SvmSystem {
             let cost = self.p.proto.local_lock;
             self.procs[p].clock += cost;
             self.procs[p].bd.lock += cost;
-            let lvc = self.locks[l.index()].vc.clone();
-            self.procs[p].vc.join(&lvc);
+            self.procs[p].vc.join(&self.locks[l.index()].vc);
             let t = self.procs[p].clock;
             return self.enter_notice_stage(t, p, WaitReason::Lock);
         }
@@ -808,7 +792,8 @@ impl SvmSystem {
         nl.owned = true;
         nl.requesting = false;
         nl.holder = Some(proc);
-        self.finish_lock_wait(t, proc, l, &vc);
+        self.procs[proc].vc.join(&vc);
+        self.finish_lock_wait(t, proc, l);
     }
 
     /// Remote-atomics lock mode: issue one test-and-set attempt on the
@@ -923,8 +908,8 @@ impl SvmSystem {
         let nl = &mut self.nodes[node].locks[l.index()];
         nl.requesting = false;
         nl.holder = Some(p);
-        let vc = self.locks[l.index()].vc.clone();
-        self.finish_lock_wait(t, p, l, &vc);
+        self.procs[p].vc.join(&self.locks[l.index()].vc);
+        self.finish_lock_wait(t, p, l);
     }
 
     /// NIL: the NI firmware granted the lock.
@@ -934,13 +919,14 @@ impl SvmSystem {
         nl.owned = true;
         nl.requesting = false;
         nl.holder = Some(proc);
-        let vc = self.locks[l.index()].vc.clone();
-        self.finish_lock_wait(t, proc, l, &vc);
+        self.procs[proc].vc.join(&self.locks[l.index()].vc);
+        self.finish_lock_wait(t, proc, l);
     }
 
-    /// Common tail of a remote lock grant: charge the wait, join the
-    /// carried timestamp, then wait for notices / apply invalidations.
-    fn finish_lock_wait(&mut self, t: Time, proc: usize, l: LockId, vc: &VClock) {
+    /// Common tail of a remote lock grant, after the caller joined the
+    /// lock's timestamp into `proc`'s clock: charge the wait, then
+    /// wait for notices / apply invalidations.
+    fn finish_lock_wait(&mut self, t: Time, proc: usize, l: LockId) {
         let (started, lop) = match &self.procs[proc].state {
             ProcState::Blocked(Block::LockWait { lock, started, op }) if *lock == l => {
                 (*started, *op)
@@ -961,11 +947,7 @@ impl SvmSystem {
                 lop,
             );
         });
-        self.procs[proc].vc.join(vc);
-        let flow = self.enter_notice_stage(t, proc, WaitReason::Lock);
-        if flow == Flow::Continue {
-            // enter_notice_stage scheduled the resume.
-        }
+        self.enter_notice_stage(t, proc, WaitReason::Lock);
     }
 
     /// After a grant (or local acquire): wait for the write notices
@@ -973,7 +955,7 @@ impl SvmSystem {
     /// Always schedules a `Resume` — callers stop executing.
     pub(crate) fn enter_notice_stage(&mut self, t: Time, p: usize, reason: WaitReason) -> Flow {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
-        if self.notices_covered(node, &self.procs[p].vc.clone()) {
+        if self.notices_covered(node, &self.procs[p].vc) {
             self.complete_sync(t, p, reason);
         } else {
             self.procs[p].state = ProcState::Blocked(Block::NoticeWait { started: t, reason });
@@ -989,10 +971,9 @@ impl SvmSystem {
     /// node (§2's design alternative to eager push).
     fn pull_missing_notices(&mut self, t: Time, p: usize) {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
-        let vc = self.procs[p].vc.clone();
         let my_nic = NodeId::new(node).nic();
         for q in 0..self.p.topo.procs() {
-            let want = vc.get(ProcId::new(q));
+            let want = self.procs[p].vc.get(ProcId::new(q));
             if self.nodes[node].arrived[q] >= want {
                 continue;
             }
@@ -1083,18 +1064,18 @@ impl SvmSystem {
         let mut cursor = now;
 
         // Close the interval and propagate coherence information.
-        if let Some(pi) = self.end_interval(cursor, p, Bucket::AcqRel) {
+        if let Some(pi) = self.end_interval(p, Bucket::AcqRel) {
             cursor = self.procs[p].clock;
             let interval = pi.interval;
             self.procs[p].pending_intervals.push(pi);
             if self.p.features.dw {
-                cursor = self.broadcast_record(cursor, p, interval, Bucket::AcqRel);
+                cursor = self.broadcast_record(cursor, p, interval);
             }
         }
         cursor = self.procs[p].clock.max(cursor);
 
         // The lock's timestamp is the releaser's clock.
-        self.locks[l.index()].vc = self.procs[p].vc.clone();
+        self.locks[l.index()].vc.clone_from(&self.procs[p].vc);
 
         let nl = &mut self.nodes[node].locks[l.index()];
         nl.holder = None;
@@ -1120,8 +1101,7 @@ impl SvmSystem {
                     lop,
                 );
             });
-            let lvc = self.locks[l.index()].vc.clone();
-            self.procs[next].vc.join(&lvc);
+            self.procs[next].vc.join(&self.locks[l.index()].vc);
             self.enter_notice_stage(t, next, WaitReason::Lock);
         } else {
             // The lock may leave the node: flush diffs eagerly under
@@ -1166,20 +1146,20 @@ impl SvmSystem {
     pub(crate) fn barrier_arrive(&mut self, now: Time, p: usize, b: BarrierId) {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         let mut cursor = now;
-        if let Some(pi) = self.end_interval(cursor, p, Bucket::Barrier) {
+        if let Some(pi) = self.end_interval(p, Bucket::Barrier) {
             cursor = self.procs[p].clock;
             let interval = pi.interval;
             self.procs[p].pending_intervals.push(pi);
             if self.p.features.dw {
-                cursor = self.broadcast_record(cursor, p, interval, Bucket::Barrier);
+                cursor = self.broadcast_record(cursor, p, interval);
             }
         }
         cursor = self.procs[p].clock.max(cursor);
         cursor = self.flush_proc_pending(cursor, p, Bucket::Barrier);
 
         // Arrival notification: either to the node-0 manager (host
-        // path) or into the NI combining tree.
-        let vc = self.procs[p].vc.clone();
+        // path) or into the NI combining tree. Only a message owns a
+        // copy of the clock.
         let work = cursor.saturating_since(now);
         self.procs[p].bd.barrier += work;
         self.procs[p].bd.barrier_protocol += work;
@@ -1188,12 +1168,13 @@ impl SvmSystem {
                 barrier: b,
                 started: cursor,
             });
-            cursor = self.coll_barrier_arrive(cursor, node, b, vc);
+            cursor = self.coll_barrier_arrive(cursor, node, b, p);
         } else if node == 0 {
             self.procs[p].state = ProcState::Blocked(Block::BarrierWait {
                 barrier: b,
                 started: cursor,
             });
+            let vc = self.procs[p].vc.clone();
             self.manager_note_arrival(cursor + EPS, b, p, vc, None);
         } else {
             self.counters.barrier_manager_msgs += 1;
@@ -1208,7 +1189,7 @@ impl SvmSystem {
                     Pending::BarrierArriveMsg {
                         barrier: b,
                         proc: p,
-                        vc,
+                        vc: self.procs[p].vc.clone(),
                         upto: None,
                     },
                     bop,
@@ -1225,7 +1206,7 @@ impl SvmSystem {
                     Pending::BarrierArriveMsg {
                         barrier: b,
                         proc: p,
-                        vc,
+                        vc: self.procs[p].vc.clone(),
                         upto: Some(upto),
                     },
                     bop,
@@ -1250,14 +1231,14 @@ impl SvmSystem {
     /// (`arrived`) in the next `nprocs` — max-reduced up the tree and
     /// broadcast down, this replaces both the manager's clock join and
     /// its piggyback bookkeeping.
-    fn coll_barrier_arrive(&mut self, cursor: Time, node: usize, b: BarrierId, vc: VClock) -> Time {
+    fn coll_barrier_arrive(&mut self, cursor: Time, node: usize, b: BarrierId, p: usize) -> Time {
         let nprocs = self.p.topo.procs();
         let entry = self.nodes[node]
             .coll_arrivals
             .entry(b)
             .or_insert_with(|| (0, VClock::new(nprocs)));
         entry.0 += 1;
-        entry.1.join(&vc);
+        entry.1.join(&self.procs[p].vc);
         if entry.0 < self.p.topo.procs_per_node {
             return cursor;
         }
@@ -1333,7 +1314,7 @@ impl SvmSystem {
             epoch,
         });
         let bop = genima_obs::op_barrier_id(b.index() as u64, epoch as u64);
-        self.release_at_node(t, b, node, joined, Some(upto), bop);
+        self.release_at_node(t, b, node, &joined, Some(upto), bop);
     }
 
     /// Manager-side barrier bookkeeping (runs at node 0, either as a
@@ -1381,7 +1362,7 @@ impl SvmSystem {
         let mut cursor = t + EPS;
         for node in 0..self.p.topo.nodes {
             if node == 0 {
-                self.release_at_node(cursor, b, 0, joined.clone(), None, bop);
+                self.release_at_node(cursor, b, 0, &joined, None, bop);
                 continue;
             }
             self.counters.barrier_manager_msgs += 1;
@@ -1434,7 +1415,7 @@ impl SvmSystem {
         t: Time,
         b: BarrierId,
         node: usize,
-        joined: VClock,
+        joined: &VClock,
         upto: Option<Vec<u32>>,
         op: u64,
     ) {
@@ -1469,7 +1450,7 @@ impl SvmSystem {
                     op,
                 );
             });
-            self.procs[p].vc.join(&joined);
+            self.procs[p].vc.join(joined);
             self.enter_notice_stage(t, p, WaitReason::Barrier);
         }
     }

@@ -25,9 +25,22 @@ use crate::ids::ProcId;
 /// assert!(b.covers(&a));
 /// assert!(!a.covers(&b));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct VClock {
     v: Vec<u32>,
+}
+
+impl Clone for VClock {
+    fn clone(&self) -> VClock {
+        VClock { v: self.v.clone() }
+    }
+
+    /// Copies `other` into this clock's existing buffer (the derived
+    /// `clone_from` would allocate a fresh one): a lock's timestamp is
+    /// overwritten at every release.
+    fn clone_from(&mut self, other: &VClock) {
+        self.v.clone_from(&other.v);
+    }
 }
 
 impl VClock {
@@ -230,6 +243,45 @@ mod tests {
         let mut c = VClock::new(1);
         c.set(ProcId::new(0), u32::MAX - 1);
         assert_eq!(c.bump(ProcId::new(0)), u32::MAX);
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffer() {
+        let mut src = VClock::new(4);
+        src.set(ProcId::new(2), 7);
+        let mut dst = VClock::new(4);
+        dst.set(ProcId::new(0), 3);
+        let buf = dst.v.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.v.as_ptr(), buf, "same length: no reallocation");
+        // Lengths may differ (a default-sized clock takes a real one).
+        let mut empty = VClock::new(0);
+        empty.clone_from(&src);
+        assert_eq!(empty, src);
+    }
+
+    #[test]
+    fn join_through_a_borrow_leaves_the_source_untouched() {
+        // The shape the lock paths use: two clocks owned by different
+        // fields of one struct, joined without a temporary copy.
+        struct Pair {
+            acquirer: VClock,
+            lock: VClock,
+        }
+        let mut s = Pair {
+            acquirer: VClock::new(3),
+            lock: VClock::new(3),
+        };
+        s.acquirer.set(ProcId::new(0), 4);
+        s.lock.set(ProcId::new(0), 2);
+        s.lock.set(ProcId::new(1), 6);
+        let before = s.lock.clone();
+        s.acquirer.join(&s.lock);
+        assert_eq!(s.lock, before);
+        assert_eq!(s.acquirer.get(ProcId::new(0)), 4);
+        assert_eq!(s.acquirer.get(ProcId::new(1)), 6);
+        assert!(s.acquirer.covers(&s.lock));
     }
 
     proptest! {

@@ -22,6 +22,7 @@
 //! assert_eq!(t.as_us(), 1.0);
 //! ```
 
+mod hash;
 mod queue;
 mod resource;
 mod rng;
@@ -29,6 +30,7 @@ mod smallvec;
 mod stats;
 mod time;
 
+pub use hash::{FixedHasher, FixedState};
 #[cfg(any(test, feature = "ref-heap"))]
 pub use queue::reference::HeapQueue;
 pub use queue::{EventQueue, QueueStats};

@@ -41,7 +41,7 @@ pub enum PinClass {
 pub struct Vmmc {
     comm: Comm,
     /// Outstanding fragment counts for multi-packet transfers.
-    pending: HashMap<Tag, u32>,
+    pending: HashMap<Tag, u32, genima_sim::FixedState>,
     /// Pinned bytes per (node, class).
     pinned: HashMap<(usize, PinClass), u64>,
     next_tag: u64,
@@ -53,7 +53,7 @@ impl Vmmc {
     pub fn new(nic: NicConfig, net: NetConfig, nodes: usize, nlocks: usize) -> Vmmc {
         Vmmc {
             comm: Comm::new(nic, net, nodes, nlocks),
-            pending: HashMap::new(),
+            pending: HashMap::default(),
             pinned: HashMap::new(),
             next_tag: 1 << 32,
         }
@@ -71,7 +71,7 @@ impl Vmmc {
     ) -> Vmmc {
         Vmmc {
             comm: Comm::with_model(model, nic, net, nodes, nlocks),
-            pending: HashMap::new(),
+            pending: HashMap::default(),
             pinned: HashMap::new(),
             next_tag: 1 << 32,
         }

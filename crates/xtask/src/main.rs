@@ -57,6 +57,7 @@ const PROTOCOL_PATHS: &[&str] = &[
     "crates/rnic/src/profile.rs",
     "crates/rnic/src/lib.rs",
     "crates/proto/src/sched.rs",
+    "crates/proto/src/version.rs",
     "crates/proto/src/system/mod.rs",
     "crates/proto/src/system/home.rs",
     "crates/proto/src/system/exec.rs",
