@@ -5,9 +5,10 @@
 //! funnel through a host-side manager. This crate closes that gap the
 //! same way `genima-nic`'s lock chain closed the lock gap: the
 //! collective lives entirely in NI firmware state machines — a
-//! configurable k-ary fan-in/fan-out tree providing a **barrier**, a
-//! **broadcast**, and an **all-reduce** (element-wise u64 sum or max,
-//! enough to join vector clocks and write-notice watermarks). No host
+//! configurable k-ary fan-in/fan-out tree providing a **barrier** and
+//! an **all-reduce** (element-wise u64 sum or max, enough to join
+//! vector clocks and write-notice watermarks), whose fan-out stage
+//! broadcasts the combined result. No host
 //! is interrupted and no host polls; hosts only post their local
 //! contribution and later notice a completion flag in NI memory,
 //! exactly like noticing a granted lock.

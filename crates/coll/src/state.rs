@@ -241,43 +241,6 @@ impl CollState {
         );
     }
 
-    /// Root-initiated broadcast: publish `vals` as the result of the
-    /// root's next epoch and fan it out down the tree. This is the
-    /// release stage running standalone — no fan-in happens, so a
-    /// collective instance must be used either for broadcasts or for
-    /// barriers/reductions, never interleaved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vals` has the wrong width or the root has an epoch
-    /// in flight.
-    pub fn broadcast(&mut self, vals: &[u64]) -> (u32, Vec<Action>) {
-        let mut out = Vec::new();
-        let epoch = self.broadcast_into(vals, &mut out);
-        (epoch, out)
-    }
-
-    /// [`CollState::broadcast`] pushing its actions into a
-    /// caller-owned buffer.
-    pub fn broadcast_into(&mut self, vals: &[u64], out: &mut Vec<Action>) -> u32 {
-        assert_eq!(vals.len(), self.width, "broadcast width mismatch");
-        let root = &mut self.node[0];
-        assert_eq!(
-            root.epoch, root.released,
-            "broadcast while the root has epoch {} in flight",
-            root.epoch
-        );
-        let epoch = root.epoch;
-        // The broadcast consumes an epoch on every node exactly like a
-        // completed combine would.
-        for st in &mut self.node {
-            st.epoch += 1;
-        }
-        self.result = Some((epoch, vals.to_vec()));
-        self.release_into(0, epoch, out);
-        epoch
-    }
-
     /// Fold one contribution into `node`'s combine for `epoch`; when
     /// the count reaches `1 + |children|` the subtree is complete and
     /// either freezes (interior node) or publishes + releases (root).
@@ -395,26 +358,6 @@ mod tests {
         assert_eq!(epoch, 0);
         assert_eq!(acts, vec![Action::Exit { node: 0, epoch: 0 }]);
         assert_eq!(cs.result(), Some(&(0, vec![7])));
-    }
-
-    #[test]
-    fn broadcast_fans_out_without_fan_in() {
-        let mut cs = CollState::new(7, 2, ReduceOp::Max, 2);
-        let (epoch, acts) = cs.broadcast(&[11, 13]);
-        assert_eq!(epoch, 0);
-        let mut queue = acts;
-        let mut exits = 0;
-        while let Some(a) = queue.pop() {
-            match a {
-                Action::SendRelease { to, epoch, .. } => queue.extend(cs.release(to, epoch)),
-                Action::Exit { epoch, .. } => {
-                    assert_eq!(cs.result(), Some(&(epoch, vec![11, 13])));
-                    exits += 1;
-                }
-                Action::SendArrive { .. } => panic!("broadcast must not fan in"),
-            }
-        }
-        assert_eq!(exits, 7);
     }
 
     #[test]

@@ -1,0 +1,554 @@
+//! The communication system: all NICs plus the network fabric.
+//!
+//! [`Comm`] owns the per-NIC state and dispatches; every mechanism is
+//! written once, behind its own seam:
+//!
+//! * [`transport`] — the wire. The only code that builds, sequences,
+//!   retransmits and deduplicates packets and that books the LANai and
+//!   Net monitor stages.
+//! * [`lock`] — maps the pure chain machine ([`crate::lock::FwLock`])
+//!   onto packets, upcalls, the ownership trace and spans.
+//! * [`atomic`] — the same for the per-NIC atomic unit
+//!   ([`crate::atomic::AtomicUnit`]): local and remote, swap and CAS
+//!   requests take one path.
+//! * [`coll`] — the same for the collective machine
+//!   (`genima_coll::CollState`).
+//!
+//! This file is the host data path (remote deposit, remote fetch) and
+//! the receive dispatcher. The machines hand their actions back by
+//! value or into a reused buffer: no path through here allocates.
+
+#![allow(clippy::field_reassign_with_default)]
+
+mod atomic;
+mod coll;
+mod lock;
+mod transport;
+
+use std::collections::BTreeMap;
+
+use genima_coll::{Action, CollId, CollState};
+use genima_net::{NetConfig, NicId};
+use genima_obs::{ObsHandle, Recorder, SpanKind, Track};
+use genima_sim::{Dur, InlineVec, Time};
+
+use crate::atomic::{AtomicOp, AtomicUnit};
+use crate::config::NicConfig;
+use crate::lock::{FwLock, LockId};
+use crate::model::{LanaiModel, NiModel, NiStats};
+use crate::monitor::{Monitor, SizeClass, Stage};
+use crate::msg::{Event, MsgKind, Packet, SendDesc, Tag, Upcall};
+use crate::trace::LockTrace;
+
+pub use transport::RecoveryStats;
+use transport::Transport;
+
+/// Result of a host-side communication call: when the calling host
+/// processor is free to continue, plus any simulation events to
+/// schedule.
+///
+/// The event and upcall lists use inline storage ([`InlineVec`]): the
+/// common case is one event per post, and fault injection multiplies
+/// the number of posts without changing that per-post shape, so the
+/// hot path allocates nothing.
+#[derive(Debug, Default)]
+pub struct Post {
+    /// The instant the posting host processor regains control.
+    pub host_free: Time,
+    /// Internal events to schedule (feed back via [`Comm::handle`]).
+    pub events: InlineVec<(Time, Event)>,
+    /// Upcalls that became known immediately (e.g. a locally granted
+    /// lock); delivered to the protocol layer at the given time.
+    pub upcalls: InlineVec<(Time, Upcall)>,
+}
+
+impl Post {
+    /// A host call that frees the processor at `host_free` and whose
+    /// firmware work produced `step`.
+    fn after(host_free: Time, step: Step) -> Post {
+        Post {
+            host_free,
+            events: step.events,
+            upcalls: step.upcalls,
+        }
+    }
+}
+
+/// Result of processing one internal event.
+#[derive(Debug, Default)]
+pub struct Step {
+    /// Follow-up internal events to schedule.
+    pub events: InlineVec<(Time, Event)>,
+    /// Completion notifications for the protocol layer.
+    pub upcalls: InlineVec<(Time, Upcall)>,
+}
+
+/// On-wire size (bytes) of a remote-fetch request.
+const FETCH_REQ_BYTES: u32 = 16;
+
+/// The cluster-wide communication system: one NI per node plus the
+/// switch fabric, the firmware lock tables, and the performance
+/// monitor.
+///
+/// The system is a passive state machine driven by the simulation
+/// core: host-side calls ([`Comm::post_send`], [`Comm::fetch`],
+/// [`Comm::lock_acquire`], [`Comm::lock_release`]) return events to
+/// schedule, and [`Comm::handle`] processes them when they fire,
+/// producing follow-up events and protocol [`Upcall`]s.
+///
+/// # Example
+///
+/// ```
+/// use genima_net::{NetConfig, NicId};
+/// use genima_nic::{Comm, MsgKind, NicConfig, SendDesc, Tag};
+/// use genima_sim::Time;
+///
+/// let mut comm = Comm::new(NicConfig::default(), NetConfig::myrinet(), 2, 0);
+/// let post = comm.post_send(
+///     Time::ZERO,
+///     NicId::new(0),
+///     SendDesc { dst: NicId::new(1), bytes: 64, kind: MsgKind::Deposit, tag: Tag::new(1) },
+/// );
+/// assert_eq!(post.host_free.as_us(), 2.0); // asynchronous: 2us post overhead
+/// assert_eq!(post.events.len(), 1);        // a future delivery event
+/// ```
+#[derive(Debug)]
+pub struct Comm {
+    cfg: NicConfig,
+    /// Number of nodes/NICs in the cluster.
+    ports: usize,
+    /// The NI hardware timing model (engine occupancies, queue
+    /// disciplines, DMA and notification costs). The protocol state
+    /// machines below are hardware-independent.
+    model: Box<dyn NiModel>,
+    monitor: Monitor,
+    /// Observability recorder for firmware-side spans (`None` =
+    /// disabled, the default: a single branch per emission site).
+    obs: Option<ObsHandle>,
+    /// The fabric plus sequencing, retry and dedupe state.
+    tx: Transport,
+    /// Firmware lock chains, one per lock.
+    locks: Vec<FwLock>,
+    /// Lock-ownership transitions, recorded only while tracing is on
+    /// (`None` = disabled, the default: zero overhead).
+    trace: Option<Vec<LockTrace>>,
+    /// Firmware atomic units, one per NIC.
+    atomics: Vec<AtomicUnit>,
+    /// Firmware collective instances (tree barrier / all-reduce
+    /// combine tables), created lazily on first entry.
+    colls: BTreeMap<CollId, CollState>,
+    /// Tree fanout for collective instances created from now on.
+    coll_fanout: u32,
+    /// Reusable buffer for collective state-machine actions (the
+    /// firmware emits at most a handful per serviced packet; reusing
+    /// one buffer keeps the service loop allocation-free).
+    coll_scratch: Vec<Action>,
+}
+
+/// Receive-side context of the packet being served, resolved once in
+/// [`Comm::deliver`] for every mechanism's emissions.
+#[derive(Clone, Copy)]
+struct Rx {
+    /// Arrival at the destination NI (after any injected stall); the
+    /// Dest monitor stage starts here.
+    now: Time,
+    /// The NI accepted the packet; service starts here.
+    recv_done: Time,
+    class: SizeClass,
+    /// The protocol operation the packet belongs to (0 = none).
+    op: u64,
+}
+
+impl Comm {
+    /// Creates a communication system for `ports` nodes and `nlocks`
+    /// NI locks (homes assigned round-robin).
+    pub fn new(cfg: NicConfig, net_cfg: NetConfig, ports: usize, nlocks: usize) -> Comm {
+        let model = Box::new(LanaiModel::new(cfg, ports));
+        Comm::with_model(model, cfg, net_cfg, ports, nlocks)
+    }
+
+    /// Creates a communication system running the protocol against an
+    /// explicit NI hardware model. `cfg` carries the
+    /// hardware-independent knobs the protocol still consults
+    /// (capability flags, size threshold, retry policy); all timing
+    /// lives in `model`.
+    pub fn with_model(
+        model: Box<dyn NiModel>,
+        cfg: NicConfig,
+        net_cfg: NetConfig,
+        ports: usize,
+        nlocks: usize,
+    ) -> Comm {
+        Comm {
+            cfg,
+            ports,
+            model,
+            monitor: Monitor::new(),
+            obs: None,
+            tx: Transport::new(net_cfg, ports),
+            locks: (0..nlocks)
+                .map(|i| FwLock::new(LockId::new(i), NicId::new(i % ports), ports))
+                .collect(),
+            trace: None,
+            atomics: (0..ports).map(|_| AtomicUnit::default()).collect(),
+            colls: BTreeMap::new(),
+            coll_fanout: 4,
+            coll_scratch: Vec::new(),
+        }
+    }
+
+    /// Hardware-mechanism counters of the underlying NI model
+    /// (doorbells, completion-queue entries, paging faults; all zero
+    /// on hardware without those mechanisms).
+    pub fn ni_stats(&self) -> NiStats {
+        self.model.stats()
+    }
+
+    /// Installs an observability recorder: firmware service spans,
+    /// retransmissions, fault-injection instants and lock-grant flows
+    /// are recorded from now on. Without a recorder every emission site
+    /// is a single `Option` branch.
+    pub fn set_observer(&mut self, obs: ObsHandle) {
+        self.obs = Some(obs);
+    }
+
+    fn obs_record(&mut self, f: impl FnOnce(&mut Recorder)) {
+        if let Some(h) = self.obs.as_ref() {
+            f(&mut h.borrow_mut());
+        }
+    }
+
+    /// The protocol operation bound to `tag` in the shared recorder
+    /// (zero when unbound or observability is off). Tags are globally
+    /// unique, so the binding made at the posting node resolves at any
+    /// NIC the packet visits.
+    fn obs_op(&self, tag: Tag) -> u64 {
+        match self.obs.as_ref() {
+            Some(h) => h.borrow().op_for(tag.value()),
+            None => 0,
+        }
+    }
+
+    /// The firmware performance monitor, aggregated over all NICs.
+    pub fn monitor(&self) -> &Monitor {
+        &self.monitor
+    }
+
+    /// Clears the performance monitor (used when measurement starts
+    /// after a warmup phase, per the paper's methodology).
+    pub fn reset_monitor(&mut self) {
+        self.monitor = Monitor::new();
+    }
+
+    fn size_class(&self, bytes: u32) -> SizeClass {
+        if bytes <= self.cfg.small_threshold {
+            SizeClass::Small
+        } else {
+            SizeClass::Large
+        }
+    }
+
+    /// Posts one asynchronous send descriptor from `src`.
+    ///
+    /// Models the full outgoing pipeline synchronously (post queue →
+    /// LANai pick → source DMA → injection → fabric) and returns the
+    /// delivery event. The posting processor is released after the
+    /// post overhead unless the post queue is full, in which case it
+    /// stalls until a slot frees.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `desc.dst == src` (intra-node traffic never reaches
+    /// the NI) or if `desc.bytes` exceeds the maximum packet size.
+    pub fn post_send(&mut self, now: Time, src: NicId, desc: SendDesc) -> Post {
+        assert_ne!(src, desc.dst, "intra-node messages do not use the NI");
+        let mut post = Post::default();
+        let hp = self.model.host_post(now, src);
+        let posted_at = hp.posted_at;
+        post.host_free = posted_at;
+        if hp.doorbell {
+            let op = self.obs_op(desc.tag);
+            self.obs_record(|o| {
+                o.instant_op(
+                    SpanKind::QpDoorbell,
+                    src.index(),
+                    Track::Host,
+                    posted_at,
+                    desc.dst.index() as u64,
+                    op,
+                );
+            });
+        }
+        // A scatter-gather send spends extra source-side time
+        // collecting each run from host memory.
+        let gather_runs = match desc.kind {
+            MsgKind::GatherDeposit { runs } => {
+                assert!(
+                    self.cfg.scatter_gather,
+                    "scatter-gather send without NicConfig::scatter_gather"
+                );
+                Some(runs)
+            }
+            MsgKind::Deposit
+            | MsgKind::HostMsg
+            | MsgKind::FetchReq { .. }
+            | MsgKind::FetchReply
+            | MsgKind::LockMsg(_)
+            | MsgKind::CollMsg(_)
+            | MsgKind::FetchAndStore { .. }
+            | MsgKind::MaskedCas(_)
+            | MsgKind::AtomicReply { .. } => None,
+        };
+        let times = self
+            .model
+            .send_path(posted_at, src, desc.bytes, gather_runs, true);
+        self.monitor.record(
+            Stage::Source,
+            self.size_class(desc.bytes),
+            times.dma_done - posted_at,
+            times.source_expected,
+        );
+        self.launch(
+            src,
+            desc,
+            posted_at,
+            times.dma_done,
+            times.inject_ready,
+            &mut post.events,
+        );
+        post
+    }
+
+    /// Posts one descriptor that the NI firmware replicates to several
+    /// destinations (the §5 broadcast extension): one post-queue slot,
+    /// one source DMA, one injection per destination.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `NicConfig::broadcast` is enabled, or if any
+    /// destination equals `src`, or `dsts` is empty.
+    pub fn post_broadcast(
+        &mut self,
+        now: Time,
+        src: NicId,
+        dsts: &[(NicId, Tag)],
+        bytes: u32,
+        kind: MsgKind,
+    ) -> Post {
+        assert!(self.cfg.broadcast, "broadcast without NicConfig::broadcast");
+        assert!(!dsts.is_empty(), "broadcast needs at least one destination");
+        let mut post = Post::default();
+        let posted_at = self.model.host_post(now, src).posted_at;
+        post.host_free = posted_at;
+
+        let (dma_done, source_expected) = self.model.bcast_source(posted_at, src, bytes);
+        self.monitor.record(
+            Stage::Source,
+            self.size_class(bytes),
+            dma_done - posted_at,
+            source_expected,
+        );
+        let mut cursor = dma_done;
+        for &(dst, tag) in dsts {
+            assert_ne!(dst, src, "broadcast to self");
+            cursor = self.model.bcast_inject(cursor, src);
+            let desc = SendDesc {
+                dst,
+                bytes,
+                kind,
+                tag,
+            };
+            self.launch(src, desc, posted_at, dma_done, cursor, &mut post.events);
+        }
+        post
+    }
+
+    /// Issues a remote fetch: `bytes` of exported memory at `from`
+    /// are DMA'd out of the remote host by its NI firmware and
+    /// deposited into `nic`'s host memory. Completion surfaces as
+    /// [`Upcall::FetchCompleted`] with `tag`. `key` names the fetched
+    /// region for the remote NI's translation machinery (a page index,
+    /// or [`crate::ALWAYS_MAPPED`] for NI-resident metadata);
+    /// on-demand-paging hardware faults on a key's first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from == nic`.
+    pub fn fetch(
+        &mut self,
+        now: Time,
+        nic: NicId,
+        from: NicId,
+        bytes: u32,
+        key: u64,
+        tag: Tag,
+    ) -> Post {
+        assert_ne!(nic, from, "local memory is read directly, not fetched");
+        self.post_send(
+            now,
+            nic,
+            SendDesc {
+                dst: from,
+                bytes: FETCH_REQ_BYTES,
+                kind: MsgKind::FetchReq {
+                    reply_bytes: bytes,
+                    key,
+                },
+                tag,
+            },
+        )
+    }
+
+    /// Processes one internal event at its scheduled time.
+    pub fn handle(&mut self, now: Time, ev: Event) -> Step {
+        match ev {
+            Event::Delivered(pkt) => self.deliver(now, pkt),
+            Event::RetryTimer { packet, attempt } => self.retransmit(now, packet, attempt),
+        }
+    }
+
+    /// Destination-side processing of an arrived packet: admission,
+    /// wire accounting, receive, then the one mechanism the packet
+    /// kind names.
+    fn deliver(&mut self, now: Time, pkt: Packet) -> Step {
+        let mut step = Step::default();
+        let Some(now) = self.admit(now, &pkt) else {
+            return step;
+        };
+        let local = pkt.src == pkt.dst; // firmware-local hop: skip wire-side costs
+        let op = self.obs_op(pkt.tag);
+        if !local && op != 0 {
+            // Wire occupancy, charged at the receiver: from the moment
+            // the source DMA finished to the packet leaving the fabric.
+            self.obs_record(|o| {
+                o.span_op(
+                    SpanKind::WireTransit,
+                    pkt.dst.index(),
+                    Track::Firmware,
+                    Time::from_ns(pkt.source_done_ns),
+                    now,
+                    pkt.src.index() as u64,
+                    op,
+                );
+            });
+        }
+        let recv_done = if local {
+            now
+        } else {
+            self.model.recv_accept(now, pkt.dst)
+        };
+        let rx = Rx {
+            now,
+            recv_done,
+            class: self.size_class(pkt.bytes),
+            op,
+        };
+        match pkt.kind {
+            MsgKind::Deposit
+            | MsgKind::GatherDeposit { .. }
+            | MsgKind::HostMsg
+            | MsgKind::FetchReply => self.deposit_arrived(rx, pkt, &mut step),
+            MsgKind::FetchReq { reply_bytes, key } => {
+                self.serve_fetch(rx, pkt, reply_bytes, key, &mut step)
+            }
+            MsgKind::FetchAndStore { cell, new } => {
+                self.serve_atomic(rx, pkt, AtomicOp::Swap { cell, new }, &mut step)
+            }
+            MsgKind::MaskedCas(cas) => self.serve_atomic(rx, pkt, AtomicOp::Cas(cas), &mut step),
+            MsgKind::AtomicReply { old } => self.atomic_completed(rx, pkt, old, &mut step),
+            MsgKind::CollMsg(op) => self.serve_coll(rx, pkt, op, &mut step),
+            MsgKind::LockMsg(op) => self.serve_lock(rx, pkt, op, &mut step),
+        }
+        step
+    }
+
+    /// Books the Dest monitor stage of the packet being served: from
+    /// arrival to `done`, against the uncontended receive plus
+    /// `expected` service cost.
+    fn book_dest(&mut self, rx: Rx, done: Time, expected: Dur) {
+        self.monitor.record(
+            Stage::Dest,
+            rx.class,
+            done - rx.now,
+            self.model.recv_cost() + expected,
+        );
+    }
+
+    /// Remote deposit: the payload is DMA'd into host memory and the
+    /// completion surfaces under the name its kind gives it.
+    fn deposit_arrived(&mut self, rx: Rx, pkt: Packet, step: &mut Step) {
+        let (nic, tag, src) = (pkt.dst, pkt.tag, pkt.src);
+        let (runs, upcall) = match pkt.kind {
+            // Scatter on the receive side: firmware unpacks each run
+            // before (or while) DMA-ing the payload home.
+            MsgKind::GatherDeposit { runs } => {
+                (Some(runs), Upcall::DepositArrived { nic, tag, src })
+            }
+            MsgKind::Deposit => (None, Upcall::DepositArrived { nic, tag, src }),
+            MsgKind::HostMsg => (None, Upcall::HostMsgArrived { nic, tag, src }),
+            MsgKind::FetchReply => (None, Upcall::FetchCompleted { nic, tag }),
+            other => unreachable!("host-DMA arm cannot deliver {other:?}"),
+        };
+        let rd = self.model.deposit_dma(rx.recv_done, nic, pkt.bytes, runs);
+        self.book_dest(rx, rd.dma_done, rd.expected);
+        if rd.cqe {
+            // The model wrote a completion-queue entry for the arrival
+            // (solicited-event path).
+            self.obs_record(|o| {
+                o.instant_op(
+                    SpanKind::CqNotify,
+                    nic.index(),
+                    Track::Firmware,
+                    rd.dma_done,
+                    src.index() as u64,
+                    rx.op,
+                );
+            });
+        }
+        step.upcalls.push((rd.dma_done, upcall));
+    }
+
+    /// Remote fetch: look up the export / translation table (possibly
+    /// faulting the page in, on demand-paged hardware), DMA the data
+    /// out of host memory — host→NI, the send direction of the I/O
+    /// bus — and send it back.
+    fn serve_fetch(&mut self, rx: Rx, pkt: Packet, reply_bytes: u32, key: u64, step: &mut Step) {
+        let fs = self
+            .model
+            .serve_fetch(rx.recv_done, pkt.dst, reply_bytes, key);
+        self.book_dest(rx, fs.data_ready, fs.expected);
+        self.obs_record(|o| {
+            if fs.odp_fault {
+                o.instant_op(
+                    SpanKind::OdpFault,
+                    pkt.dst.index(),
+                    Track::Firmware,
+                    rx.recv_done,
+                    key,
+                    rx.op,
+                );
+            }
+            o.span_op(
+                SpanKind::FetchService,
+                pkt.dst.index(),
+                Track::Firmware,
+                rx.recv_done,
+                fs.data_ready,
+                pkt.src.index() as u64,
+                rx.op,
+            );
+        });
+        self.emit(
+            fs.data_ready,
+            pkt.dst,
+            pkt.src,
+            reply_bytes,
+            MsgKind::FetchReply,
+            pkt.tag,
+            step,
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests;

@@ -15,8 +15,8 @@
 //!   last-owner chain) runs entirely in firmware; lock messages are
 //!   never delivered to host memory, so they cannot get stuck behind
 //!   data traffic in the incoming FIFO;
-//! * **NI collectives** — the k-ary tree barrier / broadcast /
-//!   all-reduce state machines of `genima-coll` run in firmware
+//! * **NI collectives** — the k-ary tree barrier / all-reduce state
+//!   machine of `genima-coll` runs in firmware
 //!   ([`Comm::coll_enter`]): hosts post a local contribution and later
 //!   notice a completion flag, with the whole fan-in, combine and
 //!   fan-out handled NI-to-NI.
@@ -32,6 +32,7 @@
 //! uncontended residency, separately for small and large messages, so
 //! the contention ratios of Tables 3 and 4 can be regenerated.
 
+mod atomic;
 mod comm;
 mod config;
 mod lock;

@@ -12,7 +12,7 @@ use std::fmt;
 
 use genima_net::NicId;
 
-use crate::msg::Tag;
+use crate::msg::{LockOp, Tag};
 
 /// Identifies one application/protocol lock.
 ///
@@ -46,7 +46,7 @@ impl fmt::Display for LockId {
 
 /// Ownership state of one lock at one NIC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SlotState {
+enum SlotState {
     /// This NIC has nothing to do with the lock right now.
     Idle,
     /// The local host asked for the lock; the grant has not arrived.
@@ -61,26 +61,54 @@ pub(crate) enum SlotState {
 
 /// Per-NIC firmware slot for one lock.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Slot {
-    pub state: SlotState,
+struct Slot {
+    state: SlotState,
     /// The successor this NIC must hand the lock to, installed by a
     /// `Transfer` message from the home.
-    pub next: Option<(NicId, Tag)>,
+    next: Option<(NicId, Tag)>,
 }
 
-/// Firmware state of one lock across the cluster.
+/// What the firmware at one NIC must do after feeding an input to
+/// [`FwLock`]. Every input yields at most one action, handed back by
+/// value (no allocation); the communication layer maps it onto packets, upcalls, the
+/// ownership trace and observability spans and charges the time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LockAction {
+    /// Put a chain-control message on the wire: the requester's
+    /// `Request` to the home, or the home's `Transfer` to the previous
+    /// tail. `tag` is the acquire tag the packet carries.
+    Send { to: NicId, op: LockOp, tag: Tag },
+    /// Ownership leaves this NIC: send the `Grant` (with the protocol
+    /// timestamp, hence grant-sized) to `to`, whose acquire was `tag`.
+    Departed { to: NicId, tag: Tag },
+    /// A grant arrived: this NIC owns the lock and its host, whose
+    /// acquire was `tag`, holds it.
+    Granted { tag: Tag },
+    /// The host re-acquired a lock this NIC kept after the last
+    /// release: held again without any ownership change or message.
+    Regranted { tag: Tag },
+    /// A duplicated grant reached a NIC that already holds the lock
+    /// and was discarded.
+    DupDropped,
+}
+
+/// Firmware state of one lock across the cluster, and the chain
+/// algorithm over it. Pure: no clock, no network, no hardware model —
+/// the inputs are the three host calls and the three message arrivals,
+/// each naming the NIC whose firmware runs it.
 #[derive(Clone, Debug)]
 pub(crate) struct FwLock {
+    id: LockId,
     /// The NIC whose firmware tracks the chain tail.
-    pub home: NicId,
+    home: NicId,
     /// Last requester in the chain (initially the home itself).
-    pub tail: NicId,
+    tail: NicId,
     /// One slot per NIC.
-    pub slots: Vec<Slot>,
+    slots: Vec<Slot>,
 }
 
 impl FwLock {
-    pub(crate) fn new(home: NicId, ports: usize) -> FwLock {
+    pub(crate) fn new(id: LockId, home: NicId, ports: usize) -> FwLock {
         let mut slots = vec![
             Slot {
                 state: SlotState::Idle,
@@ -91,16 +119,162 @@ impl FwLock {
         // The lock starts free at its home.
         slots[home.index()].state = SlotState::Released;
         FwLock {
+            id,
             home,
             tail: home,
             slots,
         }
+    }
+
+    pub(crate) fn home(&self) -> NicId {
+        self.home
+    }
+
+    /// `true` if `nic` owns the lock (held or released-but-kept).
+    pub(crate) fn owned_by(&self, nic: NicId) -> bool {
+        matches!(
+            self.slots[nic.index()].state,
+            SlotState::HeldLocal | SlotState::Released
+        )
+    }
+
+    /// `nic`'s host asks for the lock with acquire tag `tag`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nic` already holds or awaits the lock.
+    pub(crate) fn acquire(&mut self, nic: NicId, tag: Tag) -> LockAction {
+        let lock = self.id;
+        let slot = &mut self.slots[nic.index()];
+        match slot.state {
+            // "The last owner keeps the lock": still ours, no messages.
+            SlotState::Released => {
+                slot.state = SlotState::HeldLocal;
+                LockAction::Regranted { tag }
+            }
+            SlotState::Idle => {
+                slot.state = SlotState::AwaitingGrant;
+                LockAction::Send {
+                    to: self.home,
+                    op: LockOp::Request {
+                        lock,
+                        requester: nic,
+                    },
+                    tag,
+                }
+            }
+            state @ (SlotState::AwaitingGrant | SlotState::HeldLocal) => {
+                panic!("nic {nic} re-requested {lock} while in {state:?}")
+            }
+        }
+    }
+
+    /// `nic`'s host re-holds a lock the NIC kept after a release.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the NIC does not own the lock in released state.
+    pub(crate) fn local_hold(&mut self, nic: NicId) {
+        let slot = &mut self.slots[nic.index()];
+        assert_eq!(
+            slot.state,
+            SlotState::Released,
+            "nic {nic} cannot locally re-hold {}",
+            self.id
+        );
+        slot.state = SlotState::HeldLocal;
+    }
+
+    /// `nic`'s host releases the lock: hand it to the queued successor
+    /// if there is one, else keep it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host does not hold the lock.
+    pub(crate) fn release(&mut self, nic: NicId) -> Option<LockAction> {
+        let slot = &mut self.slots[nic.index()];
+        assert_eq!(
+            slot.state,
+            SlotState::HeldLocal,
+            "nic {nic} released {} it does not hold",
+            self.id
+        );
+        match slot.next.take() {
+            Some((to, tag)) => {
+                slot.state = SlotState::Idle;
+                Some(LockAction::Departed { to, tag })
+            }
+            None => {
+                slot.state = SlotState::Released;
+                None
+            }
+        }
+    }
+
+    /// A `Request` reached the home `nic`: append `requester` to the
+    /// chain and tell the previous tail whom to hand the lock to. The
+    /// requester's acquire tag travelled with the request and is
+    /// threaded through the transfer so the eventual grant carries it
+    /// back.
+    pub(crate) fn on_request(&mut self, nic: NicId, requester: NicId, tag: Tag) -> LockAction {
+        debug_assert_eq!(self.home, nic, "only the home processes requests");
+        let prev = std::mem::replace(&mut self.tail, requester);
+        LockAction::Send {
+            to: prev,
+            op: LockOp::Transfer {
+                lock: self.id,
+                requester,
+                tag,
+            },
+            tag,
+        }
+    }
+
+    /// A `Transfer` reached chain member `nic`: hand the lock over now
+    /// if it sits released here, else remember the successor.
+    pub(crate) fn on_transfer(
+        &mut self,
+        nic: NicId,
+        requester: NicId,
+        tag: Tag,
+    ) -> Option<LockAction> {
+        let slot = &mut self.slots[nic.index()];
+        match slot.state {
+            SlotState::Released => {
+                slot.state = SlotState::Idle;
+                Some(LockAction::Departed { to: requester, tag })
+            }
+            SlotState::HeldLocal | SlotState::AwaitingGrant => {
+                debug_assert!(
+                    slot.next.is_none(),
+                    "chain gives each owner at most one successor"
+                );
+                slot.next = Some((requester, tag));
+                None
+            }
+            SlotState::Idle => unreachable!("transfer sent to a NIC outside the chain"),
+        }
+    }
+
+    /// A `Grant` reached `nic`.
+    pub(crate) fn on_grant(&mut self, nic: NicId, tag: Tag) -> LockAction {
+        let slot = &mut self.slots[nic.index()];
+        if slot.state == SlotState::HeldLocal {
+            // A duplicated grant that slipped past sequence dedupe (a
+            // local-hop copy carries no sequence number): the lock is
+            // already held here.
+            return LockAction::DupDropped;
+        }
+        debug_assert_eq!(slot.state, SlotState::AwaitingGrant);
+        slot.state = SlotState::HeldLocal;
+        LockAction::Granted { tag }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, HashSet, VecDeque};
 
     #[test]
     fn lock_id_round_trip() {
@@ -110,10 +284,177 @@ mod tests {
 
     #[test]
     fn new_lock_is_free_at_home() {
-        let l = FwLock::new(NicId::new(1), 4);
+        let l = FwLock::new(LockId::new(0), NicId::new(1), 4);
         assert_eq!(l.tail, NicId::new(1));
         assert_eq!(l.slots[1].state, SlotState::Released);
         assert_eq!(l.slots[0].state, SlotState::Idle);
         assert!(l.slots.iter().all(|s| s.next.is_none()));
+    }
+
+    /// What one NIC's host is doing with the lock.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Host {
+        Idle,
+        Waiting(Tag),
+        Holding,
+    }
+
+    /// One state of the exhaustive exploration: the machine, the chain
+    /// messages in flight (FIFO per `(src, dst)` channel, free across
+    /// channels), and every host's view.
+    #[derive(Clone, Debug)]
+    struct World {
+        fw: FwLock,
+        wire: BTreeMap<(usize, usize), VecDeque<(LockOp, Tag)>>,
+        host: Vec<Host>,
+        /// Acquires each host has still to make.
+        left: Vec<u32>,
+    }
+
+    impl World {
+        fn send(&mut self, from: usize, to: NicId, op: LockOp, tag: Tag) {
+            self.wire
+                .entry((from, to.index()))
+                .or_default()
+                .push_back((op, tag));
+        }
+
+        /// Carries out `action` at `nic` the way the communication
+        /// layer would, then checks the safety invariants.
+        fn apply(&mut self, nic: usize, action: Option<LockAction>) {
+            let lock = self.fw.id;
+            match action {
+                None => {}
+                Some(LockAction::Send { to, op, tag }) => self.send(nic, to, op, tag),
+                Some(LockAction::Departed { to, tag }) => {
+                    self.send(nic, to, LockOp::Grant { lock, tag }, tag);
+                }
+                Some(LockAction::Granted { tag } | LockAction::Regranted { tag }) => {
+                    // Exactly once: only the acquire being waited for
+                    // can be granted, and granting it ends the wait.
+                    assert_eq!(self.host[nic], Host::Waiting(tag), "stray grant at {nic}");
+                    self.host[nic] = Host::Holding;
+                }
+                Some(LockAction::DupDropped) => panic!("duplicate grant on a reliable wire"),
+            }
+            let holders: Vec<usize> = (0..self.host.len())
+                .filter(|&n| self.host[n] == Host::Holding)
+                .collect();
+            let owners: Vec<usize> = (0..self.host.len())
+                .filter(|&n| self.fw.owned_by(NicId::new(n)))
+                .collect();
+            assert!(holders.len() <= 1, "two holders: {holders:?}");
+            assert!(owners.len() <= 1, "two owners: {owners:?}");
+            assert!(
+                holders.iter().all(|h| owners.contains(h)),
+                "{holders:?} holds a lock owned by {owners:?}"
+            );
+        }
+
+        /// Every world one step away: a host acquiring or releasing,
+        /// or the head of one channel arriving.
+        fn successors(&self) -> Vec<World> {
+            let mut next = Vec::new();
+            for nic in 0..self.host.len() {
+                let mut w = self.clone();
+                match self.host[nic] {
+                    Host::Idle if self.left[nic] > 0 => {
+                        w.left[nic] -= 1;
+                        let tag = Tag::new((10 * nic) as u64 + w.left[nic] as u64);
+                        w.host[nic] = Host::Waiting(tag);
+                        let action = w.fw.acquire(NicId::new(nic), tag);
+                        w.apply(nic, Some(action));
+                    }
+                    Host::Holding => {
+                        w.host[nic] = Host::Idle;
+                        let action = w.fw.release(NicId::new(nic));
+                        w.apply(nic, action);
+                    }
+                    Host::Idle | Host::Waiting(_) => continue,
+                }
+                next.push(w);
+            }
+            for (&(from, to), queue) in &self.wire {
+                let Some(&(op, pkt_tag)) = queue.front() else {
+                    continue;
+                };
+                let mut w = self.clone();
+                w.wire.get_mut(&(from, to)).expect("channel").pop_front();
+                let nic = NicId::new(to);
+                let action = match op {
+                    LockOp::Request { requester, .. } => {
+                        Some(w.fw.on_request(nic, requester, pkt_tag))
+                    }
+                    LockOp::Transfer { requester, tag, .. } => {
+                        if w.fw.slots[to].state != SlotState::Released {
+                            assert!(
+                                w.fw.slots[to].next.is_none(),
+                                "second successor for owner {to}"
+                            );
+                        }
+                        w.fw.on_transfer(nic, requester, tag)
+                    }
+                    LockOp::Grant { tag, .. } => Some(w.fw.on_grant(nic, tag)),
+                };
+                w.apply(to, action);
+                next.push(w);
+            }
+            next
+        }
+    }
+
+    /// Explores every interleaving of `rounds` acquire/release pairs
+    /// per host over `nics` NICs with the lock homed at `home`;
+    /// returns (distinct states, quiescent end states).
+    fn explore(nics: usize, home: usize, rounds: u32) -> (usize, usize) {
+        let start = World {
+            fw: FwLock::new(LockId::new(0), NicId::new(home), nics),
+            wire: BTreeMap::new(),
+            host: vec![Host::Idle; nics],
+            left: vec![rounds; nics],
+        };
+        let mut seen = HashSet::new();
+        let mut ends = 0;
+        let mut stack = vec![start];
+        while let Some(w) = stack.pop() {
+            // Drained channels and absent ones are the same state.
+            let mut key = w.clone();
+            key.wire.retain(|_, q| !q.is_empty());
+            if !seen.insert(format!("{key:?}")) {
+                continue;
+            }
+            let next = w.successors();
+            if next.is_empty() {
+                // Quiescent: liveness demands nothing is left undone.
+                assert!(
+                    w.host.iter().all(|&h| h == Host::Idle) && w.left.iter().all(|&l| l == 0),
+                    "stuck with work left: {w:?}"
+                );
+                ends += 1;
+            }
+            stack.extend(next);
+        }
+        (seen.len(), ends)
+    }
+
+    /// The chain algorithm, alone, under every delivery order that
+    /// per-channel FIFO permits — including orders the wire-timed
+    /// simulator never produces (a transfer overtaking the grant it
+    /// chases on another channel, a request racing a release): mutual
+    /// exclusion, every acquire granted exactly once, at most one
+    /// successor per owner, and no run gets stuck.
+    #[test]
+    fn chain_is_exclusive_and_live_under_every_fifo_interleaving() {
+        for (nics, rounds) in [(1, 3), (2, 3), (3, 3)] {
+            for home in 0..nics {
+                let (states, ends) = explore(nics, home, rounds);
+                assert!(ends >= 1, "{nics} NICs, home {home}: no run completed");
+                // A collapsed explorer would pass vacuously.
+                assert!(
+                    states >= [7, 180, 5128][nics - 1],
+                    "{nics} NICs: {states} states"
+                );
+            }
+        }
     }
 }

@@ -215,7 +215,7 @@ impl LanaiNic {
 ///
 /// Extracted move-for-move from the original communication layer:
 /// reservation order and costs are bit-identical to the pre-trait
-/// code, which the timing-pinned tests in `comm.rs` verify.
+/// code, which the timing-pinned tests in `comm/tests.rs` verify.
 #[derive(Debug)]
 pub struct LanaiModel {
     cfg: NicConfig,

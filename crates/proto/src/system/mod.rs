@@ -10,10 +10,8 @@ mod degraded;
 mod exec;
 mod fault;
 mod home;
+mod sched_view;
 mod sync;
-
-#[cfg(test)]
-mod tests;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -24,14 +22,14 @@ use genima_sim::{Dur, EventQueue, FixedState, InlineVec, Resource, Time};
 use genima_vmmc::Vmmc;
 
 use crate::breakdown::{Breakdown, Counters};
-use crate::config::{BarrierImpl, ProtoConfig};
+use crate::config::{BarrierImpl, LockImpl, ProtoConfig};
 use crate::error::ProtoError;
 use crate::features::FeatureSet;
 use crate::ids::{BarrierId, NodeId, Topology};
 use crate::interval::{DirtySet, IntervalRecord, PendingInterval};
 use crate::ops::{Op, OpSource};
 use crate::report::RunReport;
-use crate::sched::{ChanKey, Choice, EventPicker, Mutation, SchedObj};
+use crate::sched::{EventPicker, Mutation};
 use crate::trace::TraceEvent;
 use crate::vclock::VClock;
 use crate::version::VersionMap;
@@ -50,6 +48,37 @@ pub(crate) enum Flow {
 pub(crate) enum Bucket {
     AcqRel,
     Barrier,
+}
+
+/// How remote lock acquires and releases are carried. Resolved once,
+/// at construction, from the feature set, the configured lock
+/// implementation and the hardware generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LockStrategy {
+    /// Base: host messages through the lock's home to the last
+    /// owner's protocol handler.
+    HostChain,
+    /// NIL: the home + last-owner chain in NI firmware.
+    NiChain,
+    /// NIL over remote atomics where the NI offers only
+    /// fetch-and-store: test-and-set on the home cell, spinning with
+    /// backoff.
+    AtomicSwapSpin,
+    /// NIL over remote atomics on an RDMA NIC: masked CAS in `wait`
+    /// mode, so a losing attempt parks at the home NIC until the cell
+    /// clears.
+    AtomicCasWait,
+}
+
+impl LockStrategy {
+    fn of(p: &SvmParams) -> LockStrategy {
+        match (p.features.nil, p.proto.lock_impl) {
+            (false, LockImpl::FirmwareChain | LockImpl::RemoteAtomics) => LockStrategy::HostChain,
+            (true, LockImpl::FirmwareChain) => LockStrategy::NiChain,
+            (true, LockImpl::RemoteAtomics) if p.hw.is_rdma() => LockStrategy::AtomicCasWait,
+            (true, LockImpl::RemoteAtomics) => LockStrategy::AtomicSwapSpin,
+        }
+    }
 }
 
 /// Construction parameters of an [`SvmSystem`].
@@ -149,8 +178,11 @@ pub(crate) enum SysEvent {
     Up(Upcall),
     /// A process continues executing its operation stream.
     Resume(usize),
-    /// A protocol handler finished servicing an interrupt.
-    Job(usize, Job),
+    /// The protocol handler of a node finished servicing the interrupt
+    /// a host message raised (Base-protocol paths only): carry out the
+    /// message's action. The last field is the operation id resolved
+    /// from the message's tag (0 = unattributed).
+    Job(usize, Pending, u64),
     /// Re-issue a remote fetch that found a stale timestamp.
     RetryFetch(usize, PageId),
     /// Re-try a failed atomic test-and-set (remote-atomics locks).
@@ -239,51 +271,6 @@ pub(crate) enum Pending {
         node: usize,
         vc: VClock,
         upto: Option<Vec<u32>>,
-    },
-}
-
-/// Actions performed when a host protocol handler finishes servicing
-/// an interrupt (Base-protocol paths only). Variants whose follow-up
-/// emits attributed records or messages carry the operation id (`op`)
-/// resolved from the triggering message's tag.
-#[derive(Debug)]
-pub(crate) enum Job {
-    PageRequest {
-        requester: usize,
-        page: PageId,
-        required: VersionMap,
-        op: u64,
-    },
-    ApplyDiff {
-        writer: usize,
-        interval: u32,
-        page: PageId,
-        diff: Option<Diff>,
-    },
-    LockForward {
-        lock: LockId,
-        proc: usize,
-        requester: usize,
-        op: u64,
-    },
-    LockOwner {
-        lock: LockId,
-        proc: usize,
-        requester: usize,
-        op: u64,
-    },
-    BarrierArrive {
-        barrier: BarrierId,
-        proc: usize,
-        vc: VClock,
-        upto: Option<Vec<u32>>,
-    },
-    BarrierRelease {
-        barrier: BarrierId,
-        node: usize,
-        vc: VClock,
-        upto: Option<Vec<u32>>,
-        op: u64,
     },
 }
 
@@ -446,6 +433,7 @@ pub(crate) struct BarrierRt {
 /// ```
 pub struct SvmSystem {
     pub(crate) p: SvmParams,
+    pub(crate) lock_strategy: LockStrategy,
     pub(crate) vmmc: Vmmc,
     pub(crate) q: EventQueue<SysEvent>,
     pub(crate) procs: Vec<ProcRt>,
@@ -545,7 +533,7 @@ impl SvmSystem {
             params.locks,
         );
         if let BarrierImpl::NiTree { fanout } = params.barrier {
-            vmmc.set_coll_fanout(fanout);
+            vmmc.comm_mut().set_coll_fanout(fanout);
         }
         vmmc.comm_mut().set_degraded(params.degraded);
         let procs = sources
@@ -597,6 +585,7 @@ impl SvmSystem {
             nodes[home].locks[i].owned = true;
         }
         SvmSystem {
+            lock_strategy: LockStrategy::of(&params),
             vmmc,
             q: EventQueue::new(),
             procs,
@@ -863,447 +852,6 @@ impl SvmSystem {
         std::mem::take(&mut self.observations)
     }
 
-    /// The current schedulable choice set: the earliest `(time, seq)`
-    /// pending event of every delivery channel, sorted by
-    /// `(time, seq)`. Empty exactly when the event queue is drained.
-    pub fn sched_choices(&self) -> Vec<Choice> {
-        let mut heads: Vec<Choice> = Vec::new();
-        for (time, seq, ev) in self.q.iter_pending() {
-            let key = self.chan_of(ev);
-            match heads.iter_mut().find(|c| c.key == key) {
-                Some(c) if (c.time, c.seq) <= (time, seq) => {}
-                Some(c) => {
-                    c.time = time;
-                    c.seq = seq;
-                }
-                None => heads.push(Choice {
-                    key,
-                    time,
-                    seq,
-                    label: String::new(),
-                    footprint: Vec::new(),
-                }),
-            }
-        }
-        heads.sort_by_key(|c| (c.time, c.seq));
-        // Fill labels/footprints only for the surviving heads.
-        for c in &mut heads {
-            if let Some((_, _, ev)) = self.q.iter_pending().find(|&(_, s, _)| s == c.seq) {
-                let (label, footprint) = self.describe(ev);
-                c.label = label;
-                c.footprint = footprint;
-            }
-        }
-        heads
-    }
-
-    /// The delivery channel of a pending event.
-    fn chan_of(&self, ev: &SysEvent) -> ChanKey {
-        match ev {
-            SysEvent::CommBatch(_) => {
-                unreachable!("comm batches are never created under a controlled scheduler")
-            }
-            SysEvent::Comm(CommEvent::Delivered(p)) => ChanKey::Wire {
-                src: p.src.index(),
-                dst: p.dst.index(),
-            },
-            SysEvent::Comm(CommEvent::RetryTimer { packet, .. }) => ChanKey::Wire {
-                src: packet.src.index(),
-                dst: packet.dst.index(),
-            },
-            SysEvent::Up(u) => match u {
-                Upcall::DepositArrived { nic, src, .. }
-                | Upcall::HostMsgArrived { nic, src, .. } => ChanKey::Mem {
-                    nic: nic.index(),
-                    src: src.index(),
-                },
-                Upcall::FetchCompleted { nic, .. } => ChanKey::Fetch { nic: nic.index() },
-                Upcall::LockGranted { nic, .. } | Upcall::LockDeparted { nic, .. } => {
-                    ChanKey::Lock { nic: nic.index() }
-                }
-                Upcall::CollCompleted { nic, .. } => ChanKey::Coll { nic: nic.index() },
-                Upcall::AtomicCompleted { nic, .. } => ChanKey::Atomic { nic: nic.index() },
-                Upcall::PeerUnreachable { nic, .. } => ChanKey::Lock { nic: nic.index() },
-            },
-            SysEvent::Resume(p) | SysEvent::RetryFetch(p, _) | SysEvent::RetrySpin(p, _) => {
-                ChanKey::Proc { proc: *p }
-            }
-            SysEvent::Job(node, _) => ChanKey::Handler { node: *node },
-        }
-    }
-
-    /// Label and footprint of a pending event (heads only — this is
-    /// the expensive half of classification).
-    fn describe(&self, ev: &SysEvent) -> (String, Vec<SchedObj>) {
-        let node_of = |p: usize| self.p.topo.node_of(crate::ids::ProcId::new(p)).index();
-        let page_obj = |page: PageId| SchedObj::Page {
-            page: page.index(),
-            home: self.home_of(page).index(),
-        };
-        // Firmware processes some packet kinds at delivery time (lock
-        // state machine, collective combine, remote atomics); those
-        // deliveries carry the touched object. Pure data movement
-        // (deposits, host messages, replies) mutates protocol state
-        // only via its later upcall, which has its own footprint.
-        let pkt_fp = |pkt: &genima_nic::Packet| match pkt.kind {
-            genima_nic::MsgKind::LockMsg(op) => {
-                let lock = match op {
-                    genima_nic::LockOp::Request { lock, .. }
-                    | genima_nic::LockOp::Transfer { lock, .. }
-                    | genima_nic::LockOp::Grant { lock, .. } => lock,
-                };
-                vec![SchedObj::Lock { lock: lock.index() }]
-            }
-            genima_nic::MsgKind::CollMsg(op) => {
-                let coll = match op {
-                    genima_nic::CollOp::Arrive { coll, .. }
-                    | genima_nic::CollOp::Release { coll, .. } => coll,
-                };
-                vec![SchedObj::Coll { coll: coll.index() }]
-            }
-            genima_nic::MsgKind::FetchAndStore { cell, .. } => {
-                // Atomic cells are the per-lock spin words.
-                vec![SchedObj::Lock {
-                    lock: cell as usize,
-                }]
-            }
-            genima_nic::MsgKind::MaskedCas(cas) => {
-                vec![SchedObj::Lock {
-                    lock: cas.cell as usize,
-                }]
-            }
-            genima_nic::MsgKind::Deposit
-            | genima_nic::MsgKind::GatherDeposit { .. }
-            | genima_nic::MsgKind::HostMsg
-            | genima_nic::MsgKind::FetchReq { .. }
-            | genima_nic::MsgKind::FetchReply
-            | genima_nic::MsgKind::AtomicReply { .. } => Vec::new(),
-        };
-        match ev {
-            SysEvent::CommBatch(_) => {
-                unreachable!("comm batches are never created under a controlled scheduler")
-            }
-            SysEvent::Comm(CommEvent::Delivered(p)) => (
-                format!("pkt {}>{} {:?}", p.src.index(), p.dst.index(), p.kind),
-                pkt_fp(p),
-            ),
-            SysEvent::Comm(CommEvent::RetryTimer { packet, .. }) => (
-                format!("retry {}>{}", packet.src.index(), packet.dst.index()),
-                Vec::new(),
-            ),
-            SysEvent::Up(u) => self.describe_upcall(u),
-            // A resume runs the process until it blocks: the parked
-            // op, later ops, and release-time flushes of earlier
-            // writes. When the full program is known every one of
-            // those names a lock/barrier/page from it, so the
-            // footprint lists exactly those objects; otherwise fall
-            // back to conflicting with all synchronization.
-            SysEvent::Resume(p) => {
-                let mut fp = vec![
-                    SchedObj::Proc {
-                        proc: *p,
-                        node: node_of(*p),
-                    },
-                    SchedObj::Node { node: node_of(*p) },
-                ];
-                match self.procs[*p].src.program() {
-                    Some(prog) => {
-                        for op in prog {
-                            let obj = match op {
-                                Op::Compute(_) | Op::WaitUntil(_) | Op::ServeEnd { .. } => None,
-                                Op::Read { addr, .. }
-                                | Op::Write { addr, .. }
-                                | Op::WriteData { addr, .. }
-                                | Op::Validate { addr, .. }
-                                | Op::Observe { addr, .. } => Some(page_obj(addr.page())),
-                                Op::Acquire(l) | Op::Release(l) => {
-                                    Some(SchedObj::Lock { lock: l.index() })
-                                }
-                                Op::Barrier(b) => {
-                                    // NI-collective columns run the
-                                    // barrier as CollId(b), so cover
-                                    // both objects.
-                                    let coll = SchedObj::Coll { coll: b.index() };
-                                    if !fp.contains(&coll) {
-                                        fp.push(coll);
-                                    }
-                                    Some(SchedObj::Barrier { barrier: b.index() })
-                                }
-                            };
-                            if let Some(obj) = obj {
-                                if !fp.contains(&obj) {
-                                    fp.push(obj);
-                                }
-                            }
-                        }
-                    }
-                    None => fp.push(SchedObj::Sync),
-                }
-                (format!("resume p{p}"), fp)
-            }
-            SysEvent::RetryFetch(p, page) => (
-                format!("refetch p{p} {page:?}"),
-                vec![
-                    SchedObj::Proc {
-                        proc: *p,
-                        node: node_of(*p),
-                    },
-                    SchedObj::Node { node: node_of(*p) },
-                    page_obj(*page),
-                ],
-            ),
-            SysEvent::RetrySpin(p, lock) => (
-                format!("respin p{p} l{}", lock.index()),
-                vec![
-                    SchedObj::Proc {
-                        proc: *p,
-                        node: node_of(*p),
-                    },
-                    SchedObj::Node { node: node_of(*p) },
-                    SchedObj::Lock { lock: lock.index() },
-                ],
-            ),
-            SysEvent::Job(node, job) => {
-                let (what, obj) = match job {
-                    Job::PageRequest { page, .. } => ("pagereq", Some(page_obj(*page))),
-                    Job::ApplyDiff { page, .. } => ("applydiff", Some(page_obj(*page))),
-                    Job::LockForward { lock, .. } | Job::LockOwner { lock, .. } => {
-                        ("lockjob", Some(SchedObj::Lock { lock: lock.index() }))
-                    }
-                    Job::BarrierArrive { barrier, .. } | Job::BarrierRelease { barrier, .. } => (
-                        "barrierjob",
-                        Some(SchedObj::Barrier {
-                            barrier: barrier.index(),
-                        }),
-                    ),
-                };
-                let mut fp = vec![SchedObj::Node { node: *node }];
-                fp.extend(obj);
-                (format!("{what}@n{node}"), fp)
-            }
-        }
-    }
-
-    fn describe_upcall(&self, u: &Upcall) -> (String, Vec<SchedObj>) {
-        let node_of = |p: usize| self.p.topo.node_of(crate::ids::ProcId::new(p)).index();
-        let page_obj = |page: PageId| SchedObj::Page {
-            page: page.index(),
-            home: self.home_of(page).index(),
-        };
-        let pending_fp = |tag: &Tag| -> (String, Vec<SchedObj>) {
-            match self.tags.get(&tag.value()) {
-                Some(Pending::PageRequestMsg { page, .. }) => (
-                    format!("pagereq {page:?}"),
-                    vec![
-                        page_obj(*page),
-                        SchedObj::Node {
-                            node: self.home_of(*page).index(),
-                        },
-                    ],
-                ),
-                Some(Pending::PageReply { node, page, .. }) => (
-                    format!("pagereply {page:?}>n{node}"),
-                    vec![
-                        SchedObj::Copy {
-                            node: *node,
-                            page: page.index(),
-                        },
-                        SchedObj::Node { node: *node },
-                    ],
-                ),
-                Some(Pending::FetchPage { proc, page }) => (
-                    format!("fetch {page:?}>p{proc}"),
-                    vec![
-                        SchedObj::Copy {
-                            node: node_of(*proc),
-                            page: page.index(),
-                        },
-                        SchedObj::Proc {
-                            proc: *proc,
-                            node: node_of(*proc),
-                        },
-                        SchedObj::Node {
-                            node: node_of(*proc),
-                        },
-                        // Completion re-reads the home copy's applied
-                        // map (and data) to decide install vs retry.
-                        page_obj(*page),
-                    ],
-                ),
-                Some(Pending::Notice {
-                    node,
-                    writer,
-                    interval,
-                }) => (
-                    format!("notice w{writer}i{interval}>n{node}"),
-                    vec![SchedObj::Arrived {
-                        node: *node,
-                        writer: *writer,
-                    }],
-                ),
-                Some(Pending::NoticeFetch { node, writer, upto }) => (
-                    format!("noticefetch w{writer}..{upto}>n{node}"),
-                    vec![SchedObj::Arrived {
-                        node: *node,
-                        writer: *writer,
-                    }],
-                ),
-                Some(Pending::DiffMsg {
-                    writer,
-                    interval,
-                    page,
-                    ..
-                }) => (
-                    format!("diff w{writer}i{interval} {page:?}"),
-                    vec![
-                        page_obj(*page),
-                        SchedObj::Node {
-                            node: self.home_of(*page).index(),
-                        },
-                    ],
-                ),
-                Some(Pending::DiffTsUpdate {
-                    writer,
-                    interval,
-                    page,
-                    ..
-                }) => (
-                    format!("diffts w{writer}i{interval} {page:?}"),
-                    vec![page_obj(*page)],
-                ),
-                Some(Pending::LockRequestMsg { lock, proc, .. }) => (
-                    format!("lockreq l{} p{proc}", lock.index()),
-                    vec![
-                        SchedObj::Lock { lock: lock.index() },
-                        SchedObj::Node {
-                            node: self.lock_home(*lock),
-                        },
-                    ],
-                ),
-                Some(Pending::LockForwardMsg {
-                    lock, proc, owner, ..
-                }) => (
-                    format!("lockfwd l{} p{proc}>n{owner}", lock.index()),
-                    vec![
-                        SchedObj::Lock { lock: lock.index() },
-                        SchedObj::Node { node: *owner },
-                    ],
-                ),
-                Some(Pending::LockGrantMsg { lock, proc, .. }) => (
-                    format!("lockgrant l{} p{proc}", lock.index()),
-                    vec![
-                        SchedObj::Lock { lock: lock.index() },
-                        SchedObj::Proc {
-                            proc: *proc,
-                            node: node_of(*proc),
-                        },
-                        SchedObj::Node {
-                            node: node_of(*proc),
-                        },
-                    ],
-                ),
-                Some(Pending::NiLockWait { proc }) => (
-                    format!("nilock p{proc}"),
-                    vec![
-                        SchedObj::Proc {
-                            proc: *proc,
-                            node: node_of(*proc),
-                        },
-                        SchedObj::Node {
-                            node: node_of(*proc),
-                        },
-                    ],
-                ),
-                Some(Pending::AtomicLockTry { proc, lock }) => (
-                    format!("atomtry l{} p{proc}", lock.index()),
-                    vec![
-                        SchedObj::Lock { lock: lock.index() },
-                        SchedObj::Proc {
-                            proc: *proc,
-                            node: node_of(*proc),
-                        },
-                        SchedObj::Node {
-                            node: node_of(*proc),
-                        },
-                    ],
-                ),
-                Some(Pending::BarrierArriveMsg { barrier, proc, .. }) => (
-                    format!("bararrive b{} p{proc}", barrier.index()),
-                    vec![
-                        SchedObj::Barrier {
-                            barrier: barrier.index(),
-                        },
-                        SchedObj::Node { node: 0 },
-                    ],
-                ),
-                Some(Pending::BarrierReleaseMsg { barrier, node, .. }) => (
-                    format!("barrelease b{}>n{node}", barrier.index()),
-                    vec![
-                        SchedObj::Barrier {
-                            barrier: barrier.index(),
-                        },
-                        SchedObj::Node { node: *node },
-                    ],
-                ),
-                None => ("orphan".to_string(), Vec::new()),
-            }
-        };
-        match u {
-            Upcall::DepositArrived { tag, .. }
-            | Upcall::HostMsgArrived { tag, .. }
-            | Upcall::FetchCompleted { tag, .. } => pending_fp(tag),
-            Upcall::LockGranted { nic, lock, tag } => {
-                let proc_fp = match self.tags.get(&tag.value()) {
-                    Some(Pending::NiLockWait { proc }) => vec![
-                        SchedObj::Proc {
-                            proc: *proc,
-                            node: node_of(*proc),
-                        },
-                        SchedObj::Node {
-                            node: node_of(*proc),
-                        },
-                    ],
-                    _ => vec![SchedObj::Node { node: nic.index() }],
-                };
-                let mut fp = vec![SchedObj::Lock { lock: lock.index() }];
-                fp.extend(proc_fp);
-                (format!("grant l{}>n{}", lock.index(), nic.index()), fp)
-            }
-            Upcall::LockDeparted { nic, lock } => (
-                format!("depart l{}<n{}", lock.index(), nic.index()),
-                vec![
-                    SchedObj::Lock { lock: lock.index() },
-                    SchedObj::Node { node: nic.index() },
-                ],
-            ),
-            Upcall::CollCompleted { nic, coll, epoch } => (
-                format!("coll c{}e{epoch}>n{}", coll.index(), nic.index()),
-                vec![
-                    SchedObj::Coll { coll: coll.index() },
-                    SchedObj::Node { node: nic.index() },
-                ],
-            ),
-            Upcall::AtomicCompleted { nic, tag, .. } => {
-                let mut fp = match self.tags.get(&tag.value()) {
-                    Some(Pending::AtomicLockTry { proc, lock }) => vec![
-                        SchedObj::Lock { lock: lock.index() },
-                        SchedObj::Proc {
-                            proc: *proc,
-                            node: node_of(*proc),
-                        },
-                    ],
-                    _ => Vec::new(),
-                };
-                fp.push(SchedObj::Node { node: nic.index() });
-                (format!("atomdone n{}", nic.index()), fp)
-            }
-            Upcall::PeerUnreachable { nic, peer, .. } => (
-                format!("unreachable n{}!{}", nic.index(), peer.index()),
-                vec![SchedObj::Node { node: nic.index() }],
-            ),
-        }
-    }
-
     fn dispatch(&mut self, t: Time, ev: SysEvent) {
         match ev {
             SysEvent::Resume(p) => self.run_proc(t, p),
@@ -1325,7 +873,7 @@ impl SvmSystem {
                 }
             }
             SysEvent::Up(u) => self.upcall(t, u),
-            SysEvent::Job(node, job) => self.job_done(t, node, job),
+            SysEvent::Job(_, pending, op) => self.serve(t, pending, op),
             SysEvent::RetryFetch(p, page) => self.issue_rf(t, p, page),
             SysEvent::RetrySpin(p, lock) => self.atomic_lock_try(t, p, lock),
         }
@@ -1550,33 +1098,69 @@ impl SvmSystem {
         }
     }
 
+    /// The host handler a message needs when it arrives by host
+    /// message: the node whose protocol process takes the interrupt
+    /// and its service time. `None` for messages whose action needs no
+    /// handler however they arrive.
+    fn handler_of(&self, pending: &Pending) -> Option<(usize, Dur)> {
+        let proto = &self.p.proto;
+        match pending {
+            Pending::PageRequestMsg { page, .. } => {
+                Some((self.home_of(*page).index(), proto.svc_page_request))
+            }
+            Pending::DiffMsg { page, .. } => {
+                Some((self.home_of(*page).index(), self.p.mem.diff_apply))
+            }
+            Pending::LockRequestMsg { lock, .. } => {
+                Some((self.lock_home(*lock), proto.svc_lock_forward))
+            }
+            // Delivered to the last owner; the handler there services
+            // the grant.
+            Pending::LockForwardMsg { owner, .. } => Some((*owner, proto.svc_lock_grant)),
+            Pending::BarrierArriveMsg { .. } => Some((0, proto.svc_barrier_arrival)),
+            Pending::BarrierReleaseMsg { node, .. } => Some((*node, proto.svc_barrier_release)),
+            Pending::PageReply { .. }
+            | Pending::FetchPage { .. }
+            | Pending::Notice { .. }
+            | Pending::NoticeFetch { .. }
+            | Pending::DiffTsUpdate { .. }
+            | Pending::LockGrantMsg { .. }
+            | Pending::NiLockWait { .. }
+            | Pending::AtomicLockTry { .. } => None,
+        }
+    }
+
     /// Routes an arrived message to its protocol action. `host` is
-    /// `true` when the message landed via the host-message (interrupt)
-    /// path. `op` is the operation the consumed tag was bound to
-    /// (0 = unattributed), forwarded so downstream handlers keep the
-    /// causal chain.
+    /// `true` when the message landed via the host-message path: its
+    /// action then waits for the interrupted node's handler
+    /// ([`SysEvent::Job`]). `op` is the operation the consumed tag was
+    /// bound to (0 = unattributed), forwarded so downstream handlers
+    /// keep the causal chain.
     fn pending_arrived(&mut self, t: Time, pending: Pending, host: bool, op: u64) {
+        let handler = if host {
+            self.handler_of(&pending)
+        } else {
+            None
+        };
+        match handler {
+            Some((node, svc)) => {
+                let done = self.interrupt(node, t, svc, op);
+                self.q.push(done, SysEvent::Job(node, pending, op));
+            }
+            None => self.serve(t, pending, op),
+        }
+    }
+
+    /// Carries out the protocol action of an arrived message.
+    fn serve(&mut self, t: Time, pending: Pending, op: u64) {
         match pending {
             Pending::PageRequestMsg {
                 requester,
                 page,
                 required,
             } => {
-                debug_assert!(host);
                 let home = self.home_of(page).index();
-                let done = self.interrupt(home, t, self.p.proto.svc_page_request, op);
-                self.q.push(
-                    done,
-                    SysEvent::Job(
-                        home,
-                        Job::PageRequest {
-                            requester,
-                            page,
-                            required,
-                            op,
-                        },
-                    ),
-                );
+                self.home_serve_page_request(t, home, requester, page, required, op);
             }
             Pending::PageReply {
                 node,
@@ -1588,13 +1172,9 @@ impl SvmSystem {
             Pending::Notice {
                 node,
                 writer,
-                interval,
-            } => {
-                let a = &mut self.nodes[node].arrived[writer];
-                *a = (*a).max(interval);
-                self.check_notice_waiters(t, node);
+                interval: upto,
             }
-            Pending::NoticeFetch { node, writer, upto } => {
+            | Pending::NoticeFetch { node, writer, upto } => {
                 let a = &mut self.nodes[node].arrived[writer];
                 *a = (*a).max(upto);
                 self.check_notice_waiters(t, node);
@@ -1604,75 +1184,24 @@ impl SvmSystem {
                 interval,
                 page,
                 diff,
-            } => {
-                debug_assert!(host);
-                let home = self.home_of(page).index();
-                let done = self.interrupt(home, t, self.p.mem.diff_apply, op);
-                self.q.push(
-                    done,
-                    SysEvent::Job(
-                        home,
-                        Job::ApplyDiff {
-                            writer,
-                            interval,
-                            page,
-                            diff,
-                        },
-                    ),
-                );
-            }
+            } => self.apply_diff_at_home(t, writer, interval, page, diff, false),
             Pending::DiffTsUpdate {
                 writer,
                 interval,
                 page,
                 diff,
-            } => {
-                self.apply_diff_at_home(t, writer, interval, page, diff, true);
-            }
+            } => self.apply_diff_at_home(t, writer, interval, page, diff, true),
             Pending::LockRequestMsg {
                 lock,
                 proc,
                 requester,
-            } => {
-                debug_assert!(host);
-                let home = self.lock_home(lock);
-                let done = self.interrupt(home, t, self.p.proto.svc_lock_forward, op);
-                self.q.push(
-                    done,
-                    SysEvent::Job(
-                        home,
-                        Job::LockForward {
-                            lock,
-                            proc,
-                            requester,
-                            op,
-                        },
-                    ),
-                );
-            }
+            } => self.home_forward_lock(t, lock, proc, requester, op),
             Pending::LockForwardMsg {
                 lock,
                 proc,
                 requester,
                 owner,
-            } => {
-                debug_assert!(host);
-                // Delivered to the last owner; the handler there
-                // services the grant.
-                let done = self.interrupt(owner, t, self.p.proto.svc_lock_grant, op);
-                self.q.push(
-                    done,
-                    SysEvent::Job(
-                        owner,
-                        Job::LockOwner {
-                            lock,
-                            proc,
-                            requester,
-                            op,
-                        },
-                    ),
-                );
-            }
+            } => self.owner_service_lock(t, owner, lock, proc, requester, op),
             Pending::LockGrantMsg {
                 lock,
                 proc,
@@ -1686,92 +1215,12 @@ impl SvmSystem {
                 proc,
                 vc,
                 upto,
-            } => {
-                if host {
-                    let mgr = 0;
-                    let done = self.interrupt(mgr, t, self.p.proto.svc_barrier_arrival, op);
-                    self.q.push(
-                        done,
-                        SysEvent::Job(
-                            mgr,
-                            Job::BarrierArrive {
-                                barrier,
-                                proc,
-                                vc,
-                                upto,
-                            },
-                        ),
-                    );
-                } else {
-                    self.manager_note_arrival(t, barrier, proc, vc, upto);
-                }
-            }
+            } => self.manager_note_arrival(t, barrier, proc, vc, upto),
             Pending::BarrierReleaseMsg {
                 barrier,
                 node,
                 vc,
                 upto,
-            } => {
-                if host {
-                    let done = self.interrupt(node, t, self.p.proto.svc_barrier_release, op);
-                    self.q.push(
-                        done,
-                        SysEvent::Job(
-                            node,
-                            Job::BarrierRelease {
-                                barrier,
-                                node,
-                                vc,
-                                upto,
-                                op,
-                            },
-                        ),
-                    );
-                } else {
-                    self.release_at_node(t, barrier, node, &vc, upto, op);
-                }
-            }
-        }
-    }
-
-    fn job_done(&mut self, t: Time, node: usize, job: Job) {
-        match job {
-            Job::PageRequest {
-                requester,
-                page,
-                required,
-                op,
-            } => self.home_serve_page_request(t, node, requester, page, required, op),
-            Job::ApplyDiff {
-                writer,
-                interval,
-                page,
-                diff,
-            } => self.apply_diff_at_home(t, writer, interval, page, diff, false),
-            Job::LockForward {
-                lock,
-                proc,
-                requester,
-                op,
-            } => self.home_forward_lock(t, lock, proc, requester, op),
-            Job::LockOwner {
-                lock,
-                proc,
-                requester,
-                op,
-            } => self.owner_service_lock(t, node, lock, proc, requester, op),
-            Job::BarrierArrive {
-                barrier,
-                proc,
-                vc,
-                upto,
-            } => self.manager_note_arrival(t, barrier, proc, vc, upto),
-            Job::BarrierRelease {
-                barrier,
-                node,
-                vc,
-                upto,
-                op,
             } => self.release_at_node(t, barrier, node, &vc, upto, op),
         }
     }
@@ -1806,10 +1255,13 @@ impl SvmSystem {
             recovery: self.vmmc.comm().recovery_stats(),
             pinned_shared_bytes: pinned,
             hw: self.p.hw.name,
-            ni: self.vmmc.ni_stats(),
+            ni: self.vmmc.comm().ni_stats(),
             op_latency: self.op_hist.clone(),
             serve: self.serve_hist.clone(),
             events: self.q.delivered(),
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

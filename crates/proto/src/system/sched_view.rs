@@ -1,0 +1,406 @@
+//! The model checker's view of the pending event set: which delivery
+//! channel each event belongs to, a stable label for it, and the
+//! protocol objects it may touch (its footprint). Read-only over the
+//! system; nothing here runs on a free-running simulation.
+
+use genima_mem::PageId;
+use genima_nic::{CollOp, Event as CommEvent, LockOp, MsgKind, Packet, Tag, Upcall};
+
+use super::{Pending, SvmSystem, SysEvent};
+use crate::ids::ProcId;
+use crate::ops::Op;
+use crate::sched::{ChanKey, Choice, SchedObj};
+
+impl SvmSystem {
+    /// The current schedulable choice set: the earliest `(time, seq)`
+    /// pending event of every delivery channel, sorted by
+    /// `(time, seq)`. Empty exactly when the event queue is drained.
+    pub fn sched_choices(&self) -> Vec<Choice> {
+        let mut heads: Vec<Choice> = Vec::new();
+        for (time, seq, ev) in self.q.iter_pending() {
+            let key = self.chan_of(ev);
+            match heads.iter_mut().find(|c| c.key == key) {
+                Some(c) if (c.time, c.seq) <= (time, seq) => {}
+                Some(c) => {
+                    c.time = time;
+                    c.seq = seq;
+                }
+                None => heads.push(Choice {
+                    key,
+                    time,
+                    seq,
+                    label: String::new(),
+                    footprint: Vec::new(),
+                }),
+            }
+        }
+        heads.sort_by_key(|c| (c.time, c.seq));
+        // Fill labels/footprints only for the surviving heads.
+        for c in &mut heads {
+            if let Some((_, _, ev)) = self.q.iter_pending().find(|&(_, s, _)| s == c.seq) {
+                let (label, footprint) = self.describe(ev);
+                c.label = label;
+                c.footprint = footprint;
+            }
+        }
+        heads
+    }
+
+    /// The delivery channel of a pending event.
+    fn chan_of(&self, ev: &SysEvent) -> ChanKey {
+        match ev {
+            SysEvent::CommBatch(_) => {
+                unreachable!("comm batches are never created under a controlled scheduler")
+            }
+            SysEvent::Comm(CommEvent::Delivered(p)) => ChanKey::Wire {
+                src: p.src.index(),
+                dst: p.dst.index(),
+            },
+            SysEvent::Comm(CommEvent::RetryTimer { packet, .. }) => ChanKey::Wire {
+                src: packet.src.index(),
+                dst: packet.dst.index(),
+            },
+            SysEvent::Up(u) => match u {
+                Upcall::DepositArrived { nic, src, .. }
+                | Upcall::HostMsgArrived { nic, src, .. } => ChanKey::Mem {
+                    nic: nic.index(),
+                    src: src.index(),
+                },
+                Upcall::FetchCompleted { nic, .. } => ChanKey::Fetch { nic: nic.index() },
+                Upcall::LockGranted { nic, .. } | Upcall::LockDeparted { nic, .. } => {
+                    ChanKey::Lock { nic: nic.index() }
+                }
+                Upcall::CollCompleted { nic, .. } => ChanKey::Coll { nic: nic.index() },
+                Upcall::AtomicCompleted { nic, .. } => ChanKey::Atomic { nic: nic.index() },
+                Upcall::PeerUnreachable { nic, .. } => ChanKey::Lock { nic: nic.index() },
+            },
+            SysEvent::Resume(p) | SysEvent::RetryFetch(p, _) | SysEvent::RetrySpin(p, _) => {
+                ChanKey::Proc { proc: *p }
+            }
+            SysEvent::Job(node, ..) => ChanKey::Handler { node: *node },
+        }
+    }
+
+    fn node_of(&self, p: usize) -> usize {
+        self.p.topo.node_of(ProcId::new(p)).index()
+    }
+
+    /// The process and the node whose shared state it runs against.
+    fn proc_fp(&self, p: usize) -> [SchedObj; 2] {
+        let node = self.node_of(p);
+        [SchedObj::Proc { proc: p, node }, SchedObj::Node { node }]
+    }
+
+    fn page_obj(&self, page: PageId) -> SchedObj {
+        SchedObj::Page {
+            page: page.index(),
+            home: self.home_of(page).index(),
+        }
+    }
+
+    /// The page's home-side state plus its home node.
+    fn home_fp(&self, page: PageId) -> Vec<SchedObj> {
+        let node = self.home_of(page).index();
+        vec![self.page_obj(page), SchedObj::Node { node }]
+    }
+
+    /// Label and footprint of a pending event (heads only — this is
+    /// the expensive half of classification).
+    fn describe(&self, ev: &SysEvent) -> (String, Vec<SchedObj>) {
+        match ev {
+            SysEvent::CommBatch(_) => {
+                unreachable!("comm batches are never created under a controlled scheduler")
+            }
+            SysEvent::Comm(CommEvent::Delivered(p)) => (
+                format!("pkt {}>{} {:?}", p.src.index(), p.dst.index(), p.kind),
+                packet_fp(p),
+            ),
+            SysEvent::Comm(CommEvent::RetryTimer { packet, .. }) => (
+                format!("retry {}>{}", packet.src.index(), packet.dst.index()),
+                Vec::new(),
+            ),
+            SysEvent::Up(u) => self.describe_upcall(u),
+            SysEvent::Resume(p) => (format!("resume p{p}"), self.resume_fp(*p)),
+            SysEvent::RetryFetch(p, page) => {
+                let mut fp = self.proc_fp(*p).to_vec();
+                fp.push(self.page_obj(*page));
+                (format!("refetch p{p} {page:?}"), fp)
+            }
+            SysEvent::RetrySpin(p, lock) => {
+                let mut fp = self.proc_fp(*p).to_vec();
+                fp.push(SchedObj::Lock { lock: lock.index() });
+                (format!("respin p{p} l{}", lock.index()), fp)
+            }
+            SysEvent::Job(node, pending, _) => {
+                let (what, obj) = match pending {
+                    Pending::PageRequestMsg { page, .. } => ("pagereq", self.page_obj(*page)),
+                    Pending::DiffMsg { page, .. } => ("applydiff", self.page_obj(*page)),
+                    Pending::LockRequestMsg { lock, .. } | Pending::LockForwardMsg { lock, .. } => {
+                        ("lockjob", SchedObj::Lock { lock: lock.index() })
+                    }
+                    Pending::BarrierArriveMsg { barrier, .. }
+                    | Pending::BarrierReleaseMsg { barrier, .. } => (
+                        "barrierjob",
+                        SchedObj::Barrier {
+                            barrier: barrier.index(),
+                        },
+                    ),
+                    Pending::PageReply { .. }
+                    | Pending::FetchPage { .. }
+                    | Pending::Notice { .. }
+                    | Pending::NoticeFetch { .. }
+                    | Pending::DiffTsUpdate { .. }
+                    | Pending::LockGrantMsg { .. }
+                    | Pending::NiLockWait { .. }
+                    | Pending::AtomicLockTry { .. } => {
+                        unreachable!("{pending:?} needs no host handler")
+                    }
+                };
+                (
+                    format!("{what}@n{node}"),
+                    vec![SchedObj::Node { node: *node }, obj],
+                )
+            }
+        }
+    }
+
+    /// A resume runs the process until it blocks: the parked op, later
+    /// ops, and release-time flushes of earlier writes. When the full
+    /// program is known every one of those names a lock/barrier/page
+    /// from it, so the footprint lists exactly those objects;
+    /// otherwise fall back to conflicting with all synchronization.
+    fn resume_fp(&self, p: usize) -> Vec<SchedObj> {
+        let mut fp = self.proc_fp(p).to_vec();
+        let Some(prog) = self.procs[p].src.program() else {
+            fp.push(SchedObj::Sync);
+            return fp;
+        };
+        let mut add = |obj: SchedObj| {
+            if !fp.contains(&obj) {
+                fp.push(obj);
+            }
+        };
+        for op in prog {
+            match op {
+                Op::Compute(_) | Op::WaitUntil(_) | Op::ServeEnd { .. } => {}
+                Op::Read { addr, .. }
+                | Op::Write { addr, .. }
+                | Op::WriteData { addr, .. }
+                | Op::Validate { addr, .. }
+                | Op::Observe { addr, .. } => add(self.page_obj(addr.page())),
+                Op::Acquire(l) | Op::Release(l) => add(SchedObj::Lock { lock: l.index() }),
+                Op::Barrier(b) => {
+                    // NI-collective columns run the barrier as
+                    // CollId(b), so cover both objects.
+                    add(SchedObj::Coll { coll: b.index() });
+                    add(SchedObj::Barrier { barrier: b.index() });
+                }
+            }
+        }
+        fp
+    }
+
+    /// Label and footprint of the transaction an arrival upcall
+    /// completes, resolved through its tag.
+    fn describe_pending(&self, tag: &Tag) -> (String, Vec<SchedObj>) {
+        let Some(pending) = self.tags.get(&tag.value()) else {
+            return ("orphan".to_string(), Vec::new());
+        };
+        match pending {
+            Pending::PageRequestMsg { page, .. } => {
+                (format!("pagereq {page:?}"), self.home_fp(*page))
+            }
+            Pending::PageReply { node, page, .. } => (
+                format!("pagereply {page:?}>n{node}"),
+                vec![
+                    SchedObj::Copy {
+                        node: *node,
+                        page: page.index(),
+                    },
+                    SchedObj::Node { node: *node },
+                ],
+            ),
+            Pending::FetchPage { proc, page } => {
+                let [proc_obj, node_obj] = self.proc_fp(*proc);
+                let copy = SchedObj::Copy {
+                    node: self.node_of(*proc),
+                    page: page.index(),
+                };
+                // Completion re-reads the home copy's applied map (and
+                // data) to decide install vs retry.
+                let fp = vec![copy, proc_obj, node_obj, self.page_obj(*page)];
+                (format!("fetch {page:?}>p{proc}"), fp)
+            }
+            Pending::Notice {
+                node,
+                writer,
+                interval,
+            } => (
+                format!("notice w{writer}i{interval}>n{node}"),
+                vec![SchedObj::Arrived {
+                    node: *node,
+                    writer: *writer,
+                }],
+            ),
+            Pending::NoticeFetch { node, writer, upto } => (
+                format!("noticefetch w{writer}..{upto}>n{node}"),
+                vec![SchedObj::Arrived {
+                    node: *node,
+                    writer: *writer,
+                }],
+            ),
+            Pending::DiffMsg {
+                writer,
+                interval,
+                page,
+                ..
+            } => (
+                format!("diff w{writer}i{interval} {page:?}"),
+                self.home_fp(*page),
+            ),
+            Pending::DiffTsUpdate {
+                writer,
+                interval,
+                page,
+                ..
+            } => (
+                format!("diffts w{writer}i{interval} {page:?}"),
+                vec![self.page_obj(*page)],
+            ),
+            Pending::LockRequestMsg { lock, proc, .. } => (
+                format!("lockreq l{} p{proc}", lock.index()),
+                vec![
+                    SchedObj::Lock { lock: lock.index() },
+                    SchedObj::Node {
+                        node: self.lock_home(*lock),
+                    },
+                ],
+            ),
+            Pending::LockForwardMsg {
+                lock, proc, owner, ..
+            } => (
+                format!("lockfwd l{} p{proc}>n{owner}", lock.index()),
+                vec![
+                    SchedObj::Lock { lock: lock.index() },
+                    SchedObj::Node { node: *owner },
+                ],
+            ),
+            Pending::LockGrantMsg { lock, proc, .. } => (
+                format!("lockgrant l{} p{proc}", lock.index()),
+                self.lock_proc_fp(lock.index(), *proc),
+            ),
+            Pending::NiLockWait { proc } => {
+                (format!("nilock p{proc}"), self.proc_fp(*proc).to_vec())
+            }
+            Pending::AtomicLockTry { proc, lock } => (
+                format!("atomtry l{} p{proc}", lock.index()),
+                self.lock_proc_fp(lock.index(), *proc),
+            ),
+            Pending::BarrierArriveMsg { barrier, proc, .. } => (
+                format!("bararrive b{} p{proc}", barrier.index()),
+                vec![
+                    SchedObj::Barrier {
+                        barrier: barrier.index(),
+                    },
+                    SchedObj::Node { node: 0 },
+                ],
+            ),
+            Pending::BarrierReleaseMsg { barrier, node, .. } => (
+                format!("barrelease b{}>n{node}", barrier.index()),
+                vec![
+                    SchedObj::Barrier {
+                        barrier: barrier.index(),
+                    },
+                    SchedObj::Node { node: *node },
+                ],
+            ),
+        }
+    }
+
+    /// A lock and the process (with its node) acquiring it.
+    fn lock_proc_fp(&self, lock: usize, proc: usize) -> Vec<SchedObj> {
+        let [proc_obj, node_obj] = self.proc_fp(proc);
+        vec![SchedObj::Lock { lock }, proc_obj, node_obj]
+    }
+
+    fn describe_upcall(&self, u: &Upcall) -> (String, Vec<SchedObj>) {
+        match u {
+            Upcall::DepositArrived { tag, .. }
+            | Upcall::HostMsgArrived { tag, .. }
+            | Upcall::FetchCompleted { tag, .. } => self.describe_pending(tag),
+            Upcall::LockGranted { nic, lock, tag } => {
+                let fp = match self.tags.get(&tag.value()) {
+                    Some(Pending::NiLockWait { proc }) => self.lock_proc_fp(lock.index(), *proc),
+                    Some(_) | None => vec![
+                        SchedObj::Lock { lock: lock.index() },
+                        SchedObj::Node { node: nic.index() },
+                    ],
+                };
+                (format!("grant l{}>n{}", lock.index(), nic.index()), fp)
+            }
+            Upcall::LockDeparted { nic, lock } => (
+                format!("depart l{}<n{}", lock.index(), nic.index()),
+                vec![
+                    SchedObj::Lock { lock: lock.index() },
+                    SchedObj::Node { node: nic.index() },
+                ],
+            ),
+            Upcall::CollCompleted { nic, coll, epoch } => (
+                format!("coll c{}e{epoch}>n{}", coll.index(), nic.index()),
+                vec![
+                    SchedObj::Coll { coll: coll.index() },
+                    SchedObj::Node { node: nic.index() },
+                ],
+            ),
+            Upcall::AtomicCompleted { nic, tag, .. } => {
+                let mut fp = match self.tags.get(&tag.value()) {
+                    Some(Pending::AtomicLockTry { proc, lock }) => vec![
+                        SchedObj::Lock { lock: lock.index() },
+                        SchedObj::Proc {
+                            proc: *proc,
+                            node: self.node_of(*proc),
+                        },
+                    ],
+                    Some(_) | None => Vec::new(),
+                };
+                fp.push(SchedObj::Node { node: nic.index() });
+                (format!("atomdone n{}", nic.index()), fp)
+            }
+            Upcall::PeerUnreachable { nic, peer, .. } => (
+                format!("unreachable n{}!{}", nic.index(), peer.index()),
+                vec![SchedObj::Node { node: nic.index() }],
+            ),
+        }
+    }
+}
+
+/// Firmware processes some packet kinds at delivery time (lock state
+/// machine, collective combine, remote atomics); those deliveries
+/// carry the touched object. Pure data movement (deposits, host
+/// messages, replies) mutates protocol state only via its later
+/// upcall, which has its own footprint.
+fn packet_fp(pkt: &Packet) -> Vec<SchedObj> {
+    match pkt.kind {
+        MsgKind::LockMsg(
+            LockOp::Request { lock, .. }
+            | LockOp::Transfer { lock, .. }
+            | LockOp::Grant { lock, .. },
+        ) => vec![SchedObj::Lock { lock: lock.index() }],
+        MsgKind::CollMsg(CollOp::Arrive { coll, .. } | CollOp::Release { coll, .. }) => {
+            vec![SchedObj::Coll { coll: coll.index() }]
+        }
+        // Atomic cells are the per-lock spin words.
+        MsgKind::FetchAndStore { cell, .. }
+        | MsgKind::MaskedCas(genima_nic::CasWord { cell, .. }) => {
+            vec![SchedObj::Lock {
+                lock: cell as usize,
+            }]
+        }
+        MsgKind::Deposit
+        | MsgKind::GatherDeposit { .. }
+        | MsgKind::HostMsg
+        | MsgKind::FetchReq { .. }
+        | MsgKind::FetchReply
+        | MsgKind::AtomicReply { .. } => Vec::new(),
+    }
+}

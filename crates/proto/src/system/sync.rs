@@ -3,11 +3,13 @@
 #![allow(clippy::needless_range_loop)]
 
 use genima_mem::{compute_diff_tracked, Access, Diff, PageId};
-use genima_nic::{CollId, LockId, ReduceOp, Tag};
+use genima_nic::{CasWord, CollId, LockId, Post, ReduceOp, Tag};
 use genima_sim::{Dur, Time};
 
-use super::{Block, Bucket, Flow, Pending, ProcState, SvmSystem, SysEvent, WaitReason};
-use crate::config::{BarrierImpl, LockImpl};
+use super::{
+    Block, Bucket, Flow, LockStrategy, Pending, ProcState, SvmSystem, SysEvent, WaitReason,
+};
+use crate::config::BarrierImpl;
 use crate::ids::{BarrierId, NodeId, ProcId};
 use crate::interval::{DirtyPage, IntervalRecord, PendingInterval};
 use crate::trace::TraceEvent;
@@ -592,24 +594,22 @@ impl SvmSystem {
             });
             return Flow::Stop;
         }
-        let atomics = self.p.features.nil && self.p.proto.lock_impl == LockImpl::RemoteAtomics;
-        let owned = if atomics {
+        let nic = NodeId::new(node).nic();
+        let owned = match self.lock_strategy {
+            LockStrategy::HostChain => nl.owned,
+            // The firmware is ground truth for token ownership.
+            LockStrategy::NiChain => self.vmmc.comm().lock_owned_by(nic, l),
             // TAS over remote atomics has no ownership caching: every
             // acquire races on the home cell.
-            false
-        } else if self.p.features.nil {
-            // The firmware is ground truth for token ownership.
-            self.vmmc.lock_owned_by(NodeId::new(node).nic(), l)
-        } else {
-            nl.owned
+            LockStrategy::AtomicSwapSpin | LockStrategy::AtomicCasWait => false,
         };
         if owned {
             // Intra-node fast path: hardware synchronization only.
             self.counters.local_lock_acquires += 1;
-            if self.p.features.nil {
+            if self.lock_strategy == LockStrategy::NiChain {
                 // Tell the firmware the host holds the token again so
                 // an incoming transfer queues instead of granting.
-                let post = self.vmmc.lock_local_hold(now, NodeId::new(node).nic(), l);
+                let post = self.vmmc.comm_mut().lock_local_hold(now, nic, l);
                 self.absorb_post(post);
             }
             let nl = &mut self.nodes[node].locks[l.index()];
@@ -631,35 +631,35 @@ impl SvmSystem {
             started: now,
             op: lop,
         });
-        if atomics {
-            self.atomic_lock_try(now, p, l);
-        } else if self.p.features.nil {
-            let tag = self.tag_op(Pending::NiLockWait { proc: p }, lop);
-            let post = self.vmmc.lock_acquire(now, NodeId::new(node).nic(), l, tag);
-            self.absorb_post(post);
-        } else {
-            let home = self.lock_home(l);
-            if home == node {
-                // The home structures are in local memory.
-                self.home_forward_lock(now + EPS, l, p, node, lop);
-            } else {
-                let tag = self.tag_op(
-                    Pending::LockRequestMsg {
-                        lock: l,
-                        proc: p,
-                        requester: node,
-                    },
-                    lop,
-                );
-                let bytes = self.p.proto.control_msg_bytes;
-                let post = self.vmmc.host_msg(
-                    now,
-                    NodeId::new(node).nic(),
-                    NodeId::new(home).nic(),
-                    bytes,
-                    tag,
-                );
+        match self.lock_strategy {
+            LockStrategy::AtomicSwapSpin | LockStrategy::AtomicCasWait => {
+                self.atomic_lock_try(now, p, l);
+            }
+            LockStrategy::NiChain => {
+                let tag = self.tag_op(Pending::NiLockWait { proc: p }, lop);
+                let post = self.vmmc.comm_mut().lock_acquire(now, nic, l, tag);
                 self.absorb_post(post);
+            }
+            LockStrategy::HostChain => {
+                let home = self.lock_home(l);
+                if home == node {
+                    // The home structures are in local memory.
+                    self.home_forward_lock(now + EPS, l, p, node, lop);
+                } else {
+                    let tag = self.tag_op(
+                        Pending::LockRequestMsg {
+                            lock: l,
+                            proc: p,
+                            requester: node,
+                        },
+                        lop,
+                    );
+                    let bytes = self.p.proto.control_msg_bytes;
+                    let post = self
+                        .vmmc
+                        .host_msg(now, nic, NodeId::new(home).nic(), bytes, tag);
+                    self.absorb_post(post);
+                }
             }
         }
         Flow::Stop
@@ -677,30 +677,17 @@ impl SvmSystem {
         let prev = self.locks[l.index()].last_owner;
         self.locks[l.index()].last_owner = requester;
         let home = self.lock_home(l);
+        let forward = Pending::LockForwardMsg {
+            lock: l,
+            proc,
+            requester,
+            owner: prev,
+        };
         if prev == home {
             // The home itself owns the chain tail: service directly.
-            self.q.push(
-                t + EPS,
-                SysEvent::Job(
-                    prev,
-                    super::Job::LockOwner {
-                        lock: l,
-                        proc,
-                        requester,
-                        op,
-                    },
-                ),
-            );
+            self.q.push(t + EPS, SysEvent::Job(prev, forward, op));
         } else {
-            let tag = self.tag_op(
-                Pending::LockForwardMsg {
-                    lock: l,
-                    proc,
-                    requester,
-                    owner: prev,
-                },
-                op,
-            );
+            let tag = self.tag_op(forward, op);
             let bytes = self.p.proto.control_msg_bytes;
             let post = self.vmmc.host_msg(
                 t,
@@ -809,71 +796,60 @@ impl SvmSystem {
                 return; // superseded (e.g. a local handoff won the race)
             }
         };
-        let node = self.p.topo.node_of(ProcId::new(p)).index();
-        let home = self.lock_home(l);
         let tag = self.tag_op(Pending::AtomicLockTry { proc: p, lock: l }, lop);
-        let post = if self.p.hw.is_rdma() {
-            // RNIC verbs offer masked CAS: acquire is CAS(0 -> 1), so
-            // a losing attempt cannot clobber the holder's bit the way
-            // an unconditional swap could. `wait` parks a losing
-            // attempt at the home NIC, which replays it when the cell
-            // is cleared — lock handoff is a single event-driven round
-            // trip with FIFO fairness, never a spin storm.
-            self.vmmc.masked_cas(
-                t,
-                NodeId::new(node).nic(),
-                NodeId::new(home).nic(),
-                genima_nic::CasWord {
-                    cell: l.index() as u32,
-                    expect: 0,
-                    new: 1,
-                    mask: u64::MAX,
-                    wait: true,
-                },
-                tag,
-            )
-        } else {
-            self.vmmc.fetch_and_store(
-                t,
-                NodeId::new(node).nic(),
-                NodeId::new(home).nic(),
-                l.index() as u32,
-                1,
-                tag,
-            )
-        };
+        let node = self.p.topo.node_of(ProcId::new(p)).index();
+        let post = self.atomic_lock_cell(t, node, l, true, tag);
         self.absorb_post(post);
     }
 
-    /// Remote-atomics lock mode: clear the lock's home cell (release,
-    /// or undo of a superseded win) with the hardware's primitive —
-    /// masked CAS(1 -> 0) on RDMA NICs, a plain store elsewhere.
-    fn atomic_lock_clear(&mut self, t: Time, node: usize, l: LockId) -> genima_nic::Post {
-        let home = self.lock_home(l);
-        if self.p.hw.is_rdma() {
-            self.vmmc.masked_cas(
-                t,
-                NodeId::new(node).nic(),
-                NodeId::new(home).nic(),
-                genima_nic::CasWord {
-                    cell: l.index() as u32,
-                    expect: 1,
-                    new: 0,
+    /// Remote-atomics lock mode: one operation on the lock's home cell
+    /// with the hardware's primitive — set it (`acquire`) or clear it.
+    fn atomic_lock_cell(
+        &mut self,
+        t: Time,
+        node: usize,
+        l: LockId,
+        acquire: bool,
+        tag: Tag,
+    ) -> Post {
+        let (src, home) = (
+            NodeId::new(node).nic(),
+            NodeId::new(self.lock_home(l)).nic(),
+        );
+        let cell = l.index() as u32;
+        let (expect, new) = if acquire { (0, 1) } else { (1, 0) };
+        match self.lock_strategy {
+            // RNIC verbs offer masked CAS: acquire is CAS(0 -> 1), so
+            // a losing attempt cannot clobber the holder's bit the way
+            // an unconditional swap could. `wait` parks a losing
+            // acquire at the home NIC, which replays it when the cell
+            // is cleared — lock handoff is a single event-driven round
+            // trip with FIFO fairness, never a spin storm.
+            LockStrategy::AtomicCasWait => {
+                let cas = CasWord {
+                    cell,
+                    expect,
+                    new,
                     mask: u64::MAX,
-                    wait: false,
-                },
-                genima_nic::Tag::NONE,
-            )
-        } else {
-            self.vmmc.fetch_and_store(
-                t,
-                NodeId::new(node).nic(),
-                NodeId::new(home).nic(),
-                l.index() as u32,
-                0,
-                genima_nic::Tag::NONE,
-            )
+                    wait: acquire,
+                };
+                self.vmmc.comm_mut().masked_cas(t, src, home, cas, tag)
+            }
+            LockStrategy::AtomicSwapSpin => self
+                .vmmc
+                .comm_mut()
+                .fetch_and_store(t, src, home, cell, new, tag),
+            LockStrategy::HostChain | LockStrategy::NiChain => {
+                unreachable!("{:?} keeps no home cell", self.lock_strategy)
+            }
         }
+    }
+
+    /// Remote-atomics lock mode: clear the lock's home cell (release,
+    /// or undo of a superseded win) — masked CAS(1 -> 0) on RDMA NICs,
+    /// a plain store elsewhere.
+    fn atomic_lock_clear(&mut self, t: Time, node: usize, l: LockId) -> Post {
+        self.atomic_lock_cell(t, node, l, false, Tag::NONE)
     }
 
     /// Remote-atomics lock mode: a test-and-set attempt returned.
@@ -1109,32 +1085,31 @@ impl SvmSystem {
             if self.p.features.dd {
                 cursor = self.flush_node_pending(cursor, node, Sink::Proc(p, Bucket::AcqRel));
             }
-            if self.p.features.nil && self.p.proto.lock_impl == LockImpl::RemoteAtomics {
-                // Clear the home cell; the store must causally follow
-                // the timestamp update above, which the in-order
-                // firmware path guarantees.
-                let post = self.atomic_lock_clear(cursor, node, l);
-                cursor = self.absorb_post(post);
-            } else if self.p.features.nil {
-                let post = self.vmmc.lock_release(cursor, NodeId::new(node).nic(), l);
-                cursor = self.absorb_post(post);
-                // Firmware state is ground truth; mirror it now.
-                let owned = self.vmmc.lock_owned_by(NodeId::new(node).nic(), l);
-                self.nodes[node].locks[l.index()].owned = owned;
-            } else if let Some((rnode, rproc, rop)) =
-                self.nodes[node].locks[l.index()].remote_waiters.pop_front()
-            {
-                cursor = self.base_grant_from(
-                    cursor,
-                    node,
-                    l,
-                    rproc,
-                    rnode,
-                    Sink::Proc(p, Bucket::AcqRel),
-                    rop,
-                );
+            match self.lock_strategy {
+                LockStrategy::AtomicSwapSpin | LockStrategy::AtomicCasWait => {
+                    // Clear the home cell; the store must causally
+                    // follow the timestamp update above, which the
+                    // in-order firmware path guarantees.
+                    let post = self.atomic_lock_clear(cursor, node, l);
+                    cursor = self.absorb_post(post);
+                }
+                LockStrategy::NiChain => {
+                    let nic = NodeId::new(node).nic();
+                    let post = self.vmmc.comm_mut().lock_release(cursor, nic, l);
+                    cursor = self.absorb_post(post);
+                    // Firmware state is ground truth; mirror it now.
+                    let owned = self.vmmc.comm().lock_owned_by(nic, l);
+                    self.nodes[node].locks[l.index()].owned = owned;
+                }
+                LockStrategy::HostChain => {
+                    let next = self.nodes[node].locks[l.index()].remote_waiters.pop_front();
+                    if let Some((rnode, rproc, rop)) = next {
+                        let sink = Sink::Proc(p, Bucket::AcqRel);
+                        cursor = self.base_grant_from(cursor, node, l, rproc, rnode, sink, rop);
+                    }
+                    // else: keep the token ("the last owner keeps the lock").
+                }
             }
-            // else: keep the token ("the last owner keeps the lock").
         }
         self.procs[p].clock = self.procs[p].clock.max(cursor);
     }
@@ -1252,7 +1227,7 @@ impl SvmSystem {
         vals.extend(self.nodes[node].arrived.iter().map(|&a| a as u64));
         let coll = CollId::new(b.index() as u32);
         let nic = NodeId::new(node).nic();
-        let epoch = self.vmmc.coll_epoch(coll, nic);
+        let epoch = self.vmmc.comm().coll_epoch(coll, nic);
         self.emit(TraceEvent::CollArrived {
             at: cursor,
             node,
@@ -1261,6 +1236,7 @@ impl SvmSystem {
         });
         let post = self
             .vmmc
+            .comm_mut()
             .coll_enter(cursor, nic, coll, ReduceOp::Max, &vals);
         self.absorb_post(post)
     }
@@ -1277,6 +1253,7 @@ impl SvmSystem {
         let (joined, upto) = {
             let (res_epoch, vals) = self
                 .vmmc
+                .comm()
                 .coll_result(coll)
                 .expect("completed collective must hold a result");
             assert_eq!(
@@ -1301,7 +1278,7 @@ impl SvmSystem {
                 self.counters = Default::default();
                 self.op_hist = Default::default();
                 self.serve_hist = Default::default();
-                self.vmmc.reset_monitor();
+                self.vmmc.comm_mut().reset_monitor();
                 for p in 0..nprocs {
                     self.procs[p].warmup_reset = true;
                 }
@@ -1354,7 +1331,7 @@ impl SvmSystem {
             self.counters = Default::default();
             self.op_hist = Default::default();
             self.serve_hist = Default::default();
-            self.vmmc.reset_monitor();
+            self.vmmc.comm_mut().reset_monitor();
             for p in 0..nprocs {
                 self.procs[p].warmup_reset = true;
             }

@@ -8,17 +8,16 @@
 //! * **variable-size packets up to 4 KB** — larger transfers are split
 //!   into multiple packets and the completion upcall fires when the
 //!   last fragment has been deposited;
-//! * **remote fetch** and **NI locks** — the extensions this paper
-//!   adds to VMMC, passed through to the NI firmware;
-//! * **export/pin accounting** — with deposit-only transfers every
-//!   node must export (and pin) all shared pages so that any home can
-//!   push to it; with remote fetch each node only exports the pages it
-//!   is home for (§2, "Remote fetch"). [`Vmmc::register_pinned`] /
-//!   [`Vmmc::pinned`] make that footprint measurable.
+//! * **remote fetch** — the extension this paper adds to VMMC's data
+//!   path, split and aggregated like a deposit.
+//!
+//! What the NI serves whole — NI locks, remote atomics, collectives,
+//! its counters — is not wrapped: callers reach it through
+//! [`Vmmc::comm`] / [`Vmmc::comm_mut`].
 
 mod port;
 
-pub use port::{PinClass, Vmmc};
+pub use port::Vmmc;
 
 pub use genima_net::{NetConfig, NicId};
 pub use genima_nic::{

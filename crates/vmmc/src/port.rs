@@ -1,30 +1,19 @@
-//! The VMMC port: transfer splitting, completion aggregation, and
-//! pin accounting.
+//! The VMMC port: transfer splitting and completion aggregation.
 
 #![allow(clippy::field_reassign_with_default)]
 
 use std::collections::HashMap;
 
 use genima_net::{NetConfig, NicId};
-use genima_nic::{
-    CasWord, CollId, Comm, Event, LockId, MsgKind, NiModel, NiStats, NicConfig, Post, ReduceOp,
-    SendDesc, Step, Tag, Upcall,
-};
+use genima_nic::{Comm, Event, MsgKind, NiModel, NicConfig, Post, SendDesc, Step, Tag, Upcall};
 use genima_sim::Time;
 
-/// What a pinned region is for — lets experiments report the memory
-/// registration footprint per protocol variant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum PinClass {
-    /// Shared application pages exported for incoming deposits.
-    SharedPages,
-    /// Protocol metadata regions (timestamps, write-notice buffers,
-    /// barrier words).
-    ProtocolData,
-}
-
 /// The cluster-wide VMMC instance: one logical port per node on top of
-/// the shared [`Comm`] system.
+/// the shared [`Comm`] system. It adds exactly two things to the NI:
+/// transfers larger than a packet are split, and their fragments'
+/// completions are folded into one upcall. Everything the NI serves
+/// whole — locks, atomics, collectives, counters — is reached through
+/// [`Vmmc::comm`] / [`Vmmc::comm_mut`].
 ///
 /// # Example
 ///
@@ -42,9 +31,6 @@ pub struct Vmmc {
     comm: Comm,
     /// Outstanding fragment counts for multi-packet transfers.
     pending: HashMap<Tag, u32, genima_sim::FixedState>,
-    /// Pinned bytes per (node, class).
-    pinned: HashMap<(usize, PinClass), u64>,
-    next_tag: u64,
 }
 
 impl Vmmc {
@@ -54,8 +40,6 @@ impl Vmmc {
         Vmmc {
             comm: Comm::new(nic, net, nodes, nlocks),
             pending: HashMap::default(),
-            pinned: HashMap::new(),
-            next_tag: 1 << 32,
         }
     }
 
@@ -72,14 +56,7 @@ impl Vmmc {
         Vmmc {
             comm: Comm::with_model(model, nic, net, nodes, nlocks),
             pending: HashMap::default(),
-            pinned: HashMap::new(),
-            next_tag: 1 << 32,
         }
-    }
-
-    /// Hardware-mechanism counters of the underlying NI model.
-    pub fn ni_stats(&self) -> NiStats {
-        self.comm.ni_stats()
     }
 
     /// The underlying NI/communication system.
@@ -87,53 +64,27 @@ impl Vmmc {
         &self.comm
     }
 
-    /// Mutable access to the communication system (configuration of
-    /// optional NI capabilities before a run).
+    /// Mutable access to the communication system: NI locks, atomics
+    /// and collectives, and configuration of optional NI capabilities.
     pub fn comm_mut(&mut self) -> &mut Comm {
         &mut self.comm
     }
 
-    /// Clears the firmware performance monitor (warmup exclusion).
-    pub fn reset_monitor(&mut self) {
-        self.comm.reset_monitor();
-    }
-
-    /// Allocates a tag that no protocol-level tag collides with
-    /// (protocol tags stay below 2^32).
-    pub fn internal_tag(&mut self) -> Tag {
-        let t = Tag::new(self.next_tag);
-        self.next_tag += 1;
-        t
-    }
-
-    /// Records that `node` pinned `bytes` of memory for `class`.
-    pub fn register_pinned(&mut self, node: usize, class: PinClass, bytes: u64) {
-        *self.pinned.entry((node, class)).or_insert(0) += bytes;
-    }
-
-    /// Total bytes `node` has pinned for `class`.
-    pub fn pinned(&self, node: usize, class: PinClass) -> u64 {
-        self.pinned.get(&(node, class)).copied().unwrap_or(0)
-    }
-
-    /// Fragment count for a `bytes`-sized transfer: full packets first,
-    /// then the remainder (a zero-byte transfer is one empty packet).
-    fn fragments(&self, bytes: u32) -> u32 {
-        let max = self.comm.network().config().max_packet;
-        bytes.div_ceil(max).max(1)
-    }
-
+    /// Posts a `bytes`-sized transfer as packet-sized fragments — full
+    /// packets first, then the remainder (a zero-byte transfer is one
+    /// empty packet) — each posted by `post_one(comm, now, fragment_bytes)`.
+    /// The host posts them back to back; a tagged multi-fragment
+    /// transfer completes once, when [`Vmmc::handle`] has seen every
+    /// fragment land.
     fn post_fragments(
         &mut self,
         now: Time,
-        src: NicId,
-        dst: NicId,
         bytes: u32,
-        kind_of: impl Fn(u32) -> MsgKind,
         tag: Tag,
+        post_one: impl Fn(&mut Comm, Time, u32) -> Post,
     ) -> Post {
         let max = self.comm.network().config().max_packet;
-        let frags = self.fragments(bytes);
+        let frags = bytes.div_ceil(max).max(1);
         if frags > 1 && tag != Tag::NONE {
             self.pending.insert(tag, frags);
         }
@@ -143,16 +94,7 @@ impl Vmmc {
         for _ in 0..frags {
             let b = remaining.min(max);
             remaining -= b;
-            let p = self.comm.post_send(
-                out.host_free,
-                src,
-                SendDesc {
-                    dst,
-                    bytes: b,
-                    kind: kind_of(b),
-                    tag,
-                },
-            );
+            let p = post_one(&mut self.comm, out.host_free, b);
             out.host_free = p.host_free;
             out.events.extend(p.events);
             out.upcalls.extend(p.upcalls);
@@ -160,12 +102,34 @@ impl Vmmc {
         out
     }
 
+    /// [`Vmmc::post_fragments`] for transfers whose payload travels in
+    /// the posted packets themselves.
+    fn post_payload(
+        &mut self,
+        now: Time,
+        src: NicId,
+        dst: NicId,
+        bytes: u32,
+        kind: MsgKind,
+        tag: Tag,
+    ) -> Post {
+        self.post_fragments(now, bytes, tag, |comm, now, bytes| {
+            let desc = SendDesc {
+                dst,
+                bytes,
+                kind,
+                tag,
+            };
+            comm.post_send(now, src, desc)
+        })
+    }
+
     /// Asynchronously deposits `bytes` into exported memory at `dst`.
     /// Transfers larger than one packet are split; the receiver-side
     /// [`Upcall::DepositArrived`] fires once, when the last fragment
     /// lands.
     pub fn deposit(&mut self, now: Time, src: NicId, dst: NicId, bytes: u32, tag: Tag) -> Post {
-        self.post_fragments(now, src, dst, bytes, |_| MsgKind::Deposit, tag)
+        self.post_payload(now, src, dst, bytes, MsgKind::Deposit, tag)
     }
 
     /// Scatter-gather deposit: all `runs` non-contiguous pieces
@@ -180,14 +144,7 @@ impl Vmmc {
         runs: u32,
         tag: Tag,
     ) -> Post {
-        self.post_fragments(
-            now,
-            src,
-            dst,
-            bytes,
-            |_| MsgKind::GatherDeposit { runs },
-            tag,
-        )
+        self.post_payload(now, src, dst, bytes, MsgKind::GatherDeposit { runs }, tag)
     }
 
     /// NI broadcast deposit: one posted descriptor replicated by the
@@ -206,7 +163,7 @@ impl Vmmc {
 
     /// Sends a host-bound protocol message (Base protocol traffic).
     pub fn host_msg(&mut self, now: Time, src: NicId, dst: NicId, bytes: u32, tag: Tag) -> Post {
-        self.post_fragments(now, src, dst, bytes, |_| MsgKind::HostMsg, tag)
+        self.post_payload(now, src, dst, bytes, MsgKind::HostMsg, tag)
     }
 
     /// Fetches `bytes` of exported remote memory from `from` into
@@ -224,109 +181,9 @@ impl Vmmc {
         key: u64,
         tag: Tag,
     ) -> Post {
-        let max = self.comm.network().config().max_packet;
-        let frags = self.fragments(bytes);
-        if frags > 1 && tag != Tag::NONE {
-            self.pending.insert(tag, frags);
-        }
-        let mut out = Post::default();
-        out.host_free = now;
-        let mut remaining = bytes;
-        for _ in 0..frags {
-            let b = remaining.min(max);
-            remaining -= b;
-            let p = self.comm.fetch(out.host_free, nic, from, b, key, tag);
-            out.host_free = p.host_free;
-            out.events.extend(p.events);
-            out.upcalls.extend(p.upcalls);
-        }
-        out
-    }
-
-    /// Remote atomic fetch-and-store on a firmware word (see
-    /// [`Comm::fetch_and_store`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn fetch_and_store(
-        &mut self,
-        now: Time,
-        src: NicId,
-        target: NicId,
-        cell: u32,
-        new: u64,
-        tag: Tag,
-    ) -> Post {
-        self.comm.fetch_and_store(now, src, target, cell, new, tag)
-    }
-
-    /// Remote masked compare-and-swap on a firmware word (see
-    /// [`Comm::masked_cas`]) — the RDMA-verbs lock primitive.
-    pub fn masked_cas(
-        &mut self,
-        now: Time,
-        src: NicId,
-        target: NicId,
-        cas: CasWord,
-        tag: Tag,
-    ) -> Post {
-        self.comm.masked_cas(now, src, target, cas, tag)
-    }
-
-    /// Acquires an NI lock (see [`Comm::lock_acquire`]).
-    pub fn lock_acquire(&mut self, now: Time, nic: NicId, lock: LockId, tag: Tag) -> Post {
-        self.comm.lock_acquire(now, nic, lock, tag)
-    }
-
-    /// Releases an NI lock (see [`Comm::lock_release`]).
-    pub fn lock_release(&mut self, now: Time, nic: NicId, lock: LockId) -> Post {
-        self.comm.lock_release(now, nic, lock)
-    }
-
-    /// Locally re-holds a lock this NIC kept after a release (see
-    /// [`Comm::lock_local_hold`]).
-    pub fn lock_local_hold(&mut self, now: Time, nic: NicId, lock: LockId) -> Post {
-        self.comm.lock_local_hold(now, nic, lock)
-    }
-
-    /// Returns `true` if `nic`'s NI currently owns `lock`.
-    pub fn lock_owned_by(&self, nic: NicId, lock: LockId) -> bool {
-        self.comm.lock_owned_by(nic, lock)
-    }
-
-    /// Sets the fan-out of collective trees created from now on (see
-    /// [`Comm::set_coll_fanout`]).
-    pub fn set_coll_fanout(&mut self, fanout: u32) {
-        self.comm.set_coll_fanout(fanout);
-    }
-
-    /// Posts `nic`'s contribution to a firmware collective (see
-    /// [`Comm::coll_enter`]).
-    pub fn coll_enter(
-        &mut self,
-        now: Time,
-        nic: NicId,
-        coll: CollId,
-        op: ReduceOp,
-        vals: &[u64],
-    ) -> Post {
-        self.comm.coll_enter(now, nic, coll, op, vals)
-    }
-
-    /// Root-initiated firmware broadcast over the collective tree (see
-    /// [`Comm::coll_broadcast`]).
-    pub fn coll_broadcast(&mut self, now: Time, nic: NicId, coll: CollId, vals: &[u64]) -> Post {
-        self.comm.coll_broadcast(now, nic, coll, vals)
-    }
-
-    /// The combined result of `coll`'s most recent root combine (see
-    /// [`Comm::coll_result`]).
-    pub fn coll_result(&self, coll: CollId) -> Option<(u32, &[u64])> {
-        self.comm.coll_result(coll)
-    }
-
-    /// The epoch `nic` would contribute to next on `coll` (see
-    /// [`Comm::coll_epoch`]).
-    pub fn coll_epoch(&self, coll: CollId, nic: NicId) -> u32 {
-        self.comm.coll_epoch(coll, nic)
+        self.post_fragments(now, bytes, tag, |comm, now, bytes| {
+            comm.fetch(now, nic, from, bytes, key, tag)
+        })
     }
 
     /// Processes one communication event, aggregating multi-fragment
@@ -339,7 +196,12 @@ impl Vmmc {
                 Upcall::DepositArrived { tag, .. }
                 | Upcall::FetchCompleted { tag, .. }
                 | Upcall::HostMsgArrived { tag, .. } => tag,
-                _ => return true,
+                // Never fragmented: one packet, one upcall.
+                Upcall::LockGranted { .. }
+                | Upcall::LockDeparted { .. }
+                | Upcall::AtomicCompleted { .. }
+                | Upcall::CollCompleted { .. }
+                | Upcall::PeerUnreachable { .. } => return true,
             };
             match self.pending.get_mut(&tag) {
                 None => true,
@@ -442,26 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn pin_accounting() {
-        let mut v = vmmc(2);
-        v.register_pinned(0, PinClass::SharedPages, 4096 * 100);
-        v.register_pinned(0, PinClass::SharedPages, 4096);
-        v.register_pinned(0, PinClass::ProtocolData, 512);
-        assert_eq!(v.pinned(0, PinClass::SharedPages), 4096 * 101);
-        assert_eq!(v.pinned(0, PinClass::ProtocolData), 512);
-        assert_eq!(v.pinned(1, PinClass::SharedPages), 0);
-    }
-
-    #[test]
-    fn internal_tags_do_not_collide_with_protocol_tags() {
-        let mut v = vmmc(2);
-        let t1 = v.internal_tag();
-        let t2 = v.internal_tag();
-        assert_ne!(t1, t2);
-        assert!(t1.value() >= 1 << 32);
-    }
-
-    #[test]
     fn gather_deposit_passthrough() {
         let mut nic = NicConfig::default();
         nic.scatter_gather = true;
@@ -480,17 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_and_store_passthrough() {
-        let mut v = vmmc(2);
-        let p = v.fetch_and_store(Time::ZERO, NicId::new(0), NicId::new(1), 2, 11, Tag::new(5));
-        let ups = drain(&mut v, p);
-        assert!(matches!(
-            ups[0].1,
-            Upcall::AtomicCompleted { old: 0, tag, .. } if tag == Tag::new(5)
-        ));
-    }
-
-    #[test]
     fn broadcast_passthrough() {
         let mut nic = NicConfig::default();
         nic.broadcast = true;
@@ -500,17 +331,5 @@ mod tests {
         assert_eq!(p.events.len(), 2);
         let ups = drain(&mut v, p);
         assert_eq!(ups.len(), 2);
-    }
-
-    #[test]
-    fn lock_passthrough_round_trip() {
-        let mut v = vmmc(2);
-        let lock = LockId::new(0);
-        let p = v.lock_acquire(Time::ZERO, NicId::new(1), lock, Tag::new(9));
-        let ups = drain(&mut v, p);
-        assert!(ups
-            .iter()
-            .any(|(_, u)| matches!(u, Upcall::LockGranted { nic, .. } if *nic == NicId::new(1))));
-        assert!(v.lock_owned_by(NicId::new(1), lock));
     }
 }

@@ -178,7 +178,7 @@ fn reduce_rounds(vmmc: &mut Vmmc, ports: usize, epochs: u32) -> Vec<Vec<u64>> {
     for e in 0..epochs {
         let posts: Vec<_> = (0..ports)
             .map(|n| {
-                vmmc.coll_enter(
+                vmmc.comm_mut().coll_enter(
                     Time::ZERO,
                     NicId::new(n),
                     coll,
@@ -197,6 +197,7 @@ fn reduce_rounds(vmmc: &mut Vmmc, ports: usize, epochs: u32) -> Vec<Vec<u64>> {
             "every node exits epoch {e} exactly once"
         );
         let (res_epoch, vals) = vmmc
+            .comm()
             .coll_result(coll)
             .expect("result readable at completion");
         assert_eq!(res_epoch, e);

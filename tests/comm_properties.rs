@@ -50,7 +50,12 @@ fn check_ni_locks_exclusive_and_live(
     // Everyone requests up front; grants will chain.
     let mut posts = Vec::new();
     for (i, &r) in reqs.iter().enumerate() {
-        posts.push(vmmc.lock_acquire(Time::ZERO, NicId::new(r), lock, Tag::new(i as u64)));
+        posts.push(vmmc.comm_mut().lock_acquire(
+            Time::ZERO,
+            NicId::new(r),
+            lock,
+            Tag::new(i as u64),
+        ));
     }
     // Process grants as they arrive; release after a hold time.
     let mut q = EventQueue::new();
@@ -78,7 +83,7 @@ fn check_ni_locks_exclusive_and_live(
                 let hold = genima_sim::Dur::from_us(hold_us[tag.value() as usize % hold_us.len()]);
                 held_until = t + hold;
                 granted.push((t, nic.index()));
-                let rel = vmmc.lock_release(held_until, nic, lock);
+                let rel = vmmc.comm_mut().lock_release(held_until, nic, lock);
                 next_round.extend(rel.upcalls);
                 for (t2, e2) in rel.events {
                     q.push(t2.max(q.now()), e2);
@@ -227,7 +232,12 @@ fn control_messages_stick_behind_data_but_ni_locks_do_not() {
     for i in 0..16 {
         posts2.push(vmmc2.deposit(Time::ZERO, NicId::new(0), NicId::new(1), 4096, Tag::new(i)));
     }
-    posts2.push(vmmc2.lock_acquire(Time::ZERO, NicId::new(1), LockId::new(0), Tag::new(99)));
+    posts2.push(vmmc2.comm_mut().lock_acquire(
+        Time::ZERO,
+        NicId::new(1),
+        LockId::new(0),
+        Tag::new(99),
+    ));
     let ups2 = drain(&mut vmmc2, posts2);
     let lock_at = ups2
         .iter()

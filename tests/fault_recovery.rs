@@ -348,7 +348,7 @@ proptest! {
         let rec = vmmc.comm().recovery_stats();
         prop_assert_eq!(rec.retransmits, s.dropped, "every drop retransmitted once");
         prop_assert_eq!(rec.duplicates_suppressed, s.duplicated, "every dup suppressed");
-        let ni = vmmc.ni_stats();
+        let ni = vmmc.comm().ni_stats();
         prop_assert!(ni.doorbells > 0, "RNIC sends must ring doorbells");
         prop_assert!(ni.cqes > 0, "RNIC arrivals must post CQEs");
     }
