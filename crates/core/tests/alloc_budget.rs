@@ -1,14 +1,15 @@
 //! Allocation budget of the protocol hot path (ROADMAP item 1c).
 //!
-//! PR 13 made version timestamps allocation-free — borrowed vector
-//! clocks, flat per-page version maps, recycled per-interval buffers
-//! (DESIGN.md §21). This test keeps that from rotting silently: it
-//! counts heap allocations inside `try_run` on a lock-dominated and a
-//! diff-dominated workload, on all six columns, and fails when
-//! allocations per delivered event exceed the value measured at PR 13
-//! by more than a quarter. A count, not a time: the same on every
-//! machine. The parent of PR 13 reads 0.73–1.22 on the six Water runs and
-//! 2.57–2.97 on the six Ocean runs, 2.5–4 times the table below.
+//! PR 13 made version timestamps allocation-free (DESIGN.md §21) and
+//! PR 15 took the first dirty run of a page and the initiator of an
+//! in-flight fetch off the heap (DESIGN.md §23). This test keeps that
+//! from rotting silently: it counts heap allocations inside `try_run`
+//! on a lock-dominated and a diff-dominated workload, on all six
+//! columns, and fails when allocations per delivered event exceed the
+//! measured value by more than a quarter. A count, not a time: the
+//! same on every machine. The six Water runs read 0.73–1.22 before
+//! PR 13 and 0.19–0.45 after it, the six Ocean runs 2.57–2.97 and
+//! 1.00–1.18: every one of those is over the budget below.
 //!
 //! When a change moves a number on purpose, print the new table with
 //! `BUDGET_PRINT=1 cargo test -p genima --test alloc_budget -- --nocapture`.
@@ -52,20 +53,20 @@ static ALLOCATOR: Counting = Counting;
 const SLACK: f64 = 1.25;
 
 /// (app, column) -> allocations per delivered event inside `try_run`
-/// as measured at PR 13, 4 nodes x 2 procs.
+/// as measured at PR 15, 4 nodes x 2 procs.
 const MEASURED: &[(&str, &str, f64)] = &[
-    ("water-nsq", "Base", 0.446),
-    ("water-nsq", "DW", 0.246),
-    ("water-nsq", "DW+RF", 0.221),
-    ("water-nsq", "DW+RF+DD", 0.213),
-    ("water-nsq", "GeNIMA", 0.194),
-    ("water-nsq", "GeNIMA-2025", 0.200),
-    ("ocean", "Base", 1.177),
-    ("ocean", "DW", 0.999),
-    ("ocean", "DW+RF", 1.007),
-    ("ocean", "DW+RF+DD", 1.007),
-    ("ocean", "GeNIMA", 1.102),
-    ("ocean", "GeNIMA-2025", 1.057),
+    ("water-nsq", "Base", 0.322),
+    ("water-nsq", "DW", 0.167),
+    ("water-nsq", "DW+RF", 0.142),
+    ("water-nsq", "DW+RF+DD", 0.136),
+    ("water-nsq", "GeNIMA", 0.112),
+    ("water-nsq", "GeNIMA-2025", 0.121),
+    ("ocean", "Base", 0.605),
+    ("ocean", "DW", 0.499),
+    ("ocean", "DW+RF", 0.506),
+    ("ocean", "DW+RF+DD", 0.506),
+    ("ocean", "GeNIMA", 0.580),
+    ("ocean", "GeNIMA-2025", 0.531),
 ];
 
 fn apps() -> Vec<(&'static str, Box<dyn App>)> {
@@ -78,7 +79,7 @@ fn apps() -> Vec<(&'static str, Box<dyn App>)> {
 // The only test in this binary: the counter is process-wide, and a
 // second test running beside this one would be counted into it.
 #[test]
-fn allocations_per_event_stay_within_the_pr13_budget() {
+fn allocations_per_event_stay_within_the_measured_budget() {
     let topo = Topology::new(4, 2);
     let mut got = Vec::new();
     for (name, app) in apps() {
@@ -102,7 +103,7 @@ fn allocations_per_event_stay_within_the_pr13_budget() {
         assert!(
             *per_event <= measured * SLACK,
             "{app} on {col}: {per_event:.3} allocations per event, budget \
-             {measured:.3} x {SLACK} — find the new allocation site (DESIGN.md §21) \
+             {measured:.3} x {SLACK} — find the new allocation site (DESIGN.md §21, §23) \
              or, if it is wanted, re-measure the table"
         );
     }

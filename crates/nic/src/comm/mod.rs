@@ -301,7 +301,7 @@ impl Comm {
         };
         let times = self
             .model
-            .send_path(posted_at, src, desc.bytes, gather_runs, true);
+            .send_path(posted_at, src, desc.bytes, gather_runs);
         self.monitor.record(
             Stage::Source,
             self.size_class(desc.bytes),

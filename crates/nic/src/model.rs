@@ -101,18 +101,16 @@ pub trait NiModel: std::fmt::Debug {
     /// descriptor write without a data-path post-queue slot.
     fn host_ctrl(&mut self, now: Time, src: NicId) -> Time;
 
-    /// Source pipeline for one host-posted or firmware-staged packet:
-    /// request pick/WQE processing, source DMA, injection readiness.
-    /// `gather_runs` is the scatter-gather run count, when the packet
-    /// is a gather send. `from_post_queue` marks host posts (which
-    /// occupy a post-queue slot until picked).
+    /// Source pipeline for one host-posted packet: request pick/WQE
+    /// processing, source DMA, injection readiness. The post occupies
+    /// its post-queue slot until picked. `gather_runs` is the
+    /// scatter-gather run count, when the packet is a gather send.
     fn send_path(
         &mut self,
         posted_at: Time,
         src: NicId,
         bytes: u32,
         gather_runs: Option<u32>,
-        from_post_queue: bool,
     ) -> SendTimes;
 
     /// Broadcast source stage: one pick plus one source DMA shared by
@@ -267,7 +265,6 @@ impl NiModel for LanaiModel {
         src: NicId,
         bytes: u32,
         gather_runs: Option<u32>,
-        from_post_queue: bool,
     ) -> SendTimes {
         let nic = &mut self.nics[src.index()];
         // LANai picks the request and programs the source DMA. A
@@ -294,9 +291,7 @@ impl NiModel for LanaiModel {
             let (_, e) = nic.lanai_send.reserve(dma_done, self.cfg.inject_cost);
             e
         };
-        if from_post_queue {
-            nic.post_slots.push_back(pick_done);
-        }
+        nic.post_slots.push_back(pick_done);
         SendTimes {
             dma_done,
             inject_ready,
@@ -459,7 +454,7 @@ mod tests {
         let cfg = NicConfig::lanai();
         let mut m = LanaiModel::new(cfg, 2);
         let posted = Time::ZERO + Dur::from_us(2);
-        let t = m.send_path(posted, NicId::new(0), 4, None, true);
+        let t = m.send_path(posted, NicId::new(0), 4, None);
         // pick 4us then dma(4B) on an idle NIC.
         assert_eq!(t.dma_done, posted + cfg.pick_cost + cfg.dma_time(4));
         assert!(t.inject_ready >= t.dma_done);
@@ -481,7 +476,7 @@ mod tests {
         // Fill both slots; the third post must stall past `now`.
         for _ in 0..2 {
             let p = m.host_post(Time::ZERO, src);
-            m.send_path(p.posted_at, src, 4096, None, true);
+            m.send_path(p.posted_at, src, 4096, None);
         }
         let p = m.host_post(Time::ZERO, src);
         assert!(p.posted_at > Time::ZERO + cfg.post_overhead);

@@ -188,7 +188,9 @@ impl SvmSystem {
             self.counters.degraded_lost_msgs += 1;
             return;
         };
-        for p in waiters {
+        let mut next = Some(waiters.lead);
+        while let Some(p) = next {
+            next = self.procs[p].next_waiter.take();
             let (started, fetch_op) = match &self.procs[p].state {
                 ProcState::Blocked(Block::PageFault {
                     page: pg,

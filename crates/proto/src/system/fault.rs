@@ -4,7 +4,7 @@ use genima_mem::{Access, Diff, Page, PageId};
 use genima_nic::Tag;
 use genima_sim::Time;
 
-use super::{Block, Flow, NodeRt, Pending, ProcRt, ProcState, SvmSystem, SysEvent};
+use super::{Block, Flow, NodeRt, Pending, ProcRt, ProcState, SvmSystem, SysEvent, Waiters};
 use crate::ids::ProcId;
 use crate::interval::DirtyPage;
 use crate::ops::Op;
@@ -124,13 +124,8 @@ impl SvmSystem {
         self.procs[p].clock += trap;
         self.procs[p].bd.data += trap;
         self.procs[p].cur = Some((op, prog));
-        let fetch_op = match self.nodes[node]
-            .inflight
-            .get(&page)
-            .and_then(|w| w.first())
-            .copied()
-        {
-            Some(lead) => self.fetch_op_of(lead),
+        let fetch_op = match self.nodes[node].inflight.get(&page) {
+            Some(w) => self.fetch_op_of(w.lead),
             None => self.next_fetch_op(),
         };
         self.procs[p].state = ProcState::Blocked(Block::PageFault {
@@ -140,10 +135,10 @@ impl SvmSystem {
             op: fetch_op,
         });
         if let Some(waiters) = self.nodes[node].inflight.get_mut(&page) {
-            waiters.push(p);
+            waiters.join(&mut self.procs, p);
             return Flow::Stop;
         }
-        self.nodes[node].inflight.insert(page, vec![p]);
+        self.nodes[node].inflight.insert(page, Waiters::new(p));
         if self.p.features.rf {
             self.issue_rf(now, p, page);
         } else {
@@ -292,7 +287,8 @@ impl SvmSystem {
             .get(&page)
             .cloned()
             .unwrap_or_default();
-        for &w in self.nodes[node].inflight.get(&page).into_iter().flatten() {
+        let waiters = self.nodes[node].inflight.get(&page);
+        for w in waiters.into_iter().flat_map(|w| w.iter(&self.procs)) {
             if let Some(req) = self.procs[w].required.get(&page) {
                 need.join(req);
             }
@@ -308,15 +304,12 @@ impl SvmSystem {
         node: &NodeRt,
         page: PageId,
     ) -> bool {
-        node.local_flushed
-            .get(&page)
-            .is_none_or(|lf| have.covers(lf))
-            && node.inflight.get(&page).into_iter().flatten().all(|&w| {
-                procs[w]
-                    .required
-                    .get(&page)
-                    .is_none_or(|req| have.covers(req))
-            })
+        let waiters = node.inflight.get(&page).into_iter();
+        let covers = |req: Option<&VersionMap>| req.is_none_or(|req| have.covers(req));
+        covers(node.local_flushed.get(&page))
+            && waiters
+                .flat_map(|w| w.iter(procs))
+                .all(|w| covers(procs[w].required.get(&page)))
     }
 
     /// A remote-fetched page arrived; validate its timestamp against
@@ -425,10 +418,10 @@ impl SvmSystem {
                 required,
             });
         }
-        if let Some(waiters) = self.nodes[node].inflight.remove(&page) {
-            for p in waiters {
-                self.complete_fault(t, p, page);
-            }
+        let mut next = self.nodes[node].inflight.remove(&page).map(|w| w.lead);
+        while let Some(p) = next {
+            next = self.procs[p].next_waiter.take();
+            self.complete_fault(t, p, page);
         }
     }
 

@@ -16,7 +16,7 @@ mod sync;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use genima_mem::{Diff, MemConfig, Page, PageId, PageMap, PageTable, PAGE_SIZE};
-use genima_nic::{Event as CommEvent, LockId, NicId, Post, Step, Tag, Upcall};
+use genima_nic::{Event as CommEvent, LockId, Post, Step, Tag, Upcall};
 use genima_rnic::HwProfile;
 use genima_sim::{Dur, EventQueue, FixedState, InlineVec, Resource, Time};
 use genima_vmmc::Vmmc;
@@ -159,21 +159,10 @@ impl SvmParams {
 }
 
 /// Simulation events.
-// The batch payload stays inline (not boxed) so creating and
-// dispatching a batch costs zero heap allocations; the queue's slot
-// storage absorbs the wider entries.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub(crate) enum SysEvent {
     /// A communication-layer event.
     Comm(CommEvent),
-    /// A run of same-instant communication events serviced by the same
-    /// NIC, coalesced into one queue entry. The members held
-    /// consecutive sequence numbers when created, so servicing them
-    /// back-to-back is order-identical to popping them individually
-    /// (nothing can schedule between consecutive sequence numbers at
-    /// one instant). Never created under a controlled scheduler.
-    CommBatch(InlineVec<CommEvent>),
     /// A communication-layer completion upcall.
     Up(Upcall),
     /// A process continues executing its operation stream.
@@ -188,6 +177,13 @@ pub(crate) enum SysEvent {
     /// Re-try a failed atomic test-and-set (remote-atomics locks).
     RetrySpin(usize, LockId),
 }
+
+// Every push, slot sort and pop moves a whole queue entry, and each
+// wheel slot's first push allocates four of them: the two 88-byte
+// payloads (`Comm`, `Job`) set the size, and a wider variant must be
+// boxed rather than widen every event (DESIGN.md §23).
+const _: () = assert!(std::mem::size_of::<SysEvent>() <= 96);
+const _: () = assert!(EventQueue::<SysEvent>::ENTRY_BYTES <= 112);
 
 /// Correlation state for in-flight messages, keyed by tag.
 #[derive(Debug)]
@@ -346,6 +342,9 @@ pub(crate) struct ProcRt {
     /// the acquire nesting depth; ops are consumed without executing
     /// until the matching release brings the depth to zero.
     pub(crate) skipping: Option<(LockId, u32)>,
+    /// While blocked on an in-flight fetch: the process that joined it
+    /// next (see [`Waiters`]). Taken when this process is woken.
+    pub(crate) next_waiter: Option<usize>,
     pub(crate) finished_at: Option<Time>,
 }
 
@@ -369,6 +368,32 @@ pub(crate) struct CopyState {
     pub(crate) data: Option<Page>,
 }
 
+/// The processes blocked on one in-flight fetch, in wake order: the
+/// initiator, then the joiners as they arrived. A blocked process
+/// waits on exactly one fetch, so the FIFO is threaded through
+/// [`ProcRt::next_waiter`] and neither starting nor joining a fetch
+/// allocates.
+pub(crate) struct Waiters {
+    /// The process that issued the fetch.
+    pub(crate) lead: usize,
+    last: usize,
+}
+
+impl Waiters {
+    pub(crate) fn new(lead: usize) -> Waiters {
+        Waiters { lead, last: lead }
+    }
+
+    pub(crate) fn join(&mut self, procs: &mut [ProcRt], p: usize) {
+        procs[self.last].next_waiter = Some(p);
+        self.last = p;
+    }
+
+    pub(crate) fn iter<'a>(&self, procs: &'a [ProcRt]) -> impl Iterator<Item = usize> + 'a {
+        std::iter::successors(Some(self.lead), |&p| procs[p].next_waiter)
+    }
+}
+
 /// Per-node runtime state.
 pub(crate) struct NodeRt {
     /// The floating protocol process servicing interrupts.
@@ -381,7 +406,7 @@ pub(crate) struct NodeRt {
     /// incoming version would roll back this node's own writes.
     pub(crate) local_flushed: PageMap<VersionMap>,
     /// Pages with an in-flight fetch and the processes waiting on it.
-    pub(crate) inflight: BTreeMap<PageId, Vec<usize>>,
+    pub(crate) inflight: BTreeMap<PageId, Waiters>,
     pub(crate) locks: Vec<NodeLock>,
     /// Round-robin victim for interrupt-steal accounting.
     pub(crate) steal_rr: usize,
@@ -447,11 +472,6 @@ pub struct SvmSystem {
     /// Dense per-page home override; `None` falls back to the modulo
     /// placement in [`SvmSystem::home_of`].
     pub(crate) home_override: Vec<Option<NodeId>>,
-    /// Coalesce same-instant same-NIC communication events into one
-    /// queue entry. On for free-running simulation; off under a
-    /// controlled scheduler, which must see every event as a separate
-    /// schedulable choice.
-    pub(crate) batch_comm: bool,
     /// Processor indices of each node, precomputed once (the flush,
     /// notice and barrier wake paths used to re-collect this per call).
     pub(crate) node_procs: Vec<Vec<usize>>,
@@ -554,6 +574,7 @@ impl SvmSystem {
                 steal: Dur::ZERO,
                 warmup_reset: false,
                 skipping: None,
+                next_waiter: None,
                 finished_at: None,
             })
             .collect();
@@ -595,7 +616,6 @@ impl SvmSystem {
             records: vec![BTreeMap::new(); nprocs],
             home_pages: home::HomeTable::default(),
             home_override: Vec::new(),
-            batch_comm: true,
             node_procs: (0..nnodes)
                 .map(|n| {
                     params
@@ -795,7 +815,6 @@ impl SvmSystem {
         &mut self,
         picker: &mut dyn EventPicker,
     ) -> Result<RunReport, ProtoError> {
-        self.batch_comm = false;
         for p in 0..self.procs.len() {
             self.q.push(Time::ZERO, SysEvent::Resume(p));
         }
@@ -859,19 +878,6 @@ impl SvmSystem {
                 let step = self.vmmc.handle(t, e);
                 self.absorb_step(step);
             }
-            SysEvent::CommBatch(batch) => {
-                // One pop delivered `batch.len()` events; keep the
-                // `RunReport::events` accounting identical to the
-                // unbatched engine.
-                self.q.credit_delivered(batch.len() as u64 - 1);
-                for &e in batch.iter() {
-                    let step = self.vmmc.handle(t, e);
-                    self.absorb_step(step);
-                    if self.fatal.is_some() {
-                        break;
-                    }
-                }
-            }
             SysEvent::Up(u) => self.upcall(t, u),
             SysEvent::Job(_, pending, op) => self.serve(t, pending, op),
             SysEvent::RetryFetch(p, page) => self.issue_rf(t, p, page),
@@ -894,42 +900,12 @@ impl SvmSystem {
         }
     }
 
-    /// The NIC whose firmware services a communication event — the
-    /// batching key for coalesced service.
-    fn service_nic(e: &CommEvent) -> NicId {
-        match e {
-            CommEvent::Delivered(p) => p.dst,
-            CommEvent::RetryTimer { packet, .. } => packet.src,
-        }
-    }
-
-    /// Queues communication events, coalescing consecutive same-instant
-    /// events serviced by the same NIC into one [`SysEvent::CommBatch`]
-    /// entry. Per-event firmware costs are unchanged — only the queue
-    /// round-trips between them disappear.
+    /// Queues communication events, one entry each: everything a
+    /// `Post`/`Step` emits has left `transport::inject` through serial
+    /// LANai and link bookings, so no two share an instant.
     fn push_comm(&mut self, events: InlineVec<(Time, CommEvent)>) {
-        if !self.batch_comm {
-            for (t, e) in events {
-                self.q.push(t, SysEvent::Comm(e));
-            }
-            return;
-        }
-        let n = events.len();
-        let mut i = 0;
-        while i < n {
-            let (t, e0) = events[i];
-            let nic = Self::service_nic(&e0);
-            let mut j = i + 1;
-            while j < n && events[j].0 == t && Self::service_nic(&events[j].1) == nic {
-                j += 1;
-            }
-            if j == i + 1 {
-                self.q.push(t, SysEvent::Comm(e0));
-            } else {
-                let batch: InlineVec<CommEvent> = (i..j).map(|k| events[k].1).collect();
-                self.q.push(t, SysEvent::CommBatch(batch));
-            }
-            i = j;
+        for (t, e) in events {
+            self.q.push(t, SysEvent::Comm(e));
         }
     }
 

@@ -49,9 +49,6 @@ impl SvmSystem {
     /// The delivery channel of a pending event.
     fn chan_of(&self, ev: &SysEvent) -> ChanKey {
         match ev {
-            SysEvent::CommBatch(_) => {
-                unreachable!("comm batches are never created under a controlled scheduler")
-            }
             SysEvent::Comm(CommEvent::Delivered(p)) => ChanKey::Wire {
                 src: p.src.index(),
                 dst: p.dst.index(),
@@ -108,9 +105,6 @@ impl SvmSystem {
     /// the expensive half of classification).
     fn describe(&self, ev: &SysEvent) -> (String, Vec<SchedObj>) {
         match ev {
-            SysEvent::CommBatch(_) => {
-                unreachable!("comm batches are never created under a controlled scheduler")
-            }
             SysEvent::Comm(CommEvent::Delivered(p)) => (
                 format!("pkt {}>{} {:?}", p.src.index(), p.dst.index(), p.kind),
                 packet_fp(p),

@@ -609,3 +609,41 @@ fn sched_choices_head_per_channel() {
         .all(|w| (w[0].time, w[0].seq) <= (w[1].time, w[1].seq)));
     assert!(choices.iter().all(|c| !c.footprint.is_empty()));
 }
+
+#[test]
+fn joiners_of_one_fetch_wake_in_arrival_order() {
+    // Node 1 holds p3..p5; page 0 is homed on node 0. p4 faults first
+    // and issues the fetch, p5 joins it after 55 us and p3 after 60 us
+    // (both past the 50 us quantum, so they really do arrive later),
+    // all before the page is back.
+    let read = Op::Read {
+        addr: addr(0, 0),
+        len: 4,
+    };
+    let idle = || boxed(vec![Op::Compute(genima_sim::Dur::from_ms(1))]);
+    let reader = |delay_us| {
+        boxed(vec![
+            Op::Compute(genima_sim::Dur::from_us(delay_us)),
+            read.clone(),
+        ])
+    };
+    for f in FeatureSet::ALL {
+        let srcs = vec![idle(), idle(), idle(), reader(60), reader(0), reader(55)];
+        let mut sys = SvmSystem::new(params(f, 2, 3), srcs);
+        sys.set_tracing(true);
+        let r = sys.run();
+        assert_eq!(
+            r.counters.page_transfers, 1,
+            "{f}: one fetch serves all three"
+        );
+        let woken: Vec<usize> = sys
+            .take_trace()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::FaultDone { proc, .. } => Some(proc),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(woken, vec![4, 5, 3], "{f}");
+    }
+}

@@ -128,7 +128,6 @@ impl NiModel for RnicModel {
         src: NicId,
         bytes: u32,
         gather_runs: Option<u32>,
-        from_post_queue: bool,
     ) -> SendTimes {
         let dma = self.cfg.dma_time(bytes);
         // Native SGE: extra processing per element beyond the first,
@@ -142,9 +141,7 @@ impl NiModel for RnicModel {
         let port = &mut self.ports[src.index()];
         let (_, wqe_done) = port.sq.reserve(posted_at, wqe);
         let (_, dma_done) = port.pcie_send.reserve(wqe_done, dma);
-        if from_post_queue {
-            port.sq_slots.push_back(wqe_done);
-        }
+        port.sq_slots.push_back(wqe_done);
         SendTimes {
             dma_done,
             // Fully pipelined: the packet cuts into the fabric as the
@@ -324,7 +321,7 @@ mod tests {
     fn sends_are_fully_pipelined() {
         let mut m = model();
         let p = m.host_post(Time::ZERO, NicId::new(0));
-        let t = m.send_path(p.posted_at, NicId::new(0), 4096, None, true);
+        let t = m.send_path(p.posted_at, NicId::new(0), 4096, None);
         assert_eq!(t.inject_ready, t.dma_done);
     }
 

@@ -109,6 +109,10 @@ struct Entry<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes one pending event occupies in the queue: the payload plus
+    /// its `(time, seq)` key. What every push, slot sort and pop moves.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
+
     /// Creates an empty queue positioned at [`Time::ZERO`].
     pub fn new() -> EventQueue<E> {
         EventQueue {
@@ -252,15 +256,6 @@ impl<E> EventQueue<E> {
     /// Returns the total number of events delivered so far.
     pub fn delivered(&self) -> u64 {
         self.popped
-    }
-
-    /// Credits `n` extra deliveries to the [`EventQueue::delivered`]
-    /// counter. The batched NI service path coalesces a burst of
-    /// same-instant events into one queue envelope; crediting the
-    /// burst's tail keeps `delivered()` — and every report and budget
-    /// check built on it — identical to the unbatched engine.
-    pub fn credit_delivered(&mut self, n: u64) {
-        self.popped += n;
     }
 
     /// Returns allocation-recycling statistics (see [`QueueStats`]).

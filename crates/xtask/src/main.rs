@@ -1,4 +1,4 @@
-//! Repo automation. `cargo run -p xtask -- lint` enforces two rules
+//! Repo automation. `cargo run -p xtask -- lint` enforces three rules
 //! on the protocol hot paths (the NI communication layer and the SVM
 //! protocol engines):
 //!
@@ -9,10 +9,15 @@
 //!    sync engines where a panic wedges the whole simulated node;
 //!    fallible lookups must surface a typed error (`.expect(..)` with
 //!    a stated invariant is allowed).
+//! 3. **No `allow(clippy::large_enum_variant)`.** Event and message
+//!    enums are moved by value through the queue and the NI stages; one
+//!    wide variant widens every value (a never-built batch variant once
+//!    made each queued event 376 bytes instead of 112). Clippy's
+//!    200-byte threshold stays armed: box the wide variant. No waiver.
 //!
 //! The gate is scoped by directory ([`PROTOCOL_DIRS`], plus the single
 //! files of [`PROTOCOL_FILES`]), so splitting a file cannot drop
-//! coverage. Both rules apply only to non-test code — `tests.rs` files
+//! coverage. The rules apply only to non-test code — `tests.rs` files
 //! are skipped, and so is everything after the first inline
 //! `#[cfg(test)]` item in a file — and only to actual code: comments and
 //! string/char literals are stripped before matching, so an error
@@ -238,10 +243,25 @@ fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Returns `true` when the line carries the given waiver comment.
-fn waived(line: &str, waiver: &str) -> bool {
-    line.contains(waiver)
-}
+/// The rules: the code pattern that trips one, the trailing comment
+/// that waives it on a line (if it can be waived), and the finding.
+const RULES: &[(&str, Option<&str>, &str)] = &[
+    (
+        "_ =>",
+        Some("lint: allow-wildcard"),
+        "wildcard `_ =>` arm in protocol code",
+    ),
+    (
+        ".unwrap()",
+        Some("lint: allow-unwrap"),
+        "bare `.unwrap()` in protocol code",
+    ),
+    (
+        "clippy::large_enum_variant",
+        None,
+        "`clippy::large_enum_variant` allowed in protocol code: box the wide variant",
+    ),
+];
 
 /// Lints one file's contents, reporting findings under `name`. Rules
 /// match against the comment- and string-stripped view of each line;
@@ -262,21 +282,15 @@ fn lint_source(name: &str, source: &str) -> Vec<Finding> {
             }
             break;
         }
-        if code.contains("_ =>") && !waived(line, "lint: allow-wildcard") {
-            findings.push(Finding {
-                file: name.to_string(),
-                line: i + 1,
-                rule: "wildcard `_ =>` arm in protocol code",
-                text: line.to_string(),
-            });
-        }
-        if code.contains(".unwrap()") && !waived(line, "lint: allow-unwrap") {
-            findings.push(Finding {
-                file: name.to_string(),
-                line: i + 1,
-                rule: "bare `.unwrap()` in protocol code",
-                text: line.to_string(),
-            });
+        for &(pattern, waiver, rule) in RULES {
+            if code.contains(pattern) && !waiver.is_some_and(|w| line.contains(w)) {
+                findings.push(Finding {
+                    file: name.to_string(),
+                    line: i + 1,
+                    rule,
+                    text: line.to_string(),
+                });
+            }
         }
     }
     findings
@@ -587,6 +601,17 @@ mod tests {
         let src = "    _ => {} // lint: allow-wildcard\n\
                    let v = o.unwrap(); // lint: allow-unwrap\n";
         assert!(lint_source("x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn flags_an_allowed_large_enum_variant_and_takes_no_waiver() {
+        let src = "// clippy::large_enum_variant is fine in a comment\n\
+                   #[allow(clippy::large_enum_variant)] // lint: allow-wildcard\n\
+                   enum Event { Small(u8), Wide([u64; 40]) }\n";
+        let f = lint_source("x.rs", src);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].line, 2);
+        assert!(f[0].rule.contains("box the wide variant"));
     }
 
     #[test]
