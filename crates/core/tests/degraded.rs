@@ -11,7 +11,7 @@
 //! `degraded_heals` counters, and the run completes.
 
 use genima::{run_app_configured, Column, ProtoError, RunConfig, Topology};
-use genima_apps::OceanRowwise;
+use genima_apps::{OceanRowwise, WaterNsquared};
 use genima_fault::FaultPlan;
 use genima_nic::NicId;
 use genima_sim::Time;
@@ -94,4 +94,36 @@ fn degraded_mode_is_inert_on_a_clean_run() {
     assert_eq!(b.report.counters.failed_ops, 0);
     assert_eq!(b.report.counters.degraded_heals, 0);
     assert_eq!(b.report.counters.degraded_lost_msgs, 0);
+}
+
+#[test]
+fn healed_direct_diffs_finish_the_flow_their_deposit_started() {
+    // A direct diff's deposit starts a flow arrow at the writer and the
+    // apply at the home finishes it. A timestamp update the firmware
+    // gave up on is healed — applied as if it had arrived — so its
+    // arrow must still end.
+    let app = WaterNsquared::with_molecules(128, 2);
+    let cfg = RunConfig::from_column(
+        Topology::new(2, 2),
+        Column::lanai(genima::FeatureSet::genima()),
+    )
+    .with_seed(7)
+    .with_faults(killer_plan())
+    .with_degraded(true)
+    .with_obs(genima::ObsConfig::with_capacity(1 << 20));
+    let out = run_app_configured(&app, &cfg).expect("degraded mode must finish");
+    assert!(out.report.counters.degraded_heals > 0, "nothing was healed");
+    assert_eq!(out.obs.dropped, 0, "the ring must hold the whole run");
+    let ends = |kind, dir| -> std::collections::BTreeSet<u64> {
+        let flows = out.obs.of_kind(kind).filter_map(|s| s.flow);
+        flows.filter(|f| f.dir == dir).map(|f| f.id).collect()
+    };
+    let started = ends(
+        genima::SpanKind::DirectDiffDeposit,
+        genima_obs::FlowDir::Start,
+    );
+    let finished = ends(genima::SpanKind::DiffApply, genima_obs::FlowDir::Finish);
+    assert!(!started.is_empty(), "no direct diff left its node");
+    let open: Vec<_> = started.difference(&finished).collect();
+    assert!(open.is_empty(), "{} diff flows never finish", open.len());
 }

@@ -1,8 +1,8 @@
 //! NI locks: the host calls, the arrival of chain messages, and the
 //! mapping of [`LockAction`]s onto the wire, the host, the ownership
 //! trace and the observability spans. The chain algorithm itself is
-//! [`FwLock`](crate::lock::FwLock); nothing here reads or writes its
-//! state except through its inputs.
+//! [`ChainLock`](crate::lock::ChainLock); nothing here reads or writes
+//! its state except through its inputs.
 
 use genima_net::NicId;
 use genima_obs::{flow_lock_id, Flow, FlowDir, SpanKind, Track};

@@ -6,7 +6,7 @@
 //! * [`transport`] — the wire. The only code that builds, sequences,
 //!   retransmits and deduplicates packets and that books the LANai and
 //!   Net monitor stages.
-//! * [`lock`] — maps the pure chain machine ([`crate::lock::FwLock`])
+//! * [`lock`] — maps the pure chain machine ([`crate::lock::ChainLock`])
 //!   onto packets, upcalls, the ownership trace and spans.
 //! * [`atomic`] — the same for the per-NIC atomic unit
 //!   ([`crate::atomic::AtomicUnit`]): local and remote, swap and CAS
@@ -34,7 +34,7 @@ use genima_sim::{Dur, InlineVec, Time};
 
 use crate::atomic::{AtomicOp, AtomicUnit};
 use crate::config::NicConfig;
-use crate::lock::{FwLock, LockId};
+use crate::lock::{ChainLock, LockId};
 use crate::model::{LanaiModel, NiModel, NiStats};
 use crate::monitor::{Monitor, SizeClass, Stage};
 use crate::msg::{Event, MsgKind, Packet, SendDesc, Tag, Upcall};
@@ -128,7 +128,7 @@ pub struct Comm {
     /// The fabric plus sequencing, retry and dedupe state.
     tx: Transport,
     /// Firmware lock chains, one per lock.
-    locks: Vec<FwLock>,
+    locks: Vec<ChainLock>,
     /// Lock-ownership transitions, recorded only while tracing is on
     /// (`None` = disabled, the default: zero overhead).
     trace: Option<Vec<LockTrace>>,
@@ -187,7 +187,7 @@ impl Comm {
             obs: None,
             tx: Transport::new(net_cfg, ports),
             locks: (0..nlocks)
-                .map(|i| FwLock::new(LockId::new(i), NicId::new(i % ports), ports))
+                .map(|i| ChainLock::new(LockId::new(i), NicId::new(i % ports), ports))
                 .collect(),
             trace: None,
             atomics: (0..ports).map(|_| AtomicUnit::default()).collect(),

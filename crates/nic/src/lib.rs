@@ -43,7 +43,7 @@ mod trace;
 
 pub use comm::{Comm, Post, RecoveryStats, Step};
 pub use config::NicConfig;
-pub use lock::LockId;
+pub use lock::{ChainLock, LockAction, LockId};
 pub use model::{
     FetchServe, HostPost, LanaiModel, NiModel, NiStats, RecvDma, SendTimes, ALWAYS_MAPPED,
 };

@@ -1,12 +1,16 @@
-//! Firmware lock state.
+//! The distributed lock chain.
 //!
 //! Implements the distributed lock algorithm of §2 ("Network interface
-//! locks") entirely in NI firmware state: every lock has a static home
-//! NIC whose firmware maintains the tail of a distributed chain of
-//! requesters; the previous tail hands the lock (and the protocol
-//! timestamp stored with it) directly to its successor when the local
-//! host releases. No host processor other than the requester is ever
-//! involved.
+//! locks"): every lock has a static home site that maintains the tail
+//! of a distributed chain of requesters; the previous tail hands the
+//! lock (and the protocol timestamp stored with it) directly to its
+//! successor when its local host releases. The paper moves this
+//! algorithm from the hosts into NI firmware without changing it, so
+//! there is one machine and two runners: the NI firmware
+//! (`comm/lock.rs`; sites are NICs, no host processor other than the
+//! requester is ever involved) and, for the Base protocol, the hosts'
+//! protocol handlers (`genima-proto`; sites are nodes, every hop is a
+//! host message).
 
 use std::fmt;
 
@@ -44,7 +48,7 @@ impl fmt::Display for LockId {
     }
 }
 
-/// Ownership state of one lock at one NIC.
+/// Ownership state of one lock at one site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SlotState {
     /// This NIC has nothing to do with the lock right now.
@@ -68,12 +72,12 @@ struct Slot {
     next: Option<(NicId, Tag)>,
 }
 
-/// What the firmware at one NIC must do after feeding an input to
-/// [`FwLock`]. Every input yields at most one action, handed back by
-/// value (no allocation); the communication layer maps it onto packets, upcalls, the
-/// ownership trace and observability spans and charges the time.
+/// What the runner at one site must do after feeding an input to
+/// [`ChainLock`]. Every input yields at most one action, handed back
+/// by value (no allocation); the runner maps it onto its messages,
+/// upcalls, traces and observability spans and charges the time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum LockAction {
+pub enum LockAction {
     /// Put a chain-control message on the wire: the requester's
     /// `Request` to the home, or the home's `Transfer` to the previous
     /// tail. `tag` is the acquire tag the packet carries.
@@ -92,12 +96,12 @@ pub(crate) enum LockAction {
     DupDropped,
 }
 
-/// Firmware state of one lock across the cluster, and the chain
-/// algorithm over it. Pure: no clock, no network, no hardware model —
-/// the inputs are the three host calls and the three message arrivals,
-/// each naming the NIC whose firmware runs it.
+/// Chain state of one lock across the cluster, and the algorithm over
+/// it. Pure: no clock, no network, no hardware model — the inputs are
+/// the three host calls and the three message arrivals, each naming
+/// the site (as a [`NicId`]) that runs it.
 #[derive(Clone, Debug)]
-pub(crate) struct FwLock {
+pub struct ChainLock {
     id: LockId,
     /// The NIC whose firmware tracks the chain tail.
     home: NicId,
@@ -107,8 +111,9 @@ pub(crate) struct FwLock {
     slots: Vec<Slot>,
 }
 
-impl FwLock {
-    pub(crate) fn new(id: LockId, home: NicId, ports: usize) -> FwLock {
+impl ChainLock {
+    /// A lock free at its `home`, one of `ports` sites.
+    pub fn new(id: LockId, home: NicId, ports: usize) -> ChainLock {
         let mut slots = vec![
             Slot {
                 state: SlotState::Idle,
@@ -118,7 +123,7 @@ impl FwLock {
         ];
         // The lock starts free at its home.
         slots[home.index()].state = SlotState::Released;
-        FwLock {
+        ChainLock {
             id,
             home,
             tail: home,
@@ -126,12 +131,13 @@ impl FwLock {
         }
     }
 
-    pub(crate) fn home(&self) -> NicId {
+    /// The site that tracks the chain tail.
+    pub fn home(&self) -> NicId {
         self.home
     }
 
     /// `true` if `nic` owns the lock (held or released-but-kept).
-    pub(crate) fn owned_by(&self, nic: NicId) -> bool {
+    pub fn owned_by(&self, nic: NicId) -> bool {
         matches!(
             self.slots[nic.index()].state,
             SlotState::HeldLocal | SlotState::Released
@@ -143,7 +149,7 @@ impl FwLock {
     /// # Panics
     ///
     /// Panics if `nic` already holds or awaits the lock.
-    pub(crate) fn acquire(&mut self, nic: NicId, tag: Tag) -> LockAction {
+    pub fn acquire(&mut self, nic: NicId, tag: Tag) -> LockAction {
         let lock = self.id;
         let slot = &mut self.slots[nic.index()];
         match slot.state {
@@ -174,7 +180,7 @@ impl FwLock {
     /// # Panics
     ///
     /// Panics if the NIC does not own the lock in released state.
-    pub(crate) fn local_hold(&mut self, nic: NicId) {
+    pub fn local_hold(&mut self, nic: NicId) {
         let slot = &mut self.slots[nic.index()];
         assert_eq!(
             slot.state,
@@ -191,7 +197,7 @@ impl FwLock {
     /// # Panics
     ///
     /// Panics if the host does not hold the lock.
-    pub(crate) fn release(&mut self, nic: NicId) -> Option<LockAction> {
+    pub fn release(&mut self, nic: NicId) -> Option<LockAction> {
         let slot = &mut self.slots[nic.index()];
         assert_eq!(
             slot.state,
@@ -216,7 +222,7 @@ impl FwLock {
     /// requester's acquire tag travelled with the request and is
     /// threaded through the transfer so the eventual grant carries it
     /// back.
-    pub(crate) fn on_request(&mut self, nic: NicId, requester: NicId, tag: Tag) -> LockAction {
+    pub fn on_request(&mut self, nic: NicId, requester: NicId, tag: Tag) -> LockAction {
         debug_assert_eq!(self.home, nic, "only the home processes requests");
         let prev = std::mem::replace(&mut self.tail, requester);
         LockAction::Send {
@@ -232,12 +238,7 @@ impl FwLock {
 
     /// A `Transfer` reached chain member `nic`: hand the lock over now
     /// if it sits released here, else remember the successor.
-    pub(crate) fn on_transfer(
-        &mut self,
-        nic: NicId,
-        requester: NicId,
-        tag: Tag,
-    ) -> Option<LockAction> {
+    pub fn on_transfer(&mut self, nic: NicId, requester: NicId, tag: Tag) -> Option<LockAction> {
         let slot = &mut self.slots[nic.index()];
         match slot.state {
             SlotState::Released => {
@@ -257,7 +258,7 @@ impl FwLock {
     }
 
     /// A `Grant` reached `nic`.
-    pub(crate) fn on_grant(&mut self, nic: NicId, tag: Tag) -> LockAction {
+    pub fn on_grant(&mut self, nic: NicId, tag: Tag) -> LockAction {
         let slot = &mut self.slots[nic.index()];
         if slot.state == SlotState::HeldLocal {
             // A duplicated grant that slipped past sequence dedupe (a
@@ -284,7 +285,7 @@ mod tests {
 
     #[test]
     fn new_lock_is_free_at_home() {
-        let l = FwLock::new(LockId::new(0), NicId::new(1), 4);
+        let l = ChainLock::new(LockId::new(0), NicId::new(1), 4);
         assert_eq!(l.tail, NicId::new(1));
         assert_eq!(l.slots[1].state, SlotState::Released);
         assert_eq!(l.slots[0].state, SlotState::Idle);
@@ -304,7 +305,7 @@ mod tests {
     /// channels), and every host's view.
     #[derive(Clone, Debug)]
     struct World {
-        fw: FwLock,
+        fw: ChainLock,
         wire: BTreeMap<(usize, usize), VecDeque<(LockOp, Tag)>>,
         host: Vec<Host>,
         /// Acquires each host has still to make.
@@ -408,7 +409,7 @@ mod tests {
     /// returns (distinct states, quiescent end states).
     fn explore(nics: usize, home: usize, rounds: u32) -> (usize, usize) {
         let start = World {
-            fw: FwLock::new(LockId::new(0), NicId::new(home), nics),
+            fw: ChainLock::new(LockId::new(0), NicId::new(home), nics),
             wire: BTreeMap::new(),
             host: vec![Host::Idle; nics],
             left: vec![rounds; nics],

@@ -22,8 +22,9 @@
 //! * **Heal** — Base host-message transactions (lock request /
 //!   forward / grant, diff, barrier arrival / release) and notice
 //!   records. These carry their full protocol effect in the pending
-//!   record, so the simulator applies it directly, modelling delivery
-//!   over a management channel. The operation completes slow;
+//!   record, so the simulator serves it as if it had arrived
+//!   ([`SvmSystem::serve`]), modelling delivery over a management
+//!   channel. The operation completes slow;
 //!   [`Counters::degraded_heals`](crate::Counters) counts it. Healing
 //!   is mandatory for grants and barrier messages: the lock token (or
 //!   the barrier episode) is *in* the lost message, and failing the
@@ -33,19 +34,37 @@
 //!   remote-fetch pair). Nothing blocks on them directly; the loss is
 //!   recorded in [`Counters::degraded_lost_msgs`](crate::Counters).
 
-use genima_nic::{NicId, Tag};
+use genima_mem::PageId;
+use genima_nic::{LockId, NicId, Tag};
 use genima_sim::Time;
 
 use super::{Block, Pending, ProcState, SvmSystem, SysEvent};
 use crate::ids::ProcId;
-use genima_mem::PageId;
-use genima_nic::LockId;
+
+/// Whether an abandoned send heals: its record carries the message's
+/// whole protocol effect, so [`SvmSystem::serve`] applies it as if it
+/// had arrived. The rest fail fast.
+fn heals(pending: &Pending) -> bool {
+    match pending {
+        Pending::Notice { .. }
+        | Pending::NoticeFetch { .. }
+        | Pending::DiffMsg { .. }
+        | Pending::DiffTsUpdate { .. }
+        | Pending::LockMsg { .. }
+        | Pending::BarrierArriveMsg { .. }
+        | Pending::BarrierReleaseMsg { .. } => true,
+        Pending::PageRequestMsg { .. }
+        | Pending::PageReply { .. }
+        | Pending::FetchPage { .. }
+        | Pending::NiLockWait { .. }
+        | Pending::AtomicLockTry { .. } => false,
+    }
+}
 
 impl SvmSystem {
-    /// Entry point: the firmware abandoned the send `nic -> peer`
-    /// correlated by `tag`. Resolve and recover; never sets `fatal`.
-    pub(crate) fn degraded_give_up(&mut self, t: Time, nic: NicId, peer: NicId, tag: Tag) {
-        let _ = peer;
+    /// Entry point: `nic`'s firmware abandoned the send correlated by
+    /// `tag`. Resolve and recover; never sets `fatal`.
+    pub(crate) fn degraded_give_up(&mut self, t: Time, nic: NicId, tag: Tag) {
         let op = self.take_op(tag);
         let Some(pending) = self.tags.remove(&tag.value()) else {
             // Firmware-internal or untagged packet: no host-side
@@ -55,6 +74,10 @@ impl SvmSystem {
             self.counters.degraded_lost_msgs += 1;
             return;
         };
+        if heals(&pending) {
+            self.counters.degraded_heals += 1;
+            return self.serve(t, pending, op);
+        }
         match pending {
             // ----- fetch class: fail every waiter on the page -------
             Pending::PageRequestMsg {
@@ -71,67 +94,6 @@ impl SvmSystem {
             Pending::FetchPage { proc, page } => {
                 let node = self.p.topo.node_of(ProcId::new(proc)).index();
                 self.fail_fetch(t, node, page);
-            }
-            // ----- notices / diffs: records are simulator-global ----
-            Pending::Notice {
-                node,
-                writer,
-                interval,
-            } => {
-                let a = &mut self.nodes[node].arrived[writer];
-                *a = (*a).max(interval);
-                self.counters.degraded_heals += 1;
-                self.check_notice_waiters(t, node);
-            }
-            Pending::NoticeFetch { node, writer, upto } => {
-                let a = &mut self.nodes[node].arrived[writer];
-                *a = (*a).max(upto);
-                self.counters.degraded_heals += 1;
-                self.check_notice_waiters(t, node);
-            }
-            Pending::DiffMsg {
-                writer,
-                interval,
-                page,
-                diff,
-            }
-            | Pending::DiffTsUpdate {
-                writer,
-                interval,
-                page,
-                diff,
-            } => {
-                self.apply_diff_at_home(t, writer, interval, page, diff, false);
-                self.counters.degraded_heals += 1;
-            }
-            // ----- Base lock chain: replay the effect directly ------
-            Pending::LockRequestMsg {
-                lock,
-                proc,
-                requester,
-            } => {
-                self.counters.degraded_heals += 1;
-                self.home_forward_lock(t, lock, proc, requester, op);
-            }
-            Pending::LockForwardMsg {
-                lock,
-                proc,
-                requester,
-                owner,
-            } => {
-                self.counters.degraded_heals += 1;
-                self.owner_service_lock(t, owner, lock, proc, requester, op);
-            }
-            Pending::LockGrantMsg {
-                lock,
-                proc,
-                vc,
-                upto,
-            } => {
-                // The token travels in the grant — it must not be
-                // dropped, or every later acquirer would strand.
-                self.counters.degraded_heals += 1;
-                self.base_grant_received(t, proc, lock, vc, upto);
             }
             // ----- firmware lock transactions: fail + poison --------
             Pending::NiLockWait { proc } => self.fail_ni_lock(t, proc),
@@ -156,25 +118,13 @@ impl SvmSystem {
                     self.fail_lock(t, proc, lock);
                 }
             }
-            // ----- barriers: the episode must complete globally -----
-            Pending::BarrierArriveMsg {
-                barrier,
-                proc,
-                vc,
-                upto,
-            } => {
-                self.counters.degraded_heals += 1;
-                self.manager_note_arrival(t, barrier, proc, vc, upto);
-            }
-            Pending::BarrierReleaseMsg {
-                barrier,
-                node,
-                vc,
-                upto,
-            } => {
-                self.counters.degraded_heals += 1;
-                self.release_at_node(t, barrier, node, &vc, upto, op);
-            }
+            Pending::Notice { .. }
+            | Pending::NoticeFetch { .. }
+            | Pending::DiffMsg { .. }
+            | Pending::DiffTsUpdate { .. }
+            | Pending::LockMsg { .. }
+            | Pending::BarrierArriveMsg { .. }
+            | Pending::BarrierReleaseMsg { .. } => unreachable!("{pending:?} heals"),
         }
     }
 
@@ -225,17 +175,15 @@ impl SvmSystem {
     /// An NI lock transaction was abandoned. The lock id is not in the
     /// pending record — recover it from the requester's blocked state.
     fn fail_ni_lock(&mut self, t: Time, proc: usize) {
-        match &self.procs[proc].state {
-            ProcState::Blocked(Block::LockWait { lock, .. }) => {
-                let l = *lock;
-                self.fail_lock(t, proc, l);
-            }
+        match self.procs[proc].state {
+            ProcState::Blocked(Block::LockWait { lock, .. }) => self.fail_lock(t, proc, lock),
             // Superseded (e.g. the grant raced the give-up): nothing
             // is blocked on this transaction any more.
-            other => {
-                let _ = other;
-                self.counters.degraded_lost_msgs += 1;
-            }
+            ProcState::Runnable
+            | ProcState::Done
+            | ProcState::Blocked(
+                Block::PageFault { .. } | Block::NoticeWait { .. } | Block::BarrierWait { .. },
+            ) => self.counters.degraded_lost_msgs += 1,
         }
     }
 
@@ -256,32 +204,12 @@ impl SvmSystem {
         }
     }
 
-    /// Fails one process blocked acquiring `l`: record the wait as a
+    /// Fails one process blocked acquiring `l`: close the wait as a
     /// failed op, arm the skip machinery so the guarded critical
     /// section is consumed without executing, and resume.
-    pub(crate) fn fail_lock_wait(&mut self, t: Time, proc: usize, l: LockId) {
-        let (started, lop) = match &self.procs[proc].state {
-            ProcState::Blocked(Block::LockWait { lock, started, op }) if *lock == l => {
-                (*started, *op)
-            }
-            other => panic!("p{proc} lock-failed for {l} but in state {other:?}"),
-        };
-        let node = self.p.topo.node_of(ProcId::new(proc)).index();
+    fn fail_lock_wait(&mut self, t: Time, proc: usize, l: LockId) {
+        self.end_lock_wait(t, proc, l);
         self.counters.failed_ops += 1;
-        let wait = t.saturating_since(started);
-        self.procs[proc].bd.lock += wait;
-        self.op_hist.lock.record(wait);
-        self.obs_record(|o| {
-            o.span_op(
-                genima_obs::SpanKind::LockAcquire,
-                node,
-                genima_obs::Track::Host,
-                started,
-                t,
-                l.index() as u64,
-                lop,
-            );
-        });
         self.procs[proc].skipping = Some((l, 1));
         self.procs[proc].state = ProcState::Runnable;
         self.q.push(t, SysEvent::Resume(proc));

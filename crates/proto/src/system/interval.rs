@@ -1,0 +1,332 @@
+//! Intervals and diffs: closing a process's interval, flushing its
+//! diffs to the homes, and charging the work.
+
+use genima_mem::{compute_diff_tracked, Access, Diff, PageId};
+use genima_nic::Tag;
+use genima_obs::{flow_diff_id, op_diff_id, FlowDir, SpanKind, Track};
+use genima_sim::{Dur, Time};
+
+use super::{Bucket, Pending, Sink, SvmSystem};
+use crate::ids::{NodeId, ProcId};
+use crate::interval::{DirtyPage, IntervalRecord, PendingInterval};
+
+impl SvmSystem {
+    pub(crate) fn charge(&mut self, sink: Sink, d: Dur) {
+        match sink {
+            Sink::Proc(p, bucket) => {
+                self.procs[p].clock += d;
+                match bucket {
+                    Bucket::AcqRel => self.procs[p].bd.acqrel += d,
+                    Bucket::Barrier => {
+                        self.procs[p].bd.barrier += d;
+                        self.procs[p].bd.barrier_protocol += d;
+                    }
+                }
+            }
+            Sink::Handler(node) => {
+                self.node_steal(node, d);
+            }
+        }
+    }
+
+    /// Adds interrupt-handler work as compute-steal on a round-robin
+    /// victim processor of `node`.
+    pub(crate) fn node_steal(&mut self, node: usize, d: Dur) {
+        let ppn = self.p.topo.procs_per_node;
+        let victim = node * ppn + self.nodes[node].steal_rr % ppn;
+        self.nodes[node].steal_rr = (self.nodes[node].steal_rr + 1) % ppn;
+        self.procs[victim].steal += d;
+    }
+
+    /// Closes `p`'s open interval (if it wrote anything): creates the
+    /// interval record, write-protects the dirty pages again, and
+    /// queues the interval for later (or immediate) flushing. Returns
+    /// the closed interval's number.
+    pub(crate) fn end_interval(&mut self, p: usize, bucket: Bucket) -> Option<u32> {
+        if self.procs[p].dirty.is_empty() && self.procs[p].flushed_early.is_empty() {
+            return None;
+        }
+        // The next interval opens on a buffer an earlier flush emptied.
+        let next = self.spare_dirty.pop().unwrap_or_default();
+        let dirty = std::mem::replace(&mut self.procs[p].dirty, next);
+        let early = std::mem::take(&mut self.procs[p].flushed_early);
+        let i = self.procs[p].vc.bump(ProcId::new(p));
+        self.procs[p].seen[p] = i;
+        // The dirty set is already sorted and unique; only an early
+        // mid-interval flush forces a re-sort. The grouping pass below
+        // reuses the same page list via the scratch buffer instead of
+        // collecting the pages a second time.
+        let mut scratch = std::mem::take(&mut self.scratch_pages);
+        scratch.clear();
+        scratch.extend(dirty.pages());
+        let mut pages: Vec<PageId> = Vec::with_capacity(scratch.len() + early.len());
+        pages.extend_from_slice(&scratch);
+        if !early.is_empty() {
+            pages.extend(early);
+            pages.sort_unstable();
+            pages.dedup();
+        }
+        self.records[p].insert(
+            i,
+            IntervalRecord {
+                writer: ProcId::new(p),
+                interval: i,
+                pages,
+            },
+        );
+        self.counters.intervals += 1;
+        let node = self.p.topo.node_of(ProcId::new(p)).index();
+        self.nodes[node].arrived[p] = i;
+
+        // Write-protect the dirty pages so the next interval faults
+        // and twins again (coalesced mprotect).
+        let groups = contiguous_groups(&scratch);
+        let mpro = self.p.mem.mprotect.cost_grouped(scratch.len(), groups);
+        for &pg in &scratch {
+            self.procs[p].pt.set(pg, Access::Read);
+        }
+        self.counters.mprotect_calls += groups as u64;
+        self.procs[p].bd.mprotect += mpro;
+        self.charge(Sink::Proc(p, bucket), mpro);
+        self.scratch_pages = scratch;
+
+        self.procs[p].pending_intervals.push(PendingInterval {
+            interval: i,
+            pages: dirty,
+        });
+        Some(i)
+    }
+
+    /// The first step of every release and barrier arrival: close
+    /// `p`'s interval and, under DW, announce it to the other nodes.
+    /// Returns the advanced time cursor.
+    pub(crate) fn close_interval(&mut self, now: Time, p: usize, bucket: Bucket) -> Time {
+        let mut cursor = now;
+        if let Some(interval) = self.end_interval(p, bucket) {
+            cursor = self.procs[p].clock;
+            if self.p.features.dw {
+                cursor = self.broadcast_record(cursor, p, interval);
+            }
+        }
+        self.procs[p].clock.max(cursor)
+    }
+
+    /// Flushes one closed interval's diffs to the homes — direct diffs
+    /// (one deposit per run) under DD, packed diff messages otherwise.
+    /// Returns the advanced time cursor.
+    fn flush_interval(
+        &mut self,
+        mut cursor: Time,
+        p: usize,
+        mut pi: PendingInterval,
+        sink: Sink,
+    ) -> Time {
+        let node = self.p.topo.node_of(ProcId::new(p)).index();
+        let my_nic = NodeId::new(node).nic();
+        for (page, mut dp) in pi.pages.drain() {
+            self.counters.diffs += 1;
+            // The diff operation's id is structural — any observer of
+            // (writer, interval, page) derives the same id, so deposit
+            // and apply sides agree without a handshake.
+            let dop = op_diff_id(p as u64, pi.interval as u64, page.index() as u64);
+            {
+                // A future fetch of this page by this node must not
+                // install a version older than this flush.
+                let lf = self.nodes[node].local_flushed.entry(page).or_default();
+                lf.raise(p as u32, pi.interval);
+            }
+            let cost = self.p.mem.diff_cost(dp.runs());
+            self.charge(sink, cost);
+            let diff_start = cursor;
+            cursor += cost;
+            self.obs_record(|o| {
+                o.span_op(
+                    SpanKind::DiffCompute,
+                    node,
+                    Track::Host,
+                    diff_start,
+                    diff_start + cost,
+                    page.index() as u64,
+                    dop,
+                );
+            });
+            let diff = self.materialise_diff(node, page, &dp);
+            let home = self.home_of(page).index();
+            let hn = NodeId::new(home).nic();
+            if home == node {
+                // Local home: apply in place.
+                let apply = self.p.mem.diff_apply;
+                self.charge(sink, apply);
+                cursor += apply;
+                self.apply_diff_at_home(cursor, p, pi.interval, page, diff, false);
+            } else if self.p.features.dd {
+                let tag = self.tag_op(
+                    Pending::DiffTsUpdate {
+                        writer: p,
+                        interval: pi.interval,
+                        page,
+                        diff,
+                    },
+                    dop,
+                );
+                if self.p.hw.nic.scatter_gather {
+                    // §5 extension: one scatter-gather message carries
+                    // all runs plus the timestamp.
+                    let (bytes, runs) = (dp.bytes() + 16, dp.runs() as u32);
+                    let post = self
+                        .vmmc
+                        .deposit_gather(cursor, my_nic, hn, bytes, runs, tag);
+                    cursor = self.absorb_post(post);
+                    self.counters.diff_run_messages += 1;
+                } else {
+                    // One deposit per contiguous run, then the timestamp.
+                    for (_, len) in dp.ranges.iter() {
+                        let post = self.vmmc.deposit(cursor, my_nic, hn, len, Tag::NONE);
+                        cursor = self.absorb_post(post);
+                        self.counters.diff_run_messages += 1;
+                    }
+                    let post = self.vmmc.deposit(cursor, my_nic, hn, 16, tag);
+                    cursor = self.absorb_post(post);
+                }
+                // The deposit starts a flow arrow; the apply at the
+                // home finishes it under the same id.
+                let id = flow_diff_id(p as u64, pi.interval as u64, page.index() as u64);
+                self.obs_record(|o| {
+                    o.instant_flow_op(
+                        SpanKind::DirectDiffDeposit,
+                        node,
+                        Track::Host,
+                        cursor,
+                        page.index() as u64,
+                        genima_obs::Flow {
+                            id,
+                            dir: FlowDir::Start,
+                        },
+                        dop,
+                    );
+                });
+            } else {
+                // Packed diff in one host message (interrupts the home).
+                let bytes = 16 + dp.bytes();
+                let tag = self.tag_op(
+                    Pending::DiffMsg {
+                        writer: p,
+                        interval: pi.interval,
+                        page,
+                        diff,
+                    },
+                    dop,
+                );
+                let post = self.vmmc.host_msg(cursor, my_nic, hn, bytes, tag);
+                cursor = self.absorb_post(post);
+            }
+            // The twin is consumed by this flush; return its buffer to
+            // the pool for the next twin/copy/reply on this node.
+            if let Some(twin) = dp.twin.take() {
+                self.pool.recycle(twin);
+            }
+            if let Sink::Proc(q, _) = sink {
+                // Posting overhead already advanced `cursor` via
+                // host_free; keep the process clock in step.
+                self.procs[q].clock = self.procs[q].clock.max(cursor);
+            }
+        }
+        self.spare_dirty.push(pi.pages);
+        cursor
+    }
+
+    /// Computes the real diff content (data mode) for a dirty page.
+    /// Only the byte ranges this writer recorded are scanned — a page
+    /// whose interval wrote nothing costs nothing — and for a single
+    /// writer the result is bit-identical to a full twin scan (the
+    /// write path records every write in `dp.ranges`).
+    fn materialise_diff(&self, node: usize, page: PageId, dp: &DirtyPage) -> Option<Diff> {
+        if !self.p.data_mode {
+            return None;
+        }
+        let twin = dp.twin.as_ref()?;
+        let home = self.home_of(page).index();
+        let cur = if home == node {
+            self.home_pages.get(page).and_then(|h| h.data.as_ref())
+        } else {
+            self.nodes[node]
+                .copies
+                .get(&page)
+                .and_then(|c| c.data.as_ref())
+        }?;
+        Some(compute_diff_tracked(twin, cur, &dp.ranges))
+    }
+
+    /// Flushes all closed-but-unflushed intervals of every process on
+    /// `node` (the lock is about to leave the node, or a barrier
+    /// requires global visibility).
+    pub(crate) fn flush_node_pending(&mut self, mut cursor: Time, node: usize, sink: Sink) -> Time {
+        for i in 0..self.node_procs[node].len() {
+            let p = self.node_procs[node][i];
+            cursor = self.flush_pending_of(cursor, p, sink);
+        }
+        cursor
+    }
+
+    /// Flushes `p`'s closed intervals oldest first and leaves it the
+    /// emptied list (a flush closes no interval, so nothing is queued
+    /// behind the ones being flushed).
+    pub(crate) fn flush_pending_of(&mut self, mut cursor: Time, p: usize, sink: Sink) -> Time {
+        let mut pending = std::mem::take(&mut self.procs[p].pending_intervals);
+        for pi in pending.drain(..) {
+            cursor = self.flush_interval(cursor, p, pi, sink);
+        }
+        debug_assert!(self.procs[p].pending_intervals.is_empty());
+        self.procs[p].pending_intervals = pending;
+        cursor
+    }
+
+    /// Flushes everything a finishing process still holds. Nobody
+    /// synchronises with it again, so its last interval is closed but
+    /// not announced.
+    pub(crate) fn flush_everything(&mut self, p: usize) {
+        self.end_interval(p, Bucket::AcqRel);
+        let cursor = self.procs[p].clock;
+        self.flush_pending_of(cursor, p, Sink::Proc(p, Bucket::AcqRel));
+    }
+
+    /// Flushes a single dirty page mid-interval (it is about to be
+    /// invalidated under this process). Its diff is tagged with the
+    /// *next* interval number; the page joins that interval's record
+    /// when it closes.
+    pub(crate) fn flush_page_early(
+        &mut self,
+        cursor: Time,
+        p: usize,
+        page: PageId,
+        bucket: Bucket,
+    ) -> Time {
+        let Some(dp) = self.procs[p].dirty.remove(page) else {
+            return cursor;
+        };
+        self.procs[p].flushed_early.push(page);
+        let next_interval = self.procs[p].vc.get(ProcId::new(p)) + 1;
+        let mut pages = self.spare_dirty.pop().unwrap_or_default();
+        pages.insert(page, dp);
+        let pi = PendingInterval {
+            interval: next_interval,
+            pages,
+        };
+        self.flush_interval(cursor, p, pi, Sink::Proc(p, bucket))
+    }
+}
+
+/// Number of maximal runs of consecutive page ids in a sorted,
+/// deduplicated list.
+pub(crate) fn contiguous_groups(pages: &[PageId]) -> usize {
+    let mut groups = 0;
+    let mut prev: Option<usize> = None;
+    for pg in pages {
+        let i = pg.index();
+        if prev != Some(i.wrapping_sub(1)) {
+            groups += 1;
+        }
+        prev = Some(i);
+    }
+    groups
+}

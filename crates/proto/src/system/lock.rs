@@ -1,0 +1,412 @@
+//! Locks: the node-level (SMP) tier every column shares, and under it
+//! the four ways a remote acquire is carried ([`LockStrategy`]).
+//!
+//! The home + last-owner chain is [`genima_nic::ChainLock`] whoever
+//! runs it. Under `NiChain` the NI firmware does (`Comm::lock_*`);
+//! under `HostChain` the hosts do, and this file is their glue: what a
+//! host adds to the machine is a host message per hop (interrupting
+//! the home and the previous tail), [`EPS`] for a hop that stays on
+//! the node, and the lazy-diff flush before the lock leaves.
+
+use genima_nic::{CasWord, LockAction, LockId, LockOp, Post, Tag};
+use genima_sim::{Dur, Time};
+
+use super::{
+    Block, Bucket, Flow, LockStrategy, Pending, ProcState, Sink, SvmSystem, SysEvent, WaitReason,
+    EPS,
+};
+use crate::ids::{NodeId, ProcId};
+
+impl SvmSystem {
+    /// The home node index of `lock` (the round-robin assignment the
+    /// chains and the atomics cells share).
+    pub(crate) fn lock_home(&self, lock: LockId) -> usize {
+        lock.index() % self.p.topo.nodes
+    }
+
+    /// Starts a lock acquire for `p`. Returns [`Flow::Stop`] when the
+    /// process blocked.
+    pub(crate) fn start_acquire(&mut self, now: Time, p: usize, l: LockId) -> Flow {
+        if self.p.degraded && self.dead_locks[l.index()] {
+            // Poisoned in an earlier degraded recovery (its firmware
+            // slot or home cell cannot be safely re-entered): fail
+            // fast and skip the guarded section.
+            self.counters.failed_ops += 1;
+            self.op_hist.lock.record(Dur::ZERO);
+            self.procs[p].skipping = Some((l, 1));
+            return Flow::Continue;
+        }
+        let node = self.p.topo.node_of(ProcId::new(p)).index();
+        let nl = &mut self.nodes[node].locks[l.index()];
+        if nl.holder.is_some() || !nl.local_waiters.is_empty() || nl.requesting {
+            nl.local_waiters.push_back(p);
+            let lop = self.next_lock_op();
+            self.procs[p].state = ProcState::Blocked(Block::LockWait {
+                lock: l,
+                started: now,
+                op: lop,
+            });
+            return Flow::Stop;
+        }
+        let nic = NodeId::new(node).nic();
+        // The chain is ground truth for token ownership.
+        let owned = match self.lock_strategy {
+            LockStrategy::HostChain => self.host_chains[l.index()].owned_by(nic),
+            LockStrategy::NiChain => self.vmmc.comm().lock_owned_by(nic, l),
+            // TAS over remote atomics has no ownership caching: every
+            // acquire races on the home cell.
+            LockStrategy::AtomicSwapSpin | LockStrategy::AtomicCasWait => false,
+        };
+        if owned {
+            // Intra-node fast path: hardware synchronization only.
+            // Tell the chain the host holds the token again so an
+            // incoming transfer queues instead of granting.
+            self.counters.local_lock_acquires += 1;
+            if self.lock_strategy == LockStrategy::HostChain {
+                self.host_chains[l.index()].local_hold(nic);
+            } else {
+                let post = self.vmmc.comm_mut().lock_local_hold(now, nic, l);
+                self.absorb_post(post);
+            }
+            self.nodes[node].locks[l.index()].holder = Some(p);
+            let cost = self.p.proto.local_lock;
+            self.procs[p].clock += cost;
+            self.procs[p].bd.lock += cost;
+            self.procs[p].vc.join(&self.locks[l.index()].vc);
+            let t = self.procs[p].clock;
+            return self.enter_notice_stage(t, p, WaitReason::Lock);
+        }
+        // Remote acquire.
+        self.counters.remote_lock_acquires += 1;
+        let lop = self.next_lock_op();
+        self.nodes[node].locks[l.index()].requesting = true;
+        self.procs[p].state = ProcState::Blocked(Block::LockWait {
+            lock: l,
+            started: now,
+            op: lop,
+        });
+        match self.lock_strategy {
+            LockStrategy::AtomicSwapSpin | LockStrategy::AtomicCasWait => {
+                self.atomic_lock_try(now, p, l);
+            }
+            LockStrategy::NiChain => {
+                let tag = self.tag_op(Pending::NiLockWait { proc: p }, lop);
+                let post = self.vmmc.comm_mut().lock_acquire(now, nic, l, tag);
+                self.absorb_post(post);
+            }
+            LockStrategy::HostChain => {
+                let action = self.host_chains[l.index()].acquire(nic, Tag::new(p as u64));
+                self.apply_chain(now, node, l, action, Sink::Proc(p, Bucket::AcqRel));
+            }
+        }
+        Flow::Stop
+    }
+
+    /// HostChain: a chain message reached node `to` (through its
+    /// protocol handler, for the two kinds that interrupt): run it
+    /// through the lock's machine.
+    pub(crate) fn host_chain_arrived(
+        &mut self,
+        t: Time,
+        to: usize,
+        tag: Tag,
+        op: LockOp,
+        upto: Option<Vec<u32>>,
+    ) {
+        let site = NodeId::new(to).nic();
+        let (l, action) = match op {
+            LockOp::Request { lock, requester } => (
+                lock,
+                Some(self.host_chains[lock.index()].on_request(site, requester, tag)),
+            ),
+            LockOp::Transfer {
+                lock,
+                requester,
+                tag,
+            } => (
+                lock,
+                self.host_chains[lock.index()].on_transfer(site, requester, tag),
+            ),
+            LockOp::Grant { lock, tag } => {
+                self.merge_upto(t, to, upto);
+                (
+                    lock,
+                    Some(self.host_chains[lock.index()].on_grant(site, tag)),
+                )
+            }
+        };
+        if let Some(action) = action {
+            self.apply_chain(t, to, l, action, Sink::Handler(to));
+        }
+    }
+
+    /// HostChain: carries out what `l`'s machine decided at `node` at
+    /// host time `t`; `sink` pays for a flush. Every hop that leaves
+    /// the node takes a fresh tag. Returns the advanced time cursor.
+    fn apply_chain(
+        &mut self,
+        t: Time,
+        node: usize,
+        l: LockId,
+        action: LockAction,
+        sink: Sink,
+    ) -> Time {
+        match action {
+            LockAction::Send { to, op, tag } => {
+                let to = to.index();
+                let lop = self.lock_wait_op(tag.value() as usize).unwrap_or(0);
+                let msg = Pending::LockMsg {
+                    to,
+                    tag,
+                    op,
+                    upto: None,
+                };
+                if to != node {
+                    let tag = self.tag_op(msg, lop);
+                    let bytes = self.p.proto.control_msg_bytes;
+                    let (src, dst) = (NodeId::new(node).nic(), NodeId::new(to).nic());
+                    let post = self.vmmc.host_msg(t, src, dst, bytes, tag);
+                    return self.absorb_post(post);
+                }
+                match op {
+                    // The home structures are in local memory.
+                    LockOp::Request { .. } => self.host_chain_arrived(t + EPS, to, tag, op, None),
+                    // The home is itself the chain tail: its handler
+                    // services the transfer without a message.
+                    LockOp::Transfer { .. } => self.q.push(t + EPS, SysEvent::Job(to, msg, lop)),
+                    LockOp::Grant { .. } => unreachable!("a grant leaves as `Departed`"),
+                }
+                t
+            }
+            LockAction::Departed { to, tag } => {
+                let mut cursor = t;
+                if !self.p.features.dd {
+                    // Lazy diffs flush when the lock leaves the node.
+                    cursor = self.flush_node_pending(cursor, node, sink);
+                }
+                // The grant carries the lock's timestamp.
+                let vc_bytes = self.locks[l.index()].vc.wire_bytes();
+                let lop = self.lock_wait_op(tag.value() as usize).unwrap_or(0);
+                let (to, op) = (to.index(), LockOp::Grant { lock: l, tag });
+                self.send_sync_msg(cursor, node, to, None, vc_bytes, lop, |upto| {
+                    Pending::LockMsg { to, tag, op, upto }
+                })
+            }
+            LockAction::Granted { tag } => {
+                self.remote_lock_granted(t, tag.value() as usize, l);
+                t
+            }
+            LockAction::Regranted { .. } | LockAction::DupDropped => {
+                unreachable!("{action:?}: hosts re-hold by `local_hold` and tags dedupe grants")
+            }
+        }
+    }
+
+    /// The operation id of `p`'s blocked lock acquire, if it is in one.
+    fn lock_wait_op(&self, p: usize) -> Option<u64> {
+        match &self.procs[p].state {
+            ProcState::Blocked(Block::LockWait { op, .. }) => Some(*op),
+            ProcState::Runnable
+            | ProcState::Done
+            | ProcState::Blocked(
+                Block::PageFault { .. } | Block::NoticeWait { .. } | Block::BarrierWait { .. },
+            ) => None,
+        }
+    }
+
+    /// Remote-atomics lock mode: issue one test-and-set attempt on the
+    /// lock's home cell.
+    pub(crate) fn atomic_lock_try(&mut self, t: Time, p: usize, l: LockId) {
+        let Some(lop) = self.lock_wait_op(p) else {
+            return; // superseded (e.g. a local handoff won the race)
+        };
+        let tag = self.tag_op(Pending::AtomicLockTry { proc: p, lock: l }, lop);
+        let node = self.p.topo.node_of(ProcId::new(p)).index();
+        let post = self.atomic_lock_cell(t, node, l, true, tag);
+        self.absorb_post(post);
+    }
+
+    /// Remote-atomics lock mode: one operation on the lock's home cell
+    /// with the hardware's primitive — set it (`acquire`), or clear it
+    /// (a release, or the undo of a superseded win; untagged).
+    fn atomic_lock_cell(
+        &mut self,
+        t: Time,
+        node: usize,
+        l: LockId,
+        acquire: bool,
+        tag: Tag,
+    ) -> Post {
+        let (src, home) = (
+            NodeId::new(node).nic(),
+            NodeId::new(self.lock_home(l)).nic(),
+        );
+        let cell = l.index() as u32;
+        let (expect, new) = if acquire { (0, 1) } else { (1, 0) };
+        match self.lock_strategy {
+            // RNIC verbs offer masked CAS: acquire is CAS(0 -> 1), so
+            // a losing attempt cannot clobber the holder's bit the way
+            // an unconditional swap could. `wait` parks a losing
+            // acquire at the home NIC, which replays it when the cell
+            // is cleared — lock handoff is a single event-driven round
+            // trip with FIFO fairness, never a spin storm.
+            LockStrategy::AtomicCasWait => {
+                let cas = CasWord {
+                    cell,
+                    expect,
+                    new,
+                    mask: u64::MAX,
+                    wait: acquire,
+                };
+                self.vmmc.comm_mut().masked_cas(t, src, home, cas, tag)
+            }
+            LockStrategy::AtomicSwapSpin => self
+                .vmmc
+                .comm_mut()
+                .fetch_and_store(t, src, home, cell, new, tag),
+            LockStrategy::HostChain | LockStrategy::NiChain => {
+                unreachable!("{:?} keeps no home cell", self.lock_strategy)
+            }
+        }
+    }
+
+    /// Remote-atomics lock mode: a test-and-set attempt returned.
+    pub(crate) fn atomic_lock_result(&mut self, t: Time, p: usize, l: LockId, old: u64) {
+        if self.lock_wait_op(p).is_none() {
+            if old == 0 {
+                // A superseded attempt must not strand the cell.
+                let node = self.p.topo.node_of(ProcId::new(p)).index();
+                let post = self.atomic_lock_cell(t, node, l, false, Tag::NONE);
+                self.absorb_post(post);
+            }
+            return;
+        }
+        if old != 0 {
+            // Held elsewhere. Only the plain fetch-and-store primitive
+            // reports failed attempts (the RDMA masked CAS parks at
+            // the home NIC and replies on success): spin with backoff,
+            // each retry a full network round trip — the cost of the
+            // simpler primitive.
+            self.counters.lock_spin_retries += 1;
+            self.q.push(
+                t + self.p.proto.lock_spin_backoff,
+                SysEvent::RetrySpin(p, l),
+            );
+            return;
+        }
+        // Won the test-and-set.
+        self.remote_lock_granted(t, p, l);
+    }
+
+    /// `proc`'s remote acquire of `l` came back granted — by the
+    /// chain, whoever runs it, or by winning the home cell: its node
+    /// holds the lock for it and it takes the timestamp that travels
+    /// with the lock.
+    pub(crate) fn remote_lock_granted(&mut self, t: Time, proc: usize, l: LockId) {
+        let node = self.p.topo.node_of(ProcId::new(proc)).index();
+        let nl = &mut self.nodes[node].locks[l.index()];
+        nl.requesting = false;
+        nl.holder = Some(proc);
+        self.procs[proc].vc.join(&self.locks[l.index()].vc);
+        self.lock_granted(t, proc, l);
+    }
+
+    /// The tail of every blocked acquire that is granted, remote or by
+    /// local handoff, after `proc` joined the lock's timestamp: close
+    /// the wait, then wait for notices / apply invalidations.
+    fn lock_granted(&mut self, t: Time, proc: usize, l: LockId) {
+        self.end_lock_wait(t, proc, l);
+        self.enter_notice_stage(t, proc, WaitReason::Lock);
+    }
+
+    /// Closes `proc`'s blocked acquire of `l` at `t`, granted or
+    /// failed: charges the wait, records it in the lock histogram and
+    /// emits the operation's root span.
+    pub(crate) fn end_lock_wait(&mut self, t: Time, proc: usize, l: LockId) {
+        let (started, lop) = match &self.procs[proc].state {
+            ProcState::Blocked(Block::LockWait { lock, started, op }) if *lock == l => {
+                (*started, *op)
+            }
+            other => panic!("p{proc}'s acquire of {l} ended while in state {other:?}"),
+        };
+        let wait = t.saturating_since(started);
+        self.procs[proc].bd.lock += wait;
+        self.op_hist.lock.record(wait);
+        let node = self.p.topo.node_of(ProcId::new(proc)).index();
+        self.obs_record(|o| {
+            o.span_op(
+                genima_obs::SpanKind::LockAcquire,
+                node,
+                genima_obs::Track::Host,
+                started,
+                t,
+                l.index() as u64,
+                lop,
+            );
+        });
+    }
+
+    /// Releases a lock held by `p`, ending its interval, propagating
+    /// coherence information per the feature set, and handing the lock
+    /// over (locally, or through the chain or the home cell).
+    pub(crate) fn do_release(&mut self, now: Time, p: usize, l: LockId) {
+        let node = self.p.topo.node_of(ProcId::new(p)).index();
+        assert_eq!(
+            self.nodes[node].locks[l.index()].holder,
+            Some(p),
+            "p{p} released {l} it does not hold"
+        );
+        self.obs_record(|o| {
+            o.instant(
+                genima_obs::SpanKind::LockRelease,
+                node,
+                genima_obs::Track::Host,
+                now,
+                l.index() as u64,
+            );
+        });
+        let mut cursor = self.close_interval(now, p, Bucket::AcqRel);
+
+        // The lock's timestamp is the releaser's clock.
+        self.locks[l.index()].vc.clone_from(&self.procs[p].vc);
+
+        let nl = &mut self.nodes[node].locks[l.index()];
+        nl.holder = None;
+        if let Some(next) = nl.local_waiters.pop_front() {
+            // Intra-node handoff: lazy diffs, hardware sync cost only.
+            nl.holder = Some(next);
+            self.counters.local_lock_acquires += 1;
+            self.procs[next].vc.join(&self.locks[l.index()].vc);
+            self.lock_granted(cursor + self.p.proto.local_lock, next, l);
+        } else {
+            // The lock may leave the node: flush diffs eagerly under
+            // direct diffs.
+            let sink = Sink::Proc(p, Bucket::AcqRel);
+            if self.p.features.dd {
+                cursor = self.flush_node_pending(cursor, node, sink);
+            }
+            let nic = NodeId::new(node).nic();
+            match self.lock_strategy {
+                LockStrategy::AtomicSwapSpin | LockStrategy::AtomicCasWait => {
+                    // Clear the home cell; the store must causally
+                    // follow the timestamp update above, which the
+                    // in-order firmware path guarantees.
+                    let post = self.atomic_lock_cell(cursor, node, l, false, Tag::NONE);
+                    cursor = self.absorb_post(post);
+                }
+                LockStrategy::NiChain => {
+                    let post = self.vmmc.comm_mut().lock_release(cursor, nic, l);
+                    cursor = self.absorb_post(post);
+                }
+                LockStrategy::HostChain => {
+                    // With no successor queued the node keeps the token
+                    // ("the last owner keeps the lock").
+                    if let Some(action) = self.host_chains[l.index()].release(nic) {
+                        cursor = self.apply_chain(cursor, node, l, action, sink);
+                    }
+                }
+            }
+        }
+        self.procs[p].clock = self.procs[p].clock.max(cursor);
+    }
+}

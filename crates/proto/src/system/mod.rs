@@ -3,62 +3,53 @@
 //! The system couples the protocol state machine to the simulated
 //! communication layer. Application processes execute operation
 //! streams ([`exec`]); page faults and the coherence machinery live in
-//! [`fault`]; intervals, write notices, locks and barriers live in
-//! [`sync`].
+//! [`fault`]; each synchronisation mechanism has its own file —
+//! [`interval`], [`notice`], [`lock`], [`barrier`] — over the runtime
+//! types of [`state`].
 
+mod barrier;
 mod degraded;
 mod exec;
 mod fault;
 mod home;
+mod interval;
+mod lock;
+mod notice;
+mod route;
 mod sched_view;
-mod sync;
+mod state;
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
-use genima_mem::{Diff, MemConfig, Page, PageId, PageMap, PageTable, PAGE_SIZE};
-use genima_nic::{Event as CommEvent, LockId, Post, Step, Tag, Upcall};
+use genima_mem::{MemConfig, PageId, PAGE_SIZE};
+use genima_nic::{ChainLock, Event as CommEvent, LockId, Post, Step, Tag};
 use genima_rnic::HwProfile;
-use genima_sim::{Dur, EventQueue, FixedState, InlineVec, Resource, Time};
+use genima_sim::{EventQueue, FixedState, InlineVec, Time};
 use genima_vmmc::Vmmc;
 
-use crate::breakdown::{Breakdown, Counters};
+pub(crate) use self::state::*;
+use crate::breakdown::Counters;
 use crate::config::{BarrierImpl, LockImpl, ProtoConfig};
 use crate::error::ProtoError;
 use crate::features::FeatureSet;
 use crate::ids::{BarrierId, NodeId, Topology};
-use crate::interval::{DirtySet, IntervalRecord, PendingInterval};
-use crate::ops::{Op, OpSource};
+use crate::interval::{DirtySet, IntervalRecord};
+use crate::ops::OpSource;
 use crate::report::RunReport;
 use crate::sched::{EventPicker, Mutation};
 use crate::trace::TraceEvent;
 use crate::vclock::VClock;
-use crate::version::VersionMap;
-
-/// Control flow of operation execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Flow {
-    /// Operation finished; keep executing.
-    Continue,
-    /// Execution must stop (blocked or resync scheduled).
-    Stop,
-}
-
-/// Which time bucket protocol work is charged to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Bucket {
-    AcqRel,
-    Barrier,
-}
 
 /// How remote lock acquires and releases are carried. Resolved once,
 /// at construction, from the feature set, the configured lock
 /// implementation and the hardware generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LockStrategy {
-    /// Base: host messages through the lock's home to the last
-    /// owner's protocol handler.
+    /// Base: the home + last-owner chain run by the hosts — host
+    /// messages through the lock's home to the last owner's protocol
+    /// handler.
     HostChain,
-    /// NIL: the home + last-owner chain in NI firmware.
+    /// NIL: the same chain run by the NI firmware.
     NiChain,
     /// NIL over remote atomics where the NI offers only
     /// fetch-and-store: test-and-set on the home cell, spinning with
@@ -158,284 +149,6 @@ impl SvmParams {
     }
 }
 
-/// Simulation events.
-#[derive(Debug)]
-pub(crate) enum SysEvent {
-    /// A communication-layer event.
-    Comm(CommEvent),
-    /// A communication-layer completion upcall.
-    Up(Upcall),
-    /// A process continues executing its operation stream.
-    Resume(usize),
-    /// The protocol handler of a node finished servicing the interrupt
-    /// a host message raised (Base-protocol paths only): carry out the
-    /// message's action. The last field is the operation id resolved
-    /// from the message's tag (0 = unattributed).
-    Job(usize, Pending, u64),
-    /// Re-issue a remote fetch that found a stale timestamp.
-    RetryFetch(usize, PageId),
-    /// Re-try a failed atomic test-and-set (remote-atomics locks).
-    RetrySpin(usize, LockId),
-}
-
-// Every push, slot sort and pop moves a whole queue entry, and each
-// wheel slot's first push allocates four of them: the two 88-byte
-// payloads (`Comm`, `Job`) set the size, and a wider variant must be
-// boxed rather than widen every event (DESIGN.md §23).
-const _: () = assert!(std::mem::size_of::<SysEvent>() <= 96);
-const _: () = assert!(EventQueue::<SysEvent>::ENTRY_BYTES <= 112);
-
-/// Correlation state for in-flight messages, keyed by tag.
-#[derive(Debug)]
-pub(crate) enum Pending {
-    /// Base: page request arriving at the home (host message).
-    PageRequestMsg {
-        requester: usize,
-        page: PageId,
-        required: VersionMap,
-    },
-    /// Base: page reply (deposit) arriving at the requester.
-    PageReply {
-        node: usize,
-        page: PageId,
-        ts: VersionMap,
-        data: Option<Page>,
-    },
-    /// RF: page fetch completion at the requester.
-    FetchPage { proc: usize, page: PageId },
-    /// DW: an interval record deposited into a node's notice region.
-    Notice {
-        node: usize,
-        writer: usize,
-        interval: u32,
-    },
-    /// Pull mode: a remote fetch of missing interval records completed.
-    NoticeFetch {
-        node: usize,
-        writer: usize,
-        upto: u32,
-    },
-    /// Base: a packed diff arriving at the home (host message).
-    DiffMsg {
-        writer: usize,
-        interval: u32,
-        page: PageId,
-        diff: Option<Diff>,
-    },
-    /// DD: the timestamp update that completes a direct-diff train.
-    DiffTsUpdate {
-        writer: usize,
-        interval: u32,
-        page: PageId,
-        diff: Option<Diff>,
-    },
-    /// Base: lock request arriving at the lock's home node.
-    LockRequestMsg {
-        lock: LockId,
-        proc: usize,
-        requester: usize,
-    },
-    /// Base: lock request forwarded to the last owner.
-    LockForwardMsg {
-        lock: LockId,
-        proc: usize,
-        requester: usize,
-        /// The chain node the forward was addressed to.
-        owner: usize,
-    },
-    /// Base: lock grant arriving back at the requester.
-    LockGrantMsg {
-        lock: LockId,
-        proc: usize,
-        vc: VClock,
-        upto: Vec<u32>,
-    },
-    /// NIL: an NI lock acquire in flight.
-    NiLockWait { proc: usize },
-    /// Remote-atomics lock mode: a test-and-set attempt in flight.
-    AtomicLockTry { proc: usize, lock: LockId },
-    /// Barrier arrival notification at the manager.
-    BarrierArriveMsg {
-        barrier: BarrierId,
-        proc: usize,
-        vc: VClock,
-        upto: Option<Vec<u32>>,
-    },
-    /// Barrier release notification at a node.
-    BarrierReleaseMsg {
-        barrier: BarrierId,
-        node: usize,
-        vc: VClock,
-        upto: Option<Vec<u32>>,
-    },
-}
-
-/// Why a process is blocked. Fault and lock waits carry the operation
-/// id allocated when the wait began, so the completion site can emit
-/// the root span (and any retries rebind their tags) without threading
-/// the id through every intermediate message.
-#[derive(Debug)]
-pub(crate) enum Block {
-    PageFault {
-        page: PageId,
-        write: bool,
-        started: Time,
-        op: u64,
-    },
-    LockWait {
-        lock: LockId,
-        started: Time,
-        op: u64,
-    },
-    NoticeWait {
-        started: Time,
-        reason: WaitReason,
-    },
-    BarrierWait {
-        barrier: BarrierId,
-        started: Time,
-    },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WaitReason {
-    Lock,
-    Barrier,
-}
-
-#[derive(Debug)]
-pub(crate) enum ProcState {
-    Runnable,
-    Blocked(Block),
-    Done,
-}
-
-/// Per-process runtime state.
-pub(crate) struct ProcRt {
-    pub(crate) clock: Time,
-    pub(crate) src: Box<dyn OpSource>,
-    /// Operation in progress (with byte progress), parked across
-    /// blocks and resyncs.
-    pub(crate) cur: Option<(Op, u64)>,
-    pub(crate) state: ProcState,
-    pub(crate) vc: VClock,
-    /// Per writer: highest interval whose record this process applied.
-    pub(crate) seen: Vec<u32>,
-    pub(crate) pt: PageTable,
-    /// Per page: the diffs (writer → interval) a valid copy must have.
-    pub(crate) required: PageMap<VersionMap>,
-    /// Open interval: dirty pages.
-    pub(crate) dirty: DirtySet,
-    /// Pages flushed early (mid-interval) that still need a notice.
-    pub(crate) flushed_early: Vec<PageId>,
-    /// Closed intervals whose diffs have not been flushed (lazy).
-    pub(crate) pending_intervals: Vec<PendingInterval>,
-    /// Records not yet propagated (Base piggyback path).
-    pub(crate) bd: Breakdown,
-    /// Accumulated interrupt-steal penalty applied to the next compute.
-    pub(crate) steal: Dur,
-    /// Set when the warmup barrier released; the breakdown is zeroed
-    /// when this process exits the barrier.
-    pub(crate) warmup_reset: bool,
-    /// Degraded mode: a lock acquire failed fast and the critical
-    /// section it guarded must be skipped. Holds the failed lock and
-    /// the acquire nesting depth; ops are consumed without executing
-    /// until the matching release brings the depth to zero.
-    pub(crate) skipping: Option<(LockId, u32)>,
-    /// While blocked on an in-flight fetch: the process that joined it
-    /// next (see [`Waiters`]). Taken when this process is woken.
-    pub(crate) next_waiter: Option<usize>,
-    pub(crate) finished_at: Option<Time>,
-}
-
-/// Node-level lock state (the SMP tier of HLRC-SMP).
-#[derive(Debug, Default)]
-pub(crate) struct NodeLock {
-    pub(crate) holder: Option<usize>,
-    pub(crate) local_waiters: VecDeque<usize>,
-    pub(crate) remote_waiters: VecDeque<(usize, usize, u64)>, // (node, proc, op)
-    /// Whether this node currently possesses the lock token.
-    pub(crate) owned: bool,
-    /// A remote request from this node is in flight; later local
-    /// acquirers must queue rather than double-request.
-    pub(crate) requesting: bool,
-}
-
-/// A node's cached copy of a remote page.
-#[derive(Default)]
-pub(crate) struct CopyState {
-    pub(crate) ts: VersionMap,
-    pub(crate) data: Option<Page>,
-}
-
-/// The processes blocked on one in-flight fetch, in wake order: the
-/// initiator, then the joiners as they arrived. A blocked process
-/// waits on exactly one fetch, so the FIFO is threaded through
-/// [`ProcRt::next_waiter`] and neither starting nor joining a fetch
-/// allocates.
-pub(crate) struct Waiters {
-    /// The process that issued the fetch.
-    pub(crate) lead: usize,
-    last: usize,
-}
-
-impl Waiters {
-    pub(crate) fn new(lead: usize) -> Waiters {
-        Waiters { lead, last: lead }
-    }
-
-    pub(crate) fn join(&mut self, procs: &mut [ProcRt], p: usize) {
-        procs[self.last].next_waiter = Some(p);
-        self.last = p;
-    }
-
-    pub(crate) fn iter<'a>(&self, procs: &'a [ProcRt]) -> impl Iterator<Item = usize> + 'a {
-        std::iter::successors(Some(self.lead), |&p| procs[p].next_waiter)
-    }
-}
-
-/// Per-node runtime state.
-pub(crate) struct NodeRt {
-    /// The floating protocol process servicing interrupts.
-    pub(crate) handler: Resource,
-    /// Per writer: highest interval whose record has arrived here.
-    pub(crate) arrived: Vec<u32>,
-    pub(crate) copies: PageMap<CopyState>,
-    /// Per page: the highest interval each *local* writer has flushed
-    /// to the home. A fetched copy must cover these — otherwise the
-    /// incoming version would roll back this node's own writes.
-    pub(crate) local_flushed: PageMap<VersionMap>,
-    /// Pages with an in-flight fetch and the processes waiting on it.
-    pub(crate) inflight: BTreeMap<PageId, Waiters>,
-    pub(crate) locks: Vec<NodeLock>,
-    /// Round-robin victim for interrupt-steal accounting.
-    pub(crate) steal_rr: usize,
-    /// Piggyback watermark: per destination node, per writer, the
-    /// highest interval already carried there by this node's messages.
-    pub(crate) sent_upto: Vec<Vec<u32>>,
-    /// NI-tree barriers: local arrivals collected per barrier — count
-    /// and joined vector clock. The last local arrival posts the
-    /// node's contribution to the firmware combining tree.
-    pub(crate) coll_arrivals: BTreeMap<BarrierId, (usize, VClock)>,
-}
-
-/// Protocol-level lock state.
-pub(crate) struct LockRt {
-    /// Timestamp travelling with the lock.
-    pub(crate) vc: VClock,
-    /// Base: the home's chain tail.
-    pub(crate) last_owner: usize,
-}
-
-/// One barrier's state at the manager.
-pub(crate) struct BarrierRt {
-    pub(crate) arrived: usize,
-    pub(crate) joined: VClock,
-    /// Completed episodes of this barrier (incremented at each release
-    /// decision); episode N's records share `op_barrier_id(b, N)`.
-    pub(crate) epoch: u64,
-}
-
 /// The complete simulated SVM cluster.
 ///
 /// Construct with [`SvmSystem::new`], optionally assign page homes
@@ -464,6 +177,9 @@ pub struct SvmSystem {
     pub(crate) procs: Vec<ProcRt>,
     pub(crate) nodes: Vec<NodeRt>,
     pub(crate) locks: Vec<LockRt>,
+    /// [`LockStrategy::HostChain`]: the lock chains the hosts run
+    /// (empty otherwise — under `NiChain` the NI owns them).
+    pub(crate) host_chains: Vec<ChainLock>,
     pub(crate) barriers: BTreeMap<BarrierId, BarrierRt>,
     /// Global store of interval records (content is immutable once
     /// created; visibility at each node is gated by `NodeRt::arrived`).
@@ -496,7 +212,7 @@ pub struct SvmSystem {
     /// and reset at the warmup barrier with the counters.
     pub(crate) op_hist: crate::report::OpLatency,
     /// Per-class serving-request latency histograms, fed by
-    /// [`Op::ServeEnd`] markers; reset with `op_hist`.
+    /// [`Op::ServeEnd`](crate::ops::Op::ServeEnd) markers; reset with `op_hist`.
     pub(crate) serve_hist: crate::report::ServeLatency,
     /// Degraded mode: locks whose token may be lost (an NI lock or
     /// atomics transaction was abandoned mid-flight). Later acquires
@@ -524,7 +240,7 @@ pub struct SvmSystem {
     pub(crate) diff_scratch: genima_mem::DiffScratch,
     /// A deliberately seeded protocol bug (checker validation only).
     pub(crate) mutation: Option<crate::sched::Mutation>,
-    /// Values recorded by [`Op::Observe`], per process in program
+    /// Values recorded by [`Op::Observe`](crate::ops::Op::Observe), per process in program
     /// order.
     pub(crate) observations: Vec<Vec<u64>>,
 }
@@ -556,62 +272,32 @@ impl SvmSystem {
             vmmc.comm_mut().set_coll_fanout(fanout);
         }
         vmmc.comm_mut().set_degraded(params.degraded);
-        let procs = sources
-            .into_iter()
-            .map(|src| ProcRt {
-                clock: Time::ZERO,
-                src,
-                cur: None,
-                state: ProcState::Runnable,
-                vc: VClock::new(nprocs),
-                seen: vec![0; nprocs],
-                pt: PageTable::new(),
-                required: PageMap::default(),
-                dirty: DirtySet::default(),
-                flushed_early: Vec::new(),
-                pending_intervals: Vec::new(),
-                bd: Breakdown::default(),
-                steal: Dur::ZERO,
-                warmup_reset: false,
-                skipping: None,
-                next_waiter: None,
-                finished_at: None,
-            })
-            .collect();
-        let nodes = (0..nnodes)
-            .map(|_| NodeRt {
-                handler: Resource::new("protocol-handler"),
-                arrived: vec![0; nprocs],
-                copies: PageMap::default(),
-                local_flushed: PageMap::default(),
-                inflight: BTreeMap::new(),
-                locks: (0..params.locks).map(|_| NodeLock::default()).collect(),
-                steal_rr: 0,
-                sent_upto: vec![vec![0; nprocs]; nnodes],
-                coll_arrivals: BTreeMap::new(),
-            })
-            .collect();
-        let locks = (0..params.locks)
-            .map(|i| LockRt {
-                vc: VClock::new(nprocs),
-                last_owner: i % nnodes,
-            })
-            .collect();
-        let mut nodes: Vec<NodeRt> = nodes;
-        // The NI firmware initialises each lock as owned by its home;
-        // mirror that at the protocol level.
-        for (i, l) in (0..params.locks).zip(0..) {
-            let _ = l;
-            let home = i % nnodes;
-            nodes[home].locks[i].owned = true;
-        }
+        let lock_strategy = LockStrategy::of(&params);
+        let host_chains = match lock_strategy {
+            LockStrategy::HostChain => (0..params.locks)
+                .map(|i| ChainLock::new(LockId::new(i), NodeId::new(i % nnodes).nic(), nnodes))
+                .collect(),
+            LockStrategy::NiChain | LockStrategy::AtomicSwapSpin | LockStrategy::AtomicCasWait => {
+                Vec::new()
+            }
+        };
         SvmSystem {
-            lock_strategy: LockStrategy::of(&params),
+            lock_strategy,
             vmmc,
             q: EventQueue::new(),
-            procs,
-            nodes,
-            locks,
+            procs: sources
+                .into_iter()
+                .map(|src| ProcRt::new(src, nprocs))
+                .collect(),
+            nodes: (0..nnodes)
+                .map(|_| NodeRt::new(nprocs, nnodes, params.locks))
+                .collect(),
+            locks: (0..params.locks)
+                .map(|_| LockRt {
+                    vc: VClock::new(nprocs),
+                })
+                .collect(),
+            host_chains,
             barriers: BTreeMap::new(),
             records: vec![BTreeMap::new(); nprocs],
             home_pages: home::HomeTable::default(),
@@ -743,7 +429,7 @@ impl SvmSystem {
     /// # Panics
     ///
     /// Panics if the event budget (`max_events`) is exceeded, which
-    /// indicates a protocol livelock, if a [`Op::Validate`] check
+    /// indicates a protocol livelock, if a [`Op::Validate`](crate::ops::Op::Validate) check
     /// fails, or if the communication layer reports an unrecoverable
     /// failure (use [`SvmSystem::try_run`] to handle that gracefully).
     pub fn run(&mut self) -> RunReport {
@@ -764,36 +450,44 @@ impl SvmSystem {
     /// # Panics
     ///
     /// Panics if the event budget (`max_events`) is exceeded, which
-    /// indicates a protocol livelock, or if a [`Op::Validate`] check
+    /// indicates a protocol livelock, or if a [`Op::Validate`](crate::ops::Op::Validate) check
     /// fails.
     pub fn try_run(&mut self) -> Result<RunReport, ProtoError> {
         for p in 0..self.procs.len() {
             self.q.push(Time::ZERO, SysEvent::Resume(p));
         }
         while let Some((t, ev)) = self.q.pop() {
-            assert!(
-                self.q.delivered() <= self.p.max_events,
-                "event budget exceeded: protocol livelock?"
-            );
-            self.dispatch(t, ev);
-            if let Some(err) = self.fatal.take() {
-                return Err(err);
-            }
+            self.step(t, ev)?;
         }
-        assert_eq!(
+        let blocked = self.unfinished();
+        assert!(
+            blocked.is_empty(),
+            "deadlock: {} of {} processes finished; blocked: {blocked:?}",
             self.done_count,
             self.procs.len(),
-            "deadlock: {} of {} processes finished; blocked: {:?}",
-            self.done_count,
-            self.procs.len(),
-            self.procs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| !matches!(p.state, ProcState::Done))
-                .map(|(i, p)| (i, format!("{:?}", p.state)))
-                .collect::<Vec<_>>()
         );
         Ok(self.build_report())
+    }
+
+    /// Delivers one event: dispatches it under the event budget and
+    /// surfaces a failure the communication layer reported.
+    fn step(&mut self, t: Time, ev: SysEvent) -> Result<(), ProtoError> {
+        assert!(
+            self.q.delivered() <= self.p.max_events,
+            "event budget exceeded: protocol livelock?"
+        );
+        self.dispatch(t, ev);
+        self.fatal.take().map_or(Ok(()), Err)
+    }
+
+    /// The processes that have not finished, with their states.
+    fn unfinished(&self) -> Vec<(usize, String)> {
+        self.procs
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| !matches!(p.state, ProcState::Done))
+            .map(|(i, p)| (i, format!("{:?}", p.state)))
+            .collect()
     }
 
     /// Runs the cluster under a controlled scheduler: at every step the
@@ -809,7 +503,7 @@ impl SvmSystem {
     /// # Panics
     ///
     /// Panics if the event budget (`max_events`) is exceeded, if a
-    /// [`Op::Validate`] check fails, or if the picker returns an
+    /// [`Op::Validate`](crate::ops::Op::Validate) check fails, or if the picker returns an
     /// out-of-range index.
     pub fn try_run_with_picker(
         &mut self,
@@ -835,26 +529,12 @@ impl SvmSystem {
                 .q
                 .remove_clamped(seq)
                 .expect("picked choice must be pending");
-            assert!(
-                self.q.delivered() <= self.p.max_events,
-                "event budget exceeded: protocol livelock?"
-            );
-            self.dispatch(t, ev);
-            if let Some(err) = self.fatal.take() {
-                return Err(err);
-            }
+            self.step(t, ev)?;
             step += 1;
         }
-        if self.done_count != self.procs.len() {
-            return Err(ProtoError::Deadlock {
-                blocked: self
-                    .procs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| !matches!(p.state, ProcState::Done))
-                    .map(|(i, p)| (i, format!("{:?}", p.state)))
-                    .collect(),
-            });
+        let blocked = self.unfinished();
+        if !blocked.is_empty() {
+            return Err(ProtoError::Deadlock { blocked });
         }
         Ok(self.build_report())
     }
@@ -865,7 +545,7 @@ impl SvmSystem {
         self.mutation = Some(m);
     }
 
-    /// Drains the values recorded by [`Op::Observe`], one vector per
+    /// Drains the values recorded by [`Op::Observe`](crate::ops::Op::Observe), one vector per
     /// process in program order.
     pub fn take_observations(&mut self) -> Vec<Vec<u64>> {
         std::mem::take(&mut self.observations)
@@ -985,219 +665,6 @@ impl SvmSystem {
             if self.home_override[i].is_none() {
                 self.home_override[i] = Some(NodeId::new(node));
             }
-        }
-    }
-
-    /// Charges an interrupt on `node` at `t` with handler service
-    /// `svc`, attributed to operation `op` (0 = unattributed); returns
-    /// the handler completion time. Also accrues the steal penalty the
-    /// interrupted compute processor suffers.
-    pub(crate) fn interrupt(&mut self, node: usize, t: Time, svc: Dur, op: u64) -> Time {
-        debug_assert!(
-            !self.p.features.interrupt_free(),
-            "GeNIMA must never take an interrupt"
-        );
-        self.counters.interrupts += 1;
-        self.emit(TraceEvent::Interrupt { at: t, node });
-        let lat = self.p.proto.interrupt_latency;
-        let node_rt = &mut self.nodes[node];
-        let (start, done) = node_rt.handler.reserve(t + lat, svc);
-        self.obs_record(|o| {
-            o.span_op(
-                genima_obs::SpanKind::Interrupt,
-                node,
-                genima_obs::Track::Host,
-                start,
-                done,
-                svc.as_ns(),
-                op,
-            );
-        });
-        let node_rt = &mut self.nodes[node];
-        // The floating protocol process preempts one compute processor.
-        let ppn = self.p.topo.procs_per_node;
-        let victim = node * ppn + node_rt.steal_rr % ppn;
-        node_rt.steal_rr = (node_rt.steal_rr + 1) % ppn;
-        self.procs[victim].steal += svc + self.p.proto.interrupt_steal;
-        done
-    }
-
-    /// Processes a communication upcall.
-    fn upcall(&mut self, t: Time, up: Upcall) {
-        match up {
-            Upcall::DepositArrived { tag, .. } | Upcall::FetchCompleted { tag, .. } => {
-                let op = self.take_op(tag);
-                if let Some(pending) = self.tags.remove(&tag.value()) {
-                    self.pending_arrived(t, pending, false, op);
-                }
-            }
-            Upcall::HostMsgArrived { tag, .. } => {
-                let op = self.take_op(tag);
-                if let Some(pending) = self.tags.remove(&tag.value()) {
-                    self.pending_arrived(t, pending, true, op);
-                }
-            }
-            Upcall::LockGranted { lock, tag, .. } => {
-                let _grant_op = self.take_op(tag);
-                if let Some(Pending::NiLockWait { proc }) = self.tags.remove(&tag.value()) {
-                    self.ni_lock_granted(t, proc, lock);
-                }
-            }
-            Upcall::LockDeparted { nic, lock } => {
-                self.nodes[nic.index()].locks[lock.index()].owned = false;
-            }
-            Upcall::CollCompleted { nic, coll, epoch } => {
-                self.coll_completed(t, nic.index(), coll, epoch);
-            }
-            Upcall::AtomicCompleted { tag, old, .. } => {
-                let _try_op = self.take_op(tag);
-                if let Some(Pending::AtomicLockTry { proc, lock }) = self.tags.remove(&tag.value())
-                {
-                    self.atomic_lock_result(t, proc, lock, old);
-                }
-            }
-            Upcall::PeerUnreachable { nic, peer, tag } => {
-                if self.p.degraded {
-                    self.degraded_give_up(t, nic, peer, tag);
-                } else {
-                    // Drop whatever completion the abandoned send was
-                    // carrying and abort the run: the peer is presumed
-                    // dead, so the completion will never arrive.
-                    let _lost_op = self.take_op(tag);
-                    self.tags.remove(&tag.value());
-                    self.fatal = Some(ProtoError::PeerUnreachable {
-                        node: nic.index(),
-                        peer: peer.index(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// The host handler a message needs when it arrives by host
-    /// message: the node whose protocol process takes the interrupt
-    /// and its service time. `None` for messages whose action needs no
-    /// handler however they arrive.
-    fn handler_of(&self, pending: &Pending) -> Option<(usize, Dur)> {
-        let proto = &self.p.proto;
-        match pending {
-            Pending::PageRequestMsg { page, .. } => {
-                Some((self.home_of(*page).index(), proto.svc_page_request))
-            }
-            Pending::DiffMsg { page, .. } => {
-                Some((self.home_of(*page).index(), self.p.mem.diff_apply))
-            }
-            Pending::LockRequestMsg { lock, .. } => {
-                Some((self.lock_home(*lock), proto.svc_lock_forward))
-            }
-            // Delivered to the last owner; the handler there services
-            // the grant.
-            Pending::LockForwardMsg { owner, .. } => Some((*owner, proto.svc_lock_grant)),
-            Pending::BarrierArriveMsg { .. } => Some((0, proto.svc_barrier_arrival)),
-            Pending::BarrierReleaseMsg { node, .. } => Some((*node, proto.svc_barrier_release)),
-            Pending::PageReply { .. }
-            | Pending::FetchPage { .. }
-            | Pending::Notice { .. }
-            | Pending::NoticeFetch { .. }
-            | Pending::DiffTsUpdate { .. }
-            | Pending::LockGrantMsg { .. }
-            | Pending::NiLockWait { .. }
-            | Pending::AtomicLockTry { .. } => None,
-        }
-    }
-
-    /// Routes an arrived message to its protocol action. `host` is
-    /// `true` when the message landed via the host-message path: its
-    /// action then waits for the interrupted node's handler
-    /// ([`SysEvent::Job`]). `op` is the operation the consumed tag was
-    /// bound to (0 = unattributed), forwarded so downstream handlers
-    /// keep the causal chain.
-    fn pending_arrived(&mut self, t: Time, pending: Pending, host: bool, op: u64) {
-        let handler = if host {
-            self.handler_of(&pending)
-        } else {
-            None
-        };
-        match handler {
-            Some((node, svc)) => {
-                let done = self.interrupt(node, t, svc, op);
-                self.q.push(done, SysEvent::Job(node, pending, op));
-            }
-            None => self.serve(t, pending, op),
-        }
-    }
-
-    /// Carries out the protocol action of an arrived message.
-    fn serve(&mut self, t: Time, pending: Pending, op: u64) {
-        match pending {
-            Pending::PageRequestMsg {
-                requester,
-                page,
-                required,
-            } => {
-                let home = self.home_of(page).index();
-                self.home_serve_page_request(t, home, requester, page, required, op);
-            }
-            Pending::PageReply {
-                node,
-                page,
-                ts,
-                data,
-            } => self.base_reply_arrived(t, node, page, ts, data, op),
-            Pending::FetchPage { proc, page } => self.rf_completed(t, proc, page, op),
-            Pending::Notice {
-                node,
-                writer,
-                interval: upto,
-            }
-            | Pending::NoticeFetch { node, writer, upto } => {
-                let a = &mut self.nodes[node].arrived[writer];
-                *a = (*a).max(upto);
-                self.check_notice_waiters(t, node);
-            }
-            Pending::DiffMsg {
-                writer,
-                interval,
-                page,
-                diff,
-            } => self.apply_diff_at_home(t, writer, interval, page, diff, false),
-            Pending::DiffTsUpdate {
-                writer,
-                interval,
-                page,
-                diff,
-            } => self.apply_diff_at_home(t, writer, interval, page, diff, true),
-            Pending::LockRequestMsg {
-                lock,
-                proc,
-                requester,
-            } => self.home_forward_lock(t, lock, proc, requester, op),
-            Pending::LockForwardMsg {
-                lock,
-                proc,
-                requester,
-                owner,
-            } => self.owner_service_lock(t, owner, lock, proc, requester, op),
-            Pending::LockGrantMsg {
-                lock,
-                proc,
-                vc,
-                upto,
-            } => self.base_grant_received(t, proc, lock, vc, upto),
-            Pending::NiLockWait { .. } => unreachable!("handled via LockGranted"),
-            Pending::AtomicLockTry { .. } => unreachable!("handled via AtomicCompleted"),
-            Pending::BarrierArriveMsg {
-                barrier,
-                proc,
-                vc,
-                upto,
-            } => self.manager_note_arrival(t, barrier, proc, vc, upto),
-            Pending::BarrierReleaseMsg {
-                barrier,
-                node,
-                vc,
-                upto,
-            } => self.release_at_node(t, barrier, node, &vc, upto, op),
         }
     }
 

@@ -4,7 +4,7 @@
 //! system; nothing here runs on a free-running simulation.
 
 use genima_mem::PageId;
-use genima_nic::{CollOp, Event as CommEvent, LockOp, MsgKind, Packet, Tag, Upcall};
+use genima_nic::{CollOp, Event as CommEvent, LockId, LockOp, MsgKind, Packet, Tag, Upcall};
 
 use super::{Pending, SvmSystem, SysEvent};
 use crate::ids::ProcId;
@@ -129,9 +129,10 @@ impl SvmSystem {
                 let (what, obj) = match pending {
                     Pending::PageRequestMsg { page, .. } => ("pagereq", self.page_obj(*page)),
                     Pending::DiffMsg { page, .. } => ("applydiff", self.page_obj(*page)),
-                    Pending::LockRequestMsg { lock, .. } | Pending::LockForwardMsg { lock, .. } => {
-                        ("lockjob", SchedObj::Lock { lock: lock.index() })
-                    }
+                    Pending::LockMsg {
+                        op: LockOp::Request { lock, .. } | LockOp::Transfer { lock, .. },
+                        ..
+                    } => ("lockjob", SchedObj::Lock { lock: lock.index() }),
                     Pending::BarrierArriveMsg { barrier, .. }
                     | Pending::BarrierReleaseMsg { barrier, .. } => (
                         "barrierjob",
@@ -144,7 +145,10 @@ impl SvmSystem {
                     | Pending::Notice { .. }
                     | Pending::NoticeFetch { .. }
                     | Pending::DiffTsUpdate { .. }
-                    | Pending::LockGrantMsg { .. }
+                    | Pending::LockMsg {
+                        op: LockOp::Grant { .. },
+                        ..
+                    }
                     | Pending::NiLockWait { .. }
                     | Pending::AtomicLockTry { .. } => {
                         unreachable!("{pending:?} needs no host handler")
@@ -261,28 +265,28 @@ impl SvmSystem {
                 format!("diffts w{writer}i{interval} {page:?}"),
                 vec![self.page_obj(*page)],
             ),
-            Pending::LockRequestMsg { lock, proc, .. } => (
-                format!("lockreq l{} p{proc}", lock.index()),
-                vec![
-                    SchedObj::Lock { lock: lock.index() },
-                    SchedObj::Node {
-                        node: self.lock_home(*lock),
-                    },
-                ],
-            ),
-            Pending::LockForwardMsg {
-                lock, proc, owner, ..
-            } => (
-                format!("lockfwd l{} p{proc}>n{owner}", lock.index()),
-                vec![
-                    SchedObj::Lock { lock: lock.index() },
-                    SchedObj::Node { node: *owner },
-                ],
-            ),
-            Pending::LockGrantMsg { lock, proc, .. } => (
-                format!("lockgrant l{} p{proc}", lock.index()),
-                self.lock_proc_fp(lock.index(), *proc),
-            ),
+            Pending::LockMsg { to, tag, op, .. } => {
+                let proc = tag.value() as usize;
+                let hop = |lock: &LockId| {
+                    vec![
+                        SchedObj::Lock { lock: lock.index() },
+                        SchedObj::Node { node: *to },
+                    ]
+                };
+                match op {
+                    LockOp::Request { lock, .. } => {
+                        (format!("lockreq l{} p{proc}", lock.index()), hop(lock))
+                    }
+                    LockOp::Transfer { lock, .. } => (
+                        format!("lockfwd l{} p{proc}>n{to}", lock.index()),
+                        hop(lock),
+                    ),
+                    LockOp::Grant { lock, .. } => (
+                        format!("lockgrant l{} p{proc}", lock.index()),
+                        self.lock_proc_fp(lock.index(), proc),
+                    ),
+                }
+            }
             Pending::NiLockWait { proc } => {
                 (format!("nilock p{proc}"), self.proc_fp(*proc).to_vec())
             }

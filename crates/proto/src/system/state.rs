@@ -1,0 +1,376 @@
+//! The system's runtime state: events, in-flight message records, and
+//! what is kept per process, per node, per lock and per barrier.
+
+use std::collections::{BTreeMap, VecDeque};
+
+use genima_mem::{Diff, Page, PageId, PageMap, PageTable};
+use genima_nic::{Event as CommEvent, LockId, LockOp, Tag, Upcall};
+use genima_sim::{Dur, EventQueue, Resource, Time};
+
+use crate::breakdown::Breakdown;
+use crate::ids::BarrierId;
+use crate::interval::{DirtySet, PendingInterval};
+use crate::ops::{Op, OpSource};
+use crate::vclock::VClock;
+use crate::version::VersionMap;
+
+/// Small fixed host costs not worth configuring.
+pub(crate) const EPS: Dur = Dur::from_ns(500);
+
+/// Control flow of operation execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flow {
+    /// Operation finished; keep executing.
+    Continue,
+    /// Execution must stop (blocked or resync scheduled).
+    Stop,
+}
+
+/// Which time bucket protocol work is charged to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Bucket {
+    AcqRel,
+    Barrier,
+}
+
+/// Who pays for protocol work done on behalf of others.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Sink {
+    /// A process pays on its own clock, into the given bucket.
+    Proc(usize, Bucket),
+    /// The node's protocol handler pays (Base interrupt paths); the
+    /// work also steals compute from a victim processor.
+    Handler(usize),
+}
+
+/// Simulation events.
+#[derive(Debug)]
+pub(crate) enum SysEvent {
+    /// A communication-layer event.
+    Comm(CommEvent),
+    /// A communication-layer completion upcall.
+    Up(Upcall),
+    /// A process continues executing its operation stream.
+    Resume(usize),
+    /// The protocol handler of a node finished servicing the interrupt
+    /// a host message raised (Base-protocol paths only): carry out the
+    /// message's action. The last field is the operation id resolved
+    /// from the message's tag (0 = unattributed).
+    Job(usize, Pending, u64),
+    /// Re-issue a remote fetch that found a stale timestamp.
+    RetryFetch(usize, PageId),
+    /// Re-try a failed atomic test-and-set (remote-atomics locks).
+    RetrySpin(usize, LockId),
+}
+
+// Every push, slot sort and pop moves a whole queue entry, and each
+// wheel slot's first push allocates four of them: the two 88-byte
+// payloads (`Comm`, `Job`) set the size, and a wider variant must be
+// boxed rather than widen every event (DESIGN.md §23).
+const _: () = assert!(std::mem::size_of::<SysEvent>() <= 96);
+const _: () = assert!(EventQueue::<SysEvent>::ENTRY_BYTES <= 112);
+
+/// Correlation state for in-flight messages, keyed by tag.
+#[derive(Debug)]
+pub(crate) enum Pending {
+    /// Base: page request arriving at the home (host message).
+    PageRequestMsg {
+        requester: usize,
+        page: PageId,
+        required: VersionMap,
+    },
+    /// Base: page reply (deposit) arriving at the requester.
+    PageReply {
+        node: usize,
+        page: PageId,
+        ts: VersionMap,
+        data: Option<Page>,
+    },
+    /// RF: page fetch completion at the requester.
+    FetchPage { proc: usize, page: PageId },
+    /// DW: an interval record deposited into a node's notice region.
+    Notice {
+        node: usize,
+        writer: usize,
+        interval: u32,
+    },
+    /// Pull mode: a remote fetch of missing interval records completed.
+    NoticeFetch {
+        node: usize,
+        writer: usize,
+        upto: u32,
+    },
+    /// Base: a packed diff arriving at the home (host message).
+    DiffMsg {
+        writer: usize,
+        interval: u32,
+        page: PageId,
+        diff: Option<Diff>,
+    },
+    /// DD: the timestamp update that completes a direct-diff train.
+    DiffTsUpdate {
+        writer: usize,
+        interval: u32,
+        page: PageId,
+        diff: Option<Diff>,
+    },
+    /// Base: a lock-chain message on its way to node `to` — the
+    /// request to the home, the transfer to the previous tail, or the
+    /// grant to the requester. `tag` names the acquiring process (what
+    /// the packet tag is to the NI's copy of these messages); a grant
+    /// also piggybacks the notices `to` has not been sent.
+    LockMsg {
+        to: usize,
+        tag: Tag,
+        op: LockOp,
+        upto: Option<Vec<u32>>,
+    },
+    /// NIL: an NI lock acquire in flight.
+    NiLockWait { proc: usize },
+    /// Remote-atomics lock mode: a test-and-set attempt in flight.
+    AtomicLockTry { proc: usize, lock: LockId },
+    /// Barrier arrival notification at the manager.
+    BarrierArriveMsg {
+        barrier: BarrierId,
+        proc: usize,
+        vc: VClock,
+        upto: Option<Vec<u32>>,
+    },
+    /// Barrier release notification at a node.
+    BarrierReleaseMsg {
+        barrier: BarrierId,
+        node: usize,
+        vc: VClock,
+        upto: Option<Vec<u32>>,
+    },
+}
+
+/// Why a process is blocked. Fault and lock waits carry the operation
+/// id allocated when the wait began, so the completion site can emit
+/// the root span (and any retries rebind their tags) without threading
+/// the id through every intermediate message.
+#[derive(Debug)]
+pub(crate) enum Block {
+    PageFault {
+        page: PageId,
+        write: bool,
+        started: Time,
+        op: u64,
+    },
+    LockWait {
+        lock: LockId,
+        started: Time,
+        op: u64,
+    },
+    NoticeWait {
+        started: Time,
+        reason: WaitReason,
+    },
+    BarrierWait {
+        barrier: BarrierId,
+        started: Time,
+    },
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WaitReason {
+    Lock,
+    Barrier,
+}
+
+#[derive(Debug)]
+pub(crate) enum ProcState {
+    Runnable,
+    Blocked(Block),
+    Done,
+}
+
+/// Per-process runtime state.
+pub(crate) struct ProcRt {
+    pub(crate) clock: Time,
+    pub(crate) src: Box<dyn OpSource>,
+    /// Operation in progress (with byte progress), parked across
+    /// blocks and resyncs.
+    pub(crate) cur: Option<(Op, u64)>,
+    pub(crate) state: ProcState,
+    pub(crate) vc: VClock,
+    /// Per writer: highest interval whose record this process applied.
+    pub(crate) seen: Vec<u32>,
+    pub(crate) pt: PageTable,
+    /// Per page: the diffs (writer → interval) a valid copy must have.
+    pub(crate) required: PageMap<VersionMap>,
+    /// Open interval: dirty pages.
+    pub(crate) dirty: DirtySet,
+    /// Pages flushed early (mid-interval) that still need a notice.
+    pub(crate) flushed_early: Vec<PageId>,
+    /// Closed intervals whose diffs have not been flushed (lazy).
+    pub(crate) pending_intervals: Vec<PendingInterval>,
+    pub(crate) bd: Breakdown,
+    /// Accumulated interrupt-steal penalty applied to the next compute.
+    pub(crate) steal: Dur,
+    /// Set when the warmup barrier released; the breakdown is zeroed
+    /// when this process exits the barrier.
+    pub(crate) warmup_reset: bool,
+    /// Degraded mode: a lock acquire failed fast and the critical
+    /// section it guarded must be skipped. Holds the failed lock and
+    /// the acquire nesting depth; ops are consumed without executing
+    /// until the matching release brings the depth to zero.
+    pub(crate) skipping: Option<(LockId, u32)>,
+    /// While blocked on an in-flight fetch: the process that joined it
+    /// next (see [`Waiters`]). Taken when this process is woken.
+    pub(crate) next_waiter: Option<usize>,
+    pub(crate) finished_at: Option<Time>,
+}
+
+impl ProcRt {
+    pub(crate) fn new(src: Box<dyn OpSource>, nprocs: usize) -> ProcRt {
+        ProcRt {
+            clock: Time::ZERO,
+            src,
+            cur: None,
+            state: ProcState::Runnable,
+            vc: VClock::new(nprocs),
+            seen: vec![0; nprocs],
+            pt: PageTable::new(),
+            required: PageMap::default(),
+            dirty: DirtySet::default(),
+            flushed_early: Vec::new(),
+            pending_intervals: Vec::new(),
+            bd: Breakdown::default(),
+            steal: Dur::ZERO,
+            warmup_reset: false,
+            skipping: None,
+            next_waiter: None,
+            finished_at: None,
+        }
+    }
+}
+
+/// Node-level lock state (the SMP tier of HLRC-SMP). Whether the node
+/// possesses the lock token is the lock chain's state, not kept here.
+#[derive(Debug, Default)]
+pub(crate) struct NodeLock {
+    pub(crate) holder: Option<usize>,
+    pub(crate) local_waiters: VecDeque<usize>,
+    /// A remote request from this node is in flight; later local
+    /// acquirers must queue rather than double-request.
+    pub(crate) requesting: bool,
+}
+
+/// A node's cached copy of a remote page.
+#[derive(Default)]
+pub(crate) struct CopyState {
+    pub(crate) ts: VersionMap,
+    pub(crate) data: Option<Page>,
+}
+
+/// The processes blocked on one in-flight fetch, in wake order: the
+/// initiator, then the joiners as they arrived. A blocked process
+/// waits on exactly one fetch, so the FIFO is threaded through
+/// [`ProcRt::next_waiter`] and neither starting nor joining a fetch
+/// allocates.
+pub(crate) struct Waiters {
+    /// The process that issued the fetch.
+    pub(crate) lead: usize,
+    last: usize,
+}
+
+impl Waiters {
+    pub(crate) fn new(lead: usize) -> Waiters {
+        Waiters { lead, last: lead }
+    }
+
+    pub(crate) fn join(&mut self, procs: &mut [ProcRt], p: usize) {
+        procs[self.last].next_waiter = Some(p);
+        self.last = p;
+    }
+
+    pub(crate) fn iter<'a>(&self, procs: &'a [ProcRt]) -> impl Iterator<Item = usize> + 'a {
+        std::iter::successors(Some(self.lead), |&p| procs[p].next_waiter)
+    }
+}
+
+/// Per-node runtime state.
+pub(crate) struct NodeRt {
+    /// The floating protocol process servicing interrupts.
+    pub(crate) handler: Resource,
+    /// Per writer: highest interval whose record has arrived here.
+    pub(crate) arrived: Vec<u32>,
+    pub(crate) copies: PageMap<CopyState>,
+    /// Per page: the highest interval each *local* writer has flushed
+    /// to the home. A fetched copy must cover these — otherwise the
+    /// incoming version would roll back this node's own writes.
+    pub(crate) local_flushed: PageMap<VersionMap>,
+    /// Pages with an in-flight fetch and the processes waiting on it.
+    pub(crate) inflight: BTreeMap<PageId, Waiters>,
+    pub(crate) locks: Vec<NodeLock>,
+    /// Round-robin victim for interrupt-steal accounting.
+    pub(crate) steal_rr: usize,
+    /// Piggyback watermark: per destination node, per writer, the
+    /// highest interval already carried there by this node's messages.
+    pub(crate) sent_upto: Vec<Vec<u32>>,
+    /// NI-tree barriers: local arrivals collected per barrier until
+    /// the last one posts the node's contribution to the firmware
+    /// combining tree.
+    pub(crate) coll_arrivals: BTreeMap<BarrierId, Arrivals>,
+}
+
+impl NodeRt {
+    pub(crate) fn new(nprocs: usize, nnodes: usize, locks: usize) -> NodeRt {
+        NodeRt {
+            handler: Resource::new("protocol-handler"),
+            arrived: vec![0; nprocs],
+            copies: PageMap::default(),
+            local_flushed: PageMap::default(),
+            inflight: BTreeMap::new(),
+            locks: (0..locks).map(|_| NodeLock::default()).collect(),
+            steal_rr: 0,
+            sent_upto: vec![vec![0; nprocs]; nnodes],
+            coll_arrivals: BTreeMap::new(),
+        }
+    }
+}
+
+/// Protocol-level lock state.
+pub(crate) struct LockRt {
+    /// Timestamp travelling with the lock.
+    pub(crate) vc: VClock,
+}
+
+/// The arrival combiner of a barrier: counts arrivals and joins their
+/// clocks until a quorum is in — every process at the host manager,
+/// a node's own processes in front of the NI combining tree.
+#[derive(Default)]
+pub(crate) struct Arrivals {
+    count: usize,
+    /// The clocks joined so far; `None` between episodes, so an
+    /// episode costs one clock however its barrier id is reused.
+    joined: Option<VClock>,
+}
+
+impl Arrivals {
+    /// Registers one arrival carrying `vc`. The `quorum`-th completes
+    /// the episode: it takes the joined clock and leaves the combiner
+    /// ready for the next episode.
+    pub(crate) fn arrive(&mut self, vc: &VClock, quorum: usize) -> Option<VClock> {
+        match &mut self.joined {
+            Some(joined) => joined.join(vc),
+            None => self.joined = Some(vc.clone()),
+        }
+        self.count += 1;
+        if self.count < quorum {
+            return None;
+        }
+        self.count = 0;
+        self.joined.take()
+    }
+}
+
+/// One barrier's state at the manager.
+#[derive(Default)]
+pub(crate) struct BarrierRt {
+    pub(crate) arrivals: Arrivals,
+    /// Completed episodes of this barrier (incremented at each release
+    /// decision); episode N's records share `op_barrier_id(b, N)`.
+    pub(crate) epoch: u64,
+}

@@ -647,3 +647,86 @@ fn joiners_of_one_fetch_wake_in_arrival_order() {
         assert_eq!(woken, vec![4, 5, 3], "{f}");
     }
 }
+
+/// Runs Base on `nodes` single-processor nodes, returning the host
+/// messages and interrupts it took and the order in which processes
+/// held `lock`.
+fn run_counting_host_hops(
+    nodes: usize,
+    lock: LockId,
+    srcs: Vec<Box<dyn OpSource>>,
+) -> (u64, u64, Vec<usize>) {
+    let mut p = params(FeatureSet::base(), nodes, 1);
+    p.data_mode = false;
+    let mut sys = SvmSystem::new(p, srcs);
+    for p in 0..nodes {
+        sys.q.push(Time::ZERO, SysEvent::Resume(p));
+    }
+    let (mut host_msgs, mut holders) = (0, Vec::new());
+    while let Some((t, ev)) = sys.q.pop() {
+        if matches!(ev, SysEvent::Up(genima_nic::Upcall::HostMsgArrived { .. })) {
+            host_msgs += 1;
+        }
+        sys.dispatch(t, ev);
+        let holder = (sys.nodes.iter()).find_map(|n| n.locks[lock.index()].holder);
+        if holder.is_some_and(|h| holders.last() != Some(&h)) {
+            holders.extend(holder);
+        }
+    }
+    assert_eq!(sys.done_count, nodes);
+    (host_msgs, sys.counters.interrupts, holders)
+}
+
+#[test]
+fn host_chain_hop_shapes_on_base() {
+    // Lock 0 is homed on node 0, which owns it at the start. Each
+    // listed process takes the lock once, 5 ms after the one before —
+    // long after that one released — so every acquire finds the lock
+    // free at the previous tail. The expectation is for the *last*
+    // acquire: (host messages, interrupts).
+    let l = LockId::new(0);
+    let shapes: [(&str, &[usize], (u64, u64)); 3] = [
+        // Request interrupts the home; the home hands over on the
+        // spot; the grant interrupts nobody (its receiver waits).
+        ("previous tail is the home", &[1], (2, 1)),
+        // The home queues itself; only the forward interrupts.
+        ("requester is the home", &[1, 0], (2, 1)),
+        // Request, forward and grant all cross the wire.
+        ("all three distinct", &[1, 2], (3, 2)),
+    ];
+    let mut first = (0, 0);
+    for (shape, order, expected) in shapes {
+        let srcs = (0..3)
+            .map(|p| match order.iter().position(|&q| q == p) {
+                Some(k) => boxed(vec![
+                    Op::Compute(genima_sim::Dur::from_ms(5 * k as u64)),
+                    Op::Acquire(l),
+                    Op::Release(l),
+                ]),
+                None => boxed(vec![]),
+            })
+            .collect();
+        let (msgs, intrs, holders) = run_counting_host_hops(3, l, srcs);
+        assert_eq!(holders, order, "{shape}");
+        let last = (msgs - first.0, intrs - first.1);
+        assert_eq!(last, expected, "{shape}");
+        if order.len() == 1 {
+            first = (msgs, intrs);
+        }
+    }
+
+    // Contended: the home holds the lock while p2 and then p1 ask for
+    // it. The home's handler queues them in the order their requests
+    // reached it, and the lock is held in that order.
+    let hold = |before_us, inside_us| {
+        boxed(vec![
+            Op::Compute(genima_sim::Dur::from_us(before_us)),
+            Op::Acquire(l),
+            Op::Compute(genima_sim::Dur::from_us(inside_us)),
+            Op::Release(l),
+        ])
+    };
+    let srcs = vec![hold(0, 2000), hold(400, 10), hold(100, 10)];
+    let (_, _, holders) = run_counting_host_hops(3, l, srcs);
+    assert_eq!(holders, [0, 2, 1]);
+}

@@ -1,4 +1,4 @@
-//! Repo automation. `cargo run -p xtask -- lint` enforces three rules
+//! Repo automation. `cargo run -p xtask -- lint` enforces four rules
 //! on the protocol hot paths (the NI communication layer and the SVM
 //! protocol engines):
 //!
@@ -14,6 +14,10 @@
 //!    wide variant widens every value (a never-built batch variant once
 //!    made each queued event 376 bytes instead of 112). Clippy's
 //!    200-byte threshold stays armed: box the wide variant. No waiver.
+//! 4. **No file over [`MAX_FILE_LINES`] lines.** The protocol engine
+//!    was once two 1200- and 1450-line files that each mixed four
+//!    mechanisms; a file that outgrows the limit is split by mechanism.
+//!    No waiver.
 //!
 //! The gate is scoped by directory ([`PROTOCOL_DIRS`], plus the single
 //! files of [`PROTOCOL_FILES`]), so splitting a file cannot drop
@@ -263,12 +267,23 @@ const RULES: &[(&str, Option<&str>, &str)] = &[
     ),
 ];
 
+/// Longest a covered file may be, tests and comments included.
+const MAX_FILE_LINES: usize = 800;
+
 /// Lints one file's contents, reporting findings under `name`. Rules
 /// match against the comment- and string-stripped view of each line;
 /// waivers match against the original line (they live in comments).
 fn lint_source(name: &str, source: &str) -> Vec<Finding> {
     let stripped = strip_noncode(source);
     let mut findings = Vec::new();
+    if let Some(line) = source.lines().nth(MAX_FILE_LINES) {
+        findings.push(Finding {
+            file: name.to_string(),
+            line: MAX_FILE_LINES + 1,
+            rule: "protocol file over 800 lines: split it by mechanism",
+            text: line.to_string(),
+        });
+    }
     let code_lines: Vec<&str> = stripped.lines().collect();
     for (i, (code, line)) in code_lines.iter().zip(source.lines()).enumerate() {
         // The first `#[cfg(test)]` on an inline item starts the test
@@ -615,6 +630,16 @@ mod tests {
     }
 
     #[test]
+    fn flags_a_file_that_outgrows_the_line_limit() {
+        let at_limit = "// filler\n".repeat(MAX_FILE_LINES);
+        assert!(lint_source("x.rs", &at_limit).is_empty());
+        let f = lint_source("x.rs", &(at_limit + "fn one_more() {}\n"));
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].line, MAX_FILE_LINES + 1);
+        assert!(f[0].rule.contains("split it by mechanism"));
+    }
+
+    #[test]
     fn comments_are_ignored() {
         let src = "// a doc note about .unwrap() and _ => arms\n\
                    /// same in doc comments: .unwrap()\n";
@@ -722,6 +747,10 @@ mod tests {
         for file in [
             "crates/nic/src/comm/transport.rs",
             "crates/proto/src/system/degraded.rs",
+            "crates/proto/src/system/interval.rs",
+            "crates/proto/src/system/notice.rs",
+            "crates/proto/src/system/lock.rs",
+            "crates/proto/src/system/barrier.rs",
             "crates/mem/src/diff.rs",
         ] {
             assert!(listed.iter().any(|f| f == file), "{file} left the gate");
