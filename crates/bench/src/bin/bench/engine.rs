@@ -168,14 +168,15 @@ pub fn run(args: &Args) -> BenchReport {
     // Per app: the allocations-per-event ceilings of its Base and
     // GeNIMA rows, 1.25 x the 0.66 / 0.63 / 0.30 / 0.31 measured at
     // PR 15 (1.23 / 1.15 / 0.62 / 0.63 at PR 13, 3.03 / 2.83 / 2.05 /
-    // 2.05 before it).
+    // 2.05 before it). PR 17 read 0.60 / 0.59 / 0.27 / 0.28; only
+    // fft/Base moved by more than a tenth, so only its ceiling did.
     let apps: Vec<(&str, Box<dyn App>, [f64; 2])> = vec![
         (
             "ocean",
             Box::new(OceanRowwise::with_grid(256, 8)),
             [0.83, 0.79],
         ),
-        ("fft", Box::new(Fft::with_points(1 << 16)), [0.37, 0.39]),
+        ("fft", Box::new(Fft::with_points(1 << 16)), [0.33, 0.39]),
     ];
     let mut stable = TextTable::new(vec!["system", "events", "events/sec", "allocs/ev"]);
     let mut failed = 0u64;

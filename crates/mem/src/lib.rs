@@ -17,6 +17,8 @@
 //!   byte ranges an interval modified without materialising page
 //!   contents (the run structure is what determines direct-diff
 //!   message counts),
+//! * **page columns** ([`PageVec`]) — per-page state stored dense,
+//!   indexed by page id, the one container keyed by a page,
 //! * a per-process **page protection state machine** ([`PageTable`],
 //!   [`Access`]) standing in for `mprotect`/SIGSEGV,
 //! * the **mprotect cost model** ([`MprotectModel`]) with the paper's
@@ -34,7 +36,7 @@ mod mprotect;
 mod pool;
 mod protect;
 
-pub use addr::{pages_in_range, Addr, PageId, PageMap, PAGE_SIZE};
+pub use addr::{pages_in_range, Addr, PageId, PageVec, PAGE_SIZE};
 pub use bus::BusModel;
 pub use config::MemConfig;
 pub use diff::{

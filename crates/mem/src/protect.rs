@@ -6,7 +6,7 @@
 //! process; the protocol layer decides when to upgrade or invalidate
 //! and charges [`MprotectModel`](crate::MprotectModel) costs.
 
-use crate::addr::{PageId, PageMap};
+use crate::addr::{PageId, PageVec};
 
 /// Hardware protection of one page for one process.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -50,9 +50,7 @@ impl Access {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
-    map: PageMap<Access>,
-    invalidations: u64,
-    upgrades: u64,
+    pages: PageVec<Access>,
 }
 
 impl PageTable {
@@ -61,53 +59,19 @@ impl PageTable {
         PageTable::default()
     }
 
+    /// Makes room for pages `0..extent` (see [`PageVec::size_to`]).
+    pub fn size_to(&mut self, extent: usize) {
+        self.pages.size_to(extent);
+    }
+
     /// Current protection of `page`.
     pub fn access(&self, page: PageId) -> Access {
-        self.map.get(&page).copied().unwrap_or_default()
+        self.pages.get(page).copied().unwrap_or_default()
     }
 
     /// Sets the protection of `page`, returning the previous value.
     pub fn set(&mut self, page: PageId, access: Access) -> Access {
-        let prev = self.map.insert(page, access).unwrap_or_default();
-        match (prev, access) {
-            (_, Access::None) if prev != Access::None => self.invalidations += 1,
-            (Access::None, Access::Read | Access::ReadWrite)
-            | (Access::Read, Access::ReadWrite) => self.upgrades += 1,
-            _ => {}
-        }
-        prev
-    }
-
-    /// Invalidates every page in `pages`, returning how many actually
-    /// changed protection (the number of `mprotect` calls needed
-    /// before coalescing).
-    pub fn invalidate_all<I: IntoIterator<Item = PageId>>(&mut self, pages: I) -> usize {
-        let mut changed = 0;
-        for p in pages {
-            if self.access(p) != Access::None {
-                self.set(p, Access::None);
-                changed += 1;
-            }
-        }
-        changed
-    }
-
-    /// Number of pages currently mapped with some access.
-    pub fn mapped(&self) -> usize {
-        self.map
-            .values()
-            .filter(|a| !matches!(a, Access::None))
-            .count()
-    }
-
-    /// Lifetime count of protection downgrades to `None`.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations
-    }
-
-    /// Lifetime count of protection upgrades.
-    pub fn upgrades(&self) -> u64 {
-        self.upgrades
+        self.pages.insert(page, access).unwrap_or_default()
     }
 }
 
@@ -117,9 +81,10 @@ mod tests {
 
     #[test]
     fn pages_start_invalid() {
-        let pt = PageTable::new();
+        let mut pt = PageTable::new();
         assert_eq!(pt.access(PageId::new(99)), Access::None);
-        assert_eq!(pt.mapped(), 0);
+        pt.size_to(128);
+        assert_eq!(pt.access(PageId::new(99)), Access::None);
     }
 
     #[test]
@@ -138,18 +103,7 @@ mod tests {
         let p = PageId::new(1);
         assert_eq!(pt.set(p, Access::Read), Access::None);
         assert_eq!(pt.set(p, Access::ReadWrite), Access::Read);
-        assert_eq!(pt.upgrades(), 2);
         assert_eq!(pt.set(p, Access::None), Access::ReadWrite);
-        assert_eq!(pt.invalidations(), 1);
-    }
-
-    #[test]
-    fn invalidate_all_counts_changes() {
-        let mut pt = PageTable::new();
-        pt.set(PageId::new(0), Access::Read);
-        pt.set(PageId::new(1), Access::ReadWrite);
-        let changed = pt.invalidate_all([PageId::new(0), PageId::new(1), PageId::new(2)]);
-        assert_eq!(changed, 2, "page 2 was already invalid");
-        assert_eq!(pt.mapped(), 0);
+        assert_eq!(pt.access(p), Access::None);
     }
 }

@@ -10,8 +10,6 @@
 //! none of the sequencing state exists: one `Delivered` event at the
 //! wire-accurate time, bit-identical to a build without fault support.
 
-use std::collections::HashSet;
-
 use genima_net::{Fate, FaultInjector, NetConfig, NetTiming, Network, NicId, PacketCtx};
 use genima_obs::{SpanKind, Track};
 use genima_sim::{Dur, InlineVec, Time};
@@ -41,6 +39,41 @@ pub struct RecoveryStats {
     pub mgmt_deliveries: u64,
 }
 
+/// The sequence numbers one channel's receiver has accounted for. A
+/// channel hands its numbers out 1, 2, 3, …, so the set is a watermark
+/// — every number up to it — plus the few numbers beyond it that
+/// overtook one still in flight: its memory follows the reordering
+/// window, not the number of packets the channel ever carried.
+#[derive(Debug, Default)]
+struct SeqWindow {
+    /// Every number `<= low` is in the set.
+    low: u64,
+    /// The numbers above `low` in the set, ascending.
+    above: Vec<u64>,
+}
+
+impl SeqWindow {
+    /// Adds `seq`; returns `true` if it was absent (the contract of
+    /// `HashSet::insert`).
+    fn insert(&mut self, seq: u64) -> bool {
+        if seq <= self.low {
+            return false;
+        }
+        let Err(at) = self.above.binary_search(&seq) else {
+            return false;
+        };
+        self.above.insert(at, seq);
+        // Slide the watermark over whatever is now contiguous with it.
+        let next = self.low + 1..;
+        let run = (self.above.iter().zip(next))
+            .take_while(|(&have, want)| have == *want)
+            .count();
+        self.above.drain(..run);
+        self.low += run as u64;
+        true
+    }
+}
+
 /// The fabric and the reliability state layered over it.
 #[derive(Debug)]
 pub(super) struct Transport {
@@ -54,7 +87,7 @@ pub(super) struct Transport {
     seq_next: Vec<u64>,
     /// Sequence numbers already processed at each destination, per
     /// channel — the receive-side duplicate-suppression table.
-    seen: Vec<HashSet<u64>>,
+    seen: Vec<SeqWindow>,
     recovery: RecoveryStats,
     /// Degraded-mode retransmission policy: when a send to a peer
     /// exhausts every attempt, *untagged* firmware control traffic
@@ -94,7 +127,7 @@ impl Comm {
         let channels = self.ports * self.ports;
         self.tx.injector = Some(injector);
         self.tx.seq_next = vec![0; channels];
-        self.tx.seen = (0..channels).map(|_| HashSet::new()).collect();
+        self.tx.seen = (0..channels).map(|_| SeqWindow::default()).collect();
     }
 
     /// Enables or disables the degraded-mode retransmission policy:
@@ -290,6 +323,11 @@ impl Comm {
                     .push((now + self.cfg.retry_timeout, Event::Delivered(pkt)));
                 return step;
             }
+            // Every attempt was dropped, so no copy of this number is in
+            // flight and none will arrive: close its hole, or the
+            // receiver's watermark would wait for it for ever.
+            let chan = pkt.src.index() * self.ports + pkt.dst.index();
+            self.tx.seen[chan].insert(pkt.seq);
             self.tx.recovery.unreachable += 1;
             step.upcalls.push((
                 now,
@@ -364,6 +402,8 @@ fn packet(src: NicId, desc: SendDesc, posted: Time, staged: Time) -> Packet {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::config::NicConfig;
 
@@ -432,6 +472,40 @@ mod tests {
             upcalls.extend(step.upcalls.into_iter().map(|(_, u)| u));
         }
         (upcalls, comm.recovery_stats())
+    }
+
+    proptest! {
+        /// `insert` answers as a `HashSet` does for every arrival, in
+        /// any order: number `i + 1` arrives `copies` times (late
+        /// originals, fabric duplicates), or — `copies == 0` — is given
+        /// up and never arrives. Once everything has arrived or been
+        /// given up the watermark has passed it all and nothing is
+        /// kept beyond it.
+        #[test]
+        fn prop_seq_window_matches_hash_set_oracle(fates in proptest::collection::vec(
+            (0u32..4, 0u32..1000, 0u32..1000), 1..60
+        )) {
+            let mut events = Vec::new();
+            for (i, &(copies, k1, k2)) in fates.iter().enumerate() {
+                let seq = i as u64 + 1;
+                let keys = [k1, k2, k1 / 2 + k2 / 2];
+                for &key in &keys[..copies.max(1) as usize] {
+                    events.push((key, seq, copies == 0));
+                }
+            }
+            events.sort_unstable();
+            let (mut window, mut oracle) = (SeqWindow::default(), std::collections::HashSet::new());
+            for (_, seq, given_up) in events {
+                if given_up {
+                    window.insert(seq);
+                } else {
+                    prop_assert_eq!(window.insert(seq), oracle.insert(seq));
+                }
+                prop_assert!(window.above.len() as u64 <= fates.len() as u64 - window.low);
+            }
+            prop_assert_eq!(window.low, fates.len() as u64);
+            prop_assert!(window.above.is_empty());
+        }
     }
 
     #[test]

@@ -2,19 +2,18 @@
 
 use genima_mem::{DirtyRanges, Page, PageId};
 
-use crate::ids::ProcId;
-
 /// A write-notice record: the set of pages one process modified in one
 /// interval. Propagated eagerly (remote deposit, DW protocols) or
 /// piggybacked on lock grants and barrier messages (Base).
+///
+/// Whose interval it is travels in the wire header and, in the store,
+/// is the record's position: a writer's interval numbers are
+/// consecutive from 1. That keeps a record at two words, which the
+/// store's per-writer vectors pay twice over as they double.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IntervalRecord {
-    /// The writing process.
-    pub writer: ProcId,
-    /// The writer's interval number (1-based).
-    pub interval: u32,
     /// Pages written in the interval, ascending.
-    pub pages: Vec<PageId>,
+    pub pages: Box<[PageId]>,
 }
 
 impl IntervalRecord {
@@ -124,9 +123,7 @@ mod tests {
     #[test]
     fn record_wire_size() {
         let r = IntervalRecord {
-            writer: ProcId::new(1),
-            interval: 3,
-            pages: vec![PageId::new(0), PageId::new(5)],
+            pages: [PageId::new(0), PageId::new(5)].into(),
         };
         assert_eq!(r.wire_bytes(16), 32);
     }

@@ -133,7 +133,7 @@ impl SvmSystem {
     /// access dropped. Page state is untouched (no copy installed, no
     /// protection change), so a later access simply re-faults.
     fn fail_fetch(&mut self, t: Time, node: usize, page: PageId) {
-        let Some(waiters) = self.nodes[node].inflight.remove(&page) else {
+        let Some(waiters) = self.nodes[node].inflight.take(page) else {
             // Already satisfied by another path (e.g. a duplicate).
             self.counters.degraded_lost_msgs += 1;
             return;

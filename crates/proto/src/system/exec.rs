@@ -316,41 +316,22 @@ impl SvmSystem {
     /// Reads `len` bytes of `page` as visible to `p`'s node.
     pub(crate) fn read_bytes(&self, p: usize, page: PageId, off: usize, len: usize) -> &[u8] {
         let node = self.p.topo.node_of(crate::ids::ProcId::new(p)).index();
-        let home = self.home_of(page).index();
-        let data = if home == node {
-            self.home_pages.get(page).and_then(|h| h.data.as_ref())
-        } else {
-            self.nodes[node]
-                .copies
-                .get(&page)
-                .and_then(|c| c.data.as_ref())
-        };
+        let data = self.node_copy(node, page).and_then(|c| c.data.as_ref());
         data.map(|d| d.read(off, len)).unwrap_or(&ZEROS[..len])
     }
 
-    /// Writes bytes into the node-visible copy of `page`.
+    /// Writes bytes into `node`'s copy of `page` — the write side of
+    /// [`SvmSystem::node_copy`], choosing the table by field so the
+    /// page pool stays borrowable beside it.
     pub(crate) fn write_bytes(&mut self, node: usize, page: PageId, off: usize, data: &[u8]) {
-        let home = self.home_of(page).index();
-        if home == node {
-            let hp = self.home_pages.slot_mut(page);
-            if hp.data.is_none() {
-                *hp.data = Some(self.pool.zeroed());
-            }
-            if let Some(d) = hp.data.as_mut() {
-                d.write(off, data);
-            }
+        let copy = if self.home_of(page).index() == node {
+            self.home_pages.copies.slot(page)
         } else {
-            let c = self.nodes[node]
-                .copies
-                .get_mut(&page)
-                .expect("write to a page the node has no copy of");
-            if c.data.is_none() {
-                c.data = Some(self.pool.zeroed());
-            }
-            if let Some(d) = c.data.as_mut() {
-                d.write(off, data);
-            }
-        }
+            let cached = self.nodes[node].copies.get_mut(page);
+            cached.expect("write to a page the node has no copy of")
+        };
+        let dst = copy.data.get_or_insert_with(|| self.pool.zeroed());
+        dst.write(off, data);
     }
 }
 

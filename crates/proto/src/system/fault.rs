@@ -1,6 +1,6 @@
 //! Page faults, fetches, and diff application at the home.
 
-use genima_mem::{Access, Diff, Page, PageId};
+use genima_mem::{Access, Diff, Page, PageId, PagePool};
 use genima_nic::Tag;
 use genima_sim::Time;
 
@@ -44,88 +44,47 @@ impl SvmSystem {
             return Flow::Continue;
         }
 
-        let home = self.home_of(page).index();
-
-        if node == home {
-            let applied = &*self.home_pages.slot_mut(page).applied;
-            if Self::covers_node_required(applied, &self.procs[p], &self.nodes[node], page) {
-                // Home-local fault: protection change only.
-                let mpro = self.p.mem.mprotect.cost(1);
-                let mut cost = trap + self.p.proto.fault_finish + mpro;
-                if write {
-                    cost += self.p.mem.twin_copy;
-                }
-                self.procs[p].clock += cost;
-                self.procs[p].bd.data += trap + self.p.proto.fault_finish + mpro;
-                if write {
-                    self.procs[p].bd.acqrel += self.p.mem.twin_copy;
-                }
-                self.procs[p].bd.mprotect += mpro;
-                self.counters.mprotect_calls += 1;
-                if write {
-                    self.make_writable(p, node, page);
-                } else {
-                    self.procs[p].pt.set(page, Access::Read);
-                }
-                return Flow::Continue;
+        if self.node_copy(node, page).is_some_and(|c| {
+            Self::covers_node_required(&c.ts, &self.procs[p], &self.nodes[node], page)
+        }) {
+            // Valid copy on the node: protection change only.
+            let mpro = self.p.mem.mprotect.cost(1);
+            let mut cost = trap + self.p.proto.fault_finish + mpro;
+            if write {
+                cost += self.p.mem.twin_copy;
             }
-            // Wait for missing diffs to reach the home copy. Waiters
-            // joining an existing wait share the first waiter's op so
-            // the whole group traces as one operation.
-            self.procs[p].clock += trap;
-            self.procs[p].bd.data += trap;
-            self.procs[p].cur = Some((op, prog));
-            let fetch_op = match self
-                .home_pages
-                .get(page)
-                .and_then(|h| h.waiters.first())
-                .copied()
-            {
-                Some(lead) => self.fetch_op_of(lead),
-                None => self.next_fetch_op(),
-            };
-            self.procs[p].state = ProcState::Blocked(Block::PageFault {
-                page,
-                write,
-                started: now,
-                op: fetch_op,
-            });
-            self.home_pages.slot_mut(page).waiters.push(p);
-            return Flow::Stop;
+            self.procs[p].clock += cost;
+            self.procs[p].bd.data += trap + self.p.proto.fault_finish + mpro;
+            if write {
+                self.procs[p].bd.acqrel += self.p.mem.twin_copy;
+            }
+            self.procs[p].bd.mprotect += mpro;
+            self.counters.mprotect_calls += 1;
+            if write {
+                self.make_writable(p, node, page);
+            } else {
+                self.procs[p].pt.set(page, Access::Read);
+            }
+            return Flow::Continue;
         }
 
-        // Valid cached node copy?
-        if let Some(copy) = self.nodes[node].copies.get(&page) {
-            if Self::covers_node_required(&copy.ts, &self.procs[p], &self.nodes[node], page) {
-                let mpro = self.p.mem.mprotect.cost(1);
-                let mut cost = trap + self.p.proto.fault_finish + mpro;
-                if write {
-                    cost += self.p.mem.twin_copy;
-                }
-                self.procs[p].clock += cost;
-                self.procs[p].bd.data += trap + self.p.proto.fault_finish + mpro;
-                if write {
-                    self.procs[p].bd.acqrel += self.p.mem.twin_copy;
-                }
-                self.procs[p].bd.mprotect += mpro;
-                self.counters.mprotect_calls += 1;
-                if write {
-                    self.make_writable(p, node, page);
-                } else {
-                    self.procs[p].pt.set(page, Access::Read);
-                }
-                return Flow::Continue;
-            }
-        }
-
-        // Remote fetch needed. A process joining an in-flight fetch
-        // shares the initiator's op; the initiator allocates a fresh
-        // one.
+        // Block: at the home until the missing diffs reach its copy,
+        // elsewhere on a fetch. A process joining an existing wait
+        // shares the first waiter's op, so the whole group traces as
+        // one operation; the first allocates a fresh one.
         self.procs[p].clock += trap;
         self.procs[p].bd.data += trap;
         self.procs[p].cur = Some((op, prog));
-        let fetch_op = match self.nodes[node].inflight.get(&page) {
-            Some(w) => self.fetch_op_of(w.lead),
+        let home = self.home_of(page).index();
+        let at_home = node == home;
+        let lead = if at_home {
+            let waiters = self.home_pages.waiters.get(page);
+            waiters.and_then(|w| w.first()).copied()
+        } else {
+            self.nodes[node].inflight.get(page).map(|w| w.lead)
+        };
+        let fetch_op = match lead {
+            Some(lead) => self.fetch_op_of(lead),
             None => self.next_fetch_op(),
         };
         self.procs[p].state = ProcState::Blocked(Block::PageFault {
@@ -134,56 +93,73 @@ impl SvmSystem {
             started: now,
             op: fetch_op,
         });
-        if let Some(waiters) = self.nodes[node].inflight.get_mut(&page) {
+        if at_home {
+            self.home_pages.waiters.slot(page).push(p);
+        } else if let Some(waiters) = self.nodes[node].inflight.get_mut(page) {
             waiters.join(&mut self.procs, p);
-            return Flow::Stop;
-        }
-        self.nodes[node].inflight.insert(page, Waiters::new(p));
-        if self.p.features.rf {
-            self.issue_rf(now, p, page);
         } else {
-            let tag = self.tag_op(
-                Pending::PageRequestMsg {
-                    requester: node,
-                    page,
-                    required: self.node_required(node, p, page),
-                },
-                fetch_op,
-            );
-            let bytes = self.p.proto.control_msg_bytes;
-            let post = self.vmmc.host_msg(
-                now,
-                crate::ids::NodeId::new(node).nic(),
-                crate::ids::NodeId::new(home).nic(),
-                bytes,
-                tag,
-            );
-            self.absorb_post(post);
+            self.nodes[node].inflight.insert(page, Waiters::new(p));
+            if self.p.features.rf {
+                self.issue_rf(now, p, page);
+            } else {
+                let required = self.node_required(node, p, page);
+                self.request_page(now, node, page, required, fetch_op);
+            }
         }
         Flow::Stop
+    }
+
+    /// Base: asks `page`'s home for a copy at `required` or newer, on
+    /// behalf of fetch op `op`.
+    fn request_page(&mut self, t: Time, node: usize, page: PageId, required: VersionMap, op: u64) {
+        let home = self.home_of(page);
+        let tag = self.tag_op(
+            Pending::PageRequestMsg {
+                requester: node,
+                page,
+                required,
+            },
+            op,
+        );
+        let bytes = self.p.proto.control_msg_bytes;
+        let post = self.vmmc.host_msg(
+            t,
+            crate::ids::NodeId::new(node).nic(),
+            home.nic(),
+            bytes,
+            tag,
+        );
+        self.absorb_post(post);
+    }
+
+    /// A fetched version did not cover what its waiters need: count
+    /// the retry and mark it on fetch op `op`'s timeline.
+    fn note_fetch_retry(&mut self, t: Time, node: usize, page: PageId, op: u64) {
+        self.counters.fetch_retries += 1;
+        self.obs_record(|o| {
+            o.instant_op(
+                genima_obs::SpanKind::FetchRetry,
+                node,
+                genima_obs::Track::Host,
+                t,
+                page.index() as u64,
+                op,
+            );
+        });
     }
 
     /// Marks `page` writable for `p`, creating the twin and dirty
     /// entry.
     fn make_writable(&mut self, p: usize, node: usize, page: PageId) {
         self.procs[p].pt.set(page, Access::ReadWrite);
-        let twin = if self.p.data_mode {
-            let home = self.home_of(page).index();
-            let src = if home == node {
-                self.home_pages.get(page).and_then(|h| h.data.as_ref())
-            } else {
-                self.nodes[node]
-                    .copies
-                    .get(&page)
-                    .and_then(|c| c.data.as_ref())
-            };
-            Some(match src {
-                Some(data) => self.pool.copy_of(data),
-                None => self.pool.zeroed(),
-            })
-        } else {
-            None
-        };
+        let twin = self.p.data_mode.then(|| {
+            // The source borrows the system: take the pool out beside it.
+            let mut pool = std::mem::take(&mut self.pool);
+            let src = self.node_copy(node, page).and_then(|c| c.data.as_ref());
+            let twin = pooled_copy(&mut pool, src);
+            self.pool = pool;
+            twin
+        });
         self.procs[p].dirty.insert(
             page,
             DirtyPage {
@@ -198,7 +174,7 @@ impl SvmSystem {
     /// channel, so the page arrives last (§2, "Remote fetch").
     pub(crate) fn issue_rf(&mut self, now: Time, p: usize, page: PageId) {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
-        if !self.nodes[node].inflight.contains_key(&page) {
+        if self.nodes[node].inflight.get(page).is_none() {
             return; // fetch already satisfied by another path
         }
         let home = self.home_of(page).index();
@@ -239,42 +215,15 @@ impl SvmSystem {
         op: u64,
     ) {
         if Self::covers_inflight_required(&ts, &self.procs, &self.nodes[node], page) {
-            self.nodes[node].copies.entry(page).or_default().ts = ts;
+            self.nodes[node].copies.slot(page).ts = ts;
             self.install_copy(t, node, page, data);
             return;
         }
         // Stale reply: ask the home again with the tightened
         // requirement (served once the missing diffs are applied).
         let need = self.inflight_required(node, page);
-        self.counters.fetch_retries += 1;
-        self.obs_record(|o| {
-            o.instant_op(
-                genima_obs::SpanKind::FetchRetry,
-                node,
-                genima_obs::Track::Host,
-                t,
-                page.index() as u64,
-                op,
-            );
-        });
-        let home = self.home_of(page).index();
-        let tag = self.tag_op(
-            Pending::PageRequestMsg {
-                requester: node,
-                page,
-                required: need,
-            },
-            op,
-        );
-        let bytes = self.p.proto.control_msg_bytes;
-        let post = self.vmmc.host_msg(
-            t,
-            crate::ids::NodeId::new(node).nic(),
-            crate::ids::NodeId::new(home).nic(),
-            bytes,
-            tag,
-        );
-        self.absorb_post(post);
+        self.note_fetch_retry(t, node, page, op);
+        self.request_page(t, node, page, need, op);
     }
 
     /// The joined version requirement of every process waiting on an
@@ -284,12 +233,12 @@ impl SvmSystem {
     fn inflight_required(&self, node: usize, page: PageId) -> VersionMap {
         let mut need = self.nodes[node]
             .local_flushed
-            .get(&page)
+            .get(page)
             .cloned()
             .unwrap_or_default();
-        let waiters = self.nodes[node].inflight.get(&page);
+        let waiters = self.nodes[node].inflight.get(page);
         for w in waiters.into_iter().flat_map(|w| w.iter(&self.procs)) {
-            if let Some(req) = self.procs[w].required.get(&page) {
+            if let Some(req) = self.procs[w].required.get(page) {
                 need.join(req);
             }
         }
@@ -304,48 +253,34 @@ impl SvmSystem {
         node: &NodeRt,
         page: PageId,
     ) -> bool {
-        let waiters = node.inflight.get(&page).into_iter();
+        let waiters = node.inflight.get(page).into_iter();
         let covers = |req: Option<&VersionMap>| req.is_none_or(|req| have.covers(req));
-        covers(node.local_flushed.get(&page))
+        covers(node.local_flushed.get(page))
             && waiters
                 .flat_map(|w| w.iter(procs))
-                .all(|w| covers(procs[w].required.get(&page)))
+                .all(|w| covers(procs[w].required.get(page)))
     }
 
     /// A remote-fetched page arrived; validate its timestamp against
     /// every waiter's requirement and either install it or retry.
     pub(crate) fn rf_completed(&mut self, t: Time, proc: usize, page: PageId, op: u64) {
         let node = self.p.topo.node_of(ProcId::new(proc)).index();
-        if !self.nodes[node].inflight.contains_key(&page) {
+        if self.nodes[node].inflight.get(page).is_none() {
             return; // superseded
         }
-        let hp = self.home_pages.slot_mut(page);
-        if Self::covers_inflight_required(hp.applied, &self.procs, &self.nodes[node], page) {
+        let hp = self.home_pages.copies.slot(page);
+        if Self::covers_inflight_required(&hp.ts, &self.procs, &self.nodes[node], page) {
             // The copy takes the home's version into the buffer its
             // previous version left behind.
-            let copy = self.nodes[node].copies.entry(page).or_default();
-            copy.ts.clone_from(hp.applied);
-            let data = if self.p.data_mode {
-                Some(match hp.data.as_ref() {
-                    Some(d) => self.pool.copy_of(d),
-                    None => self.pool.zeroed(),
-                })
-            } else {
-                None
-            };
+            let copy = self.nodes[node].copies.slot(page);
+            copy.ts.clone_from(&hp.ts);
+            let data = self
+                .p
+                .data_mode
+                .then(|| pooled_copy(&mut self.pool, hp.data.as_ref()));
             self.install_copy(t, node, page, data);
         } else {
-            self.counters.fetch_retries += 1;
-            self.obs_record(|o| {
-                o.instant_op(
-                    genima_obs::SpanKind::FetchRetry,
-                    node,
-                    genima_obs::Track::Host,
-                    t,
-                    page.index() as u64,
-                    op,
-                );
-            });
+            self.note_fetch_retry(t, node, page, op);
             self.q.push(
                 t + self.p.proto.fetch_retry_backoff,
                 SysEvent::RetryFetch(proc, page),
@@ -356,7 +291,7 @@ impl SvmSystem {
     /// Installs a fetched page into the node cache and wakes the
     /// processes blocked on it. The caller has already stored the
     /// fetched version in the copy's `ts` (moved out of a reply, or
-    /// copied from the home's `applied` in place).
+    /// copied from the home copy's in place).
     pub(crate) fn install_copy(
         &mut self,
         t: Time,
@@ -371,7 +306,7 @@ impl SvmSystem {
         if let Some(incoming) = data.as_mut() {
             let old = self.nodes[node]
                 .copies
-                .get(&page)
+                .get(page)
                 .and_then(|c| c.data.as_ref());
             if let Some(old) = old {
                 let mut scratch = std::mem::take(&mut self.diff_scratch);
@@ -403,12 +338,12 @@ impl SvmSystem {
                 self.diff_scratch = scratch;
             }
         }
-        let copy = self.nodes[node].copies.entry(page).or_default();
+        let copy = self.nodes[node].copies.slot(page);
         if let Some(old_data) = std::mem::replace(&mut copy.data, data) {
             self.pool.recycle(old_data);
         }
         if self.trace.is_some() {
-            let ts = self.nodes[node].copies[&page].ts.iter().collect();
+            let ts = copy.ts.iter().collect();
             let required = self.inflight_required(node, page).iter().collect();
             self.emit(TraceEvent::PageInstalled {
                 at: t,
@@ -418,7 +353,7 @@ impl SvmSystem {
                 required,
             });
         }
-        let mut next = self.nodes[node].inflight.remove(&page).map(|w| w.lead);
+        let mut next = self.nodes[node].inflight.take(page).map(|w| w.lead);
         while let Some(p) = next {
             next = self.procs[p].next_waiter.take();
             self.complete_fault(t, p, page);
@@ -438,13 +373,8 @@ impl SvmSystem {
         };
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         if self.trace.is_some() {
-            let home = self.home_of(page).index();
-            let ts = if home == node {
-                self.home_pages.get(page).map(|h| h.applied)
-            } else {
-                self.nodes[node].copies.get(&page).map(|c| &c.ts)
-            };
-            let ts = ts.into_iter().flat_map(VersionMap::iter).collect();
+            let copy = self.node_copy(node, page);
+            let ts = copy.into_iter().flat_map(|c| c.ts.iter()).collect();
             let required = self.node_required(node, p, page).iter().collect();
             self.emit(TraceEvent::FaultDone {
                 at: t,
@@ -499,26 +429,22 @@ impl SvmSystem {
         required: VersionMap,
         op: u64,
     ) {
-        let hp = self.home_pages.slot_mut(page);
-        if hp.applied.covers(&required) {
+        if self.home_pages.copies.slot(page).ts.covers(&required) {
             self.reply_page(t, home, requester, page, op);
         } else {
-            hp.pending_reqs.push((requester, required, op));
+            let deferred = self.home_pages.pending_reqs.slot(page);
+            deferred.push((requester, required, op));
         }
     }
 
     /// Sends the home copy of `page` and its version to `requester`.
     fn reply_page(&mut self, t: Time, home: usize, requester: usize, page: PageId, op: u64) {
-        let hp = self.home_pages.slot_mut(page);
-        let ts = hp.applied.clone();
-        let data = if self.p.data_mode {
-            Some(match hp.data.as_ref() {
-                Some(d) => self.pool.copy_of(d),
-                None => self.pool.zeroed(),
-            })
-        } else {
-            None
-        };
+        let hp = self.home_pages.copies.slot(page);
+        let ts = hp.ts.clone();
+        let data = self
+            .p
+            .data_mode
+            .then(|| pooled_copy(&mut self.pool, hp.data.as_ref()));
         let tag = self.tag_op(
             Pending::PageReply {
                 node: requester,
@@ -547,10 +473,10 @@ impl SvmSystem {
     pub(crate) fn node_required(&self, node: usize, p: usize, page: PageId) -> VersionMap {
         let mut req = self.procs[p]
             .required
-            .get(&page)
+            .get(page)
             .cloned()
             .unwrap_or_default();
-        if let Some(lf) = self.nodes[node].local_flushed.get(&page) {
+        if let Some(lf) = self.nodes[node].local_flushed.get(page) {
             req.join(lf);
         }
         req
@@ -559,10 +485,10 @@ impl SvmSystem {
     /// Returns `true` if `have` covers [`Self::node_required`],
     /// without building it: covering a join is covering each operand.
     fn covers_node_required(have: &VersionMap, proc: &ProcRt, node: &NodeRt, page: PageId) -> bool {
-        proc.required.get(&page).is_none_or(|r| have.covers(r))
+        proc.required.get(page).is_none_or(|r| have.covers(r))
             && node
                 .local_flushed
-                .get(&page)
+                .get(page)
                 .is_none_or(|lf| have.covers(lf))
     }
 
@@ -587,11 +513,8 @@ impl SvmSystem {
         diff: Option<Diff>,
         deposited: bool,
     ) {
-        let stale = self
-            .home_pages
-            .get(page)
-            .is_some_and(|h| interval < h.applied.get(writer as u32));
-        if stale {
+        let hp = self.home_pages.copies.get(page);
+        if hp.is_some_and(|h| interval < h.ts.get(writer as u32)) {
             return;
         }
         self.emit(TraceEvent::DiffApplied {
@@ -634,32 +557,24 @@ impl SvmSystem {
                 );
             }
         });
-        let data_mode = self.p.data_mode;
-        let hp = self.home_pages.slot_mut(page);
-        if let Some(d) = diff {
-            if data_mode {
-                if hp.data.is_none() {
-                    *hp.data = Some(self.pool.zeroed());
-                }
-                if let Some(dst) = hp.data.as_mut() {
-                    d.apply(dst);
-                }
-            }
+        let hp = self.home_pages.copies.slot(page);
+        if let (Some(d), true) = (diff, self.p.data_mode) {
+            d.apply(hp.data.get_or_insert_with(|| self.pool.zeroed()));
         }
-        hp.applied.raise(writer as u32, interval);
+        hp.ts.raise(writer as u32, interval);
 
         // Decide who the new version satisfies, then wake them. Nothing
-        // below advances `applied` for this page (completing a fault or
+        // below advances the home copy's version (completing a fault or
         // sending a reply only reads it), so deciding first is exact and
         // needs no snapshot of the version.
-        let applied = &*hp.applied;
+        let applied = &hp.ts;
         let procs = &self.procs;
         let mut woken = std::mem::take(&mut self.scratch_procs);
         woken.clear();
-        hp.waiters.retain(|&p| {
+        self.home_pages.waiters.slot(page).retain(|&p| {
             let ready = procs[p]
                 .required
-                .get(&page)
+                .get(page)
                 .is_none_or(|req| applied.covers(req));
             if ready {
                 woken.push(p);
@@ -668,7 +583,8 @@ impl SvmSystem {
         });
         // Deferred Base requests; allocates only when one is served.
         let mut served: Vec<(usize, u64)> = Vec::new();
-        hp.pending_reqs.retain(|(req_node, req, req_op)| {
+        let deferred = self.home_pages.pending_reqs.slot(page);
+        deferred.retain(|(req_node, req, req_op)| {
             let ready = applied.covers(req);
             if ready {
                 served.push((*req_node, *req_op));
@@ -683,5 +599,14 @@ impl SvmSystem {
         for (req_node, req_op) in served {
             self.reply_page(t, home, req_node, page, req_op);
         }
+    }
+}
+
+/// A pooled page holding a copy of `src`, or zeros for a copy nothing
+/// has written yet.
+fn pooled_copy(pool: &mut PagePool, src: Option<&Page>) -> Page {
+    match src {
+        Some(data) => pool.copy_of(data),
+        None => pool.zeroed(),
     }
 }

@@ -1,83 +1,48 @@
-//! Dense struct-of-arrays storage for home-side page state.
-//!
-//! The pre-pass engine kept one `HashMap<PageId, HomePage>` record per
-//! page. Page indices are small and dense (they bound `shared_extent`),
-//! so every field now lives in its own index-keyed column: lookups are
-//! a bounds check plus an array index, and whole-extent scans (pin
-//! accounting, flush walks) touch only the column they need instead of
-//! hashing every key. Slots materialise lazily — a column entry beyond
-//! the written extent behaves exactly like the old missing map entry,
-//! because every field's `Default` is the value the old code fell back
-//! to.
+//! Home-side page state, as page columns, and the one place that
+//! knows where a node's copy of a page lives.
 
-use genima_mem::{Page, PageId};
+use genima_mem::{PageId, PageVec};
 
+use super::{CopyState, SvmSystem};
 use crate::version::VersionMap;
 
-/// Column store of per-page home state, indexed by `PageId::index()`.
-/// All columns always have identical length.
 #[derive(Default)]
 pub(crate) struct HomeTable {
-    /// Per writer: latest interval whose diffs are applied here.
-    applied: Vec<VersionMap>,
-    /// Home copy contents (data mode only).
-    data: Vec<Option<Page>>,
-    /// Base: deferred page requests awaiting diffs, with the fetch op
-    /// each serves.
-    pending_reqs: Vec<Vec<(usize, VersionMap, u64)>>,
+    /// The home copy of each page: per writer the latest interval
+    /// whose diffs are applied here, and the contents (data mode).
+    pub(crate) copies: PageVec<CopyState>,
+    /// Base: deferred page requests awaiting diffs — requester node,
+    /// the version it needs, and the fetch op it serves.
+    pub(crate) pending_reqs: PageVec<Vec<(usize, VersionMap, u64)>>,
     /// Home-local processes waiting for diffs.
-    waiters: Vec<Vec<usize>>,
-}
-
-/// Shared view of one page's columns.
-pub(crate) struct HomeSlot<'a> {
-    pub(crate) applied: &'a VersionMap,
-    pub(crate) data: &'a Option<Page>,
-    pub(crate) waiters: &'a Vec<usize>,
-}
-
-/// Mutable view of one page's columns.
-pub(crate) struct HomeSlotMut<'a> {
-    pub(crate) applied: &'a mut VersionMap,
-    pub(crate) data: &'a mut Option<Page>,
-    pub(crate) pending_reqs: &'a mut Vec<(usize, VersionMap, u64)>,
-    pub(crate) waiters: &'a mut Vec<usize>,
+    pub(crate) waiters: PageVec<Vec<usize>>,
 }
 
 impl HomeTable {
-    /// Read view of `page`'s home state, `None` if the page was never
-    /// materialised (the old map's missing-entry case).
-    pub(crate) fn get(&self, page: PageId) -> Option<HomeSlot<'_>> {
-        let i = page.index();
-        if i >= self.applied.len() {
-            return None;
-        }
-        Some(HomeSlot {
-            applied: &self.applied[i],
-            data: &self.data[i],
-            waiters: &self.waiters[i],
-        })
+    pub(crate) fn size_to(&mut self, extent: usize) {
+        self.copies.size_to(extent);
+        self.pending_reqs.size_to(extent);
+        self.waiters.size_to(extent);
     }
+}
 
-    /// Mutable view of `page`'s home state, growing the columns on
-    /// demand (the old `entry(page).or_default()`).
-    pub(crate) fn slot_mut(&mut self, page: PageId) -> HomeSlotMut<'_> {
-        let i = page.index();
-        if i >= self.applied.len() {
-            self.grow(i + 1);
-        }
-        HomeSlotMut {
-            applied: &mut self.applied[i],
-            data: &mut self.data[i],
-            pending_reqs: &mut self.pending_reqs[i],
-            waiters: &mut self.waiters[i],
-        }
-    }
+/// A home copy no diff and no local write has reached yet.
+static UNWRITTEN: CopyState = CopyState {
+    ts: VersionMap::new(),
+    data: None,
+};
 
-    fn grow(&mut self, len: usize) {
-        self.applied.resize_with(len, VersionMap::new);
-        self.data.resize_with(len, || None);
-        self.pending_reqs.resize_with(len, Vec::new);
-        self.waiters.resize_with(len, Vec::new);
+impl SvmSystem {
+    /// `node`'s copy of `page`. Under HLRC-SMP the home copy is the
+    /// home node's own physical page, so at the home this is the home
+    /// copy — always there, empty at the empty version until something
+    /// reaches it; elsewhere it is what the node has cached, if
+    /// anything. [`SvmSystem::write_bytes`] is the write side.
+    pub(crate) fn node_copy(&self, node: usize, page: PageId) -> Option<&CopyState> {
+        if self.home_of(page).index() == node {
+            Some(self.home_pages.copies.get(page).unwrap_or(&UNWRITTEN))
+        } else {
+            self.nodes[node].copies.get(page)
+        }
     }
 }

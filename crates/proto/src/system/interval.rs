@@ -66,14 +66,9 @@ impl SvmSystem {
             pages.sort_unstable();
             pages.dedup();
         }
-        self.records[p].insert(
-            i,
-            IntervalRecord {
-                writer: ProcId::new(p),
-                interval: i,
-                pages,
-            },
-        );
+        debug_assert_eq!(self.records[p].len() + 1, i as usize);
+        let pages = pages.into_boxed_slice();
+        self.records[p].push(IntervalRecord { pages });
         self.counters.intervals += 1;
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         self.nodes[node].arrived[p] = i;
@@ -129,12 +124,10 @@ impl SvmSystem {
             // (writer, interval, page) derives the same id, so deposit
             // and apply sides agree without a handshake.
             let dop = op_diff_id(p as u64, pi.interval as u64, page.index() as u64);
-            {
-                // A future fetch of this page by this node must not
-                // install a version older than this flush.
-                let lf = self.nodes[node].local_flushed.entry(page).or_default();
-                lf.raise(p as u32, pi.interval);
-            }
+            // A future fetch of this page by this node must not
+            // install a version older than this flush.
+            let lf = self.nodes[node].local_flushed.slot(page);
+            lf.raise(p as u32, pi.interval);
             let cost = self.p.mem.diff_cost(dp.runs());
             self.charge(sink, cost);
             let diff_start = cursor;
@@ -245,15 +238,7 @@ impl SvmSystem {
             return None;
         }
         let twin = dp.twin.as_ref()?;
-        let home = self.home_of(page).index();
-        let cur = if home == node {
-            self.home_pages.get(page).and_then(|h| h.data.as_ref())
-        } else {
-            self.nodes[node]
-                .copies
-                .get(&page)
-                .and_then(|c| c.data.as_ref())
-        }?;
+        let cur = self.node_copy(node, page)?.data.as_ref()?;
         Some(compute_diff_tracked(twin, cur, &dp.ranges))
     }
 

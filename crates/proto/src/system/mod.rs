@@ -21,7 +21,7 @@ mod state;
 
 use std::collections::{BTreeMap, HashMap};
 
-use genima_mem::{MemConfig, PageId, PAGE_SIZE};
+use genima_mem::{MemConfig, PageId, PageVec, PAGE_SIZE};
 use genima_nic::{ChainLock, Event as CommEvent, LockId, Post, Step, Tag};
 use genima_rnic::HwProfile;
 use genima_sim::{EventQueue, FixedState, InlineVec, Time};
@@ -181,13 +181,15 @@ pub struct SvmSystem {
     /// (empty otherwise — under `NiChain` the NI owns them).
     pub(crate) host_chains: Vec<ChainLock>,
     pub(crate) barriers: BTreeMap<BarrierId, BarrierRt>,
-    /// Global store of interval records (content is immutable once
-    /// created; visibility at each node is gated by `NodeRt::arrived`).
-    pub(crate) records: Vec<BTreeMap<u32, IntervalRecord>>,
+    /// Global store of interval records, per writer (content is
+    /// immutable once created; visibility at each node is gated by
+    /// `NodeRt::arrived`). A writer's interval numbers are consecutive
+    /// from 1, so interval `i` is at index `i - 1`.
+    pub(crate) records: Vec<Vec<IntervalRecord>>,
     pub(crate) home_pages: home::HomeTable,
-    /// Dense per-page home override; `None` falls back to the modulo
+    /// Per-page home override; an absent page falls back to the modulo
     /// placement in [`SvmSystem::home_of`].
-    pub(crate) home_override: Vec<Option<NodeId>>,
+    pub(crate) home_override: PageVec<NodeId>,
     /// Processor indices of each node, precomputed once (the flush,
     /// notice and barrier wake paths used to re-collect this per call).
     pub(crate) node_procs: Vec<Vec<usize>>,
@@ -299,9 +301,9 @@ impl SvmSystem {
                 .collect(),
             host_chains,
             barriers: BTreeMap::new(),
-            records: vec![BTreeMap::new(); nprocs],
+            records: vec![Vec::new(); nprocs],
             home_pages: home::HomeTable::default(),
-            home_override: Vec::new(),
+            home_override: PageVec::new(),
             node_procs: (0..nnodes)
                 .map(|n| {
                     params
@@ -405,22 +407,18 @@ impl SvmSystem {
     /// home. Unassigned pages default to `page_index % nodes`.
     pub fn assign_homes(&mut self, start: PageId, count: usize, node: NodeId) {
         assert!(node.index() < self.p.topo.nodes, "home node out of range");
-        let end = start.index() + count;
-        if self.home_override.len() < end {
-            self.home_override.resize(end, None);
+        // Highest page first: the column grows once, not page by page.
+        for i in (0..count).rev() {
+            self.home_override.insert(start.offset_by(i), node);
         }
-        for i in 0..count {
-            self.home_override[start.index() + i] = Some(node);
-        }
-        self.shared_extent = self.shared_extent.max(end);
+        self.shared_extent = self.shared_extent.max(start.index() + count);
     }
 
     /// The home node of `page`.
     pub fn home_of(&self, page: PageId) -> NodeId {
         self.home_override
-            .get(page.index())
+            .get(page)
             .copied()
-            .flatten()
             .unwrap_or_else(|| NodeId::new(page.index() % self.p.topo.nodes))
     }
 
@@ -453,9 +451,7 @@ impl SvmSystem {
     /// indicates a protocol livelock, or if a [`Op::Validate`](crate::ops::Op::Validate) check
     /// fails.
     pub fn try_run(&mut self) -> Result<RunReport, ProtoError> {
-        for p in 0..self.procs.len() {
-            self.q.push(Time::ZERO, SysEvent::Resume(p));
-        }
+        self.start();
         while let Some((t, ev)) = self.q.pop() {
             self.step(t, ev)?;
         }
@@ -467,6 +463,29 @@ impl SvmSystem {
             self.procs.len(),
         );
         Ok(self.build_report())
+    }
+
+    /// The first step of a run: size every page column for the shared
+    /// extent known so far — `assign_homes` has named it, or it is
+    /// still zero and the columns grow as pages are touched — and make
+    /// every process runnable. Sized here and not at construction, so
+    /// the slots are first written where the run is about to use them
+    /// and a system that is built but never run costs nothing.
+    fn start(&mut self) {
+        let extent = self.shared_extent;
+        for proc in &mut self.procs {
+            proc.pt.size_to(extent);
+            proc.required.size_to(extent);
+        }
+        for node in &mut self.nodes {
+            node.copies.size_to(extent);
+            node.local_flushed.size_to(extent);
+            node.inflight.size_to(extent);
+        }
+        self.home_pages.size_to(extent);
+        for p in 0..self.procs.len() {
+            self.q.push(Time::ZERO, SysEvent::Resume(p));
+        }
     }
 
     /// Delivers one event: dispatches it under the event budget and
@@ -509,9 +528,7 @@ impl SvmSystem {
         &mut self,
         picker: &mut dyn EventPicker,
     ) -> Result<RunReport, ProtoError> {
-        for p in 0..self.procs.len() {
-            self.q.push(Time::ZERO, SysEvent::Resume(p));
-        }
+        self.start();
         let mut step = 0u64;
         loop {
             let choices = self.sched_choices();
@@ -657,14 +674,8 @@ impl SvmSystem {
     /// Records `node` touching `page` (first-touch home allocation).
     pub(crate) fn note_touch(&mut self, node: usize, page: PageId) {
         self.note_extent(page);
-        if self.p.first_touch_homes {
-            let i = page.index();
-            if self.home_override.len() <= i {
-                self.home_override.resize(i + 1, None);
-            }
-            if self.home_override[i].is_none() {
-                self.home_override[i] = Some(NodeId::new(node));
-            }
+        if self.p.first_touch_homes && self.home_override.get(page).is_none() {
+            self.home_override.insert(page, NodeId::new(node));
         }
     }
 

@@ -23,10 +23,8 @@ impl SvmSystem {
             return cursor;
         }
         let my_nic = NodeId::new(node).nic();
-        let bytes = {
-            let rec = &self.records[p][&interval];
-            rec.wire_bytes(self.p.proto.notice_header_bytes)
-        };
+        let rec = &self.records[p][interval as usize - 1];
+        let bytes = rec.wire_bytes(self.p.proto.notice_header_bytes);
         // §5 extension: one posted descriptor, replicated by the NI.
         let replicate = self.p.hw.nic.broadcast && self.p.topo.nodes > 1;
         let mut dsts = Vec::new();
@@ -64,10 +62,7 @@ impl SvmSystem {
             let have = self.nodes[from].arrived[q];
             let sent = self.nodes[from].sent_upto[to][q];
             if have > sent {
-                // Range-scan only the records that exist instead of
-                // probing every interval number in the gap — barrier
-                // arrivals at the manager hit this once per process.
-                for r in self.records[q].range(sent + 1..=have).map(|(_, r)| r) {
+                for r in &self.records[q][sent as usize..have as usize] {
                     bytes += r.wire_bytes(self.p.proto.notice_header_bytes);
                 }
             }
@@ -179,13 +174,12 @@ impl SvmSystem {
             for i in from + 1..=to {
                 // `records` and `procs` are disjoint fields, so the
                 // record's page list is walked in place.
-                let rec = match self.records[q].get(&i) {
+                let rec = match self.records[q].get(i as usize - 1) {
                     Some(r) => r,
                     None => panic!("missing record for writer p{q} interval {i}"),
                 };
                 for &page in &rec.pages {
-                    let req = self.procs[p].required.entry(page).or_default();
-                    req.raise(q as u32, i);
+                    self.procs[p].required.slot(page).raise(q as u32, i);
                     pages.push(page);
                 }
             }
@@ -265,8 +259,8 @@ impl SvmSystem {
             let have = self.nodes[qnode].arrived[q];
             debug_assert!(have >= want);
             let from = self.nodes[node].arrived[q];
-            let bytes: u32 = (from + 1..=want)
-                .filter_map(|i| self.records[q].get(&i))
+            let bytes: u32 = self.records[q][from as usize..want as usize]
+                .iter()
                 .map(|r| r.wire_bytes(self.p.proto.notice_header_bytes))
                 .sum::<u32>()
                 .max(16);

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use genima_mem::{Diff, Page, PageId, PageMap, PageTable};
+use genima_mem::{Diff, Page, PageId, PageTable, PageVec};
 use genima_nic::{Event as CommEvent, LockId, LockOp, Tag, Upcall};
 use genima_sim::{Dur, EventQueue, Resource, Time};
 
@@ -198,7 +198,7 @@ pub(crate) struct ProcRt {
     pub(crate) seen: Vec<u32>,
     pub(crate) pt: PageTable,
     /// Per page: the diffs (writer → interval) a valid copy must have.
-    pub(crate) required: PageMap<VersionMap>,
+    pub(crate) required: PageVec<VersionMap>,
     /// Open interval: dirty pages.
     pub(crate) dirty: DirtySet,
     /// Pages flushed early (mid-interval) that still need a notice.
@@ -232,7 +232,7 @@ impl ProcRt {
             vc: VClock::new(nprocs),
             seen: vec![0; nprocs],
             pt: PageTable::new(),
-            required: PageMap::default(),
+            required: PageVec::new(),
             dirty: DirtySet::default(),
             flushed_early: Vec::new(),
             pending_intervals: Vec::new(),
@@ -257,12 +257,20 @@ pub(crate) struct NodeLock {
     pub(crate) requesting: bool,
 }
 
-/// A node's cached copy of a remote page.
+/// One copy of a page: the home copy, or a node's cached copy of a
+/// remote page.
 #[derive(Default)]
 pub(crate) struct CopyState {
+    /// Per writer: the latest interval whose diffs this copy contains.
     pub(crate) ts: VersionMap,
+    /// Contents (data mode only).
     pub(crate) data: Option<Page>,
 }
+
+// A page column costs its value's size per page of the extent, per
+// process or per node: presence must ride in a niche, not beside it.
+const _: () = assert!(size_of::<Option<VersionMap>>() == size_of::<VersionMap>());
+const _: () = assert!(size_of::<Option<CopyState>>() == size_of::<CopyState>());
 
 /// The processes blocked on one in-flight fetch, in wake order: the
 /// initiator, then the joiners as they arrived. A blocked process
@@ -296,13 +304,15 @@ pub(crate) struct NodeRt {
     pub(crate) handler: Resource,
     /// Per writer: highest interval whose record has arrived here.
     pub(crate) arrived: Vec<u32>,
-    pub(crate) copies: PageMap<CopyState>,
+    /// Cached copies of remote pages. A page is absent until a fetch
+    /// installs it, which is what makes the first touch fetch.
+    pub(crate) copies: PageVec<CopyState>,
     /// Per page: the highest interval each *local* writer has flushed
     /// to the home. A fetched copy must cover these — otherwise the
     /// incoming version would roll back this node's own writes.
-    pub(crate) local_flushed: PageMap<VersionMap>,
+    pub(crate) local_flushed: PageVec<VersionMap>,
     /// Pages with an in-flight fetch and the processes waiting on it.
-    pub(crate) inflight: BTreeMap<PageId, Waiters>,
+    pub(crate) inflight: PageVec<Waiters>,
     pub(crate) locks: Vec<NodeLock>,
     /// Round-robin victim for interrupt-steal accounting.
     pub(crate) steal_rr: usize,
@@ -320,9 +330,9 @@ impl NodeRt {
         NodeRt {
             handler: Resource::new("protocol-handler"),
             arrived: vec![0; nprocs],
-            copies: PageMap::default(),
-            local_flushed: PageMap::default(),
-            inflight: BTreeMap::new(),
+            copies: PageVec::new(),
+            local_flushed: PageVec::new(),
+            inflight: PageVec::new(),
             locks: (0..locks).map(|_| NodeLock::default()).collect(),
             steal_rr: 0,
             sent_upto: vec![vec![0; nprocs]; nnodes],

@@ -3,7 +3,7 @@
 
 use super::*;
 use crate::features::FeatureSet;
-use crate::ids::{BarrierId, Topology};
+use crate::ids::{BarrierId, NodeId, Topology};
 use crate::ops::{ops_source, Op, OpSource};
 use genima_mem::Addr;
 use genima_nic::LockId;
@@ -645,6 +645,45 @@ fn joiners_of_one_fetch_wake_in_arrival_order() {
             })
             .collect();
         assert_eq!(woken, vec![4, 5, 3], "{f}");
+    }
+}
+
+#[test]
+fn first_read_of_a_remote_page_fetches_before_any_notice_names_it() {
+    // Page 0 is homed on node 0; p1 (node 1) reads it cold. Nothing
+    // was written, so no write notice names the page and p1 requires
+    // nothing of it — an empty slot must still not pass for a copy.
+    let read = Op::Read {
+        addr: addr(0, 0),
+        len: 8,
+    };
+    for f in FeatureSet::ALL {
+        let mut p = params(f, 2, 1);
+        p.data_mode = false;
+        let mut sys = SvmSystem::new(p, vec![boxed(vec![]), boxed(vec![read.clone()])]);
+        // The extent is known before the run: the columns are pre-sized.
+        sys.assign_homes(PageId::new(0), 4, NodeId::new(0));
+        let r = sys.run();
+        assert_eq!(r.counters.page_transfers, 1, "{f}");
+    }
+}
+
+#[test]
+fn extent_known_at_start_or_discovered_gives_the_same_report() {
+    // The same run with the page columns sized once from the homes
+    // named before it starts, and grown page by page as it touches
+    // them. The homes named are the ones striping picks anyway.
+    let run = |f: FeatureSet, name_homes: bool| {
+        let mut sys = SvmSystem::new(params(f, 2, 1), picker_workload());
+        if name_homes {
+            for page in 0..2 {
+                sys.assign_homes(PageId::new(page), 1, NodeId::new(page % 2));
+            }
+        }
+        sys.run().to_json()
+    };
+    for f in FeatureSet::ALL {
+        assert_eq!(run(f, true), run(f, false), "{f}");
     }
 }
 

@@ -1,8 +1,8 @@
 //! Sparse per-writer version timestamps, stored flat.
 //!
 //! A page version is "for each writer, the latest interval whose diff
-//! this copy contains". The protocol keeps one per home page
-//! (`applied`), one per cached copy (`ts`), one per page a process
+//! this copy contains". The protocol keeps one per home copy and one
+//! per cached copy (`CopyState::ts`), one per page a process
 //! must see (`required`) and one per page a node has flushed
 //! (`local_flushed`), and compares them on every fault and every
 //! fetch. Almost all of them name one to four writers, so the pairs
@@ -30,7 +30,7 @@ pub(crate) struct VersionMap {
 
 impl VersionMap {
     /// The empty map (no allocation).
-    pub(crate) fn new() -> VersionMap {
+    pub(crate) const fn new() -> VersionMap {
         VersionMap {
             repr: Repr::Inline {
                 len: 0,

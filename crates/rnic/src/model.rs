@@ -1,12 +1,31 @@
 //! The RDMA NIC implementation of [`NiModel`].
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use genima_net::NicId;
 use genima_nic::{FetchServe, HostPost, NiModel, NiStats, RecvDma, SendTimes, ALWAYS_MAPPED};
 use genima_sim::{Dur, Resource, Time};
 
 use crate::config::RnicConfig;
+
+/// A set of page indices, one bit each, grown to the highest index
+/// inserted: page indices are small and dense.
+#[derive(Debug, Default)]
+struct PageBits(Vec<u64>);
+
+impl PageBits {
+    /// Adds `index`; returns `true` if it was absent (the contract of
+    /// `HashSet::insert`).
+    fn insert(&mut self, index: u64) -> bool {
+        let (word, bit) = ((index / 64) as usize, 1u64 << (index % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let absent = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        absent
+    }
+}
 
 /// Per-NIC engine state of the RDMA NIC.
 #[derive(Debug)]
@@ -26,8 +45,8 @@ struct RnicPort {
     /// When the last doorbell was rung (posts within the batching
     /// window of this instant need no new MMIO).
     last_doorbell: Option<Time>,
-    /// ODP translation state: keys whose pages are currently mapped.
-    mapped: HashSet<u64>,
+    /// ODP translation state: the page indices currently mapped.
+    mapped: PageBits,
 }
 
 impl RnicPort {
@@ -39,7 +58,7 @@ impl RnicPort {
             pcie_recv: Resource::new("pcie-recv"),
             sq_slots: VecDeque::new(),
             last_doorbell: None,
-            mapped: HashSet::new(),
+            mapped: PageBits::default(),
         }
     }
 }
@@ -343,6 +362,14 @@ mod tests {
         assert!(!again.odp_fault);
         assert!(first.data_ready.saturating_since(Time::ZERO) > Dur::from_us(40));
         assert_eq!(m.stats().odp_faults, 1);
+    }
+
+    #[test]
+    fn page_bits_insert_reports_absence_like_a_hash_set() {
+        let (mut bits, mut set) = (PageBits::default(), std::collections::HashSet::new());
+        for index in [7, 0, 7, 63, 64, 4096, 64, 0, 65, 4096] {
+            assert_eq!(bits.insert(index), set.insert(index), "index {index}");
+        }
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! A fixed, cheap hasher for maps keyed by ids the simulation itself
-//! hands out (page ids, message tags).
+//! hands out. It serves the two message-tag maps (`SvmSystem.tags`,
+//! `Vmmc.pending`) and nothing else: tags come and go, so a map fits
+//! them, while page ids are dense and live in `genima_mem::PageVec`
+//! columns.
 //!
 //! Such keys never come from outside the process, so the default
 //! SipHash buys nothing, and its per-map random keys make a table's

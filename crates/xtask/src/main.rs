@@ -1,4 +1,4 @@
-//! Repo automation. `cargo run -p xtask -- lint` enforces four rules
+//! Repo automation. `cargo run -p xtask -- lint` enforces five rules
 //! on the protocol hot paths (the NI communication layer and the SVM
 //! protocol engines):
 //!
@@ -18,6 +18,11 @@
 //!    was once two 1200- and 1450-line files that each mixed four
 //!    mechanisms; a file that outgrows the limit is split by mechanism.
 //!    No waiver.
+//! 5. **No map or set keyed by `PageId`.** Page ids are dense: per-page
+//!    state lives in a `genima_mem::PageVec` column, an index away, not
+//!    behind a hash or a tree walk that regrows as the run touches
+//!    pages (hash-map regrowth was once three quarters of what an LU
+//!    run allocated). No waiver.
 //!
 //! The gate is scoped by directory ([`PROTOCOL_DIRS`], plus the single
 //! files of [`PROTOCOL_FILES`]), so splitting a file cannot drop
@@ -73,8 +78,10 @@ const PROTOCOL_DIRS: &[&str] = &[
 /// Single files the gate covers in crates that are not protocol code
 /// throughout.
 const PROTOCOL_FILES: &[&str] = &[
+    "crates/mem/src/addr.rs",
     "crates/mem/src/diff.rs",
     "crates/mem/src/pool.rs",
+    "crates/mem/src/protect.rs",
     "crates/sim/src/queue.rs",
     "crates/sim/src/smallvec.rs",
     "crates/proto/src/sched.rs",
@@ -264,6 +271,11 @@ const RULES: &[(&str, Option<&str>, &str)] = &[
         "clippy::large_enum_variant",
         None,
         "`clippy::large_enum_variant` allowed in protocol code: box the wide variant",
+    ),
+    (
+        "<PageId,",
+        None,
+        "map or set keyed by `PageId`: page ids are dense, use the page column type `PageVec`",
     ),
 ];
 
@@ -637,6 +649,23 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, MAX_FILE_LINES + 1);
         assert!(f[0].rule.contains("split it by mechanism"));
+    }
+
+    #[test]
+    fn flags_a_map_keyed_by_page_id() {
+        for keyed in [
+            "HashMap<PageId, u32>",
+            "BTreeMap<PageId, Waiters>",
+            "HashSet<PageId, FixedState>",
+        ] {
+            let src = format!("struct S {{\n    m: {keyed},\n}}\n");
+            let f = lint_source("x.rs", &src);
+            assert_eq!(f.len(), 1, "{keyed}");
+            assert_eq!(f[0].line, 2);
+            assert!(f[0].rule.contains("PageVec"));
+        }
+        let column = "struct S {\n    m: PageVec<u32>,\n    v: Vec<(PageId, u32)>,\n}\n";
+        assert!(lint_source("x.rs", column).is_empty());
     }
 
     #[test]
