@@ -19,12 +19,12 @@
 //!
 //! Gates: the wheel is at least 3× the heap on the largest `u64` hold
 //! population, and on both payloads its steady-state allocation rate
-//! stays at or below 0.1 allocations per event — the arena-style slot
-//! storage must recycle its capacity, not reallocate per event. Each
+//! stays at or below 0.1 allocations per event — the pooled slot
+//! buffers must recycle their capacity, not reallocate per event. Each
 //! system row's allocations per event (set-up included) stay within a
-//! quarter of the value measured when the first dirty run and the
-//! fetch initiator left the heap (DESIGN.md §23) — a count, so the
-//! gate holds on any machine.
+//! quarter of the value measured when the wheel began pooling its slot
+//! buffers (DESIGN.md §26) — a count, so the gate holds on any
+//! machine.
 
 use std::time::Instant;
 
@@ -166,17 +166,18 @@ pub fn run(args: &Args) -> BenchReport {
     println!("{table}");
 
     // Per app: the allocations-per-event ceilings of its Base and
-    // GeNIMA rows, 1.25 x the 0.66 / 0.63 / 0.30 / 0.31 measured at
-    // PR 15 (1.23 / 1.15 / 0.62 / 0.63 at PR 13, 3.03 / 2.83 / 2.05 /
-    // 2.05 before it). PR 17 read 0.60 / 0.59 / 0.27 / 0.28; only
-    // fft/Base moved by more than a tenth, so only its ceiling did.
+    // GeNIMA rows, 1.25 x the 0.166 / 0.207 / 0.066 / 0.086 measured at
+    // PR 18 (0.60 / 0.59 / 0.27 / 0.28 at PR 17, 1.23 / 1.15 / 0.62 /
+    // 0.63 at PR 13, 3.03 / 2.83 / 2.05 / 2.05 before it). These runs
+    // deliver 2.4-5.7 k events, so until the wheel pooled its buffers
+    // most of each figure was slots warming up (DESIGN.md §26).
     let apps: Vec<(&str, Box<dyn App>, [f64; 2])> = vec![
         (
             "ocean",
             Box::new(OceanRowwise::with_grid(256, 8)),
-            [0.83, 0.79],
+            [0.208, 0.259],
         ),
-        ("fft", Box::new(Fft::with_points(1 << 16)), [0.33, 0.39]),
+        ("fft", Box::new(Fft::with_points(1 << 16)), [0.083, 0.108]),
     ];
     let mut stable = TextTable::new(vec!["system", "events", "events/sec", "allocs/ev"]);
     let mut failed = 0u64;

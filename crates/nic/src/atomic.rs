@@ -8,7 +8,7 @@
 //! communication layer runs local and remote, swap and CAS requests
 //! through the same two calls and only decides where each reply goes.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use genima_net::NicId;
 
@@ -74,19 +74,23 @@ struct Waiter {
 }
 
 /// Firmware words (lazily grown, zero-initialised) and the per-cell
-/// FIFOs of parked `wait`-mode CAS requests.
+/// FIFOs of parked `wait`-mode CAS requests. Cells are small dense
+/// integers, so both are indexed by cell and grown together; a FIFO
+/// that empties keeps its buffer for the next request to park.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicUnit {
     cells: Vec<u64>,
-    waiters: BTreeMap<u32, VecDeque<Waiter>>,
+    waiters: Vec<VecDeque<Waiter>>,
 }
 
 impl AtomicUnit {
     fn cell(&mut self, cell: u32) -> &mut u64 {
-        if self.cells.len() <= cell as usize {
-            self.cells.resize(cell as usize + 1, 0);
+        let cell = cell as usize;
+        if self.cells.len() <= cell {
+            self.cells.resize(cell + 1, 0);
+            self.waiters.resize_with(cell + 1, VecDeque::new);
         }
-        &mut self.cells[cell as usize]
+        &mut self.cells[cell]
     }
 
     /// Executes a masked CAS against the word, returning the previous
@@ -111,10 +115,7 @@ impl AtomicUnit {
             AtomicOp::Cas(cas) => {
                 let (old, wrote) = self.cas(cas);
                 if cas.wait && !wrote {
-                    self.waiters
-                        .entry(cas.cell)
-                        .or_default()
-                        .push_back(Waiter { src, cas, tag });
+                    self.waiters[cas.cell as usize].push_back(Waiter { src, cas, tag });
                     AtomicResult::Parked
                 } else {
                     AtomicResult::Reply { old, wrote }
@@ -131,17 +132,12 @@ impl AtomicUnit {
     /// `wait`-mode lock handoff event-driven: no requester ever polls
     /// a cell it already lost.
     pub(crate) fn replay(&mut self, cell: u32) -> Option<Served> {
-        let Some(w) = self.waiters.get(&cell)?.front().copied() else {
-            self.waiters.remove(&cell);
-            return None;
-        };
+        let w = *self.waiters.get(cell as usize)?.front()?;
         let (old, wrote) = self.cas(w.cas);
         if !wrote {
             return None;
         }
-        if let Some(q) = self.waiters.get_mut(&cell) {
-            q.pop_front();
-        }
+        self.waiters[cell as usize].pop_front();
         Some(Served {
             src: w.src,
             tag: w.tag,

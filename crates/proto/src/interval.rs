@@ -1,25 +1,86 @@
 //! Intervals and write-notice records.
 
+use std::ops::Range;
+
 use genima_mem::{DirtyRanges, Page, PageId};
 
-/// A write-notice record: the set of pages one process modified in one
-/// interval. Propagated eagerly (remote deposit, DW protocols) or
-/// piggybacked on lock grants and barrier messages (Base).
+/// One writer's write-notice records: for each of its intervals, the
+/// pages it modified in it, ascending. Propagated eagerly (remote
+/// deposit, DW protocols) or piggybacked on lock grants and barrier
+/// messages (Base).
 ///
-/// Whose interval it is travels in the wire header and, in the store,
-/// is the record's position: a writer's interval numbers are
-/// consecutive from 1. That keeps a record at two words, which the
-/// store's per-writer vectors pay twice over as they double.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IntervalRecord {
-    /// Pages written in the interval, ascending.
-    pub pages: Box<[PageId]>,
+/// A writer's interval numbers are consecutive from 1 and a record is
+/// immutable once closed, so the records are one page list and the
+/// offset in it each interval ends at: interval `i` is pages
+/// `ends[i - 2]..ends[i - 1]` of the list. Closing an interval
+/// allocates nothing of its own, and the size of any run of records is
+/// a difference of two offsets. The list is kept in chunks that fill
+/// once and are never reallocated — a vector that doubled asked for up
+/// to four times the bytes it ended up holding — and an interval never
+/// straddles two of them.
+#[derive(Clone, Debug, Default)]
+pub struct IntervalLog {
+    ends: Vec<u32>,
+    /// Each chunk with the offset of its first page in the whole list.
+    chunks: Vec<(u32, Vec<PageId>)>,
 }
 
-impl IntervalRecord {
-    /// On-wire size: header plus 8 bytes per page id.
-    pub fn wire_bytes(&self, header: u32) -> u32 {
-        header + 8 * self.pages.len() as u32
+/// Pages per chunk, unless one interval needs more: a kilobyte, so a
+/// writer that closes a handful of intervals (the model checker builds
+/// thousands of such systems) does not reserve a page for them.
+const CHUNK_PAGES: usize = 256;
+
+impl IntervalLog {
+    /// The number of the last interval recorded (0 = none yet).
+    pub fn last(&self) -> u32 {
+        u32::try_from(self.ends.len()).expect("interval numbers are 32-bit")
+    }
+
+    /// Where interval `i`'s pages end; interval 0 is the empty prefix.
+    fn end(&self, i: u32) -> Option<u32> {
+        match i.checked_sub(1) {
+            None => Some(0),
+            Some(prev) => self.ends.get(prev as usize).copied(),
+        }
+    }
+
+    /// Records the next interval; `pages` must be ascending and unique.
+    pub fn push(&mut self, pages: &[PageId]) {
+        debug_assert!(pages.windows(2).all(|w| w[0] < w[1]));
+        let start = self.ends.last().copied().unwrap_or(0);
+        let end = u32::try_from(start as usize + pages.len());
+        self.ends
+            .push(end.expect("interval log offsets are 32-bit"));
+        let room = (self.chunks.last()).map_or(0, |(_, c)| c.capacity() - c.len());
+        if room < pages.len() || self.chunks.is_empty() {
+            let chunk = Vec::with_capacity(pages.len().max(CHUNK_PAGES));
+            self.chunks.push((start, chunk));
+        }
+        let (_, chunk) = self.chunks.last_mut().expect("a chunk with room");
+        chunk.extend_from_slice(pages);
+    }
+
+    /// The pages written in interval `i`, or `None` if the writer has
+    /// closed no such interval.
+    pub fn pages(&self, i: u32) -> Option<&[PageId]> {
+        let (start, end) = (self.end(i.checked_sub(1)?)?, self.end(i)?);
+        let after = self.chunks.partition_point(|&(first, _)| first <= start);
+        let (first, chunk) = &self.chunks[after - 1];
+        Some(&chunk[(start - first) as usize..(end - first) as usize])
+    }
+
+    /// On-wire size of the records after interval `sent.start` up to
+    /// interval `sent.end` (record positions `sent`, counted from 0):
+    /// per record, `header` plus 8 bytes per page id.
+    ///
+    /// The range must not be reversed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range reaches past the last recorded interval.
+    pub fn wire_bytes(&self, sent: Range<u32>, header: u32) -> u32 {
+        let end = |i| self.end(i).expect("wire size of an unrecorded interval");
+        header * (sent.end - sent.start) + 8 * (end(sent.end) - end(sent.start))
     }
 }
 
@@ -64,11 +125,6 @@ impl DirtySet {
     /// Returns `true` if no page is dirty.
     pub fn is_empty(&self) -> bool {
         self.pages.is_empty()
-    }
-
-    /// Returns `true` if `page` is dirty.
-    pub fn contains(&self, page: PageId) -> bool {
-        self.position(page).is_ok()
     }
 
     /// The write state of `page`, if dirty.
@@ -119,13 +175,56 @@ pub struct PendingInterval {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn record_wire_size() {
-        let r = IntervalRecord {
-            pages: [PageId::new(0), PageId::new(5)].into(),
-        };
-        assert_eq!(r.wire_bytes(16), 32);
+        let mut log = IntervalLog::default();
+        log.push(&[PageId::new(0), PageId::new(5)]);
+        assert_eq!(log.wire_bytes(0..1, 16), 32);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Against one page vector per interval: every interval reads
+        /// back as pushed, intervals outside `1..=last` are absent
+        /// (the caller's "missing record" panic), and the wire size of
+        /// every run of records — empty runs included — is the sum of
+        /// the per-record formula.
+        #[test]
+        fn interval_log_matches_a_vector_of_page_lists(
+            lens in prop::collection::vec(0usize..300, 0..24),
+            header in 0u32..64,
+        ) {
+            // Most intervals share a chunk with their neighbours; one in
+            // seven is too long for any chunk but its own.
+            let oracle: Vec<Vec<PageId>> = lens
+                .iter()
+                .map(|&n| if n % 7 == 0 { 10 * n } else { n })
+                .enumerate()
+                .map(|(i, n)| (0..n).map(|k| PageId::new(i + 3 * k)).collect())
+                .collect();
+            let mut log = IntervalLog::default();
+            for rec in &oracle {
+                log.push(rec);
+            }
+            let last = oracle.len() as u32;
+            prop_assert_eq!(log.last(), last);
+            prop_assert!(log.pages(0).is_none() && log.pages(last + 1).is_none());
+            for upto in 0..=last {
+                if upto > 0 {
+                    prop_assert_eq!(log.pages(upto), Some(&oracle[upto as usize - 1][..]));
+                }
+                for after in 0..=upto {
+                    let summed: u32 = oracle[after as usize..upto as usize]
+                        .iter()
+                        .map(|rec| header + 8 * rec.len() as u32)
+                        .sum();
+                    prop_assert_eq!(log.wire_bytes(after..upto, header), summed);
+                }
+            }
+        }
     }
 
     #[test]
@@ -147,7 +246,7 @@ mod tests {
         s.get_mut(PageId::new(4)).unwrap().ranges.add(0, 8);
         let order: Vec<usize> = s.pages().map(|p| p.index()).collect();
         assert_eq!(order, vec![2, 4, 7, 9]);
-        assert!(s.contains(PageId::new(9)) && !s.contains(PageId::new(3)));
+        assert!(s.get(PageId::new(9)).is_some() && s.get(PageId::new(3)).is_none());
 
         // Re-inserting a page replaces its state, as the map did.
         s.insert(PageId::new(4), DirtyPage::default());

@@ -47,7 +47,6 @@ pub use config::{BarrierImpl, LockImpl, ProtoConfig};
 pub use error::ProtoError;
 pub use features::FeatureSet;
 pub use ids::{BarrierId, NodeId, ProcId, Topology};
-pub use interval::IntervalRecord;
 pub use ops::{ops_source, Op, OpSource, OpVec, ServeClass};
 pub use report::{OpLatency, RunReport, ServeLatency};
 pub use sched::{ChanKey, Choice, EventPicker, FifoPicker, Mutation, SchedObj};

@@ -117,7 +117,10 @@ impl SvmSystem {
             for (q, &v) in vals[..nprocs].iter().enumerate() {
                 joined.set(ProcId::new(q), v as u32);
             }
-            let upto: Vec<u32> = vals[nprocs..].iter().map(|&v| v as u32).collect();
+            // `release_at_node` hands the vector back when it has
+            // merged it, so take it from where that one puts it.
+            let mut upto = self.spare_upto.pop().unwrap_or_default();
+            upto.extend(vals[nprocs..].iter().map(|&v| v as u32));
             (joined, upto)
         };
         if node == 0 {

@@ -8,7 +8,7 @@ use genima_sim::{Dur, Time};
 
 use super::{Bucket, Pending, Sink, SvmSystem};
 use crate::ids::{NodeId, ProcId};
-use crate::interval::{DirtyPage, IntervalRecord, PendingInterval};
+use crate::interval::{DirtyPage, PendingInterval};
 
 impl SvmSystem {
     pub(crate) fn charge(&mut self, sink: Sink, d: Dur) {
@@ -49,26 +49,28 @@ impl SvmSystem {
         // The next interval opens on a buffer an earlier flush emptied.
         let next = self.spare_dirty.pop().unwrap_or_default();
         let dirty = std::mem::replace(&mut self.procs[p].dirty, next);
-        let early = std::mem::take(&mut self.procs[p].flushed_early);
         let i = self.procs[p].vc.bump(ProcId::new(p));
         self.procs[p].seen[p] = i;
-        // The dirty set is already sorted and unique; only an early
-        // mid-interval flush forces a re-sort. The grouping pass below
-        // reuses the same page list via the scratch buffer instead of
-        // collecting the pages a second time.
+        // The dirty set is already sorted and unique: its page list,
+        // collected once into the scratch buffer, is the record and
+        // serves the grouping pass below.
         let mut scratch = std::mem::take(&mut self.scratch_pages);
         scratch.clear();
         scratch.extend(dirty.pages());
-        let mut pages: Vec<PageId> = Vec::with_capacity(scratch.len() + early.len());
-        pages.extend_from_slice(&scratch);
-        if !early.is_empty() {
-            pages.extend(early);
-            pages.sort_unstable();
-            pages.dedup();
+        debug_assert_eq!(self.records[p].last() + 1, i);
+        let early = &mut self.procs[p].flushed_early;
+        if early.is_empty() {
+            self.records[p].push(&scratch);
+        } else {
+            // Pages flushed early mid-interval rejoin the record in
+            // page order; the list that collected them is the merge
+            // buffer.
+            early.extend_from_slice(&scratch);
+            early.sort_unstable();
+            early.dedup();
+            self.records[p].push(early);
+            early.clear();
         }
-        debug_assert_eq!(self.records[p].len() + 1, i as usize);
-        let pages = pages.into_boxed_slice();
-        self.records[p].push(IntervalRecord { pages });
         self.counters.intervals += 1;
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         self.nodes[node].arrived[p] = i;

@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, HashMap};
 use genima_mem::{MemConfig, PageId, PageVec, PAGE_SIZE};
 use genima_nic::{ChainLock, Event as CommEvent, LockId, Post, Step, Tag};
 use genima_rnic::HwProfile;
-use genima_sim::{EventQueue, FixedState, InlineVec, Time};
+use genima_sim::{EventQueue, FixedState, InlineVec, PageBits, Time};
 use genima_vmmc::Vmmc;
 
 pub(crate) use self::state::*;
@@ -33,7 +33,7 @@ use crate::config::{BarrierImpl, LockImpl, ProtoConfig};
 use crate::error::ProtoError;
 use crate::features::FeatureSet;
 use crate::ids::{BarrierId, NodeId, Topology};
-use crate::interval::{DirtySet, IntervalRecord};
+use crate::interval::{DirtySet, IntervalLog};
 use crate::ops::OpSource;
 use crate::report::RunReport;
 use crate::sched::{EventPicker, Mutation};
@@ -183,9 +183,8 @@ pub struct SvmSystem {
     pub(crate) barriers: BTreeMap<BarrierId, BarrierRt>,
     /// Global store of interval records, per writer (content is
     /// immutable once created; visibility at each node is gated by
-    /// `NodeRt::arrived`). A writer's interval numbers are consecutive
-    /// from 1, so interval `i` is at index `i - 1`.
-    pub(crate) records: Vec<Vec<IntervalRecord>>,
+    /// `NodeRt::arrived`).
+    pub(crate) records: Vec<IntervalLog>,
     pub(crate) home_pages: home::HomeTable,
     /// Per-page home override; an absent page falls back to the modulo
     /// placement in [`SvmSystem::home_of`].
@@ -198,11 +197,17 @@ pub struct SvmSystem {
     pub(crate) scratch_pages: Vec<PageId>,
     /// Reusable conflicted-page buffer for `apply_invalidations`.
     pub(crate) scratch_conflicts: Vec<PageId>,
+    /// Reusable page set in which `apply_invalidations` collects the
+    /// pages its notices name (empty between calls).
+    pub(crate) scratch_noticed: PageBits,
     /// Reusable woken-process buffer for `apply_diff_at_home`.
     pub(crate) scratch_procs: Vec<usize>,
     /// Emptied dirty sets handed back by `flush_interval`; the next
     /// interval to open takes one instead of growing a new buffer.
     pub(crate) spare_dirty: Vec<DirtySet>,
+    /// Piggyback vectors `merge_upto` emptied and handed back; the
+    /// next synchronisation message to carry one refills it.
+    pub(crate) spare_upto: Vec<Vec<u32>>,
     /// One past the highest page index observed (for pin accounting).
     pub(crate) shared_extent: usize,
     pub(crate) tags: HashMap<u64, Pending, FixedState>,
@@ -301,7 +306,7 @@ impl SvmSystem {
                 .collect(),
             host_chains,
             barriers: BTreeMap::new(),
-            records: vec![Vec::new(); nprocs],
+            records: vec![IntervalLog::default(); nprocs],
             home_pages: home::HomeTable::default(),
             home_override: PageVec::new(),
             node_procs: (0..nnodes)
@@ -315,8 +320,10 @@ impl SvmSystem {
                 .collect(),
             scratch_pages: Vec::new(),
             scratch_conflicts: Vec::new(),
+            scratch_noticed: PageBits::default(),
             scratch_procs: Vec::new(),
             spare_dirty: Vec::new(),
+            spare_upto: Vec::new(),
             shared_extent: 0,
             tags: HashMap::default(),
             next_tag: 1,
@@ -483,6 +490,7 @@ impl SvmSystem {
             node.inflight.size_to(extent);
         }
         self.home_pages.size_to(extent);
+        self.scratch_noticed.size_to(extent);
         for p in 0..self.procs.len() {
             self.q.push(Time::ZERO, SysEvent::Resume(p));
         }

@@ -3,7 +3,7 @@
 //! final stage of every acquire and barrier exit — wait for the
 //! notices the new clock covers, invalidate, resume.
 
-use genima_mem::Access;
+use genima_mem::{Access, PageId};
 use genima_sim::Time;
 
 use super::interval::contiguous_groups;
@@ -23,8 +23,8 @@ impl SvmSystem {
             return cursor;
         }
         let my_nic = NodeId::new(node).nic();
-        let rec = &self.records[p][interval as usize - 1];
-        let bytes = rec.wire_bytes(self.p.proto.notice_header_bytes);
+        let header = self.p.proto.notice_header_bytes;
+        let bytes = self.records[p].wire_bytes(interval - 1..interval, header);
         // §5 extension: one posted descriptor, replicated by the NI.
         let replicate = self.p.hw.nic.broadcast && self.p.topo.nodes > 1;
         let mut dsts = Vec::new();
@@ -56,18 +56,14 @@ impl SvmSystem {
     /// knows that it has not yet sent `to`: returns the per-writer
     /// upper bounds and the payload size (Base protocol).
     fn piggyback(&mut self, from: usize, to: usize) -> (Vec<u32>, u32) {
-        let mut upto = vec![0; self.p.topo.procs()];
+        let mut upto = self.spare_upto.pop().unwrap_or_default();
+        upto.extend_from_slice(&self.nodes[from].arrived);
         let mut bytes = 0;
-        for (q, bound) in upto.iter_mut().enumerate() {
-            let have = self.nodes[from].arrived[q];
-            let sent = self.nodes[from].sent_upto[to][q];
+        for (q, &have) in upto.iter().enumerate() {
+            let sent = std::mem::replace(&mut self.nodes[from].sent_upto[to][q], have);
             if have > sent {
-                for r in &self.records[q][sent as usize..have as usize] {
-                    bytes += r.wire_bytes(self.p.proto.notice_header_bytes);
-                }
+                bytes += self.records[q].wire_bytes(sent..have, self.p.proto.notice_header_bytes);
             }
-            self.nodes[from].sent_upto[to][q] = have;
-            *bound = have;
         }
         (upto, bytes)
     }
@@ -111,13 +107,15 @@ impl SvmSystem {
 
     /// Merges carried record visibility into a node's notice board.
     pub(crate) fn merge_upto(&mut self, t: Time, node: usize, upto: Option<Vec<u32>>) {
+        let Some(mut upto) = upto else { return };
         let mut advanced = false;
-        for (q, u) in upto.into_iter().flatten().enumerate() {
+        for (q, u) in upto.drain(..).enumerate() {
             if self.nodes[node].arrived[q] < u {
                 self.nodes[node].arrived[q] = u;
                 advanced = true;
             }
         }
+        self.spare_upto.push(upto);
         if advanced {
             self.check_notice_waiters(t, node);
         }
@@ -158,8 +156,6 @@ impl SvmSystem {
     fn apply_invalidations(&mut self, mut cursor: Time, p: usize, bucket: Bucket) -> Time {
         let nprocs = self.p.topo.procs();
         let my_node = self.p.topo.node_of(ProcId::new(p));
-        let mut pages = std::mem::take(&mut self.scratch_pages);
-        pages.clear();
         for q in 0..nprocs {
             // Writers on this node share the node's physical pages via
             // hardware coherence (HLRC-SMP): their modifications are
@@ -174,30 +170,32 @@ impl SvmSystem {
             for i in from + 1..=to {
                 // `records` and `procs` are disjoint fields, so the
                 // record's page list is walked in place.
-                let rec = match self.records[q].get(i as usize - 1) {
-                    Some(r) => r,
-                    None => panic!("missing record for writer p{q} interval {i}"),
+                let Some(rec) = self.records[q].pages(i) else {
+                    panic!("missing record for writer p{q} interval {i}")
                 };
-                for &page in &rec.pages {
+                for &page in rec {
                     self.procs[p].required.slot(page).raise(q as u32, i);
-                    pages.push(page);
+                    self.scratch_noticed.insert(page.index());
                 }
             }
             self.procs[p].seen[q] = to;
         }
-        pages.sort_unstable();
-        pages.dedup();
 
         // Conflict: an incoming notice invalidates a page this process
         // is itself writing. Flush our diff first so it is not lost.
+        // (A barrier exit has closed its interval: nothing is dirty.)
         let mut conflicted = std::mem::take(&mut self.scratch_conflicts);
         conflicted.clear();
-        conflicted.extend(
-            pages
-                .iter()
-                .copied()
-                .filter(|&pg| self.procs[p].dirty.contains(pg)),
-        );
+        let noticed = &self.scratch_noticed;
+        conflicted.extend((self.procs[p].dirty.pages()).filter(|pg| noticed.contains(pg.index())));
+
+        // Every page named, once each and ascending — a record's pages
+        // ascend, but records overlap.
+        let mut pages = std::mem::take(&mut self.scratch_pages);
+        pages.clear();
+        self.scratch_noticed
+            .drain(|index| pages.push(PageId::new(index)));
+
         for &pg in &conflicted {
             cursor = self.flush_page_early(cursor, p, pg, bucket);
         }
@@ -259,11 +257,8 @@ impl SvmSystem {
             let have = self.nodes[qnode].arrived[q];
             debug_assert!(have >= want);
             let from = self.nodes[node].arrived[q];
-            let bytes: u32 = self.records[q][from as usize..want as usize]
-                .iter()
-                .map(|r| r.wire_bytes(self.p.proto.notice_header_bytes))
-                .sum::<u32>()
-                .max(16);
+            let header = self.p.proto.notice_header_bytes;
+            let bytes = self.records[q].wire_bytes(from..want, header).max(16);
             let tag = self.tag(Pending::NoticeFetch {
                 node,
                 writer: q,

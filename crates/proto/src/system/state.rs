@@ -63,8 +63,8 @@ pub(crate) enum SysEvent {
     RetrySpin(usize, LockId),
 }
 
-// Every push, slot sort and pop moves a whole queue entry, and each
-// wheel slot's first push allocates four of them: the two 88-byte
+// Every push, slot sort and pop moves a whole queue entry, and every
+// slot buffer the wheel warms is a multiple of one: the two 88-byte
 // payloads (`Comm`, `Job`) set the size, and a wider variant must be
 // boxed rather than widen every event (DESIGN.md §23).
 const _: () = assert!(std::mem::size_of::<SysEvent>() <= 96);

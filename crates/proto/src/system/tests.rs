@@ -769,3 +769,84 @@ fn host_chain_hop_shapes_on_base() {
     let (_, _, holders) = run_counting_host_hops(3, l, srcs);
     assert_eq!(holders, [0, 2, 1]);
 }
+
+#[test]
+fn a_recycled_piggyback_carries_exactly_the_senders_notice_board() {
+    // Base on three single-processor nodes; lock 0 is homed on node 0,
+    // which owns it at the start. p0 and p1 pass the lock back and
+    // forth with p2 taking it in between, one holder per 5 ms slot,
+    // and every holder writes a page of its own — so every release
+    // closes an interval and every grant leaves a node whose notice
+    // board differs from the one the recycled vector last carried.
+    let l = LockId::new(0);
+    let order = [0, 1, 2, 0, 1, 2, 1, 0];
+    let srcs = (0..3)
+        .map(|p| {
+            let slots = order.iter().enumerate().filter(|&(_, &q)| q == p);
+            boxed(
+                slots
+                    .flat_map(|(k, _)| {
+                        [
+                            Op::WaitUntil(Time::ZERO + genima_sim::Dur::from_ms(5 * k as u64)),
+                            Op::Acquire(l),
+                            Op::Write {
+                                addr: addr(3 + p, 0),
+                                len: 8,
+                            },
+                            Op::Release(l),
+                        ]
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    let mut p = params(FeatureSet::base(), 3, 1);
+    p.data_mode = false;
+    let mut sys = SvmSystem::new(p, srcs);
+    sys.start();
+    // The node the lock was last held at — the one a grant leaves from
+    // — and the grants seen so far, by tag, with the board they carry.
+    let mut sender = 0;
+    let mut grants: BTreeMap<u64, (usize, Vec<u32>)> = BTreeMap::new();
+    while let Some((t, ev)) = sys.q.pop() {
+        sys.dispatch(t, ev);
+        for (&tag, pending) in &sys.tags {
+            let Pending::LockMsg {
+                to,
+                op: genima_nic::LockOp::Grant { .. },
+                upto: Some(upto),
+                ..
+            } = pending
+            else {
+                continue;
+            };
+            grants.entry(tag).or_insert_with(|| {
+                assert_eq!(upto, &sys.nodes[sender].arrived, "grant n{sender} -> n{to}");
+                (*to, upto.clone())
+            });
+        }
+        if let Some(h) = (sys.nodes.iter()).find_map(|n| n.locks[l.index()].holder) {
+            if h != sender {
+                // The grant that made `h` the holder has been merged.
+                let (to, carried) = grants.values().last().expect("a remote holder was granted");
+                assert_eq!(*to, h);
+                let board = &sys.nodes[h].arrived;
+                assert!(board.iter().zip(carried).all(|(b, c)| b >= c), "n{h}");
+            }
+            sender = h;
+        }
+    }
+    assert_eq!(sys.done_count, 3);
+    // Every acquire but p0's first crossed the wire, on one vector.
+    assert_eq!(grants.len(), order.len() - 1);
+    assert_eq!(sys.spare_upto.len(), 1);
+}
+
+#[test]
+#[should_panic(expected = "missing record for writer p1 interval 1")]
+fn a_clock_ahead_of_the_interval_log_is_caught() {
+    let idle = || boxed(vec![]);
+    let mut sys = SvmSystem::new(params(FeatureSet::base(), 2, 1), vec![idle(), idle()]);
+    sys.procs[0].vc.set(crate::ids::ProcId::new(1), 1);
+    sys.complete_sync(Time::ZERO, 0, WaitReason::Lock);
+}

@@ -4,28 +4,9 @@ use std::collections::VecDeque;
 
 use genima_net::NicId;
 use genima_nic::{FetchServe, HostPost, NiModel, NiStats, RecvDma, SendTimes, ALWAYS_MAPPED};
-use genima_sim::{Dur, Resource, Time};
+use genima_sim::{Dur, PageBits, Resource, Time};
 
 use crate::config::RnicConfig;
-
-/// A set of page indices, one bit each, grown to the highest index
-/// inserted: page indices are small and dense.
-#[derive(Debug, Default)]
-struct PageBits(Vec<u64>);
-
-impl PageBits {
-    /// Adds `index`; returns `true` if it was absent (the contract of
-    /// `HashSet::insert`).
-    fn insert(&mut self, index: u64) -> bool {
-        let (word, bit) = ((index / 64) as usize, 1u64 << (index % 64));
-        if word >= self.0.len() {
-            self.0.resize(word + 1, 0);
-        }
-        let absent = self.0[word] & bit == 0;
-        self.0[word] |= bit;
-        absent
-    }
-}
 
 /// Per-NIC engine state of the RDMA NIC.
 #[derive(Debug)]
@@ -245,7 +226,7 @@ impl NiModel for RnicModel {
         // ODP: the first fetch of an unmapped key parks the QP while
         // the host maps the page; later fetches hit the MTT directly.
         let port = &mut self.ports[dst.index()];
-        let faulted = key != ALWAYS_MAPPED && port.mapped.insert(key);
+        let faulted = key != ALWAYS_MAPPED && port.mapped.insert(key as usize);
         let fault = if faulted {
             self.cfg.odp_fault
         } else {
@@ -362,14 +343,6 @@ mod tests {
         assert!(!again.odp_fault);
         assert!(first.data_ready.saturating_since(Time::ZERO) > Dur::from_us(40));
         assert_eq!(m.stats().odp_faults, 1);
-    }
-
-    #[test]
-    fn page_bits_insert_reports_absence_like_a_hash_set() {
-        let (mut bits, mut set) = (PageBits::default(), std::collections::HashSet::new());
-        for index in [7, 0, 7, 63, 64, 4096, 64, 0, 65, 4096] {
-            assert_eq!(bits.insert(index), set.insert(index), "index {index}");
-        }
     }
 
     #[test]

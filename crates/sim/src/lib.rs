@@ -7,7 +7,8 @@
 //! the order they were scheduled, making whole-cluster simulations fully
 //! deterministic), single-server FIFO [`Resource`]s used to model DMA
 //! engines, links, and processors, a dependency-free [`SplitMix64`]
-//! pseudo-random generator, and small statistics helpers.
+//! pseudo-random generator, a bit-per-page set ([`PageBits`]), and
+//! small statistics helpers.
 //!
 //! # Example
 //!
@@ -22,6 +23,7 @@
 //! assert_eq!(t.as_us(), 1.0);
 //! ```
 
+mod bits;
 mod hash;
 mod queue;
 mod resource;
@@ -30,6 +32,7 @@ mod smallvec;
 mod stats;
 mod time;
 
+pub use bits::PageBits;
 pub use hash::{FixedHasher, FixedState};
 #[cfg(any(test, feature = "ref-heap"))]
 pub use queue::reference::HeapQueue;

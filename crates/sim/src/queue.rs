@@ -1,10 +1,12 @@
 //! The central event queue of the discrete-event engine.
 //!
 //! Since the engine hot-path pass the queue is a hierarchical timing
-//! wheel rather than a binary heap: pushes append to a slot vector in
+//! wheel rather than a binary heap: pushes append to a slot buffer in
 //! O(1), pops drain the current slot in amortized O(1), and steady
-//! state allocates nothing because slot vectors and the far-future
-//! overflow keep their capacity across reuse. The original heap
+//! state allocates nothing because buffers are pooled: a slot the
+//! cursor leaves empty hands its buffer to a spare stack, and a slot's
+//! first push takes one from there, so a run warms as many buffers as
+//! it has slots non-empty at once, not one per slot. The original heap
 //! implementation survives as [`reference::HeapQueue`] (behind
 //! `cfg(test)` / the `ref-heap` feature) and is the oracle the wheel is
 //! property-tested against — pop order is provably identical, not
@@ -58,6 +60,12 @@ pub struct EventQueue<E> {
     slots: Box<[Slot<E>]>,
     /// Events in epochs beyond `cur_epoch`, unordered.
     far: Vec<Entry<E>>,
+    /// Emptied slot buffers, most recently released on top. A buffer
+    /// leaves its slot only when the cursor passes the slot empty —
+    /// the slot being drained keeps its own for same-tick pushes, and
+    /// one `remove_clamped` emptied stays put until the cursor gets
+    /// there.
+    spare: Vec<Vec<Entry<E>>>,
     /// The epoch the wheel currently covers.
     cur_epoch: u64,
     /// First slot of `cur_epoch` that may still hold events.
@@ -72,18 +80,15 @@ pub struct EventQueue<E> {
 
 /// Allocation accounting for the event queue, mirroring the page
 /// pool's `PoolStats`: steady-state simulation should run almost
-/// entirely on `slot_reuses` — a push into spare capacity some earlier
-/// event left behind — with `fresh_allocs` frozen after warm-up.
+/// entirely on `slot_reuses` — a push into capacity some earlier event
+/// left behind, in the slot or in a spare buffer — with `fresh_allocs`
+/// frozen after warm-up.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct QueueStats {
-    /// Pushes that appended into existing slot/overflow capacity.
+    /// Pushes that appended into existing slot/spare/overflow capacity.
     pub slot_reuses: u64,
-    /// Pushes that forced the slot/overflow vector to grow.
+    /// Pushes that forced a slot buffer or the overflow vector to grow.
     pub fresh_allocs: u64,
-    /// Pushes that landed beyond the wheel horizon (far tier).
-    pub far_pushes: u64,
-    /// Slot sorts performed on first drain of a dirty slot.
-    pub slot_sorts: u64,
 }
 
 #[derive(Debug)]
@@ -120,6 +125,7 @@ impl<E> EventQueue<E> {
                 .take(NSLOTS)
                 .collect(),
             far: Vec::new(),
+            spare: Vec::new(),
             cur_epoch: 0,
             cursor: 0,
             len: 0,
@@ -147,25 +153,34 @@ impl<E> EventQueue<E> {
         self.seq += 1;
         self.len += 1;
         let entry = Entry { time, seq, event };
-        let t = tick(time);
-        if epoch(t) == self.cur_epoch {
-            let slot = &mut self.slots[(t & (NSLOTS as u64 - 1)) as usize];
-            if slot.items.len() == slot.items.capacity() {
-                self.stats.fresh_allocs += 1;
-            } else {
-                self.stats.slot_reuses += 1;
-            }
-            slot.items.push(entry);
-            slot.sorted = slot.items.len() <= 1;
+        let grew = if epoch(tick(time)) == self.cur_epoch {
+            self.place(entry)
         } else {
-            if self.far.len() == self.far.capacity() {
-                self.stats.fresh_allocs += 1;
-            } else {
-                self.stats.slot_reuses += 1;
-            }
-            self.stats.far_pushes += 1;
+            let full = self.far.len() == self.far.capacity();
             self.far.push(entry);
+            full
+        };
+        if grew {
+            self.stats.fresh_allocs += 1;
+        } else {
+            self.stats.slot_reuses += 1;
         }
+    }
+
+    /// Appends `entry` to its slot of the current epoch; a slot without
+    /// a buffer takes a spare one first. Returns `true` if the slot's
+    /// buffer had to grow for it.
+    fn place(&mut self, entry: Entry<E>) -> bool {
+        let slot = &mut self.slots[(tick(entry.time) & (NSLOTS as u64 - 1)) as usize];
+        if slot.items.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                slot.items = buf;
+            }
+        }
+        let full = slot.items.len() == slot.items.capacity();
+        slot.items.push(entry);
+        slot.sorted = slot.items.len() <= 1;
+        full
     }
 
     /// Removes and returns the earliest event, advancing the queue's
@@ -181,7 +196,6 @@ impl<E> EventQueue<E> {
                     slot.items
                         .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
                     slot.sorted = true;
-                    self.stats.slot_sorts += 1;
                 }
                 let entry = slot.items.pop().expect("slot checked non-empty");
                 self.len -= 1;
@@ -189,6 +203,10 @@ impl<E> EventQueue<E> {
                 self.now = entry.time;
                 self.popped += 1;
                 return Some((entry.time, entry.event));
+            }
+            // The cursor leaves the slot empty: its buffer is spare.
+            if slot.items.capacity() != 0 {
+                self.spare.push(std::mem::take(&mut slot.items));
             }
             if self.cursor + 1 < NSLOTS {
                 self.cursor += 1;
@@ -214,9 +232,7 @@ impl<E> EventQueue<E> {
         while i < self.far.len() {
             if epoch(tick(self.far[i].time)) == self.cur_epoch {
                 let entry = self.far.swap_remove(i);
-                let slot = &mut self.slots[(tick(entry.time) & (NSLOTS as u64 - 1)) as usize];
-                slot.items.push(entry);
-                slot.sorted = slot.items.len() <= 1;
+                self.place(entry);
             } else {
                 i += 1;
             }
@@ -632,6 +648,27 @@ mod tests {
             assert_eq!(q.pop().unwrap(), (Time::from_ns(t), i));
         }
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn a_lone_event_warms_one_buffer_per_live_slot_not_per_slot_visited() {
+        // One pending event hops across every slot of the wheel and
+        // through ~98 epochs. The slot it sits in and the slot it just
+        // left are the only two that ever hold a buffer at once.
+        let mut q = EventQueue::new();
+        let stride = 1_031; // just over one slot: a new slot every hop
+        let mut t = 0u64;
+        q.push(Time::from_ns(t), ());
+        for _ in 0..100_000 {
+            let (at, ()) = q.pop().unwrap();
+            assert_eq!(at.as_ns(), t);
+            t += stride;
+            q.push(Time::from_ns(t), ());
+        }
+        assert!(epoch(tick(Time::from_ns(t))) >= 50);
+        let s = q.stats();
+        assert!(s.fresh_allocs <= 4, "{s:?}");
+        assert_eq!(s.fresh_allocs + s.slot_reuses, 100_001);
     }
 
     #[test]
