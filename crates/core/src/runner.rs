@@ -37,11 +37,11 @@ pub struct RunConfig {
     /// host-barrier vs NI-barrier axis on an otherwise identical run.
     pub barrier: Option<BarrierImpl>,
     /// Degraded-mode fault handling: when a peer exhausts its
-    /// retransmission budget, recover per-transaction (fail the waiting
-    /// op into the latency histogram, heal token-bearing protocol
-    /// messages over the management channel) instead of aborting the
-    /// whole run. Off by default so existing callers keep the
-    /// fail-stop `Err(PeerUnreachable)` contract.
+    /// retransmission budget, recover per-transaction (synchronisation
+    /// traffic heals over the management channel; a lost fetch fails
+    /// into the latency histogram, and nothing else can fail) instead
+    /// of aborting the whole run. Off by default so existing callers
+    /// keep the fail-stop `Err(PeerUnreachable)` contract.
     pub degraded: bool,
 }
 

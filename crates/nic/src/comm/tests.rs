@@ -1,5 +1,6 @@
 use super::*;
 use genima_coll::ReduceOp;
+use genima_net::{Fate, FaultInjector, PacketCtx};
 use genima_sim::EventQueue;
 
 fn comm(ports: usize, nlocks: usize) -> Comm {
@@ -531,5 +532,136 @@ fn coll_epochs_chain_without_reset() {
             c.coll_result(coll),
             Some((epoch, &[4 * (1 + epoch as u64)][..]))
         );
+    }
+}
+
+/// Loses every transmission — retransmits included — of one packet,
+/// named by its channel and sequence number; the rest of the fabric is
+/// clean.
+#[derive(Debug)]
+struct Doom {
+    src: usize,
+    dst: usize,
+    seq: u64,
+}
+
+impl FaultInjector for Doom {
+    fn fate(&mut self, ctx: PacketCtx) -> Fate {
+        if (ctx.src.index(), ctx.dst.index(), ctx.seq) == (self.src, self.dst, self.seq) {
+            Fate::Drop
+        } else {
+            Fate::CLEAN
+        }
+    }
+
+    fn recv_stall(&mut self, _nic: NicId, _now: Time) -> Dur {
+        Dur::ZERO
+    }
+}
+
+/// What the contended-chain harness schedules.
+enum ChainEv {
+    Fw(Event),
+    Up(Upcall),
+    Release(NicId),
+}
+
+fn sched(q: &mut EventQueue<ChainEv>, post: Post) {
+    for (t, e) in post.events {
+        q.push(t, ChainEv::Fw(e));
+    }
+    for (t, u) in post.upcalls {
+        q.push(t, ChainEv::Up(u));
+    }
+}
+
+/// The GeNIMA-1999 `LockWait` deadlock, small: a lock homed at and held
+/// by NIC 0, NIC 1 then NIC 2 ask for it, NIC 0 releases at 300 µs and
+/// every later holder 10 µs after its grant — while the transport
+/// gives up on the one chain packet `doomed` names. Returns every
+/// upcall but `LockDeparted`, in time order, and the counters.
+fn contended_chain(doomed: Doom, degraded: bool) -> (Vec<Upcall>, RecoveryStats) {
+    let mut c = comm(3, 1);
+    c.set_fault_injector(Box::new(doomed));
+    c.set_degraded(degraded);
+    let lock = LockId::new(0);
+    let at = |us| Time::ZERO + Dur::from_us(us);
+    let mut q = EventQueue::new();
+    sched(
+        &mut q,
+        c.lock_acquire(at(0), NicId::new(0), lock, Tag::new(0)),
+    );
+    sched(
+        &mut q,
+        c.lock_acquire(at(10), NicId::new(1), lock, Tag::new(1)),
+    );
+    sched(
+        &mut q,
+        c.lock_acquire(at(30), NicId::new(2), lock, Tag::new(2)),
+    );
+    q.push(at(300), ChainEv::Release(NicId::new(0)));
+    let mut ups = Vec::new();
+    while let Some((t, ev)) = q.pop() {
+        match ev {
+            ChainEv::Fw(e) => {
+                let step = c.handle(t, e);
+                sched(&mut q, Post::after(t, step));
+            }
+            ChainEv::Release(nic) => sched(&mut q, c.lock_release(t, nic, lock)),
+            ChainEv::Up(Upcall::LockDeparted { .. }) => {}
+            ChainEv::Up(up) => {
+                if let Upcall::LockGranted { nic, .. } = up {
+                    if nic != NicId::new(0) {
+                        q.push(t + Dur::from_us(10), ChainEv::Release(nic));
+                    }
+                }
+                ups.push(up);
+            }
+        }
+    }
+    (ups, c.recovery_stats())
+}
+
+#[test]
+fn chain_packet_the_transport_gives_up_on_still_hands_the_lock_on() {
+    let granted = |n: usize| Upcall::LockGranted {
+        nic: NicId::new(n),
+        lock: LockId::new(0),
+        tag: Tag::new(n as u64),
+    };
+    // On the 0→1 channel the transfer naming NIC 2 is packet 1 and the
+    // grant packet 2; NIC 1's request is packet 1 of 1→0, and when it
+    // is the one that crawls, NIC 2 joins the chain first.
+    let cases = [
+        ("grant 0→1", (0, 1, 2), [1, 2], 1),
+        ("transfer 0→1 naming 2", (0, 1, 1), [1, 2], 2),
+        ("request 1→0", (1, 0, 1), [2, 1], 1),
+    ];
+    for (what, (src, dst, seq), order, tag) in cases {
+        let (ups, stats) = contended_chain(Doom { src, dst, seq }, true);
+        assert_eq!(
+            ups,
+            [granted(0), granted(order[0]), granted(order[1])],
+            "{what}: every acquire is granted, in chain order"
+        );
+        // Seven retransmissions, then one management hop that `admit`
+        // takes as the packet's first arrival.
+        let healed = RecoveryStats {
+            retransmits: 7,
+            mgmt_deliveries: 1,
+            ..RecoveryStats::default()
+        };
+        assert_eq!(stats, healed, "{what}");
+
+        // Fail-stop is unchanged: the same loss surfaces, carrying the
+        // acquire tag of the requester the packet served.
+        let (ups, stats) = contended_chain(Doom { src, dst, seq }, false);
+        let gave_up = Upcall::PeerUnreachable {
+            nic: NicId::new(src),
+            peer: NicId::new(dst),
+            tag: Tag::new(tag),
+        };
+        assert!(ups.contains(&gave_up), "{what}: {ups:?}");
+        assert_eq!((stats.unreachable, stats.mgmt_deliveries), (1, 0), "{what}");
     }
 }

@@ -34,8 +34,10 @@ pub struct RecoveryStats {
     /// Sends abandoned after exhausting every attempt
     /// ([`Upcall::PeerUnreachable`] surfaced).
     pub unreachable: u64,
-    /// Untagged control packets handed to the out-of-band management
-    /// channel after exhausting every attempt (degraded mode only).
+    /// Untagged packets and firmware synchronisation traffic (lock
+    /// chain, collective, atomic reply) handed to the out-of-band
+    /// management channel after exhausting every attempt (degraded
+    /// mode only).
     pub mgmt_deliveries: u64,
 }
 
@@ -90,11 +92,11 @@ pub(super) struct Transport {
     seen: Vec<SeqWindow>,
     recovery: RecoveryStats,
     /// Degraded-mode retransmission policy: when a send to a peer
-    /// exhausts every attempt, *untagged* firmware control traffic
-    /// (collective fan-in/fan-out, timestamp prefetches) is delivered
-    /// over a modeled out-of-band management channel instead of
-    /// surfacing [`Upcall::PeerUnreachable`]. Tagged packets still
-    /// surface, so the protocol layer can fail the owning transaction.
+    /// exhausts every attempt, a packet of the [`never_dies`] class is
+    /// delivered over a modeled out-of-band management channel instead
+    /// of surfacing [`Upcall::PeerUnreachable`]. Host data transactions
+    /// still surface, so the protocol layer can apply the transaction's
+    /// record or fail the fetch.
     degraded: bool,
 }
 
@@ -299,25 +301,16 @@ impl Comm {
 
     /// A retransmission timer fired: send the packet again (same
     /// sequence number, so a late original and the retransmit dedupe at
-    /// the receiver) or give up and surface
-    /// [`Upcall::PeerUnreachable`].
+    /// the receiver) or give up — surface [`Upcall::PeerUnreachable`],
+    /// or in degraded mode take the management channel if the packet
+    /// [`never_dies`].
     pub(super) fn retransmit(&mut self, now: Time, pkt: Packet, attempt: u32) -> Step {
         let mut step = Step::default();
         if attempt >= self.cfg.max_send_attempts {
-            let token_bearing =
-                pkt.tag == Tag::NONE || matches!(pkt.kind, MsgKind::AtomicReply { .. });
-            if self.tx.degraded && token_bearing {
-                // Two packet classes must not die. Untagged packets are
-                // firmware-internal control traffic (collective fan-in/
-                // fan-out, timestamp prefetches) whose episode state
-                // lives only in the message itself — no host transaction
-                // exists to fail. Atomic replies report a swap that
-                // already executed at the responder: the cell change
-                // cannot be rolled back, and for a wait-mode CAS the
-                // reply *is* the lock token — losing it would strand
-                // every waiter parked behind the orphaned cell.
-                // Degraded mode hands both to the reliable management
-                // channel: one slow out-of-band hop, injector bypassed.
+            if self.tx.degraded && never_dies(&pkt) {
+                // One slow out-of-band hop, injector bypassed. The packet
+                // keeps its sequence number, so `admit` accounts for it
+                // on arrival: its hole must not also be closed here.
                 self.tx.recovery.mgmt_deliveries += 1;
                 step.events
                     .push((now + self.cfg.retry_timeout, Event::Delivered(pkt)));
@@ -381,6 +374,29 @@ impl Comm {
             None => Dur::ZERO,
         };
         Some(now + stall)
+    }
+}
+
+/// The failure contract's firmware half: a packet sent on a
+/// synchronisation mechanism's behalf never dies. Its episode lives
+/// only in the message — a chain packet names the next owner or *is*
+/// the lock token, a collective packet is a subtree's arrival or
+/// release, an atomic reply reports a swap that already executed (for a
+/// wait-mode CAS it is the token) — so failing whoever it was sent for
+/// would strand everyone queued behind them. Untagged packets (a lock
+/// cell's clear, a timestamp prefetch) ride along: no host transaction
+/// exists to resolve them. A tagged host data transaction may die; the
+/// protocol layer then applies its record or fails the fetch.
+fn never_dies(pkt: &Packet) -> bool {
+    match pkt.kind {
+        MsgKind::LockMsg(_) | MsgKind::CollMsg(_) | MsgKind::AtomicReply { .. } => true,
+        MsgKind::Deposit
+        | MsgKind::GatherDeposit { .. }
+        | MsgKind::HostMsg
+        | MsgKind::FetchReq { .. }
+        | MsgKind::FetchReply
+        | MsgKind::FetchAndStore { .. }
+        | MsgKind::MaskedCas(_) => pkt.tag == Tag::NONE,
     }
 }
 

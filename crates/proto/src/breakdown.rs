@@ -123,18 +123,19 @@ pub struct Counters {
     pub mprotect_calls: u64,
     /// Pages invalidated.
     pub invalidations: u64,
-    /// Operations failed fast in degraded mode: a peer became
-    /// unreachable mid-transaction and the blocked process was resumed
-    /// with its operation abandoned instead of aborting the run
-    /// ([`SvmParams::degraded`](crate::SvmParams)). The failed
-    /// operation's wait still lands in the op-latency histograms.
+    /// Page fetches failed fast in degraded mode: a peer became
+    /// unreachable mid-fetch and the blocked process was resumed with
+    /// its access abandoned instead of aborting the run
+    /// ([`SvmParams::degraded`](crate::SvmParams)). The failed fetch's
+    /// wait still lands in the op-latency histograms. Nothing else can
+    /// fail: synchronisation traffic heals.
     pub failed_ops: u64,
     /// Degraded-mode recoveries that completed a lost transaction by
     /// applying its effect directly (management-channel heal) — the
     /// operation finished slow rather than failing.
     pub degraded_heals: u64,
-    /// Degraded-mode abandons whose tag resolved to no host-side
-    /// transaction (firmware-internal or untagged packets): nothing to
+    /// Degraded-mode abandons whose transaction was already resolved
+    /// (tag consumed, fetch satisfied by another path): nothing to
     /// fail or heal, the loss is only counted.
     pub degraded_lost_msgs: u64,
 }

@@ -36,41 +36,6 @@ impl SvmSystem {
                     }
                 },
             };
-            // Degraded mode: a failed acquire skips its critical
-            // section — consume ops without executing until the
-            // matching release closes the section.
-            if let Some((dead, depth)) = self.procs[p].skipping {
-                match &op {
-                    Op::Acquire(l) if *l == dead => {
-                        self.procs[p].skipping = Some((dead, depth + 1));
-                        continue;
-                    }
-                    Op::Release(l) if *l == dead => {
-                        self.procs[p].skipping = if depth > 1 {
-                            Some((dead, depth - 1))
-                        } else {
-                            None
-                        };
-                        continue;
-                    }
-                    Op::Barrier(_) => {
-                        // A barrier inside a skipped section would
-                        // wedge every other process if skipped; close
-                        // the skip and execute it.
-                        self.procs[p].skipping = None;
-                    }
-                    Op::Compute(_)
-                    | Op::Read { .. }
-                    | Op::Write { .. }
-                    | Op::WriteData { .. }
-                    | Op::Validate { .. }
-                    | Op::Observe { .. }
-                    | Op::WaitUntil(_)
-                    | Op::ServeEnd { .. }
-                    | Op::Acquire(_)
-                    | Op::Release(_) => continue,
-                }
-            }
             match self.exec_op(now, p, op, prog) {
                 Flow::Continue => {}
                 Flow::Stop => return,

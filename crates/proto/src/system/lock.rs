@@ -9,7 +9,7 @@
 //! the node, and the lazy-diff flush before the lock leaves.
 
 use genima_nic::{CasWord, LockAction, LockId, LockOp, Post, Tag};
-use genima_sim::{Dur, Time};
+use genima_sim::Time;
 
 use super::{
     Block, Bucket, Flow, LockStrategy, Pending, ProcState, Sink, SvmSystem, SysEvent, WaitReason,
@@ -27,15 +27,6 @@ impl SvmSystem {
     /// Starts a lock acquire for `p`. Returns [`Flow::Stop`] when the
     /// process blocked.
     pub(crate) fn start_acquire(&mut self, now: Time, p: usize, l: LockId) -> Flow {
-        if self.p.degraded && self.dead_locks[l.index()] {
-            // Poisoned in an earlier degraded recovery (its firmware
-            // slot or home cell cannot be safely re-entered): fail
-            // fast and skip the guarded section.
-            self.counters.failed_ops += 1;
-            self.op_hist.lock.record(Dur::ZERO);
-            self.procs[p].skipping = Some((l, 1));
-            return Flow::Continue;
-        }
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         let nl = &mut self.nodes[node].locks[l.index()];
         if nl.holder.is_some() || !nl.local_waiters.is_empty() || nl.requesting {
@@ -311,18 +302,12 @@ impl SvmSystem {
         self.lock_granted(t, proc, l);
     }
 
-    /// The tail of every blocked acquire that is granted, remote or by
-    /// local handoff, after `proc` joined the lock's timestamp: close
-    /// the wait, then wait for notices / apply invalidations.
+    /// The tail of every blocked acquire, remote or by local handoff,
+    /// after `proc` joined the lock's timestamp: close the wait at `t`
+    /// (charge it, record it in the lock histogram, emit the
+    /// operation's root span), then wait for notices / apply
+    /// invalidations.
     fn lock_granted(&mut self, t: Time, proc: usize, l: LockId) {
-        self.end_lock_wait(t, proc, l);
-        self.enter_notice_stage(t, proc, WaitReason::Lock);
-    }
-
-    /// Closes `proc`'s blocked acquire of `l` at `t`, granted or
-    /// failed: charges the wait, records it in the lock histogram and
-    /// emits the operation's root span.
-    pub(crate) fn end_lock_wait(&mut self, t: Time, proc: usize, l: LockId) {
         let (started, lop) = match &self.procs[proc].state {
             ProcState::Blocked(Block::LockWait { lock, started, op }) if *lock == l => {
                 (*started, *op)
@@ -344,6 +329,7 @@ impl SvmSystem {
                 lop,
             );
         });
+        self.enter_notice_stage(t, proc, WaitReason::Lock);
     }
 
     /// Releases a lock held by `p`, ending its interval, propagating

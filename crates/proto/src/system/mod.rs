@@ -107,11 +107,11 @@ pub struct SvmParams {
     pub first_touch_homes: bool,
     /// Degraded mode for serving workloads: when a peer becomes
     /// unreachable (retransmission gave up), recover per-transaction —
-    /// fail the blocked operations fast or heal the lost message in
-    /// place — instead of aborting the whole run with
-    /// [`ProtoError::PeerUnreachable`]. Failed operations surface in
-    /// the latency histograms and [`Counters::failed_ops`]. Off by
-    /// default: batch runs treat an unreachable peer as fatal.
+    /// apply the lost message's record in place or fail the fetch that
+    /// waited on it — instead of aborting the whole run with
+    /// [`ProtoError::PeerUnreachable`]. Only fetches can fail; they
+    /// surface in the latency histograms and [`Counters::failed_ops`].
+    /// Off by default: batch runs treat an unreachable peer as fatal.
     pub degraded: bool,
     /// Safety valve: abort if the event count exceeds this bound.
     pub max_events: u64,
@@ -221,10 +221,6 @@ pub struct SvmSystem {
     /// Per-class serving-request latency histograms, fed by
     /// [`Op::ServeEnd`](crate::ops::Op::ServeEnd) markers; reset with `op_hist`.
     pub(crate) serve_hist: crate::report::ServeLatency,
-    /// Degraded mode: locks whose token may be lost (an NI lock or
-    /// atomics transaction was abandoned mid-flight). Later acquires
-    /// fail fast instead of re-entering the firmware state machine.
-    pub(crate) dead_locks: Vec<bool>,
     pub(crate) counters: Counters,
     pub(crate) done_count: usize,
     pub(crate) measure_from: Time,
@@ -330,7 +326,6 @@ impl SvmSystem {
             op_seq: 0,
             op_hist: crate::report::OpLatency::default(),
             serve_hist: crate::report::ServeLatency::default(),
-            dead_locks: vec![false; params.locks],
             counters: Counters::default(),
             done_count: 0,
             measure_from: Time::ZERO,
@@ -370,14 +365,6 @@ impl SvmSystem {
     /// injector implementations.
     pub fn set_fault_injector(&mut self, injector: Box<dyn genima_nic::FaultInjector>) {
         self.vmmc.comm_mut().set_fault_injector(injector);
-    }
-
-    /// Enables or disables degraded-mode fault handling (see
-    /// [`SvmParams::degraded`]): an exhausted retransmission budget
-    /// fails the affected transaction instead of aborting the run.
-    pub fn set_degraded(&mut self, on: bool) {
-        self.p.degraded = on;
-        self.vmmc.comm_mut().set_degraded(on);
     }
 
     /// Turns protocol *and* NI event tracing on or off. Turning it on

@@ -211,11 +211,6 @@ pub(crate) struct ProcRt {
     /// Set when the warmup barrier released; the breakdown is zeroed
     /// when this process exits the barrier.
     pub(crate) warmup_reset: bool,
-    /// Degraded mode: a lock acquire failed fast and the critical
-    /// section it guarded must be skipped. Holds the failed lock and
-    /// the acquire nesting depth; ops are consumed without executing
-    /// until the matching release brings the depth to zero.
-    pub(crate) skipping: Option<(LockId, u32)>,
     /// While blocked on an in-flight fetch: the process that joined it
     /// next (see [`Waiters`]). Taken when this process is woken.
     pub(crate) next_waiter: Option<usize>,
@@ -239,7 +234,6 @@ impl ProcRt {
             bd: Breakdown::default(),
             steal: Dur::ZERO,
             warmup_reset: false,
-            skipping: None,
             next_waiter: None,
             finished_at: None,
         }
