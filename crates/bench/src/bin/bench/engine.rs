@@ -14,8 +14,9 @@
 //!   `SysEvent` (`/wide`, a 112-byte entry — what the system rows and
 //!   every real run push, sort and pop).
 //! * **System** (`sys-*` rows) — full protocol runs timed end to end:
-//!   simulated events per wall-clock second and heap allocations per
-//!   event via the driver's counting global allocator.
+//!   simulated events per wall-clock second, and heap allocations and
+//!   requested bytes per event via the driver's counting global
+//!   allocator.
 //!
 //! Gates: the wheel is at least 3× the heap on the largest `u64` hold
 //! population, and on both payloads its steady-state allocation rate
@@ -23,7 +24,9 @@
 //! buffers must recycle their capacity, not reallocate per event. Each
 //! system row's allocations per event (set-up included) stay within a
 //! quarter of the value measured when the wheel began pooling its slot
-//! buffers (DESIGN.md §26) — a count, so the gate holds on any
+//! buffers (DESIGN.md §26), and the bytes those allocations request
+//! within a quarter of the value measured when a page-column slot
+//! became 8 bytes (DESIGN.md §27) — counts, so the gates hold on any
 //! machine.
 
 use std::time::Instant;
@@ -34,7 +37,7 @@ use genima_obs::bench::row;
 use genima_obs::{BenchReport, Json};
 use genima_sim::{EventQueue, HeapQueue, SplitMix64, Time};
 
-use crate::{allocs, gate_failed_runs, run_cell, time_ns, Args};
+use crate::{alloc_bytes, allocs, gate_failed_runs, run_cell, time_ns, Args};
 
 /// Timed hold-model steps per population.
 const ITERS: usize = 200_000;
@@ -46,6 +49,10 @@ const ITERS: usize = 200_000;
 fn offset(rng: &mut SplitMix64) -> u64 {
     1_000 + rng.next_u64() % 999_000
 }
+
+/// What a system row may cost per delivered event: (allocations,
+/// requested bytes).
+type Ceilings = (f64, f64);
 
 /// A payload the size of the protocol's `SysEvent`, which the system
 /// rows queue: a 112-byte wheel entry against the `u64` payload's 24.
@@ -165,30 +172,43 @@ pub fn run(args: &Args) -> BenchReport {
     }
     println!("{table}");
 
-    // Per app: the allocations-per-event ceilings of its Base and
-    // GeNIMA rows, 1.25 x the 0.166 / 0.207 / 0.066 / 0.086 measured at
-    // PR 18 (0.60 / 0.59 / 0.27 / 0.28 at PR 17, 1.23 / 1.15 / 0.62 /
-    // 0.63 at PR 13, 3.03 / 2.83 / 2.05 / 2.05 before it). These runs
-    // deliver 2.4-5.7 k events, so until the wheel pooled its buffers
-    // most of each figure was slots warming up (DESIGN.md §26).
-    let apps: Vec<(&str, Box<dyn App>, [f64; 2])> = vec![
+    // Per app: the (allocations, requested bytes) per-event ceilings of
+    // its Base and GeNIMA rows. Allocations: 1.25 x the 0.166 / 0.207 /
+    // 0.066 / 0.086 measured at PR 18 (0.60 / 0.59 / 0.27 / 0.28 at
+    // PR 17, 1.23 / 1.15 / 0.62 / 0.63 at PR 13, 3.03 / 2.83 / 2.05 /
+    // 2.05 before it). These runs deliver 2.4-5.7 k events, so until
+    // the wheel pooled its buffers most of each figure was slots
+    // warming up (DESIGN.md §26). Bytes: 1.25 x the 115.1 / 120.8 /
+    // 65.9 / 72.4 measured at PR 20 (173.0 / 173.6 / 114.3 / 120.2
+    // before its 8-byte version slots, DESIGN.md §27).
+    let apps: Vec<(&str, Box<dyn App>, [Ceilings; 2])> = vec![
         (
             "ocean",
             Box::new(OceanRowwise::with_grid(256, 8)),
-            [0.208, 0.259],
+            [(0.208, 143.9), (0.259, 151.0)],
         ),
-        ("fft", Box::new(Fft::with_points(1 << 16)), [0.083, 0.108]),
+        (
+            "fft",
+            Box::new(Fft::with_points(1 << 16)),
+            [(0.083, 82.4), (0.108, 90.5)],
+        ),
     ];
-    let mut stable = TextTable::new(vec!["system", "events", "events/sec", "allocs/ev"]);
+    let mut stable = TextTable::new(vec![
+        "system",
+        "events",
+        "events/sec",
+        "allocs/ev",
+        "bytes/ev",
+    ]);
     let mut failed = 0u64;
     for (name, app, ceilings) in &apps {
-        for (column, ceiling) in [Column::all()[0], Column::all()[4]]
+        for (column, (ceiling, byte_ceiling)) in [Column::all()[0], Column::all()[4]]
             .into_iter()
             .zip(ceilings)
         {
             let label = format!("{name}/{}", column.name());
             let cfg = RunConfig::from_column(Topology::new(4, 2), column).with_seed(args.seed);
-            let before = allocs();
+            let before = (allocs(), alloc_bytes());
             let start = Instant::now();
             let Some(out) = run_cell(&label, app.as_ref(), &cfg, &mut failed) else {
                 continue;
@@ -196,12 +216,14 @@ pub fn run(args: &Args) -> BenchReport {
             let wall = start.elapsed().as_nanos() as f64;
             let events = out.report.events;
             let events_per_sec = events as f64 / (wall / 1e9);
-            let allocs_per_event = (allocs() - before) as f64 / events.max(1) as f64;
+            let allocs_per_event = (allocs() - before.0) as f64 / events.max(1) as f64;
+            let bytes_per_event = (alloc_bytes() - before.1) as f64 / events.max(1) as f64;
             stable.row(vec![
                 label.clone(),
                 events.to_string(),
                 format!("{events_per_sec:.0}"),
                 format!("{allocs_per_event:.1}"),
+                format!("{bytes_per_event:.0}"),
             ]);
             let mut cell = Json::obj();
             cell.set("kind", "system".into());
@@ -209,11 +231,14 @@ pub fn run(args: &Args) -> BenchReport {
             cell.set("events", events.into());
             cell.set("events_per_sec", events_per_sec.into());
             cell.set("allocs_per_event", allocs_per_event.into());
+            cell.set("bytes_per_event", bytes_per_event.into());
             let i = rep.push(cell);
             let name = format!("{label}: the run delivered events");
             rep.gate(name, row(i, "events"), ">", 0u64);
             let name = format!("{label}: allocations per event within the measured budget");
             rep.gate(name, row(i, "allocs_per_event"), "<=", *ceiling);
+            let name = format!("{label}: bytes allocated per event within the measured budget");
+            rep.gate(name, row(i, "bytes_per_event"), "<=", *byte_ceiling);
         }
     }
     println!("{stable}");

@@ -35,15 +35,18 @@ use genima_obs::bench::{meta, row};
 use genima_obs::BenchReport;
 use genima_sim::RunSeed;
 
-/// Counts every allocation (and reallocation) so the `engine` kind can
-/// gate steady-state allocations per event. Frees are not interesting.
+/// Counts every allocation (and reallocation) and the bytes each one
+/// asks for, so the `engine` kind can gate both per event. Frees are
+/// not interesting.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -53,6 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -63,6 +67,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Allocations made by this process so far.
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Bytes those allocations asked for.
+fn alloc_bytes() -> u64 {
+    ALLOC_BYTES.load(Ordering::Relaxed)
 }
 
 /// What every kind is given.

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use genima_net::{Fate, FaultInjector, NicId, PacketCtx};
 use genima_sim::{Dur, RunSeed, SplitMix64, Time};
 
-use crate::plan::{FaultPlan, TargetAction};
+use crate::plan::{FaultPlan, Outage, TargetAction};
 
 /// Counters of what an injector actually did to a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,7 +68,44 @@ pub struct PlanInjector {
     delay_rng: SplitMix64,
     /// Targeted rules already fired (parallel to `plan.targets`).
     fired: Vec<bool>,
+    /// `plan.outages` compiled for the per-packet question, indexed by
+    /// destination NIC.
+    outages: Vec<OutageWindows>,
     stats: StatsHandle,
+}
+
+/// One NIC's outage windows as `(from, until)`, ascending by `from`,
+/// each `until` raised to the latest of the windows up to it: windows
+/// may overlap in a plan, and the running maximum makes "is some window
+/// that has opened still open?" a question about one entry.
+#[derive(Debug, Default)]
+struct OutageWindows(Vec<(Time, Time)>);
+
+impl OutageWindows {
+    /// Compiles the plan's outages into one window list per NIC.
+    fn per_nic(outages: &[Outage]) -> Vec<OutageWindows> {
+        let nics = outages.iter().map(|o| o.node.index() + 1).max();
+        let mut per_nic: Vec<OutageWindows> = Vec::new();
+        per_nic.resize_with(nics.unwrap_or(0), OutageWindows::default);
+        for o in outages {
+            per_nic[o.node.index()].0.push((o.from, o.until));
+        }
+        for OutageWindows(windows) in &mut per_nic {
+            windows.sort_by_key(|w| w.0);
+            let mut latest = Time::ZERO;
+            for w in windows {
+                latest = latest.max(w.1);
+                w.1 = latest;
+            }
+        }
+        per_nic
+    }
+
+    /// `true` if some window holds `from <= now < until`.
+    fn covers(&self, now: Time) -> bool {
+        let opened = self.0.partition_point(|w| w.0 <= now);
+        opened > 0 && now < self.0[opened - 1].1
+    }
 }
 
 impl PlanInjector {
@@ -79,6 +116,7 @@ impl PlanInjector {
             fate_rng: seed.stream("fault.fate"),
             delay_rng: seed.stream("fault.delay"),
             fired,
+            outages: OutageWindows::per_nic(&plan.outages),
             plan,
             stats: Rc::new(RefCell::new(FaultStats::default())),
         }
@@ -135,10 +173,7 @@ impl PlanInjector {
     }
 
     fn in_outage(&self, dst: NicId, now: Time) -> bool {
-        self.plan
-            .outages
-            .iter()
-            .any(|o| o.node == dst && o.from <= now && now < o.until)
+        (self.outages.get(dst.index())).is_some_and(|windows| windows.covers(now))
     }
 }
 
@@ -216,6 +251,8 @@ impl FaultInjector for PlanInjector {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn ctx(src: usize, dst: usize, seq: u64, attempt: u32, now_ns: u64) -> PacketCtx {
@@ -330,6 +367,35 @@ mod tests {
         assert_eq!(inj.stats().outage_drops, 3);
         // Traffic to other nodes never faulted.
         assert_eq!(inj.fate(ctx(1, 0, 1, 0, 150)), Fate::CLEAN);
+    }
+
+    proptest! {
+        /// The compiled windows answer as the scan of the plan they
+        /// replaced does, on random overlapping (and empty) windows
+        /// over three NICs, at every instant of the range — each
+        /// window's own `from` and `until` among them — and for a NIC
+        /// the plan never names.
+        #[test]
+        fn prop_in_outage_matches_the_linear_scan(
+            windows in proptest::collection::vec((0usize..3, 0u64..40, 0u64..40), 0..12),
+        ) {
+            let plan = windows.iter().fold(FaultPlan::new(), |plan, &(nic, from, until)| {
+                plan.outage(NicId::new(nic), Time::from_ns(from), Time::from_ns(until))
+            });
+            let scan = |dst: usize, now: u64| {
+                windows.iter().any(|&(nic, from, until)| nic == dst && from <= now && now < until)
+            };
+            let inj = PlanInjector::new(plan, RunSeed::new(1));
+            for dst in 0..4 {
+                for now in 0..=40 {
+                    prop_assert_eq!(
+                        inj.in_outage(NicId::new(dst), Time::from_ns(now)),
+                        scan(dst, now),
+                        "nic {} at {} ns", dst, now
+                    );
+                }
+            }
+        }
     }
 
     #[test]

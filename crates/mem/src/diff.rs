@@ -44,20 +44,24 @@ const BLOCK: usize = 32;
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Page {
-    bytes: Box<[u8]>,
+    // The length is in the type, so the box is a thin pointer: a page
+    // column holds `Option<Page>` per slot and pays 8 bytes, not 16.
+    bytes: Box<[u8; PAGE_SIZE]>,
 }
 
 impl Page {
     /// A page of zeros.
     pub fn zeroed() -> Page {
+        // Zeroed on the heap and re-typed in place: no stack copy.
+        let bytes = vec![0u8; PAGE_SIZE].into_boxed_slice();
         Page {
-            bytes: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+            bytes: bytes.try_into().expect("a vector of PAGE_SIZE bytes"),
         }
     }
 
     /// The page contents.
     pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+        &self.bytes[..]
     }
 
     /// Writes `data` at byte `offset`.
@@ -81,7 +85,7 @@ impl Page {
     /// Overwrites this page with the contents of `src` (buffer reuse —
     /// no allocation, unlike `clone`).
     pub fn copy_from(&mut self, src: &Page) {
-        self.bytes.copy_from_slice(&src.bytes);
+        self.bytes.copy_from_slice(&src.bytes[..]);
     }
 
     /// Resets every byte to zero (buffer reuse — no allocation).

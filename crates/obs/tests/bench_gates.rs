@@ -118,15 +118,19 @@ fn a_lost_comparison_is_rejected() {
     // The system rows as they read at PR 17, while every wheel slot a
     // run touched warmed a buffer of its own (DESIGN.md §26): each is
     // over the ceiling PR 18 lowered to 1.25 x what the row reads now.
-    let gate = "within the measured budget";
-    for (name, at_pr17) in [
-        ("ocean/Base", 0.60),
-        ("ocean/GeNIMA", 0.59),
-        ("fft/Base", 0.27),
-        ("fft/GeNIMA", 0.28),
+    // And the bytes they requested at PR 19, while a slot of the
+    // `required` column was a 40-byte map (DESIGN.md §27).
+    for (name, at_pr17, bytes_at_pr19) in [
+        ("ocean/Base", 0.60, 173.0),
+        ("ocean/GeNIMA", 0.59, 173.6),
+        ("fft/Base", 0.27, 114.3),
+        ("fft/GeNIMA", 0.28, 120.2),
     ] {
         let system = [("name", name)];
+        let gate = "allocations per event within the measured budget";
         flip("engine", &system, "allocs_per_event", at_pr17, gate);
+        let gate = "bytes allocated per event within the measured budget";
+        flip("engine", &system, "bytes_per_event", bytes_at_pr19, gate);
     }
     flip(
         "diff",

@@ -102,7 +102,8 @@ impl SvmSystem {
             if self.p.features.rf {
                 self.issue_rf(now, p, page);
             } else {
-                let required = self.node_required(node, p, page);
+                let mut required = self.spare_versions.pop().unwrap_or_default();
+                self.node_required_into(&mut required, node, p, page);
                 self.request_page(now, node, page, required, fetch_op);
             }
         }
@@ -215,37 +216,35 @@ impl SvmSystem {
         op: u64,
     ) {
         if Self::covers_inflight_required(&ts, &self.procs, &self.nodes[node], page) {
-            self.nodes[node].copies.slot(page).ts = ts;
+            // The copy's previous version is the next spare.
+            let old = std::mem::replace(&mut self.nodes[node].copies.slot(page).ts, ts);
+            self.spare_versions.push(old);
             self.install_copy(t, node, page, data);
             return;
         }
         // Stale reply: ask the home again with the tightened
-        // requirement (served once the missing diffs are applied).
-        let need = self.inflight_required(node, page);
+        // requirement (served once the missing diffs are applied),
+        // built in the map the stale version came in.
+        let mut need = ts;
+        self.inflight_required_into(&mut need, node, page);
         self.note_fetch_retry(t, node, page, op);
         self.request_page(t, node, page, need, op);
     }
 
-    /// The joined version requirement of every process waiting on an
-    /// in-flight fetch of `page` at `node`, evaluated *now* (includes
-    /// the node's current local-flush watermark). Built only where the
-    /// requirement itself travels: a re-request message, a trace event.
-    fn inflight_required(&self, node: usize, page: PageId) -> VersionMap {
-        let mut need = self.nodes[node]
-            .local_flushed
-            .get(page)
-            .cloned()
-            .unwrap_or_default();
+    /// Makes `need` the joined version requirement of every process
+    /// waiting on an in-flight fetch of `page` at `node`, evaluated
+    /// *now* (includes the node's current local-flush watermark). Built
+    /// only where the requirement itself travels: a re-request message,
+    /// a trace event.
+    fn inflight_required_into(&self, need: &mut VersionMap, node: usize, page: PageId) {
+        need.set(self.nodes[node].local_flushed.pairs(page));
         let waiters = self.nodes[node].inflight.get(page);
         for w in waiters.into_iter().flat_map(|w| w.iter(&self.procs)) {
-            if let Some(req) = self.procs[w].required.get(page) {
-                need.join(req);
-            }
+            need.join(self.procs[w].required.pairs(page));
         }
-        need
     }
 
-    /// Returns `true` if `have` covers [`Self::inflight_required`],
+    /// Returns `true` if `have` covers [`Self::inflight_required_into`],
     /// without building it: covering a join is covering each operand.
     fn covers_inflight_required(
         have: &VersionMap,
@@ -254,11 +253,10 @@ impl SvmSystem {
         page: PageId,
     ) -> bool {
         let waiters = node.inflight.get(page).into_iter();
-        let covers = |req: Option<&VersionMap>| req.is_none_or(|req| have.covers(req));
-        covers(node.local_flushed.get(page))
+        have.covers(node.local_flushed.pairs(page))
             && waiters
                 .flat_map(|w| w.iter(procs))
-                .all(|w| covers(procs[w].required.get(page)))
+                .all(|w| have.covers(procs[w].required.pairs(page)))
     }
 
     /// A remote-fetched page arrived; validate its timestamp against
@@ -343,8 +341,10 @@ impl SvmSystem {
             self.pool.recycle(old_data);
         }
         if self.trace.is_some() {
-            let ts = copy.ts.iter().collect();
-            let required = self.inflight_required(node, page).iter().collect();
+            let ts = ts_map(copy.ts.pairs());
+            let mut required = VersionMap::new();
+            self.inflight_required_into(&mut required, node, page);
+            let required = ts_map(required.pairs());
             self.emit(TraceEvent::PageInstalled {
                 at: t,
                 node,
@@ -374,8 +374,10 @@ impl SvmSystem {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         if self.trace.is_some() {
             let copy = self.node_copy(node, page);
-            let ts = copy.into_iter().flat_map(|c| c.ts.iter()).collect();
-            let required = self.node_required(node, p, page).iter().collect();
+            let ts = copy.map(|c| ts_map(c.ts.pairs())).unwrap_or_default();
+            let mut required = VersionMap::new();
+            self.node_required_into(&mut required, node, p, page);
+            let required = ts_map(required.pairs());
             self.emit(TraceEvent::FaultDone {
                 at: t,
                 proc: p,
@@ -429,7 +431,9 @@ impl SvmSystem {
         required: VersionMap,
         op: u64,
     ) {
-        if self.home_pages.copies.slot(page).ts.covers(&required) {
+        let have = &self.home_pages.copies.slot(page).ts;
+        if have.covers(required.pairs()) {
+            self.spare_versions.push(required);
             self.reply_page(t, home, requester, page, op);
         } else {
             let deferred = self.home_pages.pending_reqs.slot(page);
@@ -440,7 +444,8 @@ impl SvmSystem {
     /// Sends the home copy of `page` and its version to `requester`.
     fn reply_page(&mut self, t: Time, home: usize, requester: usize, page: PageId, op: u64) {
         let hp = self.home_pages.copies.slot(page);
-        let ts = hp.ts.clone();
+        let mut ts = self.spare_versions.pop().unwrap_or_default();
+        ts.clone_from(&hp.ts);
         let data = self
             .p
             .data_mode
@@ -465,31 +470,21 @@ impl SvmSystem {
         self.absorb_post(post);
     }
 
-    /// The version requirement for `p` fetching `page`: the diffs its
-    /// applied write notices demand, *plus* whatever this node's own
-    /// writers have already flushed for the page (never install a
-    /// version that rolls back local writes). Built only where the
-    /// requirement itself travels: a Base page request, a trace event.
-    pub(crate) fn node_required(&self, node: usize, p: usize, page: PageId) -> VersionMap {
-        let mut req = self.procs[p]
-            .required
-            .get(page)
-            .cloned()
-            .unwrap_or_default();
-        if let Some(lf) = self.nodes[node].local_flushed.get(page) {
-            req.join(lf);
-        }
-        req
+    /// Makes `req` the version requirement for `p` fetching `page`:
+    /// the diffs its applied write notices demand, *plus* whatever this
+    /// node's own writers have already flushed for the page (never
+    /// install a version that rolls back local writes). Built only
+    /// where the requirement itself travels: a Base page request, a
+    /// trace event.
+    fn node_required_into(&self, req: &mut VersionMap, node: usize, p: usize, page: PageId) {
+        req.set(self.procs[p].required.pairs(page));
+        req.join(self.nodes[node].local_flushed.pairs(page));
     }
 
-    /// Returns `true` if `have` covers [`Self::node_required`],
+    /// Returns `true` if `have` covers [`Self::node_required_into`],
     /// without building it: covering a join is covering each operand.
     fn covers_node_required(have: &VersionMap, proc: &ProcRt, node: &NodeRt, page: PageId) -> bool {
-        proc.required.get(page).is_none_or(|r| have.covers(r))
-            && node
-                .local_flushed
-                .get(page)
-                .is_none_or(|lf| have.covers(lf))
+        have.covers(proc.required.pairs(page)) && have.covers(node.local_flushed.pairs(page))
     }
 
     /// Applies a diff (or just its timestamp, in dirty-range mode) to
@@ -572,10 +567,7 @@ impl SvmSystem {
         let mut woken = std::mem::take(&mut self.scratch_procs);
         woken.clear();
         self.home_pages.waiters.slot(page).retain(|&p| {
-            let ready = procs[p]
-                .required
-                .get(page)
-                .is_none_or(|req| applied.covers(req));
+            let ready = applied.covers(procs[p].required.pairs(page));
             if ready {
                 woken.push(p);
             }
@@ -584,10 +576,12 @@ impl SvmSystem {
         // Deferred Base requests; allocates only when one is served.
         let mut served: Vec<(usize, u64)> = Vec::new();
         let deferred = self.home_pages.pending_reqs.slot(page);
-        deferred.retain(|(req_node, req, req_op)| {
-            let ready = applied.covers(req);
+        let spares = &mut self.spare_versions;
+        deferred.retain_mut(|(req_node, req, req_op)| {
+            let ready = applied.covers(req.pairs());
             if ready {
                 served.push((*req_node, *req_op));
+                spares.push(std::mem::take(req));
             }
             !ready
         });
@@ -600,6 +594,11 @@ impl SvmSystem {
             self.reply_page(t, home, req_node, page, req_op);
         }
     }
+}
+
+/// A version as the trace carries it.
+fn ts_map(pairs: &[(u32, u32)]) -> crate::trace::TsMap {
+    pairs.iter().copied().collect()
 }
 
 /// A pooled page holding a copy of `src`, or zeros for a copy nothing

@@ -128,8 +128,8 @@ impl SvmSystem {
             let dop = op_diff_id(p as u64, pi.interval as u64, page.index() as u64);
             // A future fetch of this page by this node must not
             // install a version older than this flush.
-            let lf = self.nodes[node].local_flushed.slot(page);
-            lf.raise(p as u32, pi.interval);
+            let lf = &mut self.nodes[node].local_flushed;
+            lf.raise(page, p as u32, pi.interval);
             let cost = self.p.mem.diff_cost(dp.runs());
             self.charge(sink, cost);
             let diff_start = cursor;

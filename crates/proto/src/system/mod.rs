@@ -39,6 +39,7 @@ use crate::report::RunReport;
 use crate::sched::{EventPicker, Mutation};
 use crate::trace::TraceEvent;
 use crate::vclock::VClock;
+use crate::version::VersionMap;
 
 /// How remote lock acquires and releases are carried. Resolved once,
 /// at construction, from the feature set, the configured lock
@@ -208,6 +209,13 @@ pub struct SvmSystem {
     /// Piggyback vectors `merge_upto` emptied and handed back; the
     /// next synchronisation message to carry one refills it.
     pub(crate) spare_upto: Vec<Vec<u32>>,
+    /// Versions that travelled in a Base page request or reply and were
+    /// handed back: by the home when it served the request, by the
+    /// requester when the reply's version displaced its copy's old one.
+    /// The next request or reply is built in one. Every fetch in flight
+    /// has one version travelling, so the stack is reserved for one per
+    /// process and never regrows.
+    pub(crate) spare_versions: Vec<VersionMap>,
     /// One past the highest page index observed (for pin accounting).
     pub(crate) shared_extent: usize,
     pub(crate) tags: HashMap<u64, Pending, FixedState>,
@@ -293,7 +301,7 @@ impl SvmSystem {
                 .map(|src| ProcRt::new(src, nprocs))
                 .collect(),
             nodes: (0..nnodes)
-                .map(|_| NodeRt::new(nprocs, nnodes, params.locks))
+                .map(|_| NodeRt::new(params.topo, params.locks))
                 .collect(),
             locks: (0..params.locks)
                 .map(|_| LockRt {
@@ -320,6 +328,7 @@ impl SvmSystem {
             scratch_procs: Vec::new(),
             spare_dirty: Vec::new(),
             spare_upto: Vec::new(),
+            spare_versions: Vec::with_capacity(nprocs),
             shared_extent: 0,
             tags: HashMap::default(),
             next_tag: 1,
@@ -474,7 +483,6 @@ impl SvmSystem {
         for node in &mut self.nodes {
             node.copies.size_to(extent);
             node.local_flushed.size_to(extent);
-            node.inflight.size_to(extent);
         }
         self.home_pages.size_to(extent);
         self.scratch_noticed.size_to(extent);

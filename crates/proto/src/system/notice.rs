@@ -174,7 +174,7 @@ impl SvmSystem {
                     panic!("missing record for writer p{q} interval {i}")
                 };
                 for &page in rec {
-                    self.procs[p].required.slot(page).raise(q as u32, i);
+                    self.procs[p].required.raise(page, q as u32, i);
                     self.scratch_noticed.insert(page.index());
                 }
             }

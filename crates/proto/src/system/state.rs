@@ -8,11 +8,11 @@ use genima_nic::{Event as CommEvent, LockId, LockOp, Tag, Upcall};
 use genima_sim::{Dur, EventQueue, Resource, Time};
 
 use crate::breakdown::Breakdown;
-use crate::ids::BarrierId;
+use crate::ids::{BarrierId, Topology};
 use crate::interval::{DirtySet, PendingInterval};
 use crate::ops::{Op, OpSource};
 use crate::vclock::VClock;
-use crate::version::VersionMap;
+use crate::version::{VersionCol, VersionMap};
 
 /// Small fixed host costs not worth configuring.
 pub(crate) const EPS: Dur = Dur::from_ns(500);
@@ -198,7 +198,7 @@ pub(crate) struct ProcRt {
     pub(crate) seen: Vec<u32>,
     pub(crate) pt: PageTable,
     /// Per page: the diffs (writer → interval) a valid copy must have.
-    pub(crate) required: PageVec<VersionMap>,
+    pub(crate) required: VersionCol,
     /// Open interval: dirty pages.
     pub(crate) dirty: DirtySet,
     /// Pages flushed early (mid-interval) that still need a notice.
@@ -227,7 +227,7 @@ impl ProcRt {
             vc: VClock::new(nprocs),
             seen: vec![0; nprocs],
             pt: PageTable::new(),
-            required: PageVec::new(),
+            required: VersionCol::default(),
             dirty: DirtySet::default(),
             flushed_early: Vec::new(),
             pending_intervals: Vec::new(),
@@ -262,9 +262,10 @@ pub(crate) struct CopyState {
 }
 
 // A page column costs its value's size per page of the extent, per
-// process or per node: presence must ride in a niche, not beside it.
-const _: () = assert!(size_of::<Option<VersionMap>>() == size_of::<VersionMap>());
-const _: () = assert!(size_of::<Option<CopyState>>() == size_of::<CopyState>());
+// node: presence must ride in a niche, not beside it, and the contents
+// are a thin pointer.
+const _: () = assert!(size_of::<Option<Page>>() == 8);
+const _: () = assert!(size_of::<Option<CopyState>>() == 48);
 
 /// The processes blocked on one in-flight fetch, in wake order: the
 /// initiator, then the joiners as they arrived. A blocked process
@@ -292,6 +293,51 @@ impl Waiters {
     }
 }
 
+/// A node's in-flight fetches: the pages being fetched and the
+/// processes waiting on each. A blocked process waits on exactly one
+/// fetch, so the list never holds more entries than the node has
+/// processes: it is reserved once for that many and found by scanning
+/// them — memory follows the live fetches, not the shared extent.
+pub(crate) struct Inflight {
+    fetches: Vec<(PageId, Waiters)>,
+}
+
+impl Inflight {
+    pub(crate) fn new(procs_per_node: usize) -> Inflight {
+        Inflight {
+            fetches: Vec::with_capacity(procs_per_node),
+        }
+    }
+
+    pub(crate) fn get(&self, page: PageId) -> Option<&Waiters> {
+        self.fetches
+            .iter()
+            .find(|(pg, _)| *pg == page)
+            .map(|f| &f.1)
+    }
+
+    pub(crate) fn get_mut(&mut self, page: PageId) -> Option<&mut Waiters> {
+        let fetch = self.fetches.iter_mut().find(|(pg, _)| *pg == page);
+        fetch.map(|f| &mut f.1)
+    }
+
+    /// Records the fetch of `page` that `waiters.lead` just issued.
+    pub(crate) fn insert(&mut self, page: PageId, waiters: Waiters) {
+        debug_assert!(self.get(page).is_none(), "{page} is already being fetched");
+        debug_assert!(
+            self.fetches.len() < self.fetches.capacity(),
+            "more fetches in flight than the node has processes"
+        );
+        self.fetches.push((page, waiters));
+    }
+
+    /// Ends the fetch of `page`, returning who waited on it.
+    pub(crate) fn take(&mut self, page: PageId) -> Option<Waiters> {
+        let at = self.fetches.iter().position(|(pg, _)| *pg == page)?;
+        Some(self.fetches.swap_remove(at).1)
+    }
+}
+
 /// Per-node runtime state.
 pub(crate) struct NodeRt {
     /// The floating protocol process servicing interrupts.
@@ -304,9 +350,9 @@ pub(crate) struct NodeRt {
     /// Per page: the highest interval each *local* writer has flushed
     /// to the home. A fetched copy must cover these — otherwise the
     /// incoming version would roll back this node's own writes.
-    pub(crate) local_flushed: PageVec<VersionMap>,
+    pub(crate) local_flushed: VersionCol,
     /// Pages with an in-flight fetch and the processes waiting on it.
-    pub(crate) inflight: PageVec<Waiters>,
+    pub(crate) inflight: Inflight,
     pub(crate) locks: Vec<NodeLock>,
     /// Round-robin victim for interrupt-steal accounting.
     pub(crate) steal_rr: usize,
@@ -320,13 +366,14 @@ pub(crate) struct NodeRt {
 }
 
 impl NodeRt {
-    pub(crate) fn new(nprocs: usize, nnodes: usize, locks: usize) -> NodeRt {
+    pub(crate) fn new(topo: Topology, locks: usize) -> NodeRt {
+        let (nprocs, nnodes) = (topo.procs(), topo.nodes);
         NodeRt {
             handler: Resource::new("protocol-handler"),
             arrived: vec![0; nprocs],
             copies: PageVec::new(),
-            local_flushed: PageVec::new(),
-            inflight: PageVec::new(),
+            local_flushed: VersionCol::default(),
+            inflight: Inflight::new(topo.procs_per_node),
             locks: (0..locks).map(|_| NodeLock::default()).collect(),
             steal_rr: 0,
             sent_upto: vec![vec![0; nprocs]; nnodes],

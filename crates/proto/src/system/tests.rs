@@ -843,6 +843,74 @@ fn a_recycled_piggyback_carries_exactly_the_senders_notice_board() {
 }
 
 #[test]
+fn travelling_versions_are_recycled_not_rebuilt() {
+    use crate::version::tests::HEAP_MOVES;
+    // Six single-processor nodes, Base. Page 0 (homed on node 0) has
+    // five writers, so every version that travels for it — a request's
+    // requirement, a reply's timestamp — names five and lives on the
+    // heap. Each round every writer's copy is invalidated and fetched
+    // again.
+    let nodes = 6;
+    let run = |rounds: usize| {
+        let (b0, b1) = (BarrierId::new(0), BarrierId::new(1));
+        let srcs = (0..nodes)
+            .map(|p| {
+                let round = [
+                    Op::Write {
+                        addr: addr(0, 8 * p as u64),
+                        len: 8,
+                    },
+                    Op::Barrier(b0),
+                    Op::Read {
+                        addr: addr(0, 0),
+                        len: 4,
+                    },
+                    Op::Barrier(b1),
+                ];
+                let ops = round[usize::from(p == 0)..].to_vec();
+                boxed(std::iter::repeat_n(ops, rounds).flatten().collect())
+            })
+            .collect();
+        let mut p = params(FeatureSet::base(), nodes, 1);
+        p.data_mode = false;
+        let mut sys = SvmSystem::new(p, srcs);
+        let before = HEAP_MOVES.with(|n| n.get());
+        let fetches = sys.run().counters.page_transfers as usize;
+        (sys, fetches, HEAP_MOVES.with(|n| n.get()) - before)
+    };
+    let (_, few_fetches, few_moves) = run(3);
+    let (sys, fetches, moves) = run(12);
+    assert!(fetches >= 3 * few_fetches && fetches >= 10 * nodes);
+    // O(nodes), not O(requests): one per version in circulation, per
+    // copy and per five-writer slot, however long the run.
+    assert_eq!(moves, few_moves);
+    assert!(moves <= 3 * nodes, "{moves} maps moved to the heap");
+
+    // Every one of them is still there: back on the spare stack,
+    // installed in a copy, or in a column's spill. None was dropped
+    // with the message that carried it.
+    assert!(sys.tags.is_empty());
+    let page = PageId::new(0);
+    assert!(sys
+        .home_pages
+        .pending_reqs
+        .get(page)
+        .is_none_or(Vec::is_empty));
+    let copies = (sys.nodes.iter()).filter_map(|n| n.copies.get(page));
+    let spilled = (sys.procs.iter().map(|p| &p.required))
+        .chain(sys.nodes.iter().map(|n| &n.local_flushed))
+        .flat_map(|col| col.spilled());
+    let live = (sys.spare_versions.iter())
+        .chain(copies.chain(sys.home_pages.copies.get(page)).map(|c| &c.ts))
+        .chain(spilled)
+        .filter(|v| !v.is_inline())
+        .count();
+    assert_eq!(live, moves);
+    assert!(!sys.spare_versions.is_empty());
+    assert_eq!(sys.spare_versions.capacity(), nodes, "reserved once");
+}
+
+#[test]
 #[should_panic(expected = "missing record for writer p1 interval 1")]
 fn a_clock_ahead_of_the_interval_log_is_caught() {
     let idle = || boxed(vec![]);

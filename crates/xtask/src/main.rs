@@ -22,7 +22,9 @@
 //!    state lives in a `genima_mem::PageVec` column, an index away, not
 //!    behind a hash or a tree walk that regrows as the run touches
 //!    pages (hash-map regrowth was once three quarters of what an LU
-//!    run allocated). No waiver.
+//!    run allocated). A list of `(PageId, _)` entries whose length is
+//!    bounded by a constant — a node's in-flight fetches, at most one
+//!    per process — is not a map that regrows, and passes. No waiver.
 //!
 //! The gate is scoped by directory ([`PROTOCOL_DIRS`], plus the single
 //! files of [`PROTOCOL_FILES`]), so splitting a file cannot drop
