@@ -16,14 +16,22 @@
 //!   so a ring overflow is a failed run, not a footnote,
 //! * the GeNIMA and GeNIMA-2025 critical paths contain **zero**
 //!   interrupt-segment time, while Base shows a nonzero interrupt
-//!   share — the paper's thesis, visible in the attribution itself.
+//!   share — the paper's thesis, visible in the attribution itself,
+//! * Ocean-rowwise on GeNIMA-2025 spends at most 0.60 of its op time
+//!   in `queue_retry` ([`QUEUE_RETRY_CEILING`]).
 
 use genima::{sequential_time, Column, FeatureSet, Json, ObsConfig, RunConfig, Topology};
-use genima_obs::bench::{meta, row, row_sum};
+use genima_obs::bench::{meta, row, row_sum, times};
 use genima_obs::{BenchReport, OpClass};
 use genima_prof::{profile, Segment};
 
 use crate::{gate_failed_runs, gate_six_columns, run_cell, topo_json, Args};
+
+/// `(app, column, share)`: the most of this row's op time that may be
+/// `queue_retry`. It was 0.82 on Ocean while a GeNIMA-2025 release
+/// diffed inside the critical section and every lock wait queued
+/// behind it (DESIGN.md §28).
+const QUEUE_RETRY_CEILING: (&str, &str, f64) = ("Ocean-rowwise", "GeNIMA-2025", 0.60);
 
 /// Ring capacity for attribution runs: large enough that no node's
 /// timeline truncates on the benchmark suite (the analyzer refuses
@@ -127,6 +135,12 @@ pub fn run(args: &Args) -> BenchReport {
             if column.features == FeatureSet::base() {
                 let name = format!("{what}: asynchronous protocol processing shows up");
                 rep.gate(name, row(i, "segments_ns.interrupt"), ">", 0u64);
+            }
+            let (a, c, share) = QUEUE_RETRY_CEILING;
+            if (a, c) == (app.name(), column.name()) {
+                let name = format!("{what}: queue_retry <= {share} x total_ns");
+                let ceiling = times(row(i, "total_ns"), share);
+                rep.gate(name, row(i, "segments_ns.queue_retry"), "<=", ceiling);
             }
         }
     }

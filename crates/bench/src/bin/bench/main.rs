@@ -3,6 +3,7 @@
 //!
 //! ```text
 //! bench <kind> [--seed N] [--json PATH] [APP...]
+//! bench explain BEFORE.json AFTER.json [--only-column NAME] [--ignore FIELD]...
 //! ```
 //!
 //! Every kind (one module each; its doc lists its gates) is a function
@@ -19,6 +20,7 @@ mod breakdowns;
 mod critpath;
 mod diff;
 mod engine;
+mod explain;
 mod fault_matrix;
 mod mc;
 mod rdma;
@@ -98,7 +100,8 @@ const KINDS: [(&str, Kind); 9] = [
 fn usage() -> ! {
     let kinds: Vec<&str> = KINDS.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "usage: bench <kind> [--seed N] [--json PATH] [APP...]\nkinds: {}",
+        "usage: bench <kind> [--seed N] [--json PATH] [APP...]\nkinds: {}\n       \
+         bench explain BEFORE.json AFTER.json [--only-column NAME] [--ignore FIELD]...",
         kinds.join(" ")
     );
     std::process::exit(2)
@@ -216,6 +219,10 @@ fn time_ns(iters: usize, mut f: impl FnMut() -> usize) -> f64 {
 }
 
 fn main() -> ExitCode {
+    let mut argv = std::env::args().skip(1);
+    if argv.next().as_deref() == Some("explain") {
+        return explain::main(argv);
+    }
     let (name, kind, args) = parse_args();
     let report = kind(&args);
     let json = report.to_json();

@@ -3,10 +3,13 @@
 //! protocol invariants.
 
 use genima_apps::{App, BarnesOriginal, OceanRowwise, WaterNsquared};
-use genima_check::{run_app_audited, run_app_audited_with};
+use genima_check::{audit_traces, detect_races, run_app_audited, run_app_audited_with};
 use genima_fault::{FaultPlan, PlanInjector};
-use genima_proto::{Column, FeatureSet, Topology};
-use genima_sim::RunSeed;
+use genima_proto::{
+    ops_source, Addr, BarrierId, Column, FeatureSet, LockId, NodeId, Op, PageId, SvmSystem,
+    Topology, TraceEvent, PAGE_SIZE,
+};
+use genima_sim::{Dur, RunSeed, Time};
 
 /// Every invariant holds for a barrier-heavy stencil and a lock-heavy
 /// molecular-dynamics workload under all five protocol columns.
@@ -76,6 +79,94 @@ fn genima_2025_audits_clean_across_workloads() {
             run.report.ni.doorbells,
             run.report.ni.cqes
         );
+    }
+}
+
+/// GeNIMA-2025 hands a lock over before the releaser's diffs leave, so
+/// the next holder's first read can reach the home ahead of them. What
+/// keeps LRC then is the version check, on both of its paths: at the
+/// home itself the reader waits on the page until the diff lands; a
+/// fetch from a third-node home comes back stale and is retried. p0
+/// takes the lock before the barrier and p1 asks for it after, so the
+/// program is race-free under every schedule and p1 is parked on the
+/// lock while p0 dirties sixteen pages inside the critical section.
+#[test]
+fn a_read_that_outruns_the_2025_releasers_diffs_waits_at_the_home_or_refetches() {
+    let (l, b) = (LockId::new(0), BarrierId::new(0));
+    let (first, pages, read) = (8, 16, 8 + 11);
+    let at = |page: usize| Addr::new((page * PAGE_SIZE) as u64);
+    let mut holder = vec![Op::Acquire(l), Op::Barrier(b)];
+    holder.extend((first..first + pages).map(|page| Op::WriteData {
+        addr: at(page),
+        data: vec![page as u8; 8],
+    }));
+    holder.extend([Op::WaitUntil(Time::ZERO + Dur::from_ms(5)), Op::Release(l)]);
+    let reader = vec![
+        Op::Barrier(b),
+        Op::Acquire(l),
+        Op::Validate {
+            addr: at(read),
+            expected: vec![read as u8; 8],
+        },
+        Op::Release(l),
+    ];
+    let programs = vec![holder, reader, vec![Op::Barrier(b)]];
+    assert_eq!(detect_races(&programs), Ok(vec![]));
+
+    let page = PageId::new(read);
+    for home in [1, 2] {
+        let mut params = Column::genima_2025().params(Topology::new(3, 1));
+        params.data_mode = true;
+        let srcs = programs.iter().cloned();
+        let srcs = srcs.map(|ops| Box::new(ops_source(ops)) as _).collect();
+        let mut sys = SvmSystem::new(params, srcs);
+        sys.assign_homes(PageId::new(first), pages, NodeId::new(home));
+        if home == 2 {
+            // The fabric is FIFO into a port, so on a clean one p1's
+            // fetch queues behind the diffs p0 has already posted to
+            // that home and never sees a stale copy. A p0 -> home path
+            // 200 us longer lets it.
+            let (p0, h) = (NodeId::new(0).nic(), NodeId::new(home).nic());
+            let slow = (1..=100).fold(FaultPlan::new(), |plan, nth| {
+                plan.delay_nth(p0, h, nth, Dur::from_us(200))
+            });
+            sys.set_fault_injector(Box::new(PlanInjector::new(slow, RunSeed::new(1))));
+        }
+        sys.set_tracing(true);
+        // p1's `Validate` passing is p1 reading p0's bytes.
+        let report = sys.run();
+        let trace = sys.take_trace();
+        let audit = audit_traces(FeatureSet::genima(), 3, &trace, &sys.take_lock_trace());
+        assert!(audit.is_clean(), "home n{home}: {audit}");
+        // In emission order: p1's barrier exit and grant, then p0's
+        // diff of the page lands, then p1's fault on it completes.
+        let order: Vec<&str> = (trace.iter())
+            .filter_map(|e| match e {
+                TraceEvent::SyncDone { proc: 1, .. } => Some("sync"),
+                TraceEvent::DiffApplied { page: pg, .. } if *pg == page => Some("diff"),
+                TraceEvent::PageInstalled {
+                    node: 1, page: pg, ..
+                } if *pg == page => Some("fetch"),
+                TraceEvent::FaultDone {
+                    proc: 1, page: pg, ..
+                } if *pg == page => Some("fault"),
+                _ => None,
+            })
+            .collect();
+        let retries = report.counters.fetch_retries;
+        if home == 1 {
+            // Blocked on a page it is the home of and woken without a
+            // fetch: it sat in the home's waiter list until the diff.
+            assert_eq!(order, ["sync", "sync", "diff", "fault"], "home n{home}");
+            assert_eq!(retries, 0);
+        } else {
+            assert_eq!(
+                order,
+                ["sync", "sync", "diff", "fetch", "fault"],
+                "home n{home}"
+            );
+            assert!(retries >= 1, "p1's fetch never came back stale");
+        }
     }
 }
 

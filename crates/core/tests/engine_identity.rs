@@ -39,7 +39,7 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("ocean", "DW+RF", 0x1d93a4873ccea42d),
     ("ocean", "DW+RF+DD", 0xa40ad8d52f188987),
     ("ocean", "GeNIMA", 0x2f3b9dbe148aa8f2),
-    ("ocean", "GeNIMA-2025", 0x75fcf3239129222c),
+    ("ocean", "GeNIMA-2025", 0x5927689954f66ab9),
     ("fft", "Base", 0x81ba6feecbf92cd7),
     ("fft", "DW", 0xeb7a5974e76d6d7e),
     ("fft", "DW+RF", 0x12e87b7ad410bc23),
@@ -51,7 +51,7 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("water-nsq", "DW+RF", 0xdc9eeca0db8cd283),
     ("water-nsq", "DW+RF+DD", 0xccb7b22b55a6ebb3),
     ("water-nsq", "GeNIMA", 0xfd6a93af029fd1bc),
-    ("water-nsq", "GeNIMA-2025", 0xa9fbd303301e35c5),
+    ("water-nsq", "GeNIMA-2025", 0x0ea0c5c38f27849b),
 ];
 
 #[test]

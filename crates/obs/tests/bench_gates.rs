@@ -204,3 +204,20 @@ fn facts_recorded_in_meta_are_gated_too() {
         *at(v, "meta.calibration.prune_ratio") = 4.0.into();
     });
 }
+
+#[test]
+fn oceans_lock_wait_creeping_back_is_rejected() {
+    // Each GeNIMA-2025 row as it read while a release still diffed and
+    // re-protected inside the critical section (DESIGN.md §28) ...
+    let ocean = [("app", "Ocean-rowwise"), ("column", "GeNIMA-2025")];
+    flip("rdma", &ocean, "speedup_vs_1999", 1.017, ">= 1.4");
+    flip("breakdowns", &ocean, "shares.lock", 0.189, "<= 0.1");
+    rejects("critpath", "queue_retry <= 0.6 x total_ns", |v| {
+        let total = num(v, &ocean, "total_ns");
+        *at(row(v, &ocean), "segments_ns.queue_retry") = Json::num(0.82 * total);
+    });
+    // ... and the 1999 row as it would read if somebody took the
+    // paper's dilation out of the paper's column.
+    let ocean_1999 = [("app", "Ocean-rowwise"), ("column", "GeNIMA")];
+    flip("breakdowns", &ocean_1999, "shares.lock", 0.036, ">= 0.15");
+}

@@ -13,7 +13,12 @@ use crate::system::SvmParams;
 /// One column of the evaluation: which NI mechanisms the protocol
 /// exploits, on which generation of hardware. The paper's five columns
 /// all run on the 1999 LANai; the sixth runs the full GeNIMA protocol
-/// on a 2025 RNIC — same protocol code, different [`HwProfile`] data.
+/// on a 2025 RNIC. The hardware is [`HwProfile`] data, and the
+/// protocol code is shared but for what the lock strategy the
+/// hardware selects decides: the lock primitive (masked CAS on the
+/// home cell, not the firmware chain) and the order of a release's
+/// steps (the lock is handed over before the releaser diffs and
+/// re-protects; the 1999 columns keep the paper's order).
 ///
 /// # Example
 ///

@@ -40,11 +40,16 @@ impl SvmSystem {
 
     /// Closes `p`'s open interval (if it wrote anything): creates the
     /// interval record, write-protects the dirty pages again, and
-    /// queues the interval for later (or immediate) flushing. Returns
-    /// the closed interval's number.
-    pub(crate) fn end_interval(&mut self, p: usize, bucket: Bucket) -> Option<u32> {
+    /// queues the interval for later (or immediate) flushing. This is
+    /// the *state* of closing only. Returns the closed interval's
+    /// number and what the re-protect costs (nothing, if nothing was
+    /// closed), which the caller charges with
+    /// [`SvmSystem::charge_reprotect`] at the point its order of steps
+    /// says — a process is sequential, so nothing observes its page
+    /// table between the two.
+    pub(crate) fn end_interval(&mut self, p: usize) -> (Option<u32>, Dur) {
         if self.procs[p].dirty.is_empty() && self.procs[p].flushed_early.is_empty() {
-            return None;
+            return (None, Dur::ZERO);
         }
         // The next interval opens on a buffer an earlier flush emptied.
         let next = self.spare_dirty.pop().unwrap_or_default();
@@ -83,23 +88,36 @@ impl SvmSystem {
             self.procs[p].pt.set(pg, Access::Read);
         }
         self.counters.mprotect_calls += groups as u64;
-        self.procs[p].bd.mprotect += mpro;
-        self.charge(Sink::Proc(p, bucket), mpro);
         self.scratch_pages = scratch;
 
         self.procs[p].pending_intervals.push(PendingInterval {
             interval: i,
             pages: dirty,
         });
-        Some(i)
+        (Some(i), mpro)
     }
 
-    /// The first step of every release and barrier arrival: close
-    /// `p`'s interval and, under DW, announce it to the other nodes.
-    /// Returns the advanced time cursor.
+    /// Charges `p` the re-protect of an interval [`Self::end_interval`]
+    /// closed.
+    pub(crate) fn charge_reprotect(&mut self, p: usize, bucket: Bucket, mpro: Dur) {
+        self.procs[p].bd.mprotect += mpro;
+        self.charge(Sink::Proc(p, bucket), mpro);
+    }
+
+    /// The first step of a barrier arrival: close `p`'s interval,
+    /// re-protect on the spot and announce it. Returns the advanced
+    /// time cursor.
     pub(crate) fn close_interval(&mut self, now: Time, p: usize, bucket: Bucket) -> Time {
+        let (closed, reprotect) = self.end_interval(p);
+        self.charge_reprotect(p, bucket, reprotect);
+        self.announce_interval(now, p, closed)
+    }
+
+    /// Under DW, announces the interval `p` just closed (if it closed
+    /// one) to the other nodes. Returns the advanced time cursor.
+    pub(crate) fn announce_interval(&mut self, now: Time, p: usize, closed: Option<u32>) -> Time {
         let mut cursor = now;
-        if let Some(interval) = self.end_interval(p, bucket) {
+        if let Some(interval) = closed {
             cursor = self.procs[p].clock;
             if self.p.features.dw {
                 cursor = self.broadcast_record(cursor, p, interval);
@@ -272,7 +290,8 @@ impl SvmSystem {
     /// synchronises with it again, so its last interval is closed but
     /// not announced.
     pub(crate) fn flush_everything(&mut self, p: usize) {
-        self.end_interval(p, Bucket::AcqRel);
+        let (_, reprotect) = self.end_interval(p);
+        self.charge_reprotect(p, Bucket::AcqRel, reprotect);
         let cursor = self.procs[p].clock;
         self.flush_pending_of(cursor, p, Sink::Proc(p, Bucket::AcqRel));
     }

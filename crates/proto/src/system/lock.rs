@@ -7,6 +7,18 @@
 //! host adds to the machine is a host message per hop (interrupting
 //! the home and the previous tail), [`EPS`] for a hop that stays on
 //! the node, and the lazy-diff flush before the lock leaves.
+//!
+//! When a release's diffs are flushed is the strategy's too
+//! ([`LockStrategy::hands_over_first`]). The three 1999 strategies
+//! keep the paper's order: a releaser's diffs leave before the lock
+//! leaves its node (eagerly at the release under direct diffs, lazily
+//! at the departure otherwise), so the critical section includes them.
+//! `AtomicCasWait` hands the lock over first; its ordering rule is
+//! "timestamp and write notices are posted before the lock-cell
+//! clear; diffs are ordered by nothing but the version check" — a
+//! fetched copy that does not cover the reader's required version is
+//! refetched (`rf_completed`), and at the home the reader waits on the
+//! page (`home_pages.waiters`).
 
 use genima_nic::{CasWord, LockAction, LockId, LockOp, Post, Tag};
 use genima_sim::Time;
@@ -332,9 +344,12 @@ impl SvmSystem {
         self.enter_notice_stage(t, proc, WaitReason::Lock);
     }
 
-    /// Releases a lock held by `p`, ending its interval, propagating
-    /// coherence information per the feature set, and handing the lock
-    /// over (locally, or through the chain or the home cell).
+    /// Releases a lock held by `p`: close its interval, post the write
+    /// notices, set the lock's timestamp, hand the lock over (locally,
+    /// or through the chain or the home cell), flush diffs, re-protect.
+    /// The first three always run in that order; where the hand-over
+    /// sits among the last three is the strategy's
+    /// ([`LockStrategy::hands_over_first`]).
     pub(crate) fn do_release(&mut self, now: Time, p: usize, l: LockId) {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         assert_eq!(
@@ -351,24 +366,36 @@ impl SvmSystem {
                 l.index() as u64,
             );
         });
-        let mut cursor = self.close_interval(now, p, Bucket::AcqRel);
+        let sink = Sink::Proc(p, Bucket::AcqRel);
+        let hands_over_first = self.lock_strategy.hands_over_first();
 
+        // Close the interval. The paper's order re-protects on the
+        // spot, inside the critical section.
+        let (closed, reprotect) = self.end_interval(p);
+        if !hands_over_first {
+            self.charge_reprotect(p, Bucket::AcqRel, reprotect);
+        }
+        // Post its write notices.
+        let mut cursor = self.announce_interval(now, p, closed);
         // The lock's timestamp is the releaser's clock.
         self.locks[l.index()].vc.clone_from(&self.procs[p].vc);
 
+        // Hand over.
         let nl = &mut self.nodes[node].locks[l.index()];
         nl.holder = None;
         if let Some(next) = nl.local_waiters.pop_front() {
-            // Intra-node handoff: lazy diffs, hardware sync cost only.
+            // Intra-node handoff: hardware sync cost only. In the
+            // paper's order the releaser's diffs stay lazy until the
+            // lock leaves the node.
             nl.holder = Some(next);
             self.counters.local_lock_acquires += 1;
             self.procs[next].vc.join(&self.locks[l.index()].vc);
             self.lock_granted(cursor + self.p.proto.local_lock, next, l);
         } else {
-            // The lock may leave the node: flush diffs eagerly under
-            // direct diffs.
-            let sink = Sink::Proc(p, Bucket::AcqRel);
-            if self.p.features.dd {
+            if !hands_over_first && self.p.features.dd {
+                // The lock may leave the node: the paper's order
+                // flushes every local writer's diffs first, eagerly
+                // under direct diffs.
                 cursor = self.flush_node_pending(cursor, node, sink);
             }
             let nic = NodeId::new(node).nic();
@@ -392,6 +419,20 @@ impl SvmSystem {
                     }
                 }
             }
+        }
+
+        if hands_over_first {
+            // The critical section ended at the hand-over. The releaser
+            // now diffs its own interval — on both branches, so nothing
+            // stays pending for a co-located process to flush later and
+            // no reader spins on a diff the node is sitting on — and
+            // then pays the re-protect. What orders these diffs against
+            // the next holder's reads is the version check on every
+            // fetched copy, not their position here.
+            cursor = self.flush_pending_of(cursor, p, sink);
+            self.procs[p].clock = self.procs[p].clock.max(cursor);
+            self.charge_reprotect(p, Bucket::AcqRel, reprotect);
+            debug_assert!(self.procs[p].pending_intervals.is_empty());
         }
         self.procs[p].clock = self.procs[p].clock.max(cursor);
     }

@@ -71,6 +71,20 @@ impl LockStrategy {
             (true, LockImpl::RemoteAtomics) => LockStrategy::AtomicSwapSpin,
         }
     }
+
+    /// Whether a release hands the lock over *before* the releaser
+    /// diffs and re-protects. The 1999 strategies keep the paper's
+    /// order — diff at every release before the lock is given up (§2),
+    /// critical-section dilation included, because a refetch at LANai
+    /// prices costs more than the wait. On an RNIC a refetch is one
+    /// short round trip, so the critical section ends at the release
+    /// and the version check on every fetched copy orders the diffs.
+    pub(crate) fn hands_over_first(self) -> bool {
+        match self {
+            LockStrategy::HostChain | LockStrategy::NiChain | LockStrategy::AtomicSwapSpin => false,
+            LockStrategy::AtomicCasWait => true,
+        }
+    }
 }
 
 /// Construction parameters of an [`SvmSystem`].

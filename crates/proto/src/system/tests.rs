@@ -2,6 +2,7 @@
 //! interrupt-freedom, determinism, pin accounting.
 
 use super::*;
+use crate::column::Column;
 use crate::features::FeatureSet;
 use crate::ids::{BarrierId, NodeId, Topology};
 use crate::ops::{ops_source, Op, OpSource};
@@ -12,8 +13,8 @@ fn boxed(ops: Vec<Op>) -> Box<dyn OpSource> {
     Box::new(ops_source(ops))
 }
 
-fn params(features: FeatureSet, nodes: usize, ppn: usize) -> SvmParams {
-    let mut p = SvmParams::new(Topology::new(nodes, ppn), features);
+fn params(column: impl Into<Column>, nodes: usize, ppn: usize) -> SvmParams {
+    let mut p = column.into().params(Topology::new(nodes, ppn));
     p.data_mode = true;
     p.locks = 8;
     p
@@ -26,7 +27,7 @@ fn addr(page: usize, off: u64) -> Addr {
 
 #[test]
 fn barrier_propagates_writes_under_every_protocol() {
-    for f in FeatureSet::ALL {
+    for f in Column::all() {
         let b = BarrierId::new(0);
         let writer = boxed(vec![
             Op::WriteData {
@@ -54,7 +55,7 @@ fn barrier_propagates_writes_under_every_protocol() {
 
 #[test]
 fn reader_fetches_remote_page_under_every_protocol() {
-    for f in FeatureSet::ALL {
+    for f in Column::all() {
         let b = BarrierId::new(0);
         // p0 on node 0, p1 on node 1. p1 writes page 0 (homed node 0);
         // p0 writes page 2 (homed node 0). After the barrier p1 must
@@ -92,7 +93,7 @@ fn reader_fetches_remote_page_under_every_protocol() {
 
 #[test]
 fn lock_carries_causality_under_every_protocol() {
-    for f in FeatureSet::ALL {
+    for f in Column::all() {
         let l = LockId::new(1); // homed on node 1 (1 % 2)
         let b = BarrierId::new(0);
         // p0 (node 0) writes under the lock early; p1 (node 1)
@@ -567,7 +568,7 @@ fn picker_workload() -> Vec<Box<dyn OpSource>> {
 
 #[test]
 fn fifo_picker_matches_try_run_exactly() {
-    for f in FeatureSet::ALL {
+    for f in Column::all() {
         let mut a = SvmSystem::new(params(f, 2, 1), picker_workload());
         a.set_tracing(true);
         let ra = a.try_run().expect("plain run");
@@ -627,6 +628,7 @@ fn joiners_of_one_fetch_wake_in_arrival_order() {
             read.clone(),
         ])
     };
+    // The 1999 columns only: an RNIC has the page back before 55 us.
     for f in FeatureSet::ALL {
         let srcs = vec![idle(), idle(), idle(), reader(60), reader(0), reader(55)];
         let mut sys = SvmSystem::new(params(f, 2, 3), srcs);
@@ -657,7 +659,7 @@ fn first_read_of_a_remote_page_fetches_before_any_notice_names_it() {
         addr: addr(0, 0),
         len: 8,
     };
-    for f in FeatureSet::ALL {
+    for f in Column::all() {
         let mut p = params(f, 2, 1);
         p.data_mode = false;
         let mut sys = SvmSystem::new(p, vec![boxed(vec![]), boxed(vec![read.clone()])]);
@@ -673,7 +675,7 @@ fn extent_known_at_start_or_discovered_gives_the_same_report() {
     // The same run with the page columns sized once from the homes
     // named before it starts, and grown page by page as it touches
     // them. The homes named are the ones striping picks anyway.
-    let run = |f: FeatureSet, name_homes: bool| {
+    let run = |f: Column, name_homes: bool| {
         let mut sys = SvmSystem::new(params(f, 2, 1), picker_workload());
         if name_homes {
             for page in 0..2 {
@@ -682,7 +684,7 @@ fn extent_known_at_start_or_discovered_gives_the_same_report() {
         }
         sys.run().to_json()
     };
-    for f in FeatureSet::ALL {
+    for f in Column::all() {
         assert_eq!(run(f, true), run(f, false), "{f}");
     }
 }
@@ -908,6 +910,97 @@ fn travelling_versions_are_recycled_not_rebuilt() {
     assert_eq!(live, moves);
     assert!(!sys.spare_versions.is_empty());
     assert_eq!(sys.spare_versions.capacity(), nodes, "reserved once");
+}
+
+/// The shape the release order is tested on, race-free under every
+/// schedule: p0 takes the lock before the barrier and p1 asks for it
+/// after, so p1 is parked on the lock while p0, inside the critical
+/// section, writes a word into each of `pages` pages. p0 releases at
+/// exactly `release_at` with all of them dirty.
+fn handoff_programs(pages: usize, release_at: Time) -> [Vec<Op>; 2] {
+    let (l, b) = (LockId::new(0), BarrierId::new(0));
+    let mut holder = vec![Op::Acquire(l), Op::Barrier(b)];
+    holder.extend((1..=pages).map(|page| Op::Write {
+        addr: addr(page, 0),
+        len: 8,
+    }));
+    holder.extend([Op::WaitUntil(release_at), Op::Release(l)]);
+    [holder, vec![Op::Barrier(b), Op::Acquire(l), Op::Release(l)]]
+}
+
+#[test]
+fn the_2025_release_hands_over_before_it_diffs_and_the_1999_release_after() {
+    let pages = 16;
+    let release_at = Time::ZERO + genima_sim::Dur::from_ms(50);
+    // How long after p0's release p1 holds the lock with its notices.
+    let grant_delay = |column: Column| {
+        let mut p = params(column, 2, 1);
+        p.data_mode = false;
+        let srcs = handoff_programs(pages, release_at);
+        let mut sys = SvmSystem::new(p, srcs.into_iter().map(boxed).collect());
+        sys.set_tracing(true);
+        sys.run();
+        let syncs: Vec<Time> = (sys.take_trace().into_iter())
+            .filter_map(|e| match e {
+                TraceEvent::SyncDone { at, proc: 1, .. } => Some(at),
+                _ => None,
+            })
+            .collect();
+        // p1's barrier exit, then its grant.
+        assert_eq!(syncs.len(), 2, "{column}");
+        assert!(syncs[1] > release_at, "{column}: p1 was not waiting");
+        syncs[1].saturating_since(release_at)
+    };
+    let scan = MemConfig::pentium_pro().diff_scan;
+    let handed = grant_delay(Column::genima_2025());
+    assert!(
+        handed < scan,
+        "GeNIMA-2025 held the lock {handed} past the release: a diff was computed first"
+    );
+    // The paper's order, dilation included: every dirty page is diffed
+    // inside the critical section (§2). Not to be "fixed".
+    let dilated = grant_delay(Column::lanai(FeatureSet::genima()));
+    assert!(
+        dilated >= scan * pages as u64,
+        "GeNIMA (1999) handed over after {dilated}: it must diff {pages} pages first"
+    );
+}
+
+#[test]
+fn no_interval_stays_pending_across_a_2025_release() {
+    // Two nodes of two: every process writes a word of its own under
+    // the one lock, ten times over, so the lock is handed on within a
+    // node and across the wire. Each releaser diffs its own interval
+    // on both paths; nothing is left for a co-located process to flush
+    // when the lock next leaves.
+    let l = LockId::new(0);
+    let srcs = (0..4u64)
+        .map(|i| {
+            let section = [
+                Op::Acquire(l),
+                Op::Write {
+                    addr: addr(4, i * 64),
+                    len: 8,
+                },
+                Op::Release(l),
+                Op::Compute(genima_sim::Dur::from_us(20)),
+            ];
+            boxed(std::iter::repeat_n(section, 10).flatten().collect())
+        })
+        .collect();
+    let mut p = params(Column::genima_2025(), 2, 2);
+    p.data_mode = false;
+    let mut sys = SvmSystem::new(p, srcs);
+    sys.start();
+    while let Some((t, ev)) = sys.q.pop() {
+        sys.dispatch(t, ev);
+        for (i, proc) in sys.procs.iter().enumerate() {
+            assert!(proc.pending_intervals.is_empty(), "p{i} at {t}");
+        }
+    }
+    assert_eq!(sys.done_count, 4);
+    assert!(sys.counters.local_lock_acquires > 0, "no local handoff");
+    assert!(sys.counters.remote_lock_acquires > 1, "no remote handoff");
 }
 
 #[test]

@@ -19,7 +19,10 @@
 //!   primitive, replacing the firmware lock state machines.
 //!
 //! [`HwProfile`] packages a hardware generation (NI + network timing)
-//! as data; the protocol columns run unchanged on either generation.
+//! as data. A protocol column runs on either generation; the two
+//! things the protocol does differently on an RDMA NIC — masked-CAS
+//! locks, and a release that hands the lock over before it diffs — it
+//! selects itself, once at construction, from [`HwProfile::is_rdma`].
 
 mod config;
 mod model;

@@ -47,8 +47,9 @@ impl HwProfile {
 
     /// A 2025 commodity cluster: 100 GbE RoCE fabric, PCIe Gen4 RNICs
     /// with doorbell batching, CQs, native SGE, ODP and masked
-    /// atomics. Only data differs from 1999 — the protocol columns
-    /// run unchanged.
+    /// atomics. Only data differs from 1999 here; what the protocol
+    /// does differently on an RDMA NIC it selects from
+    /// [`HwProfile::is_rdma`].
     pub fn rnic_2025() -> HwProfile {
         HwProfile {
             name: "RNIC-2025",
