@@ -256,7 +256,7 @@ mod tests {
             row
         });
         let mut v = Json::obj();
-        v.set("bench", "breakdowns".into());
+        v.set("bench", "paper".into());
         v.set("seed", Json::u64(1999));
         v.set("rows", Json::Arr(rows.collect()));
         v

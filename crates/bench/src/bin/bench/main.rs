@@ -1,5 +1,6 @@
-//! `bench <kind>` — the paper-claim experiments, each a sweep that
-//! prints its table and declares pass/fail gates over its own rows.
+//! `bench <kind>` — the paper's evaluation (`bench paper`) and the
+//! experiments beyond it, each a sweep that prints its tables and
+//! declares pass/fail gates over its own rows.
 //!
 //! ```text
 //! bench <kind> [--seed N] [--json PATH] [APP...]
@@ -11,18 +12,18 @@
 //! file, gate checking and the exit code live here, once. The process
 //! exits non-zero iff `BenchReport::check` — the same call
 //! `xtask obs-schema` makes on the written file — rejects the report.
-//! `APP...` narrows the application sweep of `breakdowns`, `rdma` and
+//! `APP...` narrows the application sweep of `paper`, `rdma` and
 //! `critpath`; `--seed` is the [`RunSeed`] every run of the sweep uses
 //! and the seed the report records.
 
 mod barrier;
-mod breakdowns;
 mod critpath;
 mod diff;
 mod engine;
 mod explain;
 mod fault_matrix;
 mod mc;
+mod paper;
 mod rdma;
 mod serving;
 
@@ -86,7 +87,7 @@ struct Args {
 type Kind = fn(&Args) -> BenchReport;
 
 const KINDS: [(&str, Kind); 9] = [
-    ("breakdowns", breakdowns::run),
+    ("paper", paper::run),
     ("fault_matrix", fault_matrix::run),
     ("barrier", barrier::run),
     ("diff", diff::run),

@@ -1,0 +1,742 @@
+//! `bench paper` — the paper's evaluation (§3–§5): Figures 1–4,
+//! Tables 1–5, the §5 problem-size sweep and nine ablations, run,
+//! printed and gated in one report. The tables print from the rows.
+//!
+//! Rows, one key set per `kind`:
+//!
+//! * `cell` — one per (application, column) on 4×4: parallel time,
+//!   speedup, category shares, the mean breakdown (Figure 3, Tables
+//!   1–2), every protocol counter, the firmware monitor's contention
+//!   ratios keyed by size class and stage (Tables 3–4; `null` where a
+//!   stage saw no packet, the paper's `-`) beside the class's packet
+//!   count, and the pinned bytes summed over nodes;
+//! * `origin` — the Origin 2000 model on 4×4 and 8×4 (Figures 1/4,
+//!   Table 5);
+//! * `genima_8x4` — GeNIMA on 8×4 (Table 5);
+//! * `size` — Base and GeNIMA across problem sizes (§5);
+//! * `ablation` — one per variant of each study in [`ABLATIONS`].
+//!
+//! Gates: every line of [`CLAIMS`] — the paper's shape claims and each
+//! ablation's finding, as data; per application, GeNIMA beats Base
+//! (Barnes-spatial loses), the Origin beats Base, GeNIMA gains from 16
+//! to 32 processors and the Origin beats it there, Base takes
+//! interrupts and the interrupt-free columns none, and large messages
+//! see a LANai ratio ≤ 3 on the 1999 columns; the GeNIMA improvement
+//! falls with problem size; and the headline means stay in their
+//! [`AVG_IMPROVEMENT`] bands. `APP...` narrows the sweep; a gate whose
+//! rows it leaves out is not declared.
+
+use std::collections::HashMap;
+
+use genima::{
+    run_app_on_hwdsm, sequential_time, App, Column, Dur, FeatureSet, Json, RunReport, SvmParams,
+    TextTable, Topology,
+};
+use genima_apps::{all_apps, Fft, WaterNsquared, WorkloadSpec};
+use genima_nic::{SizeClass, Stage};
+use genima_obs::bench::{meta, row, times};
+use genima_obs::BenchReport;
+use genima_proto::LockImpl;
+
+use crate::{gate_failed_runs, gate_interrupt_free, gate_six_columns, topo_json, Args};
+
+/// A change to one run on top of its column's paper parameters: the
+/// switches the ablations flip.
+#[derive(Clone, Copy)]
+enum Switch {
+    Untouched,
+    PostQueue(usize),
+    Pipelined(bool),
+    PullNotices,
+    /// What an `mprotect` call costs per page past its first, in ns.
+    MprotectExtraPageNs(u64),
+    InterruptUs(u64),
+    ScatterGather,
+    Broadcast(bool),
+    RemoteAtomics,
+    /// The application's homes dropped; pages go to their first toucher.
+    FirstTouch,
+    /// The application's homes dropped; pages are striped round-robin.
+    Striped,
+}
+
+use Switch::*;
+
+impl Switch {
+    fn apply(self, p: &mut SvmParams, spec: &mut WorkloadSpec) {
+        match self {
+            Untouched => {}
+            PostQueue(depth) => p.hw.nic.post_queue_capacity = depth,
+            Pipelined(on) => p.hw.nic.pipelined_sends = on,
+            PullNotices => p.proto.pull_notices = true,
+            MprotectExtraPageNs(ns) => p.mem.mprotect.per_extra_page = Dur::from_ns(ns),
+            InterruptUs(us) => p.proto.interrupt_latency = Dur::from_us(us),
+            ScatterGather => p.hw.nic.scatter_gather = true,
+            Broadcast(on) => p.hw.nic.broadcast = on,
+            RemoteAtomics => p.proto.lock_impl = LockImpl::RemoteAtomics,
+            FirstTouch => {
+                spec.homes.clear();
+                p.first_touch_homes = true;
+            }
+            Striped => spec.homes.clear(),
+        }
+    }
+}
+
+/// One run of a study: `(column, variant, switch)`.
+type Variant = (&'static str, &'static str, Switch);
+
+/// The nine ablation studies as `(study, app, variants)`; each variant
+/// is a row keyed `study/column/variant`.
+const ABLATIONS: [(&str, &str, &[Variant]); 9] = [
+    // §3.3 remedy (i): a deeper post queue absorbs the direct-diff storm.
+    (
+        "post_queue",
+        "Barnes-spatial",
+        &[
+            ("GeNIMA", "depth 8", PostQueue(8)),
+            ("GeNIMA", "depth 16", PostQueue(16)),
+            ("GeNIMA", "depth 32", PostQueue(32)),
+            ("GeNIMA", "depth 64", PostQueue(64)),
+            ("GeNIMA", "depth 256", PostQueue(256)),
+        ],
+    ),
+    // §3.3 remedy (iii), the NT firmware: the source DMA overlaps the
+    // next pick, so the post queue drains faster.
+    (
+        "pipelining",
+        "Barnes-spatial",
+        &[
+            ("DW+RF", "serial", Pipelined(false)),
+            ("DW+RF", "pipelined", Pipelined(true)),
+            ("GeNIMA", "serial", Pipelined(false)),
+            ("GeNIMA", "pipelined", Pipelined(true)),
+        ],
+    ),
+    // §2: notices piggybacked on grants (Base), pushed at releases, or
+    // pulled with remote fetch at acquires (the rejected alternative).
+    (
+        "notices",
+        "Water-nsquared",
+        &[
+            ("Base", "piggybacked", Untouched),
+            ("DW", "push", Untouched),
+            ("GeNIMA", "push", Untouched),
+            ("GeNIMA", "pull", PullNotices),
+        ],
+    ),
+    // §3.1: coalesced mprotect calls on the mprotect-bound application.
+    (
+        "mprotect",
+        "Radix-local",
+        &[
+            ("GeNIMA", "coalesced", MprotectExtraPageNs(1500)),
+            ("GeNIMA", "per-page", MprotectExtraPageNs(8000)),
+        ],
+    ),
+    // How much of Base's loss is the interrupt itself; GeNIMA takes
+    // none, whatever one costs.
+    (
+        "interrupts",
+        "Water-nsquared",
+        &[
+            ("Base", "10us", InterruptUs(10)),
+            ("Base", "30us", InterruptUs(30)),
+            ("Base", "60us", InterruptUs(60)),
+            ("Base", "120us", InterruptUs(120)),
+            ("GeNIMA", "none", Untouched),
+        ],
+    ),
+    // §3.3 remedy (ii) / §5: all of a page's runs in one message.
+    (
+        "scatter_gather",
+        "Barnes-spatial",
+        &[
+            ("DW+RF", "packed", Untouched),
+            ("GeNIMA", "direct", Untouched),
+            ("GeNIMA", "gathered", ScatterGather),
+        ],
+    ),
+    // §5: one posted descriptor replaces nodes-1 posts per release.
+    (
+        "broadcast",
+        "Water-nsquared",
+        &[
+            ("GeNIMA", "per-destination", Broadcast(false)),
+            ("GeNIMA", "broadcast", Broadcast(true)),
+        ],
+    ),
+    // §2's open question: the firmware lock chain, or a test-and-set
+    // lock over NI remote atomics.
+    (
+        "lock_impl",
+        "Water-nsquared",
+        &[
+            ("GeNIMA", "firmware chain", Untouched),
+            ("GeNIMA", "remote atomics", RemoteAtomics),
+        ],
+    ),
+    // Home-based LRC lives by home placement: the application's blocked
+    // assignment, first touch, or round-robin striping.
+    (
+        "homes",
+        "FFT",
+        &[
+            ("GeNIMA", "owner-assigned", Untouched),
+            ("GeNIMA", "first-touch", FirstTouch),
+            ("GeNIMA", "round-robin", Striped),
+        ],
+    ),
+];
+
+/// What the paper and each ablation claim beyond the gates [`run`]
+/// declares per application, in the grammar of [`Paper::claim`]. A cell
+/// is keyed `app/column`, an ablation variant `study/column/variant`.
+const CLAIMS: [&str; 35] = [
+    // §3.3: remote fetch cuts FFT's data wait (the paper: ~45%), NI
+    // locks cut Water-nsquared's lock time (~60%), and direct diffs turn
+    // each of Barnes-spatial's scattered runs into a message (>30x).
+    "FFT/DW+RF: mean_breakdown.data_ms <= 0.9 x FFT/DW",
+    "Water-nsquared/GeNIMA: mean_breakdown.lock_ms <= 0.75 x Water-nsquared/DW+RF+DD",
+    "Barnes-spatial/DW+RF+DD: counters.diff_run_messages > 10 x Barnes-spatial/DW+RF: counters.diffs",
+    // §4, Table 3: GeNIMA sends more small messages than Base, and wins.
+    "Water-nsquared/GeNIMA: contention.small.packets > Water-nsquared/Base",
+    // §2: with remote fetch a node pins its homes, not every page.
+    "Volrend-stealing/Base: pinned_bytes >= 2 x Volrend-stealing/DW+RF",
+    // Table 2: Radix and Barnes-spatial are barrier-bound, the
+    // lock-bound Water-nsquared is not.
+    "Radix-local/GeNIMA: shares.barrier >= 0.35",
+    "Barnes-spatial/GeNIMA: shares.barrier >= 0.35",
+    "Water-nsquared/GeNIMA: shares.barrier <= 0.05",
+    // A GeNIMA-2025 release hands the lock over before it diffs and
+    // re-protects, so Ocean's one-word critical section no longer waits
+    // on 65 pages of diffs (0.189 while it did); the 1999 column keeps
+    // the paper's order and with it §3.3's critical-section dilation
+    // (DESIGN.md §28).
+    "Ocean-rowwise/GeNIMA-2025: shares.lock <= 0.1",
+    "Ocean-rowwise/GeNIMA: shares.lock >= 0.15",
+    // Send pipelining recovers part of the direct-diff loss.
+    "pipelining/DW+RF/pipelined: speedup > pipelining/DW+RF/serial",
+    "pipelining/GeNIMA/pipelined: speedup > pipelining/GeNIMA/serial",
+    // A deeper post queue never hurts.
+    "post_queue/GeNIMA/depth 256: speedup >= post_queue/GeNIMA/depth 32",
+    "post_queue/GeNIMA/depth 32: speedup >= post_queue/GeNIMA/depth 8",
+    // Pull brings "no noticeable benefits" (§2): within 1% of push, with
+    // fewer notice messages and still no interrupt.
+    "notices/GeNIMA/pull: speedup >= 0.99 x notices/GeNIMA/push",
+    "notices/GeNIMA/pull: speedup <= 1.01 x notices/GeNIMA/push",
+    "notices/GeNIMA/pull: counters.notice_messages < notices/GeNIMA/push",
+    "notices/GeNIMA/pull: counters.interrupts == 0",
+    // Coalescing is worth its mprotect time.
+    "mprotect/GeNIMA/coalesced: speedup >= mprotect/GeNIMA/per-page",
+    "mprotect/GeNIMA/coalesced: mprotect_ms < mprotect/GeNIMA/per-page",
+    // Base falls monotonically with the interrupt's cost, and even a
+    // 10 us interrupt leaves it below GeNIMA.
+    "interrupts/Base/10us: speedup > interrupts/Base/30us",
+    "interrupts/Base/30us: speedup > interrupts/Base/60us",
+    "interrupts/Base/60us: speedup > interrupts/Base/120us",
+    "interrupts/Base/10us: speedup < interrupts/GeNIMA/none",
+    // Scatter-gather recovers the direct-diff loss with fewer messages.
+    "scatter_gather/GeNIMA/gathered: speedup > scatter_gather/GeNIMA/direct",
+    "scatter_gather/GeNIMA/gathered: diff_messages < scatter_gather/GeNIMA/direct",
+    // NI broadcast is at least as fast as per-destination deposits.
+    "broadcast/GeNIMA/broadcast: speedup >= broadcast/GeNIMA/per-destination",
+    // Remote atomics spin, take no interrupt, and land within 2% of the
+    // firmware chain at this contention.
+    "lock_impl/GeNIMA/remote atomics: counters.lock_spin_retries > 0",
+    "lock_impl/GeNIMA/remote atomics: counters.interrupts == 0",
+    "lock_impl/GeNIMA/remote atomics: speedup >= 0.98 x lock_impl/GeNIMA/firmware chain",
+    "lock_impl/GeNIMA/remote atomics: speedup <= 1.02 x lock_impl/GeNIMA/firmware chain",
+    // First touch recovers the owner assignment exactly (each process
+    // initialises its own rows); striping costs diffs and speed.
+    "homes/GeNIMA/first-touch: speedup == homes/GeNIMA/owner-assigned",
+    "homes/GeNIMA/first-touch: diff_messages == homes/GeNIMA/owner-assigned",
+    "homes/GeNIMA/round-robin: diff_messages > homes/GeNIMA/owner-assigned",
+    "homes/GeNIMA/round-robin: speedup < homes/GeNIMA/owner-assigned",
+];
+
+/// `(meta field, low, high)`: the headline — the mean over the
+/// applications of GeNIMA speedup ÷ Base speedup − 1, in percent — held
+/// within a point of its value (13.21 over ten, 17.45 without
+/// Barnes-spatial). The five 1999 columns are the paper's calibration,
+/// so moving them must be a stated decision.
+const AVG_IMPROVEMENT: [(&str, f64, f64); 2] = [
+    ("avg_improvement_pct", 12.21, 14.21),
+    ("avg_improvement_pct_without_barnes_spatial", 16.45, 18.45),
+];
+
+/// The one application GeNIMA slows down (§3.3).
+const REGRESSES: &str = "Barnes-spatial";
+
+const STAGES: [(&str, Stage); 4] = [
+    ("source", Stage::Source),
+    ("lanai", Stage::Lanai),
+    ("net", Stage::Net),
+    ("dest", Stage::Dest),
+];
+
+/// §5's problem sizes, smallest first per application: `(app, label)`.
+fn sizes() -> Vec<(Box<dyn App>, String)> {
+    let fft = [1u64 << 18, 1 << 20, 1 << 22].map(|points| {
+        let app: Box<dyn App> = Box::new(Fft::with_points(points));
+        (app, format!("{}K points", points >> 10))
+    });
+    let water = [512usize, 2048, 4096].map(|mols| {
+        let app: Box<dyn App> = Box::new(WaterNsquared::with_molecules(mols, 2));
+        (app, format!("{mols} molecules"))
+    });
+    fft.into_iter().chain(water).collect()
+}
+
+/// The report under construction, and the row each key names.
+struct Paper {
+    rep: BenchReport,
+    keys: HashMap<String, usize>,
+    failed: u64,
+    unresolved: u64,
+}
+
+impl Paper {
+    fn push(&mut self, key: String, row: Json) -> usize {
+        let i = self.rep.push(row);
+        self.keys.insert(key, i);
+        i
+    }
+
+    /// Runs `app` on `column` with `switch` applied; an aborted run is
+    /// reported and counted, and has no row.
+    fn run(
+        &mut self,
+        what: &str,
+        app: &dyn App,
+        topo: Topology,
+        column: Column,
+        switch: Switch,
+    ) -> Option<RunReport> {
+        let mut params = column.params(topo);
+        let mut spec = app.spec(topo);
+        switch.apply(&mut params, &mut spec);
+        match spec.into_system(params).try_run() {
+            Ok(r) => Some(r),
+            Err(e) => {
+                eprintln!("FAIL {what}: run aborted: {e}");
+                self.failed += 1;
+                None
+            }
+        }
+    }
+
+    /// Declares `KEY: FIELD OP RHS` as a gate of that name: `rows[KEY]`'s
+    /// dotted `FIELD` against RHS, which is a number or `[K x ]KEY[:
+    /// FIELD]` — `K ×` another row's field, the same field unless one is
+    /// named. A key with no row is counted, so that a claim cannot stop
+    /// gating unnoticed.
+    fn claim(&mut self, claim: &str) {
+        let grammar = "a claim reads `KEY: FIELD OP RHS`";
+        let (lhs, rest) = claim.split_once(": ").expect(grammar);
+        let mut words = rest.splitn(3, ' ');
+        let (Some(field), Some(op), Some(rhs)) = (words.next(), words.next(), words.next()) else {
+            panic!("{grammar}: `{claim}`");
+        };
+        let operand = match rhs.parse::<f64>() {
+            Ok(bound) => Some(Json::num(bound)),
+            Err(_) => {
+                let (k, rhs) = match rhs.split_once(" x ") {
+                    Some((k, rhs)) => (Some(k.parse::<f64>().expect(grammar)), rhs),
+                    None => (None, rhs),
+                };
+                let (key, f) = rhs.split_once(": ").unwrap_or((rhs, field));
+                self.keys.get(key).map(|&j| match k {
+                    Some(k) => times(row(j, f), k),
+                    None => row(j, f),
+                })
+            }
+        };
+        match (self.keys.get(lhs), operand) {
+            (Some(&i), Some(rhs)) => self.rep.gate(claim, row(i, field), op, rhs),
+            (None, _) | (_, None) => self.unresolved += 1,
+        }
+    }
+
+    /// `rows[key].path`, if it is a number.
+    fn num(&self, key: &str, path: &str) -> Option<f64> {
+        field(&self.rep.rows()[*self.keys.get(key)?], path)
+    }
+
+    /// [`Paper::num`] to `prec` decimals, `-` where there is none.
+    fn fmt(&self, key: &str, path: &str, prec: usize) -> String {
+        decimals(self.num(key, path), prec)
+    }
+
+    /// One line per row of `kind`: its `labels`, then its `fields` to
+    /// their precision, each headed by its last path segment.
+    fn list(&self, title: &str, kind: &str, labels: &[&str], fields: &[(&str, usize)]) {
+        let last = fields
+            .iter()
+            .map(|(f, _)| f.rsplit('.').next().unwrap_or(f));
+        let mut t = TextTable::new(labels.iter().copied().chain(last).collect());
+        let text = |r: &Json, key: &str| r.get(key).and_then(Json::as_str).map(String::from);
+        for r in self.rep.rows() {
+            if text(r, "kind").as_deref() == Some(kind) {
+                let mut cells: Vec<String> = labels.iter().filter_map(|l| text(r, l)).collect();
+                cells.extend(fields.iter().map(|&(f, prec)| decimals(field(r, f), prec)));
+                t.row(cells);
+            }
+        }
+        println!("== {title}\n{t}");
+    }
+
+    /// One line per application of `path` in the rows keyed
+    /// `app/<column>`, to `prec` decimals.
+    fn per_app(&self, title: &str, apps: &[&str], columns: &[&str], path: &str, prec: usize) {
+        let mut t = TextTable::new([&["Application"][..], columns].concat());
+        for a in apps {
+            let mut cells = vec![a.to_string()];
+            cells.extend(
+                columns
+                    .iter()
+                    .map(|c| self.fmt(&format!("{a}/{c}"), path, prec)),
+            );
+            t.row(cells);
+        }
+        println!("== {title}\n{t}");
+    }
+
+    /// Prints every figure and table from the rows.
+    fn print(&self, apps: &[Box<dyn App>]) {
+        let names: Vec<&str> = apps.iter().map(|a| a.name()).collect();
+        let columns = Column::all().map(|c| c.name());
+        let origin_and_columns = [&["Origin 4x4"][..], &columns].concat();
+        let title = "Figures 1, 2, 4: speedups, 16 processors";
+        self.per_app(title, &names, &origin_and_columns, "speedup", 2);
+
+        let parts = ["total", "compute", "data", "lock", "acqrel", "barrier"];
+        let mut t = TextTable::new([&["Application", "Column"][..], &parts].concat());
+        for a in &names {
+            let base = self.num(&format!("{a}/Base"), "mean_breakdown.total_ms");
+            for c in columns {
+                let key = format!("{a}/{c}");
+                let mut cells = vec![a.to_string(), c.to_string()];
+                cells.extend(parts.map(|part| {
+                    let v = self.num(&key, &format!("mean_breakdown.{part}_ms"));
+                    decimals(v.zip(base).map(|(v, b)| v / b), 3)
+                }));
+                t.row(cells);
+            }
+        }
+        println!("== Figure 3: mean breakdown, Base total = 1.0\n{t}");
+
+        // Percentages to one decimal, `-` where a row is missing.
+        let share = |n: Option<f64>, d: Option<f64>| {
+            let pct = n
+                .zip(d)
+                .map(|(n, d)| if d > 0.0 { n / d * 100.0 } else { 0.0 });
+            decimals(pct, 1)
+        };
+        let head = [
+            "Application",
+            "Problem",
+            "Uniproc(s)",
+            "Overall%",
+            "Data%",
+            "Lock%",
+        ];
+        let mut t = TextTable::new(head.to_vec());
+        for app in apps {
+            let a = app.name();
+            let cut = |from: &str, to: &str, part: &str| {
+                let path = format!("mean_breakdown.{part}_ms");
+                let from = self.num(&format!("{a}/{from}"), &path);
+                let to = self.num(&format!("{a}/{to}"), &path);
+                share(from.zip(to).map(|(f, t)| f - t), from)
+            };
+            let data = format!(
+                "{} ({})",
+                cut("DW", "DW+RF", "data"),
+                cut("DW", "GeNIMA", "data")
+            );
+            let seq = self.num(&format!("{a}/Base"), "sequential_ms");
+            t.row(vec![
+                a.to_string(),
+                app.problem(),
+                decimals(seq.map(|ms| ms / 1e3), 2),
+                cut("Base", "GeNIMA", "total"),
+                data,
+                cut("DW+RF+DD", "GeNIMA", "lock"),
+            ]);
+        }
+        println!("== Table 1: improvement Base->GeNIMA, data DW->DW+RF (DW->GeNIMA), lock DW+RF+DD->GeNIMA\n{t}");
+
+        let mut t = TextTable::new(vec!["Application", "BT%", "BPT%", "MT%"]);
+        for a in &names {
+            let ms =
+                |part: &str| self.num(&format!("{a}/GeNIMA"), &format!("mean_breakdown.{part}_ms"));
+            let overhead = ms("total").zip(ms("compute")).map(|(t, c)| t - c);
+            t.row(vec![
+                a.to_string(),
+                share(ms("barrier"), ms("total")),
+                share(ms("barrier_protocol"), ms("barrier")),
+                share(ms("mprotect"), overhead),
+            ]);
+        }
+        println!("== Table 2 (GeNIMA): barrier, barrier-protocol and mprotect shares\n{t}");
+
+        for (class, table) in [("small", 3), ("large", 4)] {
+            let stages = STAGES.map(|(stage, _)| stage);
+            let mut t = TextTable::new([&["Application"][..], &stages].concat());
+            for a in &names {
+                let mut cells = vec![a.to_string()];
+                cells.extend(stages.map(|stage| {
+                    let path = format!("contention.{class}.{stage}");
+                    let [b, g] =
+                        ["Base", "GeNIMA"].map(|c| self.fmt(&format!("{a}/{c}"), &path, 1));
+                    format!("{b}/{g}")
+                }));
+                t.row(cells);
+            }
+            println!("== Table {table}: {class}-message contention ratios, Base/GeNIMA\n{t}");
+        }
+
+        let title = "Table 5: speedups, 32 processors";
+        let columns = ["GeNIMA", "GeNIMA 8x4", "Origin 8x4"];
+        self.per_app(title, &names, &columns, "speedup", 2);
+
+        let fields = [
+            ("base_speedup", 2),
+            ("genima_speedup", 2),
+            ("improvement_pct", 1),
+        ];
+        self.list(
+            "Problem sizes (section 5)",
+            "size",
+            &["app", "size"],
+            &fields,
+        );
+        let labels = ["study", "app", "column", "variant"];
+        let fields = [
+            ("speedup", 2),
+            ("diff_messages", 0),
+            ("counters.notice_messages", 0),
+            ("counters.interrupts", 0),
+            ("counters.lock_spin_retries", 0),
+            ("mprotect_ms", 1),
+        ];
+        self.list("Ablations", "ablation", &labels, &fields);
+    }
+}
+
+/// The number at dotted `path` in `row`.
+fn field(row: &Json, path: &str) -> Option<f64> {
+    path.split('.').try_fold(row, |v, k| v.get(k))?.as_f64()
+}
+
+/// `v` to `prec` decimals, `-` where there is none.
+fn decimals(v: Option<f64>, prec: usize) -> String {
+    v.map_or("-".to_string(), |v| format!("{v:.prec$}"))
+}
+
+/// The contention ratios of Tables 3–4 by size class and stage, `null`
+/// where a stage saw no packet, beside each class's packet count.
+fn contention(r: &RunReport) -> Json {
+    let mut classes = Json::obj();
+    for (name, class) in [("small", SizeClass::Small), ("large", SizeClass::Large)] {
+        let mut stages = Json::obj();
+        stages.set("packets", Json::u64(r.monitor.packets(class)));
+        for (stage_name, stage) in STAGES {
+            let s = r.monitor.stats(stage, class);
+            let seen = s.actual.count() > 0;
+            stages.set(stage_name, if seen { s.ratio().into() } else { Json::Null });
+        }
+        classes.set(name, stages);
+    }
+    classes
+}
+
+/// The `key` object of the report's own JSON.
+fn part(r: &RunReport, key: &str) -> Json {
+    let full = r.to_json_value();
+    full.get(key)
+        .expect("a report's JSON has every part")
+        .clone()
+}
+
+fn cell_row(app: &str, column: &str, seq: Dur, r: &RunReport) -> Json {
+    let mut cell = Json::obj();
+    cell.set("kind", "cell".into());
+    cell.set("app", app.into());
+    cell.set("column", column.into());
+    cell.set("sequential_ms", seq.as_ms().into());
+    cell.set("parallel_ms", r.parallel_time().as_ms().into());
+    cell.set("speedup", r.speedup(seq).into());
+    for key in ["shares", "counters", "mean_breakdown"] {
+        cell.set(key, part(r, key));
+    }
+    cell.set("contention", contention(r));
+    let pinned = r.pinned_shared_bytes.iter().sum();
+    cell.set("pinned_bytes", Json::u64(pinned));
+    cell
+}
+
+/// `variant` is `[study, app, column, variant]`.
+fn ablation_row(variant: [&str; 4], seq: Dur, r: &RunReport) -> Json {
+    let mut row = Json::obj();
+    row.set("kind", "ablation".into());
+    for (key, value) in ["study", "app", "column", "variant"]
+        .into_iter()
+        .zip(variant)
+    {
+        row.set(key, value.into());
+    }
+    row.set("speedup", r.speedup(seq).into());
+    let c = r.counters;
+    row.set("diff_messages", Json::u64(c.diffs + c.diff_run_messages));
+    row.set("mprotect_ms", r.mean_breakdown().mprotect.as_ms().into());
+    row.set("counters", part(r, "counters"));
+    row
+}
+
+pub fn run(args: &Args) -> BenchReport {
+    let (p16, p32) = (Topology::new(4, 4), Topology::new(8, 4));
+    let genima = Column::lanai(FeatureSet::genima());
+    let mut paper = Paper {
+        rep: BenchReport::new("paper", args.seed),
+        keys: HashMap::new(),
+        failed: 0,
+        unresolved: 0,
+    };
+    paper.rep.set_meta("topo", topo_json(p16));
+    let mut seqs = HashMap::new();
+    for app in &args.apps {
+        let (a, seq) = (app.name(), sequential_time(app.as_ref()));
+        seqs.insert(a, seq);
+        for column in Column::all() {
+            let key = format!("{a}/{}", column.name());
+            let Some(r) = paper.run(&key, app.as_ref(), p16, column, Untouched) else {
+                continue;
+            };
+            let i = paper.push(key.clone(), cell_row(a, column.name(), seq, &r));
+            if column.features.interrupt_free() {
+                gate_interrupt_free(&mut paper.rep, &key, i, "counters.interrupts");
+            }
+            // Table 4 is the LANai's; the RNIC's engine queues large
+            // messages up to 3.9x and has no 1999 counterpart.
+            let lanai = paper.num(&key, "contention.large.lanai");
+            if !column.hw.is_rdma() && lanai.is_some() {
+                paper.claim(&format!("{key}: contention.large.lanai <= 3"));
+            }
+        }
+        for topo in [p16, p32] {
+            let label = format!("{}x{}", topo.nodes, topo.procs_per_node);
+            let r = run_app_on_hwdsm(app.as_ref(), topo);
+            let mut row = Json::obj();
+            row.set("kind", "origin".into());
+            row.set("app", a.into());
+            row.set("topo", label.as_str().into());
+            row.set("parallel_ms", r.finish.as_ms().into());
+            row.set("speedup", r.speedup(seq).into());
+            paper.push(format!("{a}/Origin {label}"), row);
+        }
+        let key = format!("{a}/GeNIMA 8x4");
+        if let Some(r) = paper.run(&key, app.as_ref(), p32, genima, Untouched) {
+            let mut row = Json::obj();
+            row.set("kind", "genima_8x4".into());
+            row.set("app", a.into());
+            row.set("parallel_ms", r.parallel_time().as_ms().into());
+            row.set("speedup", r.speedup(seq).into());
+            row.set("interrupts", r.counters.interrupts.into());
+            let i = paper.push(key.clone(), row);
+            gate_interrupt_free(&mut paper.rep, &key, i, "interrupts");
+        }
+        let op = if a == REGRESSES { "<" } else { ">" };
+        for claim in [
+            format!("{a}/GeNIMA: speedup {op} {a}/Base"),
+            format!("{a}/Origin 4x4: speedup > {a}/Base"),
+            format!("{a}/GeNIMA 8x4: speedup > {a}/GeNIMA"),
+            format!("{a}/Origin 8x4: speedup > {a}/GeNIMA 8x4"),
+            format!("{a}/Base: counters.interrupts > 0"),
+        ] {
+            paper.claim(&claim);
+        }
+    }
+
+    let sizes = sizes();
+    for (app, size) in &sizes {
+        let a = app.name();
+        if !seqs.contains_key(a) {
+            continue;
+        }
+        let seq = sequential_time(app.as_ref());
+        let key = format!("{a}/{size}");
+        let [base, genima] = [FeatureSet::base(), FeatureSet::genima()]
+            .map(|f| paper.run(&key, app.as_ref(), p16, Column::lanai(f), Untouched));
+        let (Some(base), Some(genima)) = (base, genima) else {
+            continue;
+        };
+        let (b, g) = (base.speedup(seq), genima.speedup(seq));
+        let mut row = Json::obj();
+        row.set("kind", "size".into());
+        row.set("app", a.into());
+        row.set("size", size.as_str().into());
+        row.set("base_speedup", b.into());
+        row.set("genima_speedup", g.into());
+        row.set("improvement_pct", ((g / b - 1.0) * 100.0).into());
+        paper.push(key, row);
+    }
+    for pair in sizes.windows(2) {
+        let ((small, s), (large, l)) = (&pair[0], &pair[1]);
+        let a = small.name();
+        if a == large.name() && seqs.contains_key(a) {
+            paper.claim(&format!("{a}/{s}: improvement_pct > {a}/{l}"));
+        }
+    }
+
+    for (study, a, variants) in ABLATIONS {
+        let Some(app) = args.apps.iter().find(|app| app.name() == a) else {
+            continue;
+        };
+        for &(column, variant, switch) in variants {
+            let key = format!("{study}/{column}/{variant}");
+            let on = Column::by_name(column).expect("an ablation runs on an evaluation column");
+            if let Some(r) = paper.run(&key, app.as_ref(), p16, on, switch) {
+                paper.push(key, ablation_row([study, a, column, variant], seqs[a], &r));
+            }
+        }
+    }
+    for claim in CLAIMS {
+        paper.claim(claim);
+    }
+
+    paper.print(&args.apps);
+    // The headline and the claim count are about the whole suite.
+    if args.apps.len() == all_apps().len() {
+        let improvement = |a: &str| {
+            let b = paper.num(&format!("{a}/Base"), "speedup")?;
+            let g = paper.num(&format!("{a}/GeNIMA"), "speedup")?;
+            Some((g / b - 1.0) * 100.0)
+        };
+        let mean = |apps: Vec<&str>| {
+            let v: Vec<f64> = apps.iter().filter_map(|a| improvement(a)).collect();
+            v.iter().sum::<f64>() / v.len() as f64
+        };
+        let names: Vec<&str> = args.apps.iter().map(|a| a.name()).collect();
+        let all = mean(names.clone());
+        let nine = mean(names.into_iter().filter(|&a| a != REGRESSES).collect());
+        println!(
+            "Base -> GeNIMA improvement: {all:.2}% over ten applications, {nine:.2}% \
+             without {REGRESSES} (the paper: ~37-38% for the well-performing ones)"
+        );
+        for ((field, low, high), v) in AVG_IMPROVEMENT.into_iter().zip([all, nine]) {
+            paper.rep.set_meta(field, v);
+            for (op, bound) in [(">=", low), ("<=", high)] {
+                let name = format!("{field} {op} {bound}");
+                paper.rep.gate(name, meta(field), op, bound);
+            }
+        }
+        paper.rep.set_meta("unresolved_claims", paper.unresolved);
+        let gate = "every claim names a row";
+        paper.rep.gate(gate, meta("unresolved_claims"), "==", 0u64);
+    }
+    gate_six_columns(&mut paper.rep);
+    gate_failed_runs(&mut paper.rep, paper.failed);
+    paper.rep
+}

@@ -6,8 +6,10 @@
 //! (`genima-apps`) to the SVM protocol engine (`genima-proto`), the
 //! communication stack (`genima-vmmc`/`genima-nic`/`genima-net`), the
 //! memory system (`genima-mem`), and the hardware-DSM reference
-//! (`genima-hwdsm`), and provides the experiment drivers that
-//! regenerate every table and figure of the paper's evaluation.
+//! (`genima-hwdsm`): one way to run an application on a cluster, on the
+//! Origin model and sequentially, which `bench paper` (in
+//! `genima-bench`) uses to regenerate every table and figure of the
+//! paper's evaluation.
 //!
 //! # Quickstart
 //!
@@ -20,19 +22,9 @@
 //! let out = run_app(&app, topo, FeatureSet::genima());
 //! assert_eq!(out.report.counters.interrupts, 0);
 //! ```
-//!
-//! # Experiment drivers
-//!
-//! The [`experiments`] module regenerates the paper's evaluation:
-//! [`experiments::fig2_speedups`] produces the five-protocol speedup
-//! comparison, [`experiments::table34_contention`] the NI-monitor
-//! contention ratios, and so on. The `repro` binary in `genima-bench`
-//! prints them in the paper's layout.
 
 mod runner;
 mod tables;
-
-pub mod experiments;
 
 pub use runner::{
     run_app, run_app_configured, run_app_on_hwdsm, sequential_time, ConfiguredOutcome, RunConfig,

@@ -60,7 +60,7 @@ fn rejects(kind: &str, gate: &str, mutate: impl FnOnce(&mut Json)) {
 #[test]
 fn every_checked_in_report_passes_unmodified() {
     for kind in [
-        "breakdowns",
+        "paper",
         "fault_matrix",
         "barrier",
         "diff",
@@ -103,7 +103,7 @@ fn a_host_interrupt_on_a_genima_row_is_rejected() {
         "zero host interrupts",
     );
     let field = "counters.interrupts";
-    flip("breakdowns", GENIMA, field, 1u64, "zero host interrupts");
+    flip("paper", GENIMA, field, 1u64, "zero host interrupts");
 }
 
 #[test]
@@ -211,7 +211,7 @@ fn oceans_lock_wait_creeping_back_is_rejected() {
     // re-protected inside the critical section (DESIGN.md §28) ...
     let ocean = [("app", "Ocean-rowwise"), ("column", "GeNIMA-2025")];
     flip("rdma", &ocean, "speedup_vs_1999", 1.017, ">= 1.4");
-    flip("breakdowns", &ocean, "shares.lock", 0.189, "<= 0.1");
+    flip("paper", &ocean, "shares.lock", 0.189, "<= 0.1");
     rejects("critpath", "queue_retry <= 0.6 x total_ns", |v| {
         let total = num(v, &ocean, "total_ns");
         *at(row(v, &ocean), "segments_ns.queue_retry") = Json::num(0.82 * total);
@@ -219,5 +219,76 @@ fn oceans_lock_wait_creeping_back_is_rejected() {
     // ... and the 1999 row as it would read if somebody took the
     // paper's dilation out of the paper's column.
     let ocean_1999 = [("app", "Ocean-rowwise"), ("column", "GeNIMA")];
-    flip("breakdowns", &ocean_1999, "shares.lock", 0.036, ">= 0.15");
+    flip("paper", &ocean_1999, "shares.lock", 0.036, ">= 0.15");
+}
+
+/// A `cell` row of `BENCH_paper.json`.
+fn cell<'a>(app: &'a str, column: &'a str) -> [(&'a str, &'a str); 3] {
+    [("kind", "cell"), ("app", app), ("column", column)]
+}
+
+#[test]
+fn the_papers_shapes_are_gated() {
+    // Barnes-spatial is the one application GeNIMA slows down (§3.3).
+    rejects("paper", "Barnes-spatial/GeNIMA: speedup <", |v| {
+        let base = num(v, &cell("Barnes-spatial", "Base"), "speedup");
+        let genima = row(v, &cell("Barnes-spatial", "GeNIMA"));
+        *at(genima, "speedup") = Json::num(base + 0.01);
+    });
+    // The Origin beats Base everywhere (Figure 1).
+    let origin = [
+        ("kind", "origin"),
+        ("app", "LU-contiguous"),
+        ("topo", "4x4"),
+    ];
+    let gate = "LU-contiguous/Origin 4x4: speedup > LU-contiguous/Base";
+    flip("paper", &origin, "speedup", 10.0, gate);
+    // The headline as it read with `interrupt_latency` doubled: the five
+    // 1999 columns moved, and the band says so.
+    rejects("paper", "avg_improvement_pct <= 14.21", |v| {
+        *at(v, "meta.avg_improvement_pct") = 19.44.into();
+    });
+}
+
+#[test]
+fn the_headline_means_are_the_cell_rows_means() {
+    let v = load("paper");
+    let rows = v.get("rows").and_then(Json::as_arr).expect("rows");
+    let speedup = |app: &str, column: &str| {
+        let hit = rows.iter().find(|r| {
+            let s = |k: &str| r.get(k).and_then(Json::as_str);
+            (s("kind"), s("app"), s("column")) == (Some("cell"), Some(app), Some(column))
+        });
+        hit.and_then(|r| r.get("speedup")?.as_f64())
+            .expect("a cell row")
+    };
+    let apps = rows.iter().filter(|r| {
+        let s = |k: &str| r.get(k).and_then(Json::as_str);
+        (s("kind"), s("column")) == (Some("cell"), Some("Base"))
+    });
+    let apps: Vec<&str> = apps.filter_map(|r| r.get("app")?.as_str()).collect();
+    assert_eq!(apps.len(), 10);
+    let mean = |apps: &[&str]| {
+        let sum: f64 = apps
+            .iter()
+            .map(|a| (speedup(a, "GeNIMA") / speedup(a, "Base") - 1.0) * 100.0)
+            .sum();
+        sum / apps.len() as f64
+    };
+    let nine: Vec<&str> = apps
+        .iter()
+        .copied()
+        .filter(|&a| a != "Barnes-spatial")
+        .collect();
+    for (field, want) in [
+        ("avg_improvement_pct", mean(&apps)),
+        ("avg_improvement_pct_without_barnes_spatial", mean(&nine)),
+    ] {
+        let got = v.get("meta").and_then(|m| m.get(field)?.as_f64());
+        let got = got.unwrap_or_else(|| panic!("no meta.{field}"));
+        assert!(
+            (got - want).abs() < 1e-9,
+            "meta.{field} = {got}, rows say {want}"
+        );
+    }
 }
