@@ -15,16 +15,29 @@
 //! combine per hop — which is why fanout is a swept parameter and the
 //! protocol default is 4.)
 
-use genima::{BarrierImpl, FeatureSet, RunConfig, RunReport, TextTable, Topology};
+use genima::{BarrierImpl, FeatureSet, RunConfig, RunReport, Topology};
 use genima_apps::{App, Arrival, Layout, OpsBuilder, WorkloadSpec};
 use genima_obs::bench::row;
 use genima_obs::{BenchReport, Json};
 use genima_proto::BarrierId;
 
-use crate::{gate_failed_runs, gate_interrupt_free, run_cell, Args};
+use crate::{gate_failed_runs, gate_interrupt_free, run_cell, Args, View};
 
 /// Measured barrier episodes per run.
 const ITERS: usize = 12;
+
+pub const VIEWS: &[View] = &[View {
+    title: "barrier latency per episode versus node count",
+    kind: None,
+    cols: &[
+        ("nodes", "nodes", 0),
+        ("mode", "mode", 0),
+        ("barrier(us)", "barrier_us", 2),
+        ("time(ms)", "time_ms", 2),
+        ("mgr-msgs", "manager_msgs", 0),
+        ("intr", "interrupts", 0),
+    ],
+}];
 
 /// Synthetic barrier-dominated workload: each process writes its own
 /// page (so write notices ride every episode), computes a sliver, and
@@ -91,19 +104,6 @@ pub fn run(args: &Args) -> BenchReport {
         BarrierImpl::NiTree { fanout: 4 },
         BarrierImpl::NiTree { fanout: 8 },
     ];
-    println!(
-        "barrier scaling: {ITERS} episodes per run, seed {:#x}",
-        args.seed
-    );
-
-    let mut table = TextTable::new(vec![
-        "nodes",
-        "mode",
-        "barrier(us)",
-        "time(ms)",
-        "mgr-msgs",
-        "intr",
-    ]);
     let mut rep = BenchReport::new("barrier", args.seed);
     rep.set_meta("iters", ITERS as u64);
     let mut failed = 0u64;
@@ -119,19 +119,11 @@ pub fn run(args: &Args) -> BenchReport {
             let Some(run) = run_cell(&what, &app, &cfg, &mut failed) else {
                 continue;
             };
-            if let Err(e) = run.report.validate(&cfg.features) {
+            if let Err(e) = run.report.validate(&cfg.column.features) {
                 eprintln!("FAIL {what}: {e}");
                 failed += 1;
             }
             let us = barrier_us(&run.report, ITERS);
-            table.row(vec![
-                nodes.to_string(),
-                mode_name(mode),
-                format!("{us:.2}"),
-                format!("{:.2}", run.report.parallel_time().as_ms()),
-                run.report.counters.barrier_manager_msgs.to_string(),
-                run.report.counters.interrupts.to_string(),
-            ]);
             let fanout = match mode {
                 BarrierImpl::HostManager => 0,
                 BarrierImpl::NiTree { fanout } => fanout as u64,
@@ -167,7 +159,6 @@ pub fn run(args: &Args) -> BenchReport {
             rep.gate(name, row(ni, "barrier_us"), "<", row(host, "barrier_us"));
         }
     }
-    println!("{table}");
     gate_failed_runs(&mut rep, failed);
     rep
 }

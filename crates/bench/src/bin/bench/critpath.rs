@@ -25,7 +25,23 @@ use genima_obs::bench::{meta, row, row_sum, times};
 use genima_obs::{BenchReport, OpClass};
 use genima_prof::{profile, Segment};
 
-use crate::{gate_failed_runs, gate_six_columns, run_cell, topo_json, Args};
+use crate::{gate_failed_runs, gate_six_columns, run_cell, topo_json, Args, View};
+
+pub const VIEWS: &[View] = &[View {
+    title: "critical-path time per segment, summed over each run's ops",
+    kind: None,
+    cols: &[
+        ("app", "app", 0),
+        ("column", "column", 0),
+        ("ops", "ops", 0),
+        ("interrupt(ns)", "segments_ns.interrupt", 0),
+        ("firmware(ns)", "segments_ns.firmware", 0),
+        ("wire(ns)", "segments_ns.wire", 0),
+        ("host(ns)", "segments_ns.host_handler", 0),
+        ("queue(ns)", "segments_ns.queue_retry", 0),
+        ("intr share", "interrupt_share", 3),
+    ],
+}];
 
 /// `(app, column, share)`: the most of this row's op time that may be
 /// `queue_retry`. It was 0.82 on Ocean while a GeNIMA-2025 release
@@ -44,15 +60,11 @@ pub fn run(args: &Args) -> BenchReport {
     rep.set_meta("topo", topo_json(topo));
     let mut failed = 0u64;
     let mut mismatched_ops = 0u64;
-    println!(
-        "{:<22} {:>5} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7}",
-        "app/column", "ops", "intr(us)", "fw(us)", "wire(us)", "host(us)", "queue(us)", "intr%"
-    );
     for app in &args.apps {
         let seq = sequential_time(app.as_ref());
         for column in Column::all() {
             let what = format!("{}/{}", app.name(), column.name());
-            let cfg = RunConfig::from_column(topo, column)
+            let cfg = RunConfig::new(topo, column)
                 .with_seed(args.seed)
                 .with_obs(ObsConfig::with_capacity(ATTRIBUTION_RING));
             let Some(out) = run_cell(&what, app.as_ref(), &cfg, &mut failed) else {
@@ -85,17 +97,6 @@ pub fn run(args: &Args) -> BenchReport {
             } else {
                 0.0
             };
-            println!(
-                "{:<22} {:>5} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>6.1}%",
-                what,
-                audited.len(),
-                total.interrupt.as_us(),
-                total.firmware.as_us(),
-                total.wire.as_us(),
-                total.host_handler.as_us(),
-                total.queue_retry.as_us(),
-                intr_share * 100.0,
-            );
             let mut cell = Json::obj();
             cell.set("app", app.name().into());
             cell.set("column", column.name().into());

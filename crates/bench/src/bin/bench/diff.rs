@@ -21,7 +21,6 @@
 //! stricter (≥5× sparse, ≥3× dense); the gate sits at 3× to stay
 //! robust on noisy shared runners.
 
-use genima::TextTable;
 use genima_mem::{
     compute_diff_reference, compute_diff_tracked, DiffScratch, DirtyRanges, Page, PAGE_SIZE, WORD,
 };
@@ -29,10 +28,26 @@ use genima_obs::bench::row;
 use genima_obs::{BenchReport, Json};
 use genima_sim::SplitMix64;
 
-use crate::{time_ns, Args};
+use crate::{time_ns, Args, View};
 
 /// Timed calls per (case, engine).
 const ITERS: usize = 4000;
+
+pub const VIEWS: &[View] = &[View {
+    title: "diff engines: ns per page, and speedup over the reference scan",
+    kind: None,
+    cols: &[
+        ("case", "case", 0),
+        ("runs", "runs", 0),
+        ("bytes", "bytes", 0),
+        ("ref(ns)", "ref_ns", 0),
+        ("block(ns)", "block_ns", 0),
+        ("tracked(ns)", "tracked_ns", 0),
+        ("block-x", "speedup_block", 1),
+        ("tracked-x", "speedup_tracked", 1),
+        ("identical", "identical", 0),
+    ],
+}];
 
 /// One benchmark scenario: a twin, the current page derived from it,
 /// and the dirty ranges the write path would have recorded.
@@ -106,21 +121,6 @@ fn build_cases(seed: u64) -> Vec<Case> {
 }
 
 pub fn run(args: &Args) -> BenchReport {
-    println!(
-        "diff engines: {ITERS} iterations per case, seed {:#x}",
-        args.seed
-    );
-
-    let mut table = TextTable::new(vec![
-        "case",
-        "runs",
-        "bytes",
-        "ref(ns)",
-        "block(ns)",
-        "tracked(ns)",
-        "block-x",
-        "tracked-x",
-    ]);
     let mut rep = BenchReport::new("diff", args.seed);
     rep.set_meta("iters", ITERS as u64);
     rep.set_meta("page_size", PAGE_SIZE as u64);
@@ -150,19 +150,6 @@ pub fn run(args: &Args) -> BenchReport {
                 .compute_tracked(&case.twin, &case.cur, &case.dirty)
                 .run_count()
         });
-        let speedup_block = ref_ns / block_ns;
-        let speedup_tracked = ref_ns / tracked_ns;
-
-        table.row(vec![
-            case.name.to_string(),
-            reference.run_count().to_string(),
-            reference.bytes().to_string(),
-            format!("{ref_ns:.0}"),
-            format!("{block_ns:.0}"),
-            format!("{tracked_ns:.0}"),
-            format!("{speedup_block:.1}"),
-            format!("{speedup_tracked:.1}"),
-        ]);
         let mut cell = Json::obj();
         cell.set("case", case.name.into());
         cell.set("runs", (reference.run_count() as u64).into());
@@ -170,8 +157,8 @@ pub fn run(args: &Args) -> BenchReport {
         cell.set("ref_ns", ref_ns.into());
         cell.set("block_ns", block_ns.into());
         cell.set("tracked_ns", tracked_ns.into());
-        cell.set("speedup_block", speedup_block.into());
-        cell.set("speedup_tracked", speedup_tracked.into());
+        cell.set("speedup_block", (ref_ns / block_ns).into());
+        cell.set("speedup_tracked", (ref_ns / tracked_ns).into());
         cell.set("identical", (block_ok && tracked_ok).into());
         let i = rep.push(cell);
         let name = format!("{}: engines bit-identical to the reference", case.name);
@@ -181,6 +168,5 @@ pub fn run(args: &Args) -> BenchReport {
             rep.gate(name, row(i, "speedup_block"), ">=", 3.0);
         }
     }
-    println!("{table}");
     rep
 }

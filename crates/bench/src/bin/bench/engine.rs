@@ -31,16 +31,42 @@
 
 use std::time::Instant;
 
-use genima::{Column, RunConfig, TextTable, Topology};
+use genima::{Column, RunConfig, Topology};
 use genima_apps::{App, Fft, OceanRowwise};
 use genima_obs::bench::row;
 use genima_obs::{BenchReport, Json};
 use genima_sim::{EventQueue, HeapQueue, SplitMix64, Time};
 
-use crate::{alloc_bytes, allocs, gate_failed_runs, run_cell, time_ns, Args};
+use crate::{alloc_bytes, allocs, gate_failed_runs, run_cell, time_ns, Args, View};
 
 /// Timed hold-model steps per population.
 const ITERS: usize = 200_000;
+
+pub const VIEWS: &[View] = &[
+    View {
+        title: "hold model: the wheel against the heap",
+        kind: Some("hold"),
+        cols: &[
+            ("hold", "name", 0),
+            ("entry(B)", "entry_bytes", 0),
+            ("heap(ns/ev)", "heap_ns_per_event", 1),
+            ("wheel(ns/ev)", "wheel_ns_per_event", 1),
+            ("speedup", "speedup", 2),
+            ("allocs/ev", "wheel_allocs_per_event", 4),
+        ],
+    },
+    View {
+        title: "whole-system runs",
+        kind: Some("system"),
+        cols: &[
+            ("system", "name", 0),
+            ("events", "events", 0),
+            ("events/sec", "events_per_sec", 0),
+            ("allocs/ev", "allocs_per_event", 3),
+            ("bytes/ev", "bytes_per_event", 1),
+        ],
+    },
+];
 
 /// Hold-model offset: uniform in [1µs, 1ms). The lower bound keeps the
 /// replacement out of the slot currently draining (the wheel's slot
@@ -92,19 +118,13 @@ fn hold<Q, E: Default>(
     (ns, (allocs() - before) as f64 / (ITERS / 5 * 6) as f64)
 }
 
-/// The hold model at population `n` with payload `E`, printed and
-/// recorded as row `name`; returns the row index. Identical initial
-/// fill and identical pop-driven offset stream on both queues, so both
-/// do the same scheduling work. The wheel's allocation rate covers
-/// only post-warmup steps: slot capacities established during the
-/// fill must be recycled, not regrown.
-fn hold_row<E: Default>(
-    rep: &mut BenchReport,
-    table: &mut TextTable,
-    name: &str,
-    seed: u64,
-    n: usize,
-) -> usize {
+/// The hold model at population `n` with payload `E`, recorded as row
+/// `name`; returns the row index. Identical initial fill and identical
+/// pop-driven offset stream on both queues, so both do the same
+/// scheduling work. The wheel's allocation rate covers only
+/// post-warmup steps: slot capacities established during the fill
+/// must be recycled, not regrown.
+fn hold_row<E: Default>(rep: &mut BenchReport, name: &str, seed: u64, n: usize) -> usize {
     let mut rng = SplitMix64::new(seed);
     let mut heap: HeapQueue<E> = HeapQueue::new();
     fill(&mut |t, e| heap.push(t, e), &mut rng, n);
@@ -115,52 +135,30 @@ fn hold_row<E: Default>(
     fill(&mut |t, e| wheel.push(t, e), &mut rng, n);
     let (wheel_ns, wheel_allocs) = hold(n, &mut wheel, EventQueue::pop, EventQueue::push);
 
-    let entry_bytes = EventQueue::<E>::ENTRY_BYTES;
-    let speedup = heap_ns / wheel_ns;
-    table.row(vec![
-        name.to_string(),
-        entry_bytes.to_string(),
-        format!("{heap_ns:.1}"),
-        format!("{wheel_ns:.1}"),
-        format!("{speedup:.2}"),
-        format!("{wheel_allocs:.4}"),
-    ]);
     let mut cell = Json::obj();
     cell.set("kind", "hold".into());
     cell.set("name", name.into());
     cell.set("pending", (n as u64).into());
-    cell.set("entry_bytes", (entry_bytes as u64).into());
+    cell.set("entry_bytes", (EventQueue::<E>::ENTRY_BYTES as u64).into());
     cell.set("heap_ns_per_event", heap_ns.into());
     cell.set("wheel_ns_per_event", wheel_ns.into());
-    cell.set("speedup", speedup.into());
+    cell.set("speedup", (heap_ns / wheel_ns).into());
     cell.set("wheel_allocs_per_event", wheel_allocs.into());
     rep.push(cell)
 }
 
 pub fn run(args: &Args) -> BenchReport {
-    println!(
-        "engine hot path: {ITERS} hold steps per population, seed {:#x}",
-        args.seed
-    );
     let mut rep = BenchReport::new("engine", args.seed);
     rep.set_meta("iters", ITERS as u64);
 
-    let mut table = TextTable::new(vec![
-        "hold",
-        "entry(B)",
-        "heap(ns/ev)",
-        "wheel(ns/ev)",
-        "speedup",
-        "allocs/ev",
-    ]);
     for pow in [10u32, 14, 17] {
         let n = 1usize << pow;
         let seed = args.seed ^ pow as u64;
         // The `u64` rows calibrate the wheel against the heap; the
         // wide rows price the entry the simulator actually queues.
         let name = format!("hold-2^{pow}");
-        let narrow = hold_row::<u64>(&mut rep, &mut table, &name, seed, n);
-        let wide = hold_row::<Wide>(&mut rep, &mut table, &(name + "/wide"), seed, n);
+        let narrow = hold_row::<u64>(&mut rep, &name, seed, n);
+        let wide = hold_row::<Wide>(&mut rep, &(name + "/wide"), seed, n);
         if pow == 17 {
             let name = "hold-2^17: wheel >= 3x the heap";
             rep.gate(name, row(narrow, "speedup"), ">=", 3.0);
@@ -170,7 +168,6 @@ pub fn run(args: &Args) -> BenchReport {
             }
         }
     }
-    println!("{table}");
 
     // Per app: the (allocations, requested bytes) per-event ceilings of
     // its Base and GeNIMA rows. Allocations: 1.25 x the 0.166 / 0.207 /
@@ -193,13 +190,6 @@ pub fn run(args: &Args) -> BenchReport {
             [(0.083, 82.4), (0.108, 90.5)],
         ),
     ];
-    let mut stable = TextTable::new(vec![
-        "system",
-        "events",
-        "events/sec",
-        "allocs/ev",
-        "bytes/ev",
-    ]);
     let mut failed = 0u64;
     for (name, app, ceilings) in &apps {
         for (column, (ceiling, byte_ceiling)) in [Column::all()[0], Column::all()[4]]
@@ -207,7 +197,7 @@ pub fn run(args: &Args) -> BenchReport {
             .zip(ceilings)
         {
             let label = format!("{name}/{}", column.name());
-            let cfg = RunConfig::from_column(Topology::new(4, 2), column).with_seed(args.seed);
+            let cfg = RunConfig::new(Topology::new(4, 2), column).with_seed(args.seed);
             let before = (allocs(), alloc_bytes());
             let start = Instant::now();
             let Some(out) = run_cell(&label, app.as_ref(), &cfg, &mut failed) else {
@@ -218,13 +208,6 @@ pub fn run(args: &Args) -> BenchReport {
             let events_per_sec = events as f64 / (wall / 1e9);
             let allocs_per_event = (allocs() - before.0) as f64 / events.max(1) as f64;
             let bytes_per_event = (alloc_bytes() - before.1) as f64 / events.max(1) as f64;
-            stable.row(vec![
-                label.clone(),
-                events.to_string(),
-                format!("{events_per_sec:.0}"),
-                format!("{allocs_per_event:.1}"),
-                format!("{bytes_per_event:.0}"),
-            ]);
             let mut cell = Json::obj();
             cell.set("kind", "system".into());
             cell.set("name", label.as_str().into());
@@ -241,7 +224,6 @@ pub fn run(args: &Args) -> BenchReport {
             rep.gate(name, row(i, "bytes_per_event"), "<=", *byte_ceiling);
         }
     }
-    println!("{stable}");
     gate_failed_runs(&mut rep, failed);
     rep
 }

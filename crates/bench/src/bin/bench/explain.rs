@@ -198,7 +198,8 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn load(path: &str) -> Result<Json, String> {
+/// The JSON in the file at `path`.
+pub fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }

@@ -13,7 +13,6 @@
 //! recovery lives in the NI firmware model, so the host-free property
 //! survives faults.
 
-use genima::TextTable;
 use genima_apps::OceanRowwise;
 use genima_check::run_app_audited_with;
 use genima_fault::{FaultPlan, PlanInjector, RunSeed};
@@ -22,13 +21,30 @@ use genima_obs::{BenchReport, Json};
 use genima_proto::{Column, Topology};
 use genima_sim::Dur;
 
-use crate::{gate_failed_runs, gate_interrupt_free, Args};
+use crate::{gate_failed_runs, gate_interrupt_free, Args, View};
 
 /// Ocean grid edge.
 const GRID: usize = 96;
 
 /// Uniprocessor nodes in the cluster.
 const NODES: usize = 4;
+
+pub const VIEWS: &[View] = &[View {
+    title: "fault matrix: Ocean under loss, duplication and delay, per drop rate and column",
+    kind: None,
+    cols: &[
+        ("drop", "drop_rate", 2),
+        ("column", "column", 0),
+        ("time(ms)", "time_ms", 2),
+        ("retrans", "retransmits", 0),
+        ("dup-supp", "duplicates_suppressed", 0),
+        ("inj-drop", "injected_drops", 0),
+        ("inj-dup", "injected_dups", 0),
+        ("inj-delay", "injected_delays", 0),
+        ("intr", "interrupts", 0),
+        ("audit", "audit_clean", 0),
+    ],
+}];
 
 /// The sweep's fault plan at one drop rate: each faulty row also
 /// duplicates and delays packets so all three recovery paths (retry
@@ -48,22 +64,6 @@ pub fn run(args: &Args) -> BenchReport {
     let app = OceanRowwise::with_grid(GRID, 2);
     let topo = Topology::new(NODES, 1);
     let seed = RunSeed::new(args.seed);
-    println!(
-        "fault matrix: Ocean {GRID}x{GRID} on {NODES} nodes, seed {:#x}",
-        args.seed
-    );
-
-    let mut table = TextTable::new(vec![
-        "drop%",
-        "column",
-        "time(ms)",
-        "retrans",
-        "dup-supp",
-        "inj-drop",
-        "inj-dup",
-        "inj-delay",
-        "intr",
-    ]);
     let mut rep = BenchReport::new("fault_matrix", args.seed);
     rep.set_meta("grid", GRID as u64);
     rep.set_meta("nodes", NODES as u64);
@@ -95,17 +95,6 @@ pub fn run(args: &Args) -> BenchReport {
             }
             let f = stats.borrow();
             let (recovery, interrupts) = (run.report.recovery, run.report.counters.interrupts);
-            table.row(vec![
-                format!("{:.0}", drop * 100.0),
-                column.name().to_string(),
-                format!("{:.2}", run.report.parallel_time().as_ms()),
-                recovery.retransmits.to_string(),
-                recovery.duplicates_suppressed.to_string(),
-                f.dropped.to_string(),
-                f.duplicated.to_string(),
-                f.delayed.to_string(),
-                interrupts.to_string(),
-            ]);
             let mut cell = Json::obj();
             cell.set("drop_rate", drop.into());
             cell.set("column", column.name().into());
@@ -133,7 +122,6 @@ pub fn run(args: &Args) -> BenchReport {
             }
         }
     }
-    println!("{table}");
     gate_failed_runs(&mut rep, failed);
     rep
 }

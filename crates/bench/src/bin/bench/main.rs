@@ -1,20 +1,24 @@
 //! `bench <kind>` — the paper's evaluation (`bench paper`) and the
-//! experiments beyond it, each a sweep that prints its tables and
-//! declares pass/fail gates over its own rows.
+//! experiments beyond it, each a sweep that declares pass/fail gates
+//! over its own rows and prints its tables from them.
 //!
 //! ```text
 //! bench <kind> [--seed N] [--json PATH] [APP...]
+//! bench show BENCH_<kind>.json
 //! bench explain BEFORE.json AFTER.json [--only-column NAME] [--ignore FIELD]...
 //! ```
 //!
 //! Every kind (one module each; its doc lists its gates) is a function
-//! from [`Args`] to a [`BenchReport`]; argument parsing, the `--json`
-//! file, gate checking and the exit code live here, once. The process
-//! exits non-zero iff `BenchReport::check` — the same call
-//! `xtask obs-schema` makes on the written file — rejects the report.
-//! `APP...` narrows the application sweep of `paper`, `rdma` and
-//! `critpath`; `--seed` is the [`RunSeed`] every run of the sweep uses
-//! and the seed the report records.
+//! from [`Args`] to a [`BenchReport`] and a [`Print`] of the report's
+//! JSON; argument parsing, the `--json` file, printing, gate checking
+//! and the exit code live here, once. Stdout carries the tables;
+//! stderr, progress and `FAIL` lines. `bench show` prints a written
+//! report, so the file prints what its run printed. The process exits
+//! non-zero iff `BenchReport::check` — the same call `xtask
+//! obs-schema` makes on the written file — rejects the report. `APP...`
+//! narrows the application sweep of `paper`, `rdma` and `critpath`;
+//! `--seed` is the [`RunSeed`] every run of the sweep uses and the
+//! seed the report records.
 
 mod barrier;
 mod critpath;
@@ -35,7 +39,7 @@ use std::time::Instant;
 use genima::{run_app_configured, ConfiguredOutcome, Json, RunConfig, Topology};
 use genima_apps::{all_apps, app_by_name, App};
 use genima_obs::bench::{meta, row};
-use genima_obs::BenchReport;
+use genima_obs::{BenchReport, Grid};
 use genima_sim::RunSeed;
 
 /// Counts every allocation (and reallocation) and the bytes each one
@@ -86,32 +90,96 @@ struct Args {
 
 type Kind = fn(&Args) -> BenchReport;
 
-const KINDS: [(&str, Kind); 9] = [
-    ("paper", paper::run),
-    ("fault_matrix", fault_matrix::run),
-    ("barrier", barrier::run),
-    ("diff", diff::run),
-    ("engine", engine::run),
-    ("rdma", rdma::run),
-    ("critpath", critpath::run),
-    ("serving", serving::run),
-    ("mc", mc::run),
+/// A report's tables, from its JSON.
+type Print = fn(&Json) -> String;
+
+const KINDS: [(&str, Kind, Print); 9] = [
+    ("paper", paper::run, paper::print),
+    ("fault_matrix", fault_matrix::run, |r| {
+        views(r, fault_matrix::VIEWS)
+    }),
+    ("barrier", barrier::run, |r| views(r, barrier::VIEWS)),
+    ("diff", diff::run, |r| views(r, diff::VIEWS)),
+    ("engine", engine::run, |r| views(r, engine::VIEWS)),
+    ("rdma", rdma::run, |r| views(r, rdma::VIEWS)),
+    ("critpath", critpath::run, |r| views(r, critpath::VIEWS)),
+    ("serving", serving::run, |r| views(r, serving::VIEWS)),
+    ("mc", mc::run, mc::print),
 ];
 
+/// One column of a table: its header, the dotted path of the field it
+/// shows in each row, and the decimals a number prints to.
+type Col<'a> = (&'a str, &'a str, usize);
+
+/// A table of the report's rows whose `kind` is `kind` (every row when
+/// `None`).
+struct View {
+    title: &'static str,
+    kind: Option<&'static str>,
+    cols: &'static [Col<'static>],
+}
+
+impl View {
+    /// Whether `row` is one of this table's.
+    fn selects(&self, row: &Json) -> bool {
+        self.kind.is_none() || text(row, "kind") == self.kind
+    }
+}
+
+/// `rows` as one table under `title`, a line per row and a column per
+/// [`Col`]: a string prints as itself, a number to its decimals, and a
+/// missing or `null` field as `-`.
+fn table<'a>(title: &str, rows: impl IntoIterator<Item = &'a Json>, cols: &[Col]) -> String {
+    let mut grid = Grid::new(cols.iter().map(|&(header, ..)| header).collect());
+    for r in rows {
+        let cell = |&(_, path, prec): &Col| match r.at(path) {
+            Some(Json::Num(v)) => format!("{v:.prec$}"),
+            Some(Json::Str(s)) => s.clone(),
+            Some(Json::Bool(b)) => b.to_string(),
+            None | Some(Json::Null | Json::Arr(_) | Json::Obj(_)) => "-".to_string(),
+        };
+        grid.row(cols.iter().map(cell).collect());
+    }
+    format!("== {title}\n{}\n", grid.render())
+}
+
+/// The report's rows.
+fn rows(report: &Json) -> &[Json] {
+    report
+        .get("rows")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+}
+
+/// The string at `key` in `row`.
+fn text<'a>(row: &'a Json, key: &str) -> Option<&'a str> {
+    row.get(key).and_then(Json::as_str)
+}
+
+/// Each of `views` over the report's rows, in order.
+fn views(report: &Json, views: &[View]) -> String {
+    let view = |v: &View| {
+        let of = rows(report).iter().filter(|r| v.selects(r));
+        table(v.title, of, v.cols)
+    };
+    views.iter().map(view).collect()
+}
+
 fn usage() -> ! {
-    let kinds: Vec<&str> = KINDS.iter().map(|(name, _)| *name).collect();
+    let kinds: Vec<&str> = KINDS.iter().map(|(name, ..)| *name).collect();
     eprintln!(
         "usage: bench <kind> [--seed N] [--json PATH] [APP...]\nkinds: {}\n       \
+         bench show BENCH_<kind>.json\n       \
          bench explain BEFORE.json AFTER.json [--only-column NAME] [--ignore FIELD]...",
         kinds.join(" ")
     );
     std::process::exit(2)
 }
 
-fn parse_args() -> (&'static str, Kind, Args) {
+fn parse_args() -> (&'static str, Kind, Print, Args) {
     let mut it = std::env::args().skip(1);
     let name = it.next().unwrap_or_else(|| usage());
-    let Some(&(name, kind)) = KINDS.iter().find(|(k, _)| *k == name) else {
+    let Some(&(name, kind, print)) = KINDS.iter().find(|(k, ..)| *k == name) else {
         eprintln!("unknown kind: {name}");
         usage()
     };
@@ -139,12 +207,12 @@ fn parse_args() -> (&'static str, Kind, Args) {
     if args.apps.is_empty() {
         args.apps = all_apps();
     }
-    (name, kind, args)
+    (name, kind, print, args)
 }
 
 /// Runs one cell of a sweep. An aborted run is reported and counted in
-/// `failed` instead of ending the process, so the rest of the table
-/// still prints; [`gate_failed_runs`] turns the count into a gate.
+/// `failed` instead of ending the process, so the rest of the sweep
+/// still runs; [`gate_failed_runs`] turns the count into a gate.
 fn run_cell(
     what: &str,
     app: &dyn App,
@@ -219,30 +287,18 @@ fn time_ns(iters: usize, mut f: impl FnMut() -> usize) -> f64 {
     best
 }
 
-fn main() -> ExitCode {
-    let mut argv = std::env::args().skip(1);
-    if argv.next().as_deref() == Some("explain") {
-        return explain::main(argv);
-    }
-    let (name, kind, args) = parse_args();
-    let report = kind(&args);
-    let json = report.to_json();
-    if let Some(path) = &args.json {
-        match std::fs::write(path, json.dump() + "\n") {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match BenchReport::check(&json) {
+/// Prints `report`'s tables, then checks it: the summary line, or each
+/// failed gate and a failing exit.
+fn finish(name: &str, print: Print, report: &Json) -> ExitCode {
+    print!("{}", print(report));
+    match BenchReport::check(report) {
         Ok(()) => {
-            println!(
-                "bench {name}: {} gates hold over {} rows",
-                report.gates().len(),
-                report.rows().len()
-            );
+            let gates = report
+                .get("gates")
+                .and_then(Json::as_arr)
+                .unwrap_or_default();
+            let (gates, rows) = (gates.len(), rows(report).len());
+            println!("bench {name}: {gates} gates hold over {rows} rows");
             ExitCode::SUCCESS
         }
         Err(errors) => {
@@ -251,6 +307,120 @@ fn main() -> ExitCode {
             }
             eprintln!("bench {name}: {} failure(s)", errors.len());
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// `bench show FILE`: a written report's tables and its check, as the
+/// run that wrote it printed them.
+fn show(path: &str) -> ExitCode {
+    let report = explain::load(path).and_then(|report| {
+        let bench = report.get("bench").and_then(Json::as_str);
+        let kind = KINDS.iter().find(|(name, ..)| Some(*name) == bench);
+        let kind = kind.ok_or(format!("{path}: not the report of a bench kind"))?;
+        Ok((kind, report))
+    });
+    match report {
+        Ok((&(name, _, print), report)) => finish(name, print, &report),
+        Err(e) => {
+            eprintln!("FAIL bench show: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn main() -> ExitCode {
+    let mut argv = std::env::args().skip(1);
+    match argv.next().as_deref() {
+        Some("explain") => return explain::main(argv),
+        Some("show") => return show(&argv.next().unwrap_or_else(|| usage())),
+        Some(_) | None => {}
+    }
+    let (name, kind, print, args) = parse_args();
+    let json = kind(&args).to_json();
+    if let Some(path) = &args.json {
+        match std::fs::write(path, json.dump() + "\n") {
+            Ok(()) => eprintln!("wrote {path}"),
+            Err(e) => {
+                eprintln!("cannot write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    finish(name, print, &json)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One data line per row of the view's kind, `-` where a field is
+    /// missing or `null`, numbers to their column's decimals.
+    #[test]
+    fn a_view_prints_its_kind_of_row_to_each_columns_precision() {
+        let report = Json::parse(
+            r#"{"rows": [
+                {"kind": "cell", "app": "FFT", "ratio": {"lanai": 1.26}, "n": 3},
+                {"kind": "size", "app": "FFT"},
+                {"kind": "cell", "app": "LU", "ratio": {"lanai": null}, "n": 4}
+            ]}"#,
+        )
+        .expect("parse");
+        let cols = &[
+            ("app", "app", 0),
+            ("lanai", "ratio.lanai", 1),
+            ("n", "n", 2),
+        ];
+        let cells = View {
+            title: "cells",
+            kind: Some("cell"),
+            cols,
+        };
+        let words = |text: &str| -> Vec<Vec<String>> {
+            let words = |l: &str| l.split_whitespace().map(String::from).collect();
+            text.lines().map(words).collect()
+        };
+        let out = words(&views(&report, &[cells]));
+        assert_eq!(out[0], ["==", "cells"]);
+        assert_eq!(out[1], ["app", "lanai", "n"]);
+        assert_eq!(
+            out[3..],
+            [vec!["FFT", "1.3", "3.00"], vec!["LU", "-", "4.00"], vec![]]
+        );
+        // A missing field prints as a null one does.
+        let size = report.at("rows").and_then(|r| r.idx(1));
+        assert_eq!(words(&table("sizes", size, cols))[3], ["FFT", "-", "-"]);
+    }
+
+    #[test]
+    fn show_prints_one_line_per_row_of_every_checked_in_report() {
+        let views: [(&str, &[View]); 9] = [
+            ("paper", paper::VIEWS),
+            ("fault_matrix", fault_matrix::VIEWS),
+            ("barrier", barrier::VIEWS),
+            ("diff", diff::VIEWS),
+            ("engine", engine::VIEWS),
+            ("rdma", rdma::VIEWS),
+            ("critpath", critpath::VIEWS),
+            ("serving", serving::VIEWS),
+            ("mc", mc::VIEWS),
+        ];
+        for ((name, _, print), (viewed, views)) in KINDS.into_iter().zip(views) {
+            assert_eq!(name, viewed);
+            let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+            let report = explain::load(&path).expect("a checked-in report");
+            assert!(BenchReport::check(&report).is_ok(), "{path}");
+            let out = print(&report);
+            for v in views {
+                let selected = rows(&report).iter().filter(|r| v.selects(r)).count();
+                assert!(selected > 0, "{name}: `{}` selects no row", v.title);
+                let section = out
+                    .split("== ")
+                    .find(|s| s.lines().next() == Some(v.title))
+                    .unwrap_or_else(|| panic!("{name}: no `{}` in\n{out}", v.title));
+                // Title, header, rule, the rows, a blank line.
+                assert_eq!(section.lines().count(), selected + 4, "{name}:\n{section}");
+            }
         }
     }
 }

@@ -21,7 +21,42 @@ use genima_obs::bench::{meta, row};
 use genima_obs::{BenchReport, Json};
 use genima_proto::{Column, FeatureSet, Mutation};
 
-use crate::Args;
+use crate::{table, views, Args, View};
+
+pub const VIEWS: &[View] = &[View {
+    title: "schedules explored per litmus test and column",
+    kind: None,
+    cols: &[
+        ("litmus", "litmus", 0),
+        ("column", "column", 0),
+        ("tier", "tier", 0),
+        ("scheds", "schedules", 0),
+        ("sleep-pruned", "sleep_pruned", 0),
+        ("outcomes", "distinct_outcomes", 0),
+        ("steps", "steps_total", 0),
+        ("sched/s", "states_per_sec", 0),
+        ("exhaustive", "exhaustive", 0),
+    ],
+}];
+
+/// The exploration table, then the calibration and the mutant hunt
+/// the report records in its `meta`.
+pub fn print(report: &Json) -> String {
+    let title =
+        "DPOR against naive enumeration on lock-handoff/Base; the seeded mutant on mp/GeNIMA";
+    let cols = [
+        ("dpor", "calibration.dpor_schedules", 0),
+        ("exhaustive", "calibration.dpor_exhaustive", 0),
+        ("naive", "calibration.naive_schedules", 0),
+        ("capped", "calibration.naive_capped", 0),
+        ("prune ratio", "calibration.prune_ratio", 1),
+        ("mutant caught", "mutant.caught", 0),
+        ("at schedule", "mutant.schedules_to_violation", 0),
+        ("minimized steps", "mutant.minimized_steps", 0),
+        ("replays", "mutant.replay_ok", 0),
+    ];
+    views(report, VIEWS) + &table(title, report.get("meta"), &cols)
+}
 
 /// Schedule cap for the extended (classic, large) shapes: enough for
 /// `sb` and `lock-handoff` to exhaust on Base, a bounded sweep
@@ -34,28 +69,14 @@ const EXT_CAP: u64 = 1_000_000;
 /// lower bound.
 const NAIVE_CAP: u64 = 4_000_000;
 
-/// Explores one (litmus, column) cell, prints its table line and
-/// pushes its row and gates.
+/// Explores one (litmus, column) cell and pushes its row and gates.
 fn explore_row(rep: &mut BenchReport, l: Litmus, c: Column, config: Config, tier: &str) {
+    let what = format!("{}/{}", l.name, c.name());
+    eprintln!("exploring {what}");
     let start = Instant::now();
     let run = Explorer::new(l, c, config).run();
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     let per_sec = run.schedules as f64 / secs;
-    let what = format!("{}/{}", l.name, c.name());
-    println!(
-        "{:<20} {:>9} {:>12} {:>9} {:>10} {:>9.0} {:>11}",
-        what,
-        run.schedules,
-        run.sleep_blocked,
-        run.outcomes.len(),
-        run.steps_total,
-        per_sec,
-        if run.exhaustive() {
-            "exhaustive"
-        } else {
-            "bounded"
-        },
-    );
     if let Some(v) = &run.violation {
         eprintln!("  UNEXPECTED VIOLATION: {}", v.desc);
     }
@@ -93,10 +114,6 @@ pub fn run(args: &Args) -> BenchReport {
     let config = Config::default();
     let mut rep = BenchReport::new("mc", args.seed);
 
-    println!(
-        "{:<20} {:>9} {:>12} {:>9} {:>10} {:>9} {:>11}",
-        "litmus/column", "scheds", "sleep-pruned", "outcomes", "steps", "sched/s", "coverage"
-    );
     // CI corpus: every cell must exhaust on every column.
     for l in corpus() {
         for c in Column::all() {
@@ -127,6 +144,7 @@ pub fn run(args: &Args) -> BenchReport {
     // completes an exhaustive proof.
     let lh = litmus::by_name("lock-handoff").expect("lock-handoff litmus exists");
     let base = Column::lanai(FeatureSet::base());
+    eprintln!("calibrating DPOR against naive enumeration on lock-handoff/Base");
     let dpor = Explorer::new(lh, base, ext_cfg).run();
     let naive_cfg = Config {
         mode: Mode::Naive,
@@ -135,27 +153,6 @@ pub fn run(args: &Args) -> BenchReport {
     };
     let naive = Explorer::new(lh, base, naive_cfg).run();
     let ratio = naive.schedules as f64 / dpor.schedules.max(1) as f64;
-    println!(
-        "lock-handoff/Base calibration: dpor {} ({}), naive {} schedules{} -> prune ratio {:.1}x{}",
-        dpor.schedules,
-        if dpor.exhaustive() {
-            "exhaustive"
-        } else {
-            "bounded"
-        },
-        naive.schedules,
-        if naive.budget_exhausted {
-            " (capped)"
-        } else {
-            ""
-        },
-        ratio,
-        if naive.budget_exhausted {
-            " (lower bound)"
-        } else {
-            ""
-        },
-    );
     let mut calib = Json::obj();
     calib.set("litmus", lh.name.into());
     calib.set("column", base.name().into());
@@ -180,7 +177,6 @@ pub fn run(args: &Args) -> BenchReport {
     };
     let l = litmus::by_name("mp").expect("mp litmus exists");
     let c = Column::lanai(FeatureSet::genima());
-    let start = Instant::now();
     let hunt = Explorer::new(l, c, hunt_cfg).with_mutation(mutation).run();
     let caught = hunt.violation.is_some();
     let replay_ok = hunt.violation.as_ref().is_some_and(|v| {
@@ -188,14 +184,6 @@ pub fn run(args: &Args) -> BenchReport {
             .verify()
             .is_ok()
     });
-    println!(
-        "mutant {}: {} after {} schedules in {:.2}s (replay {})",
-        mutation.name(),
-        if caught { "caught" } else { "MISSED" },
-        hunt.schedules,
-        start.elapsed().as_secs_f64(),
-        if replay_ok { "ok" } else { "FAILED" },
-    );
     let minimized = hunt.violation.as_ref().map_or(0, |v| v.steps.len() as u64);
     let mut mutant = Json::obj();
     mutant.set("name", mutation.name().into());

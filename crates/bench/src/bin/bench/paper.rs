@@ -29,8 +29,8 @@
 use std::collections::HashMap;
 
 use genima::{
-    run_app_on_hwdsm, sequential_time, App, Column, Dur, FeatureSet, Json, RunReport, SvmParams,
-    TextTable, Topology,
+    app_by_name, run_app_on_hwdsm, sequential_time, App, Column, Dur, FeatureSet, Json, RunReport,
+    SvmParams, Topology,
 };
 use genima_apps::{all_apps, Fft, WaterNsquared, WorkloadSpec};
 use genima_nic::{SizeClass, Stage};
@@ -38,7 +38,10 @@ use genima_obs::bench::{meta, row, times};
 use genima_obs::BenchReport;
 use genima_proto::LockImpl;
 
-use crate::{gate_failed_runs, gate_interrupt_free, gate_six_columns, topo_json, Args};
+use crate::{
+    gate_failed_runs, gate_interrupt_free, gate_six_columns, rows, table, text, topo_json, views,
+    Args, Col, View,
+};
 
 /// A change to one run on top of its column's paper parameters: the
 /// switches the ablations flip.
@@ -360,179 +363,176 @@ impl Paper {
 
     /// `rows[key].path`, if it is a number.
     fn num(&self, key: &str, path: &str) -> Option<f64> {
-        field(&self.rep.rows()[*self.keys.get(key)?], path)
+        self.rep.rows()[*self.keys.get(key)?].at(path)?.as_f64()
     }
+}
 
-    /// [`Paper::num`] to `prec` decimals, `-` where there is none.
-    fn fmt(&self, key: &str, path: &str, prec: usize) -> String {
-        decimals(self.num(key, path), prec)
-    }
+/// The plain listings: one line per row of a kind.
+pub const VIEWS: &[View] = &[
+    View {
+        title: "Problem sizes (section 5)",
+        kind: Some("size"),
+        cols: &[
+            ("app", "app", 0),
+            ("size", "size", 0),
+            ("base_speedup", "base_speedup", 2),
+            ("genima_speedup", "genima_speedup", 2),
+            ("improvement_pct", "improvement_pct", 1),
+        ],
+    },
+    View {
+        title: "Ablations",
+        kind: Some("ablation"),
+        cols: &[
+            ("study", "study", 0),
+            ("app", "app", 0),
+            ("column", "column", 0),
+            ("variant", "variant", 0),
+            ("speedup", "speedup", 2),
+            ("diff_messages", "diff_messages", 0),
+            ("notice_messages", "counters.notice_messages", 0),
+            ("interrupts", "counters.interrupts", 0),
+            ("lock_spin_retries", "counters.lock_spin_retries", 0),
+            ("mprotect_ms", "mprotect_ms", 1),
+        ],
+    },
+];
 
-    /// One line per row of `kind`: its `labels`, then its `fields` to
-    /// their precision, each headed by its last path segment.
-    fn list(&self, title: &str, kind: &str, labels: &[&str], fields: &[(&str, usize)]) {
-        let last = fields
-            .iter()
-            .map(|(f, _)| f.rsplit('.').next().unwrap_or(f));
-        let mut t = TextTable::new(labels.iter().copied().chain(last).collect());
-        let text = |r: &Json, key: &str| r.get(key).and_then(Json::as_str).map(String::from);
-        for r in self.rep.rows() {
-            if text(r, "kind").as_deref() == Some(kind) {
-                let mut cells: Vec<String> = labels.iter().filter_map(|l| text(r, l)).collect();
-                cells.extend(fields.iter().map(|&(f, prec)| decimals(field(r, f), prec)));
-                t.row(cells);
-            }
-        }
-        println!("== {title}\n{t}");
-    }
+/// An object of `fields`, in order.
+fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
 
-    /// One line per application of `path` in the rows keyed
-    /// `app/<column>`, to `prec` decimals.
-    fn per_app(&self, title: &str, apps: &[&str], columns: &[&str], path: &str, prec: usize) {
-        let mut t = TextTable::new([&["Application"][..], columns].concat());
-        for a in apps {
-            let mut cells = vec![a.to_string()];
-            cells.extend(
-                columns
-                    .iter()
-                    .map(|c| self.fmt(&format!("{a}/{c}"), path, prec)),
-            );
-            t.row(cells);
-        }
-        println!("== {title}\n{t}");
-    }
+/// A table computed from the rows: one line per object of `rows`, a
+/// column per key of the first, numbers to `prec` decimals.
+fn derived(title: &str, prec: usize, rows: impl IntoIterator<Item = Json>) -> String {
+    let rows: Vec<Json> = rows.into_iter().collect();
+    let heads = rows.first().and_then(Json::as_obj).unwrap_or_default();
+    let cols: Vec<Col> = heads
+        .iter()
+        .map(|(h, _)| (h.as_str(), h.as_str(), prec))
+        .collect();
+    table(title, &rows, &cols)
+}
 
-    /// Prints every figure and table from the rows.
-    fn print(&self, apps: &[Box<dyn App>]) {
-        let names: Vec<&str> = apps.iter().map(|a| a.name()).collect();
-        let columns = Column::all().map(|c| c.name());
-        let origin_and_columns = [&["Origin 4x4"][..], &columns].concat();
-        let title = "Figures 1, 2, 4: speedups, 16 processors";
-        self.per_app(title, &names, &origin_and_columns, "speedup", 2);
-
-        let parts = ["total", "compute", "data", "lock", "acqrel", "barrier"];
-        let mut t = TextTable::new([&["Application", "Column"][..], &parts].concat());
-        for a in &names {
-            let base = self.num(&format!("{a}/Base"), "mean_breakdown.total_ms");
-            for c in columns {
-                let key = format!("{a}/{c}");
-                let mut cells = vec![a.to_string(), c.to_string()];
-                cells.extend(parts.map(|part| {
-                    let v = self.num(&key, &format!("mean_breakdown.{part}_ms"));
-                    decimals(v.zip(base).map(|(v, b)| v / b), 3)
-                }));
-                t.row(cells);
-            }
-        }
-        println!("== Figure 3: mean breakdown, Base total = 1.0\n{t}");
-
-        // Percentages to one decimal, `-` where a row is missing.
-        let share = |n: Option<f64>, d: Option<f64>| {
-            let pct = n
-                .zip(d)
-                .map(|(n, d)| if d > 0.0 { n / d * 100.0 } else { 0.0 });
-            decimals(pct, 1)
+/// Every figure and table of the paper, from the report's rows.
+pub fn print(report: &Json) -> String {
+    // The column a row stands for in the per-application tables.
+    let column = |r: &Json| match text(r, "kind")? {
+        "cell" => text(r, "column").map(String::from),
+        "origin" => Some(format!("Origin {}", text(r, "topo")?)),
+        "genima_8x4" => Some("GeNIMA 8x4".to_string()),
+        _ => None,
+    };
+    let num = |a: &str, c: &str, path: &str| {
+        let mut of = rows(report).iter().filter(|r| text(r, "app") == Some(a));
+        of.find(|r| column(r).as_deref() == Some(c))?
+            .at(path)?
+            .as_f64()
+    };
+    let cells = rows(report)
+        .iter()
+        .filter(|r| text(r, "kind") == Some("cell"));
+    let mut apps: Vec<&str> = cells.filter_map(|r| text(r, "app")).collect();
+    apps.dedup();
+    let ms = |a: &str, c: &str, part: &str| num(a, c, &format!("mean_breakdown.{part}_ms"));
+    let opt = |v: Option<f64>| v.map_or(Json::Null, Json::num);
+    // `n` as a percentage of `d`.
+    let pct = |n: Option<f64>, d: Option<f64>| {
+        opt(n
+            .zip(d)
+            .map(|(n, d)| if d > 0.0 { n / d * 100.0 } else { 0.0 }))
+    };
+    let app = |a: &str| ("Application", Json::str(a));
+    let per_app = |title: &str, columns: &[&str]| {
+        let speedup = |a: &str| {
+            obj([app(a)]
+                .into_iter()
+                .chain(columns.iter().map(|&c| (c, opt(num(a, c, "speedup"))))))
         };
-        let head = [
-            "Application",
-            "Problem",
-            "Uniproc(s)",
-            "Overall%",
-            "Data%",
-            "Lock%",
-        ];
-        let mut t = TextTable::new(head.to_vec());
-        for app in apps {
-            let a = app.name();
-            let cut = |from: &str, to: &str, part: &str| {
-                let path = format!("mean_breakdown.{part}_ms");
-                let from = self.num(&format!("{a}/{from}"), &path);
-                let to = self.num(&format!("{a}/{to}"), &path);
-                share(from.zip(to).map(|(f, t)| f - t), from)
-            };
-            let data = format!(
-                "{} ({})",
-                cut("DW", "DW+RF", "data"),
-                cut("DW", "GeNIMA", "data")
-            );
-            let seq = self.num(&format!("{a}/Base"), "sequential_ms");
-            t.row(vec![
-                a.to_string(),
-                app.problem(),
-                decimals(seq.map(|ms| ms / 1e3), 2),
-                cut("Base", "GeNIMA", "total"),
-                data,
-                cut("DW+RF+DD", "GeNIMA", "lock"),
-            ]);
-        }
-        println!("== Table 1: improvement Base->GeNIMA, data DW->DW+RF (DW->GeNIMA), lock DW+RF+DD->GeNIMA\n{t}");
+        derived(title, 2, apps.iter().map(|a| speedup(a)))
+    };
+    let columns = Column::all().map(|c| c.name());
+    let mut out = per_app(
+        "Figures 1, 2, 4: speedups, 16 processors",
+        &[&["Origin 4x4"][..], &columns].concat(),
+    );
 
-        let mut t = TextTable::new(vec!["Application", "BT%", "BPT%", "MT%"]);
-        for a in &names {
-            let ms =
-                |part: &str| self.num(&format!("{a}/GeNIMA"), &format!("mean_breakdown.{part}_ms"));
-            let overhead = ms("total").zip(ms("compute")).map(|(t, c)| t - c);
-            t.row(vec![
-                a.to_string(),
-                share(ms("barrier"), ms("total")),
-                share(ms("barrier_protocol"), ms("barrier")),
-                share(ms("mprotect"), overhead),
-            ]);
-        }
-        println!("== Table 2 (GeNIMA): barrier, barrier-protocol and mprotect shares\n{t}");
+    let parts = ["total", "compute", "data", "lock", "acqrel", "barrier"];
+    let figure3 = apps.iter().flat_map(|a| {
+        let base = ms(a, "Base", "total");
+        columns.map(|c| {
+            let parts = parts.map(|p| (p, opt(ms(a, c, p).zip(base).map(|(v, b)| v / b))));
+            obj([app(a), ("Column", c.into())].into_iter().chain(parts))
+        })
+    });
+    out += &derived("Figure 3: mean breakdown, Base total = 1.0", 3, figure3);
 
-        for (class, table) in [("small", 3), ("large", 4)] {
-            let stages = STAGES.map(|(stage, _)| stage);
-            let mut t = TextTable::new([&["Application"][..], &stages].concat());
-            for a in &names {
-                let mut cells = vec![a.to_string()];
-                cells.extend(stages.map(|stage| {
-                    let path = format!("contention.{class}.{stage}");
-                    let [b, g] =
-                        ["Base", "GeNIMA"].map(|c| self.fmt(&format!("{a}/{c}"), &path, 1));
-                    format!("{b}/{g}")
-                }));
-                t.row(cells);
-            }
-            println!("== Table {table}: {class}-message contention ratios, Base/GeNIMA\n{t}");
-        }
+    let table1 = apps.iter().map(|a| {
+        let cut = |from: &str, to: &str, part: &str| {
+            let (from, to) = (ms(a, from, part), ms(a, to, part));
+            pct(from.zip(to).map(|(f, t)| f - t), from)
+        };
+        let problem = app_by_name(a).map_or(Json::Null, |app| Json::str(app.problem()));
+        obj([
+            app(a),
+            ("Problem", problem),
+            (
+                "Uniproc(s)",
+                opt(num(a, "Base", "sequential_ms").map(|ms| ms / 1e3)),
+            ),
+            ("Overall%", cut("Base", "GeNIMA", "total")),
+            ("Data% RF", cut("DW", "DW+RF", "data")),
+            ("Data% GeNIMA", cut("DW", "GeNIMA", "data")),
+            ("Lock%", cut("DW+RF+DD", "GeNIMA", "lock")),
+        ])
+    });
+    let title =
+        "Table 1: improvement Base->GeNIMA, data DW->DW+RF and DW->GeNIMA, lock DW+RF+DD->GeNIMA";
+    out += &derived(title, 2, table1);
 
-        let title = "Table 5: speedups, 32 processors";
-        let columns = ["GeNIMA", "GeNIMA 8x4", "Origin 8x4"];
-        self.per_app(title, &names, &columns, "speedup", 2);
+    let table2 = apps.iter().map(|a| {
+        let ms = |part: &str| ms(a, "GeNIMA", part);
+        let overhead = ms("total").zip(ms("compute")).map(|(t, c)| t - c);
+        obj([
+            app(a),
+            ("BT%", pct(ms("barrier"), ms("total"))),
+            ("BPT%", pct(ms("barrier_protocol"), ms("barrier"))),
+            ("MT%", pct(ms("mprotect"), overhead)),
+        ])
+    });
+    let title = "Table 2 (GeNIMA): barrier, barrier-protocol and mprotect shares";
+    out += &derived(title, 1, table2);
 
-        let fields = [
-            ("base_speedup", 2),
-            ("genima_speedup", 2),
-            ("improvement_pct", 1),
-        ];
-        self.list(
-            "Problem sizes (section 5)",
-            "size",
-            &["app", "size"],
-            &fields,
-        );
-        let labels = ["study", "app", "column", "variant"];
-        let fields = [
-            ("speedup", 2),
-            ("diff_messages", 0),
-            ("counters.notice_messages", 0),
-            ("counters.interrupts", 0),
-            ("counters.lock_spin_retries", 0),
-            ("mprotect_ms", 1),
-        ];
-        self.list("Ablations", "ablation", &labels, &fields);
+    for (class, n) in [("small", 3), ("large", 4)] {
+        let ratios = apps.iter().map(|&a| {
+            let stages = STAGES.iter().flat_map(|(stage, _)| {
+                let path = format!("contention.{class}.{stage}");
+                [("Base", "B"), ("GeNIMA", "G")]
+                    .map(|(c, tag)| (format!("{stage} {tag}"), opt(num(a, c, &path))))
+            });
+            obj([("Application".to_string(), Json::str(a))]
+                .into_iter()
+                .chain(stages))
+        });
+        let title =
+            format!("Table {n}: {class}-message contention ratios, Base (B) and GeNIMA (G)");
+        out += &derived(&title, 1, ratios);
     }
-}
 
-/// The number at dotted `path` in `row`.
-fn field(row: &Json, path: &str) -> Option<f64> {
-    path.split('.').try_fold(row, |v, k| v.get(k))?.as_f64()
-}
-
-/// `v` to `prec` decimals, `-` where there is none.
-fn decimals(v: Option<f64>, prec: usize) -> String {
-    v.map_or("-".to_string(), |v| format!("{v:.prec$}"))
+    let title = "Table 5: speedups, 32 processors";
+    out += &per_app(title, &["GeNIMA", "GeNIMA 8x4", "Origin 8x4"]);
+    out += &views(report, VIEWS);
+    let headline = [
+        ("ten applications", "avg_improvement_pct", 2),
+        (
+            "without Barnes-spatial",
+            "avg_improvement_pct_without_barnes_spatial",
+            2,
+        ),
+    ];
+    let title = "Base -> GeNIMA improvement, % (the paper: ~37-38% for the well-performing ones)";
+    out + &table(title, report.get("meta"), &headline)
 }
 
 /// The contention ratios of Tables 3–4 by size class and stage, `null`
@@ -706,7 +706,6 @@ pub fn run(args: &Args) -> BenchReport {
         paper.claim(claim);
     }
 
-    paper.print(&args.apps);
     // The headline and the claim count are about the whole suite.
     if args.apps.len() == all_apps().len() {
         let improvement = |a: &str| {
@@ -721,10 +720,6 @@ pub fn run(args: &Args) -> BenchReport {
         let names: Vec<&str> = args.apps.iter().map(|a| a.name()).collect();
         let all = mean(names.clone());
         let nine = mean(names.into_iter().filter(|&a| a != REGRESSES).collect());
-        println!(
-            "Base -> GeNIMA improvement: {all:.2}% over ten applications, {nine:.2}% \
-             without {REGRESSES} (the paper: ~37-38% for the well-performing ones)"
-        );
         for ((field, low, high), v) in AVG_IMPROVEMENT.into_iter().zip([all, nine]) {
             paper.rep.set_meta(field, v);
             for (op, bound) in [(">=", low), ("<=", high)] {

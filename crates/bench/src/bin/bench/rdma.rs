@@ -23,7 +23,23 @@ use genima::{sequential_time, Column, FeatureSet, Json, RunConfig, Topology};
 use genima_obs::bench::row;
 use genima_obs::BenchReport;
 
-use crate::{gate_failed_runs, gate_interrupt_free, run_cell, topo_json, Args};
+use crate::{gate_failed_runs, gate_interrupt_free, run_cell, topo_json, Args, View};
+
+pub const VIEWS: &[View] = &[View {
+    title: "the GeNIMA protocol on 1999 and 2025 NI hardware",
+    kind: None,
+    cols: &[
+        ("app", "app", 0),
+        ("hw", "hw", 0),
+        ("time(ms)", "time_ms", 2),
+        ("speedup", "speedup", 2),
+        ("vs-1999", "speedup_vs_1999", 2),
+        ("intr", "interrupts", 0),
+        ("doorbells", "doorbells", 0),
+        ("cqes", "cqes", 0),
+        ("odp", "odp_faults", 0),
+    ],
+}];
 
 /// `(app, floor)` on `speedup_vs_1999`: the application whose 2025
 /// time was lock wait, and the least the RNIC must buy it now that a
@@ -37,16 +53,12 @@ pub fn run(args: &Args) -> BenchReport {
     let mut rep = BenchReport::new("rdma", args.seed);
     rep.set_meta("topo", topo_json(topo));
     let mut failed = 0u64;
-    println!(
-        "{:<16} {:>12} {:>9} {:>8} {:>6} {:>10} {:>10} {:>6}",
-        "app/profile", "time(ms)", "speedup", "vs-1999", "intr", "doorbells", "cqes", "odp"
-    );
     for app in &args.apps {
         let seq = sequential_time(app.as_ref());
         let mut lanai_ms = 0.0f64;
         for column in columns {
             let what = format!("{}/{}", app.name(), column.name());
-            let cfg = RunConfig::from_column(topo, column).with_seed(args.seed);
+            let cfg = RunConfig::new(topo, column).with_seed(args.seed);
             let Some(out) = run_cell(&what, app.as_ref(), &cfg, &mut failed) else {
                 continue;
             };
@@ -58,17 +70,6 @@ pub fn run(args: &Args) -> BenchReport {
                 lanai_ms = ms;
                 1.0
             };
-            println!(
-                "{:<16} {:>12.2} {:>9.2} {:>8.2} {:>6} {:>10} {:>10} {:>6}",
-                format!("{}/{}", app.name(), r.hw),
-                ms,
-                r.speedup(seq),
-                vs_1999,
-                r.counters.interrupts,
-                r.ni.doorbells,
-                r.ni.cqes,
-                r.ni.odp_faults,
-            );
             let mut cell = Json::obj();
             cell.set("app", app.name().into());
             cell.set("column", column.name().into());

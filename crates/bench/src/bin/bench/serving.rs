@@ -23,7 +23,7 @@
 //!   columns (the workload seam leaks nothing protocol-specific);
 //! * a repeated GeNIMA run is bit-identical (seeded determinism).
 
-use genima::{RunConfig, TextTable};
+use genima::RunConfig;
 use genima_apps::App;
 use genima_fault::FaultPlan;
 use genima_nic::NicId;
@@ -33,7 +33,24 @@ use genima_proto::{Column, Topology};
 use genima_serve::{GraphWalk, KvServe};
 use genima_sim::{Dur, Time};
 
-use crate::{gate_failed_runs, gate_interrupt_free, gate_six_columns, run_cell, Args};
+use crate::{gate_failed_runs, gate_interrupt_free, gate_six_columns, run_cell, Args, View};
+
+pub const VIEWS: &[View] = &[View {
+    title: "serving under churn: 10% drop and cycling 4 ms outages",
+    kind: None,
+    cols: &[
+        ("workload", "workload", 0),
+        ("column", "column", 0),
+        ("time(ms)", "time_ms", 2),
+        ("Mops", "mops_sustained", 3),
+        ("p50us", "p50_us", 0),
+        ("p99us", "p99_us", 0),
+        ("p999us", "p999_us", 0),
+        ("failed", "failed_ops", 0),
+        ("retrans", "retransmits", 0),
+        ("intr", "interrupts", 0),
+    ],
+}];
 
 /// Merged-p99 gate for GeNIMA (1999 NI). An outage window freezes a
 /// victim node for 4 ms and the firmware's retransmission backoff
@@ -106,17 +123,6 @@ pub fn run(args: &Args) -> BenchReport {
     let walk = GraphWalk::new(8_192, 6, 0.99, OPS / 2, HORIZON)
         .with_seed(args.seed)
         .with_start(START);
-    println!(
-        "serving bench: {NODES} nodes, seed {:#x}, 10% drop + cycling 4ms outages",
-        args.seed
-    );
-    println!("  kv:   {}", kv.problem());
-    println!("  walk: {}", walk.problem());
-
-    let mut table = TextTable::new(vec![
-        "workload", "column", "time(ms)", "Mops", "p50us", "p99us", "p999us", "failed", "retrans",
-        "intr",
-    ]);
     let mut rep = BenchReport::new("serving", args.seed);
     rep.set_meta("nodes", NODES as u64);
     rep.set_meta("ops", OPS);
@@ -139,7 +145,7 @@ pub fn run(args: &Args) -> BenchReport {
                 eprintln!("FAIL {what}: op stream hash drifted");
                 stream_stable = false;
             }
-            let cfg = RunConfig::from_column(topo, column)
+            let cfg = RunConfig::new(topo, column)
                 .with_seed(args.seed)
                 .with_faults(churn_plan())
                 .with_degraded(true);
@@ -148,7 +154,6 @@ pub fn run(args: &Args) -> BenchReport {
             };
             let report = &out.report;
             let merged = report.serve.merged();
-            let p99_us = merged.p99().as_us();
             let par = report.parallel_time();
             let mops = if par > Dur::ZERO {
                 merged.count() as f64 / (par.as_ns() as f64 * 1e-9) / 1e6
@@ -174,18 +179,6 @@ pub fn run(args: &Args) -> BenchReport {
                     repeat_identical = false;
                 }
             }
-            table.row(vec![
-                wname.to_string(),
-                column.name().to_string(),
-                format!("{:.2}", report.parallel_time().as_ms()),
-                format!("{mops:.3}"),
-                format!("{:.0}", merged.p50().as_us()),
-                format!("{p99_us:.0}"),
-                format!("{:.0}", merged.p999().as_us()),
-                report.counters.failed_ops.to_string(),
-                report.recovery.retransmits.to_string(),
-                report.counters.interrupts.to_string(),
-            ]);
             let mut cell = Json::obj();
             cell.set("workload", wname.into());
             cell.set("column", column.name().into());
@@ -193,7 +186,7 @@ pub fn run(args: &Args) -> BenchReport {
             cell.set("mops_offered", app.spec(topo).arrival.offered_mops().into());
             cell.set("mops_sustained", mops.into());
             cell.set("p50_us", merged.p50().as_us().into());
-            cell.set("p99_us", p99_us.into());
+            cell.set("p99_us", merged.p99().as_us().into());
             cell.set("p999_us", merged.p999().as_us().into());
             cell.set("p99_bound_us", p99_bound.map_or(0.0, |b| b.as_us()).into());
             cell.set("interrupts", report.counters.interrupts.into());
@@ -232,7 +225,6 @@ pub fn run(args: &Args) -> BenchReport {
             rep.gate(name, row(base, "p99_us"), ">=", bar);
         }
     }
-    println!("{table}");
     gate_six_columns(&mut rep);
     rep.set_meta("stream_hash_stable", stream_stable);
     let name = "regenerating a workload's op stream reproduces its hash";

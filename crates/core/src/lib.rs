@@ -24,17 +24,15 @@
 //! ```
 
 mod runner;
-mod tables;
 
 pub use runner::{
     run_app, run_app_configured, run_app_on_hwdsm, sequential_time, ConfiguredOutcome, RunConfig,
 };
-pub use tables::TextTable;
 
 pub use genima_apps::{all_apps, app_by_name, App};
 pub use genima_fault::{FaultPlan, FaultStats, PlanInjector};
 pub use genima_obs::{
-    timeline_json, validate_trace, Json, ObsConfig, ObsReport, SpanKind, SpanRecord, Track,
+    timeline_json, validate_trace, Grid, Json, ObsConfig, ObsReport, SpanKind, SpanRecord, Track,
 };
 pub use genima_proto::{
     BarrierImpl, Breakdown, Column, Counters, FeatureSet, HwProfile, NiStats, OpLatency,

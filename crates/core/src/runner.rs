@@ -4,11 +4,11 @@ use genima_apps::App;
 use genima_fault::{FaultPlan, FaultStats, PlanInjector};
 use genima_hwdsm::{HwDsm, HwDsmConfig, HwReport};
 use genima_obs::{ObsConfig, ObsReport, Recorder};
-use genima_proto::{BarrierImpl, Column, FeatureSet, HwProfile, ProtoError, RunReport, Topology};
+use genima_proto::{BarrierImpl, Column, FeatureSet, ProtoError, RunReport, Topology};
 use genima_sim::{Dur, RunSeed};
 
 /// Everything a whole-run invocation can vary besides the application:
-/// cluster shape, protocol variant, the single workspace-level RNG
+/// cluster shape, evaluation column, the single workspace-level RNG
 /// seed, and the fault plan.
 ///
 /// One [`RunSeed`] drives every pseudo-random stream in the run (fault
@@ -19,11 +19,8 @@ use genima_sim::{Dur, RunSeed};
 pub struct RunConfig {
     /// Cluster shape.
     pub topo: Topology,
-    /// Protocol variant.
-    pub features: FeatureSet,
-    /// Hardware generation the run executes on; the 1999 LANai unless
-    /// overridden, so existing callers are bit-identical.
-    pub hw: HwProfile,
+    /// Protocol variant on its hardware generation.
+    pub column: Column,
     /// Workspace-level seed all randomness derives from.
     pub seed: RunSeed,
     /// What goes wrong; [`FaultPlan::none`] for a clean run.
@@ -46,30 +43,18 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A clean-run configuration with the workspace default seed.
-    pub fn new(topo: Topology, features: FeatureSet) -> RunConfig {
+    /// A clean-run configuration with the workspace default seed. A
+    /// bare [`FeatureSet`] means that feature set on the 1999 LANai.
+    pub fn new(topo: Topology, column: impl Into<Column>) -> RunConfig {
         RunConfig {
             topo,
-            features,
-            hw: HwProfile::lanai_1999(),
+            column: column.into(),
             seed: RunSeed::default(),
             faults: FaultPlan::none(),
             obs: ObsConfig::off(),
             barrier: None,
             degraded: false,
         }
-    }
-
-    /// A clean-run configuration for a whole evaluation [`Column`]
-    /// (feature set + hardware generation).
-    pub fn from_column(topo: Topology, column: Column) -> RunConfig {
-        RunConfig::new(topo, column.features).with_hw(column.hw)
-    }
-
-    /// Replaces the hardware profile.
-    pub fn with_hw(mut self, hw: HwProfile) -> RunConfig {
-        self.hw = hw;
-        self
     }
 
     /// Replaces the run seed.
@@ -135,7 +120,7 @@ pub struct ConfiguredOutcome {
 /// assert!(out.report.counters.barriers > 0);
 /// ```
 pub fn run_app(app: &dyn App, topo: Topology, column: impl Into<Column>) -> ConfiguredOutcome {
-    match run_app_configured(app, &RunConfig::from_column(topo, column.into())) {
+    match run_app_configured(app, &RunConfig::new(topo, column)) {
         Ok(out) => out,
         Err(e) => panic!("protocol run aborted: {e}"),
     }
@@ -153,11 +138,7 @@ pub fn run_app(app: &dyn App, topo: Topology, column: impl Into<Column>) -> Conf
 /// retransmission budget against an unresponsive peer (e.g. an
 /// [`FaultPlan::outage`] longer than the full backoff schedule).
 pub fn run_app_configured(app: &dyn App, cfg: &RunConfig) -> Result<ConfiguredOutcome, ProtoError> {
-    let column = Column {
-        features: cfg.features,
-        hw: cfg.hw,
-    };
-    let mut params = column.params(cfg.topo);
+    let mut params = cfg.column.params(cfg.topo);
     if let Some(b) = cfg.barrier {
         params.barrier = b;
     }
@@ -177,7 +158,7 @@ pub fn run_app_configured(app: &dyn App, cfg: &RunConfig) -> Result<ConfiguredOu
     }
     let report = sys.try_run()?;
     Ok(ConfiguredOutcome {
-        features: cfg.features,
+        features: cfg.column.features,
         report,
         faults: stats.map(|h| *h.borrow()).unwrap_or_default(),
         obs: recorder.map(|h| h.borrow_mut().take()).unwrap_or_default(),

@@ -27,7 +27,7 @@ fn killer_plan() -> FaultPlan {
 }
 
 fn config(topo: Topology, degraded: bool) -> RunConfig {
-    RunConfig::from_column(topo, Column::genima_2025())
+    RunConfig::new(topo, Column::genima_2025())
         .with_seed(7)
         .with_faults(killer_plan())
         .with_degraded(degraded)
@@ -71,7 +71,7 @@ fn base_column_survives_in_degraded_mode() {
     // re-delivered over the management path rather than failed.
     let app = OceanRowwise::with_grid(128, 4);
     let topo = Topology::new(2, 2);
-    let cfg = RunConfig::from_column(topo, Column::lanai(genima::FeatureSet::base()))
+    let cfg = RunConfig::new(topo, Column::lanai(genima::FeatureSet::base()))
         .with_seed(7)
         .with_faults(killer_plan())
         .with_degraded(true);
@@ -87,7 +87,7 @@ fn base_column_survives_in_degraded_mode() {
 fn degraded_mode_is_inert_on_a_clean_run() {
     let app = OceanRowwise::with_grid(128, 4);
     let topo = Topology::new(2, 2);
-    let clean = RunConfig::from_column(topo, Column::genima_2025()).with_seed(7);
+    let clean = RunConfig::new(topo, Column::genima_2025()).with_seed(7);
     let a = run_app_configured(&app, &clean).expect("clean run");
     let b = run_app_configured(&app, &clean.clone().with_degraded(true)).expect("clean run");
     assert_eq!(a.report.finish, b.report.finish);
@@ -103,7 +103,7 @@ fn healed_direct_diffs_finish_the_flow_their_deposit_started() {
     // gave up on is healed — applied as if it had arrived — so its
     // arrow must still end.
     let app = WaterNsquared::with_molecules(128, 2);
-    let cfg = RunConfig::from_column(
+    let cfg = RunConfig::new(
         Topology::new(2, 2),
         Column::lanai(genima::FeatureSet::genima()),
     )

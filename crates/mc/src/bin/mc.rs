@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! mc [--litmus NAME|all] [--column NAME|all] [--naive]
-//!    [--max-steps N] [--max-schedules N] [--preemption-bound N]
-//!    [--require-exhaustive] [--mutate NAME] [--out FILE]
+//!    [--max-steps N] [--max-schedules N] [--require-exhaustive] [--mutate NAME] [--out FILE]
 //!    [--replay FILE]
 //! ```
 //!
@@ -25,7 +24,6 @@ struct Args {
     naive: bool,
     max_steps: u64,
     max_schedules: u64,
-    preemption_bound: Option<u64>,
     require_exhaustive: bool,
     mutate: Option<Mutation>,
     out: Option<String>,
@@ -35,8 +33,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: mc [--litmus NAME|all] [--column NAME|all] [--naive] \
-         [--max-steps N] [--max-schedules N] [--preemption-bound N] \
-         [--require-exhaustive] [--mutate NAME] [--out FILE] [--replay FILE]"
+         [--max-steps N] [--max-schedules N] [--require-exhaustive] [--mutate NAME] [--out FILE] [--replay FILE]"
     );
     std::process::exit(2);
 }
@@ -48,7 +45,6 @@ fn parse_args() -> Args {
         naive: false,
         max_steps: 4000,
         max_schedules: u64::MAX,
-        preemption_bound: None,
         require_exhaustive: false,
         mutate: None,
         out: None,
@@ -63,9 +59,6 @@ fn parse_args() -> Args {
             "--naive" => a.naive = true,
             "--max-steps" => a.max_steps = val().parse().unwrap_or_else(|_| usage()),
             "--max-schedules" => a.max_schedules = val().parse().unwrap_or_else(|_| usage()),
-            "--preemption-bound" => {
-                a.preemption_bound = Some(val().parse().unwrap_or_else(|_| usage()))
-            }
             "--require-exhaustive" => a.require_exhaustive = true,
             "--mutate" => {
                 let name = val();
@@ -164,7 +157,6 @@ fn main() -> ExitCode {
         mode: if args.naive { Mode::Naive } else { Mode::Dpor },
         max_steps: args.max_steps,
         max_schedules: args.max_schedules,
-        preemption_bound: args.preemption_bound,
     };
 
     let mut caught = 0usize;

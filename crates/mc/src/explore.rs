@@ -40,11 +40,8 @@
 //! # Bounds
 //!
 //! `max_steps` truncates pathological schedules (e.g. unbounded
-//! lock-retry loops under adversarial delay); `preemption_bound`
-//! optionally restricts exploration to schedules that deviate from
-//! FIFO order at most `k` times at branch points. A report with any
-//! truncation or bound skips is not exhaustive
-//! ([`ExploreReport::exhaustive`]).
+//! lock-retry loops under adversarial delay). A report with any
+//! truncation is not exhaustive ([`ExploreReport::exhaustive`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -72,9 +69,6 @@ pub struct Config {
     pub max_steps: u64,
     /// Stop exploring after this many schedules.
     pub max_schedules: u64,
-    /// When set, only explore branches whose forced prefix deviates
-    /// from FIFO order at most this many times.
-    pub preemption_bound: Option<u64>,
 }
 
 impl Default for Config {
@@ -83,7 +77,6 @@ impl Default for Config {
             mode: Mode::Dpor,
             max_steps: 4000,
             max_schedules: u64::MAX,
-            preemption_bound: None,
         }
     }
 }
@@ -119,8 +112,6 @@ pub struct ExploreReport {
     pub sleep_blocked: u64,
     /// Schedules truncated at `max_steps`.
     pub depth_truncated: u64,
-    /// Backtrack branches skipped by the preemption bound.
-    pub bound_skipped: u64,
     /// `true` when `max_schedules` stopped the search early.
     pub budget_exhausted: bool,
     /// Total events delivered across all schedules.
@@ -144,9 +135,9 @@ pub struct ExploreReport {
 
 impl ExploreReport {
     /// `true` when the search covered the full (unbounded) state
-    /// space: nothing truncated, skipped, or cut off by budget.
+    /// space: nothing truncated or cut off by budget.
     pub fn exhaustive(&self) -> bool {
-        !self.budget_exhausted && self.depth_truncated == 0 && self.bound_skipped == 0
+        !self.budget_exhausted && self.depth_truncated == 0
     }
 }
 
@@ -451,7 +442,7 @@ impl Explorer {
                     break;
                 }
             }
-            match self.next_branch(&mut stack, &mut rep) {
+            match next_branch(&mut stack) {
                 Some((d, sleep)) => {
                     branch = d;
                     run_sleep = sleep;
@@ -610,58 +601,35 @@ impl Explorer {
             stack[j].clock = c;
         }
     }
+}
 
-    /// Pops to the deepest node with an unexplored backtrack channel,
-    /// commits to it, and returns the branch depth plus the sleep set
-    /// entering the branch. `None` when the search is finished.
-    fn next_branch(
-        &self,
-        stack: &mut Vec<Node>,
-        rep: &mut ExploreReport,
-    ) -> Option<(usize, Vec<Choice>)> {
-        loop {
-            let d = stack.len().checked_sub(1)?;
-            let prefix_preempt = stack[..d].iter().filter(|n| n.chosen != 0).count() as u64;
-            let node = &mut stack[d];
-            let candidates: Vec<ChanKey> = node.backtrack.difference(&node.done).copied().collect();
-            let mut picked = None;
-            for k in candidates {
-                let idx = node
-                    .choices
-                    .iter()
-                    .position(|c| c.key == k)
-                    .expect("backtrack channels are enabled at their node");
-                node.done.insert(k);
-                if let Some(bound) = self.config.preemption_bound {
-                    if prefix_preempt + u64::from(idx != 0) > bound {
-                        rep.bound_skipped += 1;
-                        continue;
-                    }
-                }
-                node.chosen = idx;
-                picked = Some(k);
-                break;
-            }
-            match picked {
-                Some(k) => {
-                    // Sleep entering the new branch: what already slept
-                    // here, plus every sibling explored before it.
-                    let mut sleep = node.sleep.clone();
-                    for ch in &node.choices {
-                        if ch.key != k
-                            && node.done.contains(&ch.key)
-                            && !sleep.iter().any(|e| e.key == ch.key)
-                        {
-                            sleep.push(ch.clone());
-                        }
-                    }
-                    return Some((d, sleep));
-                }
-                None => {
-                    stack.pop();
-                }
+/// Pops to the deepest node with an unexplored backtrack channel,
+/// commits to it, and returns the branch depth plus the sleep set
+/// entering the branch. `None` when the search is finished.
+fn next_branch(stack: &mut Vec<Node>) -> Option<(usize, Vec<Choice>)> {
+    loop {
+        let d = stack.len().checked_sub(1)?;
+        let node = &mut stack[d];
+        let Some(&k) = node.backtrack.difference(&node.done).next() else {
+            stack.pop();
+            continue;
+        };
+        node.chosen = node
+            .choices
+            .iter()
+            .position(|c| c.key == k)
+            .expect("backtrack channels are enabled at their node");
+        node.done.insert(k);
+        // Sleep entering the new branch: what already slept here, plus
+        // every sibling explored before it.
+        let mut sleep = node.sleep.clone();
+        for ch in &node.choices {
+            if ch.key != k && node.done.contains(&ch.key) && !sleep.iter().any(|e| e.key == ch.key)
+            {
+                sleep.push(ch.clone());
             }
         }
+        return Some((d, sleep));
     }
 }
 
@@ -720,24 +688,6 @@ mod tests {
             naive.outcomes.is_subset(&dpor.outcomes),
             "naive saw an outcome DPOR missed: DPOR is unsound"
         );
-    }
-
-    #[test]
-    fn preemption_bound_restricts_the_search() {
-        let full = Explorer::new(mp(), Column::lanai(FeatureSet::base()), Config::default()).run();
-        let bounded = Explorer::new(
-            mp(),
-            Column::lanai(FeatureSet::base()),
-            Config {
-                preemption_bound: Some(0),
-                ..Config::default()
-            },
-        )
-        .run();
-        assert!(bounded.violation.is_none());
-        assert!(bounded.schedules < full.schedules);
-        assert!(bounded.bound_skipped > 0, "bound 0 must skip branches");
-        assert!(!bounded.exhaustive());
     }
 
     #[test]

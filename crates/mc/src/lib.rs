@@ -12,8 +12,8 @@
 //! * **Exploration** ([`explore`]) is a replay-based depth-first
 //!   search with *dynamic partial-order reduction* (Flanagan–Godefroid
 //!   backtrack sets over a vector-clock happens-before relation, plus
-//!   sleep sets), a naive full-enumeration mode for calibration, and
-//!   depth/preemption bounds as a fallback for unbounded retry loops.
+//!   sleep sets), a naive full-enumeration mode for calibration, and a
+//!   depth bound as a fallback for unbounded retry loops.
 //! * **Oracles** run on every completed schedule: the `genima-check`
 //!   trace auditor (timestamp coverage, notices-before-access, diff
 //!   ordering, single lock owner, zero interrupts, barrier epochs),

@@ -209,18 +209,16 @@ fn resolve(operand: &Json, rows: &[Json], meta: Option<&Json>) -> Result<Json, S
             return Err("needs exactly one string `field` or `sum`".to_string());
         }
     };
-    let mut at = match operand.get("row") {
+    let base = match operand.get("row") {
         None => meta.ok_or("report has no `meta` object")?,
         Some(i) => {
             let i = i.as_u64().ok_or("`row` is not an index")?;
             rows.get(i as usize).ok_or_else(|| format!("no row {i}"))?
         }
     };
-    for key in path.split('.') {
-        at = at
-            .get(key)
-            .ok_or_else(|| format!("does not resolve: no `{key}`"))?;
-    }
+    let at = base
+        .at(path)
+        .ok_or_else(|| format!("does not resolve: no `{path}`"))?;
     let value = if sum {
         let members = at.as_obj().ok_or("is not an object to sum")?;
         let mut total = 0.0;

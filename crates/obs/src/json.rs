@@ -89,6 +89,12 @@ impl Json {
         None
     }
 
+    /// The value at dotted `path` (`a.b.c`): an object field lookup per
+    /// segment.
+    pub fn at(&self, path: &str) -> Option<&Json> {
+        path.split('.').try_fold(self, |v, key| v.get(key))
+    }
+
     /// Array element lookup.
     pub fn idx(&self, i: usize) -> Option<&Json> {
         if let Json::Arr(items) = self {
@@ -550,6 +556,16 @@ mod tests {
             j.get("a").and_then(|a| a.idx(1)).and_then(|o| o.get("b")),
             Some(&Json::Null)
         );
+    }
+
+    #[test]
+    fn dotted_paths_walk_objects() {
+        let j = Json::parse(r#"{"a": {"b": {"c": 7}}, "n": 3}"#).expect("parse");
+        assert_eq!(j.at("a.b.c").and_then(Json::as_u64), Some(7));
+        assert_eq!(j.at("n"), Some(&Json::u64(3)));
+        assert_eq!(j.at("a.x.c"), None);
+        // A step into a number finds nothing.
+        assert_eq!(j.at("n.c"), None);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   gates as data, with a single checker shared by the `bench` driver
 //!   and `xtask obs-schema`;
 //! * text summaries ([`trace_top`], [`monitor_tables`]) shared by
-//!   `xtask obs-summary` and the examples.
+//!   `xtask obs-summary` and the examples, and the one text table
+//!   ([`Grid`]) they, the examples and every `bench` kind print.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,8 +7,7 @@
 use crate::json::Json;
 use std::collections::BTreeMap;
 
-/// A minimal aligned-column text table (the observability layer cannot
-/// use the core crate's renderer without a dependency cycle).
+/// A minimal aligned-column text table.
 #[derive(Clone, Debug)]
 pub struct Grid {
     headers: Vec<String>,

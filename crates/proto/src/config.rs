@@ -95,10 +95,6 @@ pub struct ProtoConfig {
     /// Per-interval-record header bytes on the wire (plus 8 bytes per
     /// page id in the record).
     pub notice_header_bytes: u32,
-    /// Aggregate per-processor memory-bus demand, in bytes/s, that one
-    /// compute processor puts on its node bus while computing (set per
-    /// application by the workload; this is the default).
-    pub bus_demand_per_proc: u64,
     /// Mutual-exclusion implementation under `FeatureSet::nil`.
     pub lock_impl: LockImpl,
     /// Backoff before re-trying a failed atomic test-and-set.
@@ -134,7 +130,6 @@ impl ProtoConfig {
             control_msg_bytes: 32,
             page_ts_bytes: 64,
             notice_header_bytes: 16,
-            bus_demand_per_proc: 40_000_000,
         }
     }
 }

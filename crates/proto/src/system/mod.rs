@@ -156,7 +156,9 @@ impl SvmParams {
             locks: 64,
             data_mode: false,
             warmup_barrier: None,
-            bus_demand_per_proc: ProtoConfig::paper().bus_demand_per_proc,
+            // The aggregate demand one compute processor puts on its
+            // node bus while computing; workloads set their own.
+            bus_demand_per_proc: 40_000_000,
             first_touch_homes: false,
             degraded: false,
             max_events: 200_000_000,

@@ -36,7 +36,7 @@ fn churn() -> FaultPlan {
 fn run_all_columns(app: &dyn App) {
     let topo = Topology::new(4, 1);
     for column in Column::all() {
-        let cfg = RunConfig::from_column(topo, column)
+        let cfg = RunConfig::new(topo, column)
             .with_seed(11)
             .with_faults(churn())
             .with_degraded(true);
@@ -113,7 +113,7 @@ fn genima_grants_every_lock_wait_when_a_chain_packet_is_given_up() {
         let app = KvServe::new(4_096, 0.99, 50, 8_000, horizon)
             .with_seed(s)
             .with_start(START);
-        let cfg = RunConfig::from_column(Topology::new(4, 1), Column::lanai(FeatureSet::genima()))
+        let cfg = RunConfig::new(Topology::new(4, 1), Column::lanai(FeatureSet::genima()))
             .with_seed(100 + s)
             .with_faults(long_churn(horizon))
             .with_degraded(true);

@@ -42,7 +42,7 @@
 //! pinned [`CLIPPY_ALLOW`] list, so the allow-list lives in one
 //! reviewed place instead of scattered CI flags.
 //!
-//! Three observability commands ride along:
+//! Two observability commands ride along:
 //!
 //! * `xtask obs-summary <file> [top]` — prints a top-N aggregation of
 //!   a Chrome-trace timeline (per span kind and per node), or the NI
@@ -51,12 +51,10 @@
 //!   reports with [`BenchReport::check`], the same call the `bench`
 //!   driver makes on the report it just built: shape, then every
 //!   declared gate recomputed from the rows it references. CI fails
-//!   the `bench` matrix job on a rejection.
-//! * `xtask prof-summary <BENCH_critpath.json>` — checks a
-//!   critical-path report and renders the per-(app, column) segment
-//!   breakdown table from its rows.
+//!   the `bench` matrix job on a rejection. `bench show FILE` prints
+//!   a report's tables through the renderer of the run that wrote it.
 
-use genima_obs::{monitor_tables, trace_top, BenchReport, Grid, Json};
+use genima_obs::{monitor_tables, trace_top, BenchReport, Json};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -429,85 +427,6 @@ fn run_obs_summary(path: &str, top: usize) -> ExitCode {
     }
 }
 
-/// Loads a `BENCH_<kind>.json` report and runs the one checker over
-/// it; on success returns the report and its bench kind.
-fn load_report(path: &str) -> Result<(Json, String), String> {
-    let v = load_json(path)?;
-    BenchReport::check(&v).map_err(|errors| errors.join("\n    "))?;
-    let kind = v.get("bench").and_then(Json::as_str).unwrap_or_default();
-    let kind = kind.to_string();
-    Ok((v, kind))
-}
-
-/// Renders the rows of a checked `BENCH_critpath.json` as the
-/// per-(app, column) segment breakdown table: microseconds per
-/// attribution segment plus the interrupt share of the summed
-/// critical paths.
-fn critpath_grid(v: &Json) -> Grid {
-    let mut grid = Grid::new(vec![
-        "app",
-        "column",
-        "ops",
-        "interrupt(us)",
-        "firmware(us)",
-        "wire(us)",
-        "host(us)",
-        "queue(us)",
-        "intr%",
-    ]);
-    for row in v.get("rows").and_then(Json::as_arr).unwrap_or_default() {
-        let cell = |key: &str| {
-            row.get(key)
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string()
-        };
-        let us = |seg: &str| {
-            let ns = row.get("segments_ns").and_then(|s| s.get(seg));
-            let ns = ns.and_then(Json::as_u64).unwrap_or_default();
-            format!("{:.1}", ns as f64 / 1e3)
-        };
-        let share = row
-            .get("interrupt_share")
-            .and_then(Json::as_f64)
-            .unwrap_or_default();
-        grid.row(vec![
-            cell("app"),
-            cell("column"),
-            row.get("ops")
-                .and_then(Json::as_u64)
-                .unwrap_or_default()
-                .to_string(),
-            us("interrupt"),
-            us("firmware"),
-            us("wire"),
-            us("host_handler"),
-            us("queue_retry"),
-            format!("{:.1}%", share * 100.0),
-        ]);
-    }
-    grid
-}
-
-/// `xtask prof-summary <BENCH_critpath.json>`: checks the report and
-/// prints the critical-path breakdown table.
-fn run_prof_summary(path: &str) -> ExitCode {
-    match load_report(path) {
-        Ok((v, kind)) if kind == "critpath" => {
-            println!("{}", critpath_grid(&v).render());
-            ExitCode::SUCCESS
-        }
-        Ok((_, kind)) => {
-            eprintln!("xtask prof-summary: {path}: a `{kind}` report, not `critpath`");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("xtask prof-summary: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn run_obs_schema(paths: &[String]) -> ExitCode {
     if paths.is_empty() {
         eprintln!("usage: xtask obs-schema <file>...");
@@ -515,8 +434,16 @@ fn run_obs_schema(paths: &[String]) -> ExitCode {
     }
     let mut failures = 0u32;
     for path in paths {
-        match load_report(path) {
-            Ok((_, kind)) => println!("xtask obs-schema: {path}: valid {kind} report"),
+        let checked = load_json(path).and_then(|v| {
+            BenchReport::check(&v)
+                .map(|()| v)
+                .map_err(|e| e.join("\n    "))
+        });
+        match checked {
+            Ok(v) => {
+                let kind = v.get("bench").and_then(Json::as_str).unwrap_or_default();
+                println!("xtask obs-schema: {path}: valid {kind} report");
+            }
             Err(e) => {
                 eprintln!("xtask obs-schema: {path}: {e}");
                 failures += 1;
@@ -560,8 +487,7 @@ fn run_clippy() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: xtask lint | clippy | obs-summary <file> [top] | \
-                     obs-schema <file>... | prof-summary <file>";
+const USAGE: &str = "usage: xtask lint | clippy | obs-summary <file> [top] | obs-schema <file>...";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -580,13 +506,6 @@ fn main() -> ExitCode {
             run_obs_summary(&path, top)
         }
         Some("obs-schema") => run_obs_schema(&args.collect::<Vec<_>>()),
-        Some("prof-summary") => match args.next() {
-            Some(path) => run_prof_summary(&path),
-            None => {
-                eprintln!("usage: xtask prof-summary <BENCH_critpath.json>");
-                ExitCode::FAILURE
-            }
-        },
         Some(other) => {
             eprintln!("xtask: unknown command `{other}`\n{USAGE}");
             ExitCode::FAILURE
@@ -750,20 +669,6 @@ mod tests {
     fn cfg_test_inside_string_does_not_end_linting() {
         let src = "let s = \"#[cfg(test)]\";\nlet v = o.unwrap();\n";
         assert_eq!(lint_source("x.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn prof_summary_renders_every_row_of_the_checked_in_report() {
-        let path = repo_root().join("BENCH_critpath.json");
-        let (v, kind) = load_report(path.to_str().expect("utf-8 path")).expect("valid report");
-        assert_eq!(kind, "critpath");
-        let table = critpath_grid(&v).render();
-        let rows = v.get("rows").and_then(Json::as_arr).expect("checked");
-        // Header, rule, one line per row.
-        assert_eq!(table.lines().count(), rows.len() + 2, "{table}");
-        for column in ["Base", "DW+RF+DD", "GeNIMA-2025", "intr%"] {
-            assert!(table.contains(column), "missing {column} in:\n{table}");
-        }
     }
 
     #[test]

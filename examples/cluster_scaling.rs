@@ -9,7 +9,7 @@
 //! cargo run --release --example cluster_scaling [app-name]
 //! ```
 
-use genima::{run_app, sequential_time, FeatureSet, TextTable, Topology};
+use genima::{run_app, sequential_time, FeatureSet, Grid, Topology};
 use genima_apps::app_by_name;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
     println!("{} — sequential {seq}\n", app.name());
 
     println!("-- Same 16 processors, different clustering");
-    let mut t = TextTable::new(vec![
+    let mut t = Grid::new(vec![
         "Topology",
         "Base",
         "GeNIMA",
@@ -41,12 +41,12 @@ fn main() {
             genima.report.counters.page_transfers.to_string(),
         ]);
     }
-    println!("{t}");
+    println!("{}", t.render());
     println!("Fewer, fatter nodes keep more sharing inside hardware coherence");
     println!("(fewer page transfers) at the cost of SMP bus pressure.\n");
 
     println!("-- Scaling the processor count (4-way nodes, GeNIMA)");
-    let mut t = TextTable::new(vec!["Processors", "Speedup", "Efficiency"]);
+    let mut t = Grid::new(vec!["Processors", "Speedup", "Efficiency"]);
     for nodes in [1usize, 2, 4, 8] {
         let topo = Topology::new(nodes, 4);
         let r = run_app(app.as_ref(), topo, FeatureSet::genima());
@@ -57,5 +57,5 @@ fn main() {
             format!("{:.0}%", su / (nodes * 4) as f64 * 100.0),
         ]);
     }
-    println!("{t}");
+    println!("{}", t.render());
 }

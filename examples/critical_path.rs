@@ -49,7 +49,7 @@ fn main() {
         "queue(us)",
     ]);
     for column in columns {
-        let cfg = RunConfig::from_column(topo, column).with_obs(ObsConfig::with_capacity(1 << 20));
+        let cfg = RunConfig::new(topo, column).with_obs(ObsConfig::with_capacity(1 << 20));
         let out = run_app_configured(app.as_ref(), &cfg).unwrap_or_else(|e| {
             eprintln!("{} run failed: {e}", column.name());
             std::process::exit(1)

@@ -9,7 +9,7 @@
 //! `app-name` is any Table 1 name (default: Water-nsquared, the
 //! application whose behaviour motivates each mechanism).
 
-use genima::{run_app, sequential_time, FeatureSet, TextTable, Topology};
+use genima::{run_app, sequential_time, FeatureSet, Grid, Topology};
 use genima_apps::app_by_name;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
         topo.nodes,
         topo.procs_per_node
     );
-    let mut table = TextTable::new(vec![
+    let mut table = Grid::new(vec![
         "Protocol",
         "Speedup",
         "Interrupts",
@@ -58,7 +58,7 @@ fn main() {
         ]);
         prev = Some(su);
     }
-    println!("{table}");
+    println!("{}", table.render());
     println!(
         "Each row adds one NI mechanism: DW = eager write notices via remote deposit,\n\
          RF = remote fetch of pages+timestamps, DD = direct diffs (one deposit per\n\

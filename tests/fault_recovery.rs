@@ -63,7 +63,7 @@ fn inert_injectors_are_bit_identical_to_clean_runs() {
 fn configured_clean_run_matches_run_app() {
     let app = OceanRowwise::with_grid(128, 2);
     let cfg = RunConfig::new(Topology::new(2, 2), FeatureSet::genima()).with_seed(7);
-    let plain = run_app(&app, cfg.topo, cfg.features);
+    let plain = run_app(&app, cfg.topo, cfg.column.features);
     let configured = run_app_configured(&app, &cfg).expect("clean run cannot abort");
     assert_reports_identical(&plain.report, &configured.report, "RunConfig");
     assert_eq!(configured.faults.packets, 0, "no injector consulted");
