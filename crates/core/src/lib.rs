@@ -4,8 +4,8 @@
 //!
 //! This is the top-level crate: it ties the workload generators
 //! (`genima-apps`) to the SVM protocol engine (`genima-proto`), the
-//! communication stack (`genima-vmmc`/`genima-nic`/`genima-net`), the
-//! memory system (`genima-mem`), and the hardware-DSM reference
+//! communication stack (`genima-nic` over `genima-net`), the memory
+//! system (`genima-mem`), and the hardware-DSM reference
 //! (`genima-hwdsm`): one way to run an application on a cluster, on the
 //! Origin model and sequentially, which `bench paper` (in
 //! `genima-bench`) uses to regenerate every table and figure of the

@@ -65,7 +65,7 @@ impl Comm {
                 kind: op.msg(),
                 tag,
             };
-            return self.post_send(now, src, desc);
+            return self.post_packet(now, src, desc);
         }
         // Local firmware op: no wire.
         let host_free = self.model.host_ctrl(now, src);

@@ -15,8 +15,11 @@
 //!   (`genima_coll::CollState`).
 //!
 //! This file is the host data path (remote deposit, remote fetch) and
-//! the receive dispatcher. The machines hand their actions back by
-//! value or into a reused buffer: no path through here allocates.
+//! the receive dispatcher. A host transfer of any size is split into
+//! packets of at most `NetConfig::max_packet` bytes and completes once,
+//! when its last fragment lands (the paper's VMMC, §3.1). The machines
+//! hand their actions back by value or into a reused buffer: no path
+//! through here allocates.
 
 #![allow(clippy::field_reassign_with_default)]
 
@@ -25,12 +28,12 @@ mod coll;
 mod lock;
 mod transport;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use genima_coll::{Action, CollId, CollState};
 use genima_net::{NetConfig, NicId};
 use genima_obs::{ObsHandle, Recorder, SpanKind, Track};
-use genima_sim::{Dur, InlineVec, Time};
+use genima_sim::{Dur, FixedState, InlineVec, Time};
 
 use crate::atomic::{AtomicOp, AtomicUnit};
 use crate::config::NicConfig;
@@ -143,6 +146,9 @@ pub struct Comm {
     /// firmware emits at most a handful per serviced packet; reusing
     /// one buffer keeps the service loop allocation-free).
     coll_scratch: Vec<Action>,
+    /// Fragments still to land, per tagged transfer of more than one
+    /// packet.
+    pending: HashMap<Tag, u32, FixedState>,
 }
 
 /// Receive-side context of the packet being served, resolved once in
@@ -194,6 +200,7 @@ impl Comm {
             colls: BTreeMap::new(),
             coll_fanout: 4,
             coll_scratch: Vec::new(),
+            pending: HashMap::default(),
         }
     }
 
@@ -248,19 +255,77 @@ impl Comm {
         }
     }
 
-    /// Posts one asynchronous send descriptor from `src`.
+    /// Posts one asynchronous send descriptor of any size from `src`.
+    ///
+    /// The host posts it as packet-sized fragments, back to back; a
+    /// tagged transfer of several fragments surfaces one upcall, when
+    /// its last fragment has been deposited.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use genima_net::{NetConfig, NicId};
+    /// use genima_nic::{Comm, MsgKind, NicConfig, SendDesc, Tag};
+    /// use genima_sim::Time;
+    ///
+    /// let mut comm = Comm::new(NicConfig::default(), NetConfig::myrinet(), 2, 0);
+    /// let (dst, kind, tag) = (NicId::new(1), MsgKind::Deposit, Tag::new(1));
+    /// let desc = SendDesc { dst, bytes: 8192, kind, tag };
+    /// // 8 KB travels as two 4 KB packets but completes once.
+    /// let post = comm.post_send(Time::ZERO, NicId::new(0), desc);
+    /// assert_eq!(post.events.len(), 2);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `desc.dst == src` (intra-node traffic never reaches
+    /// the NI).
+    pub fn post_send(&mut self, now: Time, src: NicId, desc: SendDesc) -> Post {
+        self.post_fragments(now, desc.bytes, desc.tag, |comm, now, bytes| {
+            comm.post_packet(now, src, SendDesc { bytes, ..desc })
+        })
+    }
+
+    /// Posts a `bytes`-sized transfer as packet-sized fragments — full
+    /// packets first, then the remainder (a zero-byte transfer is one
+    /// empty packet) — each posted by `post_one(comm, now, fragment)`
+    /// once the previous one has freed the host. A tagged transfer of
+    /// more than one fragment is counted in `pending` until
+    /// `deposit_arrived` has seen every fragment land.
+    fn post_fragments(
+        &mut self,
+        now: Time,
+        bytes: u32,
+        tag: Tag,
+        post_one: impl Fn(&mut Comm, Time, u32) -> Post,
+    ) -> Post {
+        let net = *self.network().config();
+        let frags = net.packets_for(bytes);
+        if frags > 1 && tag != Tag::NONE {
+            self.pending.insert(tag, frags);
+        }
+        let mut out = Post::default();
+        out.host_free = now;
+        let mut remaining = bytes;
+        for _ in 0..frags {
+            let b = remaining.min(net.max_packet);
+            remaining -= b;
+            let p = post_one(self, out.host_free, b);
+            out.host_free = p.host_free;
+            out.events.extend(p.events);
+            out.upcalls.extend(p.upcalls);
+        }
+        out
+    }
+
+    /// Posts one packet-sized send descriptor from `src`.
     ///
     /// Models the full outgoing pipeline synchronously (post queue →
     /// LANai pick → source DMA → injection → fabric) and returns the
     /// delivery event. The posting processor is released after the
     /// post overhead unless the post queue is full, in which case it
     /// stalls until a slot frees.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `desc.dst == src` (intra-node traffic never reaches
-    /// the NI) or if `desc.bytes` exceeds the maximum packet size.
-    pub fn post_send(&mut self, now: Time, src: NicId, desc: SendDesc) -> Post {
+    fn post_packet(&mut self, now: Time, src: NicId, desc: SendDesc) -> Post {
         assert_ne!(src, desc.dst, "intra-node messages do not use the NI");
         let mut post = Post::default();
         let hp = self.model.host_post(now, src);
@@ -365,11 +430,13 @@ impl Comm {
 
     /// Issues a remote fetch: `bytes` of exported memory at `from`
     /// are DMA'd out of the remote host by its NI firmware and
-    /// deposited into `nic`'s host memory. Completion surfaces as
-    /// [`Upcall::FetchCompleted`] with `tag`. `key` names the fetched
-    /// region for the remote NI's translation machinery (a page index,
-    /// or [`crate::ALWAYS_MAPPED`] for NI-resident metadata);
-    /// on-demand-paging hardware faults on a key's first use.
+    /// deposited into `nic`'s host memory, one request per packet-sized
+    /// fragment. Completion surfaces once, as [`Upcall::FetchCompleted`]
+    /// with `tag`, when the last fragment has arrived. `key` names the
+    /// fetched region for the remote NI's translation machinery (a page
+    /// index, or [`crate::ALWAYS_MAPPED`] for NI-resident metadata);
+    /// on-demand-paging hardware faults on a key's first use, and every
+    /// fragment shares the key.
     ///
     /// # Panics
     ///
@@ -384,19 +451,16 @@ impl Comm {
         tag: Tag,
     ) -> Post {
         assert_ne!(nic, from, "local memory is read directly, not fetched");
-        self.post_send(
-            now,
-            nic,
-            SendDesc {
+        self.post_fragments(now, bytes, tag, |comm, now, reply_bytes| {
+            let kind = MsgKind::FetchReq { reply_bytes, key };
+            let desc = SendDesc {
                 dst: from,
                 bytes: FETCH_REQ_BYTES,
-                kind: MsgKind::FetchReq {
-                    reply_bytes: bytes,
-                    key,
-                },
+                kind,
                 tag,
-            },
-        )
+            };
+            comm.post_packet(now, nic, desc)
+        })
     }
 
     /// Processes one internal event at its scheduled time.
@@ -474,8 +538,9 @@ impl Comm {
         );
     }
 
-    /// Remote deposit: the payload is DMA'd into host memory and the
-    /// completion surfaces under the name its kind gives it.
+    /// Remote deposit: the payload is DMA'd into host memory and, once
+    /// the transfer's last fragment is home, the completion surfaces
+    /// under the name its kind gives it.
     fn deposit_arrived(&mut self, rx: Rx, pkt: Packet, step: &mut Step) {
         let (nic, tag, src) = (pkt.dst, pkt.tag, pkt.src);
         let (runs, upcall) = match pkt.kind {
@@ -504,6 +569,13 @@ impl Comm {
                     rx.op,
                 );
             });
+        }
+        if let Some(left) = self.pending.get_mut(&tag) {
+            *left -= 1;
+            if *left > 0 {
+                return; // the transfer completes with its last fragment
+            }
+            self.pending.remove(&tag);
         }
         step.upcalls.push((rd.dma_done, upcall));
     }

@@ -101,6 +101,73 @@ fn host_msg_reaches_host_memory() {
     ));
 }
 
+/// Posts a `bytes`-byte deposit from NIC 0 into NIC 1.
+fn deposit(c: &mut Comm, bytes: u32, tag: Tag) -> Post {
+    let desc = SendDesc {
+        dst: NicId::new(1),
+        bytes,
+        kind: MsgKind::Deposit,
+        tag,
+    };
+    c.post_send(Time::ZERO, NicId::new(0), desc)
+}
+
+#[test]
+fn small_transfer_is_one_packet() {
+    let mut c = comm(2, 1);
+    let p = deposit(&mut c, 64, Tag::new(1));
+    assert_eq!(p.events.len(), 1);
+    assert_eq!(drain(&mut c, vec![p]).len(), 1);
+}
+
+#[test]
+fn large_transfer_splits_but_completes_once() {
+    let mut c = comm(2, 1);
+    let p = deposit(&mut c, 10_000, Tag::new(2));
+    assert_eq!(p.events.len(), 3); // 4096 + 4096 + 1808
+    let ups = drain(&mut c, vec![p]);
+    assert_eq!(ups.len(), 1, "one completion for the whole transfer");
+    assert!(matches!(
+        ups[0].1,
+        Upcall::DepositArrived { tag, .. } if tag == Tag::new(2)
+    ));
+    assert_eq!(
+        c.monitor().total_bytes(),
+        10_000,
+        "every fragment travelled"
+    );
+}
+
+#[test]
+fn multi_fragment_fetch_completes_once() {
+    let mut c = comm(2, 1);
+    let p = c.fetch(
+        Time::ZERO,
+        NicId::new(0),
+        NicId::new(1),
+        8192,
+        crate::ALWAYS_MAPPED,
+        Tag::new(3),
+    );
+    assert_eq!(p.events.len(), 2, "one request per 4 KB fragment");
+    let ups = drain(&mut c, vec![p]);
+    assert_eq!(ups.len(), 1);
+    assert!(matches!(
+        ups[0].1,
+        Upcall::FetchCompleted { nic, tag } if nic == NicId::new(0) && tag == Tag::new(3)
+    ));
+}
+
+#[test]
+fn posts_charge_host_per_fragment() {
+    let small = deposit(&mut comm(2, 1), 64, Tag::NONE);
+    let big = deposit(&mut comm(2, 1), 12_288, Tag::NONE);
+    assert!(
+        big.host_free > small.host_free,
+        "3 fragments post sequentially"
+    );
+}
+
 #[test]
 fn post_queue_full_stalls_host() {
     let mut cfg = NicConfig::default();

@@ -180,8 +180,8 @@ pub enum CollOp {
 pub struct SendDesc {
     /// Destination NIC.
     pub dst: NicId,
-    /// Payload bytes (at most the network's maximum packet size; the
-    /// VMMC layer above splits larger transfers).
+    /// Payload bytes, any size: [`Comm::post_send`](crate::Comm::post_send)
+    /// splits a transfer larger than the network's maximum packet.
     pub bytes: u32,
     /// Treatment at the destination.
     pub kind: MsgKind,

@@ -5,8 +5,8 @@
 //! timestamps, intervals and write notices, twin/diff multiple-writer
 //! handling, per-process page protection, a distributed lock layer and
 //! centralized barriers — on top of the simulated communication system
-//! (`genima-vmmc`/`genima-nic`/`genima-net`) and memory system
-//! (`genima-mem`).
+//! (`genima-nic`'s `Comm`, the paper's VMMC layer, over `genima-net`)
+//! and memory system (`genima-mem`).
 //!
 //! One audited code path, [`SvmSystem`], is parameterised by a
 //! [`FeatureSet`] that switches the four NI mechanisms on and off

@@ -79,7 +79,7 @@ impl SvmSystem {
         vals.extend(self.nodes[node].arrived.iter().map(|&a| a as u64));
         let coll = CollId::new(b.index() as u32);
         let nic = NodeId::new(node).nic();
-        let epoch = self.vmmc.comm().coll_epoch(coll, nic);
+        let epoch = self.comm.coll_epoch(coll, nic);
         self.emit(TraceEvent::CollArrived {
             at: cursor,
             node,
@@ -87,8 +87,7 @@ impl SvmSystem {
             epoch,
         });
         let post = self
-            .vmmc
-            .comm_mut()
+            .comm
             .coll_enter(cursor, nic, coll, ReduceOp::Max, &vals);
         self.absorb_post(post)
     }
@@ -104,8 +103,7 @@ impl SvmSystem {
         // into owned protocol state before touching anything else.
         let (joined, upto) = {
             let (res_epoch, vals) = self
-                .vmmc
-                .comm()
+                .comm
                 .coll_result(coll)
                 .expect("completed collective must hold a result");
             assert_eq!(
@@ -148,7 +146,7 @@ impl SvmSystem {
             self.counters = Default::default();
             self.op_hist = Default::default();
             self.serve_hist = Default::default();
-            self.vmmc.comm_mut().reset_monitor();
+            self.comm.reset_monitor();
             for proc in &mut self.procs {
                 proc.warmup_reset = true;
             }

@@ -1,11 +1,11 @@
 //! Page faults, fetches, and diff application at the home.
 
 use genima_mem::{Access, Diff, Page, PageId, PagePool};
-use genima_nic::Tag;
+use genima_nic::{MsgKind, Tag};
 use genima_sim::Time;
 
 use super::{Block, Flow, NodeRt, Pending, ProcRt, ProcState, SvmSystem, SysEvent, Waiters};
-use crate::ids::ProcId;
+use crate::ids::{NodeId, ProcId};
 use crate::interval::DirtyPage;
 use crate::ops::Op;
 use crate::trace::TraceEvent;
@@ -123,14 +123,8 @@ impl SvmSystem {
             op,
         );
         let bytes = self.p.proto.control_msg_bytes;
-        let post = self.vmmc.host_msg(
-            t,
-            crate::ids::NodeId::new(node).nic(),
-            home.nic(),
-            bytes,
-            tag,
-        );
-        self.absorb_post(post);
+        let nic = NodeId::new(node).nic();
+        self.send(t, nic, home.nic(), bytes, MsgKind::HostMsg, tag);
     }
 
     /// A fetched version did not cover what its waiters need: count
@@ -179,19 +173,19 @@ impl SvmSystem {
             return; // fetch already satisfied by another path
         }
         let home = self.home_of(page).index();
-        let my = crate::ids::NodeId::new(node).nic();
-        let hn = crate::ids::NodeId::new(home).nic();
+        let my = NodeId::new(node).nic();
+        let hn = NodeId::new(home).nic();
         let ts_bytes = self.p.proto.page_ts_bytes;
         // The timestamp lives in NI-resident metadata (never faults);
         // the page fetch carries the page index so an ODP-class NIC
         // can fault it in on first touch.
         let post = self
-            .vmmc
+            .comm
             .fetch(now, my, hn, ts_bytes, genima_nic::ALWAYS_MAPPED, Tag::NONE);
         let t2 = self.absorb_post(post);
         let fetch_op = self.fetch_op_of(p);
         let tag = self.tag_op(Pending::FetchPage { proc: p, page }, fetch_op);
-        let post = self.vmmc.fetch(
+        let post = self.comm.fetch(
             t2,
             my,
             hn,
@@ -460,14 +454,8 @@ impl SvmSystem {
             op,
         );
         let bytes = genima_mem::PAGE_SIZE as u32 + self.p.proto.page_ts_bytes;
-        let post = self.vmmc.deposit(
-            t,
-            crate::ids::NodeId::new(home).nic(),
-            crate::ids::NodeId::new(requester).nic(),
-            bytes,
-            tag,
-        );
-        self.absorb_post(post);
+        let (src, dst) = (NodeId::new(home).nic(), NodeId::new(requester).nic());
+        self.send(t, src, dst, bytes, MsgKind::Deposit, tag);
     }
 
     /// Makes `req` the version requirement for `p` fetching `page`:

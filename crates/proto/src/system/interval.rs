@@ -2,7 +2,7 @@
 //! diffs to the homes, and charging the work.
 
 use genima_mem::{compute_diff_tracked, Access, Diff, PageId};
-use genima_nic::Tag;
+use genima_nic::{MsgKind, Tag};
 use genima_obs::{flow_diff_id, op_diff_id, FlowDir, SpanKind, Track};
 use genima_sim::{Dur, Time};
 
@@ -186,20 +186,16 @@ impl SvmSystem {
                     // §5 extension: one scatter-gather message carries
                     // all runs plus the timestamp.
                     let (bytes, runs) = (dp.bytes() + 16, dp.runs() as u32);
-                    let post = self
-                        .vmmc
-                        .deposit_gather(cursor, my_nic, hn, bytes, runs, tag);
-                    cursor = self.absorb_post(post);
+                    let kind = MsgKind::GatherDeposit { runs };
+                    cursor = self.send(cursor, my_nic, hn, bytes, kind, tag);
                     self.counters.diff_run_messages += 1;
                 } else {
                     // One deposit per contiguous run, then the timestamp.
                     for (_, len) in dp.ranges.iter() {
-                        let post = self.vmmc.deposit(cursor, my_nic, hn, len, Tag::NONE);
-                        cursor = self.absorb_post(post);
+                        cursor = self.send(cursor, my_nic, hn, len, MsgKind::Deposit, Tag::NONE);
                         self.counters.diff_run_messages += 1;
                     }
-                    let post = self.vmmc.deposit(cursor, my_nic, hn, 16, tag);
-                    cursor = self.absorb_post(post);
+                    cursor = self.send(cursor, my_nic, hn, 16, MsgKind::Deposit, tag);
                 }
                 // The deposit starts a flow arrow; the apply at the
                 // home finishes it under the same id.
@@ -230,8 +226,7 @@ impl SvmSystem {
                     },
                     dop,
                 );
-                let post = self.vmmc.host_msg(cursor, my_nic, hn, bytes, tag);
-                cursor = self.absorb_post(post);
+                cursor = self.send(cursor, my_nic, hn, bytes, MsgKind::HostMsg, tag);
             }
             // The twin is consumed by this flush; return its buffer to
             // the pool for the next twin/copy/reply on this node.

@@ -20,7 +20,7 @@
 //! refetched (`rf_completed`), and at the home the reader waits on the
 //! page (`home_pages.waiters`).
 
-use genima_nic::{CasWord, LockAction, LockId, LockOp, Post, Tag};
+use genima_nic::{CasWord, LockAction, LockId, LockOp, MsgKind, Post, Tag};
 use genima_sim::Time;
 
 use super::{
@@ -55,7 +55,7 @@ impl SvmSystem {
         // The chain is ground truth for token ownership.
         let owned = match self.lock_strategy {
             LockStrategy::HostChain => self.host_chains[l.index()].owned_by(nic),
-            LockStrategy::NiChain => self.vmmc.comm().lock_owned_by(nic, l),
+            LockStrategy::NiChain => self.comm.lock_owned_by(nic, l),
             // TAS over remote atomics has no ownership caching: every
             // acquire races on the home cell.
             LockStrategy::AtomicSwapSpin | LockStrategy::AtomicCasWait => false,
@@ -68,7 +68,7 @@ impl SvmSystem {
             if self.lock_strategy == LockStrategy::HostChain {
                 self.host_chains[l.index()].local_hold(nic);
             } else {
-                let post = self.vmmc.comm_mut().lock_local_hold(now, nic, l);
+                let post = self.comm.lock_local_hold(now, nic, l);
                 self.absorb_post(post);
             }
             self.nodes[node].locks[l.index()].holder = Some(p);
@@ -94,7 +94,7 @@ impl SvmSystem {
             }
             LockStrategy::NiChain => {
                 let tag = self.tag_op(Pending::NiLockWait { proc: p }, lop);
-                let post = self.vmmc.comm_mut().lock_acquire(now, nic, l, tag);
+                let post = self.comm.lock_acquire(now, nic, l, tag);
                 self.absorb_post(post);
             }
             LockStrategy::HostChain => {
@@ -168,8 +168,7 @@ impl SvmSystem {
                     let tag = self.tag_op(msg, lop);
                     let bytes = self.p.proto.control_msg_bytes;
                     let (src, dst) = (NodeId::new(node).nic(), NodeId::new(to).nic());
-                    let post = self.vmmc.host_msg(t, src, dst, bytes, tag);
-                    return self.absorb_post(post);
+                    return self.send(t, src, dst, bytes, MsgKind::HostMsg, tag);
                 }
                 match op {
                     // The home structures are in local memory.
@@ -261,12 +260,9 @@ impl SvmSystem {
                     mask: u64::MAX,
                     wait: acquire,
                 };
-                self.vmmc.comm_mut().masked_cas(t, src, home, cas, tag)
+                self.comm.masked_cas(t, src, home, cas, tag)
             }
-            LockStrategy::AtomicSwapSpin => self
-                .vmmc
-                .comm_mut()
-                .fetch_and_store(t, src, home, cell, new, tag),
+            LockStrategy::AtomicSwapSpin => self.comm.fetch_and_store(t, src, home, cell, new, tag),
             LockStrategy::HostChain | LockStrategy::NiChain => {
                 unreachable!("{:?} keeps no home cell", self.lock_strategy)
             }
@@ -408,7 +404,7 @@ impl SvmSystem {
                     cursor = self.absorb_post(post);
                 }
                 LockStrategy::NiChain => {
-                    let post = self.vmmc.comm_mut().lock_release(cursor, nic, l);
+                    let post = self.comm.lock_release(cursor, nic, l);
                     cursor = self.absorb_post(post);
                 }
                 LockStrategy::HostChain => {

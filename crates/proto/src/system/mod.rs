@@ -22,10 +22,10 @@ mod state;
 use std::collections::{BTreeMap, HashMap};
 
 use genima_mem::{MemConfig, PageId, PageVec, PAGE_SIZE};
-use genima_nic::{ChainLock, Event as CommEvent, LockId, Post, Step, Tag};
+use genima_net::NicId;
+use genima_nic::{ChainLock, Comm, Event as CommEvent, LockId, MsgKind, Post, SendDesc, Step, Tag};
 use genima_rnic::HwProfile;
 use genima_sim::{EventQueue, FixedState, InlineVec, PageBits, Time};
-use genima_vmmc::Vmmc;
 
 pub(crate) use self::state::*;
 use crate::breakdown::Counters;
@@ -189,7 +189,7 @@ impl SvmParams {
 pub struct SvmSystem {
     pub(crate) p: SvmParams,
     pub(crate) lock_strategy: LockStrategy,
-    pub(crate) vmmc: Vmmc,
+    pub(crate) comm: Comm,
     pub(crate) q: EventQueue<SysEvent>,
     pub(crate) procs: Vec<ProcRt>,
     pub(crate) nodes: Vec<NodeRt>,
@@ -288,7 +288,7 @@ impl SvmSystem {
             "need exactly one op source per processor"
         );
         let nnodes = params.topo.nodes;
-        let mut vmmc = Vmmc::with_model(
+        let mut comm = Comm::with_model(
             params.hw.model(nnodes),
             params.hw.nic,
             params.hw.net,
@@ -296,9 +296,9 @@ impl SvmSystem {
             params.locks,
         );
         if let BarrierImpl::NiTree { fanout } = params.barrier {
-            vmmc.comm_mut().set_coll_fanout(fanout);
+            comm.set_coll_fanout(fanout);
         }
-        vmmc.comm_mut().set_degraded(params.degraded);
+        comm.set_degraded(params.degraded);
         let lock_strategy = LockStrategy::of(&params);
         let host_chains = match lock_strategy {
             LockStrategy::HostChain => (0..params.locks)
@@ -310,7 +310,7 @@ impl SvmSystem {
         };
         SvmSystem {
             lock_strategy,
-            vmmc,
+            comm,
             q: EventQueue::new(),
             procs: sources
                 .into_iter()
@@ -371,7 +371,7 @@ impl SvmSystem {
     /// service spans on the firmware tracks. Like tracing, recording is
     /// observational only — simulated timing is unchanged.
     pub fn set_observer(&mut self, obs: genima_obs::ObsHandle) {
-        self.vmmc.comm_mut().set_observer(obs.clone());
+        self.comm.set_observer(obs.clone());
         self.obs = Some(obs);
     }
 
@@ -389,7 +389,7 @@ impl SvmSystem {
     /// duplicates at the receiver. See the `genima-fault` crate for
     /// injector implementations.
     pub fn set_fault_injector(&mut self, injector: Box<dyn genima_nic::FaultInjector>) {
-        self.vmmc.comm_mut().set_fault_injector(injector);
+        self.comm.set_fault_injector(injector);
     }
 
     /// Turns protocol *and* NI event tracing on or off. Turning it on
@@ -397,7 +397,7 @@ impl SvmSystem {
     /// only — it never changes simulated timing or protocol behaviour.
     pub fn set_tracing(&mut self, on: bool) {
         self.trace = if on { Some(Vec::new()) } else { None };
-        self.vmmc.comm_mut().set_tracing(on);
+        self.comm.set_tracing(on);
     }
 
     /// Drains the recorded protocol trace (empty when tracing was
@@ -412,7 +412,7 @@ impl SvmSystem {
     /// Drains the NI lock-ownership trace (empty when tracing was
     /// never enabled).
     pub fn take_lock_trace(&mut self) -> Vec<genima_nic::LockTrace> {
-        self.vmmc.comm_mut().take_lock_trace()
+        self.comm.take_lock_trace()
     }
 
     /// Records a trace event when tracing is enabled.
@@ -591,7 +591,7 @@ impl SvmSystem {
         match ev {
             SysEvent::Resume(p) => self.run_proc(t, p),
             SysEvent::Comm(e) => {
-                let step = self.vmmc.handle(t, e);
+                let step = self.comm.handle(t, e);
                 self.absorb_step(step);
             }
             SysEvent::Up(u) => self.upcall(t, u),
@@ -607,6 +607,27 @@ impl SvmSystem {
             self.q.push(t, SysEvent::Up(u));
         }
         post.host_free
+    }
+
+    /// Posts a `bytes`-sized host transfer of `kind` from `src` to `dst`
+    /// at `t` and absorbs it; returns when the posting host is free.
+    pub(crate) fn send(
+        &mut self,
+        t: Time,
+        src: NicId,
+        dst: NicId,
+        bytes: u32,
+        kind: MsgKind,
+        tag: Tag,
+    ) -> Time {
+        let desc = SendDesc {
+            dst,
+            bytes,
+            kind,
+            tag,
+        };
+        let post = self.comm.post_send(t, src, desc);
+        self.absorb_post(post)
     }
 
     pub(crate) fn absorb_step(&mut self, step: Step) {
@@ -724,11 +745,11 @@ impl SvmSystem {
             breakdowns: self.procs.iter().map(|p| p.bd).collect(),
             counters: self.counters,
             ni_barrier: matches!(self.p.barrier, BarrierImpl::NiTree { .. }),
-            monitor: self.vmmc.comm().monitor().clone(),
-            recovery: self.vmmc.comm().recovery_stats(),
+            monitor: self.comm.monitor().clone(),
+            recovery: self.comm.recovery_stats(),
             pinned_shared_bytes: pinned,
             hw: self.p.hw.name,
-            ni: self.vmmc.comm().ni_stats(),
+            ni: self.comm.ni_stats(),
             op_latency: self.op_hist.clone(),
             serve: self.serve_hist.clone(),
             events: self.q.delivered(),

@@ -4,6 +4,7 @@
 //! notices the new clock covers, invalidate, resume.
 
 use genima_mem::{Access, PageId};
+use genima_nic::MsgKind;
 use genima_sim::Time;
 
 use super::interval::contiguous_groups;
@@ -38,14 +39,15 @@ impl SvmSystem {
             if replicate {
                 dsts.push((dst_nic, tag));
             } else {
-                let post = self.vmmc.deposit(cursor, my_nic, dst_nic, bytes, tag);
-                cursor = self.absorb_post(post);
+                cursor = self.send(cursor, my_nic, dst_nic, bytes, MsgKind::Deposit, tag);
             }
             self.counters.notice_messages += 1;
             self.nodes[node].sent_upto[dst][p] = interval;
         }
         if replicate {
-            let post = self.vmmc.broadcast_deposit(cursor, my_nic, &dsts, bytes);
+            let post = self
+                .comm
+                .post_broadcast(cursor, my_nic, &dsts, bytes, MsgKind::Deposit);
             cursor = self.absorb_post(post);
         }
         self.procs[p].clock = self.procs[p].clock.max(cursor);
@@ -88,9 +90,9 @@ impl SvmSystem {
         make: impl FnOnce(Option<Vec<u32>>) -> Pending,
     ) -> Time {
         let (src, dst) = (NodeId::new(from).nic(), NodeId::new(to).nic());
-        let post = if let Some(bytes) = deposit_bytes {
+        if let Some(bytes) = deposit_bytes {
             let tag = self.tag_op(make(None), op);
-            self.vmmc.deposit(cursor, src, dst, bytes, tag)
+            self.send(cursor, src, dst, bytes, MsgKind::Deposit, tag)
         } else {
             let (upto, rec_bytes) = if self.p.features.dw {
                 (None, 0)
@@ -100,9 +102,8 @@ impl SvmSystem {
             };
             let bytes = self.p.proto.control_msg_bytes + vc_bytes + rec_bytes;
             let tag = self.tag_op(make(upto), op);
-            self.vmmc.host_msg(cursor, src, dst, bytes, tag)
-        };
-        self.absorb_post(post)
+            self.send(cursor, src, dst, bytes, MsgKind::HostMsg, tag)
+        }
     }
 
     /// Merges carried record visibility into a node's notice board.
@@ -266,7 +267,7 @@ impl SvmSystem {
             });
             // Interval records live in exported protocol metadata:
             // always mapped, never an ODP fault.
-            let post = self.vmmc.fetch(
+            let post = self.comm.fetch(
                 t,
                 my_nic,
                 NodeId::new(qnode).nic(),

@@ -53,32 +53,16 @@ impl HwProfile {
     pub fn rnic_2025() -> HwProfile {
         HwProfile {
             name: "RNIC-2025",
+            // Engine timing belongs to `RnicConfig`: only the LANai
+            // model reads `NicConfig`'s, and this profile never builds
+            // one. Of what the protocol reads, two fields differ from
+            // LANai (no broadcast offload on commodity RNICs either).
             nic: NicConfig {
-                // Engine-timing fields are owned by RnicConfig on this
-                // profile; the mirrors here keep any generic consumer
-                // (cost heuristics, docs) in the right magnitude.
-                post_overhead: genima_sim::Dur::from_ns(250),
-                pick_cost: genima_sim::Dur::from_ns(60),
-                inject_cost: genima_sim::Dur::from_ns(60),
-                recv_cost: genima_sim::Dur::from_ns(150),
-                fetch_service: genima_sim::Dur::from_ns(200),
-                lock_service: genima_sim::Dur::from_ns(250),
-                coll_service: genima_sim::Dur::from_ns(300),
-                grant_notify: genima_sim::Dur::from_ns(400),
-                dma_setup: genima_sim::Dur::from_ns(300),
-                pci_bandwidth: 25_000_000_000,
-                post_queue_capacity: 1024,
-                pipelined_sends: true,
-                small_threshold: 256,
-                lock_grant_bytes: 72,
                 // Native SGE: scatter-gather is the normal data path.
                 scatter_gather: true,
-                gather_per_run: genima_sim::Dur::from_ns(50),
-                // Commodity RNICs have no NI broadcast offload.
-                broadcast: false,
                 // A 4 KB fetch round trip is ~2 us on this fabric.
                 retry_timeout: genima_sim::Dur::from_us(20),
-                max_send_attempts: 8,
+                ..NicConfig::lanai()
             },
             net: NetConfig {
                 // 100 GbE: ~12.5 GB/s per direction.
@@ -117,7 +101,96 @@ impl Default for HwProfile {
 mod tests {
     use super::*;
     use genima_net::NicId;
-    use genima_sim::Time;
+    use genima_nic::{CasWord, Comm, Event, MsgKind, Post, SendDesc, Tag, Upcall};
+    use genima_sim::{Dur, EventQueue, Time};
+
+    /// What a run shows the protocol: each post's `host_free`, every
+    /// event and every upcall, with their times.
+    #[derive(Debug, Default, PartialEq)]
+    struct Log {
+        host_free: Vec<Time>,
+        events: Vec<(Time, Event)>,
+        upcalls: Vec<(Time, Upcall)>,
+    }
+
+    /// Runs `post` to quiescence into `log`; returns its last upcall's
+    /// time.
+    fn settle(comm: &mut Comm, post: Post, log: &mut Log) -> Time {
+        log.host_free.push(post.host_free);
+        log.upcalls.extend(post.upcalls);
+        let mut q = EventQueue::new();
+        for (t, e) in post.events {
+            q.push(t, e);
+        }
+        while let Some((t, e)) = q.pop() {
+            log.events.push((t, e));
+            let step = comm.handle(t, e);
+            log.upcalls.extend(step.upcalls);
+            for (t2, e2) in step.events {
+                q.push(t2, e2);
+            }
+        }
+        log.upcalls.last().expect("every operation completes").0
+    }
+
+    /// A deposit, a page fetch and a masked-CAS acquire/release pair,
+    /// one after another, on the 2025 profile with `nic` in place of
+    /// its `NicConfig`.
+    fn run_2025(nic: NicConfig) -> Log {
+        let hw = HwProfile {
+            nic,
+            ..HwProfile::rnic_2025()
+        };
+        let mut comm = Comm::with_model(hw.model(2), hw.nic, hw.net, 2, 0);
+        let (a, b) = (NicId::new(0), NicId::new(1));
+        let mut log = Log::default();
+        let desc = SendDesc {
+            dst: b,
+            bytes: 4096,
+            kind: MsgKind::Deposit,
+            tag: Tag::new(1),
+        };
+        let post = comm.post_send(Time::ZERO, a, desc);
+        let t = settle(&mut comm, post, &mut log);
+        let post = comm.fetch(t, a, b, 4096, 7, Tag::new(2));
+        let t = settle(&mut comm, post, &mut log);
+        let lock = |expect, new| CasWord {
+            cell: 0,
+            expect,
+            new,
+            mask: u64::MAX,
+            wait: expect == 0,
+        };
+        let post = comm.masked_cas(t, a, b, lock(0, 1), Tag::new(3));
+        let t = settle(&mut comm, post, &mut log);
+        let post = comm.masked_cas(t, a, b, lock(1, 0), Tag::new(4));
+        settle(&mut comm, post, &mut log);
+        log
+    }
+
+    #[test]
+    fn rnic_2025_reads_no_nic_engine_timing() {
+        let nic = HwProfile::rnic_2025().nic;
+        let other = NicConfig {
+            post_overhead: Dur::from_us(11),
+            pick_cost: Dur::from_us(12),
+            inject_cost: Dur::from_us(13),
+            recv_cost: Dur::from_us(14),
+            fetch_service: Dur::from_us(15),
+            lock_service: Dur::from_us(16),
+            coll_service: Dur::from_us(17),
+            grant_notify: Dur::from_us(18),
+            dma_setup: Dur::from_us(19),
+            pci_bandwidth: 1_000_000,
+            post_queue_capacity: 1,
+            pipelined_sends: !nic.pipelined_sends,
+            gather_per_run: Dur::from_us(20),
+            ..nic
+        };
+        let want = run_2025(nic);
+        assert_eq!(want.upcalls.len(), 4, "one completion per operation");
+        assert_eq!(run_2025(other), want);
+    }
 
     #[test]
     fn default_profile_is_the_paper_testbed() {

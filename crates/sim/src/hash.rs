@@ -1,6 +1,6 @@
 //! A fixed, cheap hasher for maps keyed by ids the simulation itself
 //! hands out. It serves the two message-tag maps (`SvmSystem.tags`,
-//! `Vmmc.pending`) and nothing else: tags come and go, so a map fits
+//! `Comm.pending`) and nothing else: tags come and go, so a map fits
 //! them, while page ids are dense and live in `genima_mem::PageVec`
 //! columns.
 //!

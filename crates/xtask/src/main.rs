@@ -72,7 +72,6 @@ const PROTOCOL_DIRS: &[&str] = &[
     "crates/proto/src/system",
     "crates/rnic/src",
     "crates/serve/src",
-    "crates/vmmc/src",
 ];
 
 /// Single files the gate covers in crates that are not protocol code

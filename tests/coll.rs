@@ -11,10 +11,9 @@ use genima::{
 };
 use genima_apps::{App, Fft, LuContiguous, OceanRowwise, RadixLocal, WaterNsquared};
 use genima_net::{NetConfig, NicId};
-use genima_nic::{CollId, ReduceOp, Upcall};
+use genima_nic::{CollId, Comm, NicConfig, Post, ReduceOp, Upcall};
 use genima_obs::count_named;
 use genima_sim::{EventQueue, RunSeed, Time};
-use genima_vmmc::{NicConfig, Vmmc};
 
 /// Five applications at reduced problem sizes, enough iterations that
 /// every one crosses several barrier episodes.
@@ -148,9 +147,9 @@ fn ni_barrier_timeline_is_interrupt_free_with_collective_spans() {
     }
 }
 
-/// Drives a Vmmc to quiescence from a batch of posts, returning the
+/// Drives a Comm to quiescence from a batch of posts, returning the
 /// upcalls in delivery order.
-fn drain_all(vmmc: &mut Vmmc, posts: Vec<genima_nic::Post>) -> Vec<(Time, Upcall)> {
+fn drain_all(comm: &mut Comm, posts: Vec<Post>) -> Vec<(Time, Upcall)> {
     let mut q = EventQueue::new();
     let mut ups: Vec<(Time, Upcall)> = Vec::new();
     for post in posts {
@@ -160,7 +159,7 @@ fn drain_all(vmmc: &mut Vmmc, posts: Vec<genima_nic::Post>) -> Vec<(Time, Upcall
         }
     }
     while let Some((t, e)) = q.pop() {
-        let s = vmmc.handle(t, e);
+        let s = comm.handle(t, e);
         ups.extend(s.upcalls);
         for (t2, e2) in s.events {
             q.push(t2, e2);
@@ -172,13 +171,13 @@ fn drain_all(vmmc: &mut Vmmc, posts: Vec<genima_nic::Post>) -> Vec<(Time, Upcall
 
 /// Runs `epochs` all-reduce rounds on `ports` nodes and returns the
 /// per-epoch combined vectors, in epoch order.
-fn reduce_rounds(vmmc: &mut Vmmc, ports: usize, epochs: u32) -> Vec<Vec<u64>> {
+fn reduce_rounds(comm: &mut Comm, ports: usize, epochs: u32) -> Vec<Vec<u64>> {
     let coll = CollId::new(7);
     let mut results = Vec::new();
     for e in 0..epochs {
         let posts: Vec<_> = (0..ports)
             .map(|n| {
-                vmmc.comm_mut().coll_enter(
+                comm.coll_enter(
                     Time::ZERO,
                     NicId::new(n),
                     coll,
@@ -187,7 +186,7 @@ fn reduce_rounds(vmmc: &mut Vmmc, ports: usize, epochs: u32) -> Vec<Vec<u64>> {
                 )
             })
             .collect();
-        let ups = drain_all(vmmc, posts);
+        let ups = drain_all(comm, posts);
         let completions = ups
             .iter()
             .filter(|(_, u)| matches!(u, Upcall::CollCompleted { epoch, .. } if *epoch == e))
@@ -196,8 +195,7 @@ fn reduce_rounds(vmmc: &mut Vmmc, ports: usize, epochs: u32) -> Vec<Vec<u64>> {
             completions, ports,
             "every node exits epoch {e} exactly once"
         );
-        let (res_epoch, vals) = vmmc
-            .comm()
+        let (res_epoch, vals) = comm
             .coll_result(coll)
             .expect("result readable at completion");
         assert_eq!(res_epoch, e);
@@ -215,17 +213,17 @@ fn dropped_collective_packets_converge_bit_identically() {
     let ports = 8;
     let epochs = 3;
 
-    let mut clean = Vmmc::new(NicConfig::default(), NetConfig::myrinet(), ports, 0);
+    let mut clean = Comm::new(NicConfig::default(), NetConfig::myrinet(), ports, 0);
     let clean_results = reduce_rounds(&mut clean, ports, epochs);
     for (e, vals) in clean_results.iter().enumerate() {
         // Sum over n of (n+1) = 36; sum over n of (e+1)(n+1) = 36(e+1).
         assert_eq!(vals.as_slice(), &[36, 36 * (e as u64 + 1)]);
     }
 
-    let mut lossy = Vmmc::new(NicConfig::default(), NetConfig::myrinet(), ports, 0);
+    let mut lossy = Comm::new(NicConfig::default(), NetConfig::myrinet(), ports, 0);
     let injector = PlanInjector::new(FaultPlan::new().drop_rate(0.10), RunSeed::new(0xC011));
     let stats = injector.stats_handle();
-    lossy.comm_mut().set_fault_injector(Box::new(injector));
+    lossy.set_fault_injector(Box::new(injector));
     let lossy_results = reduce_rounds(&mut lossy, ports, epochs);
 
     assert!(
@@ -233,7 +231,7 @@ fn dropped_collective_packets_converge_bit_identically() {
         "the plan must actually drop packets"
     );
     assert!(
-        lossy.comm().recovery_stats().retransmits > 0,
+        lossy.recovery_stats().retransmits > 0,
         "drops recover through retransmission"
     );
     assert_eq!(

@@ -1,16 +1,37 @@
 //! Property-based integration tests of the communication stack
-//! (network + NI + VMMC) under randomized traffic.
+//! (network + NI) under randomized traffic.
 
 use genima_net::{NetConfig, NicId};
-use genima_nic::{LockId, Tag, Upcall};
+use genima_nic::{Comm, LockId, MsgKind, NicConfig, Post, SendDesc, Tag, Upcall};
 use genima_sim::{EventQueue, Time};
-use genima_vmmc::{NicConfig, Vmmc};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// Drives a Vmmc to quiescence, returning (time, upcall) pairs in
+/// Posts a `kind` transfer of `bytes` from `src` to `dst` at `t`.
+fn send(
+    comm: &mut Comm,
+    t: Time,
+    src: NicId,
+    dst: NicId,
+    bytes: u32,
+    kind: MsgKind,
+    tag: Tag,
+) -> Post {
+    comm.post_send(
+        t,
+        src,
+        SendDesc {
+            dst,
+            bytes,
+            kind,
+            tag,
+        },
+    )
+}
+
+/// Drives a Comm to quiescence, returning (time, upcall) pairs in
 /// delivery order.
-fn drain(vmmc: &mut Vmmc, posts: Vec<genima_nic::Post>) -> Vec<(Time, Upcall)> {
+fn drain(comm: &mut Comm, posts: Vec<Post>) -> Vec<(Time, Upcall)> {
     let mut q = EventQueue::new();
     let mut ups = Vec::new();
     for p in posts {
@@ -20,7 +41,7 @@ fn drain(vmmc: &mut Vmmc, posts: Vec<genima_nic::Post>) -> Vec<(Time, Upcall)> {
         }
     }
     while let Some((t, e)) = q.pop() {
-        let s = vmmc.handle(t, e);
+        let s = comm.handle(t, e);
         ups.extend(s.upcalls);
         for (t2, e2) in s.events {
             q.push(t2, e2);
@@ -38,7 +59,7 @@ fn check_ni_locks_exclusive_and_live(
     requesters: &[usize],
     hold_us: &[u64],
 ) -> Result<(), TestCaseError> {
-    let mut vmmc = Vmmc::new(NicConfig::default(), NetConfig::myrinet(), 4, 1);
+    let mut comm = Comm::new(NicConfig::default(), NetConfig::myrinet(), 4, 1);
     let lock = LockId::new(0);
     // Deduplicate requesters so no NIC double-requests.
     let mut reqs: Vec<usize> = Vec::new();
@@ -50,12 +71,7 @@ fn check_ni_locks_exclusive_and_live(
     // Everyone requests up front; grants will chain.
     let mut posts = Vec::new();
     for (i, &r) in reqs.iter().enumerate() {
-        posts.push(vmmc.comm_mut().lock_acquire(
-            Time::ZERO,
-            NicId::new(r),
-            lock,
-            Tag::new(i as u64),
-        ));
+        posts.push(comm.lock_acquire(Time::ZERO, NicId::new(r), lock, Tag::new(i as u64)));
     }
     // Process grants as they arrive; release after a hold time.
     let mut q = EventQueue::new();
@@ -83,7 +99,7 @@ fn check_ni_locks_exclusive_and_live(
                 let hold = genima_sim::Dur::from_us(hold_us[tag.value() as usize % hold_us.len()]);
                 held_until = t + hold;
                 granted.push((t, nic.index()));
-                let rel = vmmc.comm_mut().lock_release(held_until, nic, lock);
+                let rel = comm.lock_release(held_until, nic, lock);
                 next_round.extend(rel.upcalls);
                 for (t2, e2) in rel.events {
                     q.push(t2.max(q.now()), e2);
@@ -95,7 +111,7 @@ fn check_ni_locks_exclusive_and_live(
             None if pending.is_empty() => break,
             None => continue,
             Some((t, e)) => {
-                let s = vmmc.handle(t, e);
+                let s = comm.handle(t, e);
                 pending.extend(s.upcalls);
                 for (t2, e2) in s.events {
                     q.push(t2, e2);
@@ -135,16 +151,16 @@ proptest! {
         sizes in proptest::collection::vec(1u32..4096, 1..40),
         gaps in proptest::collection::vec(0u64..50_000, 1..40),
     ) {
-        let mut vmmc = Vmmc::new(NicConfig::default(), NetConfig::myrinet(), 3, 0);
+        let mut comm = Comm::new(NicConfig::default(), NetConfig::myrinet(), 3, 0);
         let mut posts = Vec::new();
         let mut t = Time::ZERO;
         for (i, (&sz, &gap)) in sizes.iter().zip(gaps.iter().cycle()).enumerate() {
             t += genima_sim::Dur::from_ns(gap);
-            let p = vmmc.deposit(t, NicId::new(0), NicId::new(1), sz, Tag::new(i as u64));
+            let p = send(&mut comm, t, NicId::new(0), NicId::new(1), sz, MsgKind::Deposit, Tag::new(i as u64));
             t = p.host_free;
             posts.push(p);
         }
-        let ups = drain(&mut vmmc, posts);
+        let ups = drain(&mut comm, posts);
         let order: Vec<u64> = ups
             .iter()
             .filter_map(|(_, u)| match u {
@@ -174,21 +190,21 @@ proptest! {
     fn no_message_is_lost_or_duplicated(
         msgs in proptest::collection::vec((0usize..3, 1u32..8192, prop::bool::ANY), 1..60)
     ) {
-        let mut vmmc = Vmmc::new(NicConfig::default(), NetConfig::myrinet(), 4, 0);
+        let mut comm = Comm::new(NicConfig::default(), NetConfig::myrinet(), 4, 0);
         let mut posts = Vec::new();
         let mut t = Time::ZERO;
         for (i, &(dst, sz, host)) in msgs.iter().enumerate() {
             let d = NicId::new(dst + 1); // src is nic0
             let tag = Tag::new(i as u64);
             let p = if host {
-                vmmc.host_msg(t, NicId::new(0), d, sz.min(4096), tag)
+                send(&mut comm, t, NicId::new(0), d, sz.min(4096), MsgKind::HostMsg, tag)
             } else {
-                vmmc.deposit(t, NicId::new(0), d, sz, tag)
+                send(&mut comm, t, NicId::new(0), d, sz, MsgKind::Deposit, tag)
             };
             t = p.host_free;
             posts.push(p);
         }
-        let ups = drain(&mut vmmc, posts);
+        let ups = drain(&mut comm, posts);
         let mut seen = vec![0u32; msgs.len()];
         for (_, u) in &ups {
             match u {
@@ -210,14 +226,30 @@ proptest! {
 /// while an NI lock request is not.
 #[test]
 fn control_messages_stick_behind_data_but_ni_locks_do_not() {
-    let mut vmmc = Vmmc::new(NicConfig::default(), NetConfig::myrinet(), 2, 1);
+    let mut comm = Comm::new(NicConfig::default(), NetConfig::myrinet(), 2, 1);
     let mut posts = Vec::new();
     for i in 0..16 {
-        posts.push(vmmc.deposit(Time::ZERO, NicId::new(0), NicId::new(1), 4096, Tag::new(i)));
+        posts.push(send(
+            &mut comm,
+            Time::ZERO,
+            NicId::new(0),
+            NicId::new(1),
+            4096,
+            MsgKind::Deposit,
+            Tag::new(i),
+        ));
     }
     // A host-bound control message behind the burst.
-    posts.push(vmmc.host_msg(Time::ZERO, NicId::new(0), NicId::new(1), 16, Tag::new(99)));
-    let ups = drain(&mut vmmc, posts);
+    posts.push(send(
+        &mut comm,
+        Time::ZERO,
+        NicId::new(0),
+        NicId::new(1),
+        16,
+        MsgKind::HostMsg,
+        Tag::new(99),
+    ));
+    let ups = drain(&mut comm, posts);
     let ctrl_at = ups
         .iter()
         .find_map(|(t, u)| match u {
@@ -227,18 +259,21 @@ fn control_messages_stick_behind_data_but_ni_locks_do_not() {
         .expect("control message must arrive");
 
     // Now the same burst, but the control path is an NI lock.
-    let mut vmmc2 = Vmmc::new(NicConfig::default(), NetConfig::myrinet(), 2, 1);
+    let mut comm2 = Comm::new(NicConfig::default(), NetConfig::myrinet(), 2, 1);
     let mut posts2 = Vec::new();
     for i in 0..16 {
-        posts2.push(vmmc2.deposit(Time::ZERO, NicId::new(0), NicId::new(1), 4096, Tag::new(i)));
+        posts2.push(send(
+            &mut comm2,
+            Time::ZERO,
+            NicId::new(0),
+            NicId::new(1),
+            4096,
+            MsgKind::Deposit,
+            Tag::new(i),
+        ));
     }
-    posts2.push(vmmc2.comm_mut().lock_acquire(
-        Time::ZERO,
-        NicId::new(1),
-        LockId::new(0),
-        Tag::new(99),
-    ));
-    let ups2 = drain(&mut vmmc2, posts2);
+    posts2.push(comm2.lock_acquire(Time::ZERO, NicId::new(1), LockId::new(0), Tag::new(99)));
+    let ups2 = drain(&mut comm2, posts2);
     let lock_at = ups2
         .iter()
         .find_map(|(t, u)| match u {

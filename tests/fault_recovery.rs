@@ -9,9 +9,8 @@ use genima::{
 use genima_apps::OceanRowwise;
 use genima_check::{run_app_audited, run_app_audited_with};
 use genima_net::{NetConfig, NicId};
-use genima_nic::{NoFaults, Tag, Upcall};
+use genima_nic::{Comm, MsgKind, NicConfig, NoFaults, Post, SendDesc, Tag, Upcall};
 use genima_sim::{Dur, EventQueue, Time};
-use genima_vmmc::{NicConfig, Vmmc};
 use proptest::prelude::*;
 
 fn assert_reports_identical(a: &RunReport, b: &RunReport, what: &str) {
@@ -184,16 +183,27 @@ fn transient_outage_recovers() {
     );
 }
 
-/// Drives a Vmmc to quiescence, returning (time, upcall) pairs in
+/// Deposits `bytes` from `src` into `dst` at `t`.
+fn deposit(comm: &mut Comm, t: Time, src: NicId, dst: NicId, bytes: u32, tag: Tag) -> Post {
+    let desc = SendDesc {
+        dst,
+        bytes,
+        kind: MsgKind::Deposit,
+        tag,
+    };
+    comm.post_send(t, src, desc)
+}
+
+/// Drives a Comm to quiescence, returning (time, upcall) pairs in
 /// delivery order.
-fn drain(vmmc: &mut Vmmc, post: genima_nic::Post) -> Vec<(Time, Upcall)> {
+fn drain(comm: &mut Comm, post: Post) -> Vec<(Time, Upcall)> {
     let mut q = EventQueue::new();
     let mut ups: Vec<(Time, Upcall)> = post.upcalls.into_iter().collect();
     for (t, e) in post.events {
         q.push(t, e);
     }
     while let Some((t, e)) = q.pop() {
-        let s = vmmc.handle(t, e);
+        let s = comm.handle(t, e);
         ups.extend(s.upcalls);
         for (t2, e2) in s.events {
             q.push(t2, e2);
@@ -229,17 +239,16 @@ proptest! {
         size in 1u32..8192,
         lag_us in 1u64..2_000,
     ) {
-        let mut vmmc = Vmmc::new(NicConfig::default(), NetConfig::myrinet(), 2, 0);
+        let mut comm = Comm::new(NicConfig::default(), NetConfig::myrinet(), 2, 0);
         let plan = FaultPlan::new()
             .duplicate_nth(NicId::new(0), NicId::new(1), 1, Dur::from_us(lag_us));
-        vmmc.comm_mut()
-            .set_fault_injector(Box::new(PlanInjector::new(plan, RunSeed::new(1))));
-        let p = vmmc.deposit(Time::ZERO, NicId::new(0), NicId::new(1), size, Tag::new(9));
-        let ups = drain(&mut vmmc, p);
+        comm.set_fault_injector(Box::new(PlanInjector::new(plan, RunSeed::new(1))));
+        let p = deposit(&mut comm, Time::ZERO, NicId::new(0), NicId::new(1), size, Tag::new(9));
+        let ups = drain(&mut comm, p);
         let got = arrivals(&ups);
         prop_assert_eq!(got.len(), 1, "deposit must complete exactly once: {:?}", got);
         prop_assert_eq!(got[0].1, 9);
-        prop_assert_eq!(vmmc.comm().recovery_stats().duplicates_suppressed, 1);
+        prop_assert_eq!(comm.recovery_stats().duplicates_suppressed, 1);
     }
 
     /// A delayed (reordered) stale deposit never lands on top of newer
@@ -254,17 +263,16 @@ proptest! {
         extra_us in 1u64..1_500,
     ) {
         // Clean reference timing.
-        let mut clean = Vmmc::new(NicConfig::default(), NetConfig::myrinet(), 2, 0);
-        let p = clean.deposit(Time::ZERO, NicId::new(0), NicId::new(1), size, Tag::new(1));
+        let mut clean = Comm::new(NicConfig::default(), NetConfig::myrinet(), 2, 0);
+        let p = deposit(&mut clean, Time::ZERO, NicId::new(0), NicId::new(1), size, Tag::new(1));
         let t_clean = arrivals(&drain(&mut clean, p))[0].0;
 
-        let mut vmmc = Vmmc::new(NicConfig::default(), NetConfig::myrinet(), 2, 0);
+        let mut comm = Comm::new(NicConfig::default(), NetConfig::myrinet(), 2, 0);
         let plan = FaultPlan::new()
             .delay_nth(NicId::new(0), NicId::new(1), 1, Dur::from_us(extra_us));
-        vmmc.comm_mut()
-            .set_fault_injector(Box::new(PlanInjector::new(plan, RunSeed::new(2))));
-        let p = vmmc.deposit(Time::ZERO, NicId::new(0), NicId::new(1), size, Tag::new(1));
-        let ups = drain(&mut vmmc, p);
+        comm.set_fault_injector(Box::new(PlanInjector::new(plan, RunSeed::new(2))));
+        let p = deposit(&mut comm, Time::ZERO, NicId::new(0), NicId::new(1), size, Tag::new(1));
+        let ups = drain(&mut comm, p);
         let got = arrivals(&ups);
         prop_assert_eq!(got.len(), 1);
         prop_assert!(
@@ -281,16 +289,15 @@ proptest! {
         nth in 1u64..4,
         size in 8192u32..16384,
     ) {
-        let mut vmmc = Vmmc::new(NicConfig::default(), NetConfig::myrinet(), 2, 0);
+        let mut comm = Comm::new(NicConfig::default(), NetConfig::myrinet(), 2, 0);
         let plan = FaultPlan::new().drop_nth(NicId::new(0), NicId::new(1), nth);
-        vmmc.comm_mut()
-            .set_fault_injector(Box::new(PlanInjector::new(plan, RunSeed::new(3))));
-        let p = vmmc.deposit(Time::ZERO, NicId::new(0), NicId::new(1), size, Tag::new(5));
-        let ups = drain(&mut vmmc, p);
+        comm.set_fault_injector(Box::new(PlanInjector::new(plan, RunSeed::new(3))));
+        let p = deposit(&mut comm, Time::ZERO, NicId::new(0), NicId::new(1), size, Tag::new(5));
+        let ups = drain(&mut comm, p);
         let got = arrivals(&ups);
         prop_assert_eq!(got.len(), 1, "exactly one completion: {:?}", got);
-        prop_assert_eq!(vmmc.comm().recovery_stats().retransmits, 1);
-        prop_assert_eq!(vmmc.comm().recovery_stats().unreachable, 0);
+        prop_assert_eq!(comm.recovery_stats().retransmits, 1);
+        prop_assert_eq!(comm.recovery_stats().unreachable, 0);
     }
 }
 
@@ -309,19 +316,19 @@ proptest! {
         seed in 0u64..512,
     ) {
         let hw = HwProfile::rnic_2025();
-        let mut vmmc = Vmmc::with_model(hw.model(3), hw.nic, hw.net, 3, 0);
+        let mut comm = Comm::with_model(hw.model(3), hw.nic, hw.net, 3, 0);
         let injector = PlanInjector::new(
             FaultPlan::new().drop_rate(0.10).duplicate_rate(0.10),
             RunSeed::new(seed),
         );
         let stats = injector.stats_handle();
-        vmmc.comm_mut().set_fault_injector(Box::new(injector));
+        comm.set_fault_injector(Box::new(injector));
         let mut q = EventQueue::new();
         let mut ups: Vec<(Time, Upcall)> = Vec::new();
         let mut t = Time::ZERO;
         for (i, &sz) in sizes.iter().enumerate() {
             let dst = NicId::new(1 + i % 2);
-            let p = vmmc.deposit(t, NicId::new(0), dst, sz, Tag::new(i as u64));
+            let p = deposit(&mut comm, t, NicId::new(0), dst, sz, Tag::new(i as u64));
             t = p.host_free;
             ups.extend(p.upcalls);
             for (t2, e) in p.events {
@@ -329,7 +336,7 @@ proptest! {
             }
         }
         while let Some((te, e)) = q.pop() {
-            let s = vmmc.handle(te, e);
+            let s = comm.handle(te, e);
             ups.extend(s.upcalls);
             for (t2, e2) in s.events {
                 q.push(t2, e2);
@@ -345,10 +352,10 @@ proptest! {
             prop_assert_eq!(c, 1, "deposit {} surfaced {} times", i, c);
         }
         let s = stats.borrow();
-        let rec = vmmc.comm().recovery_stats();
+        let rec = comm.recovery_stats();
         prop_assert_eq!(rec.retransmits, s.dropped, "every drop retransmitted once");
         prop_assert_eq!(rec.duplicates_suppressed, s.duplicated, "every dup suppressed");
-        let ni = vmmc.comm().ni_stats();
+        let ni = comm.ni_stats();
         prop_assert!(ni.doorbells > 0, "RNIC sends must ring doorbells");
         prop_assert!(ni.cqes > 0, "RNIC arrivals must post CQEs");
     }
