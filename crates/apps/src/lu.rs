@@ -4,10 +4,14 @@
 //! Sharing pattern: at step `k` the owner factors the diagonal block,
 //! the perimeter owners read it, and interior owners read the two
 //! perimeter blocks they need; barriers separate the three sub-phases.
-//! Blocks are allocated contiguously and homed at their owner, so all
-//! writes are home-local — LU is compute-bound with modest,
-//! coarse-grained read traffic (the paper reports only an ~11% data
-//! improvement and small overall gains).
+//! Blocks are allocated contiguously and homed at their owner's node,
+//! so every write lands on a page homed where it is made — LU is
+//! compute-bound with modest, coarse-grained read traffic (the paper
+//! reports only an ~11% data improvement and small overall gains).
+//! Home-local is not free on the 1999 columns: the paper's protocol
+//! still twins each written page and diffs it at the home every
+//! interval, which is LU's barrier protocol time there. GeNIMA-2025
+//! writes such pages in place, with no twin and no diff.
 //!
 //! Paper problem size: 4096×4096. Default here: 2048×2048 with
 //! 128×128 blocks (same block-ownership pattern, quarter the steps).
@@ -50,8 +54,6 @@ impl LuContiguous {
 
     fn owner(&self, bi: usize, bj: usize, p: usize) -> usize {
         // 2-D scatter decomposition, as in SPLASH-2.
-        let nb = self.n / self.block;
-        let _ = nb;
         (bi + bj * 7) % p
     }
 }

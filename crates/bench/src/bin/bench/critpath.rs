@@ -17,8 +17,8 @@
 //! * the GeNIMA and GeNIMA-2025 critical paths contain **zero**
 //!   interrupt-segment time, while Base shows a nonzero interrupt
 //!   share — the paper's thesis, visible in the attribution itself,
-//! * Ocean-rowwise on GeNIMA-2025 spends at most 0.60 of its op time
-//!   in `queue_retry` ([`QUEUE_RETRY_CEILING`]).
+//! * Ocean-rowwise on GeNIMA-2025 spends at most a tenth of GeNIMA's
+//!   `queue_retry` time ([`QUEUE_RETRY_VS_1999`]).
 
 use genima::{sequential_time, Column, FeatureSet, Json, ObsConfig, RunConfig, Topology};
 use genima_obs::bench::{meta, row, row_sum, times};
@@ -43,11 +43,12 @@ pub const VIEWS: &[View] = &[View {
     ],
 }];
 
-/// `(app, column, share)`: the most of this row's op time that may be
-/// `queue_retry`. It was 0.82 on Ocean while a GeNIMA-2025 release
-/// diffed inside the critical section and every lock wait queued
-/// behind it (DESIGN.md §28).
-const QUEUE_RETRY_CEILING: (&str, &str, f64) = ("Ocean-rowwise", "GeNIMA-2025", 0.60);
+/// `(app, k)`: GeNIMA-2025 spends at most `k` times GeNIMA's (1999)
+/// `queue_retry` time on this application. An absolute bound, not a
+/// share of the row's own total: a saving that removes diff work from
+/// the total raises every remaining share. It read 0.236x while the
+/// home still twinned and diffed its own pages (DESIGN.md §29).
+const QUEUE_RETRY_VS_1999: (&str, f64) = ("Ocean-rowwise", 0.1);
 
 /// Ring capacity for attribution runs: large enough that no node's
 /// timeline truncates on the benchmark suite (the analyzer refuses
@@ -62,6 +63,7 @@ pub fn run(args: &Args) -> BenchReport {
     let mut mismatched_ops = 0u64;
     for app in &args.apps {
         let seq = sequential_time(app.as_ref());
+        let mut genima_1999 = None;
         for column in Column::all() {
             let what = format!("{}/{}", app.name(), column.name());
             let cfg = RunConfig::new(topo, column)
@@ -137,11 +139,15 @@ pub fn run(args: &Args) -> BenchReport {
                 let name = format!("{what}: asynchronous protocol processing shows up");
                 rep.gate(name, row(i, "segments_ns.interrupt"), ">", 0u64);
             }
-            let (a, c, share) = QUEUE_RETRY_CEILING;
-            if (a, c) == (app.name(), column.name()) {
-                let name = format!("{what}: queue_retry <= {share} x total_ns");
-                let ceiling = times(row(i, "total_ns"), share);
-                rep.gate(name, row(i, "segments_ns.queue_retry"), "<=", ceiling);
+            let field = "segments_ns.queue_retry";
+            match (column.name(), genima_1999) {
+                ("GeNIMA", _) => genima_1999 = Some(i),
+                ("GeNIMA-2025", Some(g)) if app.name() == QUEUE_RETRY_VS_1999.0 => {
+                    let k = QUEUE_RETRY_VS_1999.1;
+                    let name = format!("{what}: {field} <= {k} x {}/GeNIMA: {field}", app.name());
+                    rep.gate(name, row(i, field), "<=", times(row(g, field), k));
+                }
+                _ => {}
             }
         }
     }

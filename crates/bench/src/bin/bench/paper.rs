@@ -195,7 +195,7 @@ const ABLATIONS: [(&str, &str, &[Variant]); 9] = [
 /// What the paper and each ablation claim beyond the gates [`run`]
 /// declares per application, in the grammar of [`Paper::claim`]. A cell
 /// is keyed `app/column`, an ablation variant `study/column/variant`.
-const CLAIMS: [&str; 35] = [
+const CLAIMS: [&str; 36] = [
     // §3.3: remote fetch cuts FFT's data wait (the paper: ~45%), NI
     // locks cut Water-nsquared's lock time (~60%), and direct diffs turn
     // each of Barnes-spatial's scattered runs into a message (>30x).
@@ -218,6 +218,11 @@ const CLAIMS: [&str; 35] = [
     // (DESIGN.md §28).
     "Ocean-rowwise/GeNIMA-2025: shares.lock <= 0.1",
     "Ocean-rowwise/GeNIMA: shares.lock >= 0.15",
+    // GeNIMA-2025 writes a page at its home in place: LU's blocked homes
+    // put every write of its own blocks there, so the barrier no longer
+    // waits on twins, diffs and applies the home never needed (DESIGN.md
+    // §29). The 1999 column keeps diffing them.
+    "LU-contiguous/GeNIMA-2025: mean_breakdown.barrier_protocol_ms <= 0.1 x LU-contiguous/GeNIMA: mean_breakdown.barrier_protocol_ms",
     // Send pipelining recovers part of the direct-diff loss.
     "pipelining/DW+RF/pipelined: speedup > pipelining/DW+RF/serial",
     "pipelining/GeNIMA/pipelined: speedup > pipelining/GeNIMA/serial",

@@ -14,11 +14,12 @@ use crate::system::SvmParams;
 /// exploits, on which generation of hardware. The paper's five columns
 /// all run on the 1999 LANai; the sixth runs the full GeNIMA protocol
 /// on a 2025 RNIC. The hardware is [`HwProfile`] data, and the
-/// protocol code is shared but for what the lock strategy the
-/// hardware selects decides: the lock primitive (masked CAS on the
-/// home cell, not the firmware chain) and the order of a release's
-/// steps (the lock is handed over before the releaser diffs and
-/// re-protects; the 1999 columns keep the paper's order).
+/// protocol code is shared but for three choices the hardware
+/// selects: the lock primitive (masked CAS on the home cell, not the
+/// firmware chain), the order of a release's steps (the lock is handed
+/// over before the releaser diffs and re-protects) and what a write at
+/// a page's home costs (it goes into the home copy in place, with no
+/// twin and no diff). The 1999 columns keep the paper's protocol.
 ///
 /// # Example
 ///

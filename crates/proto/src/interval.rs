@@ -151,6 +151,12 @@ impl DirtySet {
         self.position(page).ok().map(|i| self.pages.remove(i).1)
     }
 
+    /// Keeps only the pages `keep` accepts, in order, keeping the
+    /// buffer.
+    pub fn retain(&mut self, mut keep: impl FnMut(PageId) -> bool) {
+        self.pages.retain(|&(pg, _)| keep(pg));
+    }
+
     /// The dirty pages, ascending.
     pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
         self.pages.iter().map(|&(pg, _)| pg)

@@ -2,7 +2,7 @@
 
 use genima_mem::{Access, Diff, Page, PageId, PagePool};
 use genima_nic::{MsgKind, Tag};
-use genima_sim::Time;
+use genima_sim::{Dur, Time};
 
 use super::{Block, Flow, NodeRt, Pending, ProcRt, ProcState, SvmSystem, SysEvent, Waiters};
 use crate::ids::{NodeId, ProcId};
@@ -35,7 +35,7 @@ impl SvmSystem {
 
         // Pure protection upgrade: page is readable, write needs a twin.
         if write && acc == Access::Read {
-            let cost = trap + self.p.mem.twin_copy + self.p.mem.mprotect.cost(1);
+            let cost = trap + self.twin_cost(node, page) + self.p.mem.mprotect.cost(1);
             self.procs[p].clock += cost;
             self.procs[p].bd.acqrel += cost;
             self.procs[p].bd.mprotect += self.p.mem.mprotect.cost(1);
@@ -49,15 +49,15 @@ impl SvmSystem {
         }) {
             // Valid copy on the node: protection change only.
             let mpro = self.p.mem.mprotect.cost(1);
-            let mut cost = trap + self.p.proto.fault_finish + mpro;
-            if write {
-                cost += self.p.mem.twin_copy;
-            }
-            self.procs[p].clock += cost;
-            self.procs[p].bd.data += trap + self.p.proto.fault_finish + mpro;
-            if write {
-                self.procs[p].bd.acqrel += self.p.mem.twin_copy;
-            }
+            let base_cost = trap + self.p.proto.fault_finish + mpro;
+            let twin_cost = if write {
+                self.twin_cost(node, page)
+            } else {
+                Dur::ZERO
+            };
+            self.procs[p].clock += base_cost + twin_cost;
+            self.procs[p].bd.data += base_cost;
+            self.procs[p].bd.acqrel += twin_cost;
             self.procs[p].bd.mprotect += mpro;
             self.counters.mprotect_calls += 1;
             if write {
@@ -143,11 +143,22 @@ impl SvmSystem {
         });
     }
 
-    /// Marks `page` writable for `p`, creating the twin and dirty
-    /// entry.
+    /// What a write fault on `page` at `node` pays for its twin:
+    /// nothing when the write goes into the home copy in place.
+    fn twin_cost(&self, node: usize, page: PageId) -> Dur {
+        if self.writes_in_place(node, page) {
+            Dur::ZERO
+        } else {
+            self.p.mem.twin_copy
+        }
+    }
+
+    /// Marks `page` writable for `p`, creating the dirty entry and,
+    /// unless the write goes into the home copy in place, the twin.
     fn make_writable(&mut self, p: usize, node: usize, page: PageId) {
         self.procs[p].pt.set(page, Access::ReadWrite);
-        let twin = self.p.data_mode.then(|| {
+        let twinned = self.p.data_mode && !self.writes_in_place(node, page);
+        let twin = twinned.then(|| {
             // The source borrows the system: take the pool out beside it.
             let mut pool = std::mem::take(&mut self.pool);
             let src = self.node_copy(node, page).and_then(|c| c.data.as_ref());
@@ -383,9 +394,9 @@ impl SvmSystem {
         let mpro = self.p.mem.mprotect.cost(1);
         let base_cost = self.p.proto.fault_finish + mpro;
         let twin_cost = if write {
-            self.p.mem.twin_copy
+            self.twin_cost(node, page)
         } else {
-            genima_sim::Dur::ZERO
+            Dur::ZERO
         };
         let end = t + base_cost + twin_cost;
         self.procs[p].bd.data += t.saturating_since(started) + base_cost;
@@ -500,12 +511,6 @@ impl SvmSystem {
         if hp.is_some_and(|h| interval < h.ts.get(writer as u32)) {
             return;
         }
-        self.emit(TraceEvent::DiffApplied {
-            at: t,
-            page,
-            writer,
-            interval,
-        });
         let home = self.home_of(page).index();
         let dop = genima_obs::op_diff_id(writer as u64, interval as u64, page.index() as u64);
         self.obs_record(|o| {
@@ -540,10 +545,32 @@ impl SvmSystem {
                 );
             }
         });
-        let hp = self.home_pages.copies.slot(page);
         if let (Some(d), true) = (diff, self.p.data_mode) {
+            let hp = self.home_pages.copies.slot(page);
             d.apply(hp.data.get_or_insert_with(|| self.pool.zeroed()));
         }
+        self.raise_home_version(t, writer, interval, page);
+    }
+
+    /// The home copy of `page` now holds `writer`'s `interval` — a
+    /// diff was applied to it, or the writer wrote it in place and
+    /// closed the interval: raise its version, then wake whatever the
+    /// new version satisfies.
+    pub(crate) fn raise_home_version(
+        &mut self,
+        t: Time,
+        writer: usize,
+        interval: u32,
+        page: PageId,
+    ) {
+        self.emit(TraceEvent::DiffApplied {
+            at: t,
+            page,
+            writer,
+            interval,
+        });
+        let home = self.home_of(page).index();
+        let hp = self.home_pages.copies.slot(page);
         hp.ts.raise(writer as u32, interval);
 
         // Decide who the new version satisfies, then wake them. Nothing

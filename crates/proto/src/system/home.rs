@@ -3,7 +3,7 @@
 
 use genima_mem::{PageId, PageVec};
 
-use super::{CopyState, SvmSystem};
+use super::{CopyState, HomeWrites, SvmSystem};
 use crate::version::VersionMap;
 
 #[derive(Default)]
@@ -43,6 +43,17 @@ impl SvmSystem {
             Some(self.home_pages.copies.get(page).unwrap_or(&UNWRITTEN))
         } else {
             self.nodes[node].copies.get(page)
+        }
+    }
+
+    /// Whether a process on `node` writes `page` straight into the
+    /// home copy: the node is the page's home and home writes are
+    /// [`HomeWrites::InPlace`]. Such a write takes no twin, and its
+    /// page never enters a flush.
+    pub(crate) fn writes_in_place(&self, node: usize, page: PageId) -> bool {
+        match self.home_writes {
+            HomeWrites::Twinned => false,
+            HomeWrites::InPlace => self.home_of(page).index() == node,
         }
     }
 }

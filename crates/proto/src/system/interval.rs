@@ -39,21 +39,21 @@ impl SvmSystem {
     }
 
     /// Closes `p`'s open interval (if it wrote anything): creates the
-    /// interval record, write-protects the dirty pages again, and
-    /// queues the interval for later (or immediate) flushing. This is
-    /// the *state* of closing only. Returns the closed interval's
-    /// number and what the re-protect costs (nothing, if nothing was
-    /// closed), which the caller charges with
-    /// [`SvmSystem::charge_reprotect`] at the point its order of steps
-    /// says — a process is sequential, so nothing observes its page
-    /// table between the two.
+    /// interval record, write-protects the dirty pages again, raises
+    /// the home copy of every page written in place, and queues the
+    /// rest for later (or immediate) flushing. This is the *state* of
+    /// closing only. Returns the closed interval's number and what the
+    /// re-protect costs (nothing, if nothing was closed), which the
+    /// caller charges with [`SvmSystem::charge_reprotect`] at the point
+    /// its order of steps says — a process is sequential, so nothing
+    /// observes its page table between the two.
     pub(crate) fn end_interval(&mut self, p: usize) -> (Option<u32>, Dur) {
         if self.procs[p].dirty.is_empty() && self.procs[p].flushed_early.is_empty() {
             return (None, Dur::ZERO);
         }
         // The next interval opens on a buffer an earlier flush emptied.
         let next = self.spare_dirty.pop().unwrap_or_default();
-        let dirty = std::mem::replace(&mut self.procs[p].dirty, next);
+        let mut dirty = std::mem::replace(&mut self.procs[p].dirty, next);
         let i = self.procs[p].vc.bump(ProcId::new(p));
         self.procs[p].seen[p] = i;
         // The dirty set is already sorted and unique: its page list,
@@ -81,13 +81,27 @@ impl SvmSystem {
         self.nodes[node].arrived[p] = i;
 
         // Write-protect the dirty pages so the next interval faults
-        // and twins again (coalesced mprotect).
+        // and twins again (coalesced mprotect). A page written in place
+        // and invalidated since stays invalid: its home copy is waiting
+        // for another writer's diff.
         let groups = contiguous_groups(&scratch);
         let mpro = self.p.mem.mprotect.cost_grouped(scratch.len(), groups);
         for &pg in &scratch {
-            self.procs[p].pt.set(pg, Access::Read);
+            if self.procs[p].pt.access(pg) == Access::ReadWrite {
+                self.procs[p].pt.set(pg, Access::Read);
+            }
         }
         self.counters.mprotect_calls += groups as u64;
+
+        // A page written in place is already in the home copy: the
+        // interval's close is its update, and it has nothing to flush.
+        let t = self.procs[p].clock;
+        for &pg in &scratch {
+            if self.writes_in_place(node, pg) {
+                self.raise_home_version(t, p, i, pg);
+            }
+        }
+        dirty.retain(|pg| !self.writes_in_place(node, pg));
         self.scratch_pages = scratch;
 
         self.procs[p].pending_intervals.push(PendingInterval {
@@ -167,7 +181,9 @@ impl SvmSystem {
             let home = self.home_of(page).index();
             let hn = NodeId::new(home).nic();
             if home == node {
-                // Local home: apply in place.
+                // Local home, twinned: no message — the home diffs its
+                // own write and applies the diff to the home copy,
+                // stamped with this flush's cursor.
                 let apply = self.p.mem.diff_apply;
                 self.charge(sink, apply);
                 cursor += apply;
@@ -294,7 +310,8 @@ impl SvmSystem {
     /// Flushes a single dirty page mid-interval (it is about to be
     /// invalidated under this process). Its diff is tagged with the
     /// *next* interval number; the page joins that interval's record
-    /// when it closes.
+    /// when it closes. A page written in place has no diff to lose: it
+    /// stays dirty, and the close raises the home copy as usual.
     pub(crate) fn flush_page_early(
         &mut self,
         cursor: Time,
@@ -302,6 +319,10 @@ impl SvmSystem {
         page: PageId,
         bucket: Bucket,
     ) -> Time {
+        let node = self.p.topo.node_of(ProcId::new(p)).index();
+        if self.writes_in_place(node, page) {
+            return cursor;
+        }
         let Some(dp) = self.procs[p].dirty.remove(page) else {
             return cursor;
         };

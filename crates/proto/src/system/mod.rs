@@ -87,6 +87,29 @@ impl LockStrategy {
     }
 }
 
+/// What a write made on a page's home node costs. Resolved once, at
+/// construction, from the hardware generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HomeWrites {
+    /// The 1999 columns, calibrated to the paper's breakdowns: a home
+    /// write is twinned at its fault, diffed at the flush and the diff
+    /// applied to the home copy, like any other writer's.
+    Twinned,
+    /// HLRC's rule: the home copy is the master copy, so a write made
+    /// at the home is the update. No twin, no diff, no apply — closing
+    /// the interval raises the home copy's version (DESIGN.md §29).
+    InPlace,
+}
+
+impl HomeWrites {
+    fn of(p: &SvmParams) -> HomeWrites {
+        match p.hw.rnic {
+            None => HomeWrites::Twinned,
+            Some(_) => HomeWrites::InPlace,
+        }
+    }
+}
+
 /// Construction parameters of an [`SvmSystem`].
 #[derive(Debug, Clone)]
 pub struct SvmParams {
@@ -189,6 +212,7 @@ impl SvmParams {
 pub struct SvmSystem {
     pub(crate) p: SvmParams,
     pub(crate) lock_strategy: LockStrategy,
+    pub(crate) home_writes: HomeWrites,
     pub(crate) comm: Comm,
     pub(crate) q: EventQueue<SysEvent>,
     pub(crate) procs: Vec<ProcRt>,
@@ -310,6 +334,7 @@ impl SvmSystem {
         };
         SvmSystem {
             lock_strategy,
+            home_writes: HomeWrites::of(&params),
             comm,
             q: EventQueue::new(),
             procs: sources

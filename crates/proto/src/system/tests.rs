@@ -1004,6 +1004,118 @@ fn no_interval_stays_pending_across_a_2025_release() {
 }
 
 #[test]
+fn a_2025_home_write_takes_no_twin_diff_or_apply_and_a_1999_one_all_three() {
+    // p0 writes a word of page 0, its own node's page, and finishes:
+    // the finish closes and flushes the interval, all charged to
+    // acquire/release time.
+    let mem = MemConfig::pentium_pro();
+    let reprotect = mem.mprotect.cost_grouped(1, 1);
+    let run = |column: Column| {
+        let write = Op::WriteData {
+            addr: addr(0, 64),
+            data: vec![9; 8],
+        };
+        let srcs = vec![boxed(vec![write]), boxed(vec![])];
+        let mut sys = SvmSystem::new(params(column, 2, 1), srcs);
+        sys.set_tracing(true);
+        let r = sys.run();
+        let applied: Vec<Time> = (sys.take_trace().into_iter())
+            .filter_map(|e| match e {
+                TraceEvent::DiffApplied {
+                    at,
+                    writer: 0,
+                    interval: 1,
+                    page,
+                } if page == PageId::new(0) => Some(at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(applied.len(), 1, "{column}: one update of the home copy");
+        let home = sys.home_pages.copies.get(PageId::new(0));
+        let version = home.map(|c| c.ts.get(0));
+        assert_eq!(version, Some(1), "{column}: home copy misses p0's interval");
+        let finish = sys.procs[0].finished_at.expect("p0 finished");
+        (r.breakdowns[0].acqrel, r.counters.diffs, applied[0], finish)
+    };
+
+    // In place: the close is the update; only the re-protect is paid,
+    // after the home copy already holds the interval.
+    let (acqrel, diffs, applied, finish) = run(Column::genima_2025());
+    assert_eq!(acqrel, reprotect);
+    assert_eq!(diffs, 0);
+    assert_eq!(applied + reprotect, finish);
+
+    // Twinned: the paper's calibration pays the twin at the fault, the
+    // scan of one run at the flush and the apply, and the home copy
+    // holds the interval only once the flush applied it.
+    let (acqrel, diffs, applied, finish) = run(Column::lanai(FeatureSet::genima()));
+    assert_eq!(
+        acqrel,
+        mem.twin_copy + reprotect + mem.diff_cost(1) + mem.diff_apply
+    );
+    assert_eq!(diffs, 1);
+    assert_eq!(applied, finish);
+}
+
+#[test]
+fn home_and_remote_writers_of_one_page_merge_under_every_column() {
+    // Three nodes of one; page 0 is homed at p0's node. p0 (the home)
+    // and p1 write disjoint words of it in one interval, then again
+    // with p0's page still dirty when p1's notice for it arrives under
+    // the lock. p2, on a third node, must see all four writes.
+    let (l, b0, b1) = (LockId::new(1), BarrierId::new(0), BarrierId::new(1));
+    let w = |off: u64, v: u8| Op::WriteData {
+        addr: addr(0, off),
+        data: vec![v; 8],
+    };
+    let check = |off: u64, v: u8| Op::Validate {
+        addr: addr(0, off),
+        expected: vec![v; 8],
+    };
+    let home = vec![
+        w(0, 1),
+        Op::Barrier(b0),
+        check(512, 2),
+        w(1000, 3),
+        Op::Compute(genima_sim::Dur::from_ms(20)),
+        Op::Acquire(l),
+        check(2000, 4),
+        w(3000, 5),
+        Op::Release(l),
+        Op::Barrier(b1),
+    ];
+    let remote = vec![
+        w(512, 2),
+        Op::Barrier(b0),
+        check(0, 1),
+        Op::Acquire(l),
+        w(2000, 4),
+        Op::Release(l),
+        Op::Barrier(b1),
+        check(1000, 3),
+        check(3000, 5),
+    ];
+    let mut reader = vec![Op::Barrier(b0), Op::Barrier(b1)];
+    reader.extend([check(0, 1), check(512, 2), check(1000, 3)]);
+    reader.extend([check(2000, 4), check(3000, 5)]);
+    for column in Column::all() {
+        let srcs = [home.clone(), remote.clone(), reader.clone()];
+        let mut sys = SvmSystem::new(params(column, 3, 1), srcs.map(boxed).into());
+        let r = sys.run();
+        // p1's two intervals are the only diffs the home copy needs
+        // when the home writes in place.
+        if column == Column::genima_2025() {
+            assert_eq!(r.counters.diffs, 2, "{column}");
+        } else {
+            assert!(
+                r.counters.diffs > 2,
+                "{column}: the home's writes are diffed"
+            );
+        }
+    }
+}
+
+#[test]
 #[should_panic(expected = "missing record for writer p1 interval 1")]
 fn a_clock_ahead_of_the_interval_log_is_caught() {
     let idle = || boxed(vec![]);

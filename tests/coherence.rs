@@ -1,10 +1,10 @@
 //! Cross-crate coherence tests: release-consistency visibility with
-//! real page contents, across all five protocol variants on a
-//! four-node cluster.
+//! real page contents, across all six protocol columns on a four-node
+//! cluster.
 
 use genima_proto::{
-    ops_source, Addr, BarrierId, FeatureSet, LockId, Op, OpSource, SvmParams, SvmSystem, Topology,
-    PAGE_SIZE,
+    ops_source, Addr, BarrierId, Column, FeatureSet, LockId, Op, OpSource, SvmParams, SvmSystem,
+    Topology, PAGE_SIZE,
 };
 use genima_sim::Dur;
 
@@ -16,8 +16,8 @@ fn boxed(ops: Vec<Op>) -> Box<dyn OpSource> {
     Box::new(ops_source(ops))
 }
 
-fn params(f: FeatureSet, nodes: usize, ppn: usize) -> SvmParams {
-    let mut p = SvmParams::new(Topology::new(nodes, ppn), f);
+fn params(column: impl Into<Column>, nodes: usize, ppn: usize) -> SvmParams {
+    let mut p = column.into().params(Topology::new(nodes, ppn));
     p.data_mode = true;
     p.locks = 16;
     p
@@ -28,7 +28,7 @@ fn params(f: FeatureSet, nodes: usize, ppn: usize) -> SvmParams {
 /// processes' writes into every page copy.
 #[test]
 fn barrier_all_to_all_visibility() {
-    for f in FeatureSet::ALL {
+    for f in Column::all() {
         let n = 8;
         let srcs: Vec<Box<dyn OpSource>> = (0..n)
             .map(|i| {
@@ -57,7 +57,7 @@ fn barrier_all_to_all_visibility() {
 /// causality through lock timestamps only (no barriers in between).
 #[test]
 fn lock_ring_carries_causality() {
-    for f in FeatureSet::ALL {
+    for f in Column::all() {
         let n = 4;
         let rounds = 3u8;
         let lock = LockId::new(1);
@@ -106,9 +106,10 @@ fn lock_ring_carries_causality() {
 #[test]
 fn multi_phase_producer_consumer() {
     for f in [
-        FeatureSet::base(),
-        FeatureSet::dw_rf(),
-        FeatureSet::genima(),
+        Column::from(FeatureSet::base()),
+        FeatureSet::dw_rf().into(),
+        FeatureSet::genima().into(),
+        Column::genima_2025(),
     ] {
         let phases = 4u8;
         let srcs: Vec<Box<dyn OpSource>> = (0..4)
@@ -147,7 +148,11 @@ fn multi_phase_producer_consumer() {
 /// lost (the flush-early path).
 #[test]
 fn conflicting_writers_do_not_lose_updates() {
-    for f in [FeatureSet::base(), FeatureSet::genima()] {
+    for f in [
+        Column::from(FeatureSet::base()),
+        FeatureSet::genima().into(),
+        Column::genima_2025(),
+    ] {
         let l = LockId::new(2);
         // p0 writes word A of page 9 under the lock and keeps writing
         // word B outside it; p1 writes word C under the lock. After a
@@ -201,7 +206,11 @@ fn conflicting_writers_do_not_lose_updates() {
 /// for data already present.
 #[test]
 fn smp_intra_node_sharing() {
-    for f in [FeatureSet::base(), FeatureSet::genima()] {
+    for f in [
+        Column::from(FeatureSet::base()),
+        FeatureSet::genima().into(),
+        Column::genima_2025(),
+    ] {
         let l = LockId::new(0);
         let mk = |i: u64| {
             boxed(vec![
@@ -222,9 +231,13 @@ fn smp_intra_node_sharing() {
         let srcs: Vec<Box<dyn OpSource>> = (0..4).map(mk).collect();
         let mut sys = SvmSystem::new(params(f, 2, 2), srcs);
         let r = sys.run();
-        assert!(
-            r.counters.local_lock_acquires >= 1,
-            "{f}: co-located processes should reuse the node's lock token"
-        );
+        // Token caching is the lock chain's; the atomics on GeNIMA-2025
+        // race every acquire on the home cell and cache nothing.
+        if f != Column::genima_2025() {
+            assert!(
+                r.counters.local_lock_acquires >= 1,
+                "{f}: co-located processes should reuse the node's lock token"
+            );
+        }
     }
 }

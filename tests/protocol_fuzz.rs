@@ -1,5 +1,5 @@
 //! Protocol fuzzing: randomly generated *well-synchronized* programs
-//! executed under every protocol variant with full data validation.
+//! executed under every protocol column with full data validation.
 //!
 //! The generator builds programs from alternating phases:
 //!
@@ -17,8 +17,8 @@
 //! the simulator via `Op::Validate`.
 
 use genima_proto::{
-    ops_source, Addr, BarrierId, FeatureSet, LockId, Op, OpSource, SvmParams, SvmSystem, Topology,
-    PAGE_SIZE,
+    ops_source, Addr, BarrierId, Column, FeatureSet, LockId, Op, OpSource, SvmParams, SvmSystem,
+    Topology, PAGE_SIZE,
 };
 use genima_sim::{Dur, SplitMix64};
 use proptest::prelude::*;
@@ -131,20 +131,20 @@ fn build_programs(
         .collect()
 }
 
-fn run_fuzz(seed: u64, f: FeatureSet, nodes: usize, ppn: usize) {
-    run_fuzz_with(seed, f, nodes, ppn, |_| {});
+fn run_fuzz(seed: u64, column: impl Into<Column>, nodes: usize, ppn: usize) {
+    run_fuzz_with(seed, column, nodes, ppn, |_| {});
 }
 
 fn run_fuzz_with(
     seed: u64,
-    f: FeatureSet,
+    column: impl Into<Column>,
     nodes: usize,
     ppn: usize,
     tweak: impl FnOnce(&mut SvmParams),
 ) {
     let topo = Topology::new(nodes, ppn);
     let programs = build_programs(seed, topo.procs(), 3, 6);
-    let mut params = SvmParams::new(topo, f);
+    let mut params = column.into().params(topo);
     params.data_mode = true;
     params.locks = 8;
     tweak(&mut params);
@@ -156,10 +156,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random well-synchronized programs satisfy release consistency
-    /// under every protocol variant on a 2x2 cluster.
+    /// under every protocol column on a 2x2 cluster.
     #[test]
     fn fuzz_all_protocols_2x2(seed in any::<u64>()) {
-        for f in FeatureSet::ALL {
+        for f in Column::all() {
             run_fuzz(seed, f, 2, 2);
         }
     }
@@ -170,6 +170,7 @@ proptest! {
     fn fuzz_genima_and_base_4x1(seed in any::<u64>()) {
         run_fuzz(seed, FeatureSet::base(), 4, 1);
         run_fuzz(seed, FeatureSet::genima(), 4, 1);
+        run_fuzz(seed, Column::genima_2025(), 4, 1);
     }
 
     /// The §5 NI extensions (scatter-gather diffs, broadcast notices)
@@ -203,10 +204,11 @@ proptest! {
 #[test]
 fn fuzz_fixed_seeds() {
     for seed in [1, 42, 0xDEAD_BEEF, u64::MAX / 7] {
-        for f in FeatureSet::ALL {
+        for f in Column::all() {
             run_fuzz(seed, f, 2, 2);
         }
         run_fuzz(seed, FeatureSet::genima(), 4, 4);
+        run_fuzz(seed, Column::genima_2025(), 4, 4);
     }
 }
 /// Regression: the seed that exposed the stale-reply rollback — a
@@ -216,7 +218,7 @@ fn fuzz_fixed_seeds() {
 #[test]
 fn regression_stale_reply_rollback() {
     let seed = 15529674121103605229u64;
-    for f in FeatureSet::ALL {
+    for f in Column::all() {
         run_fuzz(seed, f, 2, 2);
     }
 }
@@ -230,11 +232,12 @@ fn regression_stale_reply_rollback() {
 #[test]
 fn regression_fuzz_seed_16791101178840247249() {
     let seed = 16791101178840247249u64;
-    for f in FeatureSet::ALL {
+    for f in Column::all() {
         run_fuzz(seed, f, 2, 2);
     }
     run_fuzz(seed, FeatureSet::base(), 4, 1);
     run_fuzz(seed, FeatureSet::genima(), 4, 1);
+    run_fuzz(seed, Column::genima_2025(), 4, 1);
 }
 
 /// Regression: promoted from `tests/protocol_fuzz.proptest-regressions`
@@ -245,7 +248,7 @@ fn regression_fuzz_seed_16791101178840247249() {
 #[test]
 fn regression_fuzz_seed_3448139302961865587() {
     let seed = 3448139302961865587u64;
-    for f in FeatureSet::ALL {
+    for f in Column::all() {
         run_fuzz(seed, f, 2, 2);
     }
     run_fuzz_with(seed, FeatureSet::genima(), 2, 2, |p| {
