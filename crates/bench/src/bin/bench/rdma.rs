@@ -15,10 +15,13 @@
 //! * GeNIMA-2025 beats GeNIMA-1999 on simulated time for every
 //!   application — if modern hardware loses to a 33 MHz LANai, the
 //!   model is wrong,
-//! * and by at least 1.9x on Ocean-rowwise, whose 2025 time was lock
-//!   wait until the release stopped diffing inside the critical
+//! * and by at least the floor [`VS_1999_FLOORS`] sets where a 2025
+//!   model fix bought it: 1.9x on Ocean-rowwise, whose 2025 time was
+//!   lock wait until the release stopped diffing inside the critical
 //!   section (DESIGN.md §28), then the home's diffs of its own pages
-//!   until it wrote them in place (§29).
+//!   until it wrote them in place (§29); 1.5x on FFT and 2x on
+//!   Radix-local, whose page fetches queued behind ODP faults until a
+//!   fault parked its queue pair instead of the whole NIC (§30).
 
 use genima::{sequential_time, Column, FeatureSet, Json, RunConfig, Topology};
 use genima_obs::bench::row;
@@ -42,12 +45,18 @@ pub const VIEWS: &[View] = &[View {
     ],
 }];
 
-/// `(app, floor)` on `speedup_vs_1999`: the application whose 2025
-/// time was lock wait, and the least the RNIC must buy it now that a
-/// GeNIMA-2025 release hands the lock over before it diffs and
-/// re-protects (1.017 while it diffed first) and the home writes its
-/// own pages in place (1.577 while it diffed them).
-const VS_1999_FLOOR: (&str, f64) = ("Ocean-rowwise", 1.9);
+/// `(app, floor)` on `speedup_vs_1999`: the least the RNIC must buy an
+/// application since a 2025 model fix removed what held it back.
+const VS_1999_FLOORS: [(&str, f64); 3] = [
+    // Lock wait: a GeNIMA-2025 release hands the lock over before it
+    // diffs and re-protects (1.017 while it diffed first), and the home
+    // writes its own pages in place (1.577 while it diffed them).
+    ("Ocean-rowwise", 1.9),
+    // Data wait: an ODP fault parks its queue pair, not the home's
+    // whole receive engine (1.103 and 1.379 while it held the engine).
+    ("FFT", 1.5),
+    ("Radix-local", 2.0),
+];
 
 pub fn run(args: &Args) -> BenchReport {
     let topo = Topology::new(4, 4);
@@ -93,10 +102,11 @@ pub fn run(args: &Args) -> BenchReport {
                 }
                 let name = format!("{}: 2025 hardware beats 1999", app.name());
                 rep.gate(name, row(i, "speedup_vs_1999"), ">", 1.0);
-                let (ocean, floor) = VS_1999_FLOOR;
-                if app.name() == ocean {
-                    let name = format!("{ocean}: speedup_vs_1999 >= {floor}");
-                    rep.gate(name, row(i, "speedup_vs_1999"), ">=", floor);
+                for (floored, floor) in VS_1999_FLOORS {
+                    if app.name() == floored {
+                        let name = format!("{floored}: speedup_vs_1999 >= {floor}");
+                        rep.gate(name, row(i, "speedup_vs_1999"), ">=", floor);
+                    }
                 }
             } else {
                 for counter in ["doorbells", "cqes", "odp_faults"] {

@@ -38,7 +38,7 @@ use genima_sim::{Dur, FixedState, InlineVec, Time};
 use crate::atomic::{AtomicOp, AtomicUnit};
 use crate::config::NicConfig;
 use crate::lock::{ChainLock, LockId};
-use crate::model::{LanaiModel, NiModel, NiStats};
+use crate::model::{FetchServe, LanaiModel, NiModel, NiStats};
 use crate::monitor::{Monitor, SizeClass, Stage};
 use crate::msg::{Event, MsgKind, Packet, SendDesc, Tag, Upcall};
 use crate::trace::LockTrace;
@@ -152,12 +152,13 @@ pub struct Comm {
 }
 
 /// Receive-side context of the packet being served, resolved once in
-/// [`Comm::deliver`] for every mechanism's emissions.
+/// [`Comm::receive`] for every mechanism's emissions.
 #[derive(Clone, Copy)]
 struct Rx {
-    /// Arrival at the destination NI (after any injected stall); the
-    /// Dest monitor stage starts here.
-    now: Time,
+    /// First arrival at the destination NI (after any injected stall),
+    /// however long a parked channel then held the packet; the Dest
+    /// monitor stage starts here.
+    arrived: Time,
     /// The NI accepted the packet; service starts here.
     recv_done: Time,
     class: SizeClass,
@@ -376,7 +377,6 @@ impl Comm {
         self.launch(
             src,
             desc,
-            posted_at,
             times.dma_done,
             times.inject_ready,
             &mut post.events,
@@ -423,7 +423,7 @@ impl Comm {
                 kind,
                 tag,
             };
-            self.launch(src, desc, posted_at, dma_done, cursor, &mut post.events);
+            self.launch(src, desc, dma_done, cursor, &mut post.events);
         }
         post
     }
@@ -468,20 +468,39 @@ impl Comm {
         match ev {
             Event::Delivered(pkt) => self.deliver(now, pkt),
             Event::RetryTimer { packet, attempt } => self.retransmit(now, packet, attempt),
+            Event::Unparked {
+                packet,
+                arrived,
+                queued_ns,
+                faulted,
+            } => {
+                let mut step = Step::default();
+                let op = self.obs_op(packet.tag);
+                if faulted {
+                    let rx = Rx {
+                        arrived,
+                        recv_done: arrived + Dur::from_ns(queued_ns.into()),
+                        class: self.size_class(packet.bytes),
+                        op,
+                    };
+                    self.fetch_resumed(now, rx, packet, &mut step);
+                } else {
+                    self.receive(now, arrived, packet, op, &mut step);
+                }
+                step
+            }
         }
     }
 
-    /// Destination-side processing of an arrived packet: admission,
-    /// wire accounting, receive, then the one mechanism the packet
-    /// kind names.
+    /// Destination-side processing of an arrived packet: admission and
+    /// wire accounting, once per packet, then [`Comm::receive`].
     fn deliver(&mut self, now: Time, pkt: Packet) -> Step {
         let mut step = Step::default();
         let Some(now) = self.admit(now, &pkt) else {
             return step;
         };
-        let local = pkt.src == pkt.dst; // firmware-local hop: skip wire-side costs
         let op = self.obs_op(pkt.tag);
-        if !local && op != 0 {
+        if pkt.src != pkt.dst && op != 0 {
             // Wire occupancy, charged at the receiver: from the moment
             // the source DMA finished to the packet leaving the fabric.
             self.obs_record(|o| {
@@ -496,13 +515,33 @@ impl Comm {
                 );
             });
         }
-        let recv_done = if local {
-            now
+        self.receive(now, now, pkt, op, &mut step);
+        step
+    }
+
+    /// Receives a packet that first arrived at `arrived`, then runs the
+    /// one mechanism its kind names — unless a page mapping parks its
+    /// channel: then it waits for the park's end and is received
+    /// there. Packets on one channel are received in arrival order (the
+    /// RC rule); every other channel is served meanwhile.
+    fn receive(&mut self, now: Time, arrived: Time, pkt: Packet, op: u64, step: &mut Step) {
+        if let Some(until) = self.model.parked(now, pkt.src, pkt.dst) {
+            let unparked = Event::Unparked {
+                packet: pkt,
+                arrived,
+                queued_ns: 0,
+                faulted: false,
+            };
+            step.events.push((until, unparked));
+            return;
+        }
+        let recv_done = if pkt.src == pkt.dst {
+            now // firmware-local hop: skip wire-side costs
         } else {
             self.model.recv_accept(now, pkt.dst)
         };
         let rx = Rx {
-            now,
+            arrived,
             recv_done,
             class: self.size_class(pkt.bytes),
             op,
@@ -511,19 +550,18 @@ impl Comm {
             MsgKind::Deposit
             | MsgKind::GatherDeposit { .. }
             | MsgKind::HostMsg
-            | MsgKind::FetchReply => self.deposit_arrived(rx, pkt, &mut step),
+            | MsgKind::FetchReply => self.deposit_arrived(rx, pkt, step),
             MsgKind::FetchReq { reply_bytes, key } => {
-                self.serve_fetch(rx, pkt, reply_bytes, key, &mut step)
+                self.serve_fetch(rx, pkt, reply_bytes, key, step)
             }
             MsgKind::FetchAndStore { cell, new } => {
-                self.serve_atomic(rx, pkt, AtomicOp::Swap { cell, new }, &mut step)
+                self.serve_atomic(rx, pkt, AtomicOp::Swap { cell, new }, step)
             }
-            MsgKind::MaskedCas(cas) => self.serve_atomic(rx, pkt, AtomicOp::Cas(cas), &mut step),
-            MsgKind::AtomicReply { old } => self.atomic_completed(rx, pkt, old, &mut step),
-            MsgKind::CollMsg(op) => self.serve_coll(rx, pkt, op, &mut step),
-            MsgKind::LockMsg(op) => self.serve_lock(rx, pkt, op, &mut step),
+            MsgKind::MaskedCas(cas) => self.serve_atomic(rx, pkt, AtomicOp::Cas(cas), step),
+            MsgKind::AtomicReply { old } => self.atomic_completed(rx, pkt, old, step),
+            MsgKind::CollMsg(op) => self.serve_coll(rx, pkt, op, step),
+            MsgKind::LockMsg(op) => self.serve_lock(rx, pkt, op, step),
         }
-        step
     }
 
     /// Books the Dest monitor stage of the packet being served: from
@@ -533,7 +571,7 @@ impl Comm {
         self.monitor.record(
             Stage::Dest,
             rx.class,
-            done - rx.now,
+            done - rx.arrived,
             self.model.recv_cost() + expected,
         );
     }
@@ -580,17 +618,18 @@ impl Comm {
         step.upcalls.push((rd.dma_done, upcall));
     }
 
-    /// Remote fetch: look up the export / translation table (possibly
-    /// faulting the page in, on demand-paged hardware), DMA the data
-    /// out of host memory — host→NI, the send direction of the I/O
-    /// bus — and send it back.
+    /// Remote fetch: look up the export / translation table, DMA the
+    /// data out of host memory — host→NI, the send direction of the
+    /// I/O bus — and send it back. On demand-paged hardware a page not
+    /// yet mapped (this fetch faults it in, or an earlier one is doing
+    /// so) parks the fetch's channel; the fetch resumes at its reply
+    /// DMA once the mapping lands, booking nothing ahead.
     fn serve_fetch(&mut self, rx: Rx, pkt: Packet, reply_bytes: u32, key: u64, step: &mut Step) {
         let fs = self
             .model
-            .serve_fetch(rx.recv_done, pkt.dst, reply_bytes, key);
-        self.book_dest(rx, fs.data_ready, fs.expected);
-        self.obs_record(|o| {
-            if fs.odp_fault {
+            .serve_fetch(rx.recv_done, pkt.src, pkt.dst, reply_bytes, key);
+        if fs.odp_fault {
+            self.obs_record(|o| {
                 o.instant_op(
                     SpanKind::OdpFault,
                     pkt.dst.index(),
@@ -599,7 +638,46 @@ impl Comm {
                     key,
                     rx.op,
                 );
-            }
+            });
+        }
+        if fs.parked {
+            let queued = rx.recv_done.saturating_since(rx.arrived).as_ns();
+            let unparked = Event::Unparked {
+                packet: pkt,
+                arrived: rx.arrived,
+                queued_ns: u32::try_from(queued).unwrap_or(u32::MAX),
+                faulted: true,
+            };
+            step.events.push((fs.data_ready, unparked));
+            return;
+        }
+        self.fetch_reply(rx, pkt, reply_bytes, fs, step);
+    }
+
+    /// A fetch parked on its page's mapping resumes at `now`, when the
+    /// mapping lands: straight to its reply DMA, with no second receive
+    /// or lookup.
+    fn fetch_resumed(&mut self, now: Time, rx: Rx, pkt: Packet, step: &mut Step) {
+        let MsgKind::FetchReq { reply_bytes, .. } = pkt.kind else {
+            unreachable!("only a fetch parks on a page mapping, not {:?}", pkt.kind);
+        };
+        let fs = self.model.fetch_dma(now, pkt.dst, reply_bytes);
+        self.fetch_reply(rx, pkt, reply_bytes, fs, step);
+    }
+
+    /// Books and sends a served fetch's reply, staged at
+    /// `fs.data_ready`. Its `FetchService` span runs from the service's
+    /// first start, so a page fault inside it stays firmware time.
+    fn fetch_reply(
+        &mut self,
+        rx: Rx,
+        pkt: Packet,
+        reply_bytes: u32,
+        fs: FetchServe,
+        step: &mut Step,
+    ) {
+        self.book_dest(rx, fs.data_ready, fs.expected);
+        self.obs_record(|o| {
             o.span_op(
                 SpanKind::FetchService,
                 pkt.dst.index(),

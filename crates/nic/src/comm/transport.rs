@@ -156,18 +156,17 @@ impl Comm {
     }
 
     /// Sends a host-posted packet whose source side the hardware model
-    /// already timed: posted at `posted`, staged in NI memory at
-    /// `staged`, at the injection port at `inject_ready`.
+    /// already timed: staged in NI memory at `staged`, at the injection
+    /// port at `inject_ready`.
     pub(super) fn launch(
         &mut self,
         src: NicId,
         desc: SendDesc,
-        posted: Time,
         staged: Time,
         inject_ready: Time,
         out: &mut Events,
     ) {
-        let pkt = packet(src, desc, posted, staged);
+        let pkt = packet(src, desc, staged);
         self.inject(inject_ready, pkt, 0, staged, out);
     }
 
@@ -192,7 +191,7 @@ impl Comm {
             kind,
             tag,
         };
-        let pkt = packet(src, desc, now, now);
+        let pkt = packet(src, desc, now);
         if src == dst {
             out.events.push((now + LOCAL_HOP, Event::Delivered(pkt)));
             return;
@@ -403,7 +402,7 @@ fn never_dies(pkt: &Packet) -> bool {
 /// The one place a [`Packet`] is built. `seq` stays zero — unsequenced
 /// — until [`Comm::fabric`] numbers it under fault injection; local
 /// hops are never numbered.
-fn packet(src: NicId, desc: SendDesc, posted: Time, staged: Time) -> Packet {
+fn packet(src: NicId, desc: SendDesc, staged: Time) -> Packet {
     Packet {
         src,
         dst: desc.dst,
@@ -411,7 +410,6 @@ fn packet(src: NicId, desc: SendDesc, posted: Time, staged: Time) -> Packet {
         kind: desc.kind,
         tag: desc.tag,
         seq: 0,
-        posted_ns: posted.as_ns(),
         source_done_ns: staged.as_ns(),
     }
 }

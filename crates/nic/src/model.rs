@@ -78,13 +78,20 @@ pub struct RecvDma {
 /// Firmware service of a remote-fetch request.
 #[derive(Debug, Clone, Copy)]
 pub struct FetchServe {
-    /// Reply payload staged and ready to send back.
+    /// Reply payload staged and ready to send back — or, when
+    /// `parked`, the instant the page's mapping lands.
     pub data_ready: Time,
     /// Uncontended service cost after wire receive (monitor
     /// expectation; excludes any paging fault, which is contention).
     pub expected: Dur,
     /// The model took an on-demand-paging fault for this key.
     pub odp_fault: bool,
+    /// The key's mapping is still in flight — this fetch faulted it,
+    /// or an earlier one did — so the request left the receive engine
+    /// with nothing else booked: its channel is parked until
+    /// `data_ready`, where the fetch resumes at
+    /// [`NiModel::fetch_dma`].
+    pub parked: bool,
 }
 
 /// Timing model of one generation of NI hardware. One instance covers
@@ -141,15 +148,32 @@ pub trait NiModel: std::fmt::Debug {
         runs: Option<u32>,
     ) -> RecvDma;
 
-    /// Serve a remote fetch of `key`: export/translation lookup, then
-    /// DMA the reply payload out of host memory.
+    /// Serve `src`'s remote fetch of `key` at `dst`: export/translation
+    /// lookup, then DMA the reply payload out of host memory. A key
+    /// whose mapping is not yet in place parks the `src → dst` channel
+    /// instead (see [`FetchServe::parked`]): the receive engine is held
+    /// for the lookup only and keeps serving every other channel.
     fn serve_fetch(
         &mut self,
         recv_done: Time,
+        src: NicId,
         dst: NicId,
         reply_bytes: u32,
         key: u64,
     ) -> FetchServe;
+
+    /// DMA a served fetch's reply payload out of `dst`'s host memory
+    /// from `now`: the tail of [`NiModel::serve_fetch`], where a parked
+    /// fetch resumes once its page is mapped. `expected` covers the
+    /// whole service.
+    fn fetch_dma(&mut self, now: Time, dst: NicId, reply_bytes: u32) -> FetchServe;
+
+    /// Until when packets on the `src → dst` channel wait at `dst`
+    /// behind a page mapping, if they do at `now`. Hardware whose
+    /// memory is all pinned never parks.
+    fn parked(&self, _now: Time, _src: NicId, _dst: NicId) -> Option<Time> {
+        None
+    }
 
     /// Occupy the lock/atomic service unit (`send_side` selects the
     /// outgoing engine, used by host-issued ops; the incoming engine
@@ -376,21 +400,28 @@ impl NiModel for LanaiModel {
     fn serve_fetch(
         &mut self,
         recv_done: Time,
+        _src: NicId,
         dst: NicId,
         reply_bytes: u32,
         _key: u64,
     ) -> FetchServe {
         // Everything is pinned on the LANai testbed: the key never
         // faults. Firmware looks up the export table and DMAs the
-        // data out of host memory — the send direction of the I/O bus.
+        // data out of host memory.
         let nic = &mut self.nics[dst.index()];
         let (_, svc_done) = nic.lanai_recv.reserve(recv_done, self.cfg.fetch_service);
+        self.fetch_dma(svc_done, dst, reply_bytes)
+    }
+
+    fn fetch_dma(&mut self, now: Time, dst: NicId, reply_bytes: u32) -> FetchServe {
+        // The send direction of the I/O bus.
         let dma = self.cfg.dma_time(reply_bytes);
-        let (_, dma_done) = nic.pci_send.reserve(svc_done, dma);
+        let (_, dma_done) = self.nics[dst.index()].pci_send.reserve(now, dma);
         FetchServe {
             data_ready: dma_done,
             expected: self.cfg.fetch_service + dma,
             odp_fault: false,
+            parked: false,
         }
     }
 

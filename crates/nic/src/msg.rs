@@ -2,6 +2,7 @@
 
 use genima_coll::CollId;
 use genima_net::NicId;
+use genima_sim::Time;
 
 use crate::lock::LockId;
 
@@ -209,10 +210,8 @@ pub struct Packet {
     /// injector is installed (the clean path carries no sequencing
     /// state at all).
     pub seq: u64,
-    /// When the send appeared in the source post queue (or was
-    /// generated by firmware), in nanoseconds — used by the monitor.
-    pub posted_ns: u64,
-    /// When the source DMA completed (end of the Source stage).
+    /// When the source DMA completed (end of the Source stage), in
+    /// nanoseconds: the receiver charges the wire transit from here.
     pub source_done_ns: u64,
 }
 
@@ -234,6 +233,25 @@ pub enum Event {
         /// Transmission attempt this retry will perform (the first
         /// send was attempt 0).
         attempt: u32,
+    },
+    /// The page mapping that parked `packet`'s `(src, dst)` channel
+    /// landed (an RDMA queue pair waits out an on-demand-paging fault;
+    /// the NIC serves every other channel meanwhile). The packet was
+    /// admitted and charged its wire transit on arrival; it is not
+    /// deduplicated again.
+    Unparked {
+        /// The parked packet.
+        packet: Packet,
+        /// Its first arrival at the destination NI, where its Dest
+        /// monitor stage starts.
+        arrived: Time,
+        /// Nanoseconds from `arrived` to the start of the fetch service
+        /// that met the unmapped page (its `FetchService` span starts
+        /// there); zero unless `faulted`.
+        queued_ns: u32,
+        /// `packet` is that fetch: it resumes at its reply DMA. Any
+        /// other parked packet is received now, in arrival order.
+        faulted: bool,
     },
 }
 

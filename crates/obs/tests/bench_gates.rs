@@ -239,6 +239,25 @@ fn oceans_lock_wait_creeping_back_is_rejected() {
     flip("paper", &ocean_1999, "shares.lock", 0.036, ">= 0.15");
 }
 
+#[test]
+fn the_odp_stall_creeping_back_is_rejected() {
+    // Each GeNIMA-2025 row as it read while an ODP fault held the home's
+    // whole receive engine, not just the faulting queue pair (DESIGN.md
+    // §30): 2025 hardware then waited longer for Radix's data than the
+    // 1999 LANai did.
+    for (app, floor, vs_1999, data_ms) in [
+        ("FFT", 1.5, 1.103, 227.24),
+        ("Radix-local", 2.0, 1.379, 218.34),
+    ] {
+        let rnic = [("app", app), ("column", "GeNIMA-2025")];
+        let gate = format!("{app}: speedup_vs_1999 >= {floor}");
+        flip("rdma", &rnic, "speedup_vs_1999", vs_1999, &gate);
+        let gate = format!("{app}/GeNIMA-2025: mean_breakdown.data_ms <= 0.6 x");
+        let field = "mean_breakdown.data_ms";
+        flip("paper", &cell(app, "GeNIMA-2025"), field, data_ms, &gate);
+    }
+}
+
 /// A `cell` row of `BENCH_paper.json`.
 fn cell<'a>(app: &'a str, column: &'a str) -> [(&'a str, &'a str); 3] {
     [("kind", "cell"), ("app", app), ("column", column)]

@@ -53,7 +53,9 @@ impl SvmSystem {
                 src: p.src.index(),
                 dst: p.dst.index(),
             },
-            SysEvent::Comm(CommEvent::RetryTimer { packet, .. }) => ChanKey::Wire {
+            SysEvent::Comm(
+                CommEvent::RetryTimer { packet, .. } | CommEvent::Unparked { packet, .. },
+            ) => ChanKey::Wire {
                 src: packet.src.index(),
                 dst: packet.dst.index(),
             },
@@ -112,6 +114,10 @@ impl SvmSystem {
             SysEvent::Comm(CommEvent::RetryTimer { packet, .. }) => (
                 format!("retry {}>{}", packet.src.index(), packet.dst.index()),
                 Vec::new(),
+            ),
+            SysEvent::Comm(CommEvent::Unparked { packet: p, .. }) => (
+                format!("unpark {}>{} {:?}", p.src.index(), p.dst.index(), p.kind),
+                packet_fp(p),
             ),
             SysEvent::Up(u) => self.describe_upcall(u),
             SysEvent::Resume(p) => (format!("resume p{p}"), self.resume_fp(*p)),

@@ -26,12 +26,18 @@ struct RnicPort {
     /// When the last doorbell was rung (posts within the batching
     /// window of this instant need no new MMIO).
     last_doorbell: Option<Time>,
-    /// ODP translation state: the page indices currently mapped.
+    /// ODP translation state: the page indices mapped or being mapped.
     mapped: PageBits,
+    /// The mappings still in flight, `(key, lands at)`: a few at a
+    /// time, pruned as they land.
+    mapping: Vec<(u64, Time)>,
+    /// Per source NIC: until when that channel's queue pair is parked
+    /// behind a page mapping.
+    parked_until: Vec<Time>,
 }
 
 impl RnicPort {
-    fn new() -> RnicPort {
+    fn new(ports: usize) -> RnicPort {
         RnicPort {
             sq: Resource::new("rnic-sq"),
             rx: Resource::new("rnic-rx"),
@@ -40,6 +46,8 @@ impl RnicPort {
             sq_slots: VecDeque::new(),
             last_doorbell: None,
             mapped: PageBits::default(),
+            mapping: Vec::new(),
+            parked_until: vec![Time::ZERO; ports],
         }
     }
 }
@@ -50,6 +58,11 @@ impl RnicPort {
 /// are fully pipelined — WQE processing, DMA, and injection of
 /// successive messages overlap, so the post queue never becomes the
 /// bottleneck it was on the 1999 LANai (§3.3).
+///
+/// An ODP fault parks one queue pair — the faulting fetch's
+/// `src → dst` channel — until the page is mapped; the receive engine
+/// is held for the translation lookup only and keeps serving every
+/// other channel meanwhile.
 #[derive(Debug)]
 pub struct RnicModel {
     cfg: RnicConfig,
@@ -62,7 +75,7 @@ impl RnicModel {
     pub fn new(cfg: RnicConfig, ports: usize) -> RnicModel {
         RnicModel {
             cfg,
-            ports: (0..ports).map(|_| RnicPort::new()).collect(),
+            ports: (0..ports).map(|_| RnicPort::new(ports)).collect(),
             stats: NiStats::default(),
         }
     }
@@ -219,32 +232,59 @@ impl NiModel for RnicModel {
     fn serve_fetch(
         &mut self,
         recv_done: Time,
+        src: NicId,
         dst: NicId,
         reply_bytes: u32,
         key: u64,
     ) -> FetchServe {
-        // ODP: the first fetch of an unmapped key parks the QP while
-        // the host maps the page; later fetches hit the MTT directly.
+        // ODP: the first fetch of an unmapped key raises a page request
+        // and parks its QP while the host maps the page; a fetch of a
+        // key whose mapping is in flight parks behind it without a
+        // second fault. The receive engine is held for the lookup only.
         let port = &mut self.ports[dst.index()];
+        let (_, svc_done) = port.rx.reserve(recv_done, self.cfg.fetch_service);
+        port.mapping.retain(|&(_, lands)| lands > svc_done);
         let faulted = key != ALWAYS_MAPPED && port.mapped.insert(key as usize);
-        let fault = if faulted {
-            self.cfg.odp_fault
-        } else {
-            Dur::ZERO
-        };
-        if faulted {
+        let lands = if faulted {
             self.stats.odp_faults += 1;
-        }
-        let dma = self.cfg.dma_time(reply_bytes);
-        let (_, svc_done) = port.rx.reserve(recv_done, self.cfg.fetch_service + fault);
-        let (_, data_ready) = port.pcie_send.reserve(svc_done, dma);
+            let lands = svc_done + self.cfg.odp_fault;
+            port.mapping.push((key, lands));
+            Some(lands)
+        } else {
+            port.mapping
+                .iter()
+                .find(|&&(k, _)| k == key)
+                .map(|&(_, lands)| lands)
+        };
+        let Some(lands) = lands else {
+            return self.fetch_dma(svc_done, dst, reply_bytes);
+        };
+        let parked = &mut port.parked_until[src.index()];
+        *parked = (*parked).max(lands);
         FetchServe {
-            data_ready,
+            data_ready: lands,
             // The fault is contention, not expected cost: the monitor
             // should flag ODP storms the way it flags LANai overload.
-            expected: self.cfg.fetch_service + dma,
+            expected: self.cfg.fetch_service + self.cfg.dma_time(reply_bytes),
             odp_fault: faulted,
+            parked: true,
         }
+    }
+
+    fn fetch_dma(&mut self, now: Time, dst: NicId, reply_bytes: u32) -> FetchServe {
+        let dma = self.cfg.dma_time(reply_bytes);
+        let (_, data_ready) = self.ports[dst.index()].pcie_send.reserve(now, dma);
+        FetchServe {
+            data_ready,
+            expected: self.cfg.fetch_service + dma,
+            odp_fault: false,
+            parked: false,
+        }
+    }
+
+    fn parked(&self, now: Time, src: NicId, dst: NicId) -> Option<Time> {
+        let until = self.ports[dst.index()].parked_until[src.index()];
+        (until > now).then_some(until)
     }
 
     fn sync_service(&mut self, now: Time, nic: NicId, send_side: bool) -> Time {
@@ -336,11 +376,11 @@ mod tests {
     #[test]
     fn odp_faults_only_on_first_touch() {
         let mut m = model();
-        let dst = NicId::new(1);
-        let first = m.serve_fetch(Time::ZERO, dst, 4096, 7);
-        assert!(first.odp_fault);
-        let again = m.serve_fetch(first.data_ready, dst, 4096, 7);
-        assert!(!again.odp_fault);
+        let (src, dst) = (NicId::new(0), NicId::new(1));
+        let first = m.serve_fetch(Time::ZERO, src, dst, 4096, 7);
+        assert!(first.odp_fault && first.parked);
+        let again = m.serve_fetch(first.data_ready, src, dst, 4096, 7);
+        assert!(!again.odp_fault && !again.parked);
         assert!(first.data_ready.saturating_since(Time::ZERO) > Dur::from_us(40));
         assert_eq!(m.stats().odp_faults, 1);
     }
@@ -348,8 +388,95 @@ mod tests {
     #[test]
     fn metadata_fetches_never_fault() {
         let mut m = model();
-        let fs = m.serve_fetch(Time::ZERO, NicId::new(0), 64, ALWAYS_MAPPED);
-        assert!(!fs.odp_fault);
+        let fs = m.serve_fetch(Time::ZERO, NicId::new(1), NicId::new(0), 64, ALWAYS_MAPPED);
+        assert!(!fs.odp_fault && !fs.parked);
         assert_eq!(m.stats().odp_faults, 0);
+    }
+
+    /// The page every ODP scenario below faults on.
+    const PAGE: u64 = 7;
+
+    /// A home `H` and three requesters `A`, `B`, `C`.
+    fn cluster() -> (RnicModel, [NicId; 4]) {
+        let m = RnicModel::new(RnicConfig::rnic_2025(), 4);
+        (m, [0, 1, 2, 3].map(NicId::new))
+    }
+
+    /// A fetch of `key` from `src` reaching `home` at `t`, received and
+    /// served the way `Comm` does it — or, if its channel is parked,
+    /// the instant the park ends.
+    fn arrive(
+        m: &mut RnicModel,
+        t: Time,
+        src: NicId,
+        home: NicId,
+        key: u64,
+    ) -> Result<FetchServe, Time> {
+        if let Some(until) = m.parked(t, src, home) {
+            return Err(until);
+        }
+        let recv_done = m.recv_accept(t, home);
+        Ok(m.serve_fetch(recv_done, src, home, 4096, key))
+    }
+
+    /// `H` faults on `A`'s fetch of [`PAGE`] at `t`.
+    fn fault(m: &mut RnicModel, t: Time, [h, a, ..]: [NicId; 4]) -> FetchServe {
+        let fs = arrive(m, t, a, h, PAGE).expect("A's channel is not parked yet");
+        assert!(fs.odp_fault && fs.parked);
+        assert!(fs.data_ready >= t + RnicConfig::rnic_2025().odp_fault);
+        fs
+    }
+
+    #[test]
+    fn a_fault_parks_only_its_own_channel() {
+        let (mut m, ids @ [h, _, b, _]) = cluster();
+        // B's page is mapped long before A's fault.
+        let warm = arrive(&mut m, Time::ZERO, b, h, 8).expect("nothing is parked yet");
+        m.fetch_dma(warm.data_ready, h, 4096);
+        let t0 = warm.data_ready + Dur::from_us(100);
+        fault(&mut m, t0, ids);
+        let t1 = t0 + Dur::from_us(1);
+        let other = arrive(&mut m, t1, b, h, 8).expect("B's channel is not parked");
+        assert!(!other.parked && !other.odp_fault);
+        let waited = other.data_ready.saturating_since(t1);
+        assert!(
+            waited < Dur::from_us(5),
+            "B waited {waited} behind A's fault"
+        );
+    }
+
+    #[test]
+    fn the_faulting_channel_waits_for_the_mapping() {
+        let (mut m, ids @ [h, a, ..]) = cluster();
+        let fs = fault(&mut m, Time::ZERO, ids);
+        let next = arrive(&mut m, Time::ZERO + Dur::from_us(1), a, h, 9);
+        assert_eq!(next.err(), Some(fs.data_ready), "A's next packet waits");
+        assert_eq!(m.parked(fs.data_ready, a, h), None, "and flows once mapped");
+    }
+
+    #[test]
+    fn a_fetch_of_a_page_being_mapped_waits_without_faulting() {
+        let (mut m, ids @ [h, _, _, c]) = cluster();
+        let fs = fault(&mut m, Time::ZERO, ids);
+        let t1 = Time::ZERO + Dur::from_us(1);
+        let same = arrive(&mut m, t1, c, h, PAGE).expect("C's channel is not parked");
+        assert!(same.parked && !same.odp_fault);
+        assert_eq!(same.data_ready, fs.data_ready);
+        assert_eq!(m.parked(t1, c, h), Some(fs.data_ready));
+        assert_eq!(m.stats().odp_faults, 1);
+    }
+
+    #[test]
+    fn nothing_is_booked_ahead_of_the_mapping() {
+        let (mut m, ids @ [h, ..]) = cluster();
+        let cfg = RnicConfig::rnic_2025();
+        let fs = fault(&mut m, Time::ZERO, ids);
+        // H's own send during the fault finds its DMA engine idle.
+        let t1 = Time::ZERO + Dur::from_us(1);
+        let sent = m.send_path(t1, h, 4096, None);
+        assert_eq!(sent.dma_done, t1 + cfg.wqe_service + cfg.dma_time(4096));
+        // The reply is booked when the mapping lands, not before.
+        let reply = m.fetch_dma(fs.data_ready, h, 4096);
+        assert_eq!(reply.data_ready, fs.data_ready + cfg.dma_time(4096));
     }
 }

@@ -1,9 +1,14 @@
 //! Property-based integration tests of the communication stack
 //! (network + NI) under randomized traffic.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use genima::HwProfile;
 use genima_net::{NetConfig, NicId};
-use genima_nic::{Comm, LockId, MsgKind, NicConfig, Post, SendDesc, Tag, Upcall};
-use genima_sim::{EventQueue, Time};
+use genima_nic::{Comm, LockId, MsgKind, NicConfig, Post, SendDesc, SizeClass, Stage, Tag, Upcall};
+use genima_obs::{Recorder, SpanKind};
+use genima_sim::{Dur, EventQueue, Time};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -286,4 +291,94 @@ fn control_messages_stick_behind_data_but_ni_locks_do_not() {
         lock_at < ctrl_at,
         "NI lock ({lock_at}) must not queue behind data like the host message ({ctrl_at})"
     );
+}
+
+/// A 2025 RNIC cluster of a home `H` and two requesters `A`, `B`.
+fn rnic_trio() -> (Comm, [NicId; 3]) {
+    let hw = HwProfile::rnic_2025();
+    let comm = Comm::with_model(hw.model(3), hw.nic, hw.net, 3, 0);
+    (comm, [0, 1, 2].map(NicId::new))
+}
+
+/// The on-demand-paging fault, by the profile's timing.
+fn odp_fault() -> Dur {
+    HwProfile::rnic_2025().rnic.expect("RDMA profile").odp_fault
+}
+
+/// When the upcall `pick` selects surfaced.
+fn when(ups: &[(Time, Upcall)], pick: impl Fn(&Upcall) -> bool) -> Time {
+    let mut hits = ups.iter().filter(|(_, u)| pick(u));
+    let (t, _) = *hits.next().expect("the upcall surfaced");
+    assert!(hits.next().is_none(), "the upcall surfaced once");
+    t
+}
+
+/// An ODP fault parks one queue pair: a deposit A posts right behind
+/// its faulting fetch waits for the page's mapping (RC order on the
+/// A → H channel), while B's deposit to the same NIC does not.
+#[test]
+fn an_odp_fault_parks_its_channel_not_the_nic() {
+    let (mut comm, [h, a, b]) = rnic_trio();
+    let fetch = comm.fetch(Time::ZERO, a, h, 4096, 7, Tag::new(1));
+    let behind = send(
+        &mut comm,
+        fetch.host_free,
+        a,
+        h,
+        64,
+        MsgKind::Deposit,
+        Tag::new(2),
+    );
+    let other = send(
+        &mut comm,
+        Time::ZERO,
+        b,
+        h,
+        64,
+        MsgKind::Deposit,
+        Tag::new(3),
+    );
+    let ups = drain(&mut comm, vec![fetch, behind, other]);
+    let deposit = |want: u64| move |u: &Upcall| matches!(u, Upcall::DepositArrived { tag, .. } if tag.value() == want);
+    let fetched = when(&ups, |u| matches!(u, Upcall::FetchCompleted { .. }));
+    let (behind_at, other_at) = (when(&ups, deposit(2)), when(&ups, deposit(3)));
+    assert!(
+        fetched > Time::ZERO + odp_fault(),
+        "the fetch pays its fault"
+    );
+    assert!(
+        behind_at > Time::ZERO + odp_fault(),
+        "A's deposit lands after the mapping"
+    );
+    assert!(
+        other_at < Time::ZERO + Dur::from_us(5),
+        "B's deposit waited until {other_at}"
+    );
+    assert_eq!(comm.ni_stats().odp_faults, 1);
+    // The parked deposit's Dest stage runs from its first arrival.
+    let dest = comm.monitor().stats(Stage::Dest, SizeClass::Small).actual;
+    assert!(dest.max() > odp_fault().saturating_sub(Dur::from_us(5)));
+}
+
+/// The fault stays named: the faulting fetch's `FetchService` span runs
+/// from its first service start to its reply, so it contains the
+/// `OdpFault` instant and critical-path analysis charges the fault to
+/// firmware.
+#[test]
+fn the_faulting_fetch_span_contains_its_odp_fault() {
+    let (mut comm, [h, a, _]) = rnic_trio();
+    let obs = Rc::new(RefCell::new(Recorder::new(3, 1024)));
+    comm.set_observer(obs.clone());
+    let fetch = comm.fetch(Time::ZERO, a, h, 4096, 7, Tag::new(1));
+    drain(&mut comm, vec![fetch]);
+    let report = obs.borrow_mut().take();
+    let [fault] = report.of_kind(SpanKind::OdpFault).collect::<Vec<_>>()[..] else {
+        panic!("one fault instant");
+    };
+    let [svc] = report.of_kind(SpanKind::FetchService).collect::<Vec<_>>()[..] else {
+        panic!("one fetch service span");
+    };
+    assert_eq!((fault.node, svc.node), (h.index(), h.index()));
+    assert!(svc.start <= fault.start && fault.start <= svc.start + svc.dur);
+    assert!(svc.dur >= odp_fault(), "span {} misses the fault", svc.dur);
 }

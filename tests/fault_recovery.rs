@@ -361,6 +361,42 @@ proptest! {
     }
 }
 
+/// A fetch parked on its page's mapping, and a second one queued behind
+/// it on the same channel, each complete exactly once on the 2025 RNIC
+/// when both requests are duplicated: each copy is suppressed once on
+/// arrival — before, during or after the park — and never again when
+/// the parked original is received or resumed.
+#[test]
+fn parked_fetches_complete_exactly_once_under_duplication() {
+    let (h, a) = (NicId::new(0), NicId::new(1));
+    for lag_us in [1, 20, 44, 60, 200] {
+        let hw = HwProfile::rnic_2025();
+        let mut comm = Comm::with_model(hw.model(2), hw.nic, hw.net, 2, 0);
+        let lag = Dur::from_us(lag_us);
+        let plan = FaultPlan::new()
+            .duplicate_nth(a, h, 1, lag)
+            .duplicate_nth(a, h, 2, lag);
+        comm.set_fault_injector(Box::new(PlanInjector::new(plan, RunSeed::new(lag_us))));
+        let mut both = comm.fetch(Time::ZERO, a, h, 4096, 7, Tag::new(1));
+        let second = comm.fetch(both.host_free, a, h, 4096, 8, Tag::new(2));
+        both.events.extend(second.events);
+        let ups = drain(&mut comm, both);
+        let mut done = [0u32; 2];
+        for (_, u) in &ups {
+            if let Upcall::FetchCompleted { tag, .. } = u {
+                done[tag.value() as usize - 1] += 1;
+            }
+        }
+        assert_eq!(done, [1, 1], "lag {lag_us}us: each fetch completes once");
+        assert_eq!(
+            comm.recovery_stats().duplicates_suppressed,
+            2,
+            "lag {lag_us}us"
+        );
+        assert_eq!(comm.ni_stats().odp_faults, 2, "lag {lag_us}us");
+    }
+}
+
 /// End-to-end "never over newer content": the direct-diff column runs
 /// its built-in data validations under heavy duplication and delay.
 /// If a stale duplicate ever overwrote newer data, `Op::Validate`
