@@ -195,7 +195,7 @@ const ABLATIONS: [(&str, &str, &[Variant]); 9] = [
 /// What the paper and each ablation claim beyond the gates [`run`]
 /// declares per application, in the grammar of [`Paper::claim`]. A cell
 /// is keyed `app/column`, an ablation variant `study/column/variant`.
-const CLAIMS: [&str; 38] = [
+const CLAIMS: [&str; 39] = [
     // §3.3: remote fetch cuts FFT's data wait (the paper: ~45%), NI
     // locks cut Water-nsquared's lock time (~60%), and direct diffs turn
     // each of Barnes-spatial's scattered runs into a message (>30x).
@@ -231,6 +231,12 @@ const CLAIMS: [&str; 38] = [
     // §30).
     "FFT/GeNIMA-2025: mean_breakdown.data_ms <= 0.6 x FFT/GeNIMA: mean_breakdown.data_ms",
     "Radix-local/GeNIMA-2025: mean_breakdown.data_ms <= 0.6 x Radix-local/GeNIMA: mean_breakdown.data_ms",
+    // A GeNIMA-2025 write to the first page of a home run it wrote and
+    // re-protected before re-opens the whole run in one fault, so
+    // Ocean's sweeps no longer fault once per band page (1.0 x while
+    // they did: the 1999 column, which twins every page it opens, still
+    // does; DESIGN.md §31).
+    "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.2 x Ocean-rowwise/GeNIMA: counters.faults",
     // Send pipelining recovers part of the direct-diff loss.
     "pipelining/DW+RF/pipelined: speedup > pipelining/DW+RF/serial",
     "pipelining/GeNIMA/pipelined: speedup > pipelining/GeNIMA/serial",

@@ -16,10 +16,11 @@
 //!   application — if modern hardware loses to a 33 MHz LANai, the
 //!   model is wrong,
 //! * and by at least the floor [`VS_1999_FLOORS`] sets where a 2025
-//!   model fix bought it: 1.9x on Ocean-rowwise, whose 2025 time was
+//!   model fix bought it: 2.1x on Ocean-rowwise, whose 2025 time was
 //!   lock wait until the release stopped diffing inside the critical
 //!   section (DESIGN.md §28), then the home's diffs of its own pages
-//!   until it wrote them in place (§29); 1.5x on FFT and 2x on
+//!   until it wrote them in place (§29), then a fault per page of every
+//!   rewrite until a run re-opened whole (§31); 1.5x on FFT and 2x on
 //!   Radix-local, whose page fetches queued behind ODP faults until a
 //!   fault parked its queue pair instead of the whole NIC (§30).
 
@@ -49,9 +50,11 @@ pub const VIEWS: &[View] = &[View {
 /// application since a 2025 model fix removed what held it back.
 const VS_1999_FLOORS: [(&str, f64); 3] = [
     // Lock wait: a GeNIMA-2025 release hands the lock over before it
-    // diffs and re-protects (1.017 while it diffed first), and the home
-    // writes its own pages in place (1.577 while it diffed them).
-    ("Ocean-rowwise", 1.9),
+    // diffs and re-protects (1.017 while it diffed first), the home
+    // writes its own pages in place (1.577 while it diffed them), and a
+    // rewrite of a home run re-opens it in one fault (2.037 while every
+    // page faulted).
+    ("Ocean-rowwise", 2.1),
     // Data wait: an ODP fault parks its queue pair, not the home's
     // whole receive engine (1.103 and 1.379 while it held the engine).
     ("FFT", 1.5),

@@ -20,8 +20,6 @@
 //! (per-channel sequence numbers, retransmit timers, duplicate
 //! suppression), so the machine asserts it rather than re-checking.
 
-use std::collections::BTreeMap;
-
 use crate::tree::{children, parent};
 use crate::ReduceOp;
 
@@ -64,10 +62,12 @@ pub enum Action {
     },
 }
 
-/// A partial combine at one node: how many of `1 + |children|`
-/// expected contributions have been folded in so far.
+/// One epoch's combine at one node: how many of `1 + |children|`
+/// expected contributions have been folded in so far. Once complete
+/// at an interior node it is frozen, exposed to the parent's pull.
 #[derive(Clone, Debug)]
 struct Accum {
+    epoch: u32,
     got: u32,
     vals: Vec<u64>,
 }
@@ -79,14 +79,11 @@ struct NodeSt {
     epoch: u32,
     /// Epochs this node has fully exited (all prior epochs released).
     released: u32,
-    /// Partial combines, keyed by epoch: a subtree child can be one
-    /// epoch ahead of this node (it exited `e` while our release of
-    /// `e` is still in flight), so two entries may coexist.
-    acc: BTreeMap<u32, Accum>,
-    /// Frozen subtree contributions awaiting the parent's pull, keyed
-    /// by epoch. The release chain guarantees the parent consumes
-    /// epoch `e` before this node can freeze `e + 1`.
-    outbox: BTreeMap<u32, Vec<u64>>,
+    /// The node's combine, open or frozen. One slot holds every epoch
+    /// in turn: a contribution to `e + 1` comes from the node or a
+    /// child that has exited `e`, and no node exits `e` before the
+    /// root has pulled in every frozen contribution to it.
+    acc: Option<Accum>,
 }
 
 /// Executable state of one collective instance over `nodes`
@@ -190,13 +187,13 @@ impl CollState {
     /// caller-owned buffer.
     pub fn child_arrive_into(&mut self, node: u32, child: u32, epoch: u32, out: &mut Vec<Action>) {
         debug_assert_eq!(parent(child, self.fanout), Some(node));
-        let frozen = self.node[child as usize]
-            .outbox
-            .remove(&epoch)
+        let need = 1 + children(child, self.fanout, self.nodes).count() as u32;
+        let frozen = (self.node[child as usize].acc.take())
+            .filter(|acc| acc.epoch == epoch && acc.got == need)
             .unwrap_or_else(|| {
                 panic!("child {child} signalled epoch {epoch} without a frozen contribution")
             });
-        self.contribute(node, epoch, &frozen, out);
+        self.contribute(node, epoch, &frozen.vals, out);
     }
 
     /// A fan-out signal for `epoch` arrived at `node` (or the root
@@ -249,26 +246,23 @@ impl CollState {
         let op = self.op;
         let width = self.width;
         let st = &mut self.node[node as usize];
-        let acc = st.acc.entry(epoch).or_insert_with(|| Accum {
+        let acc = st.acc.get_or_insert_with(|| Accum {
+            epoch,
             got: 0,
             vals: vec![op.identity(); width],
         });
+        assert!(
+            acc.epoch == epoch && acc.got < need,
+            "node {node} combines epoch {epoch} while it holds epoch {}",
+            acc.epoch
+        );
         op.combine(&mut acc.vals, vals);
         acc.got += 1;
         if acc.got < need {
             return;
         }
-        let done = st
-            .acc
-            .remove(&epoch)
-            .expect("accumulator present: just completed");
         match parent(node, self.fanout) {
             Some(p) => {
-                let prior = st.outbox.insert(epoch, done.vals);
-                assert!(
-                    prior.is_none(),
-                    "node {node} froze epoch {epoch} twice — parent never consumed it"
-                );
                 out.push(Action::SendArrive {
                     from: node,
                     to: p,
@@ -276,6 +270,7 @@ impl CollState {
                 });
             }
             None => {
+                let done = st.acc.take().expect("accumulator present: just completed");
                 self.result = Some((epoch, done.vals));
                 self.release_into(node, epoch, out);
             }

@@ -47,9 +47,12 @@ impl MprotectModel {
         }
     }
 
-    /// Cost of protecting `total` pages grouped into `calls` coalesced
-    /// ranges (the protocol tracks contiguity and coalesces consecutive
-    /// pages into single calls, §3.1).
+    /// Cost of changing the protection of `total` pages grouped into
+    /// `calls` coalesced ranges (the protocol tracks contiguity and
+    /// coalesces consecutive pages into single calls, §3.1). Both
+    /// directions are priced here: the re-protect at an interval's
+    /// close and invalidation, and, on GeNIMA-2025, the re-open of a
+    /// run of home pages at its first write fault.
     ///
     /// # Panics
     ///

@@ -137,6 +137,11 @@ impl DirtySet {
         self.position(page).ok().map(|i| &mut self.pages[i].1)
     }
 
+    /// Makes room for `additional` more dirty pages in one step.
+    pub fn reserve(&mut self, additional: usize) {
+        self.pages.reserve(additional);
+    }
+
     /// Marks `page` dirty with write state `dp`, replacing any earlier
     /// state of the page.
     pub fn insert(&mut self, page: PageId, dp: DirtyPage) {

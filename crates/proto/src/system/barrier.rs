@@ -65,18 +65,16 @@ impl SvmSystem {
     /// broadcast down, this replaces both the manager's clock join and
     /// its piggyback bookkeeping.
     fn coll_barrier_arrive(&mut self, cursor: Time, node: usize, b: BarrierId, p: usize) -> Time {
-        let arrivals = self.nodes[node].coll_arrivals.entry(b).or_default();
         let quorum = self.p.topo.procs_per_node;
+        let arrivals = self.nodes[node].coll_combiner(b);
         let Some(joined) = arrivals.arrive(&self.procs[p].vc, quorum) else {
             return cursor;
         };
-        // Applications rarely reuse a barrier id: keep no husk behind.
-        self.nodes[node].coll_arrivals.remove(&b);
         let nprocs = self.p.topo.procs();
-        let mut vals: Vec<u64> = (0..nprocs)
-            .map(|q| joined.get(ProcId::new(q)) as u64)
-            .collect();
+        let mut vals = std::mem::take(&mut self.scratch_reduce);
+        vals.extend((0..nprocs).map(|q| joined.get(ProcId::new(q)) as u64));
         vals.extend(self.nodes[node].arrived.iter().map(|&a| a as u64));
+        self.nodes[node].coll_combiner(b).recycle(joined);
         let coll = CollId::new(b.index() as u32);
         let nic = NodeId::new(node).nic();
         let epoch = self.comm.coll_epoch(coll, nic);
@@ -89,6 +87,8 @@ impl SvmSystem {
         let post = self
             .comm
             .coll_enter(cursor, nic, coll, ReduceOp::Max, &vals);
+        vals.clear();
+        self.scratch_reduce = vals;
         self.absorb_post(post)
     }
 
@@ -101,7 +101,8 @@ impl SvmSystem {
         let nprocs = self.p.topo.procs();
         // The combined vector is borrowed from NI memory; decode it
         // into owned protocol state before touching anything else.
-        let (joined, upto) = {
+        let mut joined = std::mem::replace(&mut self.scratch_joined, VClock::new(0));
+        let upto = {
             let (res_epoch, vals) = self
                 .comm
                 .coll_result(coll)
@@ -111,7 +112,6 @@ impl SvmSystem {
                 "collective result advanced past the released epoch"
             );
             assert_eq!(vals.len(), 2 * nprocs, "reduce vector width mismatch");
-            let mut joined = VClock::new(nprocs);
             for (q, &v) in vals[..nprocs].iter().enumerate() {
                 joined.set(ProcId::new(q), v as u32);
             }
@@ -119,7 +119,7 @@ impl SvmSystem {
             // merged it, so take it from where that one puts it.
             let mut upto = self.spare_upto.pop().unwrap_or_default();
             upto.extend(vals[nprocs..].iter().map(|&v| v as u32));
-            (joined, upto)
+            upto
         };
         if node == 0 {
             // The root exits first (its release precedes the fan-out),
@@ -135,6 +135,7 @@ impl SvmSystem {
         });
         let bop = genima_obs::op_barrier_id(b.index() as u64, epoch as u64);
         self.release_at_node(t, b, node, &joined, Some(upto), bop);
+        self.scratch_joined = joined;
     }
 
     /// Episode-global bookkeeping at the release decision: count the

@@ -219,6 +219,12 @@ impl SvmSystem {
                 if self.need_sync(now, p, op.clone(), prog) {
                     return Flow::Stop;
                 }
+                if write {
+                    // Each page the write has left faults and dirties
+                    // in turn: make room for all of them at the first.
+                    let left = (a.offset() as u64 + len as u64 - prog).div_ceil(PAGE_SIZE as u64);
+                    self.procs[p].dirty.reserve(left as usize);
+                }
                 match self.start_fault(now, p, page, write, op, prog) {
                     Flow::Continue => continue, // fast local path; re-check
                     Flow::Stop => return Flow::Stop,

@@ -1,5 +1,7 @@
 //! Page faults, fetches, and diff application at the home.
 
+use std::ops::Range;
+
 use genima_mem::{Access, Diff, Page, PageId, PagePool};
 use genima_nic::{MsgKind, Tag};
 use genima_sim::{Dur, Time};
@@ -33,14 +35,28 @@ impl SvmSystem {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         let acc = self.procs[p].pt.access(page);
 
-        // Pure protection upgrade: page is readable, write needs a twin.
+        // Pure protection upgrade: page is readable, write needs a twin
+        // — unless it starts a run written in place before, which then
+        // re-opens whole in one trap (DESIGN.md §31).
         if write && acc == Access::Read {
-            let cost = trap + self.twin_cost(node, page) + self.p.mem.mprotect.cost(1);
+            let run = self.procs[p].in_place_runs.take_starting_at(page);
+            let (twin, pages, calls) = match run {
+                Some(run) => {
+                    let (pages, calls) = self.reopen_run(p, node, run);
+                    (Dur::ZERO, pages, calls)
+                }
+                None => {
+                    let twin = self.twin_cost(node, page);
+                    self.make_writable(p, node, page);
+                    (twin, 1, 1)
+                }
+            };
+            let mpro = self.p.mem.mprotect.cost_grouped(pages, calls);
+            let cost = trap + twin + mpro;
             self.procs[p].clock += cost;
             self.procs[p].bd.acqrel += cost;
-            self.procs[p].bd.mprotect += self.p.mem.mprotect.cost(1);
-            self.counters.mprotect_calls += 1;
-            self.make_writable(p, node, page);
+            self.procs[p].bd.mprotect += mpro;
+            self.counters.mprotect_calls += calls as u64;
             return Flow::Continue;
         }
 
@@ -151,6 +167,26 @@ impl SvmSystem {
         } else {
             self.p.mem.twin_copy
         }
+    }
+
+    /// Re-opens every page of `run`, an in-place run `p` re-protected
+    /// at an earlier close, that `p` still holds read-only: writable
+    /// and dirty, with no twin, whether or not the interval writes it.
+    /// A page invalidated since stays invalid. Returns how many pages
+    /// opened in how many coalesced calls.
+    fn reopen_run(&mut self, p: usize, node: usize, run: Range<usize>) -> (usize, usize) {
+        let (mut pages, mut calls, mut after_open) = (0, 0, false);
+        for page in run.map(PageId::new) {
+            let open = self.procs[p].pt.access(page) == Access::Read;
+            if open {
+                debug_assert!(self.writes_in_place(node, page));
+                self.make_writable(p, node, page);
+                pages += 1;
+                calls += usize::from(!after_open);
+            }
+            after_open = open;
+        }
+        (pages, calls)
     }
 
     /// Marks `page` writable for `p`, creating the dirty entry and,

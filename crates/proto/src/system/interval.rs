@@ -1,6 +1,8 @@
 //! Intervals and diffs: closing a process's interval, flushing its
 //! diffs to the homes, and charging the work.
 
+use std::ops::Range;
+
 use genima_mem::{compute_diff_tracked, Access, Diff, PageId};
 use genima_nic::{MsgKind, Tag};
 use genima_obs::{flow_diff_id, op_diff_id, FlowDir, SpanKind, Track};
@@ -39,14 +41,15 @@ impl SvmSystem {
     }
 
     /// Closes `p`'s open interval (if it wrote anything): creates the
-    /// interval record, write-protects the dirty pages again, raises
-    /// the home copy of every page written in place, and queues the
-    /// rest for later (or immediate) flushing. This is the *state* of
-    /// closing only. Returns the closed interval's number and what the
-    /// re-protect costs (nothing, if nothing was closed), which the
-    /// caller charges with [`SvmSystem::charge_reprotect`] at the point
-    /// its order of steps says — a process is sequential, so nothing
-    /// observes its page table between the two.
+    /// interval record, raises the home copy of every page written in
+    /// place, write-protects the dirty pages again (recording the
+    /// in-place runs among them), and queues the rest for later (or
+    /// immediate) flushing. This is the *state* of closing only.
+    /// Returns the closed interval's number and what the re-protect
+    /// costs (nothing, if nothing was closed), which the caller charges
+    /// with [`SvmSystem::charge_reprotect`] at the point its order of
+    /// steps says — a process is sequential, so nothing observes its
+    /// page table between the two.
     pub(crate) fn end_interval(&mut self, p: usize) -> (Option<u32>, Dur) {
         if self.procs[p].dirty.is_empty() && self.procs[p].flushed_early.is_empty() {
             return (None, Dur::ZERO);
@@ -80,19 +83,6 @@ impl SvmSystem {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         self.nodes[node].arrived[p] = i;
 
-        // Write-protect the dirty pages so the next interval faults
-        // and twins again (coalesced mprotect). A page written in place
-        // and invalidated since stays invalid: its home copy is waiting
-        // for another writer's diff.
-        let groups = contiguous_groups(&scratch);
-        let mpro = self.p.mem.mprotect.cost_grouped(scratch.len(), groups);
-        for &pg in &scratch {
-            if self.procs[p].pt.access(pg) == Access::ReadWrite {
-                self.procs[p].pt.set(pg, Access::Read);
-            }
-        }
-        self.counters.mprotect_calls += groups as u64;
-
         // A page written in place is already in the home copy: the
         // interval's close is its update, and it has nothing to flush.
         let t = self.procs[p].clock;
@@ -102,6 +92,29 @@ impl SvmSystem {
             }
         }
         dirty.retain(|pg| !self.writes_in_place(node, pg));
+        if dirty.is_empty() {
+            // Every page went in place: the next interval keeps this
+            // buffer, and the record queues the empty one it took.
+            std::mem::swap(&mut dirty, &mut self.procs[p].dirty);
+        }
+
+        // Write-protect the dirty pages so the next interval faults
+        // and twins again (coalesced mprotect), priced over the pages
+        // it re-protects. A page written in place and invalidated since
+        // stays invalid: its home copy is waiting for another writer's
+        // diff.
+        let pt = &mut self.procs[p].pt;
+        scratch.retain(|&pg| {
+            let writable = pt.access(pg) == Access::ReadWrite;
+            if writable {
+                pt.set(pg, Access::Read);
+            }
+            writable
+        });
+        let groups = contiguous_groups(&scratch);
+        let mpro = self.p.mem.mprotect.cost_grouped(scratch.len(), groups);
+        self.counters.mprotect_calls += groups as u64;
+        self.record_in_place_runs(p, node, &scratch);
         self.scratch_pages = scratch;
 
         self.procs[p].pending_intervals.push(PendingInterval {
@@ -109,6 +122,29 @@ impl SvmSystem {
             pages: dirty,
         });
         (Some(i), mpro)
+    }
+
+    /// Records the maximal runs of consecutive in-place pages among
+    /// `pages`, the ascending pages `p`'s close just re-protected, so
+    /// that a write to a run's first page re-opens the whole run
+    /// ([`SvmSystem::reopen_run`]). A 1999 column writes no page in
+    /// place, so it records nothing.
+    fn record_in_place_runs(&mut self, p: usize, node: usize, pages: &[PageId]) {
+        let mut open: Option<Range<usize>> = None;
+        for &pg in pages {
+            let (i, in_place) = (pg.index(), self.writes_in_place(node, pg));
+            if let Some(run) = open.as_mut().filter(|run| in_place && run.end == i) {
+                run.end += 1;
+                continue;
+            }
+            if let Some(run) = open.take() {
+                self.procs[p].in_place_runs.record(run);
+            }
+            open = in_place.then_some(i..i + 1);
+        }
+        if let Some(run) = open {
+            self.procs[p].in_place_runs.record(run);
+        }
     }
 
     /// Charges `p` the re-protect of an interval [`Self::end_interval`]

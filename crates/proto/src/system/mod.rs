@@ -243,6 +243,10 @@ pub struct SvmSystem {
     pub(crate) scratch_noticed: PageBits,
     /// Reusable woken-process buffer for `apply_diff_at_home`.
     pub(crate) scratch_procs: Vec<usize>,
+    /// Reusable NI-tree barrier buffers: the reduce vector a node's
+    /// last arrival posts, and the clock its release decodes.
+    pub(crate) scratch_reduce: Vec<u64>,
+    pub(crate) scratch_joined: VClock,
     /// Emptied dirty sets handed back by `flush_interval`; the next
     /// interval to open takes one instead of growing a new buffer.
     pub(crate) spare_dirty: Vec<DirtySet>,
@@ -367,6 +371,8 @@ impl SvmSystem {
             scratch_conflicts: Vec::new(),
             scratch_noticed: PageBits::default(),
             scratch_procs: Vec::new(),
+            scratch_reduce: Vec::new(),
+            scratch_joined: VClock::new(nprocs),
             spare_dirty: Vec::new(),
             spare_upto: Vec::new(),
             spare_versions: Vec::with_capacity(nprocs),

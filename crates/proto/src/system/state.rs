@@ -1,7 +1,8 @@
 //! The system's runtime state: events, in-flight message records, and
 //! what is kept per process, per node, per lock and per barrier.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 
 use genima_mem::{Diff, Page, PageId, PageTable, PageVec};
 use genima_nic::{Event as CommEvent, LockId, LockOp, Tag, Upcall};
@@ -205,6 +206,9 @@ pub(crate) struct ProcRt {
     pub(crate) flushed_early: Vec<PageId>,
     /// Closed intervals whose diffs have not been flushed (lazy).
     pub(crate) pending_intervals: Vec<PendingInterval>,
+    /// The in-place runs this process wrote and re-protected (empty
+    /// unless home writes are in place; DESIGN.md §31).
+    pub(crate) in_place_runs: InPlaceRuns,
     pub(crate) bd: Breakdown,
     /// Accumulated interrupt-steal penalty applied to the next compute.
     pub(crate) steal: Dur,
@@ -231,6 +235,7 @@ impl ProcRt {
             dirty: DirtySet::default(),
             flushed_early: Vec::new(),
             pending_intervals: Vec::new(),
+            in_place_runs: InPlaceRuns::default(),
             bd: Breakdown::default(),
             steal: Dur::ZERO,
             warmup_reset: false,
@@ -338,6 +343,39 @@ impl Inflight {
     }
 }
 
+/// The maximal runs of consecutive pages a process wrote in place and
+/// re-protected at an interval's close, as page-index ranges ascending
+/// and disjoint: a newer run replaces every older run it overlaps, so
+/// the list never holds more entries than the in-place pages the
+/// process has written. A write fault on a run's first page takes the
+/// run and re-opens it whole (DESIGN.md §31). Recording and taking a
+/// run allocate nothing beyond the list's own growth.
+#[derive(Default)]
+pub(crate) struct InPlaceRuns {
+    runs: Vec<Range<usize>>,
+}
+
+impl InPlaceRuns {
+    /// Records the run `run`, dropping the older runs it overlaps. A
+    /// run of one page only drops them: re-opening it would cost what
+    /// its fault costs anyway, so it is not kept.
+    pub(crate) fn record(&mut self, run: Range<usize>) {
+        // Disjoint and ascending: the ends ascend with the starts.
+        let from = self.runs.partition_point(|r| r.end <= run.start);
+        let to = from + self.runs[from..].partition_point(|r| r.start < run.end);
+        let keep = run.len() > 1;
+        self.runs.splice(from..to, keep.then_some(run));
+    }
+
+    /// Removes and returns the run that starts at `page`, if any.
+    pub(crate) fn take_starting_at(&mut self, page: PageId) -> Option<Range<usize>> {
+        let at = (self.runs)
+            .binary_search_by_key(&page.index(), |r| r.start)
+            .ok()?;
+        Some(self.runs.remove(at))
+    }
+}
+
 /// Per-node runtime state.
 pub(crate) struct NodeRt {
     /// The floating protocol process servicing interrupts.
@@ -361,8 +399,10 @@ pub(crate) struct NodeRt {
     pub(crate) sent_upto: Vec<Vec<u32>>,
     /// NI-tree barriers: local arrivals collected per barrier until
     /// the last one posts the node's contribution to the firmware
-    /// combining tree.
-    pub(crate) coll_arrivals: BTreeMap<BarrierId, Arrivals>,
+    /// combining tree. A short list whose idle combiners are re-keyed
+    /// ([`NodeRt::coll_combiner`]): applications rarely reuse a
+    /// barrier id, so a map would make and drop an entry per episode.
+    pub(crate) coll_arrivals: Vec<(BarrierId, Arrivals)>,
 }
 
 impl NodeRt {
@@ -377,8 +417,22 @@ impl NodeRt {
             locks: (0..locks).map(|_| NodeLock::default()).collect(),
             steal_rr: 0,
             sent_upto: vec![vec![0; nprocs]; nnodes],
-            coll_arrivals: BTreeMap::new(),
+            coll_arrivals: Vec::new(),
         }
+    }
+
+    /// The NI-tree combiner of barrier `b`: its own, else an idle one
+    /// taken over, else a new one.
+    pub(crate) fn coll_combiner(&mut self, b: BarrierId) -> &mut Arrivals {
+        let list = &mut self.coll_arrivals;
+        let at = (list.iter().position(|(id, _)| *id == b))
+            .or_else(|| list.iter().position(|(_, a)| a.count == 0))
+            .unwrap_or_else(|| {
+                list.push((b, Arrivals::default()));
+                list.len() - 1
+            });
+        list[at].0 = b;
+        &mut list[at].1
     }
 }
 
@@ -394,8 +448,10 @@ pub(crate) struct LockRt {
 #[derive(Default)]
 pub(crate) struct Arrivals {
     count: usize,
-    /// The clocks joined so far; `None` between episodes, so an
-    /// episode costs one clock however its barrier id is reused.
+    /// The clocks joined so far; `None` between episodes unless the
+    /// last one's clock was handed back ([`Arrivals::recycle`]), so an
+    /// episode costs at most one clock however its barrier id is
+    /// reused.
     joined: Option<VClock>,
 }
 
@@ -405,7 +461,8 @@ impl Arrivals {
     /// ready for the next episode.
     pub(crate) fn arrive(&mut self, vc: &VClock, quorum: usize) -> Option<VClock> {
         match &mut self.joined {
-            Some(joined) => joined.join(vc),
+            Some(joined) if self.count > 0 => joined.join(vc),
+            Some(joined) => joined.clone_from(vc),
             None => self.joined = Some(vc.clone()),
         }
         self.count += 1;
@@ -414,6 +471,13 @@ impl Arrivals {
         }
         self.count = 0;
         self.joined.take()
+    }
+
+    /// Hands back the clock an episode took, for the next episode to
+    /// join into.
+    pub(crate) fn recycle(&mut self, joined: VClock) {
+        debug_assert_eq!(self.count, 0, "recycled into an open episode");
+        self.joined = Some(joined);
     }
 }
 

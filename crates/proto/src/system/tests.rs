@@ -1115,6 +1115,144 @@ fn home_and_remote_writers_of_one_page_merge_under_every_column() {
     }
 }
 
+/// p0, on node 0 of two, writes pages 16..32, all homed at its node,
+/// crosses the warm-up barrier and writes them again from page `from`
+/// to the end. Returns the faults taken after the warm-up, p0's
+/// acquire/release time, and the parameters the run used.
+fn rewrite_of_a_home_run(column: Column, from: usize) -> (u64, genima_sim::Dur, SvmParams) {
+    let (b0, b1) = (BarrierId::new(0), BarrierId::new(1));
+    let write = |from: usize| Op::Write {
+        addr: addr(from, 0),
+        len: ((32 - from) * PAGE_SIZE) as u32,
+    };
+    let writer = vec![write(16), Op::Barrier(b0), write(from), Op::Barrier(b1)];
+    let other = vec![Op::Barrier(b0), Op::Barrier(b1)];
+    let mut p = params(column, 2, 1);
+    p.data_mode = false;
+    p.warmup_barrier = Some(b0);
+    let mut sys = SvmSystem::new(p.clone(), vec![boxed(writer), boxed(other)]);
+    sys.assign_homes(PageId::new(16), 16, NodeId::new(0));
+    let r = sys.run();
+    // The second barrier's close is charged to the barrier: what
+    // acquire/release holds is the rewrite's faults.
+    (r.counters.faults, r.breakdowns[0].acqrel, p)
+}
+
+#[test]
+fn a_2025_rewrite_from_a_home_runs_first_page_reopens_the_run_in_one_fault() {
+    // From the first page the whole run re-opens in one fault; entered
+    // at its third page, it takes a plain upgrade per page it writes.
+    let p = params(Column::genima_2025(), 2, 1);
+    let (trap, m) = (p.proto.fault_trap, &p.mem.mprotect);
+    let upgrade = trap + m.cost(1);
+    for (from, want_faults, want_acqrel) in [
+        (16, 1, trap + m.cost_grouped(16, 1)),
+        (18, 14, upgrade * 14),
+    ] {
+        let (faults, acqrel, _) = rewrite_of_a_home_run(Column::genima_2025(), from);
+        assert_eq!(
+            (faults, acqrel),
+            (want_faults, want_acqrel),
+            "from page {from}"
+        );
+    }
+
+    // The paper's calibration: every page the 1999 column opens is a
+    // fault of its own with a twin.
+    let (faults, acqrel, p) = rewrite_of_a_home_run(Column::lanai(FeatureSet::genima()), 16);
+    let upgrade = p.proto.fault_trap + p.mem.twin_copy + p.mem.mprotect.cost(1);
+    assert_eq!(faults, 16);
+    assert_eq!(acqrel, upgrade * 16);
+}
+
+#[test]
+fn a_reopened_run_skips_an_invalidated_page_and_names_the_pages_it_never_wrote() {
+    // Three nodes of one; pages 16..20 are homed at p0's node. p0
+    // writes all four, then p1 writes page 18, and p0, its page 18
+    // invalidated by p1's notice, writes pages 16 and 18 again. On
+    // GeNIMA-2025 the write to page 16 re-opens 16, 17 and 19 but not
+    // the invalid 18, which faults on its own. 17 and 19 are named in
+    // p0's notice unwritten, and p2 refetches them with their old bytes.
+    let (b0, b1, b2) = (BarrierId::new(0), BarrierId::new(1), BarrierId::new(2));
+    let w = |page: usize, off: u64, v: u8| Op::WriteData {
+        addr: addr(page, off),
+        data: vec![v; 8],
+    };
+    let check = |page: usize, off: u64, v: u8| Op::Validate {
+        addr: addr(page, off),
+        expected: vec![v; 8],
+    };
+    let mut home: Vec<Op> = (16..20).map(|pg| w(pg, 0, 1)).collect();
+    home.extend([Op::Barrier(b0), Op::Barrier(b1)]);
+    home.extend([w(16, 8, 2), w(18, 16, 3), Op::Barrier(b2)]);
+    let remote = vec![
+        Op::Barrier(b0),
+        w(18, 2048, 4),
+        Op::Barrier(b1),
+        Op::Barrier(b2),
+    ];
+    let mut reader = vec![Op::Barrier(b0)];
+    reader.extend((16..20).map(|pg| check(pg, 0, 1)));
+    reader.extend([Op::Barrier(b1), Op::Barrier(b2)]);
+    reader.extend((16..20).map(|pg| check(pg, 0, 1)));
+    reader.extend([check(16, 8, 2), check(18, 16, 3), check(18, 2048, 4)]);
+    for column in Column::all() {
+        let mut p = params(column, 3, 1);
+        p.warmup_barrier = Some(b1);
+        let srcs = [home.clone(), remote.clone(), reader.clone()];
+        let mut sys = SvmSystem::new(p, srcs.map(boxed).into());
+        sys.assign_homes(PageId::new(16), 4, NodeId::new(0));
+        let r = sys.run();
+        let named: Vec<usize> = (sys.records[0].pages(2).expect("p0's second interval"))
+            .iter()
+            .map(|pg| pg.index())
+            .collect();
+        // After p1's interval: p0 faults on 16 and 18, and p2 on every
+        // page p0 named (18 it had invalidated already).
+        let (want, faults) = if column == Column::genima_2025() {
+            (vec![16, 17, 18, 19], 2 + 4)
+        } else {
+            (vec![16, 18], 2 + 2)
+        };
+        assert_eq!(named, want, "{column}");
+        assert_eq!(r.counters.faults, faults, "{column}");
+    }
+}
+
+#[test]
+fn a_2025_close_charges_the_reprotect_of_the_pages_it_reprotects() {
+    // p0 writes its home pages 16..20, and p1's notice for page 17
+    // arrives under the lock while they are dirty: 17 is invalidated
+    // and stays so. The release re-protects 16, 18 and 19, three pages
+    // in two calls, and charges that — not one call over four.
+    let l = LockId::new(0);
+    let run = Op::Write {
+        addr: addr(16, 0),
+        len: 4 * PAGE_SIZE as u32,
+    };
+    let wait = Op::Compute(genima_sim::Dur::from_ms(20));
+    let home = vec![run, wait, Op::Acquire(l), Op::Release(l)];
+    let remote = vec![
+        Op::Acquire(l),
+        Op::Write {
+            addr: addr(17, 0),
+            len: 8,
+        },
+        Op::Release(l),
+    ];
+    let mut p = params(Column::genima_2025(), 2, 1);
+    p.data_mode = false;
+    let m = p.mem.mprotect.clone();
+    let mut sys = SvmSystem::new(p, vec![boxed(home), boxed(remote)]);
+    sys.assign_homes(PageId::new(16), 4, NodeId::new(0));
+    let r = sys.run();
+    // Four first-touch faults, the invalidation of page 17, the release.
+    let want = m.cost(1) * 4 + m.cost(1) + m.cost_grouped(3, 2);
+    assert_eq!(r.breakdowns[0].mprotect, want);
+    // p0's calls, then p1's fetch of page 17 and its release.
+    assert_eq!(r.counters.mprotect_calls, 4 + 1 + 2 + 2);
+}
+
 #[test]
 #[should_panic(expected = "missing record for writer p1 interval 1")]
 fn a_clock_ahead_of_the_interval_log_is_caught() {
