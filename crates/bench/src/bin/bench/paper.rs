@@ -235,8 +235,10 @@ const CLAIMS: [&str; 39] = [
     // re-protected before re-opens the whole run in one fault, so
     // Ocean's sweeps no longer fault once per band page (1.0 x while
     // they did: the 1999 column, which twins every page it opens, still
-    // does; DESIGN.md §31).
-    "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.2 x Ocean-rowwise/GeNIMA: counters.faults",
+    // does; DESIGN.md §31), and a re-acquire of its reduction lock
+    // re-opens the page the last holding wrote, so no critical section
+    // faults on it either (0.074 x while they did; §32).
+    "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.06 x Ocean-rowwise/GeNIMA: counters.faults",
     // Send pipelining recovers part of the direct-diff loss.
     "pipelining/DW+RF/pipelined: speedup > pipelining/DW+RF/serial",
     "pipelining/GeNIMA/pipelined: speedup > pipelining/GeNIMA/serial",

@@ -16,11 +16,13 @@
 //!   application — if modern hardware loses to a 33 MHz LANai, the
 //!   model is wrong,
 //! * and by at least the floor [`VS_1999_FLOORS`] sets where a 2025
-//!   model fix bought it: 2.1x on Ocean-rowwise, whose 2025 time was
+//!   model fix bought it: 2.25x on Ocean-rowwise, whose 2025 time was
 //!   lock wait until the release stopped diffing inside the critical
 //!   section (DESIGN.md §28), then the home's diffs of its own pages
 //!   until it wrote them in place (§29), then a fault per page of every
-//!   rewrite until a run re-opened whole (§31); 1.5x on FFT and 2x on
+//!   rewrite until a run re-opened whole (§31), then a fault inside
+//!   every critical section until an acquire re-opened the page its
+//!   last holding wrote (§32); 1.5x on FFT and 2x on
 //!   Radix-local, whose page fetches queued behind ODP faults until a
 //!   fault parked its queue pair instead of the whole NIC (§30).
 
@@ -51,10 +53,12 @@ pub const VIEWS: &[View] = &[View {
 const VS_1999_FLOORS: [(&str, f64); 3] = [
     // Lock wait: a GeNIMA-2025 release hands the lock over before it
     // diffs and re-protects (1.017 while it diffed first), the home
-    // writes its own pages in place (1.577 while it diffed them), and a
+    // writes its own pages in place (1.577 while it diffed them), a
     // rewrite of a home run re-opens it in one fault (2.037 while every
-    // page faulted).
-    ("Ocean-rowwise", 2.1),
+    // page faulted), and a re-acquire re-opens the home page its last
+    // holding wrote while the request is in flight (2.198 while the
+    // critical section faulted on it).
+    ("Ocean-rowwise", 2.25),
     // Data wait: an ODP fault parks its queue pair, not the home's
     // whole receive engine (1.103 and 1.379 while it held the engine).
     ("FFT", 1.5),

@@ -170,6 +170,96 @@ fn a_read_that_outruns_the_2025_releasers_diffs_waits_at_the_home_or_refetches()
     }
 }
 
+/// GeNIMA-2025 re-opens the home pages a process wrote under a lock
+/// while its next acquire of that lock is in flight (DESIGN.md §32).
+/// Here p0, at page 0's home, reads page 0 and then writes a word of it
+/// in two holdings, and p1 writes another word of it under the lock in
+/// between: the grant
+/// brings p1's notice, which invalidates the page p0 already re-opened,
+/// and p0's write waits at the home for p1's diff. A reader on a third
+/// node then sees both writers' words, on every column.
+#[test]
+fn a_page_reopened_before_the_grant_is_invalidated_by_what_the_grant_brings() {
+    let (l, b) = (LockId::new(0), BarrierId::new(0));
+    let word = |off: u64, v: u8| Op::WriteData {
+        addr: Addr::new(off),
+        data: vec![v; 8],
+    };
+    let check = |off: u64, v: u8| Op::Validate {
+        addr: Addr::new(off),
+        expected: vec![v; 8],
+    };
+    let gap = |us: u64| Op::Compute(Dur::from_us(us));
+    let (mine, theirs) = (0, PAGE_SIZE as u64 / 2);
+    let home = vec![
+        Op::Read {
+            addr: Addr::new(mine),
+            len: 8,
+        },
+        Op::Acquire(l),
+        word(mine, 1),
+        Op::Release(l),
+        gap(1_000),
+        Op::Acquire(l),
+        word(mine, 2),
+        Op::Release(l),
+        Op::Barrier(b),
+    ];
+    // p1 holds the lock across p0's second request, so the grant comes
+    // at p1's release.
+    let remote = vec![
+        gap(300),
+        Op::Acquire(l),
+        word(theirs, 3),
+        gap(1_000),
+        Op::Release(l),
+        Op::Barrier(b),
+    ];
+    let reader = vec![Op::Barrier(b), check(mine, 2), check(theirs, 3)];
+    let programs = vec![home, remote, reader];
+    assert_eq!(detect_races(&programs), Ok(vec![]));
+
+    let page = PageId::new(0);
+    for column in Column::all() {
+        let mut params = column.params(Topology::new(3, 1));
+        params.data_mode = true;
+        let srcs = programs.iter().cloned();
+        let srcs = srcs.map(|ops| Box::new(ops_source(ops)) as _).collect();
+        let mut sys = SvmSystem::new(params, srcs);
+        sys.set_tracing(true);
+        // p2's `Validate`s passing is p2 reading both writers' bytes.
+        sys.run();
+        let trace = sys.take_trace();
+        let audit = audit_traces(column.features, 3, &trace, &sys.take_lock_trace());
+        assert!(audit.is_clean(), "{column}: {audit}");
+        let order: Vec<&str> = (trace.iter())
+            .filter_map(|e| match e {
+                TraceEvent::SyncDone { proc: 0, .. } => Some("sync"),
+                TraceEvent::DiffApplied {
+                    writer: 1,
+                    page: pg,
+                    ..
+                } if *pg == page => Some("diff"),
+                TraceEvent::FaultDone {
+                    proc: 0, page: pg, ..
+                } if *pg == page => Some("fault"),
+                _ => None,
+            })
+            .collect();
+        // Whenever p0's write blocked, p1's diff woke it.
+        let diff = order.iter().position(|&e| e == "diff");
+        let fault = order.iter().position(|&e| e == "fault");
+        assert!(fault.is_none_or(|f| diff < Some(f)), "{column}: {order:?}");
+        if column == Column::genima_2025() {
+            // p0's first acquire, its second — granted as p1 hands the
+            // lock over, before p1's diff — the diff, the write woken
+            // by it, the barrier.
+            let want = ["sync", "sync", "diff", "fault", "sync"];
+            assert_eq!(order, want, "{column}");
+        }
+    }
+}
+
 /// Acceptance gate: GeNIMA-2025 survives 10% packet loss plus
 /// duplication with every protocol invariant intact and still zero
 /// host interrupts — seq/retry recovery comes with the deterministic

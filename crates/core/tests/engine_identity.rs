@@ -51,7 +51,7 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("water-nsq", "DW+RF", 0xdc9eeca0db8cd283),
     ("water-nsq", "DW+RF+DD", 0xccb7b22b55a6ebb3),
     ("water-nsq", "GeNIMA", 0xfd6a93af029fd1bc),
-    ("water-nsq", "GeNIMA-2025", 0xa9d2c0efa31e7280),
+    ("water-nsq", "GeNIMA-2025", 0xfaad2c7cf28019b6),
 ];
 
 #[test]

@@ -30,7 +30,7 @@ use genima_proto::{
 #[derive(Clone, Copy)]
 pub struct Litmus {
     /// Short CLI name (`mp`, `sb`, `iriw`, `lock-handoff`,
-    /// `barrier-epoch`).
+    /// `lock-reopen`, `barrier-epoch`).
     pub name: &'static str,
     /// What the shape tests.
     pub desc: &'static str,
@@ -63,6 +63,22 @@ fn wv(v: usize, val: u32) -> Op {
     Op::WriteData {
         addr: var(v),
         data: val.to_le_bytes().to_vec(),
+    }
+}
+
+/// Write the 32-bit value `val` at byte `off` of variable 0's page.
+fn wat(off: u64, val: u32) -> Op {
+    Op::WriteData {
+        addr: Addr::new(off),
+        data: val.to_le_bytes().to_vec(),
+    }
+}
+
+/// Observe the 32-bit word at byte `off` of variable 0's page.
+fn obsat(off: u64) -> Op {
+    Op::Observe {
+        addr: Addr::new(off),
+        len: 4,
     }
 }
 
@@ -203,6 +219,37 @@ fn mono_allowed(o: &[Vec<u64>]) -> bool {
     a <= b && b <= 2
 }
 
+/// Lock re-open: p0, at the home of the one page, reads its word and
+/// then writes it under the lock in two holdings, and p1 writes another
+/// word of the same page under the lock; each observes the other's
+/// word. Where home writes go in place, the first holding's write is a
+/// protection upgrade, and p0's second acquire re-opens the page before
+/// the grant (DESIGN.md §32). If p1 held the lock in between, the grant
+/// must still invalidate the re-opened page and p0's write wait at the
+/// home for p1's diff, or p0 would read p1's word as zero.
+fn lock_reopen_programs() -> Vec<Vec<Op>> {
+    let (a, b) = (0, PAGE_SIZE as u64 / 2);
+    vec![
+        vec![
+            obsat(a),
+            acq(0),
+            wat(a, 1),
+            rel(0),
+            acq(0),
+            wat(a, 2),
+            obsat(b),
+            rel(0),
+        ],
+        vec![acq(0), obsat(a), wat(b, 1), rel(0)],
+    ]
+}
+
+fn lock_reopen_allowed(o: &[Vec<u64>]) -> bool {
+    // p0 reads its own word before any store; p1 holds first, between
+    // p0's holdings, or last.
+    o[0][0] == 0 && matches!((o[0][1], o[1][0]), (1, 0) | (1, 1) | (0, 2))
+}
+
 /// Lock-then-barrier chaining: the writer publishes under a lock and
 /// then crosses the barrier; the reader crosses the barrier and reads
 /// without the lock. The barrier join must carry the lock-protected
@@ -266,6 +313,16 @@ pub fn corpus() -> Vec<Litmus> {
             allowed: mono_allowed,
             // The reader's section lands before, between, or after the
             // writer's two sections: (0,0), (1,1), (2,2) at least.
+            min_outcomes: 3,
+        },
+        Litmus {
+            name: "lock-reopen",
+            desc: "a lock's home pages re-opened before its grant",
+            nodes: 2,
+            ppn: 1,
+            programs: lock_reopen_programs,
+            allowed: lock_reopen_allowed,
+            // p1's section lands before, between, or after p0's two.
             min_outcomes: 3,
         },
         Litmus {

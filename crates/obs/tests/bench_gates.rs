@@ -210,13 +210,13 @@ fn oceans_lock_wait_creeping_back_is_rejected() {
     // Each GeNIMA-2025 row as it read while a release still diffed and
     // re-protected inside the critical section (DESIGN.md §28) ...
     let ocean = [("app", "Ocean-rowwise"), ("column", "GeNIMA-2025")];
-    flip("rdma", &ocean, "speedup_vs_1999", 1.017, ">= 2.1");
+    flip("rdma", &ocean, "speedup_vs_1999", 1.017, ">= 2.25");
     flip("paper", &ocean, "shares.lock", 0.189, "<= 0.1");
     // ... and as they read while the home still twinned, diffed and
     // applied its own pages (DESIGN.md §29). The critpath row keeps its
     // segments summing to its total, so the 1999 comparison is the gate
     // that fires.
-    flip("rdma", &ocean, "speedup_vs_1999", 1.577, ">= 2.1");
+    flip("rdma", &ocean, "speedup_vs_1999", 1.577, ">= 2.25");
     let queue = "segments_ns.queue_retry";
     let gate = "queue_retry <= 0.1 x Ocean-rowwise/GeNIMA: segments_ns.queue_retry";
     rejects("critpath", gate, |v| {
@@ -264,10 +264,33 @@ fn a_fault_per_page_of_oceans_rewrites_creeping_back_is_rejected() {
     // faulted once per page instead of re-opening the run in one fault
     // (DESIGN.md §31): as many faults as the 1999 column takes.
     let ocean = [("app", "Ocean-rowwise"), ("column", "GeNIMA-2025")];
-    flip("rdma", &ocean, "speedup_vs_1999", 2.037, ">= 2.1");
-    let gate = "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.2 x";
+    flip("rdma", &ocean, "speedup_vs_1999", 2.037, ">= 2.25");
+    let gate = "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.06 x";
     let cell = cell("Ocean-rowwise", "GeNIMA-2025");
     flip("paper", &cell, "counters.faults", 16_068u64, gate);
+}
+
+#[test]
+fn a_fault_in_every_critical_section_of_oceans_creeping_back_is_rejected() {
+    // Each GeNIMA-2025 row as it read while a re-acquire left the page
+    // its last holding wrote protected, so that every critical section
+    // faulted on it (DESIGN.md §32).
+    let ocean = [("app", "Ocean-rowwise"), ("column", "GeNIMA-2025")];
+    flip("rdma", &ocean, "speedup_vs_1999", 2.198, ">= 2.25");
+    let gate = "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.06 x";
+    let cell = cell("Ocean-rowwise", "GeNIMA-2025");
+    flip("paper", &cell, "counters.faults", 1_188u64, gate);
+}
+
+#[test]
+fn a_dropped_ci_litmus_is_rejected() {
+    // The CI grid is every litmus of the corpus on every column; one
+    // litmus fewer is six rows fewer.
+    let gate = "the full CI litmus x column grid ran";
+    rejects("mc", gate, |v| {
+        let rows = at(v, "meta.ci_rows").as_f64().expect("a row count");
+        *at(v, "meta.ci_rows") = Json::num(rows - 6.0);
+    });
 }
 
 /// A `cell` row of `BENCH_paper.json`.

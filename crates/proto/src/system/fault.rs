@@ -37,9 +37,11 @@ impl SvmSystem {
 
         // Pure protection upgrade: page is readable, write needs a twin
         // — unless it starts a run written in place before, which then
-        // re-opens whole in one trap (DESIGN.md §31).
+        // re-opens whole in one trap (DESIGN.md §31). What opens in
+        // place joins the lock scope (§32).
         if write && acc == Access::Read {
             let run = self.procs[p].in_place_runs.take_starting_at(page);
+            let opened = run.clone().unwrap_or(page.index()..page.index() + 1);
             let (twin, pages, calls) = match run {
                 Some(run) => {
                     let (pages, calls) = self.reopen_run(p, node, run);
@@ -51,6 +53,7 @@ impl SvmSystem {
                     (twin, 1, 1)
                 }
             };
+            self.widen_lock_scope(p, node, opened);
             let mpro = self.p.mem.mprotect.cost_grouped(pages, calls);
             let cost = trap + twin + mpro;
             self.procs[p].clock += cost;
@@ -169,12 +172,17 @@ impl SvmSystem {
         }
     }
 
-    /// Re-opens every page of `run`, an in-place run `p` re-protected
-    /// at an earlier close, that `p` still holds read-only: writable
-    /// and dirty, with no twin, whether or not the interval writes it.
-    /// A page invalidated since stays invalid. Returns how many pages
-    /// opened in how many coalesced calls.
-    fn reopen_run(&mut self, p: usize, node: usize, run: Range<usize>) -> (usize, usize) {
+    /// Re-opens every page of `run` — an in-place run `p` re-protected
+    /// at an earlier close, or its lock scope — that `p` still holds
+    /// read-only: writable and dirty, with no twin, whether or not the
+    /// interval writes it. A page invalidated since stays invalid.
+    /// Returns how many pages opened in how many coalesced calls.
+    pub(crate) fn reopen_run(
+        &mut self,
+        p: usize,
+        node: usize,
+        run: Range<usize>,
+    ) -> (usize, usize) {
         let (mut pages, mut calls, mut after_open) = (0, 0, false);
         for page in run.map(PageId::new) {
             let open = self.procs[p].pt.access(page) == Access::Read;
@@ -453,6 +461,7 @@ impl SvmSystem {
         });
         if write {
             self.make_writable(p, node, page);
+            self.widen_lock_scope(p, node, page.index()..page.index() + 1);
         } else {
             self.procs[p].pt.set(page, Access::Read);
         }
@@ -626,16 +635,17 @@ impl SvmSystem {
         });
         // Deferred Base requests; allocates only when one is served.
         let mut served: Vec<(usize, u64)> = Vec::new();
-        let deferred = self.home_pages.pending_reqs.slot(page);
-        let spares = &mut self.spare_versions;
-        deferred.retain_mut(|(req_node, req, req_op)| {
-            let ready = applied.covers(req.pairs());
-            if ready {
-                served.push((*req_node, *req_op));
-                spares.push(std::mem::take(req));
-            }
-            !ready
-        });
+        if let Some(deferred) = self.home_pages.pending_reqs.get_mut(page) {
+            let spares = &mut self.spare_versions;
+            deferred.retain_mut(|(req_node, req, req_op)| {
+                let ready = applied.covers(req.pairs());
+                if ready {
+                    served.push((*req_node, *req_op));
+                    spares.push(std::mem::take(req));
+                }
+                !ready
+            });
+        }
 
         for &p in &woken {
             self.complete_fault(t, p, page);

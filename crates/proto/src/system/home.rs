@@ -12,16 +12,21 @@ pub(crate) struct HomeTable {
     /// whose diffs are applied here, and the contents (data mode).
     pub(crate) copies: PageVec<CopyState>,
     /// Base: deferred page requests awaiting diffs — requester node,
-    /// the version it needs, and the fetch op it serves.
+    /// the version it needs, and the fetch op it serves. Empty, and
+    /// never sized, where remote fetch replaces the request.
     pub(crate) pending_reqs: PageVec<Vec<(usize, VersionMap, u64)>>,
     /// Home-local processes waiting for diffs.
     pub(crate) waiters: PageVec<Vec<usize>>,
 }
 
 impl HomeTable {
-    pub(crate) fn size_to(&mut self, extent: usize) {
+    /// Sizes the columns for pages `0..extent`; the deferred requests
+    /// only if pages are requested by message (`requests`).
+    pub(crate) fn size_to(&mut self, extent: usize, requests: bool) {
         self.copies.size_to(extent);
-        self.pending_reqs.size_to(extent);
+        if requests {
+            self.pending_reqs.size_to(extent);
+        }
         self.waiters.size_to(extent);
     }
 }

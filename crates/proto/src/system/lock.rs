@@ -19,7 +19,17 @@
 //! fetched copy that does not cover the reader's required version is
 //! refetched (`rf_completed`), and at the home the reader waits on the
 //! page (`home_pages.waiters`).
+//!
+//! Where home pages are written in place, an acquire also re-opens the
+//! home pages the process wrote when it last held the same lock, while
+//! its request is in flight (DESIGN.md §32). The rule is "a re-open
+//! may precede the grant, and no access may": opening an in-place page
+//! early only names it in the next interval, and a notice the grant
+//! brings for it invalidates it before the critical section touches it.
 
+use std::ops::Range;
+
+use genima_mem::PageId;
 use genima_nic::{CasWord, LockAction, LockId, LockOp, MsgKind, Post, Tag};
 use genima_sim::Time;
 
@@ -40,6 +50,7 @@ impl SvmSystem {
     /// process blocked.
     pub(crate) fn start_acquire(&mut self, now: Time, p: usize, l: LockId) -> Flow {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
+        let scope = self.lock_scope_of(p, l);
         let nl = &mut self.nodes[node].locks[l.index()];
         if nl.holder.is_some() || !nl.local_waiters.is_empty() || nl.requesting {
             nl.local_waiters.push_back(p);
@@ -49,6 +60,7 @@ impl SvmSystem {
                 started: now,
                 op: lop,
             });
+            self.reopen_lock_scope(now, p, scope);
             return Flow::Stop;
         }
         let nic = NodeId::new(node).nic();
@@ -88,6 +100,9 @@ impl SvmSystem {
             started: now,
             op: lop,
         });
+        // The host re-opens the scope from `now`, as the request leaves;
+        // a grant that could come back synchronously finds it done.
+        self.reopen_lock_scope(now, p, scope);
         match self.lock_strategy {
             LockStrategy::AtomicSwapSpin | LockStrategy::AtomicCasWait => {
                 self.atomic_lock_try(now, p, l);
@@ -103,6 +118,58 @@ impl SvmSystem {
             }
         }
         Flow::Stop
+    }
+
+    /// `p`'s lock scope as its acquire of `l` finds it: the run of pages
+    /// to re-open if the scope is `l`'s; else an empty scope for `l`
+    /// replaces it, and there is nothing to re-open.
+    fn lock_scope_of(&mut self, p: usize, l: LockId) -> Range<usize> {
+        match &self.procs[p].lock_scope {
+            Some((scoped, run)) if *scoped == l => run.clone(),
+            Some(_) | None => {
+                self.procs[p].lock_scope = Some((l, 0..0));
+                0..0
+            }
+        }
+    }
+
+    /// Adds `opened`, pages a write fault of `p` just made writable —
+    /// one, or a run re-opened whole — to `p`'s lock scope if they are
+    /// written in place, `p` holds the scope's lock and they touch its
+    /// run. Pages apart from the run are left to fault: the scope stays
+    /// one run, so re-opening it never walks pages between.
+    pub(crate) fn widen_lock_scope(&mut self, p: usize, node: usize, opened: Range<usize>) {
+        if !self.writes_in_place(node, PageId::new(opened.start)) {
+            return;
+        }
+        let Some((l, run)) = &mut self.procs[p].lock_scope else {
+            return;
+        };
+        if self.nodes[node].locks[l.index()].holder != Some(p) {
+            return;
+        }
+        if run.start == run.end {
+            *run = opened;
+        } else if opened.start <= run.end && run.start <= opened.end {
+            *run = run.start.min(opened.start)..run.end.max(opened.end);
+        }
+    }
+
+    /// Re-opens `run`, the scope of the lock `p` has been waiting for
+    /// since `now`, with one coalesced mprotect and no trap. The host
+    /// runs it during the wait; the critical section cannot start
+    /// before it ends, so `p`'s clock moves there, and
+    /// [`Self::lock_granted`] charges whatever outlasts the wait.
+    fn reopen_lock_scope(&mut self, now: Time, p: usize, run: Range<usize>) {
+        if run.is_empty() {
+            return;
+        }
+        let node = self.p.topo.node_of(ProcId::new(p)).index();
+        let (pages, calls) = self.reopen_run(p, node, run);
+        let mpro = self.p.mem.mprotect.cost_grouped(pages, calls);
+        self.procs[p].clock = now + mpro;
+        self.procs[p].bd.mprotect += mpro;
+        self.counters.mprotect_calls += calls as u64;
     }
 
     /// HostChain: a chain message reached node `to` (through its
@@ -337,7 +404,11 @@ impl SvmSystem {
                 lop,
             );
         });
-        self.enter_notice_stage(t, proc, WaitReason::Lock);
+        // A re-open of the lock scope still running at the grant holds
+        // the critical section back: what outlasts the wait is acq/rel.
+        let reopening = self.procs[proc].clock.saturating_since(t);
+        self.procs[proc].bd.acqrel += reopening;
+        self.enter_notice_stage(t + reopening, proc, WaitReason::Lock);
     }
 
     /// Releases a lock held by `p`: close its interval, post the write

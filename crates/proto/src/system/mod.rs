@@ -531,7 +531,7 @@ impl SvmSystem {
             node.copies.size_to(extent);
             node.local_flushed.size_to(extent);
         }
-        self.home_pages.size_to(extent);
+        self.home_pages.size_to(extent, !self.p.features.rf);
         self.scratch_noticed.size_to(extent);
         for p in 0..self.procs.len() {
             self.q.push(Time::ZERO, SysEvent::Resume(p));

@@ -209,6 +209,11 @@ pub(crate) struct ProcRt {
     /// The in-place runs this process wrote and re-protected (empty
     /// unless home writes are in place; DESIGN.md §31).
     pub(crate) in_place_runs: InPlaceRuns,
+    /// The lock this process last took, and the run of in-place pages
+    /// it made writable while holding it: the next acquire of the same
+    /// lock re-opens them while its request is in flight (empty unless
+    /// home writes are in place; DESIGN.md §32).
+    pub(crate) lock_scope: Option<(LockId, Range<usize>)>,
     pub(crate) bd: Breakdown,
     /// Accumulated interrupt-steal penalty applied to the next compute.
     pub(crate) steal: Dur,
@@ -236,6 +241,7 @@ impl ProcRt {
             flushed_early: Vec::new(),
             pending_intervals: Vec::new(),
             in_place_runs: InPlaceRuns::default(),
+            lock_scope: None,
             bd: Breakdown::default(),
             steal: Dur::ZERO,
             warmup_reset: false,

@@ -1261,3 +1261,123 @@ fn a_clock_ahead_of_the_interval_log_is_caught() {
     sys.procs[0].vc.set(crate::ids::ProcId::new(1), 1);
     sys.complete_sync(Time::ZERO, 0, WaitReason::Lock);
 }
+
+/// When p0 asked for a lock, was granted it and released it, per
+/// remote holding, in a run of `p0` beside `others` on `column`, one
+/// process per node: its lock-wait spans and lock-release instants,
+/// all on node 0. Returns them with the report.
+fn p0_holdings(
+    column: Column,
+    p0: Vec<Op>,
+    others: Vec<Vec<Op>>,
+) -> (Vec<(Time, Time, Time)>, RunReport) {
+    let mut srcs = vec![boxed(p0)];
+    srcs.extend(others.into_iter().map(boxed));
+    let nodes = srcs.len();
+    let mut sys = SvmSystem::new(params(column, nodes, 1), srcs);
+    let obs = genima_obs::Recorder::shared(nodes, &genima_obs::ObsConfig::on());
+    sys.set_observer(obs.clone().expect("recording is on"));
+    let r = sys.run();
+    let spans = obs.expect("recording is on").borrow_mut().take().spans;
+    let on_p0 = |kind| (spans.iter()).filter(move |s| s.node == 0 && s.kind == kind);
+    let waits = on_p0(genima_obs::SpanKind::LockAcquire).map(|s| (s.start, s.end()));
+    let releases = on_p0(genima_obs::SpanKind::LockRelease).map(|s| s.start);
+    let holdings = waits
+        .zip(releases)
+        .map(|((ask, grant), rel)| (ask, grant, rel));
+    (holdings.collect(), r)
+}
+
+/// p0 reads page 0, its own node's page, then writes a word of it under
+/// lock 1, homed at node 1, in two holdings a millisecond apart.
+fn two_holdings_of_a_home_page(l: LockId) -> Vec<Op> {
+    let write = |v: u8| Op::WriteData {
+        addr: addr(0, 64),
+        data: vec![v; 8],
+    };
+    let gap = Op::Compute(genima_sim::Dur::from_ms(1));
+    let read = Op::Read {
+        addr: addr(0, 64),
+        len: 8,
+    };
+    let holding = |v| [Op::Acquire(l), write(v), Op::Release(l)];
+    [vec![read], holding(1).into(), vec![gap], holding(2).into()].concat()
+}
+
+#[test]
+fn a_2025_reacquire_reopens_the_home_page_its_last_holding_wrote() {
+    // p1 holds the lock across p0's second request, so the re-open
+    // finishes long before the grant: the second critical section is
+    // the first less its fault. The 1999 column faults and twins in
+    // both, its calibration untouched.
+    let l = LockId::new(1);
+    let hold = Op::Compute(genima_sim::Dur::from_ms(1));
+    let other = vec![
+        Op::Compute(genima_sim::Dur::from_us(500)),
+        Op::Acquire(l),
+        hold,
+        Op::Release(l),
+    ];
+    let p = params(Column::genima_2025(), 2, 1);
+    let upgrade = p.proto.fault_trap + p.mem.mprotect.cost(1);
+    for column in [Column::genima_2025(), Column::lanai(FeatureSet::genima())] {
+        let p0 = two_holdings_of_a_home_page(l);
+        let (held, r) = p0_holdings(column, p0, vec![other.clone()]);
+        let [(_, g1, r1), (ask, g2, r2)] = held[..] else {
+            panic!("{column}: p0 held the lock {} times", held.len());
+        };
+        assert!(g2 > ask + upgrade, "{column}: p0 waited for p1");
+        let (cs1, cs2) = (r1.saturating_since(g1), r2.saturating_since(g2));
+        // p0's read fault, then its write faults.
+        if column == Column::genima_2025() {
+            assert_eq!(r.counters.faults, 1 + 1, "{column}");
+            assert_eq!(cs1, cs2 + upgrade, "{column}");
+        } else {
+            assert_eq!(r.counters.faults, 1 + 2, "{column}");
+            assert_eq!(cs1, cs2, "{column}");
+            assert!(cs2 >= upgrade + p.mem.twin_copy, "{column}");
+        }
+    }
+}
+
+#[test]
+fn a_grant_that_outruns_the_reopen_waits_for_it_and_charges_the_rest_to_acqrel() {
+    // Uncontended, the masked CAS comes back before the re-open's
+    // mprotect is done: the critical section starts where the re-open
+    // ends, and the time between the grant and then is acquire/release
+    // time.
+    let l = LockId::new(1);
+    let p = params(Column::genima_2025(), 2, 1);
+    let reopen = p.mem.mprotect.cost(1);
+    let p0 = two_holdings_of_a_home_page(l);
+    let (held, r) = p0_holdings(Column::genima_2025(), p0, vec![vec![]]);
+    let [_, (ask, grant, release)] = held[..] else {
+        panic!("p0 held the lock {} times", held.len());
+    };
+    assert!(grant < ask + reopen, "the grant came after the re-open");
+    let overhead = p.proto.acquire_overhead;
+    assert_eq!(release, ask + reopen + overhead);
+    assert_eq!(r.counters.faults, 1 + 1);
+    // Per holding the acquire's overhead and the release's re-protect;
+    // the first holding's fault; what of the re-open the wait did not
+    // hide.
+    let reprotect = p.mem.mprotect.cost(1);
+    let upgrade = p.proto.fault_trap + p.mem.mprotect.cost(1);
+    let outlasting = (ask + reopen).saturating_since(grant);
+    let want = (overhead + reprotect) * 2 + upgrade + outlasting;
+    assert_eq!(r.breakdowns[0].acqrel, want);
+}
+
+#[test]
+fn releasing_another_lock_in_between_replaces_the_scope() {
+    // p0 takes lock 2 between its two holdings of lock 1 and writes
+    // nothing under it: lock 1's second holding faults like its first.
+    let (l, other) = (LockId::new(1), LockId::new(2));
+    let mut p0 = two_holdings_of_a_home_page(l);
+    let at = p0.iter().position(|op| matches!(op, Op::Compute(_)));
+    let at = at.expect("a gap between the holdings");
+    p0.splice(at..at, [Op::Acquire(other), Op::Release(other)]);
+    let (held, r) = p0_holdings(Column::genima_2025(), p0, vec![vec![]]);
+    assert_eq!(held.len(), 3);
+    assert_eq!(r.counters.faults, 1 + 2);
+}

@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Writes `trace_<app>_dw_rf_dd.json` and `trace_<app>_genima.json`
-//! (default: current directory), each a Chrome `trace_event` array you
+//! (default: current directory; the repository's `.gitignore` covers
+//! them at its root), each a Chrome `trace_event` array you
 //! can open at <https://ui.perfetto.dev> or `chrome://tracing`. Every
 //! node gets a process with two tracks — `host` and `ni-firmware` —
 //! and lock handoffs / direct diff deposits are drawn as flow arrows
