@@ -30,7 +30,7 @@ use genima_proto::{
 #[derive(Clone, Copy)]
 pub struct Litmus {
     /// Short CLI name (`mp`, `sb`, `iriw`, `lock-handoff`,
-    /// `lock-reopen`, `barrier-epoch`).
+    /// `lock-reopen`, `barrier-epoch`, `odp-first-touch`).
     pub name: &'static str,
     /// What the shape tests.
     pub desc: &'static str,
@@ -280,6 +280,21 @@ fn barrier_epoch_allowed(o: &[Vec<u64>]) -> bool {
     o.iter().all(|p| p == &[1])
 }
 
+/// ODP first touch: p1 writes variable 0, homed at p0's node, under
+/// the lock, and p0 reads it under the same lock. The home never
+/// writes the page, so nothing advises its NI to map it (DESIGN.md
+/// §33): p1's fetch-for-write is the page's first remote touch and, on
+/// an RDMA NIC with on-demand paging, takes a paging fault that parks
+/// its channel (§30). The lock still orders the two sections: p0 sees
+/// zero or one, nothing else.
+fn odp_first_touch_programs() -> Vec<Vec<Op>> {
+    vec![vec![acq(0), obs(0), rel(0)], vec![acq(0), w(0), rel(0)]]
+}
+
+fn odp_first_touch_allowed(o: &[Vec<u64>]) -> bool {
+    matches!(o[0][0], 0 | 1)
+}
+
 /// The CI litmus corpus: every shape here is exhaustively explorable
 /// on every protocol column (Base through full GeNIMA) in seconds to
 /// a couple of minutes on one core — `mc --litmus all --column all
@@ -342,6 +357,16 @@ pub fn corpus() -> Vec<Litmus> {
             programs: barrier_epoch_programs,
             allowed: barrier_epoch_allowed,
             min_outcomes: 1,
+        },
+        Litmus {
+            name: "odp-first-touch",
+            desc: "a fetch-for-write faults in an unadvised home page",
+            nodes: 2,
+            ppn: 1,
+            programs: odp_first_touch_programs,
+            allowed: odp_first_touch_allowed,
+            // p0's section lands before or after p1's.
+            min_outcomes: 2,
         },
     ]
 }
@@ -502,5 +527,23 @@ mod tests {
         assert!(!mono_allowed(&[vec![], vec![1, 0]]));
         assert!(mono_allowed(&[vec![], vec![1, 2]]));
         assert!(!mp_bar_allowed(&[vec![], vec![0]]));
+        assert!(!odp_first_touch_allowed(&[vec![2], vec![]]));
+    }
+
+    #[test]
+    fn odp_first_touch_keeps_the_park_path_in_the_corpus() {
+        // The home's prefetch advice covers only pages it writes in
+        // place; this litmus's page is written remotely only, so its
+        // first fetch still faults on the RNIC and never on the LANai.
+        let l = by_name("odp-first-touch").expect("odp-first-touch litmus exists");
+        assert!(corpus().iter().any(|c| c.name == l.name), "CI tier");
+        for c in Column::all() {
+            let faults = l.build_on(c).run().ni.odp_faults;
+            if c == Column::genima_2025() {
+                assert!(faults >= 1, "{c}: no ODP fault");
+            } else {
+                assert_eq!(faults, 0, "{c}");
+            }
+        }
     }
 }

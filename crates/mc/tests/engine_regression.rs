@@ -27,7 +27,7 @@ const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
     ("mp", "Base", 2337, 69373, 0x9745c8c6e22df2bb),
     ("mp", "GeNIMA", 18879, 635856, 0xc2c11c104804c315),
     ("lost-update", "DW+RF+DD", 112, 3304, 0x68e7f2bedddc24c0),
-    ("mono", "GeNIMA-2025", 2960, 86181, 0x3a4b8037b012b58f),
+    ("mono", "GeNIMA-2025", 2960, 83413, 0xfc44663a789dec0d),
 ];
 
 #[test]

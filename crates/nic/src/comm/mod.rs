@@ -29,6 +29,7 @@ mod lock;
 mod transport;
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 use genima_coll::{Action, CollId, CollState};
 use genima_net::{NetConfig, NicId};
@@ -242,10 +243,19 @@ impl Comm {
         &self.monitor
     }
 
-    /// Clears the performance monitor (used when measurement starts
-    /// after a warmup phase, per the paper's methodology).
+    /// Clears the performance monitor and the NI model's counters
+    /// (used when measurement starts after a warmup phase, per the
+    /// paper's methodology).
     pub fn reset_monitor(&mut self) {
         self.monitor = Monitor::new();
+        self.model.reset_stats();
+    }
+
+    /// The host of `nic` advises its NI to map `pages` ahead of any
+    /// remote fetch ([`NiModel::advise`]). Returns the host time it
+    /// costs.
+    pub fn advise(&mut self, nic: NicId, pages: Range<u64>) -> Dur {
+        self.model.advise(nic, pages)
     }
 
     fn size_class(&self, bytes: u32) -> SizeClass {

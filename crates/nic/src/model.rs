@@ -16,6 +16,7 @@
 //! in `Comm` and works identically across hardware generations.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use genima_net::NicId;
 use genima_sim::{Dur, Resource, Time};
@@ -41,6 +42,10 @@ pub struct NiStats {
     /// On-demand-paging faults taken while serving remote fetches of
     /// not-yet-mapped pages.
     pub odp_faults: u64,
+    /// Pages the host mapped ahead of any remote fetch by prefetch
+    /// advice ([`NiModel::advise`]); an advice of a page already
+    /// mapped counts nothing.
+    pub odp_prefetched: u64,
 }
 
 /// Result of the host posting one send descriptor.
@@ -175,6 +180,14 @@ pub trait NiModel: std::fmt::Debug {
         None
     }
 
+    /// The host of `nic` advises it to map `pages` (page indices) now,
+    /// so that no remote fetch of them takes a paging fault (ODP
+    /// prefetch advice). Returns the host time the advice costs.
+    /// Hardware whose memory is all pinned has nothing to map.
+    fn advise(&mut self, _nic: NicId, _pages: Range<u64>) -> Dur {
+        Dur::ZERO
+    }
+
     /// Occupy the lock/atomic service unit (`send_side` selects the
     /// outgoing engine, used by host-issued ops; the incoming engine
     /// serves wire-arrived ops).
@@ -195,10 +208,15 @@ pub trait NiModel: std::fmt::Debug {
     /// finished collective, atomic reply) in NI/CQ memory.
     fn notify(&self) -> Dur;
 
-    /// Hardware-mechanism counters accumulated so far.
+    /// Hardware-mechanism counters accumulated since the start or the
+    /// last [`NiModel::reset_stats`].
     fn stats(&self) -> NiStats {
         NiStats::default()
     }
+
+    /// Zeroes the counters [`NiModel::stats`] reports (measurement
+    /// starts after a warm-up phase).
+    fn reset_stats(&mut self) {}
 }
 
 /// Per-NIC engine state of the 1999 LANai board.
@@ -495,6 +513,15 @@ mod tests {
     #[test]
     fn lanai_stats_are_all_zero() {
         let m = LanaiModel::new(NicConfig::lanai(), 1);
+        assert_eq!(m.stats(), NiStats::default());
+    }
+
+    #[test]
+    fn lanai_advice_is_free_and_counts_nothing() {
+        let mut m = LanaiModel::new(NicConfig::lanai(), 2);
+        assert_eq!(m.advise(NicId::new(1), 0..64), Dur::ZERO);
+        let fs = m.serve_fetch(Time::ZERO, NicId::new(0), NicId::new(1), 4096, 3);
+        assert!(!fs.odp_fault && !fs.parked);
         assert_eq!(m.stats(), NiStats::default());
     }
 

@@ -246,8 +246,8 @@ fn the_odp_stall_creeping_back_is_rejected() {
     // §30): 2025 hardware then waited longer for Radix's data than the
     // 1999 LANai did.
     for (app, floor, vs_1999, data_ms) in [
-        ("FFT", 1.5, 1.103, 227.24),
-        ("Radix-local", 2.0, 1.379, 218.34),
+        ("FFT", 2.0, 1.103, 227.24),
+        ("Radix-local", 2.8, 1.379, 218.34),
     ] {
         let rnic = [("app", app), ("column", "GeNIMA-2025")];
         let gate = format!("{app}: speedup_vs_1999 >= {floor}");
@@ -255,6 +255,31 @@ fn the_odp_stall_creeping_back_is_rejected() {
         let gate = format!("{app}/GeNIMA-2025: mean_breakdown.data_ms <= 0.6 x");
         let field = "mean_breakdown.data_ms";
         flip("paper", &cell(app, "GeNIMA-2025"), field, data_ms, &gate);
+    }
+}
+
+#[test]
+fn a_fault_on_the_first_fetch_of_every_home_page_creeping_back_is_rejected() {
+    // Each GeNIMA-2025 row as it read while a home left the pages it
+    // closed in place for the first remote fetch to map, one ODP fault
+    // each (DESIGN.md §33).
+    for (app, floor, vs_1999) in [
+        ("FFT", 2.0, 1.66),
+        ("Radix-local", 2.8, 2.2),
+        ("LU-contiguous", 1.07, 1.063),
+    ] {
+        let rnic = [("app", app), ("column", "GeNIMA-2025")];
+        let gate = format!("{app}: speedup_vs_1999 >= {floor}");
+        flip("rdma", &rnic, "speedup_vs_1999", vs_1999, &gate);
+    }
+    for (app, faults) in [
+        ("FFT", 6_144u64),
+        ("LU-contiguous", 8_160),
+        ("Ocean-rowwise", 12),
+    ] {
+        let rnic = [("app", app), ("column", "GeNIMA-2025")];
+        let gate = format!("{app}/GeNIMA-2025: no ODP fault");
+        flip("rdma", &rnic, "odp_faults", faults, &gate);
     }
 }
 

@@ -42,17 +42,18 @@ impl SvmSystem {
 
     /// Closes `p`'s open interval (if it wrote anything): creates the
     /// interval record, raises the home copy of every page written in
-    /// place, write-protects the dirty pages again (recording the
-    /// in-place runs among them), and queues the rest for later (or
-    /// immediate) flushing. This is the *state* of closing only.
-    /// Returns the closed interval's number and what the re-protect
-    /// costs (nothing, if nothing was closed), which the caller charges
-    /// with [`SvmSystem::charge_reprotect`] at the point its order of
-    /// steps says — a process is sequential, so nothing observes its
-    /// page table between the two.
-    pub(crate) fn end_interval(&mut self, p: usize) -> (Option<u32>, Dur) {
+    /// place and advises the NI to map those pages, write-protects the
+    /// dirty pages again (recording the in-place runs among them), and
+    /// queues the rest for later (or immediate) flushing. This is the
+    /// *state* of closing only. Returns the closed interval's number
+    /// and what the re-protect and the advice cost (nothing, if nothing
+    /// was closed), which the caller charges with
+    /// [`SvmSystem::charge_reprotect`] at the point its order of steps
+    /// says — a process is sequential, so nothing observes its page
+    /// table between the two.
+    pub(crate) fn end_interval(&mut self, p: usize) -> (Option<u32>, CloseCost) {
         if self.procs[p].dirty.is_empty() && self.procs[p].flushed_early.is_empty() {
-            return (None, Dur::ZERO);
+            return (None, CloseCost::default());
         }
         // The next interval opens on a buffer an earlier flush emptied.
         let next = self.spare_dirty.pop().unwrap_or_default();
@@ -85,12 +86,19 @@ impl SvmSystem {
 
         // A page written in place is already in the home copy: the
         // interval's close is its update, and it has nothing to flush.
+        // The home also advises its NI to map each run of such pages
+        // (one call per run), so the first remote fetch of one takes no
+        // paging fault: a reader may only fetch it after a
+        // synchronisation that follows this close (DESIGN.md §33).
         let t = self.procs[p].clock;
-        for &pg in &scratch {
-            if self.writes_in_place(node, pg) {
-                self.raise_home_version(t, p, i, pg);
+        let nic = NodeId::new(node).nic();
+        let mut advice = Dur::ZERO;
+        self.for_each_in_place_run(node, &scratch, |sys, run| {
+            for pg in run.clone() {
+                sys.raise_home_version(t, p, i, PageId::new(pg));
             }
-        }
+            advice += sys.comm.advise(nic, run.start as u64..run.end as u64);
+        });
         dirty.retain(|pg| !self.writes_in_place(node, pg));
         if dirty.is_empty() {
             // Every page went in place: the next interval keeps this
@@ -112,24 +120,32 @@ impl SvmSystem {
             writable
         });
         let groups = contiguous_groups(&scratch);
-        let mpro = self.p.mem.mprotect.cost_grouped(scratch.len(), groups);
+        let mprotect = self.p.mem.mprotect.cost_grouped(scratch.len(), groups);
         self.counters.mprotect_calls += groups as u64;
-        self.record_in_place_runs(p, node, &scratch);
+        // Record the in-place runs among the re-protected pages, so
+        // that a write to a run's first page re-opens the whole run
+        // ([`SvmSystem::reopen_run`]).
+        self.for_each_in_place_run(node, &scratch, |sys, run| {
+            sys.procs[p].in_place_runs.record(run);
+        });
         self.scratch_pages = scratch;
 
         self.procs[p].pending_intervals.push(PendingInterval {
             interval: i,
             pages: dirty,
         });
-        (Some(i), mpro)
+        (Some(i), CloseCost { mprotect, advice })
     }
 
-    /// Records the maximal runs of consecutive in-place pages among
-    /// `pages`, the ascending pages `p`'s close just re-protected, so
-    /// that a write to a run's first page re-opens the whole run
-    /// ([`SvmSystem::reopen_run`]). A 1999 column writes no page in
-    /// place, so it records nothing.
-    fn record_in_place_runs(&mut self, p: usize, node: usize, pages: &[PageId]) {
+    /// Calls `f` on each maximal run of consecutive pages among the
+    /// ascending `pages` that `node` writes in place. A 1999 column
+    /// writes no page in place, so it calls nothing.
+    fn for_each_in_place_run(
+        &mut self,
+        node: usize,
+        pages: &[PageId],
+        mut f: impl FnMut(&mut Self, Range<usize>),
+    ) {
         let mut open: Option<Range<usize>> = None;
         for &pg in pages {
             let (i, in_place) = (pg.index(), self.writes_in_place(node, pg));
@@ -138,20 +154,21 @@ impl SvmSystem {
                 continue;
             }
             if let Some(run) = open.take() {
-                self.procs[p].in_place_runs.record(run);
+                f(self, run);
             }
             open = in_place.then_some(i..i + 1);
         }
         if let Some(run) = open {
-            self.procs[p].in_place_runs.record(run);
+            f(self, run);
         }
     }
 
-    /// Charges `p` the re-protect of an interval [`Self::end_interval`]
-    /// closed.
-    pub(crate) fn charge_reprotect(&mut self, p: usize, bucket: Bucket, mpro: Dur) {
-        self.procs[p].bd.mprotect += mpro;
-        self.charge(Sink::Proc(p, bucket), mpro);
+    /// Charges `p` what closing an interval ([`Self::end_interval`])
+    /// cost it: the re-protect, which is Table 2's mprotect time, and
+    /// the prefetch advice, which is the close's alone.
+    pub(crate) fn charge_reprotect(&mut self, p: usize, bucket: Bucket, cost: CloseCost) {
+        self.procs[p].bd.mprotect += cost.mprotect;
+        self.charge(Sink::Proc(p, bucket), cost.mprotect + cost.advice);
     }
 
     /// The first step of a barrier arrival: close `p`'s interval,
@@ -372,6 +389,17 @@ impl SvmSystem {
         };
         self.flush_interval(cursor, p, pi, Sink::Proc(p, bucket))
     }
+}
+
+/// What closing an interval costs its process, charged with
+/// [`SvmSystem::charge_reprotect`].
+#[derive(Clone, Copy, Default)]
+pub(crate) struct CloseCost {
+    /// Re-protecting the dirty pages (coalesced `mprotect`).
+    pub(crate) mprotect: Dur,
+    /// Advising the NI to map the home pages written in place (ODP
+    /// prefetch; zero on hardware that pins all memory).
+    pub(crate) advice: Dur,
 }
 
 /// Number of maximal runs of consecutive page ids in a sorted,

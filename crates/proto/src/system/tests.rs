@@ -7,7 +7,8 @@ use crate::features::FeatureSet;
 use crate::ids::{BarrierId, NodeId, Topology};
 use crate::ops::{ops_source, Op, OpSource};
 use genima_mem::Addr;
-use genima_nic::LockId;
+use genima_nic::{LockId, NiStats};
+use genima_sim::Dur;
 
 fn boxed(ops: Vec<Op>) -> Box<dyn OpSource> {
     Box::new(ops_source(ops))
@@ -1038,12 +1039,14 @@ fn a_2025_home_write_takes_no_twin_diff_or_apply_and_a_1999_one_all_three() {
         (r.breakdowns[0].acqrel, r.counters.diffs, applied[0], finish)
     };
 
-    // In place: the close is the update; only the re-protect is paid,
-    // after the home copy already holds the interval.
+    // In place: the close is the update; only the re-protect and the
+    // NI's prefetch advice of the page are paid, after the home copy
+    // already holds the interval.
+    let advice = rnic_advice(1);
     let (acqrel, diffs, applied, finish) = run(Column::genima_2025());
-    assert_eq!(acqrel, reprotect);
+    assert_eq!(acqrel, reprotect + advice);
     assert_eq!(diffs, 0);
-    assert_eq!(applied + reprotect, finish);
+    assert_eq!(applied + reprotect + advice, finish);
 
     // Twinned: the paper's calibration pays the twin at the fault, the
     // scan of one run at the flush and the apply, and the home copy
@@ -1055,6 +1058,92 @@ fn a_2025_home_write_takes_no_twin_diff_or_apply_and_a_1999_one_all_three() {
     );
     assert_eq!(diffs, 1);
     assert_eq!(applied, finish);
+}
+
+/// What GeNIMA-2025's prefetch advice of a run of `pages` fresh pages
+/// costs the host.
+fn rnic_advice(pages: u64) -> Dur {
+    let rnic = params(Column::genima_2025(), 1, 1).hw.rnic;
+    rnic.expect("GeNIMA-2025 runs on an RNIC")
+        .odp_advise
+        .cost(pages)
+}
+
+#[test]
+fn a_2025_home_advises_the_page_it_closed_so_the_remote_reader_takes_no_odp_fault() {
+    // p0 writes page 0, its own node's page, under the lock and
+    // releases; p1, on the other node, takes the lock after it and
+    // reads the page, fetching it from p0's node.
+    let l = LockId::new(1);
+    let p0 = vec![
+        Op::Acquire(l),
+        Op::WriteData {
+            addr: addr(0, 64),
+            data: vec![9; 8],
+        },
+        Op::Release(l),
+    ];
+    let p1 = vec![
+        Op::Compute(Dur::from_ms(1)),
+        Op::Acquire(l),
+        Op::Validate {
+            addr: addr(0, 64),
+            expected: vec![9; 8],
+        },
+        Op::Release(l),
+    ];
+    let run = |p: SvmParams| {
+        let mut sys = SvmSystem::new(p, vec![boxed(p0.clone()), boxed(p1.clone())]);
+        let r = sys.run();
+        assert_eq!(r.counters.page_transfers, 1, "p1 fetched the page");
+        r
+    };
+
+    let p = params(Column::genima_2025(), 2, 1);
+    let mut free = p.clone();
+    let rnic = free.hw.rnic.as_mut().expect("GeNIMA-2025 runs on an RNIC");
+    rnic.odp_advise.single = Dur::ZERO;
+    rnic.odp_advise.per_extra_page = Dur::ZERO;
+    let (r, r_free) = (run(p), run(free));
+    assert_eq!(r.ni.odp_faults, 0, "the fetch found the page mapped");
+    assert_eq!(r.ni.odp_prefetched, 1);
+    // The closer pays exactly one advice of one page, at acquire/release
+    // and not as Table 2's mprotect time; the reader pays nothing.
+    let (bd, bd_free) = (&r.breakdowns, &r_free.breakdowns);
+    assert_eq!(bd[0].acqrel, bd_free[0].acqrel + rnic_advice(1));
+    assert_eq!(bd[0].mprotect, bd_free[0].mprotect);
+    assert_eq!(bd[1], bd_free[1]);
+
+    // The 1999 column twins the page and its pinned NI maps nothing.
+    let r = run(params(FeatureSet::genima(), 2, 1));
+    assert_eq!(r.ni, NiStats::default());
+    assert_eq!(r.counters.diffs, 1);
+}
+
+#[test]
+fn ni_counters_cover_the_measured_region_only() {
+    // p1 reads page 0, homed at p0's node and written by nobody, before
+    // the warm-up barrier: its fetch takes GeNIMA-2025's only ODP fault.
+    let b = BarrierId::new(0);
+    let p0 = vec![Op::Barrier(b)];
+    let p1 = vec![
+        Op::Read {
+            addr: addr(0, 0),
+            len: 8,
+        },
+        Op::Barrier(b),
+        Op::Compute(Dur::from_us(10)),
+    ];
+    let run = |warmup: Option<BarrierId>| {
+        let mut p = params(Column::genima_2025(), 2, 1);
+        p.warmup_barrier = warmup;
+        let mut sys = SvmSystem::new(p, vec![boxed(p0.clone()), boxed(p1.clone())]);
+        sys.run().ni
+    };
+    assert_eq!(run(None).odp_faults, 1);
+    let measured = run(Some(b));
+    assert_eq!(measured.odp_faults, 0);
+    assert_eq!(measured.cqes, 0, "nothing is deposited after the barrier");
 }
 
 #[test]
@@ -1247,10 +1336,13 @@ fn a_2025_close_charges_the_reprotect_of_the_pages_it_reprotects() {
     sys.assign_homes(PageId::new(16), 4, NodeId::new(0));
     let r = sys.run();
     // Four first-touch faults, the invalidation of page 17, the release.
+    // The release's prefetch advice of 16..20 is not mprotect time.
     let want = m.cost(1) * 4 + m.cost(1) + m.cost_grouped(3, 2);
     assert_eq!(r.breakdowns[0].mprotect, want);
     // p0's calls, then p1's fetch of page 17 and its release.
     assert_eq!(r.counters.mprotect_calls, 4 + 1 + 2 + 2);
+    // p1's fetch of page 17 mapped it; the advice maps the other three.
+    assert_eq!((r.ni.odp_faults, r.ni.odp_prefetched), (1, 3));
 }
 
 #[test]
@@ -1361,10 +1453,12 @@ fn a_grant_that_outruns_the_reopen_waits_for_it_and_charges_the_rest_to_acqrel()
     // Per holding the acquire's overhead and the release's re-protect;
     // the first holding's fault; what of the re-open the wait did not
     // hide.
+    // The first release advises the NI of the page; the second finds it
+    // mapped and pays nothing for it.
     let reprotect = p.mem.mprotect.cost(1);
     let upgrade = p.proto.fault_trap + p.mem.mprotect.cost(1);
     let outlasting = (ask + reopen).saturating_since(grant);
-    let want = (overhead + reprotect) * 2 + upgrade + outlasting;
+    let want = (overhead + reprotect) * 2 + rnic_advice(1) + upgrade + outlasting;
     assert_eq!(r.breakdowns[0].acqrel, want);
 }
 

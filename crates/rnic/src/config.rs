@@ -53,6 +53,13 @@ pub struct RnicConfig {
     /// Cost of one on-demand-paging fault: the RNIC parks the QP,
     /// raises a page request, and the host IOMMU/driver maps the page.
     pub odp_fault: Dur,
+    /// Host price of one ODP prefetch advice
+    /// (`ibv_advise_mr(PREFETCH_WRITE, FLAG_FLUSH)`) over a run of
+    /// consecutive pages: a system call that walks the page tables the
+    /// way `mprotect` does and returns once the NIC's translations are
+    /// in place. Priced in the shape of the host's coalesced
+    /// `mprotect` (DESIGN.md §33).
+    pub odp_advise: AdvicePrice,
     /// Fixed setup latency of one PCIe DMA transaction.
     pub pcie_setup: Dur,
     /// PCIe bandwidth in bytes per second (Gen4 x16 effective).
@@ -77,6 +84,10 @@ impl RnicConfig {
             atomic_service: Dur::from_ns(250),
             coll_service: Dur::from_ns(300),
             odp_fault: Dur::from_us(45),
+            odp_advise: AdvicePrice {
+                single: Dur::from_us(8),
+                per_extra_page: Dur::from_ns(1_500),
+            },
             pcie_setup: Dur::from_ns(300),
             pcie_bandwidth: 25_000_000_000,
             sq_depth: 1024,
@@ -86,6 +97,28 @@ impl RnicConfig {
     /// Duration of one PCIe DMA moving `bytes` (setup plus transfer).
     pub fn dma_time(&self, bytes: u32) -> Dur {
         self.pcie_setup + Dur::from_ns(bytes as u64 * 1_000_000_000 / self.pcie_bandwidth)
+    }
+}
+
+/// Host price of one ODP prefetch advice: one call covering a single
+/// page, plus a term per further page of the run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AdvicePrice {
+    /// One call advising a single page (trap, page-table walk, NIC
+    /// translation update).
+    pub single: Dur,
+    /// Each further consecutive page of the same call.
+    pub per_extra_page: Dur,
+}
+
+impl AdvicePrice {
+    /// Price of one call advising `pages` pages; zero pages cost
+    /// nothing (no call is made).
+    pub fn cost(&self, pages: u64) -> Dur {
+        match pages {
+            0 => Dur::ZERO,
+            n => self.single + self.per_extra_page * (n - 1),
+        }
     }
 }
 
@@ -106,6 +139,14 @@ mod tests {
         // 4 KB at 25 GB/s is ~164 ns transfer on top of setup.
         let t = cfg.dma_time(4096);
         assert!(t.as_ns() > 400 && t.as_ns() < 500, "got {t}");
+    }
+
+    #[test]
+    fn advice_is_one_call_plus_a_per_page_term() {
+        let p = RnicConfig::rnic_2025().odp_advise;
+        assert_eq!(p.cost(0), Dur::ZERO);
+        assert_eq!(p.cost(1), p.single);
+        assert_eq!(p.cost(4), p.single + p.per_extra_page * 3);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   interrupts);
 //! * **on-demand paging (ODP)** — remote fetches of not-yet-mapped
 //!   pages take a multi-microsecond fault the pinned-memory LANai
-//!   never saw;
+//!   never saw, unless the host advised the NIC to map them first;
 //! * **masked atomics** — `MASKED_ATOMIC_CMP_AND_SWP` as the NI lock
 //!   primitive, replacing the firmware lock state machines.
 //!
@@ -28,7 +28,7 @@ mod config;
 mod model;
 mod profile;
 
-pub use config::RnicConfig;
+pub use config::{AdvicePrice, RnicConfig};
 pub use model::RnicModel;
 pub use profile::HwProfile;
 

@@ -1,6 +1,7 @@
 //! The RDMA NIC implementation of [`NiModel`].
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use genima_net::NicId;
 use genima_nic::{FetchServe, HostPost, NiModel, NiStats, RecvDma, SendTimes, ALWAYS_MAPPED};
@@ -26,7 +27,8 @@ struct RnicPort {
     /// When the last doorbell was rung (posts within the batching
     /// window of this instant need no new MMIO).
     last_doorbell: Option<Time>,
-    /// ODP translation state: the page indices mapped or being mapped.
+    /// ODP translation state: the page indices mapped or being mapped,
+    /// by a fault or by the host's prefetch advice.
     mapped: PageBits,
     /// The mappings still in flight, `(key, lands at)`: a few at a
     /// time, pruned as they land.
@@ -62,7 +64,8 @@ impl RnicPort {
 /// An ODP fault parks one queue pair — the faulting fetch's
 /// `src → dst` channel — until the page is mapped; the receive engine
 /// is held for the translation lookup only and keeps serving every
-/// other channel meanwhile.
+/// other channel meanwhile. A page the host advised mapped
+/// ([`NiModel::advise`]) never faults.
 #[derive(Debug)]
 pub struct RnicModel {
     cfg: RnicConfig,
@@ -287,6 +290,16 @@ impl NiModel for RnicModel {
         (until > now).then_some(until)
     }
 
+    fn advise(&mut self, nic: NicId, pages: Range<u64>) -> Dur {
+        // The host's call maps the pages not yet mapped and returns once
+        // the NIC's translations are in place; a page mapped already,
+        // by an earlier advice or a fault, costs and counts nothing.
+        let mapped = &mut self.ports[nic.index()].mapped;
+        let fresh = pages.filter(|&k| mapped.insert(k as usize)).count() as u64;
+        self.stats.odp_prefetched += fresh;
+        self.cfg.odp_advise.cost(fresh)
+    }
+
     fn sync_service(&mut self, now: Time, nic: NicId, send_side: bool) -> Time {
         let port = &mut self.ports[nic.index()];
         let engine = if send_side {
@@ -331,6 +344,10 @@ impl NiModel for RnicModel {
 
     fn stats(&self) -> NiStats {
         self.stats
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats = NiStats::default();
     }
 }
 
@@ -383,6 +400,48 @@ mod tests {
         assert!(!again.odp_fault && !again.parked);
         assert!(first.data_ready.saturating_since(Time::ZERO) > Dur::from_us(40));
         assert_eq!(m.stats().odp_faults, 1);
+    }
+
+    #[test]
+    fn an_advised_page_is_served_with_no_fault_and_no_park() {
+        let mut m = model();
+        let cfg = RnicConfig::rnic_2025();
+        let (src, dst) = (NicId::new(0), NicId::new(1));
+        assert_eq!(m.advise(dst, 6..9), cfg.odp_advise.cost(3));
+        let fs = m.serve_fetch(Time::ZERO, src, dst, 4096, 7);
+        assert!(!fs.odp_fault && !fs.parked);
+        assert_eq!(m.parked(Time::ZERO, src, dst), None);
+        assert_eq!(m.stats().odp_faults, 0);
+        assert_eq!(m.stats().odp_prefetched, 3);
+        // The advice maps the home's memory, not the requester's.
+        let other = m.serve_fetch(Time::ZERO, dst, src, 4096, 7);
+        assert!(other.odp_fault);
+    }
+
+    #[test]
+    fn a_second_advice_of_a_key_costs_and_counts_nothing() {
+        let mut m = model();
+        let cfg = RnicConfig::rnic_2025();
+        let (src, dst) = (NicId::new(0), NicId::new(1));
+        m.advise(dst, 7..8);
+        assert_eq!(m.advise(dst, 7..8), Dur::ZERO);
+        // A page a fault mapped is mapped for the advice too, and a run
+        // pays for its fresh pages only.
+        m.serve_fetch(Time::ZERO, src, dst, 4096, 9);
+        assert_eq!(m.advise(dst, 7..11), cfg.odp_advise.cost(2));
+        assert_eq!(m.stats().odp_prefetched, 3);
+        assert_eq!(m.stats().odp_faults, 1);
+    }
+
+    #[test]
+    fn reset_stats_zeroes_the_counters_but_keeps_the_mappings() {
+        let mut m = model();
+        let (src, dst) = (NicId::new(0), NicId::new(1));
+        m.serve_fetch(Time::ZERO, src, dst, 4096, 7);
+        m.reset_stats();
+        assert_eq!(m.stats(), NiStats::default());
+        let again = m.serve_fetch(Time::ZERO + Dur::from_us(100), src, dst, 4096, 7);
+        assert!(!again.odp_fault);
     }
 
     #[test]
