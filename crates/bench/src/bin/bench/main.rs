@@ -22,8 +22,6 @@
 
 mod barrier;
 mod critpath;
-mod diff;
-mod engine;
 mod explain;
 mod fault_matrix;
 mod mc;
@@ -31,55 +29,13 @@ mod paper;
 mod rdma;
 mod serving;
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use genima::{run_app_configured, ConfiguredOutcome, Json, RunConfig, Topology};
 use genima_apps::{all_apps, app_by_name, App};
 use genima_obs::bench::{meta, row};
 use genima_obs::{BenchReport, Grid};
 use genima_sim::RunSeed;
-
-/// Counts every allocation (and reallocation) and the bytes each one
-/// asks for, so the `engine` kind can gate both per event. Frees are
-/// not interesting.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Allocations made by this process so far.
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Bytes those allocations asked for.
-fn alloc_bytes() -> u64 {
-    ALLOC_BYTES.load(Ordering::Relaxed)
-}
 
 /// What every kind is given.
 struct Args {
@@ -93,14 +49,12 @@ type Kind = fn(&Args) -> BenchReport;
 /// A report's tables, from its JSON.
 type Print = fn(&Json) -> String;
 
-const KINDS: [(&str, Kind, Print); 9] = [
+const KINDS: [(&str, Kind, Print); 7] = [
     ("paper", paper::run, paper::print),
     ("fault_matrix", fault_matrix::run, |r| {
         views(r, fault_matrix::VIEWS)
     }),
     ("barrier", barrier::run, |r| views(r, barrier::VIEWS)),
-    ("diff", diff::run, |r| views(r, diff::VIEWS)),
-    ("engine", engine::run, |r| views(r, engine::VIEWS)),
     ("rdma", rdma::run, |r| views(r, rdma::VIEWS)),
     ("critpath", critpath::run, |r| views(r, critpath::VIEWS)),
     ("serving", serving::run, |r| views(r, serving::VIEWS)),
@@ -263,30 +217,6 @@ fn topo_json(topo: Topology) -> Json {
     t
 }
 
-/// Nanoseconds per call of `f`: the `iters` calls run as five chunks
-/// (after a warmup chunk) and the fastest chunk's mean is reported,
-/// which shrugs off frequency ramps and scheduler noise on shared CI
-/// runners — so a ratio of two such timings is a property of the code,
-/// not of the machine's worst moment. Results stay live via
-/// `black_box`.
-fn time_ns(iters: usize, mut f: impl FnMut() -> usize) -> f64 {
-    const CHUNKS: usize = 5;
-    let per_chunk = (iters / CHUNKS).max(1);
-    for _ in 0..per_chunk {
-        std::hint::black_box(f());
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..CHUNKS {
-        let start = Instant::now();
-        for _ in 0..per_chunk {
-            std::hint::black_box(f());
-        }
-        let mean = start.elapsed().as_nanos() as f64 / per_chunk as f64;
-        best = best.min(mean);
-    }
-    best
-}
-
 /// Prints `report`'s tables, then checks it: the summary line, or each
 /// failed gate and a failing exit.
 fn finish(name: &str, print: Print, report: &Json) -> ExitCode {
@@ -394,12 +324,10 @@ mod tests {
 
     #[test]
     fn show_prints_one_line_per_row_of_every_checked_in_report() {
-        let views: [(&str, &[View]); 9] = [
+        let views: [(&str, &[View]); 7] = [
             ("paper", paper::VIEWS),
             ("fault_matrix", fault_matrix::VIEWS),
             ("barrier", barrier::VIEWS),
-            ("diff", diff::VIEWS),
-            ("engine", engine::VIEWS),
             ("rdma", rdma::VIEWS),
             ("critpath", critpath::VIEWS),
             ("serving", serving::VIEWS),

@@ -4,8 +4,8 @@
 //!
 //! Two independent layers of assurance:
 //!
-//! * [`detect_races`] executes per-process [`Op`](genima_proto::Op)
-//!   streams under FastTrack-style vector clocks and reports pairs of
+//! * [`detect_races`] executes per-process [`Op`] streams under
+//!   FastTrack-style vector clocks and reports pairs of
 //!   conflicting accesses not ordered by the streams' locks and
 //!   barriers. Release consistency only promises coherent data to
 //!   race-free programs, so every workload the simulator runs must

@@ -39,6 +39,9 @@
 //! process keeps there (DESIGN.md §31); it is the budget as it read
 //! before that list existed.
 //!
+//! The FFT rows on Base and GeNIMA moved here when the bench kind that
+//! gated them, and also timed the host, was deleted (DESIGN.md §34).
+//!
 //! When a change moves a number on purpose, print the new table with
 //! `BUDGET_PRINT=1 cargo test -p genima --test alloc_budget -- --nocapture`.
 
@@ -46,7 +49,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use genima::{Column, Dur, Topology};
-use genima_apps::{App, LuContiguous, OceanRowwise, WaterNsquared};
+use genima_apps::{App, Fft, LuContiguous, OceanRowwise, WaterNsquared};
 use genima_serve::KvServe;
 
 struct Counting;
@@ -85,7 +88,8 @@ static ALLOCATOR: Counting = Counting;
 const SLACK: f64 = 1.25;
 
 /// (app, column) -> allocations and requested bytes per delivered
-/// event inside `try_run`, as measured at PR 20.
+/// event inside `try_run`, as measured at PR 20 (FFT: when it moved
+/// here).
 const MEASURED: &[(&str, &str, f64, f64)] = &[
     ("water-nsq", "Base", 0.014, 5.0),
     ("water-nsq", "DW", 0.009, 3.7),
@@ -104,6 +108,8 @@ const MEASURED: &[(&str, &str, f64, f64)] = &[
     ("lu", "GeNIMA-2025", 0.083, 28.3),
     ("kv", "Base", 0.006, 2.8),
     ("kv", "GeNIMA", 0.008, 3.6),
+    ("fft", "Base", 0.038, 47.5),
+    ("fft", "GeNIMA", 0.032, 47.5),
 ];
 
 /// One workload of the budget: an app, its cluster and its columns.
@@ -118,7 +124,8 @@ struct Workload {
 /// column, LU (fetch-dominated: the columns are most of what it
 /// allocates) on the two that differ most and on GeNIMA-2025, where it
 /// writes the most in-place runs (DESIGN.md §31); the store serves 20 kops
-/// for 100 ms on 4 x 1, the benchmark's shape.
+/// for 100 ms on 4 x 1, the benchmark's shape; FFT (all-to-all
+/// transposes) runs on the two ends.
 fn workloads() -> Vec<Workload> {
     let batch = |name, app| Workload {
         name,
@@ -139,6 +146,10 @@ fn workloads() -> Vec<Workload> {
             app: Box::new(KvServe::new(4096, 0.99, 90, 2_000, Dur::from_ms(100))),
             topo: Topology::new(4, 1),
             columns: ends.to_vec(),
+        },
+        Workload {
+            columns: ends.to_vec(),
+            ..batch("fft", Box::new(Fft::with_points(1 << 16)))
         },
     ]
 }

@@ -12,10 +12,10 @@
 //!   jitter, NI firmware stall windows, and transiently unresponsive
 //!   nodes (outages).
 //! * [`PlanInjector`] — compiles a plan plus a [`RunSeed`] into a
-//!   [`FaultInjector`](genima_net::FaultInjector) that the
-//!   communication layer consults for every wire packet. All draws come
-//!   from named [`RunSeed`] streams, so the same `(plan, seed)` pair
-//!   reproduces the exact same faulty schedule bit-for-bit.
+//!   [`FaultInjector`] that the communication layer consults for
+//!   every wire packet. All draws come from named [`RunSeed`]
+//!   streams, so the same `(plan, seed)` pair reproduces the exact
+//!   same faulty schedule bit-for-bit.
 //! * [`FaultStats`] — counters of what the injector actually did,
 //!   shared out through a handle so they survive the injector being
 //!   boxed into the communication layer.

@@ -13,8 +13,8 @@
 //!   [`DirtyRanges`](crate::DirtyRanges) the interval actually wrote,
 //!   only those byte ranges are scanned and a clean page is skipped
 //!   without reading it at all.
-//! * [`compute_diff_reference`] — the original word-by-word scan, kept
-//!   as the executable specification the fast paths are proptested
+//! * the original **word-by-word scan**, kept in this module's tests
+//!   as the executable specification the fast paths are checked
 //!   against (`block scan == reference`, `tracked == full scan`).
 //!
 //! All three produce bit-identical [`Diff`]s for the same inputs (for
@@ -304,8 +304,8 @@ fn scan_region(twin: &[u8], cur: &[u8], start: usize, end: usize, out: &mut Diff
 
 /// Compares `current` against its `twin` and returns the modified
 /// runs, scanning in 32-byte blocks with per-word refinement
-/// inside changed blocks. Output is bit-identical to
-/// [`compute_diff_reference`].
+/// inside changed blocks. Output is bit-identical to the original
+/// word-by-word scan.
 ///
 /// # Example
 ///
@@ -346,34 +346,6 @@ pub fn compute_diff_tracked(twin: &Page, current: &Page, dirty: &DirtyRanges) ->
     let (t, c) = (twin.bytes(), current.bytes());
     for (off, len) in dirty.iter() {
         scan_region(t, c, off as usize, (off + len) as usize, &mut out);
-    }
-    out
-}
-
-/// The original word-by-word scan: the executable specification the
-/// block and tracked scans are tested against. Allocates one `Vec` per
-/// run, like the historical implementation, so benchmarks against it
-/// measure the real before/after cost.
-pub fn compute_diff_reference(twin: &Page, current: &Page) -> Diff {
-    let t = twin.bytes();
-    let c = current.bytes();
-    let mut runs: Vec<(u32, Vec<u8>)> = Vec::new();
-    let mut open: Option<(u32, Vec<u8>)> = None;
-    for w in (0..PAGE_SIZE).step_by(WORD) {
-        let changed = t[w..w + WORD] != c[w..w + WORD];
-        match (&mut open, changed) {
-            (Some((_, data)), true) => data.extend_from_slice(&c[w..w + WORD]),
-            (Some(_), false) => runs.push(open.take().expect("open run")),
-            (None, true) => open = Some((w as u32, c[w..w + WORD].to_vec())),
-            (None, false) => {}
-        }
-    }
-    if let Some(run) = open {
-        runs.push(run);
-    }
-    let mut out = Diff::default();
-    for (offset, data) in runs {
-        out.push_run(offset, &data);
     }
     out
 }
@@ -438,6 +410,32 @@ impl DiffScratch {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The original word-by-word scan: the executable specification
+    /// the block and tracked scans are tested against.
+    fn compute_diff_reference(twin: &Page, current: &Page) -> Diff {
+        let t = twin.bytes();
+        let c = current.bytes();
+        let mut runs: Vec<(u32, Vec<u8>)> = Vec::new();
+        let mut open: Option<(u32, Vec<u8>)> = None;
+        for w in (0..PAGE_SIZE).step_by(WORD) {
+            let changed = t[w..w + WORD] != c[w..w + WORD];
+            match (&mut open, changed) {
+                (Some((_, data)), true) => data.extend_from_slice(&c[w..w + WORD]),
+                (Some(_), false) => runs.push(open.take().expect("open run")),
+                (None, true) => open = Some((w as u32, c[w..w + WORD].to_vec())),
+                (None, false) => {}
+            }
+        }
+        if let Some(run) = open {
+            runs.push(run);
+        }
+        let mut out = Diff::default();
+        for (offset, data) in runs {
+            out.push_run(offset, &data);
+        }
+        out
+    }
 
     #[test]
     fn identical_pages_have_empty_diff() {
@@ -546,6 +544,78 @@ mod tests {
         let owned = scratch.take();
         assert_eq!(owned.run_count(), 2);
         assert!(scratch.compute(&twin, &twin.twin()).is_empty());
+    }
+
+    /// A twin of seeded words and the page a writer made of it, with
+    /// the ranges it recorded: every `stride`-th word replaced, or
+    /// else `runs` one- or two-word runs spread evenly over the page,
+    /// at least one clean word apart so the run count is exact.
+    fn shaped(seed: u64, stride: Option<usize>, runs: usize) -> (Page, Page, DirtyRanges) {
+        let mut rng = genima_sim::SplitMix64::new(seed);
+        let mut twin = Page::zeroed();
+        for w in (0..PAGE_SIZE).step_by(8) {
+            twin.write(w, &rng.next_u64().to_le_bytes());
+        }
+        let mut cur = twin.twin();
+        let mut dirty = DirtyRanges::new();
+        match stride {
+            Some(stride) => {
+                for off in (0..PAGE_SIZE).step_by(stride * WORD) {
+                    let b = (rng.next_u64() as u32).to_le_bytes();
+                    // A difference whatever the generator drew.
+                    let new = if b == cur.read(off, WORD) {
+                        [!b[0], b[1], b[2], b[3]]
+                    } else {
+                        b
+                    };
+                    cur.write(off, &new);
+                    dirty.add(off as u32, WORD as u32);
+                }
+            }
+            None => {
+                let spacing = PAGE_SIZE / WORD / runs.max(1);
+                for r in 0..runs {
+                    let off = r * spacing * WORD;
+                    let len = WORD * (1 + (rng.next_u64() as usize % 2.min(spacing - 1).max(1)));
+                    for i in 0..len {
+                        let old = cur.read(off + i, 1)[0];
+                        cur.write(off + i, &[old ^ 0x5a]);
+                    }
+                    dirty.add(off as u32, len as u32);
+                }
+            }
+        }
+        (twin, cur, dirty)
+    }
+
+    /// The shapes the proptests' short write lists do not reach: a
+    /// page with no write, up to one with every other word written
+    /// (512 runs) and one written whole.
+    #[test]
+    fn every_scan_matches_the_reference_from_a_clean_page_to_a_full_one() {
+        // (shape, seed, word stride, runs) -> (runs, bytes) of its diff.
+        let shapes = [
+            ("clean", 1999, None, 0, (0, 0)),
+            ("sparse", 1999 ^ 1, None, 8, (8, 48)),
+            ("medium", 1999 ^ 2, None, 64, (64, 376)),
+            ("dense", 1999 ^ 3, Some(2), 0, (512, 2048)),
+            ("full", 1999 ^ 4, Some(1), 0, (1, 4096)),
+        ];
+        let mut scratch = DiffScratch::new();
+        for (shape, seed, stride, runs, want) in shapes {
+            let (twin, cur, dirty) = shaped(seed, stride, runs);
+            let reference = compute_diff_reference(&twin, &cur);
+            assert_eq!((reference.run_count(), reference.bytes()), want, "{shape}");
+            assert_eq!(scratch.compute(&twin, &cur), &reference, "{shape}: block");
+            let tracked = compute_diff_tracked(&twin, &cur, &dirty);
+            assert_eq!(tracked, reference, "{shape}: tracked");
+            let tracked = scratch.compute_tracked(&twin, &cur, &dirty);
+            assert_eq!(tracked, &reference, "{shape}: tracked, in the arena");
+        }
+        // The clean page records no range, and its diff is empty.
+        let (twin, cur, dirty) = shaped(1999, None, 0);
+        assert!(dirty.is_empty());
+        assert!(compute_diff_tracked(&twin, &cur, &dirty).is_empty());
     }
 
     /// Applies a write list to a copy of `base`, returning the result.

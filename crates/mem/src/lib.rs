@@ -39,9 +39,7 @@ mod protect;
 pub use addr::{pages_in_range, Addr, PageId, PageVec, PAGE_SIZE};
 pub use bus::BusModel;
 pub use config::MemConfig;
-pub use diff::{
-    compute_diff, compute_diff_reference, compute_diff_tracked, Diff, DiffScratch, Page, WORD,
-};
+pub use diff::{compute_diff, compute_diff_tracked, Diff, DiffScratch, Page, WORD};
 pub use dirty::DirtyRanges;
 pub use mprotect::MprotectModel;
 pub use pool::{PagePool, PoolStats};

@@ -63,8 +63,6 @@ fn every_checked_in_report_passes_unmodified() {
         "paper",
         "fault_matrix",
         "barrier",
-        "diff",
-        "engine",
         "rdma",
         "critpath",
         "serving",
@@ -83,7 +81,6 @@ fn flip(kind: &str, matching: &[(&str, &str)], field: &str, value: impl Into<Jso
 }
 
 const GENIMA: &[(&str, &str)] = &[("column", "GeNIMA")];
-const HOLD17: &[(&str, &str)] = &[("name", "hold-2^17")];
 
 #[test]
 fn a_host_interrupt_on_a_genima_row_is_rejected() {
@@ -110,37 +107,6 @@ fn a_host_interrupt_on_a_genima_row_is_rejected() {
 fn a_lost_comparison_is_rejected() {
     let rnic = [("column", "GeNIMA-2025")];
     flip("rdma", &rnic, "speedup_vs_1999", 0.9, "beats 1999");
-    flip("engine", HOLD17, "speedup", 2.9, "wheel >= 3x the heap");
-    let field = "wheel_allocs_per_event";
-    flip("engine", HOLD17, field, 0.2, "allocations per event");
-    let wide = [("name", "hold-2^17/wide")];
-    flip("engine", &wide, field, 0.2, "allocations per event");
-    // The system rows as they read at PR 17, while every wheel slot a
-    // run touched warmed a buffer of its own (DESIGN.md §26): each is
-    // over the ceiling PR 18 lowered to 1.25 x what the row reads now.
-    // And the bytes they requested at PR 19, while a slot of the
-    // `required` column was a 40-byte map (DESIGN.md §27).
-    for (name, at_pr17, bytes_at_pr19) in [
-        ("ocean/Base", 0.60, 173.0),
-        ("ocean/GeNIMA", 0.59, 173.6),
-        ("fft/Base", 0.27, 114.3),
-        ("fft/GeNIMA", 0.28, 120.2),
-    ] {
-        let system = [("name", name)];
-        let gate = "allocations per event within the measured budget";
-        flip("engine", &system, "allocs_per_event", at_pr17, gate);
-        let gate = "bytes allocated per event within the measured budget";
-        flip("engine", &system, "bytes_per_event", bytes_at_pr19, gate);
-    }
-    flip(
-        "diff",
-        &[("case", "dense")],
-        "identical",
-        false,
-        "bit-identical",
-    );
-    let sparse = [("case", "sparse")];
-    flip("diff", &sparse, "speedup_block", 2.5, "block scan >= 3x");
     let tree = [("mode", "ni-tree-4")];
     flip(
         "barrier",

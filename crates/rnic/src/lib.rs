@@ -3,7 +3,7 @@
 //! The paper asked whether NI firmware mechanisms could avoid
 //! asynchronous protocol processing on 1999 hardware. This crate asks
 //! the 2025 version of the same question by providing a second
-//! implementation of the [`NiModel`](genima_nic::NiModel) seam:
+//! implementation of the [`NiModel`] seam:
 //!
 //! * **queue pairs with doorbell batching** — posting is a cached WQE
 //!   write plus an MMIO doorbell that later posts in the same window

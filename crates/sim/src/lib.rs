@@ -34,8 +34,6 @@ mod time;
 
 pub use bits::PageBits;
 pub use hash::{FixedHasher, FixedState};
-#[cfg(any(test, feature = "ref-heap"))]
-pub use queue::reference::HeapQueue;
 pub use queue::{EventQueue, QueueStats};
 pub use resource::Resource;
 pub use rng::{RunSeed, SplitMix64};

@@ -7,10 +7,9 @@
 //! cursor leaves empty hands its buffer to a spare stack, and a slot's
 //! first push takes one from there, so a run warms as many buffers as
 //! it has slots non-empty at once, not one per slot. The original heap
-//! implementation survives as [`reference::HeapQueue`] (behind
-//! `cfg(test)` / the `ref-heap` feature) and is the oracle the wheel is
-//! property-tested against — pop order is provably identical, not
-//! assumed.
+//! implementation survives in this module's tests as the oracle the
+//! wheel is property-tested against — pop order is provably identical,
+//! not assumed.
 
 use crate::time::Time;
 
@@ -339,11 +338,14 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
+#[cfg(test)]
+mod equivalence;
+
 /// The pre-pass binary-heap queue, kept as the reference oracle the
-/// timing wheel is property-tested against (and benchmarked against in
-/// `bench engine`). Not part of the production engine.
-#[cfg(any(test, feature = "ref-heap"))]
-pub mod reference {
+/// timing wheel is property-tested against in `equivalence`. Not part
+/// of the production engine.
+#[cfg(test)]
+mod reference {
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
@@ -699,5 +701,34 @@ mod tests {
         let grew = s.fresh_allocs - warm.fresh_allocs;
         assert!(grew < 50, "steady state must recycle: {warm:?} -> {s:?}");
         assert!(s.slot_reuses - warm.slot_reuses > 9_900, "{s:?}");
+
+        // The same at 2^17 pending, every pop replaced at
+        // `now + U(1 µs, 1 ms)` so each slot of the epoch and the far
+        // tier carry traffic, on a `u64` and on a payload the size of
+        // the protocol's `SysEvent`.
+        for fresh in [hold::<u64>(1 << 17), hold::<[u64; 12]>(1 << 17)] {
+            assert!(fresh <= 0.1, "{fresh} fresh allocations per step");
+        }
+    }
+
+    /// The hold model at `n` pending events: fills the queue, warms it
+    /// up over `n` pop-and-replace steps, and returns fresh
+    /// allocations per step over `n` more.
+    fn hold<E: Default>(n: usize) -> f64 {
+        let mut rng = crate::SplitMix64::new(1999 ^ n as u64);
+        let mut offset = || 1_000 + rng.next_u64() % 999_000;
+        let mut q: EventQueue<E> = EventQueue::new();
+        for _ in 0..n {
+            q.push(Time::from_ns(offset()), E::default());
+        }
+        let mut steps = |count: usize| {
+            for _ in 0..count {
+                let (at, _) = q.pop().expect("the hold model never drains");
+                q.push(Time::from_ns(at.as_ns() + offset()), E::default());
+            }
+            q.stats().fresh_allocs
+        };
+        let warm = steps(n);
+        (steps(n) - warm) as f64 / n as f64
     }
 }

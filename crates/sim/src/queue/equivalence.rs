@@ -1,5 +1,5 @@
 //! Property-based equivalence of the timing-wheel [`EventQueue`]
-//! against the pre-pass binary-heap oracle.
+//! against the pre-pass binary-heap oracle, [`HeapQueue`].
 //!
 //! Arbitrary interleaved push/pop/remove_clamped sequences — including
 //! same-instant bursts, pushes exactly at `now` and into the tick being
@@ -10,8 +10,11 @@
 //! wheel moves slot buffers between slots as it drains; none of that
 //! may show.
 
-use genima_sim::{EventQueue, HeapQueue, Time};
 use proptest::prelude::*;
+
+use super::reference::HeapQueue;
+use super::EventQueue;
+use crate::time::Time;
 
 /// Decodes one generated `(kind, a, b)` triple into a queue operation.
 /// The kind byte is weighted toward pushes so queues actually fill.

@@ -30,7 +30,7 @@ const INLINE: usize = 4;
 /// ```
 #[derive(Clone)]
 pub enum InlineVec<T> {
-    /// Up to [`INLINE`] elements stored in place.
+    /// Up to four elements (`INLINE`) stored in place.
     Inline {
         /// Storage; slots `0..len` are `Some`.
         buf: [Option<T>; INLINE],

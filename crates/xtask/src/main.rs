@@ -86,7 +86,6 @@ const PROTOCOL_FILES: &[&str] = &[
     "crates/proto/src/sched.rs",
     "crates/proto/src/version.rs",
     "crates/bench/src/bin/bench/mc.rs",
-    "crates/bench/src/bin/bench/engine.rs",
     "crates/bench/src/bin/bench/serving.rs",
 ];
 
