@@ -85,7 +85,8 @@ fn rows<'a>(report: &'a Json, side: &str) -> Result<&'a [Json], String> {
     rows.ok_or(format!("{side} has no `rows` array"))
 }
 
-fn show(v: Option<&Json>) -> String {
+/// `v` as JSON, or `(absent)`.
+pub fn show(v: Option<&Json>) -> String {
     v.map_or("(absent)".to_string(), Json::dump)
 }
 

@@ -16,9 +16,9 @@
 //! report, so the file prints what its run printed. The process exits
 //! non-zero iff `BenchReport::check` — the same call `xtask
 //! obs-schema` makes on the written file — rejects the report. `APP...`
-//! narrows the application sweep of `paper`, `rdma` and `critpath`;
-//! `--seed` is the [`RunSeed`] every run of the sweep uses and the
-//! seed the report records.
+//! narrows the application sweep of `paper`, `rdma` and `critpath`, and
+//! any other kind refuses it; `--seed` is the [`RunSeed`] every run of
+//! the sweep uses and the seed the report records.
 
 mod barrier;
 mod critpath;
@@ -27,6 +27,8 @@ mod fault_matrix;
 mod mc;
 mod paper;
 mod rdma;
+#[cfg(test)]
+mod regenerate;
 mod serving;
 
 use std::process::ExitCode;
@@ -60,6 +62,9 @@ const KINDS: [(&str, Kind, Print); 7] = [
     ("serving", serving::run, |r| views(r, serving::VIEWS)),
     ("mc", mc::run, mc::print),
 ];
+
+/// The kinds whose application sweep `APP...` narrows.
+const NARROWS: [&str; 3] = ["paper", "rdma", "critpath"];
 
 /// One column of a table: its header, the dotted path of the field it
 /// shows in each row, and the decimals a number prints to.
@@ -130,12 +135,19 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn parse_args() -> (&'static str, Kind, Print, Args) {
-    let mut it = std::env::args().skip(1);
-    let name = it.next().unwrap_or_else(|| usage());
+/// `<kind> [--seed N] [--json PATH] [APP...]`, the words after
+/// `bench`.
+///
+/// # Errors
+///
+/// What is wrong with the words; [`main`] prints it above the usage
+/// and exits 2. `APP...` is refused by a kind not in [`NARROWS`].
+fn parse_args(
+    mut it: impl Iterator<Item = String>,
+) -> Result<(&'static str, Kind, Print, Args), String> {
+    let name = it.next().ok_or("no kind")?;
     let Some(&(name, kind, print)) = KINDS.iter().find(|(k, ..)| *k == name) else {
-        eprintln!("unknown kind: {name}");
-        usage()
+        return Err(format!("unknown kind: {name}"));
     };
     let mut args = Args {
         seed: RunSeed::default().value(),
@@ -145,23 +157,22 @@ fn parse_args() -> (&'static str, Kind, Print, Args) {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--seed" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                args.seed = v.parse().unwrap_or_else(|_e| usage());
+                let seed = it.next().and_then(|v| v.parse().ok());
+                args.seed = seed.ok_or("--seed takes an integer")?;
             }
-            "--json" => args.json = Some(it.next().unwrap_or_else(|| usage())),
-            app => match app_by_name(app) {
-                Some(app) => args.apps.push(app),
-                None => {
-                    eprintln!("unknown app: {app}");
-                    usage()
-                }
-            },
+            "--json" => args.json = Some(it.next().ok_or("--json takes a path")?),
+            app if !NARROWS.contains(&name) => {
+                return Err(format!("bench {name} takes no APP: {app}"));
+            }
+            app => args
+                .apps
+                .push(app_by_name(app).ok_or(format!("unknown app: {app}"))?),
         }
     }
     if args.apps.is_empty() {
         args.apps = all_apps();
     }
-    (name, kind, print, args)
+    Ok((name, kind, print, args))
 }
 
 /// Runs one cell of a sweep. An aborted run is reported and counted in
@@ -261,12 +272,16 @@ fn show(path: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
-    match argv.next().as_deref() {
+    let first = argv.next();
+    match first.as_deref() {
         Some("explain") => return explain::main(argv),
         Some("show") => return show(&argv.next().unwrap_or_else(|| usage())),
         Some(_) | None => {}
     }
-    let (name, kind, print, args) = parse_args();
+    let (name, kind, print, args) = parse_args(first.into_iter().chain(argv)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
     let json = kind(&args).to_json();
     if let Some(path) = &args.json {
         match std::fs::write(path, json.dump() + "\n") {
@@ -320,6 +335,22 @@ mod tests {
         // A missing field prints as a null one does.
         let size = report.at("rows").and_then(|r| r.idx(1));
         assert_eq!(words(&table("sizes", size, cols))[3], ["FFT", "-", "-"]);
+    }
+
+    /// A kind that does not narrow refuses `APP...` rather than run its
+    /// whole sweep, and every kind an unknown app; [`main`] exits 2.
+    #[test]
+    fn only_the_kinds_that_narrow_take_apps() {
+        let parse = |line: &str| parse_args(line.split_whitespace().map(String::from)).err();
+        for kind in ["fault_matrix", "barrier", "serving", "mc"] {
+            let refused = format!("bench {kind} takes no APP: FFT");
+            assert_eq!(parse(&format!("{kind} --seed 7 FFT")), Some(refused));
+        }
+        for kind in NARROWS {
+            assert_eq!(parse(&format!("{kind} --seed 7 FFT LU-contiguous")), None);
+            let unknown = parse(&format!("{kind} FFT Nope"));
+            assert_eq!(unknown.as_deref(), Some("unknown app: Nope"));
+        }
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //! * `size` — Base and GeNIMA across problem sizes (§5);
 //! * `ablation` — one per variant of each study in [`ABLATIONS`].
 //!
-//! Gates: every line of [`CLAIMS`] — the paper's shape claims and each
-//! ablation's finding, as data; per application, GeNIMA beats Base
-//! (Barnes-spatial loses), the Origin beats Base, GeNIMA gains from 16
-//! to 32 processors and the Origin beats it there, Base takes
-//! interrupts and the interrupt-free columns none, and large messages
-//! see a LANai ratio ≤ 3 on the 1999 columns; the GeNIMA improvement
-//! falls with problem size; and the headline means stay in their
-//! [`AVG_IMPROVEMENT`] bands. `APP...` narrows the sweep; a gate whose
-//! rows it leaves out is not declared.
+//! Gates: every line of [`CELL_CLAIMS`] and [`ABLATION_CLAIMS`] — the
+//! paper's shape claims and each ablation's finding, as data; per
+//! application, GeNIMA beats Base (Barnes-spatial loses), the Origin
+//! beats Base, GeNIMA gains from 16 to 32 processors and the Origin
+//! beats it there, Base takes interrupts and the interrupt-free columns
+//! none, and large messages see a LANai ratio ≤ 3 on the 1999 columns;
+//! the GeNIMA improvement falls with problem size; and the headline
+//! means stay in their [`AVG_IMPROVEMENT`] bands. `APP...` narrows the
+//! sweep; a gate whose rows it leaves out is not declared.
 
 use std::collections::HashMap;
 
@@ -192,10 +192,10 @@ const ABLATIONS: [(&str, &str, &[Variant]); 9] = [
     ),
 ];
 
-/// What the paper and each ablation claim beyond the gates [`run`]
+/// What the paper claims of the 4×4 cells beyond the gates [`cells`]
 /// declares per application, in the grammar of [`Paper::claim`]. A cell
-/// is keyed `app/column`, an ablation variant `study/column/variant`.
-const CLAIMS: [&str; 39] = [
+/// is keyed `app/column`.
+pub const CELL_CLAIMS: [&str; 14] = [
     // §3.3: remote fetch cuts FFT's data wait (the paper: ~45%), NI
     // locks cut Water-nsquared's lock time (~60%), and direct diffs turn
     // each of Barnes-spatial's scattered runs into a message (>30x).
@@ -239,6 +239,10 @@ const CLAIMS: [&str; 39] = [
     // re-opens the page the last holding wrote, so no critical section
     // faults on it either (0.074 x while they did; §32).
     "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.06 x Ocean-rowwise/GeNIMA: counters.faults",
+];
+
+/// What each ablation finds, keyed `study/column/variant`.
+const ABLATION_CLAIMS: [&str; 25] = [
     // Send pipelining recovers part of the direct-diff loss.
     "pipelining/DW+RF/pipelined: speedup > pipelining/DW+RF/serial",
     "pipelining/GeNIMA/pipelined: speedup > pipelining/GeNIMA/serial",
@@ -312,10 +316,12 @@ fn sizes() -> Vec<(Box<dyn App>, String)> {
     fft.into_iter().chain(water).collect()
 }
 
-/// The report under construction, and the row each key names.
-struct Paper {
+/// The report under construction, the row each key names, and each
+/// application's sequential time.
+pub struct Paper {
     rep: BenchReport,
     keys: HashMap<String, usize>,
+    seqs: HashMap<&'static str, Dur>,
     failed: u64,
     unresolved: u64,
 }
@@ -616,20 +622,22 @@ fn ablation_row(variant: [&str; 4], seq: Dur, r: &RunReport) -> Json {
     row
 }
 
-pub fn run(args: &Args) -> BenchReport {
+/// Per application: its six 4×4 cells, the Origin on 4×4 and 8×4 and
+/// GeNIMA on 8×4, with the gates every application shares.
+pub fn cells(args: &Args) -> Paper {
     let (p16, p32) = (Topology::new(4, 4), Topology::new(8, 4));
     let genima = Column::lanai(FeatureSet::genima());
     let mut paper = Paper {
         rep: BenchReport::new("paper", args.seed),
         keys: HashMap::new(),
+        seqs: HashMap::new(),
         failed: 0,
         unresolved: 0,
     };
     paper.rep.set_meta("topo", topo_json(p16));
-    let mut seqs = HashMap::new();
     for app in &args.apps {
         let (a, seq) = (app.name(), sequential_time(app.as_ref()));
-        seqs.insert(a, seq);
+        paper.seqs.insert(a, seq);
         for column in Column::all() {
             let key = format!("{a}/{}", column.name());
             let Some(r) = paper.run(&key, app.as_ref(), p16, column, Untouched) else {
@@ -679,11 +687,18 @@ pub fn run(args: &Args) -> BenchReport {
             paper.claim(&claim);
         }
     }
+    paper
+}
 
+/// The whole evaluation: [`cells`], §5's sizes, the ablations and every
+/// claim.
+pub fn run(args: &Args) -> BenchReport {
+    let mut paper = cells(args);
+    let p16 = Topology::new(4, 4);
     let sizes = sizes();
     for (app, size) in &sizes {
         let a = app.name();
-        if !seqs.contains_key(a) {
+        if !paper.seqs.contains_key(a) {
             continue;
         }
         let seq = sequential_time(app.as_ref());
@@ -706,7 +721,7 @@ pub fn run(args: &Args) -> BenchReport {
     for pair in sizes.windows(2) {
         let ((small, s), (large, l)) = (&pair[0], &pair[1]);
         let a = small.name();
-        if a == large.name() && seqs.contains_key(a) {
+        if a == large.name() && paper.seqs.contains_key(a) {
             paper.claim(&format!("{a}/{s}: improvement_pct > {a}/{l}"));
         }
     }
@@ -719,15 +734,23 @@ pub fn run(args: &Args) -> BenchReport {
             let key = format!("{study}/{column}/{variant}");
             let on = Column::by_name(column).expect("an ablation runs on an evaluation column");
             if let Some(r) = paper.run(&key, app.as_ref(), p16, on, switch) {
-                paper.push(key, ablation_row([study, a, column, variant], seqs[a], &r));
+                paper.push(
+                    key,
+                    ablation_row([study, a, column, variant], paper.seqs[a], &r),
+                );
             }
         }
     }
-    for claim in CLAIMS {
+    finish(paper, args, &[&CELL_CLAIMS[..], &ABLATION_CLAIMS].concat())
+}
+
+/// Declares `claims`, then the headline and the claim count (about the
+/// whole suite), all six columns and every run completed.
+pub fn finish(mut paper: Paper, args: &Args, claims: &[&str]) -> BenchReport {
+    for claim in claims {
         paper.claim(claim);
     }
 
-    // The headline and the claim count are about the whole suite.
     if args.apps.len() == all_apps().len() {
         let improvement = |a: &str| {
             let b = paper.num(&format!("{a}/Base"), "speedup")?;

@@ -1,0 +1,125 @@
+//! The checked-in reports, rebuilt by `cargo test`. Each test runs a
+//! kind's own code at the seed its `BENCH_<kind>.json` records, checks
+//! the rows with the report's own gates and compares them with the
+//! file, naming each moved row by its `bench explain` label. `rdma`,
+//! `barrier`, `fault_matrix` and `serving` are rebuilt whole, byte for
+//! byte; `paper` without its §5 sizes and ablations, and `critpath` on
+//! Ocean-rowwise only (DESIGN.md §35).
+
+use genima::Json;
+use genima_obs::BenchReport;
+
+use crate::{explain, paper, parse_args, rows, text, Args, Kind};
+
+/// The checked-in `BENCH_<kind>.json`, as text and parsed, and the kind
+/// and arguments `bench <kind> --seed <its seed> <apps>` parses to.
+fn checked_in(kind: &str, apps: &str) -> (String, Json, Kind, Args) {
+    let path = format!("{}/../../BENCH_{kind}.json", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let file = Json::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let seed = file.get("seed").and_then(Json::as_u64).expect("a seed");
+    let words = format!("{kind} --seed {seed} {apps}");
+    let Ok((_, run, _, args)) = parse_args(words.split_whitespace().map(String::from)) else {
+        panic!("`bench {words}` does not parse");
+    };
+    (text, file, run, args)
+}
+
+/// `file` with only the rows `keep` selects.
+fn narrowed(file: &Json, keep: impl Fn(&&Json) -> bool) -> Json {
+    let mut out = Json::obj();
+    for key in ["bench", "seed", "meta", "gates"] {
+        out.set(key, file.get(key).cloned().unwrap_or(Json::Null));
+    }
+    let kept = rows(file).iter().filter(keep).cloned().collect();
+    out.set("rows", Json::Arr(kept));
+    out
+}
+
+/// Checks `built` with its own gates, then against `file`: the same
+/// rows and `meta`, and no gate `file` does not declare.
+///
+/// # Errors
+///
+/// A line per failed gate, per moved row (its `bench explain` label,
+/// then its moved fields), for a `meta` that differs and per gate only
+/// `built` declares.
+fn regenerated(built: &Json, file: &Json) -> Result<(), String> {
+    let mut errors = BenchReport::check(built).err().unwrap_or_default();
+    match explain::explain(file, built, None, &[]) {
+        Ok(mut found) => {
+            // The last line counts the moved rows.
+            found.lines.pop();
+            errors.extend(found.lines);
+        }
+        Err(e) => errors.push(e),
+    }
+    let [was, now] = [file, built].map(|r| explain::show(r.get("meta")));
+    if was != now {
+        errors.push(format!("meta: {was} -> {now}"));
+    }
+    let [declared, gates] = [file, built].map(|r| r.get("gates").and_then(Json::as_arr));
+    let declared: Vec<_> = declared
+        .unwrap_or_default()
+        .iter()
+        .map(|g| g.get("name"))
+        .collect();
+    for name in gates.unwrap_or_default().iter().map(|g| g.get("name")) {
+        if !declared.contains(&name) {
+            errors.push(format!("gate {} is not the file's", explain::show(name)));
+        }
+    }
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors.join("\n"))
+    }
+}
+
+/// `bench <kind> --seed <the file's> --json` rewrites each file byte for
+/// byte.
+#[test]
+fn four_sweeps_rewrite_their_files() {
+    for kind in ["rdma", "barrier", "fault_matrix", "serving"] {
+        let (text, file, run, args) = checked_in(kind, "");
+        let built = run(&args).to_json();
+        regenerated(&built, &file).unwrap_or_else(|e| panic!("BENCH_{kind}.json:\n{e}"));
+        let rewritten = built.dump() + "\n" == text;
+        assert!(rewritten, "BENCH_{kind}.json is not as `--json` writes it");
+    }
+}
+
+/// Every application's cells, Origin and 8×4 rows, the cell claims and
+/// the headline: the paper's shapes, gated on rows rebuilt.
+#[test]
+fn paper_cells_rebuild_with_their_gates() {
+    let (_, file, _, args) = checked_in("paper", "");
+    let built = paper::finish(paper::cells(&args), &args, &paper::CELL_CLAIMS).to_json();
+    let cells = narrowed(&file, |r| {
+        text(r, "kind").is_some_and(|k| k != "size" && k != "ablation")
+    });
+    regenerated(&built, &cells).unwrap_or_else(|e| panic!("BENCH_paper.json:\n{e}"));
+}
+
+#[test]
+fn critpath_ocean_rebuilds_with_its_gates() {
+    let (_, file, run, args) = checked_in("critpath", "Ocean-rowwise");
+    let ocean = narrowed(&file, |r| text(r, "app") == Some("Ocean-rowwise"));
+    let built = run(&args).to_json();
+    regenerated(&built, &ocean).unwrap_or_else(|e| panic!("BENCH_critpath.json:\n{e}"));
+}
+
+#[test]
+fn a_moved_row_is_named_by_its_label_and_field() {
+    let (text, file, ..) = checked_in("barrier", "");
+    assert_eq!(regenerated(&file, &file), Ok(()));
+    // Row 5's, the first of its value.
+    let moved = text.replacen("\"barrier_us\":166.435,", "\"barrier_us\":167.435,", 1);
+    let e = regenerated(&Json::parse(&moved).expect("a report"), &file).expect_err("moved");
+    let lines: Vec<&str> = e.lines().map(str::trim).collect();
+    let label = "row 5 (nodes=8 mode=ni-tree-2 fanout=2)";
+    assert_eq!(
+        lines[..2],
+        [label, "barrier_us: 166.435 -> 167.435 (+0.6%)"]
+    );
+}
