@@ -2,7 +2,7 @@
 //! moved between two runs of one kind, and which of their numbers.
 //!
 //! ```text
-//! bench explain BEFORE AFTER [--only-column NAME] [--ignore FIELD]...
+//! bench explain BEFORE AFTER [--only-column NAME]
 //! ```
 //!
 //! Two reports of one kind at one seed hold the same rows in the same
@@ -15,9 +15,6 @@
 //!
 //! `--only-column NAME` fails if a row whose `column` is not `NAME`
 //! moved: the proof that a change to one column left the others alone.
-//! `--ignore FIELD` leaves a field out of the comparison by its last
-//! path segment — the host-clock fields (`states_per_sec` in
-//! `BENCH_mc.json`) differ on every run.
 
 use std::process::ExitCode;
 
@@ -113,7 +110,6 @@ pub fn explain(
     before: &Json,
     after: &Json,
     only_column: Option<&str>,
-    ignore: &[String],
 ) -> Result<Explained, String> {
     for key in ["bench", "seed"] {
         let (a, b) = (before.get(key), after.get(key));
@@ -122,10 +118,6 @@ pub fn explain(
         }
     }
     let (old, new) = (rows(before, "before")?, rows(after, "after")?);
-    let ignored = |path: &str| {
-        let last = path.rsplit('.').next().unwrap_or(path);
-        ignore.iter().any(|f| f == last)
-    };
     let mut out = Explained {
         lines: Vec::new(),
         outside: Vec::new(),
@@ -143,8 +135,6 @@ pub fn explain(
         let (mut fa, mut fb) = (Vec::new(), Vec::new());
         flatten("", a, &mut fa);
         flatten("", b, &mut fb);
-        fa.retain(|(path, _)| !ignored(path));
-        fb.retain(|(path, _)| !ignored(path));
         let mut fields: Vec<(f64, String)> = Vec::new();
         for &(ref path, x) in &fa {
             let y = find(&fb, path);
@@ -193,9 +183,7 @@ pub fn explain(
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: bench explain BEFORE.json AFTER.json [--only-column NAME] [--ignore FIELD]..."
-    );
+    eprintln!("usage: bench explain BEFORE.json AFTER.json [--only-column NAME]");
     std::process::exit(2)
 }
 
@@ -207,11 +195,10 @@ pub fn load(path: &str) -> Result<Json, String> {
 
 /// The `explain` subcommand; `args` is what follows the word.
 pub fn main(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let (mut paths, mut only_column, mut ignore) = (Vec::new(), None, Vec::new());
+    let (mut paths, mut only_column) = (Vec::new(), None);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--only-column" => only_column = Some(args.next().unwrap_or_else(|| usage())),
-            "--ignore" => ignore.push(args.next().unwrap_or_else(|| usage())),
             _ => paths.push(arg),
         }
     }
@@ -219,7 +206,7 @@ pub fn main(mut args: impl Iterator<Item = String>) -> ExitCode {
         usage()
     };
     let only_column = only_column.as_deref();
-    let found = load(before).and_then(|b| explain(&b, &load(after)?, only_column, &ignore));
+    let found = load(before).and_then(|b| explain(&b, &load(after)?, only_column));
     let found = match found {
         Ok(found) => found,
         Err(e) => {
@@ -271,7 +258,7 @@ mod tests {
 
         // Inside the column: reported, ranked, allowed.
         let after = report(&[("Ocean", "GeNIMA", 0.188), ("Ocean", "GeNIMA-2025", 0.036)]);
-        let found = explain(&before, &after, only, &[]).expect("rows pair up");
+        let found = explain(&before, &after, only).expect("rows pair up");
         assert!(found.outside.is_empty());
         assert_eq!(
             found.lines,
@@ -283,22 +270,16 @@ mod tests {
                 "1 of 2 rows moved",
             ]
         );
-        let ignore = ["stream_hash".to_string(), "lock".to_string()];
-        let found = explain(&before, &after, only, &ignore).expect("rows pair up");
-        assert_eq!(found.lines, ["0 of 2 rows moved"]);
 
         // Outside it: reported and refused.
         let after = report(&[("Ocean", "GeNIMA", 0.19), ("Ocean", "GeNIMA-2025", 0.036)]);
-        let found = explain(&before, &after, only, &[]).expect("rows pair up");
+        let found = explain(&before, &after, only).expect("rows pair up");
         assert_eq!(found.outside, ["row 0 (app=Ocean column=GeNIMA)"]);
         assert_eq!(found.lines.last().unwrap(), "2 of 2 rows moved");
-        assert!(explain(&before, &after, None, &[])
-            .unwrap()
-            .outside
-            .is_empty());
+        assert!(explain(&before, &after, None).unwrap().outside.is_empty());
 
         // A missing row is named, at the end or in the middle.
-        let err = |after: &Json| explain(&before, after, only, &[]).err().unwrap();
+        let err = |after: &Json| explain(&before, after, only).err().unwrap();
         let short = report(&[("Ocean", "GeNIMA", 0.188)]);
         assert_eq!(
             err(&short),

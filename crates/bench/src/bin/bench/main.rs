@@ -4,8 +4,9 @@
 //!
 //! ```text
 //! bench <kind> [--seed N] [--json PATH] [APP...]
+//! bench mc [--seed N] [--json PATH] [LITMUS...]
 //! bench show BENCH_<kind>.json
-//! bench explain BEFORE.json AFTER.json [--only-column NAME] [--ignore FIELD]...
+//! bench explain BEFORE.json AFTER.json [--only-column NAME]
 //! ```
 //!
 //! Every kind (one module each; its doc lists its gates) is a function
@@ -14,11 +15,12 @@
 //! and the exit code live here, once. Stdout carries the tables;
 //! stderr, progress and `FAIL` lines. `bench show` prints a written
 //! report, so the file prints what its run printed. The process exits
-//! non-zero iff `BenchReport::check` — the same call `xtask
-//! obs-schema` makes on the written file — rejects the report. `APP...`
-//! narrows the application sweep of `paper`, `rdma` and `critpath`, and
-//! any other kind refuses it; `--seed` is the [`RunSeed`] every run of
-//! the sweep uses and the seed the report records.
+//! non-zero iff `BenchReport::check` — the same call `bench show` makes
+//! on the written file — rejects the report. `APP...` narrows the
+//! application sweep of `paper`, `rdma` and `critpath`, `LITMUS...` the
+//! litmus tests `mc` explores, and any other kind refuses both; `--seed`
+//! is the [`RunSeed`] every run of the sweep uses and the seed the
+//! report records.
 
 mod barrier;
 mod critpath;
@@ -35,6 +37,7 @@ use std::process::ExitCode;
 
 use genima::{run_app_configured, ConfiguredOutcome, Json, RunConfig, Topology};
 use genima_apps::{all_apps, app_by_name, App};
+use genima_mc::{litmus, Litmus};
 use genima_obs::bench::{meta, row};
 use genima_obs::{BenchReport, Grid};
 use genima_sim::RunSeed;
@@ -44,6 +47,8 @@ struct Args {
     seed: u64,
     json: Option<String>,
     apps: Vec<Box<dyn App>>,
+    /// The litmus tests `bench mc` explores; empty for the whole sweep.
+    litmus: Vec<Litmus>,
 }
 
 type Kind = fn(&Args) -> BenchReport;
@@ -128,15 +133,16 @@ fn usage() -> ! {
     let kinds: Vec<&str> = KINDS.iter().map(|(name, ..)| *name).collect();
     eprintln!(
         "usage: bench <kind> [--seed N] [--json PATH] [APP...]\nkinds: {}\n       \
+         bench mc [--seed N] [--json PATH] [LITMUS...]\n       \
          bench show BENCH_<kind>.json\n       \
-         bench explain BEFORE.json AFTER.json [--only-column NAME] [--ignore FIELD]...",
+         bench explain BEFORE.json AFTER.json [--only-column NAME]",
         kinds.join(" ")
     );
     std::process::exit(2)
 }
 
 /// `<kind> [--seed N] [--json PATH] [APP...]`, the words after
-/// `bench`.
+/// `bench`; `mc` takes `LITMUS...` where the others take `APP...`.
 ///
 /// # Errors
 ///
@@ -153,6 +159,7 @@ fn parse_args(
         seed: RunSeed::default().value(),
         json: None,
         apps: Vec::new(),
+        litmus: Vec::new(),
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -161,6 +168,9 @@ fn parse_args(
                 args.seed = seed.ok_or("--seed takes an integer")?;
             }
             "--json" => args.json = Some(it.next().ok_or("--json takes a path")?),
+            test if name == "mc" => args
+                .litmus
+                .push(litmus::by_name(test).ok_or(format!("unknown litmus: {test}"))?),
             app if !NARROWS.contains(&name) => {
                 return Err(format!("bench {name} takes no APP: {app}"));
             }
@@ -338,11 +348,12 @@ mod tests {
     }
 
     /// A kind that does not narrow refuses `APP...` rather than run its
-    /// whole sweep, and every kind an unknown app; [`main`] exits 2.
+    /// whole sweep, every kind an unknown app, and `mc` an unknown
+    /// litmus test; [`main`] exits 2.
     #[test]
     fn only_the_kinds_that_narrow_take_apps() {
         let parse = |line: &str| parse_args(line.split_whitespace().map(String::from)).err();
-        for kind in ["fault_matrix", "barrier", "serving", "mc"] {
+        for kind in ["fault_matrix", "barrier", "serving"] {
             let refused = format!("bench {kind} takes no APP: FFT");
             assert_eq!(parse(&format!("{kind} --seed 7 FFT")), Some(refused));
         }
@@ -351,6 +362,11 @@ mod tests {
             let unknown = parse(&format!("{kind} FFT Nope"));
             assert_eq!(unknown.as_deref(), Some("unknown app: Nope"));
         }
+        assert_eq!(parse("mc --seed 7 mp lock-reopen"), None);
+        assert_eq!(parse("mc FFT").as_deref(), Some("unknown litmus: FFT"));
+        let refused = "bench barrier takes no APP: mp";
+        assert_eq!(parse("barrier mp").as_deref(), Some(refused));
+        assert_eq!(parse("paper mp").as_deref(), Some("unknown app: mp"));
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn narrowed(file: &Json, keep: impl Fn(&&Json) -> bool) -> Json {
 /// `built` declares.
 fn regenerated(built: &Json, file: &Json) -> Result<(), String> {
     let mut errors = BenchReport::check(built).err().unwrap_or_default();
-    match explain::explain(file, built, None, &[]) {
+    match explain::explain(file, built, None) {
         Ok(mut found) => {
             // The last line counts the moved rows.
             found.lines.pop();

@@ -28,8 +28,10 @@
 //!   serialized to JSON, and bit-identically replayable.
 //!
 //! Seeded mutants ([`genima_proto::Mutation`]) prove the oracles have
-//! teeth: `mc --mutate reorder-write-notice` drops the write-notice
-//! arrival guard and the checker finds the schedule that exposes it.
+//! teeth: `bench mc` explores `mp` on GeNIMA under
+//! [`genima_proto::Mutation::ReorderWriteNotice`], which drops the
+//! write-notice arrival guard, and gates that the checker finds the
+//! schedule that exposes it.
 
 pub mod explore;
 pub mod litmus;

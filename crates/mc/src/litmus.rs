@@ -297,8 +297,8 @@ fn odp_first_touch_allowed(o: &[Vec<u64>]) -> bool {
 
 /// The CI litmus corpus: every shape here is exhaustively explorable
 /// on every protocol column (Base through full GeNIMA) in seconds to
-/// a couple of minutes on one core — `mc --litmus all --column all
-/// --require-exhaustive` is the `mc-smoke` CI gate.
+/// a couple of minutes on one core, and `bench mc` gates each cell
+/// exhaustive and at or above its `min_outcomes`.
 pub fn corpus() -> Vec<Litmus> {
     vec![
         Litmus {
@@ -372,9 +372,9 @@ pub fn corpus() -> Vec<Litmus> {
 }
 
 /// Larger classic shapes whose state spaces exceed what CI can
-/// exhaust on the NI-rich columns: still fully checkable by name
-/// (`mc --litmus sb --column Base` exhausts in under a minute), and
-/// covered by bounded exploration in `bench mc`.
+/// exhaust on the NI-rich columns: `bench mc` explores each on Base,
+/// GeNIMA and GeNIMA-2025 at a 1M-schedule cap (`bench mc sb` alone
+/// exhausts sb on Base in under a minute).
 pub fn extended() -> Vec<Litmus> {
     vec![
         Litmus {
@@ -446,12 +446,6 @@ impl Litmus {
     pub fn op_vectors(&self) -> Vec<Vec<Op>> {
         (self.programs)()
     }
-}
-
-/// Parses an evaluation-column CLI name (`Base` … `GeNIMA`,
-/// `GeNIMA-2025`).
-pub fn column_by_name(name: &str) -> Option<Column> {
-    Column::by_name(name)
 }
 
 #[cfg(test)]

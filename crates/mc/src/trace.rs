@@ -9,7 +9,7 @@
 //! same channel picked at every step, same event labels.
 
 use genima_obs::Json;
-use genima_proto::{ChanKey, Mutation};
+use genima_proto::{ChanKey, Column, Mutation};
 
 use crate::explore::{Config, Explorer, Step};
 use crate::litmus;
@@ -189,7 +189,7 @@ impl ScheduleTrace {
     fn explorer(&self) -> Result<Explorer, String> {
         let l = litmus::by_name(&self.litmus)
             .ok_or_else(|| format!("unknown litmus `{}`", self.litmus))?;
-        let f = litmus::column_by_name(&self.column)
+        let f = Column::by_name(&self.column)
             .ok_or_else(|| format!("unknown column `{}`", self.column))?;
         let mut e = Explorer::new(l, f, Config::default());
         if let Some(m) = &self.mutation {

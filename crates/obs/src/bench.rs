@@ -1,5 +1,5 @@
 //! The one report-and-gate schema every `bench <kind>` writes and
-//! `xtask obs-schema` reads.
+//! `bench show` reads.
 //!
 //! A [`BenchReport`] is rows plus **gates as data**: each gate is
 //! `{name, lhs, op, rhs}` with `op` one of `== != < <= > >=` and each

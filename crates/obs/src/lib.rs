@@ -15,7 +15,7 @@
 //!   serialization and `BENCH_*.json` trajectories;
 //! * the one bench report-and-gate schema ([`BenchReport`]): rows plus
 //!   gates as data, with a single checker shared by the `bench` driver
-//!   and `xtask obs-schema`;
+//!   and `bench show`;
 //! * text summaries ([`trace_top`], [`monitor_tables`]) shared by
 //!   `xtask obs-summary` and the examples, and the one text table
 //!   ([`Grid`]) they, the examples and every `bench` kind print.

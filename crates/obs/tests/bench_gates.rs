@@ -284,6 +284,22 @@ fn a_dropped_ci_litmus_is_rejected() {
     });
 }
 
+#[test]
+fn a_lost_outcome_is_rejected() {
+    // An exhaustive search that reaches fewer outcomes than the litmus
+    // allows is a column that over-synchronises, not a clean one.
+    let cell = [("litmus", "lock-reopen"), ("column", "GeNIMA")];
+    let gate = "lock-reopen/GeNIMA: at least 3 distinct outcomes";
+    flip("mc", &cell, "distinct_outcomes", 2u64, gate);
+}
+
+#[test]
+fn a_bounded_lock_handoff_on_2025_is_rejected() {
+    let cell = [("litmus", "lock-handoff"), ("column", "GeNIMA-2025")];
+    let gate = "lock-handoff/GeNIMA-2025: exhaustive proof";
+    flip("mc", &cell, "exhaustive", false, gate);
+}
+
 /// A `cell` row of `BENCH_paper.json`.
 fn cell<'a>(app: &'a str, column: &'a str) -> [(&'a str, &'a str); 3] {
     [("kind", "cell"), ("app", app), ("column", column)]

@@ -42,19 +42,11 @@
 //! pinned [`CLIPPY_ALLOW`] list, so the allow-list lives in one
 //! reviewed place instead of scattered CI flags.
 //!
-//! Two observability commands ride along:
-//!
-//! * `xtask obs-summary <file> [top]` — prints a top-N aggregation of
-//!   a Chrome-trace timeline (per span kind and per node), or the NI
-//!   monitor tables when given a `RunReport` JSON instead.
-//! * `xtask obs-schema <file>...` — checks `BENCH_<kind>.json`
-//!   reports with [`BenchReport::check`], the same call the `bench`
-//!   driver makes on the report it just built: shape, then every
-//!   declared gate recomputed from the rows it references. CI fails
-//!   the `bench` matrix job on a rejection. `bench show FILE` prints
-//!   a report's tables through the renderer of the run that wrote it.
+//! `xtask obs-summary <file> [top]` rides along: it prints a top-N
+//! aggregation of a Chrome-trace timeline (per span kind and per node),
+//! or the NI monitor tables when given a `RunReport` JSON instead.
 
-use genima_obs::{monitor_tables, trace_top, BenchReport, Json};
+use genima_obs::{monitor_tables, trace_top, Json};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -425,36 +417,6 @@ fn run_obs_summary(path: &str, top: usize) -> ExitCode {
     }
 }
 
-fn run_obs_schema(paths: &[String]) -> ExitCode {
-    if paths.is_empty() {
-        eprintln!("usage: xtask obs-schema <file>...");
-        return ExitCode::FAILURE;
-    }
-    let mut failures = 0u32;
-    for path in paths {
-        let checked = load_json(path).and_then(|v| {
-            BenchReport::check(&v)
-                .map(|()| v)
-                .map_err(|e| e.join("\n    "))
-        });
-        match checked {
-            Ok(v) => {
-                let kind = v.get("bench").and_then(Json::as_str).unwrap_or_default();
-                println!("xtask obs-schema: {path}: valid {kind} report");
-            }
-            Err(e) => {
-                eprintln!("xtask obs-schema: {path}: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 /// Runs clippy over the workspace with warnings denied, applying the
 /// pinned [`CLIPPY_ALLOW`] list.
 fn run_clippy() -> ExitCode {
@@ -485,7 +447,7 @@ fn run_clippy() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: xtask lint | clippy | obs-summary <file> [top] | obs-schema <file>...";
+const USAGE: &str = "usage: xtask lint | clippy | obs-summary <file> [top]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -503,7 +465,6 @@ fn main() -> ExitCode {
             let top = args.next().and_then(|t| t.parse().ok()).unwrap_or(10);
             run_obs_summary(&path, top)
         }
-        Some("obs-schema") => run_obs_schema(&args.collect::<Vec<_>>()),
         Some(other) => {
             eprintln!("xtask: unknown command `{other}`\n{USAGE}");
             ExitCode::FAILURE
