@@ -72,7 +72,7 @@ impl Switch {
             PostQueue(depth) => p.hw.nic.post_queue_capacity = depth,
             Pipelined(on) => p.hw.nic.pipelined_sends = on,
             PullNotices => p.proto.pull_notices = true,
-            MprotectExtraPageNs(ns) => p.mem.mprotect.per_extra_page = Dur::from_ns(ns),
+            MprotectExtraPageNs(ns) => p.hw.host.mprotect.per_extra_page = Dur::from_ns(ns),
             InterruptUs(us) => p.proto.interrupt_latency = Dur::from_us(us),
             ScatterGather => p.hw.nic.scatter_gather = true,
             Broadcast(on) => p.hw.nic.broadcast = on,

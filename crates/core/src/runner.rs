@@ -12,9 +12,8 @@ use genima_sim::{Dur, RunSeed};
 /// seed, and the fault plan.
 ///
 /// One [`RunSeed`] drives every pseudo-random stream in the run (fault
-/// fates, delay amounts, link jitter — each from its own named
-/// sub-stream), so a faulty run is reproducible from one `--seed`
-/// value.
+/// fates and delay amounts, each from its own named sub-stream), so a
+/// faulty run is reproducible from one `--seed` value.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Cluster shape.

@@ -8,6 +8,10 @@ use genima_sim::{Dur, RunSeed, SplitMix64, Time};
 
 use crate::plan::{FaultPlan, Outage, TargetAction};
 
+/// How far the copy of a probabilistically duplicated packet lags the
+/// original.
+const DUP_LAG: Dur = Dur::from_us(100);
+
 /// Counters of what an injector actually did to a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
@@ -64,7 +68,7 @@ pub struct PlanInjector {
     plan: FaultPlan,
     /// One draw per packet decides the drop/duplicate/delay band.
     fate_rng: SplitMix64,
-    /// Draws for delay amounts and link jitter.
+    /// Draws for delay amounts.
     delay_rng: SplitMix64,
     /// Targeted rules already fired (parallel to `plan.targets`).
     fired: Vec<bool>,
@@ -141,19 +145,6 @@ impl PlanInjector {
         Dur::from_ns(self.delay_rng.next_below(max.as_ns() + 1))
     }
 
-    /// Extra jitter for a delivery on `src → dst`, zero when no link
-    /// rule matches.
-    fn jitter_for(&mut self, src: NicId, dst: NicId) -> Dur {
-        let max = self
-            .plan
-            .jitter
-            .iter()
-            .filter(|j| j.src == src && j.dst == dst)
-            .map(|j| j.max)
-            .fold(Dur::ZERO, Dur::max);
-        self.draw_delay(max)
-    }
-
     /// The first unfired targeted rule matching this first-transmission
     /// packet, marking it fired.
     fn take_target(&mut self, ctx: PacketCtx) -> Option<TargetAction> {
@@ -191,16 +182,10 @@ impl FaultInjector for PlanInjector {
         // 2. Targeted nth-packet rules.
         if let Some(action) = self.take_target(ctx) {
             self.stats.borrow_mut().targeted += 1;
-            let jitter = self.jitter_for(ctx.src, ctx.dst);
             return match action {
                 TargetAction::Drop => Fate::Drop,
-                TargetAction::Duplicate { lag } => Fate::Duplicate {
-                    extra: jitter,
-                    second: lag,
-                },
-                TargetAction::Delay { extra } => Fate::Deliver {
-                    extra: extra + jitter,
-                },
+                TargetAction::Duplicate { lag } => Fate::Duplicate { lag },
+                TargetAction::Delay { extra } => Fate::Deliver { extra },
             };
         }
 
@@ -214,23 +199,16 @@ impl FaultInjector for PlanInjector {
             self.stats.borrow_mut().dropped += 1;
             return Fate::Drop;
         }
-
-        // 4. Link jitter composes with whatever delivery was decided.
-        let jitter = self.jitter_for(ctx.src, ctx.dst);
         if x < dup_band {
             self.stats.borrow_mut().duplicated += 1;
-            Fate::Duplicate {
-                extra: jitter,
-                second: self.plan.dup_lag,
-            }
+            Fate::Duplicate { lag: DUP_LAG }
         } else if x < delay_band {
             self.stats.borrow_mut().delayed += 1;
-            let extra = self.draw_delay(self.plan.delay_max);
             Fate::Deliver {
-                extra: extra + jitter,
+                extra: self.draw_delay(self.plan.delay_max),
             }
         } else {
-            Fate::Deliver { extra: jitter }
+            Fate::CLEAN
         }
     }
 
@@ -340,8 +318,7 @@ mod tests {
         assert_eq!(
             inj.fate(ctx(0, 1, 1, 0, 1)),
             Fate::Duplicate {
-                extra: Dur::ZERO,
-                second: Dur::from_us(70)
+                lag: Dur::from_us(70)
             }
         );
         assert_eq!(
@@ -410,27 +387,6 @@ mod tests {
         assert_eq!(inj.recv_stall(nic, Time::from_ns(20)), Dur::ZERO);
         assert_eq!(inj.recv_stall(NicId::new(0), Time::from_ns(15)), Dur::ZERO);
         assert_eq!(inj.stats().stalls, 2);
-    }
-
-    #[test]
-    fn link_jitter_delays_only_that_link() {
-        let plan = FaultPlan::new().link_jitter(NicId::new(0), NicId::new(1), Dur::from_us(50));
-        let mut inj = PlanInjector::new(plan, RunSeed::new(17));
-        let mut saw_jitter = false;
-        for s in 1..200 {
-            match inj.fate(ctx(0, 1, s, 0, s)) {
-                Fate::Deliver { extra } => {
-                    assert!(extra <= Dur::from_us(50));
-                    if !extra.is_zero() {
-                        saw_jitter = true;
-                    }
-                }
-                Fate::Drop | Fate::Duplicate { .. } => panic!("jitter never drops or duplicates"),
-            }
-            // The reverse link is clean.
-            assert_eq!(inj.fate(ctx(1, 0, s, 0, s)), Fate::CLEAN);
-        }
-        assert!(saw_jitter);
     }
 
     #[test]

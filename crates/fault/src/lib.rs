@@ -8,9 +8,8 @@
 //!
 //! * [`FaultPlan`] — a declarative, builder-style description of what
 //!   should go wrong: packet drop/duplicate/delay probabilities,
-//!   targeted *nth-packet* rules on a specific link, per-link delivery
-//!   jitter, NI firmware stall windows, and transiently unresponsive
-//!   nodes (outages).
+//!   targeted *nth-packet* rules on a specific link, NI firmware stall
+//!   windows, and transiently unresponsive nodes (outages).
 //! * [`PlanInjector`] — compiles a plan plus a [`RunSeed`] into a
 //!   [`FaultInjector`] that the communication layer consults for
 //!   every wire packet. All draws come from named [`RunSeed`]

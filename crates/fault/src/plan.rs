@@ -31,14 +31,6 @@ pub(crate) struct TargetRule {
     pub(crate) action: TargetAction,
 }
 
-/// Uniform extra delivery jitter on one directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LinkJitter {
-    pub(crate) src: NicId,
-    pub(crate) dst: NicId,
-    pub(crate) max: Dur,
-}
-
 /// A window during which one NI's firmware stalls before servicing
 /// each delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,8 +64,6 @@ pub(crate) struct Outage {
 ///    packet are exempt so a `drop_nth` is always recoverable.
 /// 3. **Probabilistic rates** — one uniform draw per packet, split
 ///    into drop / duplicate / delay bands.
-/// 4. **Link jitter** — extra uniform delay added to any delivery on a
-///    matching link (composes with rule 2–3 delays).
 ///
 /// # Example
 ///
@@ -87,7 +77,6 @@ pub(crate) struct Outage {
 ///     .duplicate_rate(0.02)
 ///     .delay(0.10, Dur::from_us(300))
 ///     .drop_nth(NicId::new(0), NicId::new(1), 3)
-///     .link_jitter(NicId::new(1), NicId::new(0), Dur::from_us(40))
 ///     .stall(NicId::new(2), Time::ZERO, Time::from_ns(1_000_000), Dur::from_us(25))
 ///     .outage(NicId::new(3), Time::from_ns(500_000), Time::from_ns(900_000));
 /// assert!(plan.is_active());
@@ -99,8 +88,6 @@ pub struct FaultPlan {
     pub(crate) dup_rate: f64,
     pub(crate) delay_rate: f64,
     pub(crate) delay_max: Dur,
-    pub(crate) dup_lag: Dur,
-    pub(crate) jitter: Vec<LinkJitter>,
     pub(crate) targets: Vec<TargetRule>,
     pub(crate) stalls: Vec<StallWindow>,
     pub(crate) outages: Vec<Outage>,
@@ -115,8 +102,6 @@ impl FaultPlan {
             dup_rate: 0.0,
             delay_rate: 0.0,
             delay_max: Dur::from_us(500),
-            dup_lag: Dur::from_us(100),
-            jitter: Vec::new(),
             targets: Vec::new(),
             stalls: Vec::new(),
             outages: Vec::new(),
@@ -134,7 +119,6 @@ impl FaultPlan {
         self.drop_rate > 0.0
             || self.dup_rate > 0.0
             || self.delay_rate > 0.0
-            || !self.jitter.is_empty()
             || !self.targets.is_empty()
             || !self.stalls.is_empty()
             || !self.outages.is_empty()
@@ -153,8 +137,7 @@ impl FaultPlan {
     }
 
     /// Duplicates each packet independently with probability `p`; the
-    /// copy lags the original by the plan's duplicate lag (default
-    /// 100 µs, see [`FaultPlan::duplicate_lag`]).
+    /// copy lags the original by 100 µs.
     ///
     /// # Panics
     ///
@@ -163,13 +146,6 @@ impl FaultPlan {
     pub fn duplicate_rate(mut self, p: f64) -> FaultPlan {
         self.dup_rate = p;
         self.check_rates();
-        self
-    }
-
-    /// Sets how far the copy of a probabilistically duplicated packet
-    /// lags the original.
-    pub fn duplicate_lag(mut self, lag: Dur) -> FaultPlan {
-        self.dup_lag = lag;
         self
     }
 
@@ -184,13 +160,6 @@ impl FaultPlan {
         self.delay_rate = p;
         self.delay_max = max;
         self.check_rates();
-        self
-    }
-
-    /// Adds uniform extra delivery jitter in `[0, max]` to every packet
-    /// on the directed link `src → dst`.
-    pub fn link_jitter(mut self, src: NicId, dst: NicId, max: Dur) -> FaultPlan {
-        self.jitter.push(LinkJitter { src, dst, max });
         self
     }
 
@@ -289,9 +258,6 @@ mod tests {
         assert!(FaultPlan::new().drop_rate(0.01).is_active());
         assert!(FaultPlan::new().duplicate_rate(0.01).is_active());
         assert!(FaultPlan::new().delay(0.01, Dur::from_us(10)).is_active());
-        assert!(FaultPlan::new()
-            .link_jitter(a, b, Dur::from_us(1))
-            .is_active());
         assert!(FaultPlan::new().drop_nth(a, b, 1).is_active());
         assert!(FaultPlan::new()
             .stall(a, Time::ZERO, Time::from_ns(1), Dur::from_us(1))

@@ -17,7 +17,7 @@
 /// assert_eq!(bus.dilation(0), 1.0);
 /// assert!(bus.dilation(400_000_000) > 1.5);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusModel {
     /// Sustained bus bandwidth in bytes per second.
     pub bandwidth: u64,

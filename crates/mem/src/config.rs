@@ -18,7 +18,7 @@ use crate::mprotect::MprotectModel;
 /// let cfg = MemConfig::default();
 /// assert!(cfg.twin_copy.as_us() > 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemConfig {
     /// Cost to create a twin (copy one 4 KB page).
     pub twin_copy: Dur,

@@ -20,7 +20,7 @@ use genima_sim::Dur;
 /// let eight = m.cost(8);
 /// assert!(eight < one * 8, "coalescing must amortise");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MprotectModel {
     /// Cost of one call covering a single page (trap + kernel work).
     pub single: Dur,

@@ -58,14 +58,12 @@ pub enum Fate {
     /// Lost after consuming wire bandwidth (the link still serialises
     /// the bits; the switch drops the packet).
     Drop,
-    /// Delivered twice: the original `extra` after the wire timing and
-    /// a copy `second` after it. Models both fabric duplication and the
-    /// lost-ack retransmit case.
+    /// Delivered twice: the original on the wire timing and a copy
+    /// `lag` after it. Models both fabric duplication and the lost-ack
+    /// retransmit case.
     Duplicate {
-        /// Extra latency of the first copy.
-        extra: Dur,
-        /// Additional latency of the duplicate beyond the first copy.
-        second: Dur,
+        /// Latency of the duplicate beyond the first copy.
+        lag: Dur,
     },
 }
 

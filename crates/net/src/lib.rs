@@ -23,5 +23,5 @@ mod packet;
 
 pub use config::NetConfig;
 pub use fault::{Fate, FaultInjector, NoFaults, PacketCtx};
-pub use network::{LinkStats, NetTiming, Network};
+pub use network::{NetTiming, Network};
 pub use packet::NicId;

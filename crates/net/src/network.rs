@@ -1,6 +1,6 @@
 //! The crossbar network timing model.
 
-use genima_sim::{Dur, Histogram, Resource, Time};
+use genima_sim::{Dur, Resource, Time};
 
 use crate::config::NetConfig;
 use crate::fault::{Fate, FaultInjector, PacketCtx};
@@ -26,25 +26,6 @@ impl NetTiming {
     }
 }
 
-/// Per-link utilisation statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Packets carried.
-    pub packets: u64,
-    /// Time the link spent transmitting.
-    pub busy: Dur,
-    /// Time packets spent queued waiting for the link.
-    pub queued: Dur,
-    /// Median per-packet delay through this link (queueing delay for
-    /// injection links, full fabric residency for ejection links).
-    pub p50: Dur,
-    /// 95th-percentile per-packet delay; retry-induced tails show up
-    /// here long before they move the mean.
-    pub p95: Dur,
-    /// 99th-percentile per-packet delay.
-    pub p99: Dur,
-}
-
 /// A single-crossbar system-area network with in-order delivery
 /// between every pair of network interfaces.
 ///
@@ -64,8 +45,6 @@ pub struct Network {
     inject: Vec<Resource>,
     out_port: Vec<Resource>,
     last_delivery: Vec<Time>, // indexed src * ports + dst
-    inject_wait: Vec<Histogram>,
-    eject_resid: Vec<Histogram>,
     ports: usize,
 }
 
@@ -82,8 +61,6 @@ impl Network {
             inject: (0..ports).map(|_| Resource::new("inject-link")).collect(),
             out_port: (0..ports).map(|_| Resource::new("switch-out")).collect(),
             last_delivery: vec![Time::ZERO; ports * ports],
-            inject_wait: vec![Histogram::new(); ports],
-            eject_resid: vec![Histogram::new(); ports],
             ports,
         }
     }
@@ -134,9 +111,6 @@ impl Network {
         let deliver = out_end.max(self.last_delivery[slot]);
         self.last_delivery[slot] = deliver;
 
-        self.inject_wait[src.index()].record(inj_start.saturating_since(now));
-        self.eject_resid[dst.index()].record(deliver.saturating_since(now));
-
         NetTiming {
             inject_start: inj_start,
             inject_end: inj_end,
@@ -169,36 +143,6 @@ impl Network {
         // Cut-through: one wire time (the two link crossings overlap)
         // plus the switch latency.
         self.cfg.wire_time(payload) + self.cfg.switch_latency
-    }
-
-    /// Utilisation statistics of `nic`'s injection link, with
-    /// queueing-delay percentiles.
-    pub fn inject_stats(&self, nic: NicId) -> LinkStats {
-        let r = &self.inject[nic.index()];
-        let h = &self.inject_wait[nic.index()];
-        LinkStats {
-            packets: r.served(),
-            busy: r.busy_time(),
-            queued: r.queued_time(),
-            p50: h.p50(),
-            p95: h.p95(),
-            p99: h.p99(),
-        }
-    }
-
-    /// Utilisation statistics of the switch output port feeding `nic`,
-    /// with fabric-residency percentiles.
-    pub fn eject_stats(&self, nic: NicId) -> LinkStats {
-        let r = &self.out_port[nic.index()];
-        let h = &self.eject_resid[nic.index()];
-        LinkStats {
-            packets: r.served(),
-            busy: r.busy_time(),
-            queued: r.queued_time(),
-            p50: h.p50(),
-            p95: h.p95(),
-            p99: h.p99(),
-        }
     }
 }
 
@@ -250,22 +194,6 @@ mod tests {
             a.deliver, b.deliver,
             "crossbar carries disjoint pairs in parallel"
         );
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut n = net();
-        n.transfer(Time::ZERO, NicId::new(0), NicId::new(1), 4096);
-        n.transfer(Time::ZERO, NicId::new(0), NicId::new(1), 4096);
-        let s = n.inject_stats(NicId::new(0));
-        assert_eq!(s.packets, 2);
-        assert!(s.queued > Dur::ZERO);
-        let e = n.eject_stats(NicId::new(1));
-        assert_eq!(e.packets, 2);
-        // Residency percentiles: both packets took at least one wire
-        // time through the fabric, and p99 >= p50 by construction.
-        assert!(e.p50 >= n.config().wire_time(4096));
-        assert!(e.p99 >= e.p50);
     }
 
     #[test]

@@ -271,9 +271,9 @@ impl Comm {
                 out.push((timing.deliver + extra, Event::Delivered(pkt)));
                 (extra > Dur::ZERO).then_some(SpanKind::FaultDelay)
             }
-            Fate::Duplicate { extra, second } => {
-                out.push((timing.deliver + extra, Event::Delivered(pkt)));
-                out.push((timing.deliver + extra + second, Event::Delivered(pkt)));
+            Fate::Duplicate { lag } => {
+                out.push((timing.deliver, Event::Delivered(pkt)));
+                out.push((timing.deliver + lag, Event::Delivered(pkt)));
                 Some(SpanKind::FaultDup)
             }
             Fate::Drop => {

@@ -258,20 +258,14 @@ impl Recorder {
     pub fn take(&mut self) -> ObsReport {
         let mut spans = Vec::with_capacity(self.len());
         let mut dropped = 0;
-        let mut dropped_by_node = Vec::with_capacity(self.rings.len());
         for ring in &mut self.rings {
             spans.extend(ring.buf.drain(..));
             dropped += ring.dropped;
-            dropped_by_node.push(ring.dropped);
             ring.dropped = 0;
         }
         self.ops.clear();
         spans.sort_by_key(|s| (s.start, s.node, s.track.tid(), s.kind.name()));
-        ObsReport {
-            spans,
-            dropped,
-            dropped_by_node,
-        }
+        ObsReport { spans, dropped }
     }
 }
 
@@ -280,12 +274,10 @@ impl Recorder {
 pub struct ObsReport {
     /// All records, sorted by start time.
     pub spans: Vec<SpanRecord>,
-    /// Records evicted because a ring overflowed.
+    /// Records evicted because a ring overflowed. A non-zero count
+    /// means some node's timeline is truncated and attribution over it
+    /// is incomplete.
     pub dropped: u64,
-    /// Per-node eviction counts (index = node). A non-zero entry means
-    /// that node's timeline is truncated and attribution over it is
-    /// incomplete.
-    pub dropped_by_node: Vec<u64>,
 }
 
 impl ObsReport {
@@ -337,7 +329,6 @@ mod tests {
         let report = r.take();
         assert_eq!(report.spans.len(), 3);
         assert_eq!(report.dropped, 2);
-        assert_eq!(report.dropped_by_node, vec![2]);
         // Oldest evicted: survivors are 2, 3, 4.
         assert_eq!(report.spans[0].start, Time::from_ns(2));
     }

@@ -61,7 +61,6 @@ mod tests {
                 mk(SpanKind::Interrupt, 10, 30),
             ],
             dropped: 0,
-            dropped_by_node: vec![0],
         });
         let s = folded_stacks(&p);
         assert_eq!(s, "fetch;interrupt 20\nfetch;queue_retry 80\n");
@@ -72,7 +71,6 @@ mod tests {
         let p = profile(&ObsReport {
             spans: vec![],
             dropped: 0,
-            dropped_by_node: vec![],
         });
         assert_eq!(folded_stacks(&p), "");
     }

@@ -158,11 +158,7 @@ mod tests {
     }
 
     fn report(spans: Vec<SpanRecord>, dropped: u64) -> ObsReport {
-        ObsReport {
-            spans,
-            dropped,
-            dropped_by_node: vec![dropped],
-        }
+        ObsReport { spans, dropped }
     }
 
     #[test]

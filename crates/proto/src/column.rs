@@ -5,7 +5,7 @@ use std::fmt;
 
 use genima_rnic::HwProfile;
 
-use crate::config::LockImpl;
+use crate::config::{BarrierImpl, LockImpl, ProtoConfig};
 use crate::features::FeatureSet;
 use crate::ids::Topology;
 use crate::system::SvmParams;
@@ -81,16 +81,45 @@ impl Column {
         }
     }
 
-    /// Paper-calibrated parameters for this column on `topo`,
-    /// including the hardware profile and — on RDMA hardware — the
-    /// masked-CAS lock implementation.
+    /// Paper-calibrated parameters for this column on `topo`: the one
+    /// place the hardware profile enters a run, with — on RDMA
+    /// hardware — the masked-CAS lock implementation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the feature set is inconsistent
+    /// ([`FeatureSet::validate`]).
     pub fn params(&self, topo: Topology) -> SvmParams {
-        let mut p = SvmParams::new(topo, self.features);
-        p.hw = self.hw;
+        self.features.validate();
+        // The interrupt-free column gets the NI barrier by default —
+        // it is the last piece of asynchronous protocol processing the
+        // host otherwise retains. Every other column keeps the node-0
+        // manager so the ablation isolates the NI-barrier axis.
+        let barrier = if self.features.interrupt_free() {
+            BarrierImpl::NiTree { fanout: 4 }
+        } else {
+            BarrierImpl::HostManager
+        };
+        let mut proto = ProtoConfig::paper();
         if self.hw.is_rdma() && self.features.nil {
-            p.proto.lock_impl = LockImpl::RemoteAtomics;
+            proto.lock_impl = LockImpl::RemoteAtomics;
         }
-        p
+        SvmParams {
+            topo,
+            features: self.features,
+            barrier,
+            proto,
+            hw: self.hw,
+            locks: 64,
+            data_mode: false,
+            warmup_barrier: None,
+            // The aggregate demand one compute processor puts on its
+            // node bus while computing; workloads set their own.
+            bus_demand_per_proc: 40_000_000,
+            first_touch_homes: false,
+            degraded: false,
+            max_events: 200_000_000,
+        }
     }
 
     /// Finds a column by its display name (used by CLI tools).
@@ -115,6 +144,8 @@ impl fmt::Display for Column {
 
 #[cfg(test)]
 mod tests {
+    use genima_mem::MemConfig;
+
     use super::*;
 
     #[test]
@@ -136,6 +167,11 @@ mod tests {
     #[test]
     fn rdma_params_select_masked_cas_locks() {
         let topo = Topology::new(4, 2);
+        // Every column's run gets its profile whole, host included.
+        for c in Column::all() {
+            assert_eq!(c.params(topo).hw, c.hw, "{c}");
+            assert_eq!(c.hw.host, MemConfig::pentium_pro(), "{c}");
+        }
         let p = Column::genima_2025().params(topo);
         assert_eq!(p.proto.lock_impl, LockImpl::RemoteAtomics);
         assert!(p.hw.is_rdma());

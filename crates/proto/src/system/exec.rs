@@ -62,7 +62,7 @@ impl SvmSystem {
             Op::Compute(d) => {
                 let node = self.p.topo.node_of(crate::ids::ProcId::new(p)).index();
                 let demand = self.node_bus_demand(node);
-                let dil = self.p.mem.bus.dilation(demand);
+                let dil = self.p.hw.host.bus.dilation(demand);
                 let eff = d.scale_f64(dil) + self.procs[p].steal;
                 self.procs[p].steal = Dur::ZERO;
                 self.procs[p].clock += eff;

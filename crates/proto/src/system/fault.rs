@@ -54,7 +54,7 @@ impl SvmSystem {
                 }
             };
             self.widen_lock_scope(p, node, opened);
-            let mpro = self.p.mem.mprotect.cost_grouped(pages, calls);
+            let mpro = self.p.hw.host.mprotect.cost_grouped(pages, calls);
             let cost = trap + twin + mpro;
             self.procs[p].clock += cost;
             self.procs[p].bd.acqrel += cost;
@@ -67,7 +67,7 @@ impl SvmSystem {
             Self::covers_node_required(&c.ts, &self.procs[p], &self.nodes[node], page)
         }) {
             // Valid copy on the node: protection change only.
-            let mpro = self.p.mem.mprotect.cost(1);
+            let mpro = self.p.hw.host.mprotect.cost(1);
             let base_cost = trap + self.p.proto.fault_finish + mpro;
             let twin_cost = if write {
                 self.twin_cost(node, page)
@@ -168,7 +168,7 @@ impl SvmSystem {
         if self.writes_in_place(node, page) {
             Dur::ZERO
         } else {
-            self.p.mem.twin_copy
+            self.p.hw.host.twin_copy
         }
     }
 
@@ -435,7 +435,7 @@ impl SvmSystem {
                 required,
             });
         }
-        let mpro = self.p.mem.mprotect.cost(1);
+        let mpro = self.p.hw.host.mprotect.cost(1);
         let base_cost = self.p.proto.fault_finish + mpro;
         let twin_cost = if write {
             self.twin_cost(node, page)

@@ -120,7 +120,7 @@ impl SvmSystem {
             writable
         });
         let groups = contiguous_groups(&scratch);
-        let mprotect = self.p.mem.mprotect.cost_grouped(scratch.len(), groups);
+        let mprotect = self.p.hw.host.mprotect.cost_grouped(scratch.len(), groups);
         self.counters.mprotect_calls += groups as u64;
         // Record the in-place runs among the re-protected pages, so
         // that a write to a run's first page re-opens the whole run
@@ -215,7 +215,7 @@ impl SvmSystem {
             // install a version older than this flush.
             let lf = &mut self.nodes[node].local_flushed;
             lf.raise(page, p as u32, pi.interval);
-            let cost = self.p.mem.diff_cost(dp.runs());
+            let cost = self.p.hw.host.diff_cost(dp.runs());
             self.charge(sink, cost);
             let diff_start = cursor;
             cursor += cost;
@@ -237,7 +237,7 @@ impl SvmSystem {
                 // Local home, twinned: no message — the home diffs its
                 // own write and applies the diff to the home copy,
                 // stamped with this flush's cursor.
-                let apply = self.p.mem.diff_apply;
+                let apply = self.p.hw.host.diff_apply;
                 self.charge(sink, apply);
                 cursor += apply;
                 self.apply_diff_at_home(cursor, p, pi.interval, page, diff, false);

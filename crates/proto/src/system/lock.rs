@@ -166,7 +166,7 @@ impl SvmSystem {
         }
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         let (pages, calls) = self.reopen_run(p, node, run);
-        let mpro = self.p.mem.mprotect.cost_grouped(pages, calls);
+        let mpro = self.p.hw.host.mprotect.cost_grouped(pages, calls);
         self.procs[p].clock = now + mpro;
         self.procs[p].bd.mprotect += mpro;
         self.counters.mprotect_calls += calls as u64;

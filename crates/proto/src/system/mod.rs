@@ -21,7 +21,7 @@ mod state;
 
 use std::collections::{BTreeMap, HashMap};
 
-use genima_mem::{MemConfig, PageId, PageVec, PAGE_SIZE};
+use genima_mem::{PageId, PageVec, PAGE_SIZE};
 use genima_net::NicId;
 use genima_nic::{ChainLock, Comm, Event as CommEvent, LockId, MsgKind, Post, SendDesc, Step, Tag};
 use genima_rnic::HwProfile;
@@ -119,10 +119,8 @@ pub struct SvmParams {
     pub features: FeatureSet,
     /// Protocol-layer costs.
     pub proto: ProtoConfig,
-    /// Memory-system costs.
-    pub mem: MemConfig,
-    /// Hardware generation: NI model, NI timing and network timing as
-    /// one data axis (1999 LANai by default).
+    /// Hardware generation, the whole node: NI model, NI, network and
+    /// host memory timing as one data axis.
     pub hw: HwProfile,
     /// Number of application locks.
     pub locks: usize,
@@ -155,40 +153,6 @@ pub struct SvmParams {
     pub max_events: u64,
 }
 
-impl SvmParams {
-    /// Paper-calibrated parameters for the given topology and
-    /// protocol variant.
-    pub fn new(topo: Topology, features: FeatureSet) -> SvmParams {
-        features.validate();
-        // The interrupt-free column gets the NI barrier by default —
-        // it is the last piece of asynchronous protocol processing the
-        // host otherwise retains. Every other column keeps the node-0
-        // manager so the ablation isolates the NI-barrier axis.
-        let barrier = if features.interrupt_free() {
-            BarrierImpl::NiTree { fanout: 4 }
-        } else {
-            BarrierImpl::HostManager
-        };
-        SvmParams {
-            topo,
-            features,
-            barrier,
-            proto: ProtoConfig::paper(),
-            mem: MemConfig::pentium_pro(),
-            hw: HwProfile::lanai_1999(),
-            locks: 64,
-            data_mode: false,
-            warmup_barrier: None,
-            // The aggregate demand one compute processor puts on its
-            // node bus while computing; workloads set their own.
-            bus_demand_per_proc: 40_000_000,
-            first_touch_homes: false,
-            degraded: false,
-            max_events: 200_000_000,
-        }
-    }
-}
-
 /// The complete simulated SVM cluster.
 ///
 /// Construct with [`SvmSystem::new`], optionally assign page homes
@@ -197,11 +161,11 @@ impl SvmParams {
 /// # Example
 ///
 /// ```
-/// use genima_proto::{ops_source, FeatureSet, Op, SvmSystem, SvmParams, Topology};
+/// use genima_proto::{ops_source, Column, FeatureSet, Op, SvmSystem, Topology};
 /// use genima_sim::Dur;
 ///
 /// let topo = Topology::new(2, 1);
-/// let params = SvmParams::new(topo, FeatureSet::genima());
+/// let params = Column::lanai(FeatureSet::genima()).params(topo);
 /// let work = (0..2)
 ///     .map(|_| Box::new(ops_source(vec![Op::Compute(Dur::from_us(100))])) as Box<dyn genima_proto::OpSource>)
 ///     .collect();

@@ -205,7 +205,7 @@ impl SvmSystem {
         pages.retain(|&pg| self.procs[p].pt.access(pg) != Access::None);
         if !pages.is_empty() {
             let groups = contiguous_groups(&pages);
-            let mpro = self.p.mem.mprotect.cost_grouped(pages.len(), groups);
+            let mpro = self.p.hw.host.mprotect.cost_grouped(pages.len(), groups);
             for &pg in &pages {
                 self.procs[p].pt.set(pg, Access::None);
             }

@@ -104,7 +104,7 @@ impl SvmSystem {
                 Some((self.home_of(*page).index(), proto.svc_page_request))
             }
             Pending::DiffMsg { page, .. } => {
-                Some((self.home_of(*page).index(), self.p.mem.diff_apply))
+                Some((self.home_of(*page).index(), self.p.hw.host.diff_apply))
             }
             Pending::LockMsg { to, op, .. } => match op {
                 LockOp::Request { .. } => Some((*to, proto.svc_lock_forward)),

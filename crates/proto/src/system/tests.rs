@@ -2,6 +2,7 @@
 //! interrupt-freedom, determinism, pin accounting.
 
 use super::*;
+use crate::breakdown::Breakdown;
 use crate::column::Column;
 use crate::features::FeatureSet;
 use crate::ids::{BarrierId, NodeId, Topology};
@@ -285,7 +286,7 @@ fn uniprocessor_run_has_no_communication() {
             len: 4096 * 4,
         },
     ])];
-    let mut p = SvmParams::new(Topology::new(1, 1), FeatureSet::base());
+    let mut p = Column::lanai(FeatureSet::base()).params(Topology::new(1, 1));
     p.locks = 1;
     let mut sys = SvmSystem::new(p, srcs);
     let r = sys.run();
@@ -952,7 +953,7 @@ fn the_2025_release_hands_over_before_it_diffs_and_the_1999_release_after() {
         assert!(syncs[1] > release_at, "{column}: p1 was not waiting");
         syncs[1].saturating_since(release_at)
     };
-    let scan = MemConfig::pentium_pro().diff_scan;
+    let scan = Column::genima_2025().hw.host.diff_scan;
     let handed = grant_delay(Column::genima_2025());
     assert!(
         handed < scan,
@@ -1009,7 +1010,7 @@ fn a_2025_home_write_takes_no_twin_diff_or_apply_and_a_1999_one_all_three() {
     // p0 writes a word of page 0, its own node's page, and finishes:
     // the finish closes and flushes the interval, all charged to
     // acquire/release time.
-    let mem = MemConfig::pentium_pro();
+    let mem = Column::genima_2025().hw.host;
     let reprotect = mem.mprotect.cost_grouped(1, 1);
     let run = |column: Column| {
         let write = Op::WriteData {
@@ -1060,9 +1061,39 @@ fn a_2025_home_write_takes_no_twin_diff_or_apply_and_a_1999_one_all_three() {
     assert_eq!(applied, finish);
 }
 
+#[test]
+fn the_profiles_host_prices_the_twin_of_a_remote_homed_write() {
+    // p0 writes a word of page 1, homed at p1's node, and finishes: the
+    // write fault twins the page once, the flush diffs it.
+    let run = |column: Column| {
+        let write = Op::WriteData {
+            addr: addr(1, 64),
+            data: vec![9; 8],
+        };
+        let srcs = vec![boxed(vec![write]), boxed(vec![])];
+        let r = SvmSystem::new(params(column, 2, 1), srcs).run();
+        assert_eq!(r.counters.diffs, 1, "{column}");
+        r.breakdowns[0]
+    };
+    let column = Column::lanai(FeatureSet::genima());
+    let twin = column.hw.host.twin_copy;
+    let mut slow_copy = column;
+    slow_copy.hw.host.twin_copy = twin * 2;
+    let (bd, slow) = (run(column), run(slow_copy));
+    assert_eq!(slow.acqrel, bd.acqrel + twin);
+    // No other bucket of p0's moved.
+    assert_eq!(
+        Breakdown {
+            acqrel: bd.acqrel,
+            ..slow
+        },
+        bd
+    );
+}
+
 /// What GeNIMA-2025's prefetch advice of a run of `pages` fresh pages
 /// costs the host.
-fn rnic_advice(pages: u64) -> Dur {
+fn rnic_advice(pages: usize) -> Dur {
     let rnic = params(Column::genima_2025(), 1, 1).hw.rnic;
     rnic.expect("GeNIMA-2025 runs on an RNIC")
         .odp_advise
@@ -1232,7 +1263,7 @@ fn a_2025_rewrite_from_a_home_runs_first_page_reopens_the_run_in_one_fault() {
     // From the first page the whole run re-opens in one fault; entered
     // at its third page, it takes a plain upgrade per page it writes.
     let p = params(Column::genima_2025(), 2, 1);
-    let (trap, m) = (p.proto.fault_trap, &p.mem.mprotect);
+    let (trap, m) = (p.proto.fault_trap, &p.hw.host.mprotect);
     let upgrade = trap + m.cost(1);
     for (from, want_faults, want_acqrel) in [
         (16, 1, trap + m.cost_grouped(16, 1)),
@@ -1249,7 +1280,7 @@ fn a_2025_rewrite_from_a_home_runs_first_page_reopens_the_run_in_one_fault() {
     // The paper's calibration: every page the 1999 column opens is a
     // fault of its own with a twin.
     let (faults, acqrel, p) = rewrite_of_a_home_run(Column::lanai(FeatureSet::genima()), 16);
-    let upgrade = p.proto.fault_trap + p.mem.twin_copy + p.mem.mprotect.cost(1);
+    let upgrade = p.proto.fault_trap + p.hw.host.twin_copy + p.hw.host.mprotect.cost(1);
     assert_eq!(faults, 16);
     assert_eq!(acqrel, upgrade * 16);
 }
@@ -1331,7 +1362,7 @@ fn a_2025_close_charges_the_reprotect_of_the_pages_it_reprotects() {
     ];
     let mut p = params(Column::genima_2025(), 2, 1);
     p.data_mode = false;
-    let m = p.mem.mprotect.clone();
+    let m = p.hw.host.mprotect;
     let mut sys = SvmSystem::new(p, vec![boxed(home), boxed(remote)]);
     sys.assign_homes(PageId::new(16), 4, NodeId::new(0));
     let r = sys.run();
@@ -1411,7 +1442,7 @@ fn a_2025_reacquire_reopens_the_home_page_its_last_holding_wrote() {
         Op::Release(l),
     ];
     let p = params(Column::genima_2025(), 2, 1);
-    let upgrade = p.proto.fault_trap + p.mem.mprotect.cost(1);
+    let upgrade = p.proto.fault_trap + p.hw.host.mprotect.cost(1);
     for column in [Column::genima_2025(), Column::lanai(FeatureSet::genima())] {
         let p0 = two_holdings_of_a_home_page(l);
         let (held, r) = p0_holdings(column, p0, vec![other.clone()]);
@@ -1427,7 +1458,7 @@ fn a_2025_reacquire_reopens_the_home_page_its_last_holding_wrote() {
         } else {
             assert_eq!(r.counters.faults, 1 + 2, "{column}");
             assert_eq!(cs1, cs2, "{column}");
-            assert!(cs2 >= upgrade + p.mem.twin_copy, "{column}");
+            assert!(cs2 >= upgrade + p.hw.host.twin_copy, "{column}");
         }
     }
 }
@@ -1440,7 +1471,7 @@ fn a_grant_that_outruns_the_reopen_waits_for_it_and_charges_the_rest_to_acqrel()
     // time.
     let l = LockId::new(1);
     let p = params(Column::genima_2025(), 2, 1);
-    let reopen = p.mem.mprotect.cost(1);
+    let reopen = p.hw.host.mprotect.cost(1);
     let p0 = two_holdings_of_a_home_page(l);
     let (held, r) = p0_holdings(Column::genima_2025(), p0, vec![vec![]]);
     let [_, (ask, grant, release)] = held[..] else {
@@ -1455,8 +1486,8 @@ fn a_grant_that_outruns_the_reopen_waits_for_it_and_charges_the_rest_to_acqrel()
     // hide.
     // The first release advises the NI of the page; the second finds it
     // mapped and pays nothing for it.
-    let reprotect = p.mem.mprotect.cost(1);
-    let upgrade = p.proto.fault_trap + p.mem.mprotect.cost(1);
+    let reprotect = p.hw.host.mprotect.cost(1);
+    let upgrade = p.proto.fault_trap + p.hw.host.mprotect.cost(1);
     let outlasting = (ask + reopen).saturating_since(grant);
     let want = (overhead + reprotect) * 2 + rnic_advice(1) + upgrade + outlasting;
     assert_eq!(r.breakdowns[0].acqrel, want);

@@ -1,5 +1,6 @@
 //! Timing parameters of the modern RDMA NIC.
 
+use genima_mem::MprotectModel;
 use genima_sim::Dur;
 
 /// Timing parameters of a 2025-class RDMA NIC (100 GbE, PCIe Gen4).
@@ -57,9 +58,9 @@ pub struct RnicConfig {
     /// (`ibv_advise_mr(PREFETCH_WRITE, FLAG_FLUSH)`) over a run of
     /// consecutive pages: a system call that walks the page tables the
     /// way `mprotect` does and returns once the NIC's translations are
-    /// in place. Priced in the shape of the host's coalesced
-    /// `mprotect` (DESIGN.md §33).
-    pub odp_advise: AdvicePrice,
+    /// in place. Priced as the host's coalesced `mprotect` over the
+    /// pages not yet mapped (DESIGN.md §33).
+    pub odp_advise: MprotectModel,
     /// Fixed setup latency of one PCIe DMA transaction.
     pub pcie_setup: Dur,
     /// PCIe bandwidth in bytes per second (Gen4 x16 effective).
@@ -84,10 +85,7 @@ impl RnicConfig {
             atomic_service: Dur::from_ns(250),
             coll_service: Dur::from_ns(300),
             odp_fault: Dur::from_us(45),
-            odp_advise: AdvicePrice {
-                single: Dur::from_us(8),
-                per_extra_page: Dur::from_ns(1_500),
-            },
+            odp_advise: MprotectModel::linux_ppro(),
             pcie_setup: Dur::from_ns(300),
             pcie_bandwidth: 25_000_000_000,
             sq_depth: 1024,
@@ -97,28 +95,6 @@ impl RnicConfig {
     /// Duration of one PCIe DMA moving `bytes` (setup plus transfer).
     pub fn dma_time(&self, bytes: u32) -> Dur {
         self.pcie_setup + Dur::from_ns(bytes as u64 * 1_000_000_000 / self.pcie_bandwidth)
-    }
-}
-
-/// Host price of one ODP prefetch advice: one call covering a single
-/// page, plus a term per further page of the run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdvicePrice {
-    /// One call advising a single page (trap, page-table walk, NIC
-    /// translation update).
-    pub single: Dur,
-    /// Each further consecutive page of the same call.
-    pub per_extra_page: Dur,
-}
-
-impl AdvicePrice {
-    /// Price of one call advising `pages` pages; zero pages cost
-    /// nothing (no call is made).
-    pub fn cost(&self, pages: u64) -> Dur {
-        match pages {
-            0 => Dur::ZERO,
-            n => self.single + self.per_extra_page * (n - 1),
-        }
     }
 }
 
@@ -139,14 +115,6 @@ mod tests {
         // 4 KB at 25 GB/s is ~164 ns transfer on top of setup.
         let t = cfg.dma_time(4096);
         assert!(t.as_ns() > 400 && t.as_ns() < 500, "got {t}");
-    }
-
-    #[test]
-    fn advice_is_one_call_plus_a_per_page_term() {
-        let p = RnicConfig::rnic_2025().odp_advise;
-        assert_eq!(p.cost(0), Dur::ZERO);
-        assert_eq!(p.cost(1), p.single);
-        assert_eq!(p.cost(4), p.single + p.per_extra_page * 3);
     }
 
     #[test]

@@ -18,17 +18,18 @@
 //! * **masked atomics** — `MASKED_ATOMIC_CMP_AND_SWP` as the NI lock
 //!   primitive, replacing the firmware lock state machines.
 //!
-//! [`HwProfile`] packages a hardware generation (NI + network timing)
-//! as data. A protocol column runs on either generation; the two
-//! things the protocol does differently on an RDMA NIC — masked-CAS
-//! locks, and a release that hands the lock over before it diffs — it
-//! selects itself, once at construction, from [`HwProfile::is_rdma`].
+//! [`HwProfile`] packages a hardware generation (NI, network and host
+//! timing) as data. A protocol column runs on either generation; the
+//! three things the protocol does differently on an RDMA NIC —
+//! masked-CAS locks, a release that hands the lock over before it
+//! diffs, and home pages written in place — it selects itself, once
+//! at construction, from the profile.
 
 mod config;
 mod model;
 mod profile;
 
-pub use config::{AdvicePrice, RnicConfig};
+pub use config::RnicConfig;
 pub use model::RnicModel;
 pub use profile::HwProfile;
 

@@ -295,8 +295,8 @@ impl NiModel for RnicModel {
         // the NIC's translations are in place; a page mapped already,
         // by an earlier advice or a fault, costs and counts nothing.
         let mapped = &mut self.ports[nic.index()].mapped;
-        let fresh = pages.filter(|&k| mapped.insert(k as usize)).count() as u64;
-        self.stats.odp_prefetched += fresh;
+        let fresh = pages.filter(|&k| mapped.insert(k as usize)).count();
+        self.stats.odp_prefetched += fresh as u64;
         self.cfg.odp_advise.cost(fresh)
     }
 

@@ -1,15 +1,19 @@
 //! The hardware-profile axis: one value selects a whole generation of
-//! NI + network hardware.
+//! node hardware — NI, network and host.
 
+use genima_mem::MemConfig;
 use genima_net::NetConfig;
 use genima_nic::{LanaiModel, NiModel, NicConfig};
 
 use crate::config::RnicConfig;
 use crate::model::RnicModel;
 
-/// A complete hardware generation: NI timing, network timing, and —
-/// for RDMA-class hardware — the RNIC engine parameters. Protocol
-/// columns take a profile as *data*; no code forks per generation.
+/// A complete hardware generation, the whole node: NI timing, network
+/// timing, the host's memory costs and — for RDMA-class hardware — the
+/// RNIC engine parameters. Protocol columns take a profile as *data*,
+/// and the protocol code is shared but for three choices the hardware
+/// selects from [`HwProfile::is_rdma`]: the lock primitive, the order
+/// of a release's steps, and what a write at a page's home costs.
 ///
 /// # Example
 ///
@@ -30,25 +34,29 @@ pub struct HwProfile {
     pub net: NetConfig,
     /// RNIC engine timing; `None` selects the LANai model.
     pub rnic: Option<RnicConfig>,
+    /// Host memory-system costs: twins, diffs, `mprotect` and the SMP
+    /// bus.
+    pub host: MemConfig,
 }
 
 impl HwProfile {
     /// The paper's 1999 testbed: Myrinet/LANai boards on 33 MHz
-    /// firmware, 160 MB/s links. Existing runs use this profile and
-    /// stay bit-identical to the pre-profile code.
+    /// firmware, 160 MB/s links, 200 MHz Pentium Pro hosts.
     pub fn lanai_1999() -> HwProfile {
         HwProfile {
             name: "LANai-1999",
             nic: NicConfig::lanai(),
             net: NetConfig::myrinet(),
             rnic: None,
+            host: MemConfig::pentium_pro(),
         }
     }
 
     /// A 2025 commodity cluster: 100 GbE RoCE fabric, PCIe Gen4 RNICs
     /// with doorbell batching, CQs, native SGE, ODP and masked
-    /// atomics. Only data differs from 1999 here; what the protocol
-    /// does differently on an RDMA NIC it selects from
+    /// atomics, still on the paper's Pentium Pro hosts (DESIGN.md §37).
+    /// Only data differs from 1999 here; what the protocol does
+    /// differently on an RDMA NIC it selects from
     /// [`HwProfile::is_rdma`].
     pub fn rnic_2025() -> HwProfile {
         HwProfile {
@@ -73,6 +81,7 @@ impl HwProfile {
                 max_packet: 4096,
             },
             rnic: Some(RnicConfig::rnic_2025()),
+            host: MemConfig::pentium_pro(),
         }
     }
 
@@ -198,6 +207,7 @@ mod tests {
         assert_eq!(p.name, "LANai-1999");
         assert_eq!(p.nic, NicConfig::lanai());
         assert_eq!(p.net, NetConfig::myrinet());
+        assert_eq!(p.host, MemConfig::pentium_pro());
         assert!(!p.is_rdma());
     }
 

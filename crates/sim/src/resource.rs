@@ -7,11 +7,8 @@ use crate::time::{Dur, Time};
 /// Models contended hardware such as a PCI DMA engine, a network link,
 /// a switch output port, or the LANai processor on the network
 /// interface: requests are served in arrival order and each occupies
-/// the server for its full service time.
-///
-/// The resource keeps utilisation statistics so the firmware
-/// performance monitor can report *actual vs. uncontended* residency,
-/// exactly like the monitor described in §3.1/§4 of the paper.
+/// the server for its full service time. The resource keeps only its
+/// schedule: when it next becomes free.
 ///
 /// # Example
 ///
@@ -28,11 +25,9 @@ use crate::time::{Dur, Time};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Resource {
+    #[expect(dead_code, reason = "read only by the derived `Debug`")]
     name: &'static str,
     free_at: Time,
-    busy: Dur,
-    served: u64,
-    queued: Dur,
 }
 
 impl Resource {
@@ -41,9 +36,6 @@ impl Resource {
         Resource {
             name,
             free_at: Time::ZERO,
-            busy: Dur::ZERO,
-            served: 0,
-            queued: Dur::ZERO,
         }
     }
 
@@ -52,10 +44,7 @@ impl Resource {
     pub fn reserve(&mut self, now: Time, service: Dur) -> (Time, Time) {
         let start = now.max(self.free_at);
         let end = start + service;
-        self.queued += start - now;
         self.free_at = end;
-        self.busy += service;
-        self.served += 1;
         (start, end)
     }
 
@@ -64,10 +53,9 @@ impl Resource {
         self.free_at
     }
 
-    /// Prevents the resource from starting new work before `t`,
-    /// without counting the blocked span as busy time. Used to model a
-    /// server that must wait for a dependent stage (e.g. the LANai
-    /// holding the send path while a non-pipelined DMA drains).
+    /// Prevents the resource from starting new work before `t`. Used
+    /// to model a server that must wait for a dependent stage (e.g. the
+    /// LANai holding the send path while a non-pipelined DMA drains).
     pub fn block_until(&mut self, t: Time) {
         self.free_at = self.free_at.max(t);
     }
@@ -76,33 +64,6 @@ impl Resource {
     /// `now` — the backlog seen by a new arrival.
     pub fn backlog(&self, now: Time) -> Dur {
         self.free_at.saturating_since(now)
-    }
-
-    /// Total time the resource has spent serving requests.
-    pub fn busy_time(&self) -> Dur {
-        self.busy
-    }
-
-    /// Total time requests have spent waiting before service.
-    pub fn queued_time(&self) -> Dur {
-        self.queued
-    }
-
-    /// Number of requests served.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// The resource's debug name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Resets statistics (but not the schedule), for warm-up exclusion.
-    pub fn reset_stats(&mut self) {
-        self.busy = Dur::ZERO;
-        self.queued = Dur::ZERO;
-        self.served = 0;
     }
 }
 
@@ -116,7 +77,6 @@ mod tests {
         let (s, e) = r.reserve(Time::from_ns(100), Dur::from_ns(50));
         assert_eq!(s, Time::from_ns(100));
         assert_eq!(e, Time::from_ns(150));
-        assert_eq!(r.queued_time(), Dur::ZERO);
     }
 
     #[test]
@@ -126,9 +86,7 @@ mod tests {
         let (s, e) = r.reserve(Time::from_ns(30), Dur::from_ns(10));
         assert_eq!(s, Time::from_ns(100));
         assert_eq!(e, Time::from_ns(110));
-        assert_eq!(r.queued_time(), Dur::from_ns(70));
-        assert_eq!(r.served(), 2);
-        assert_eq!(r.busy_time(), Dur::from_ns(110));
+        assert_eq!(r.free_at(), Time::from_ns(110));
     }
 
     #[test]
@@ -145,31 +103,16 @@ mod tests {
         r.reserve(Time::ZERO, Dur::from_ns(10));
         let (s, _) = r.reserve(Time::from_ns(1_000), Dur::from_ns(10));
         assert_eq!(s, Time::from_ns(1_000));
-        assert_eq!(r.busy_time(), Dur::from_ns(20));
     }
 
     #[test]
     fn block_until_delays_without_busy_time() {
         let mut r = Resource::new("r");
         r.block_until(Time::from_ns(500));
-        assert_eq!(r.busy_time(), Dur::ZERO);
         let (s, _) = r.reserve(Time::ZERO, Dur::from_ns(10));
         assert_eq!(s, Time::from_ns(500));
         // Blocking to an earlier instant is a no-op.
         r.block_until(Time::from_ns(100));
         assert_eq!(r.free_at(), Time::from_ns(510));
-    }
-
-    #[test]
-    fn reset_stats_keeps_schedule() {
-        let mut r = Resource::new("r");
-        r.reserve(Time::ZERO, Dur::from_ns(100));
-        r.reset_stats();
-        assert_eq!(r.busy_time(), Dur::ZERO);
-        assert_eq!(r.served(), 0);
-        // Schedule is preserved: a new request still queues.
-        let (s, _) = r.reserve(Time::ZERO, Dur::from_ns(10));
-        assert_eq!(s, Time::from_ns(100));
-        assert_eq!(r.name(), "r");
     }
 }

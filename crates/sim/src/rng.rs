@@ -65,9 +65,9 @@ impl SplitMix64 {
 /// from.
 ///
 /// Every component that needs a pseudo-random stream (fault injection,
-/// link jitter, randomized workloads) derives one from the run seed and
-/// a textual *domain* label instead of calling `SplitMix64::new` with an
-/// ad-hoc constant. Two different domains yield statistically
+/// randomized workloads) derives one from the run seed and a textual
+/// *domain* label instead of calling `SplitMix64::new` with an ad-hoc
+/// constant. Two different domains yield statistically
 /// independent streams; the same `(seed, domain)` pair always yields the
 /// same stream, so an entire faulty run is reproducible from one
 /// `--seed` flag.

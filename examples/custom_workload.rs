@@ -14,7 +14,7 @@
 
 use genima::{FeatureSet, Topology};
 use genima_proto::{
-    ops_source, Addr, BarrierId, LockId, Op, OpSource, SvmParams, SvmSystem, PAGE_SIZE,
+    ops_source, Addr, BarrierId, Column, LockId, Op, OpSource, SvmSystem, PAGE_SIZE,
 };
 use genima_sim::Dur;
 
@@ -74,7 +74,7 @@ fn consumer() -> Box<dyn OpSource> {
 fn main() {
     for features in [FeatureSet::base(), FeatureSet::genima()] {
         let topo = Topology::new(2, 1);
-        let mut params = SvmParams::new(topo, features);
+        let mut params = Column::lanai(features).params(topo);
         params.locks = 1;
         params.data_mode = true; // real page contents + validation
         let mut sys = SvmSystem::new(params, vec![producer(), consumer()]);

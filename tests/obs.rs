@@ -10,7 +10,7 @@ use genima::{
 use genima_apps::OceanRowwise;
 use genima_obs::{count_named, FlowDir, Recorder, SpanRecord};
 use genima_proto::Addr;
-use genima_proto::{ops_source, BarrierId, LockId, Op, OpSource, SvmParams, SvmSystem, PAGE_SIZE};
+use genima_proto::{ops_source, BarrierId, Column, LockId, Op, OpSource, SvmSystem, PAGE_SIZE};
 use genima_sim::{Dur, SplitMix64};
 use proptest::prelude::*;
 
@@ -301,7 +301,7 @@ fn record_run(
     topo: Topology,
     features: FeatureSet,
 ) -> genima::ObsReport {
-    let mut params = SvmParams::new(topo, features);
+    let mut params = Column::lanai(features).params(topo);
     params.locks = 4;
     let mut sys = SvmSystem::new(params, programs);
     let handle =
