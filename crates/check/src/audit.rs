@@ -385,8 +385,8 @@ pub fn audit_traces(
                 interval,
             } => {
                 let prev = applied.entry((*page, *writer)).or_insert(0);
-                // Early flushes may re-apply the same interval number;
-                // only a strict regression breaks the invariant.
+                // Re-applying an interval number is harmless; only a
+                // strict regression breaks the invariant.
                 if *interval < *prev {
                     audit.violations.push(Violation::DiffOrderRegression {
                         at: *at,

@@ -36,7 +36,7 @@
 //! allocations: those ten are over the budget below.
 //!
 //! The LU row on GeNIMA-2025 bounds the list of in-place runs each
-//! process keeps there (DESIGN.md §31); it is the budget as it read
+//! process keeps there (DESIGN.md §28.3); it is the budget as it read
 //! before that list existed.
 //!
 //! The FFT rows on Base and GeNIMA moved here when the bench kind that
@@ -123,7 +123,7 @@ struct Workload {
 /// The batch workloads run 4 nodes x 2 procs, Water and Ocean on every
 /// column, LU (fetch-dominated: the columns are most of what it
 /// allocates) on the two that differ most and on GeNIMA-2025, where it
-/// writes the most in-place runs (DESIGN.md §31); the store serves 20 kops
+/// writes the most in-place runs (DESIGN.md §28.3); the store serves 20 kops
 /// for 100 ms on 4 x 1, the benchmark's shape; FFT (all-to-all
 /// transposes) runs on the two ends.
 fn workloads() -> Vec<Workload> {

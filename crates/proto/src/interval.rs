@@ -151,11 +151,6 @@ impl DirtySet {
         }
     }
 
-    /// Removes `page`, returning its write state if it was dirty.
-    pub fn remove(&mut self, page: PageId) -> Option<DirtyPage> {
-        self.position(page).ok().map(|i| self.pages.remove(i).1)
-    }
-
     /// Keeps only the pages `keep` accepts, in order, keeping the
     /// buffer.
     pub fn retain(&mut self, mut keep: impl FnMut(PageId) -> bool) {
@@ -263,8 +258,7 @@ mod tests {
         s.insert(PageId::new(4), DirtyPage::default());
         assert_eq!(s.get(PageId::new(4)).unwrap().bytes(), 0);
 
-        assert!(s.remove(PageId::new(7)).is_some());
-        assert!(s.remove(PageId::new(7)).is_none());
+        s.retain(|pg| pg != PageId::new(7));
         let cap = s.pages.capacity();
         let drained: Vec<usize> = s.drain().map(|(p, _)| p.index()).collect();
         assert_eq!(drained, vec![2, 4, 9]);

@@ -3,7 +3,7 @@
 use std::ops::Range;
 
 use genima_mem::{Access, Diff, Page, PageId, PagePool};
-use genima_nic::{MsgKind, Tag};
+use genima_nic::{LockId, MsgKind, Tag};
 use genima_sim::{Dur, Time};
 
 use super::{Block, Flow, NodeRt, Pending, ProcRt, ProcState, SvmSystem, SysEvent, Waiters};
@@ -37,29 +37,21 @@ impl SvmSystem {
 
         // Pure protection upgrade: page is readable, write needs a twin
         // — unless it starts a run written in place before, which then
-        // re-opens whole in one trap (DESIGN.md §31). What opens in
-        // place joins the lock scope (§32).
+        // re-opens whole in one trap (DESIGN.md §28.3).
         if write && acc == Access::Read {
-            let run = self.procs[p].in_place_runs.take_starting_at(page);
-            let opened = run.clone().unwrap_or(page.index()..page.index() + 1);
-            let (twin, pages, calls) = match run {
-                Some(run) => {
-                    let (pages, calls) = self.reopen_run(p, node, run);
-                    (Dur::ZERO, pages, calls)
-                }
+            let (twin, mpro, opened) = match self.procs[p].in_place.write_fault(page.index()) {
+                Some(run) => (Dur::ZERO, self.reopen_run(p, node, run.clone()), run),
                 None => {
                     let twin = self.twin_cost(node, page);
                     self.make_writable(p, node, page);
-                    (twin, 1, 1)
+                    let one = page.index()..page.index() + 1;
+                    (twin, self.book_mprotect(p, 1, 1), one)
                 }
             };
-            self.widen_lock_scope(p, node, opened);
-            let mpro = self.p.hw.host.mprotect.cost_grouped(pages, calls);
+            self.opened_in_place(p, node, opened);
             let cost = trap + twin + mpro;
             self.procs[p].clock += cost;
             self.procs[p].bd.acqrel += cost;
-            self.procs[p].bd.mprotect += mpro;
-            self.counters.mprotect_calls += calls as u64;
             return Flow::Continue;
         }
 
@@ -67,7 +59,7 @@ impl SvmSystem {
             Self::covers_node_required(&c.ts, &self.procs[p], &self.nodes[node], page)
         }) {
             // Valid copy on the node: protection change only.
-            let mpro = self.p.hw.host.mprotect.cost(1);
+            let mpro = self.book_mprotect(p, 1, 1);
             let base_cost = trap + self.p.proto.fault_finish + mpro;
             let twin_cost = if write {
                 self.twin_cost(node, page)
@@ -77,8 +69,6 @@ impl SvmSystem {
             self.procs[p].clock += base_cost + twin_cost;
             self.procs[p].bd.data += base_cost;
             self.procs[p].bd.acqrel += twin_cost;
-            self.procs[p].bd.mprotect += mpro;
-            self.counters.mprotect_calls += 1;
             if write {
                 self.make_writable(p, node, page);
             } else {
@@ -176,13 +166,8 @@ impl SvmSystem {
     /// at an earlier close, or its lock scope — that `p` still holds
     /// read-only: writable and dirty, with no twin, whether or not the
     /// interval writes it. A page invalidated since stays invalid.
-    /// Returns how many pages opened in how many coalesced calls.
-    pub(crate) fn reopen_run(
-        &mut self,
-        p: usize,
-        node: usize,
-        run: Range<usize>,
-    ) -> (usize, usize) {
+    /// Books the coalesced `mprotect` and returns what it cost.
+    pub(crate) fn reopen_run(&mut self, p: usize, node: usize, run: Range<usize>) -> Dur {
         let (mut pages, mut calls, mut after_open) = (0, 0, false);
         for page in run.map(PageId::new) {
             let open = self.procs[p].pt.access(page) == Access::Read;
@@ -194,7 +179,18 @@ impl SvmSystem {
             }
             after_open = open;
         }
-        (pages, calls)
+        self.book_mprotect(p, pages, calls)
+    }
+
+    /// Tells `p`'s in-place machine that a write fault made `opened`
+    /// writable, if the pages are written in place: they may join the
+    /// scope of the lock `p` holds (DESIGN.md §28.4).
+    fn opened_in_place(&mut self, p: usize, node: usize, opened: Range<usize>) {
+        if self.writes_in_place(node, PageId::new(opened.start)) {
+            let locks = &self.nodes[node].locks;
+            let holds = |l: LockId| locks[l.index()].holder == Some(p);
+            self.procs[p].in_place.opened(opened, holds);
+        }
     }
 
     /// Marks `page` writable for `p`, creating the dirty entry and,
@@ -435,7 +431,7 @@ impl SvmSystem {
                 required,
             });
         }
-        let mpro = self.p.hw.host.mprotect.cost(1);
+        let mpro = self.book_mprotect(p, 1, 1);
         let base_cost = self.p.proto.fault_finish + mpro;
         let twin_cost = if write {
             self.twin_cost(node, page)
@@ -445,8 +441,6 @@ impl SvmSystem {
         let end = t + base_cost + twin_cost;
         self.procs[p].bd.data += t.saturating_since(started) + base_cost;
         self.procs[p].bd.acqrel += twin_cost;
-        self.procs[p].bd.mprotect += mpro;
-        self.counters.mprotect_calls += 1;
         self.op_hist.fetch.record(t.saturating_since(started));
         self.obs_record(|o| {
             o.span_op(
@@ -461,7 +455,7 @@ impl SvmSystem {
         });
         if write {
             self.make_writable(p, node, page);
-            self.widen_lock_scope(p, node, page.index()..page.index() + 1);
+            self.opened_in_place(p, node, page.index()..page.index() + 1);
         } else {
             self.procs[p].pt.set(page, Access::Read);
         }
@@ -540,9 +534,8 @@ impl SvmSystem {
     /// this writer is dropped: two diff messages from one writer can
     /// overtake each other in flight (they differ in size), and
     /// applying the older content after the newer would regress the
-    /// home copy. Equal interval numbers are re-applied — an early
-    /// flush followed by further writes sends the same interval again
-    /// with the newer content.
+    /// home copy. An equal interval number is applied again: each
+    /// interval flushes a page once, so it can only be a repeat.
     pub(crate) fn apply_diff_at_home(
         &mut self,
         t: Time,

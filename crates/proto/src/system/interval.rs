@@ -31,6 +31,16 @@ impl SvmSystem {
         }
     }
 
+    /// Books one `mprotect` of `pages` pages in `calls` coalesced calls
+    /// to `p` — Table 2's mprotect time and the call count — and
+    /// returns its cost, which the caller charges to a bucket.
+    pub(crate) fn book_mprotect(&mut self, p: usize, pages: usize, calls: usize) -> Dur {
+        let cost = self.p.hw.host.mprotect.cost_grouped(pages, calls);
+        self.procs[p].bd.mprotect += cost;
+        self.counters.mprotect_calls += calls as u64;
+        cost
+    }
+
     /// Adds interrupt-handler work as compute-steal on a round-robin
     /// victim processor of `node`.
     pub(crate) fn node_steal(&mut self, node: usize, d: Dur) {
@@ -52,7 +62,7 @@ impl SvmSystem {
     /// says — a process is sequential, so nothing observes its page
     /// table between the two.
     pub(crate) fn end_interval(&mut self, p: usize) -> (Option<u32>, CloseCost) {
-        if self.procs[p].dirty.is_empty() && self.procs[p].flushed_early.is_empty() {
+        if self.procs[p].dirty.is_empty() {
             return (None, CloseCost::default());
         }
         // The next interval opens on a buffer an earlier flush emptied.
@@ -67,19 +77,7 @@ impl SvmSystem {
         scratch.clear();
         scratch.extend(dirty.pages());
         debug_assert_eq!(self.records[p].last() + 1, i);
-        let early = &mut self.procs[p].flushed_early;
-        if early.is_empty() {
-            self.records[p].push(&scratch);
-        } else {
-            // Pages flushed early mid-interval rejoin the record in
-            // page order; the list that collected them is the merge
-            // buffer.
-            early.extend_from_slice(&scratch);
-            early.sort_unstable();
-            early.dedup();
-            self.records[p].push(early);
-            early.clear();
-        }
+        self.records[p].push(&scratch);
         self.counters.intervals += 1;
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         self.nodes[node].arrived[p] = i;
@@ -89,7 +87,7 @@ impl SvmSystem {
         // The home also advises its NI to map each run of such pages
         // (one call per run), so the first remote fetch of one takes no
         // paging fault: a reader may only fetch it after a
-        // synchronisation that follows this close (DESIGN.md §33).
+        // synchronisation that follows this close (DESIGN.md §28.5).
         let t = self.procs[p].clock;
         let nic = NodeId::new(node).nic();
         let mut advice = Dur::ZERO;
@@ -119,14 +117,12 @@ impl SvmSystem {
             }
             writable
         });
-        let groups = contiguous_groups(&scratch);
-        let mprotect = self.p.hw.host.mprotect.cost_grouped(scratch.len(), groups);
-        self.counters.mprotect_calls += groups as u64;
+        let reprotect = (scratch.len(), contiguous_groups(&scratch));
         // Record the in-place runs among the re-protected pages, so
         // that a write to a run's first page re-opens the whole run
         // ([`SvmSystem::reopen_run`]).
         self.for_each_in_place_run(node, &scratch, |sys, run| {
-            sys.procs[p].in_place_runs.record(run);
+            sys.procs[p].in_place.closed(run);
         });
         self.scratch_pages = scratch;
 
@@ -134,7 +130,7 @@ impl SvmSystem {
             interval: i,
             pages: dirty,
         });
-        (Some(i), CloseCost { mprotect, advice })
+        (Some(i), CloseCost { reprotect, advice })
     }
 
     /// Calls `f` on each maximal run of consecutive pages among the
@@ -167,8 +163,9 @@ impl SvmSystem {
     /// cost it: the re-protect, which is Table 2's mprotect time, and
     /// the prefetch advice, which is the close's alone.
     pub(crate) fn charge_reprotect(&mut self, p: usize, bucket: Bucket, cost: CloseCost) {
-        self.procs[p].bd.mprotect += cost.mprotect;
-        self.charge(Sink::Proc(p, bucket), cost.mprotect + cost.advice);
+        let (pages, calls) = cost.reprotect;
+        let mprotect = self.book_mprotect(p, pages, calls);
+        self.charge(Sink::Proc(p, bucket), mprotect + cost.advice);
     }
 
     /// The first step of a barrier arrival: close `p`'s interval,
@@ -359,44 +356,14 @@ impl SvmSystem {
         let cursor = self.procs[p].clock;
         self.flush_pending_of(cursor, p, Sink::Proc(p, Bucket::AcqRel));
     }
-
-    /// Flushes a single dirty page mid-interval (it is about to be
-    /// invalidated under this process). Its diff is tagged with the
-    /// *next* interval number; the page joins that interval's record
-    /// when it closes. A page written in place has no diff to lose: it
-    /// stays dirty, and the close raises the home copy as usual.
-    pub(crate) fn flush_page_early(
-        &mut self,
-        cursor: Time,
-        p: usize,
-        page: PageId,
-        bucket: Bucket,
-    ) -> Time {
-        let node = self.p.topo.node_of(ProcId::new(p)).index();
-        if self.writes_in_place(node, page) {
-            return cursor;
-        }
-        let Some(dp) = self.procs[p].dirty.remove(page) else {
-            return cursor;
-        };
-        self.procs[p].flushed_early.push(page);
-        let next_interval = self.procs[p].vc.get(ProcId::new(p)) + 1;
-        let mut pages = self.spare_dirty.pop().unwrap_or_default();
-        pages.insert(page, dp);
-        let pi = PendingInterval {
-            interval: next_interval,
-            pages,
-        };
-        self.flush_interval(cursor, p, pi, Sink::Proc(p, bucket))
-    }
 }
 
 /// What closing an interval costs its process, charged with
 /// [`SvmSystem::charge_reprotect`].
 #[derive(Clone, Copy, Default)]
 pub(crate) struct CloseCost {
-    /// Re-protecting the dirty pages (coalesced `mprotect`).
-    pub(crate) mprotect: Dur,
+    /// Re-protecting the dirty pages: pages, coalesced calls.
+    pub(crate) reprotect: (usize, usize),
     /// Advising the NI to map the home pages written in place (ODP
     /// prefetch; zero on hardware that pins all memory).
     pub(crate) advice: Dur,

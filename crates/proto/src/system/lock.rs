@@ -22,14 +22,11 @@
 //!
 //! Where home pages are written in place, an acquire also re-opens the
 //! home pages the process wrote when it last held the same lock, while
-//! its request is in flight (DESIGN.md §32). The rule is "a re-open
-//! may precede the grant, and no access may": opening an in-place page
-//! early only names it in the next interval, and a notice the grant
-//! brings for it invalidates it before the critical section touches it.
+//! its request is in flight: "a re-open may precede the grant, and no
+//! access may" (DESIGN.md §28.4).
 
 use std::ops::Range;
 
-use genima_mem::PageId;
 use genima_nic::{CasWord, LockAction, LockId, LockOp, MsgKind, Post, Tag};
 use genima_sim::Time;
 
@@ -50,7 +47,7 @@ impl SvmSystem {
     /// process blocked.
     pub(crate) fn start_acquire(&mut self, now: Time, p: usize, l: LockId) -> Flow {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
-        let scope = self.lock_scope_of(p, l);
+        let scope = self.procs[p].in_place.acquire(l);
         let nl = &mut self.nodes[node].locks[l.index()];
         if nl.holder.is_some() || !nl.local_waiters.is_empty() || nl.requesting {
             nl.local_waiters.push_back(p);
@@ -120,41 +117,6 @@ impl SvmSystem {
         Flow::Stop
     }
 
-    /// `p`'s lock scope as its acquire of `l` finds it: the run of pages
-    /// to re-open if the scope is `l`'s; else an empty scope for `l`
-    /// replaces it, and there is nothing to re-open.
-    fn lock_scope_of(&mut self, p: usize, l: LockId) -> Range<usize> {
-        match &self.procs[p].lock_scope {
-            Some((scoped, run)) if *scoped == l => run.clone(),
-            Some(_) | None => {
-                self.procs[p].lock_scope = Some((l, 0..0));
-                0..0
-            }
-        }
-    }
-
-    /// Adds `opened`, pages a write fault of `p` just made writable —
-    /// one, or a run re-opened whole — to `p`'s lock scope if they are
-    /// written in place, `p` holds the scope's lock and they touch its
-    /// run. Pages apart from the run are left to fault: the scope stays
-    /// one run, so re-opening it never walks pages between.
-    pub(crate) fn widen_lock_scope(&mut self, p: usize, node: usize, opened: Range<usize>) {
-        if !self.writes_in_place(node, PageId::new(opened.start)) {
-            return;
-        }
-        let Some((l, run)) = &mut self.procs[p].lock_scope else {
-            return;
-        };
-        if self.nodes[node].locks[l.index()].holder != Some(p) {
-            return;
-        }
-        if run.start == run.end {
-            *run = opened;
-        } else if opened.start <= run.end && run.start <= opened.end {
-            *run = run.start.min(opened.start)..run.end.max(opened.end);
-        }
-    }
-
     /// Re-opens `run`, the scope of the lock `p` has been waiting for
     /// since `now`, with one coalesced mprotect and no trap. The host
     /// runs it during the wait; the critical section cannot start
@@ -165,11 +127,7 @@ impl SvmSystem {
             return;
         }
         let node = self.p.topo.node_of(ProcId::new(p)).index();
-        let (pages, calls) = self.reopen_run(p, node, run);
-        let mpro = self.p.hw.host.mprotect.cost_grouped(pages, calls);
-        self.procs[p].clock = now + mpro;
-        self.procs[p].bd.mprotect += mpro;
-        self.counters.mprotect_calls += calls as u64;
+        self.procs[p].clock = now + self.reopen_run(p, node, run);
     }
 
     /// HostChain: a chain message reached node `to` (through its

@@ -12,6 +12,7 @@ mod degraded;
 mod exec;
 mod fault;
 mod home;
+mod in_place;
 mod interval;
 mod lock;
 mod notice;
@@ -97,7 +98,7 @@ pub(crate) enum HomeWrites {
     Twinned,
     /// HLRC's rule: the home copy is the master copy, so a write made
     /// at the home is the update. No twin, no diff, no apply — closing
-    /// the interval raises the home copy's version (DESIGN.md §29).
+    /// the interval raises the home copy's version (DESIGN.md §28.2).
     InPlace,
 }
 
@@ -200,8 +201,6 @@ pub struct SvmSystem {
     /// Reusable page-list buffer for the flush/invalidation hot paths
     /// (take, fill, put back — no steady-state allocation).
     pub(crate) scratch_pages: Vec<PageId>,
-    /// Reusable conflicted-page buffer for `apply_invalidations`.
-    pub(crate) scratch_conflicts: Vec<PageId>,
     /// Reusable page set in which `apply_invalidations` collects the
     /// pages its notices name (empty between calls).
     pub(crate) scratch_noticed: PageBits,
@@ -332,7 +331,6 @@ impl SvmSystem {
                 })
                 .collect(),
             scratch_pages: Vec::new(),
-            scratch_conflicts: Vec::new(),
             scratch_noticed: PageBits::default(),
             scratch_procs: Vec::new(),
             scratch_reduce: Vec::new(),

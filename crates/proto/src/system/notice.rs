@@ -183,12 +183,20 @@ impl SvmSystem {
         }
 
         // Conflict: an incoming notice invalidates a page this process
-        // is itself writing. Flush our diff first so it is not lost.
-        // (A barrier exit has closed its interval: nothing is dirty.)
-        let mut conflicted = std::mem::take(&mut self.scratch_conflicts);
-        conflicted.clear();
+        // is itself writing, and not in place. Close the interval here
+        // and flush every closed one, oldest first, so the page's diff
+        // reaches the home before the page is fetched again, under a
+        // number no later write to it shares. (A barrier exit has
+        // closed its interval: nothing is dirty.)
+        let node = my_node.index();
         let noticed = &self.scratch_noticed;
-        conflicted.extend((self.procs[p].dirty.pages()).filter(|pg| noticed.contains(pg.index())));
+        let conflict = (self.procs[p].dirty.pages())
+            .any(|pg| noticed.contains(pg.index()) && !self.writes_in_place(node, pg));
+        if conflict {
+            self.procs[p].clock = self.procs[p].clock.max(cursor);
+            cursor = self.close_interval(cursor, p, bucket);
+            cursor = self.flush_pending_of(cursor, p, Sink::Proc(p, bucket));
+        }
 
         // Every page named, once each and ascending — a record's pages
         // ascend, but records overlap.
@@ -197,26 +205,18 @@ impl SvmSystem {
         self.scratch_noticed
             .drain(|index| pages.push(PageId::new(index)));
 
-        for &pg in &conflicted {
-            cursor = self.flush_page_early(cursor, p, pg, bucket);
-        }
-
         // Invalidate (grouped mprotect).
         pages.retain(|&pg| self.procs[p].pt.access(pg) != Access::None);
         if !pages.is_empty() {
-            let groups = contiguous_groups(&pages);
-            let mpro = self.p.hw.host.mprotect.cost_grouped(pages.len(), groups);
+            let mpro = self.book_mprotect(p, pages.len(), contiguous_groups(&pages));
             for &pg in &pages {
                 self.procs[p].pt.set(pg, Access::None);
             }
             self.counters.invalidations += pages.len() as u64;
-            self.counters.mprotect_calls += groups as u64;
-            self.procs[p].bd.mprotect += mpro;
             self.charge(Sink::Proc(p, bucket), mpro);
             cursor += mpro;
         }
         self.scratch_pages = pages;
-        self.scratch_conflicts = conflicted;
         cursor
     }
 

@@ -2,12 +2,12 @@
 //! what is kept per process, per node, per lock and per barrier.
 
 use std::collections::VecDeque;
-use std::ops::Range;
 
 use genima_mem::{Diff, Page, PageId, PageTable, PageVec};
 use genima_nic::{Event as CommEvent, LockId, LockOp, Tag, Upcall};
 use genima_sim::{Dur, EventQueue, Resource, Time};
 
+use super::in_place::InPlaceState;
 use crate::breakdown::Breakdown;
 use crate::ids::{BarrierId, Topology};
 use crate::interval::{DirtySet, PendingInterval};
@@ -202,18 +202,10 @@ pub(crate) struct ProcRt {
     pub(crate) required: VersionCol,
     /// Open interval: dirty pages.
     pub(crate) dirty: DirtySet,
-    /// Pages flushed early (mid-interval) that still need a notice.
-    pub(crate) flushed_early: Vec<PageId>,
     /// Closed intervals whose diffs have not been flushed (lazy).
     pub(crate) pending_intervals: Vec<PendingInterval>,
-    /// The in-place runs this process wrote and re-protected (empty
-    /// unless home writes are in place; DESIGN.md §31).
-    pub(crate) in_place_runs: InPlaceRuns,
-    /// The lock this process last took, and the run of in-place pages
-    /// it made writable while holding it: the next acquire of the same
-    /// lock re-opens them while its request is in flight (empty unless
-    /// home writes are in place; DESIGN.md §32).
-    pub(crate) lock_scope: Option<(LockId, Range<usize>)>,
+    /// The in-place home pages worth re-opening: runs and lock scope.
+    pub(crate) in_place: InPlaceState,
     pub(crate) bd: Breakdown,
     /// Accumulated interrupt-steal penalty applied to the next compute.
     pub(crate) steal: Dur,
@@ -238,10 +230,8 @@ impl ProcRt {
             pt: PageTable::new(),
             required: VersionCol::default(),
             dirty: DirtySet::default(),
-            flushed_early: Vec::new(),
             pending_intervals: Vec::new(),
-            in_place_runs: InPlaceRuns::default(),
-            lock_scope: None,
+            in_place: InPlaceState::default(),
             bd: Breakdown::default(),
             steal: Dur::ZERO,
             warmup_reset: false,
@@ -346,39 +336,6 @@ impl Inflight {
     pub(crate) fn take(&mut self, page: PageId) -> Option<Waiters> {
         let at = self.fetches.iter().position(|(pg, _)| *pg == page)?;
         Some(self.fetches.swap_remove(at).1)
-    }
-}
-
-/// The maximal runs of consecutive pages a process wrote in place and
-/// re-protected at an interval's close, as page-index ranges ascending
-/// and disjoint: a newer run replaces every older run it overlaps, so
-/// the list never holds more entries than the in-place pages the
-/// process has written. A write fault on a run's first page takes the
-/// run and re-opens it whole (DESIGN.md §31). Recording and taking a
-/// run allocate nothing beyond the list's own growth.
-#[derive(Default)]
-pub(crate) struct InPlaceRuns {
-    runs: Vec<Range<usize>>,
-}
-
-impl InPlaceRuns {
-    /// Records the run `run`, dropping the older runs it overlaps. A
-    /// run of one page only drops them: re-opening it would cost what
-    /// its fault costs anyway, so it is not kept.
-    pub(crate) fn record(&mut self, run: Range<usize>) {
-        // Disjoint and ascending: the ends ascend with the starts.
-        let from = self.runs.partition_point(|r| r.end <= run.start);
-        let to = from + self.runs[from..].partition_point(|r| r.start < run.end);
-        let keep = run.len() > 1;
-        self.runs.splice(from..to, keep.then_some(run));
-    }
-
-    /// Removes and returns the run that starts at `page`, if any.
-    pub(crate) fn take_starting_at(&mut self, page: PageId) -> Option<Range<usize>> {
-        let at = (self.runs)
-            .binary_search_by_key(&page.index(), |r| r.start)
-            .ok()?;
-        Some(self.runs.remove(at))
     }
 }
 

@@ -37,11 +37,6 @@
 //! `// lint: allow-wildcard` or `// lint: allow-unwrap` comment on the
 //! offending line.
 //!
-//! `cargo run -p xtask -- clippy` is the warnings gate: it runs
-//! `cargo clippy --workspace --all-targets -- -D warnings` plus the
-//! pinned [`CLIPPY_ALLOW`] list, so the allow-list lives in one
-//! reviewed place instead of scattered CI flags.
-//!
 //! `xtask obs-summary <file> [top]` rides along: it prints a top-N
 //! aggregation of a Chrome-trace timeline (per span kind and per node),
 //! or the NI monitor tables when given a `RunReport` JSON instead.
@@ -80,12 +75,6 @@ const PROTOCOL_FILES: &[&str] = &[
     "crates/bench/src/bin/bench/mc.rs",
     "crates/bench/src/bin/bench/serving.rs",
 ];
-
-/// Clippy lints deliberately allowed workspace-wide by `xtask clippy`,
-/// each pinned with the reason it stays. Everything else is `-D
-/// warnings`. Keep this list empty unless a lint is structurally
-/// unavoidable — prefer a scoped in-source `#[allow]` with a comment.
-const CLIPPY_ALLOW: &[(&str, &str)] = &[];
 
 /// One rule violation at a source line.
 #[derive(Debug, PartialEq, Eq)]
@@ -417,43 +406,12 @@ fn run_obs_summary(path: &str, top: usize) -> ExitCode {
     }
 }
 
-/// Runs clippy over the workspace with warnings denied, applying the
-/// pinned [`CLIPPY_ALLOW`] list.
-fn run_clippy() -> ExitCode {
-    let mut cmd = std::process::Command::new("cargo");
-    cmd.args([
-        "clippy",
-        "--workspace",
-        "--all-targets",
-        "--",
-        "-D",
-        "warnings",
-    ]);
-    for (lint, reason) in CLIPPY_ALLOW {
-        println!("xtask clippy: allowing {lint} ({reason})");
-        cmd.args(["-A", lint]);
-    }
-    cmd.current_dir(repo_root());
-    match cmd.status() {
-        Ok(s) if s.success() => {
-            println!("xtask clippy: workspace clean (-D warnings)");
-            ExitCode::SUCCESS
-        }
-        Ok(_) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("xtask clippy: cannot run cargo: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-const USAGE: &str = "usage: xtask lint | clippy | obs-summary <file> [top]";
+const USAGE: &str = "usage: xtask lint | obs-summary <file> [top]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => run_lint(),
-        Some("clippy") => run_clippy(),
         Some("obs-summary") => {
             let path = match args.next() {
                 Some(p) => p,

@@ -145,7 +145,7 @@ fn multi_phase_producer_consumer() {
 
 /// Write-after-invalidate: a process with a dirty page receives a
 /// write notice for that very page; its diff must be flushed, not
-/// lost (the flush-early path).
+/// lost (the acquire closes the interval and flushes it).
 #[test]
 fn conflicting_writers_do_not_lose_updates() {
     for f in [

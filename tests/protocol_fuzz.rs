@@ -15,10 +15,14 @@
 //! Any divergence between what LRC promises and what the twins, diffs,
 //! write notices, timestamps and fetches actually deliver panics inside
 //! the simulator via `Op::Validate`.
+//!
+//! Every program runs twice: once under the default `page % nodes`
+//! homes, which never give two adjacent pages one home, and once with
+//! the pages homed in one contiguous block per node.
 
 use genima_proto::{
-    ops_source, Addr, BarrierId, Column, FeatureSet, LockId, Op, OpSource, SvmParams, SvmSystem,
-    Topology, PAGE_SIZE,
+    ops_source, Addr, BarrierId, Column, FeatureSet, LockId, NodeId, Op, OpSource, PageId,
+    SvmParams, SvmSystem, Topology, PAGE_SIZE,
 };
 use genima_sim::{Dur, SplitMix64};
 use proptest::prelude::*;
@@ -143,13 +147,23 @@ fn run_fuzz_with(
     tweak: impl FnOnce(&mut SvmParams),
 ) {
     let topo = Topology::new(nodes, ppn);
-    let programs = build_programs(seed, topo.procs(), 3, 6);
     let mut params = column.into().params(topo);
     params.data_mode = true;
     params.locks = 8;
     tweak(&mut params);
-    let mut sys = SvmSystem::new(params, programs);
-    sys.run(); // panics on any validation failure or deadlock
+    for blocked in [false, true] {
+        let programs = build_programs(seed, topo.procs(), 3, 6);
+        let mut sys = SvmSystem::new(params.clone(), programs);
+        if blocked {
+            // Contiguous homes, as the applications place theirs, so that
+            // in-place runs longer than a page form (DESIGN.md §28.3).
+            let block = NPAGES as usize / nodes;
+            for n in 0..nodes {
+                sys.assign_homes(PageId::new(n * block), block, NodeId::new(n));
+            }
+        }
+        sys.run(); // panics on any validation failure or deadlock
+    }
 }
 
 proptest! {
@@ -256,4 +270,18 @@ fn regression_fuzz_seed_3448139302961865587() {
         p.hw.nic.broadcast = true;
         p.proto.pull_notices = true;
     });
+}
+
+/// Regression: under DW, with blocked homes, a process whose acquire
+/// invalidated a page it was writing flushed that page's diff early,
+/// tagged with its open interval's number, then wrote the page again
+/// in the same interval. The early diff alone raised the home copy to
+/// that interval, so a reader past the next barrier took the home copy
+/// before the second diff arrived. The acquire now closes the interval
+/// first.
+#[test]
+fn regression_rewrite_after_conflicting_acquire() {
+    for f in Column::all() {
+        run_fuzz(140, f, 4, 1);
+    }
 }
