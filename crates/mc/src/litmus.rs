@@ -440,12 +440,6 @@ impl Litmus {
             .collect();
         SvmSystem::new(params, sources)
     }
-
-    /// The litmus programs as plain op vectors (for the static race
-    /// check).
-    pub fn op_vectors(&self) -> Vec<Vec<Op>> {
-        (self.programs)()
-    }
 }
 
 #[cfg(test)]
@@ -460,7 +454,7 @@ mod tests {
     fn every_litmus_is_race_free() {
         for l in all_shapes() {
             let races =
-                genima_check::detect_races(&l.op_vectors()).expect("litmus must be schedulable");
+                genima_check::detect_races(&(l.programs)()).expect("litmus must be schedulable");
             assert!(races.is_empty(), "{}: races {races:?}", l.name);
         }
     }

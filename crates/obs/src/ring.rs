@@ -207,20 +207,8 @@ impl Recorder {
         });
     }
 
-    /// Records an instant that is one endpoint of a flow arrow.
-    pub fn instant_flow(
-        &mut self,
-        kind: SpanKind,
-        node: usize,
-        track: Track,
-        at: Time,
-        arg: u64,
-        flow: Flow,
-    ) {
-        self.instant_flow_op(kind, node, track, at, arg, flow, 0);
-    }
-
-    /// Records a flow-endpoint instant attributed to operation `op`.
+    /// Records an instant that is one endpoint of a flow arrow,
+    /// attributed to operation `op`.
     #[allow(clippy::too_many_arguments)]
     pub fn instant_flow_op(
         &mut self,

@@ -206,7 +206,7 @@ mod tests {
             3,
         );
         let id = flow_lock_id(3, 41);
-        r.instant_flow(
+        r.instant_flow_op(
             SpanKind::NiLockGrant,
             1,
             Track::Firmware,
@@ -216,8 +216,9 @@ mod tests {
                 id,
                 dir: FlowDir::Start,
             },
+            0,
         );
-        r.instant_flow(
+        r.instant_flow_op(
             SpanKind::NiLockGrant,
             0,
             Track::Firmware,
@@ -227,6 +228,7 @@ mod tests {
                 id,
                 dir: FlowDir::Finish,
             },
+            0,
         );
         r.take().spans
     }

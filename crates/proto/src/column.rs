@@ -10,16 +10,14 @@ use crate::features::FeatureSet;
 use crate::ids::Topology;
 use crate::system::SvmParams;
 
-/// One column of the evaluation: which NI mechanisms the protocol
-/// exploits, on which generation of hardware. The paper's five columns
-/// all run on the 1999 LANai; the sixth runs the full GeNIMA protocol
-/// on a 2025 RNIC. The hardware is [`HwProfile`] data, and the
-/// protocol code is shared but for three choices the hardware
-/// selects: the lock primitive (masked CAS on the home cell, not the
-/// firmware chain), the order of a release's steps (the lock is handed
-/// over before the releaser diffs and re-protects) and what a write at
-/// a page's home costs (it goes into the home copy in place, with no
-/// twin and no diff). The 1999 columns keep the paper's protocol.
+/// One column of the evaluation: a rung of the protocol ladder
+/// ([`FeatureSet`]) on a generation of hardware ([`HwProfile`]). The
+/// paper's five columns run its five rungs on the 1999 LANai; the
+/// sixth runs the GeNIMA-2025 rung on a 2025 RNIC. Every protocol
+/// choice is the rung's; the hardware decides only the lock
+/// *primitive* (the firmware chain on the LANai, masked CAS on the
+/// home cell on the RNIC, which has no firmware to run a chain) and
+/// what each operation costs.
 ///
 /// # Example
 ///
@@ -48,13 +46,12 @@ impl Column {
         }
     }
 
-    /// The sixth column: the full GeNIMA protocol on 2025 RDMA
-    /// hardware, with the RNIC's masked CAS as the lock primitive
-    /// (firmware lock state machines have no 2025 analogue; NIC-level
-    /// atomics do).
+    /// The sixth column: the GeNIMA-2025 rung on 2025 RDMA hardware,
+    /// with the RNIC's masked CAS as the lock primitive (firmware lock
+    /// state machines have no 2025 analogue; NIC-level atomics do).
     pub fn genima_2025() -> Column {
         Column {
-            features: FeatureSet::genima(),
+            features: FeatureSet::genima_2025(),
             hw: HwProfile::rnic_2025(),
         }
     }
@@ -72,13 +69,9 @@ impl Column {
         ]
     }
 
-    /// Stable display name.
+    /// Stable display name: the rung's.
     pub fn name(&self) -> &'static str {
-        if self.hw.is_rdma() && self.features == FeatureSet::genima() {
-            "GeNIMA-2025"
-        } else {
-            self.features.name()
-        }
+        self.features.name()
     }
 
     /// Paper-calibrated parameters for this column on `topo`: the one
@@ -87,10 +80,15 @@ impl Column {
     ///
     /// # Panics
     ///
-    /// Panics if the feature set is inconsistent
-    /// ([`FeatureSet::validate`]).
+    /// Panics if the GeNIMA-2025 rung is paired with hardware that
+    /// has no RDMA NIC: its release order and in-place home writes
+    /// are priced for one.
     pub fn params(&self, topo: Topology) -> SvmParams {
-        self.features.validate();
+        assert!(
+            self.features != FeatureSet::genima_2025() || self.hw.is_rdma(),
+            "the GeNIMA-2025 rung needs RDMA hardware, not {}",
+            self.hw.name
+        );
         // The interrupt-free column gets the NI barrier by default —
         // it is the last piece of asynchronous protocol processing the
         // host otherwise retains. Every other column keeps the node-0
@@ -101,7 +99,7 @@ impl Column {
             BarrierImpl::HostManager
         };
         let mut proto = ProtoConfig::paper();
-        if self.hw.is_rdma() && self.features.nil {
+        if self.hw.is_rdma() && self.features.ni_locks() {
             proto.lock_impl = LockImpl::RemoteAtomics;
         }
         SvmParams {
@@ -128,11 +126,16 @@ impl Column {
     }
 }
 
-/// A bare feature set names its column on the paper's 1999 testbed,
-/// so the run entry points take either.
+/// A bare feature set names its column — a paper rung on the 1999
+/// testbed, GeNIMA-2025 on its RNIC — so the run entry points take
+/// either.
 impl From<FeatureSet> for Column {
     fn from(features: FeatureSet) -> Column {
-        Column::lanai(features)
+        if features == FeatureSet::genima_2025() {
+            Column::genima_2025()
+        } else {
+            Column::lanai(features)
+        }
     }
 }
 
@@ -157,14 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn only_the_sixth_column_is_rdma() {
-        let cols = Column::all();
-        assert!(cols[..5].iter().all(|c| !c.hw.is_rdma()));
-        assert!(cols[5].hw.is_rdma());
-        assert_eq!(cols[5].features, FeatureSet::genima());
-    }
-
-    #[test]
     fn rdma_params_select_masked_cas_locks() {
         let topo = Topology::new(4, 2);
         // Every column's run gets its profile whole, host included.
@@ -178,6 +173,27 @@ mod tests {
         // The 1999 GeNIMA column keeps the firmware lock machines.
         let p99 = Column::lanai(FeatureSet::genima()).params(topo);
         assert_ne!(p99.proto.lock_impl, LockImpl::RemoteAtomics);
+    }
+
+    #[test]
+    #[should_panic(expected = "the GeNIMA-2025 rung needs RDMA hardware")]
+    fn the_2025_rung_needs_rdma_hardware() {
+        let column = Column {
+            features: FeatureSet::genima_2025(),
+            hw: HwProfile::lanai_1999(),
+        };
+        column.params(Topology::new(2, 1));
+    }
+
+    #[test]
+    fn a_bare_feature_set_names_its_column() {
+        for (f, c) in FeatureSet::ALL.into_iter().zip(Column::all()) {
+            assert_eq!(Column::from(f), c);
+        }
+        assert_eq!(
+            Column::from(FeatureSet::genima_2025()),
+            Column::genima_2025()
+        );
     }
 
     #[test]

@@ -1,89 +1,78 @@
-//! Protocol feature sets — the paper's five cumulative variants.
+//! Protocol feature sets — the paper's cumulative ladder of variants.
 
 use std::fmt;
 
-/// Which NI mechanisms the protocol exploits (§2 of the paper).
+/// Which NI mechanisms the protocol exploits (§2 of the paper): one
+/// rung of a cumulative ladder, Base < DW < DW+RF < DW+RF+DD < GeNIMA
+/// < GeNIMA-2025.
 ///
-/// The five evaluated protocols are cumulative; the constructors below
-/// produce exactly the paper's columns. Arbitrary combinations are
-/// allowed for ablations, with one constraint from the paper: direct
-/// diffs require remote fetch, because without it the home processor
-/// would never learn when queued page requests can be served.
+/// Each rung adds one mechanism to the rung below it, so every
+/// protocol choice is a predicate of the rung, monotone along the
+/// order, and no combination outside the ladder can be built. The
+/// paper's constraints hold by construction: direct diffs come after
+/// remote fetch (without it the home host never learns when queued
+/// page requests can be served), and NI locks come after eager
+/// notices and direct diffs (with firmware-granted locks no host ever
+/// services an incoming acquire, so coherence information and diffs
+/// must already travel eagerly).
 ///
 /// # Example
 ///
 /// ```
 /// use genima_proto::FeatureSet;
 /// let g = FeatureSet::genima();
-/// assert!(g.dw && g.rf && g.dd && g.nil);
+/// assert!(g.eager_notices() && g.remote_fetch() && g.direct_diffs() && g.ni_locks());
+/// assert!(!g.home_writes_in_place());
+/// assert!(g < FeatureSet::genima_2025());
 /// assert_eq!(g.name(), "GeNIMA");
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct FeatureSet {
-    /// Remote deposit for protocol data: eager, sender-initiated write
-    /// notice propagation at releases.
-    pub dw: bool,
-    /// Remote fetch of pages and their timestamps, with requester-side
-    /// retry.
-    pub rf: bool,
-    /// Direct diffs: one remote deposit per contiguous modified run,
-    /// computed eagerly at release points.
-    pub dd: bool,
-    /// NI locks: mutual exclusion handled entirely in NI firmware.
-    pub nil: bool,
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct FeatureSet(Rung);
+
+/// The rungs, in ladder order (the derived `Ord` is the ladder's).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum Rung {
+    Base,
+    Dw,
+    DwRf,
+    DwRfDd,
+    Genima,
+    Genima2025,
 }
 
 impl FeatureSet {
     /// The Base protocol: HLRC-SMP, all asynchronous requests handled
     /// with interrupts.
     pub const fn base() -> FeatureSet {
-        FeatureSet {
-            dw: false,
-            rf: false,
-            dd: false,
-            nil: false,
-        }
+        FeatureSet(Rung::Base)
     }
 
     /// Direct writes to remote protocol data structures (DW).
     pub const fn dw() -> FeatureSet {
-        FeatureSet {
-            dw: true,
-            rf: false,
-            dd: false,
-            nil: false,
-        }
+        FeatureSet(Rung::Dw)
     }
 
     /// DW plus remote fetch of pages and timestamps (DW+RF).
     pub const fn dw_rf() -> FeatureSet {
-        FeatureSet {
-            dw: true,
-            rf: true,
-            dd: false,
-            nil: false,
-        }
+        FeatureSet(Rung::DwRf)
     }
 
     /// DW+RF plus direct diffs (DW+RF+DD).
     pub const fn dw_rf_dd() -> FeatureSet {
-        FeatureSet {
-            dw: true,
-            rf: true,
-            dd: true,
-            nil: false,
-        }
+        FeatureSet(Rung::DwRfDd)
     }
 
     /// The full GeNIMA protocol: DW+RF+DD plus NI locks. No interrupts
     /// or asynchronous protocol processing remain.
     pub const fn genima() -> FeatureSet {
-        FeatureSet {
-            dw: true,
-            rf: true,
-            dd: true,
-            nil: true,
-        }
+        FeatureSet(Rung::Genima)
+    }
+
+    /// GeNIMA as an RDMA NIC prices it: the lock is handed over before
+    /// the releaser diffs, and writes at a page's home go into the
+    /// home copy in place (DESIGN.md §28). Needs RDMA hardware.
+    pub const fn genima_2025() -> FeatureSet {
+        FeatureSet(Rung::Genima2025)
     }
 
     /// The paper's five protocol columns, in evaluation order.
@@ -95,44 +84,83 @@ impl FeatureSet {
         FeatureSet::genima(),
     ];
 
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dd` is set without `rf` (the home host never learns
-    /// when diffs have been applied, §2), or if `nil` is set without
-    /// `dd` and `dw` (with firmware-granted locks no host ever services
-    /// an incoming acquire, so coherence information and diffs must
-    /// already travel eagerly).
-    pub fn validate(self) {
-        assert!(
-            !self.dd || self.rf,
-            "direct diffs require remote fetch (paper §2): \
-             the home host never learns when diffs have been applied"
-        );
-        assert!(
-            !self.nil || (self.dd && self.dw),
-            "NI locks require eager notices (dw) and direct diffs (dd): \
-             no host handler remains to flush them at incoming acquires"
-        );
+    /// The rung's display name.
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Rung::Base => "Base",
+            Rung::Dw => "DW",
+            Rung::DwRf => "DW+RF",
+            Rung::DwRfDd => "DW+RF+DD",
+            Rung::Genima => "GeNIMA",
+            Rung::Genima2025 => "GeNIMA-2025",
+        }
     }
 
-    /// The paper's name for this combination.
-    pub fn name(self) -> &'static str {
-        match (self.dw, self.rf, self.dd, self.nil) {
-            (false, false, false, false) => "Base",
-            (true, false, false, false) => "DW",
-            (true, true, false, false) => "DW+RF",
-            (true, true, true, false) => "DW+RF+DD",
-            (true, true, true, true) => "GeNIMA",
-            _ => "custom",
+    /// Remote deposit for protocol data: eager, sender-initiated write
+    /// notice propagation at releases (DW).
+    pub const fn eager_notices(self) -> bool {
+        match self.0 {
+            Rung::Base => false,
+            Rung::Dw | Rung::DwRf | Rung::DwRfDd | Rung::Genima | Rung::Genima2025 => true,
+        }
+    }
+
+    /// Remote fetch of pages and their timestamps, with requester-side
+    /// retry (RF).
+    pub const fn remote_fetch(self) -> bool {
+        match self.0 {
+            Rung::Base | Rung::Dw => false,
+            Rung::DwRf | Rung::DwRfDd | Rung::Genima | Rung::Genima2025 => true,
+        }
+    }
+
+    /// Direct diffs: one remote deposit per contiguous modified run,
+    /// computed eagerly at release points (DD).
+    pub const fn direct_diffs(self) -> bool {
+        match self.0 {
+            Rung::Base | Rung::Dw | Rung::DwRf => false,
+            Rung::DwRfDd | Rung::Genima | Rung::Genima2025 => true,
+        }
+    }
+
+    /// NI locks: mutual exclusion handled entirely by the NI (NIL).
+    pub const fn ni_locks(self) -> bool {
+        match self.0 {
+            Rung::Base | Rung::Dw | Rung::DwRf | Rung::DwRfDd => false,
+            Rung::Genima | Rung::Genima2025 => true,
         }
     }
 
     /// `true` when no interrupt-driven asynchronous protocol
     /// processing remains (the full GeNIMA property).
-    pub fn interrupt_free(self) -> bool {
-        self.dw && self.rf && self.dd && self.nil
+    pub const fn interrupt_free(self) -> bool {
+        self.eager_notices() && self.remote_fetch() && self.direct_diffs() && self.ni_locks()
+    }
+
+    /// Whether a release hands the lock over *before* the releaser
+    /// diffs and re-protects. The paper's order diffs at every release
+    /// before the lock is given up (§2), critical-section dilation
+    /// included, because a refetch at LANai prices costs more than the
+    /// wait. On an RNIC a refetch is one short round trip, so the
+    /// critical section ends at the release and the version check on
+    /// every fetched copy orders the diffs (DESIGN.md §28.1).
+    pub const fn hands_over_first(self) -> bool {
+        match self.0 {
+            Rung::Base | Rung::Dw | Rung::DwRf | Rung::DwRfDd | Rung::Genima => false,
+            Rung::Genima2025 => true,
+        }
+    }
+
+    /// Whether a write made at a page's home goes into the home copy
+    /// in place — HLRC's rule: no twin, no diff, no apply; closing the
+    /// interval raises the home copy's version (DESIGN.md §28.2). The
+    /// paper's rungs, calibrated to its breakdowns, twin and diff a
+    /// home write like any other writer's.
+    pub const fn home_writes_in_place(self) -> bool {
+        match self.0 {
+            Rung::Base | Rung::Dw | Rung::DwRf | Rung::DwRfDd | Rung::Genima => false,
+            Rung::Genima2025 => true,
+        }
     }
 }
 
@@ -146,21 +174,47 @@ impl fmt::Display for FeatureSet {
 mod tests {
     use super::*;
 
+    /// Every rung, in ladder order.
+    const LADDER: [FeatureSet; 6] = [
+        FeatureSet::base(),
+        FeatureSet::dw(),
+        FeatureSet::dw_rf(),
+        FeatureSet::dw_rf_dd(),
+        FeatureSet::genima(),
+        FeatureSet::genima_2025(),
+    ];
+
     #[test]
     fn names_match_paper_columns() {
         let names: Vec<&str> = FeatureSet::ALL.iter().map(|f| f.name()).collect();
         assert_eq!(names, vec!["Base", "DW", "DW+RF", "DW+RF+DD", "GeNIMA"]);
+        assert_eq!(FeatureSet::ALL, LADDER[..5]);
     }
 
+    /// Each rung is above the last, and every predicate, once true,
+    /// stays true up the ladder.
     #[test]
     fn variants_are_cumulative() {
-        let all = FeatureSet::ALL;
-        for w in all.windows(2) {
+        type Predicate = (&'static str, fn(FeatureSet) -> bool);
+        let predicates: [Predicate; 7] = [
+            ("eager_notices", FeatureSet::eager_notices),
+            ("remote_fetch", FeatureSet::remote_fetch),
+            ("direct_diffs", FeatureSet::direct_diffs),
+            ("ni_locks", FeatureSet::ni_locks),
+            ("interrupt_free", FeatureSet::interrupt_free),
+            ("hands_over_first", FeatureSet::hands_over_first),
+            ("home_writes_in_place", FeatureSet::home_writes_in_place),
+        ];
+        for w in LADDER.windows(2) {
             let (a, b) = (w[0], w[1]);
-            assert!(!a.dw || b.dw);
-            assert!(!a.rf || b.rf);
-            assert!(!a.dd || b.dd);
-            assert!(!a.nil || b.nil);
+            assert!(a < b, "{a} below {b}");
+            for (name, holds) in predicates {
+                assert!(!holds(a) || holds(b), "{name} holds on {a} but not on {b}");
+            }
+        }
+        // No predicate is dead: each holds from some rung up.
+        for (name, holds) in predicates {
+            assert!(LADDER.iter().any(|&f| holds(f)), "{name} holds on no rung");
         }
     }
 
@@ -172,20 +226,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "direct diffs require remote fetch")]
-    fn dd_without_rf_is_invalid() {
-        FeatureSet {
-            dw: true,
-            rf: false,
-            dd: true,
-            nil: false,
-        }
-        .validate();
-    }
-
-    #[test]
     fn display_uses_name() {
         assert_eq!(FeatureSet::genima().to_string(), "GeNIMA");
         assert_eq!(FeatureSet::base().to_string(), "Base");
+        assert_eq!(FeatureSet::genima_2025().to_string(), "GeNIMA-2025");
     }
 }

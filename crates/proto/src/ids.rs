@@ -122,16 +122,6 @@ impl Topology {
         let start = node.index() * self.procs_per_node;
         (start..start + self.procs_per_node).map(ProcId::new)
     }
-
-    /// Iterates over all processors.
-    pub fn all_procs(&self) -> impl Iterator<Item = ProcId> {
-        (0..self.procs()).map(ProcId::new)
-    }
-
-    /// Iterates over all nodes.
-    pub fn all_nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes).map(NodeId::new)
-    }
 }
 
 #[cfg(test)]
@@ -154,8 +144,6 @@ mod tests {
                 ProcId::new(11)
             ]
         );
-        assert_eq!(t.all_procs().count(), 16);
-        assert_eq!(t.all_nodes().count(), 4);
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl SvmSystem {
             // side derives after incrementing.
             let ep = self.barriers.get(&b).map(|r| r.epoch).unwrap_or(0);
             let bop = genima_obs::op_barrier_id(b.index() as u64, ep + 1);
-            let deposit = self.p.features.dw.then_some(64);
+            let deposit = self.p.features.eager_notices().then_some(64);
             let vc = self.procs[p].vc.clone();
             cursor = self.send_sync_msg(cursor, node, 0, deposit, vc.wire_bytes(), bop, |upto| {
                 Pending::BarrierArriveMsg {
@@ -175,7 +175,7 @@ impl SvmSystem {
         let mut cursor = t + EPS;
         self.release_at_node(cursor, b, 0, &joined, None, bop);
         let vc_bytes = joined.wire_bytes();
-        let deposit = self.p.features.dw.then_some(32 + vc_bytes);
+        let deposit = self.p.features.eager_notices().then_some(32 + vc_bytes);
         for node in 1..self.p.topo.nodes {
             self.counters.barrier_manager_msgs += 1;
             cursor = self.send_sync_msg(cursor, 0, node, deposit, vc_bytes, bop, |upto| {

@@ -108,7 +108,7 @@ impl SvmSystem {
             waiters.join(&mut self.procs, p);
         } else {
             self.nodes[node].inflight.insert(page, Waiters::new(p));
-            if self.p.features.rf {
+            if self.p.features.remote_fetch() {
                 self.issue_rf(now, p, page);
             } else {
                 let mut required = self.spare_versions.pop().unwrap_or_default();

@@ -3,7 +3,7 @@
 
 use genima_mem::{PageId, PageVec};
 
-use super::{CopyState, HomeWrites, SvmSystem};
+use super::{CopyState, SvmSystem};
 use crate::version::VersionMap;
 
 #[derive(Default)]
@@ -52,13 +52,10 @@ impl SvmSystem {
     }
 
     /// Whether a process on `node` writes `page` straight into the
-    /// home copy: the node is the page's home and home writes are
-    /// [`HomeWrites::InPlace`]. Such a write takes no twin, and its
-    /// page never enters a flush.
+    /// home copy: the node is the page's home and the rung writes home
+    /// pages in place ([`crate::FeatureSet::home_writes_in_place`]).
+    /// Such a write takes no twin, and its page never enters a flush.
     pub(crate) fn writes_in_place(&self, node: usize, page: PageId) -> bool {
-        match self.home_writes {
-            HomeWrites::Twinned => false,
-            HomeWrites::InPlace => self.home_of(page).index() == node,
-        }
+        self.p.features.home_writes_in_place() && self.home_of(page).index() == node
     }
 }

@@ -183,7 +183,7 @@ impl SvmSystem {
         let mut cursor = now;
         if let Some(interval) = closed {
             cursor = self.procs[p].clock;
-            if self.p.features.dw {
+            if self.p.features.eager_notices() {
                 cursor = self.broadcast_record(cursor, p, interval);
             }
         }
@@ -238,7 +238,7 @@ impl SvmSystem {
                 self.charge(sink, apply);
                 cursor += apply;
                 self.apply_diff_at_home(cursor, p, pi.interval, page, diff, false);
-            } else if self.p.features.dd {
+            } else if self.p.features.direct_diffs() {
                 let tag = self.tag_op(
                     Pending::DiffTsUpdate {
                         writer: p,

@@ -8,12 +8,12 @@
 //! the home and the previous tail), [`EPS`] for a hop that stays on
 //! the node, and the lazy-diff flush before the lock leaves.
 //!
-//! When a release's diffs are flushed is the strategy's too
-//! ([`LockStrategy::hands_over_first`]). The three 1999 strategies
-//! keep the paper's order: a releaser's diffs leave before the lock
-//! leaves its node (eagerly at the release under direct diffs, lazily
-//! at the departure otherwise), so the critical section includes them.
-//! `AtomicCasWait` hands the lock over first; its ordering rule is
+//! When a release's diffs are flushed is the rung's
+//! ([`crate::FeatureSet::hands_over_first`]). The paper's rungs keep
+//! its order: a releaser's diffs leave before the lock leaves its
+//! node (eagerly at the release under direct diffs, lazily at the
+//! departure otherwise), so the critical section includes them.
+//! GeNIMA-2025 hands the lock over first; its ordering rule is
 //! "timestamp and write notices are posted before the lock-cell
 //! clear; diffs are ordered by nothing but the version check" — a
 //! fetched copy that does not cover the reader's required version is
@@ -207,7 +207,7 @@ impl SvmSystem {
             }
             LockAction::Departed { to, tag } => {
                 let mut cursor = t;
-                if !self.p.features.dd {
+                if !self.p.features.direct_diffs() {
                     // Lazy diffs flush when the lock leaves the node.
                     cursor = self.flush_node_pending(cursor, node, sink);
                 }
@@ -373,8 +373,8 @@ impl SvmSystem {
     /// notices, set the lock's timestamp, hand the lock over (locally,
     /// or through the chain or the home cell), flush diffs, re-protect.
     /// The first three always run in that order; where the hand-over
-    /// sits among the last three is the strategy's
-    /// ([`LockStrategy::hands_over_first`]).
+    /// sits among the last three is the rung's
+    /// ([`crate::FeatureSet::hands_over_first`]).
     pub(crate) fn do_release(&mut self, now: Time, p: usize, l: LockId) {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         assert_eq!(
@@ -392,7 +392,7 @@ impl SvmSystem {
             );
         });
         let sink = Sink::Proc(p, Bucket::AcqRel);
-        let hands_over_first = self.lock_strategy.hands_over_first();
+        let hands_over_first = self.p.features.hands_over_first();
 
         // Close the interval. The paper's order re-protects on the
         // spot, inside the critical section.
@@ -417,7 +417,7 @@ impl SvmSystem {
             self.procs[next].vc.join(&self.locks[l.index()].vc);
             self.lock_granted(cursor + self.p.proto.local_lock, next, l);
         } else {
-            if !hands_over_first && self.p.features.dd {
+            if !hands_over_first && self.p.features.direct_diffs() {
                 // The lock may leave the node: the paper's order
                 // flushes every local writer's diffs first, eagerly
                 // under direct diffs.

@@ -44,7 +44,8 @@ use crate::version::VersionMap;
 
 /// How remote lock acquires and releases are carried. Resolved once,
 /// at construction, from the feature set, the configured lock
-/// implementation and the hardware generation.
+/// implementation and the hardware generation: the one protocol-side
+/// choice the hardware makes is the lock primitive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LockStrategy {
     /// Base: the home + last-owner chain run by the hosts — host
@@ -65,48 +66,11 @@ pub(crate) enum LockStrategy {
 
 impl LockStrategy {
     fn of(p: &SvmParams) -> LockStrategy {
-        match (p.features.nil, p.proto.lock_impl) {
+        match (p.features.ni_locks(), p.proto.lock_impl) {
             (false, LockImpl::FirmwareChain | LockImpl::RemoteAtomics) => LockStrategy::HostChain,
             (true, LockImpl::FirmwareChain) => LockStrategy::NiChain,
             (true, LockImpl::RemoteAtomics) if p.hw.is_rdma() => LockStrategy::AtomicCasWait,
             (true, LockImpl::RemoteAtomics) => LockStrategy::AtomicSwapSpin,
-        }
-    }
-
-    /// Whether a release hands the lock over *before* the releaser
-    /// diffs and re-protects. The 1999 strategies keep the paper's
-    /// order — diff at every release before the lock is given up (§2),
-    /// critical-section dilation included, because a refetch at LANai
-    /// prices costs more than the wait. On an RNIC a refetch is one
-    /// short round trip, so the critical section ends at the release
-    /// and the version check on every fetched copy orders the diffs.
-    pub(crate) fn hands_over_first(self) -> bool {
-        match self {
-            LockStrategy::HostChain | LockStrategy::NiChain | LockStrategy::AtomicSwapSpin => false,
-            LockStrategy::AtomicCasWait => true,
-        }
-    }
-}
-
-/// What a write made on a page's home node costs. Resolved once, at
-/// construction, from the hardware generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum HomeWrites {
-    /// The 1999 columns, calibrated to the paper's breakdowns: a home
-    /// write is twinned at its fault, diffed at the flush and the diff
-    /// applied to the home copy, like any other writer's.
-    Twinned,
-    /// HLRC's rule: the home copy is the master copy, so a write made
-    /// at the home is the update. No twin, no diff, no apply — closing
-    /// the interval raises the home copy's version (DESIGN.md §28.2).
-    InPlace,
-}
-
-impl HomeWrites {
-    fn of(p: &SvmParams) -> HomeWrites {
-        match p.hw.rnic {
-            None => HomeWrites::Twinned,
-            Some(_) => HomeWrites::InPlace,
         }
     }
 }
@@ -177,7 +141,6 @@ pub struct SvmParams {
 pub struct SvmSystem {
     pub(crate) p: SvmParams,
     pub(crate) lock_strategy: LockStrategy,
-    pub(crate) home_writes: HomeWrites,
     pub(crate) comm: Comm,
     pub(crate) q: EventQueue<SysEvent>,
     pub(crate) procs: Vec<ProcRt>,
@@ -269,9 +232,8 @@ impl SvmSystem {
     /// # Panics
     ///
     /// Panics if `sources.len()` differs from the topology's processor
-    /// count, or if the feature set is inconsistent.
+    /// count.
     pub fn new(params: SvmParams, sources: Vec<Box<dyn OpSource>>) -> SvmSystem {
-        params.features.validate();
         let nprocs = params.topo.procs();
         assert_eq!(
             sources.len(),
@@ -301,7 +263,6 @@ impl SvmSystem {
         };
         SvmSystem {
             lock_strategy,
-            home_writes: HomeWrites::of(&params),
             comm,
             q: EventQueue::new(),
             procs: sources
@@ -493,7 +454,8 @@ impl SvmSystem {
             node.copies.size_to(extent);
             node.local_flushed.size_to(extent);
         }
-        self.home_pages.size_to(extent, !self.p.features.rf);
+        self.home_pages
+            .size_to(extent, !self.p.features.remote_fetch());
         self.scratch_noticed.size_to(extent);
         for p in 0..self.procs.len() {
             self.q.push(Time::ZERO, SysEvent::Resume(p));
@@ -722,7 +684,7 @@ impl SvmSystem {
         let total_pages = self.shared_extent as u64;
         let pinned: Vec<u64> = (0..self.p.topo.nodes)
             .map(|n| {
-                if self.p.features.rf {
+                if self.p.features.remote_fetch() {
                     // Only home pages must be exported.
                     let homed = (0..self.shared_extent)
                         .filter(|&i| self.home_of(PageId::new(i)).index() == n)

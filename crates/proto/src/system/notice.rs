@@ -94,7 +94,7 @@ impl SvmSystem {
             let tag = self.tag_op(make(None), op);
             self.send(cursor, src, dst, bytes, MsgKind::Deposit, tag)
         } else {
-            let (upto, rec_bytes) = if self.p.features.dw {
+            let (upto, rec_bytes) = if self.p.features.eager_notices() {
                 (None, 0)
             } else {
                 let (upto, bytes) = self.piggyback(from, to);

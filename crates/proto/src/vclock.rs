@@ -131,15 +131,6 @@ impl VClock {
         self.v.iter().zip(&other.v).all(|(a, b)| a >= b)
     }
 
-    /// Iterates `(proc, interval)` pairs with nonzero intervals.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (ProcId, u32)> + '_ {
-        self.v
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (ProcId::new(i), c))
-    }
-
     /// On-wire size in bytes (4 bytes per slot) — used to size
     /// timestamp messages.
     pub fn wire_bytes(&self) -> u32 {
@@ -197,11 +188,9 @@ mod tests {
     }
 
     #[test]
-    fn nonzero_iteration_and_wire_size() {
+    fn wire_size_and_display() {
         let mut c = VClock::new(4);
         c.set(ProcId::new(2), 9);
-        let v: Vec<(ProcId, u32)> = c.iter_nonzero().collect();
-        assert_eq!(v, vec![(ProcId::new(2), 9)]);
         assert_eq!(c.wire_bytes(), 16);
         assert_eq!(c.to_string(), "⟨0,0,9,0⟩");
     }

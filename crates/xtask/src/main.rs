@@ -70,6 +70,8 @@ const PROTOCOL_FILES: &[&str] = &[
     "crates/mem/src/protect.rs",
     "crates/sim/src/queue.rs",
     "crates/sim/src/smallvec.rs",
+    "crates/proto/src/column.rs",
+    "crates/proto/src/features.rs",
     "crates/proto/src/sched.rs",
     "crates/proto/src/version.rs",
     "crates/bench/src/bin/bench/mc.rs",
