@@ -97,7 +97,6 @@ fn explore_row(rep: &mut BenchReport, l: Litmus, c: Column, config: Config, tier
     cell.set("distinct_outcomes", (run.outcomes.len() as u64).into());
     cell.set("steps_total", run.steps_total.into());
     cell.set("races_precise", run.races_precise.into());
-    cell.set("races_fallback", run.races_fallback.into());
     cell.set("exhaustive", run.exhaustive().into());
     let i = rep.push(cell);
     rep.gate(

@@ -29,14 +29,13 @@
 use std::collections::HashMap;
 
 use genima::{
-    app_by_name, run_app_on_hwdsm, sequential_time, App, Column, Dur, FeatureSet, Json, RunReport,
-    SvmParams, Topology,
+    app_by_name, run_app_on_hwdsm, sequential_time, App, Board, Column, Dur, FeatureSet, Json,
+    RunReport, SvmParams, Topology,
 };
 use genima_apps::{all_apps, Fft, WaterNsquared, WorkloadSpec};
-use genima_nic::{SizeClass, Stage};
+use genima_nic::{LanaiConfig, LockImpl, SizeClass, Stage};
 use genima_obs::bench::{meta, row, times};
 use genima_obs::BenchReport;
-use genima_proto::LockImpl;
 
 use crate::{
     gate_failed_runs, gate_interrupt_free, gate_six_columns, rows, table, text, topo_json, views,
@@ -69,20 +68,33 @@ impl Switch {
     fn apply(self, p: &mut SvmParams, spec: &mut WorkloadSpec) {
         match self {
             Untouched => {}
-            PostQueue(depth) => p.hw.nic.post_queue_capacity = depth,
-            Pipelined(on) => p.hw.nic.pipelined_sends = on,
+            PostQueue(depth) => lanai(p).post_queue_capacity = depth,
+            Pipelined(on) => lanai(p).pipelined_sends = on,
             PullNotices => p.proto.pull_notices = true,
             MprotectExtraPageNs(ns) => p.hw.host.mprotect.per_extra_page = Dur::from_ns(ns),
             InterruptUs(us) => p.proto.interrupt_latency = Dur::from_us(us),
             ScatterGather => p.hw.nic.scatter_gather = true,
             Broadcast(on) => p.hw.nic.broadcast = on,
-            RemoteAtomics => p.proto.lock_impl = LockImpl::RemoteAtomics,
+            RemoteAtomics => lanai(p).lock_impl = LockImpl::RemoteAtomics,
             FirstTouch => {
                 spec.homes.clear();
                 p.first_touch_homes = true;
             }
             Striped => spec.homes.clear(),
         }
+    }
+}
+
+/// The LANai board a switch tunes.
+///
+/// # Panics
+///
+/// Panics if the column runs on an RNIC: the LANai ablations have no
+/// RNIC rows.
+fn lanai(p: &mut SvmParams) -> &mut LanaiConfig {
+    match &mut p.hw.board {
+        Board::Lanai(lanai) => lanai,
+        Board::Rnic(_) => panic!("a LANai switch on {}", p.hw.name),
     }
 }
 

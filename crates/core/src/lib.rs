@@ -35,7 +35,7 @@ pub use genima_obs::{
     timeline_json, validate_trace, Grid, Json, ObsConfig, ObsReport, SpanKind, SpanRecord, Track,
 };
 pub use genima_proto::{
-    BarrierImpl, Breakdown, Column, Counters, FeatureSet, HwProfile, NiStats, OpLatency,
+    BarrierImpl, Board, Breakdown, Column, Counters, FeatureSet, HwProfile, NiStats, OpLatency,
     ProtoConfig, ProtoError, RecoveryStats, RunReport, SvmParams, SvmSystem, Topology,
 };
 pub use genima_sim::{Dur, RunSeed, Time};

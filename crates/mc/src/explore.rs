@@ -116,13 +116,9 @@ pub struct ExploreReport {
     pub budget_exhausted: bool,
     /// Total events delivered across all schedules.
     pub steps_total: u64,
-    /// Races whose reversal channel was enabled at the earlier state
-    /// (one backtrack channel added).
+    /// Races found, each adding to its earlier state's backtrack set
+    /// only the channels that reach the reversal.
     pub races_precise: u64,
-    /// Races whose reversal channel was not yet enabled at the earlier
-    /// state (every enabled channel added — the conservative
-    /// fallback).
-    pub races_fallback: u64,
     /// Distinct litmus outcomes (per-process observation vectors) seen
     /// on completed schedules.
     pub outcomes: BTreeSet<Vec<Vec<u64>>>,
@@ -564,10 +560,8 @@ impl Explorer {
                     // that channel is not enabled at i's state, any
                     // enabled channel whose executed step in (i, j)
                     // is in j's causal past reaches j's branch
-                    // (Flanagan–Godefroid Fig. 4); only when no such
-                    // step exists does every enabled channel go in.
+                    // (Flanagan–Godefroid Fig. 4).
                     let add: Vec<ChanKey> = if stack[i].choices.iter().any(|ch| ch.key == key_j) {
-                        rep.races_precise += 1;
                         vec![key_j]
                     } else {
                         // By downward induction, `c` already
@@ -584,14 +578,19 @@ impl Explorer {
                                 })
                             })
                             .collect();
-                        if mid.is_empty() {
-                            rep.races_fallback += 1;
-                            stack[i].choices.iter().map(|ch| ch.key).collect()
-                        } else {
-                            rep.races_precise += 1;
-                            mid
-                        }
+                        // j's channel not enabled at i means a later
+                        // step created j's event. Following creators
+                        // back from j either reaches i (then i is
+                        // ordered before j: no race) or a step in
+                        // (i, j) whose event existed at i: its channel
+                        // is enabled at i and in j's causal past.
+                        assert!(
+                            !mid.is_empty(),
+                            "a race's reversal is reachable through a step in j's causal past"
+                        );
+                        mid
                     };
+                    rep.races_precise += 1;
                     stack[i].backtrack.extend(add);
                 }
                 let clock_i = stack[i].clock.clone();

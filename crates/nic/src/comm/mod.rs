@@ -37,7 +37,7 @@ use genima_obs::{ObsHandle, Recorder, SpanKind, Track};
 use genima_sim::{Dur, FixedState, InlineVec, Time};
 
 use crate::atomic::{AtomicOp, AtomicUnit};
-use crate::config::NicConfig;
+use crate::config::{LanaiConfig, NicConfig};
 use crate::lock::{ChainLock, LockId};
 use crate::model::{FetchServe, LanaiModel, NiModel, NiStats};
 use crate::monitor::{Monitor, SizeClass, Stage};
@@ -169,9 +169,10 @@ struct Rx {
 
 impl Comm {
     /// Creates a communication system for `ports` nodes and `nlocks`
-    /// NI locks (homes assigned round-robin).
+    /// NI locks (homes assigned round-robin) on the paper's LANai
+    /// boards ([`LanaiConfig::paper`]).
     pub fn new(cfg: NicConfig, net_cfg: NetConfig, ports: usize, nlocks: usize) -> Comm {
-        let model = Box::new(LanaiModel::new(cfg, ports));
+        let model = Box::new(LanaiModel::new(LanaiConfig::paper(), ports));
         Comm::with_model(model, cfg, net_cfg, ports, nlocks)
     }
 

@@ -170,9 +170,12 @@ fn posts_charge_host_per_fragment() {
 
 #[test]
 fn post_queue_full_stalls_host() {
-    let mut cfg = NicConfig::default();
-    cfg.post_queue_capacity = 4;
-    let mut c = Comm::new(cfg, NetConfig::myrinet(), 2, 0);
+    let lanai = LanaiConfig {
+        post_queue_capacity: 4,
+        ..LanaiConfig::paper()
+    };
+    let model = Box::new(LanaiModel::new(lanai, 2));
+    let mut c = Comm::with_model(model, NicConfig::default(), NetConfig::myrinet(), 2, 0);
     let mut last_free = Time::ZERO;
     for i in 0..8 {
         let p = c.post_send(

@@ -42,7 +42,7 @@ mod msg;
 mod trace;
 
 pub use comm::{Comm, Post, RecoveryStats, Step};
-pub use config::NicConfig;
+pub use config::{LanaiConfig, LockImpl, NicConfig};
 pub use lock::{ChainLock, LockAction, LockId};
 pub use model::{
     FetchServe, HostPost, LanaiModel, NiModel, NiStats, RecvDma, SendTimes, ALWAYS_MAPPED,

@@ -21,7 +21,7 @@ use std::ops::Range;
 use genima_net::NicId;
 use genima_sim::{Dur, Resource, Time};
 
-use crate::config::NicConfig;
+use crate::config::LanaiConfig;
 
 /// Remote-fetch key meaning "NI-resident metadata, always mapped":
 /// timestamp and write-notice fetches never page-fault, on any
@@ -258,13 +258,13 @@ impl LanaiNic {
 /// code, which the timing-pinned tests in `comm/tests.rs` verify.
 #[derive(Debug)]
 pub struct LanaiModel {
-    cfg: NicConfig,
+    cfg: LanaiConfig,
     nics: Vec<LanaiNic>,
 }
 
 impl LanaiModel {
     /// A LANai model for `ports` nodes with the given timing.
-    pub fn new(cfg: NicConfig, ports: usize) -> LanaiModel {
+    pub fn new(cfg: LanaiConfig, ports: usize) -> LanaiModel {
         LanaiModel {
             cfg,
             nics: (0..ports).map(|_| LanaiNic::new()).collect(),
@@ -492,7 +492,7 @@ mod tests {
 
     #[test]
     fn lanai_post_is_two_microseconds() {
-        let mut m = LanaiModel::new(NicConfig::lanai(), 2);
+        let mut m = LanaiModel::new(LanaiConfig::paper(), 2);
         let p = m.host_post(Time::ZERO, NicId::new(0));
         assert_eq!(p.posted_at.as_us(), 2.0);
         assert!(!p.doorbell);
@@ -500,7 +500,7 @@ mod tests {
 
     #[test]
     fn lanai_send_path_orders_pick_then_dma() {
-        let cfg = NicConfig::lanai();
+        let cfg = LanaiConfig::paper();
         let mut m = LanaiModel::new(cfg, 2);
         let posted = Time::ZERO + Dur::from_us(2);
         let t = m.send_path(posted, NicId::new(0), 4, None);
@@ -512,13 +512,13 @@ mod tests {
 
     #[test]
     fn lanai_stats_are_all_zero() {
-        let m = LanaiModel::new(NicConfig::lanai(), 1);
+        let m = LanaiModel::new(LanaiConfig::paper(), 1);
         assert_eq!(m.stats(), NiStats::default());
     }
 
     #[test]
     fn lanai_advice_is_free_and_counts_nothing() {
-        let mut m = LanaiModel::new(NicConfig::lanai(), 2);
+        let mut m = LanaiModel::new(LanaiConfig::paper(), 2);
         assert_eq!(m.advise(NicId::new(1), 0..64), Dur::ZERO);
         let fs = m.serve_fetch(Time::ZERO, NicId::new(0), NicId::new(1), 4096, 3);
         assert!(!fs.odp_fault && !fs.parked);
@@ -527,7 +527,7 @@ mod tests {
 
     #[test]
     fn post_queue_backpressure_stalls_at_capacity() {
-        let mut cfg = NicConfig::lanai();
+        let mut cfg = LanaiConfig::paper();
         cfg.post_queue_capacity = 2;
         let mut m = LanaiModel::new(cfg, 1);
         let src = NicId::new(0);

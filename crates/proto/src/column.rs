@@ -5,7 +5,7 @@ use std::fmt;
 
 use genima_rnic::HwProfile;
 
-use crate::config::{BarrierImpl, LockImpl, ProtoConfig};
+use crate::config::{BarrierImpl, ProtoConfig};
 use crate::features::FeatureSet;
 use crate::ids::Topology;
 use crate::system::SvmParams;
@@ -15,9 +15,10 @@ use crate::system::SvmParams;
 /// paper's five columns run its five rungs on the 1999 LANai; the
 /// sixth runs the GeNIMA-2025 rung on a 2025 RNIC. Every protocol
 /// choice is the rung's; the hardware decides only the lock
-/// *primitive* (the firmware chain on the LANai, masked CAS on the
-/// home cell on the RNIC, which has no firmware to run a chain) and
-/// what each operation costs.
+/// *primitive*, which is its board's
+/// ([`Board`](genima_rnic::Board): the firmware chain on the LANai,
+/// masked CAS on the home cell on the RNIC, which has no firmware to
+/// run a chain), and what each operation costs.
 ///
 /// # Example
 ///
@@ -47,8 +48,8 @@ impl Column {
     }
 
     /// The sixth column: the GeNIMA-2025 rung on 2025 RDMA hardware,
-    /// with the RNIC's masked CAS as the lock primitive (firmware lock
-    /// state machines have no 2025 analogue; NIC-level atomics do).
+    /// whose board's lock primitive is masked CAS (firmware lock state
+    /// machines have no 2025 analogue; NIC-level atomics do).
     pub fn genima_2025() -> Column {
         Column {
             features: FeatureSet::genima_2025(),
@@ -75,8 +76,7 @@ impl Column {
     }
 
     /// Paper-calibrated parameters for this column on `topo`: the one
-    /// place the hardware profile enters a run, with — on RDMA
-    /// hardware — the masked-CAS lock implementation.
+    /// place the hardware profile enters a run.
     ///
     /// # Panics
     ///
@@ -98,15 +98,11 @@ impl Column {
         } else {
             BarrierImpl::HostManager
         };
-        let mut proto = ProtoConfig::paper();
-        if self.hw.is_rdma() && self.features.ni_locks() {
-            proto.lock_impl = LockImpl::RemoteAtomics;
-        }
         SvmParams {
             topo,
             features: self.features,
             barrier,
-            proto,
+            proto: ProtoConfig::paper(),
             hw: self.hw,
             locks: 64,
             data_mode: false,
@@ -148,8 +144,11 @@ impl fmt::Display for Column {
 #[cfg(test)]
 mod tests {
     use genima_mem::MemConfig;
+    use genima_nic::{LanaiConfig, LockImpl};
+    use genima_rnic::Board;
 
     use super::*;
+    use crate::system::LockStrategy::{self, *};
 
     #[test]
     fn six_columns_with_unique_names() {
@@ -160,19 +159,31 @@ mod tests {
     }
 
     #[test]
-    fn rdma_params_select_masked_cas_locks() {
+    fn each_column_takes_its_lock_strategy_from_its_board() {
         let topo = Topology::new(4, 2);
-        // Every column's run gets its profile whole, host included.
-        for c in Column::all() {
-            assert_eq!(c.params(topo).hw, c.hw, "{c}");
+        let [base, dw, dw_rf, dw_rf_dd, genima, genima_2025] = Column::all();
+        // The LANai remote-atomics ablation of `bench paper`.
+        let mut atomics = genima;
+        atomics.hw.board = Board::Lanai(LanaiConfig {
+            lock_impl: LockImpl::RemoteAtomics,
+            ..LanaiConfig::paper()
+        });
+        let table = [
+            (base, HostChain),
+            (dw, HostChain),
+            (dw_rf, HostChain),
+            (dw_rf_dd, HostChain),
+            (genima, NiChain),
+            (atomics, AtomicSwapSpin),
+            (genima_2025, AtomicCasWait),
+        ];
+        for (c, want) in table {
+            let p = c.params(topo);
+            // Every column's run gets its profile whole, host included.
+            assert_eq!(p.hw, c.hw, "{c}");
             assert_eq!(c.hw.host, MemConfig::pentium_pro(), "{c}");
+            assert_eq!(LockStrategy::of(&p), want, "{c} on {}", c.hw.name);
         }
-        let p = Column::genima_2025().params(topo);
-        assert_eq!(p.proto.lock_impl, LockImpl::RemoteAtomics);
-        assert!(p.hw.is_rdma());
-        // The 1999 GeNIMA column keeps the firmware lock machines.
-        let p99 = Column::lanai(FeatureSet::genima()).params(topo);
-        assert_ne!(p99.proto.lock_impl, LockImpl::RemoteAtomics);
     }
 
     #[test]

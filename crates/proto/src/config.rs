@@ -2,20 +2,6 @@
 
 use genima_sim::Dur;
 
-/// How mutual exclusion is implemented when NI locks are enabled
-/// (`FeatureSet::nil`). §2 leaves the choice open: a full distributed
-/// lock algorithm in firmware, or plain remote atomic operations with
-/// the algorithm in the protocol layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LockImpl {
-    /// The paper's prototype: home + last-owner chain in NI firmware.
-    #[default]
-    FirmwareChain,
-    /// Test-and-set spinning over NI remote atomics: simpler NI
-    /// support, more network traffic under contention.
-    RemoteAtomics,
-}
-
 /// How barriers are implemented.
 ///
 /// The host-managed barrier is the paper's centralized scheme: every
@@ -95,15 +81,15 @@ pub struct ProtoConfig {
     /// Per-interval-record header bytes on the wire (plus 8 bytes per
     /// page id in the record).
     pub notice_header_bytes: u32,
-    /// Mutual-exclusion implementation under `FeatureSet::nil`.
-    pub lock_impl: LockImpl,
     /// Backoff before re-trying a failed atomic test-and-set.
     pub lock_spin_backoff: Dur,
     /// Pull write notices with remote fetch at acquires instead of
     /// pushing them with remote deposit at releases — the design
     /// alternative §2 discusses and rejects (it found push's smaller,
     /// earlier messages pipeline better; pull trades release cost for
-    /// acquire cost). Only meaningful with `FeatureSet::dw`.
+    /// acquire cost). Only meaningful on rungs whose
+    /// [`FeatureSet::eager_notices`](crate::FeatureSet::eager_notices)
+    /// holds.
     pub pull_notices: bool,
 }
 
@@ -124,7 +110,6 @@ impl ProtoConfig {
             local_lock: Dur::from_us(2),
             acquire_overhead: Dur::from_us(3),
             quantum: Dur::from_us(50),
-            lock_impl: LockImpl::default(),
             lock_spin_backoff: Dur::from_us(30),
             pull_notices: false,
             control_msg_bytes: 32,

@@ -43,7 +43,7 @@ mod version;
 
 pub use breakdown::{Breakdown, Counters};
 pub use column::Column;
-pub use config::{BarrierImpl, LockImpl, ProtoConfig};
+pub use config::{BarrierImpl, ProtoConfig};
 pub use error::ProtoError;
 pub use features::FeatureSet;
 pub use ids::{BarrierId, NodeId, ProcId, Topology};
@@ -56,4 +56,4 @@ pub use vclock::VClock;
 
 pub use genima_mem::{Addr, PageId, PAGE_SIZE};
 pub use genima_nic::{FaultInjector, LockChange, LockId, LockTrace, NiStats, RecoveryStats};
-pub use genima_rnic::HwProfile;
+pub use genima_rnic::{Board, HwProfile};

@@ -24,13 +24,15 @@ use std::collections::{BTreeMap, HashMap};
 
 use genima_mem::{PageId, PageVec, PAGE_SIZE};
 use genima_net::NicId;
-use genima_nic::{ChainLock, Comm, Event as CommEvent, LockId, MsgKind, Post, SendDesc, Step, Tag};
-use genima_rnic::HwProfile;
+use genima_nic::{
+    ChainLock, Comm, Event as CommEvent, LockId, LockImpl, MsgKind, Post, SendDesc, Step, Tag,
+};
+use genima_rnic::{Board, HwProfile};
 use genima_sim::{EventQueue, FixedState, InlineVec, PageBits, Time};
 
 pub(crate) use self::state::*;
 use crate::breakdown::Counters;
-use crate::config::{BarrierImpl, LockImpl, ProtoConfig};
+use crate::config::{BarrierImpl, ProtoConfig};
 use crate::error::ProtoError;
 use crate::features::FeatureSet;
 use crate::ids::{BarrierId, NodeId, Topology};
@@ -43,9 +45,9 @@ use crate::vclock::VClock;
 use crate::version::VersionMap;
 
 /// How remote lock acquires and releases are carried. Resolved once,
-/// at construction, from the feature set, the configured lock
-/// implementation and the hardware generation: the one protocol-side
-/// choice the hardware makes is the lock primitive.
+/// at construction, from the rung and the NI board: the one
+/// protocol-side choice the hardware makes is the lock primitive, and
+/// it is the board's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LockStrategy {
     /// Base: the home + last-owner chain run by the hosts — host
@@ -65,12 +67,14 @@ pub(crate) enum LockStrategy {
 }
 
 impl LockStrategy {
-    fn of(p: &SvmParams) -> LockStrategy {
-        match (p.features.ni_locks(), p.proto.lock_impl) {
-            (false, LockImpl::FirmwareChain | LockImpl::RemoteAtomics) => LockStrategy::HostChain,
-            (true, LockImpl::FirmwareChain) => LockStrategy::NiChain,
-            (true, LockImpl::RemoteAtomics) if p.hw.is_rdma() => LockStrategy::AtomicCasWait,
-            (true, LockImpl::RemoteAtomics) => LockStrategy::AtomicSwapSpin,
+    pub(crate) fn of(p: &SvmParams) -> LockStrategy {
+        match (p.features.ni_locks(), p.hw.board) {
+            (false, Board::Lanai(_) | Board::Rnic(_)) => LockStrategy::HostChain,
+            (true, Board::Lanai(lanai)) => match lanai.lock_impl {
+                LockImpl::FirmwareChain => LockStrategy::NiChain,
+                LockImpl::RemoteAtomics => LockStrategy::AtomicSwapSpin,
+            },
+            (true, Board::Rnic(_)) => LockStrategy::AtomicCasWait,
         }
     }
 }

@@ -1094,10 +1094,10 @@ fn the_profiles_host_prices_the_twin_of_a_remote_homed_write() {
 /// What GeNIMA-2025's prefetch advice of a run of `pages` fresh pages
 /// costs the host.
 fn rnic_advice(pages: usize) -> Dur {
-    let rnic = params(Column::genima_2025(), 1, 1).hw.rnic;
-    rnic.expect("GeNIMA-2025 runs on an RNIC")
-        .odp_advise
-        .cost(pages)
+    match params(Column::genima_2025(), 1, 1).hw.board {
+        Board::Rnic(rnic) => rnic.odp_advise.cost(pages),
+        Board::Lanai(_) => panic!("GeNIMA-2025 runs on an RNIC"),
+    }
 }
 
 #[test]
@@ -1132,7 +1132,9 @@ fn a_2025_home_advises_the_page_it_closed_so_the_remote_reader_takes_no_odp_faul
 
     let p = params(Column::genima_2025(), 2, 1);
     let mut free = p.clone();
-    let rnic = free.hw.rnic.as_mut().expect("GeNIMA-2025 runs on an RNIC");
+    let Board::Rnic(rnic) = &mut free.hw.board else {
+        panic!("GeNIMA-2025 runs on an RNIC")
+    };
     rnic.odp_advise.single = Dur::ZERO;
     rnic.odp_advise.per_extra_page = Dur::ZERO;
     let (r, r_free) = (run(p), run(free));

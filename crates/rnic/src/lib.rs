@@ -18,12 +18,11 @@
 //! * **masked atomics** — `MASKED_ATOMIC_CMP_AND_SWP` as the NI lock
 //!   primitive, replacing the firmware lock state machines.
 //!
-//! [`HwProfile`] packages a hardware generation (NI, network and host
-//! timing) as data. A protocol column runs on either generation; the
-//! three things the protocol does differently on an RDMA NIC —
-//! masked-CAS locks, a release that hands the lock over before it
-//! diffs, and home pages written in place — it selects itself, once
-//! at construction, from the profile.
+//! [`HwProfile`] packages a hardware generation (NI board, network and
+//! host timing) as data, with the board one [`Board`] value: a LANai or
+//! an RNIC. Every protocol choice is the column's rung but the lock
+//! primitive, which is the board's: the LANai firmware's chain or
+//! remote atomics, or the RNIC's masked CAS.
 
 mod config;
 mod model;
@@ -31,6 +30,6 @@ mod profile;
 
 pub use config::RnicConfig;
 pub use model::RnicModel;
-pub use profile::HwProfile;
+pub use profile::{Board, HwProfile};
 
 pub use genima_nic::{NiModel, NiStats, ALWAYS_MAPPED};

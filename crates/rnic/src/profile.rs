@@ -1,19 +1,30 @@
 //! The hardware-profile axis: one value selects a whole generation of
-//! node hardware — NI, network and host.
+//! node hardware — NI board, network and host.
 
 use genima_mem::MemConfig;
 use genima_net::NetConfig;
-use genima_nic::{LanaiModel, NiModel, NicConfig};
+use genima_nic::{LanaiConfig, LanaiModel, NiModel, NicConfig};
 
 use crate::config::RnicConfig;
 use crate::model::RnicModel;
 
-/// A complete hardware generation, the whole node: NI timing, network
-/// timing, the host's memory costs and — for RDMA-class hardware — the
-/// RNIC engine parameters. Protocol columns take a profile as *data*,
-/// and the protocol code is shared but for three choices the hardware
-/// selects from [`HwProfile::is_rdma`]: the lock primitive, the order
-/// of a release's steps, and what a write at a page's home costs.
+/// The NI board a node carries, with only the settings its model
+/// reads. The lock primitive is the board's: the LANai's firmware
+/// offers a lock chain or remote atomics ([`LanaiConfig::lock_impl`]);
+/// an RNIC has no firmware to run a chain and offers masked CAS.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Board {
+    /// The paper's Myrinet/LANai board.
+    Lanai(LanaiConfig),
+    /// A 2025 RDMA NIC.
+    Rnic(RnicConfig),
+}
+
+/// A complete hardware generation, the whole node: what the protocol
+/// reads of its NI, network timing, the NI board and the host's memory
+/// costs. Protocol columns take a profile as *data*: every protocol
+/// choice is the column's rung but one, the lock primitive, which is
+/// the [`Board`]'s.
 ///
 /// # Example
 ///
@@ -26,14 +37,14 @@ use crate::model::RnicModel;
 pub struct HwProfile {
     /// Stable display name ("LANai-1999", "RNIC-2025").
     pub name: &'static str,
-    /// Generic NI knobs consumed by the protocol-facing layers
-    /// (thresholds, retry policy, capability flags) — and, for the
-    /// LANai generation, the full engine timing.
+    /// What the communication layer reads of any NI (thresholds,
+    /// retry policy, capability flags).
     pub nic: NicConfig,
     /// Network fabric timing.
     pub net: NetConfig,
-    /// RNIC engine timing; `None` selects the LANai model.
-    pub rnic: Option<RnicConfig>,
+    /// The NI board: its engine timing and, on the LANai, its lock
+    /// primitive.
+    pub board: Board,
     /// Host memory-system costs: twins, diffs, `mprotect` and the SMP
     /// bus.
     pub host: MemConfig,
@@ -47,7 +58,7 @@ impl HwProfile {
             name: "LANai-1999",
             nic: NicConfig::lanai(),
             net: NetConfig::myrinet(),
-            rnic: None,
+            board: Board::Lanai(LanaiConfig::paper()),
             host: MemConfig::pentium_pro(),
         }
     }
@@ -55,16 +66,13 @@ impl HwProfile {
     /// A 2025 commodity cluster: 100 GbE RoCE fabric, PCIe Gen4 RNICs
     /// with doorbell batching, CQs, native SGE, ODP and masked
     /// atomics, still on the paper's Pentium Pro hosts (DESIGN.md §37).
-    /// Only data differs from 1999 here; what the protocol does
-    /// differently on an RDMA NIC it selects from
-    /// [`HwProfile::is_rdma`].
+    /// Only data differs from 1999 here; the one protocol choice the
+    /// board makes is the lock primitive, masked CAS.
     pub fn rnic_2025() -> HwProfile {
         HwProfile {
             name: "RNIC-2025",
-            // Engine timing belongs to `RnicConfig`: only the LANai
-            // model reads `NicConfig`'s, and this profile never builds
-            // one. Of what the protocol reads, two fields differ from
-            // LANai (no broadcast offload on commodity RNICs either).
+            // Two fields differ from LANai (no broadcast offload on
+            // commodity RNICs either).
             nic: NicConfig {
                 // Native SGE: scatter-gather is the normal data path.
                 scatter_gather: true,
@@ -80,7 +88,7 @@ impl HwProfile {
                 header_bytes: 64,
                 max_packet: 4096,
             },
-            rnic: Some(RnicConfig::rnic_2025()),
+            board: Board::Rnic(RnicConfig::rnic_2025()),
             host: MemConfig::pentium_pro(),
         }
     }
@@ -88,14 +96,14 @@ impl HwProfile {
     /// Whether this profile is RDMA-class hardware (RNIC model, CQ
     /// notification, masked atomics available).
     pub fn is_rdma(&self) -> bool {
-        self.rnic.is_some()
+        matches!(self.board, Board::Rnic(_))
     }
 
     /// Builds the NI hardware model for a cluster of `ports` nodes.
     pub fn model(&self, ports: usize) -> Box<dyn NiModel> {
-        match self.rnic {
-            Some(rnic) => Box::new(RnicModel::new(rnic, ports)),
-            None => Box::new(LanaiModel::new(self.nic, ports)),
+        match self.board {
+            Board::Lanai(lanai) => Box::new(LanaiModel::new(lanai, ports)),
+            Board::Rnic(rnic) => Box::new(RnicModel::new(rnic, ports)),
         }
     }
 }
@@ -110,102 +118,14 @@ impl Default for HwProfile {
 mod tests {
     use super::*;
     use genima_net::NicId;
-    use genima_nic::{CasWord, Comm, Event, MsgKind, Post, SendDesc, Tag, Upcall};
-    use genima_sim::{Dur, EventQueue, Time};
-
-    /// What a run shows the protocol: each post's `host_free`, every
-    /// event and every upcall, with their times.
-    #[derive(Debug, Default, PartialEq)]
-    struct Log {
-        host_free: Vec<Time>,
-        events: Vec<(Time, Event)>,
-        upcalls: Vec<(Time, Upcall)>,
-    }
-
-    /// Runs `post` to quiescence into `log`; returns its last upcall's
-    /// time.
-    fn settle(comm: &mut Comm, post: Post, log: &mut Log) -> Time {
-        log.host_free.push(post.host_free);
-        log.upcalls.extend(post.upcalls);
-        let mut q = EventQueue::new();
-        for (t, e) in post.events {
-            q.push(t, e);
-        }
-        while let Some((t, e)) = q.pop() {
-            log.events.push((t, e));
-            let step = comm.handle(t, e);
-            log.upcalls.extend(step.upcalls);
-            for (t2, e2) in step.events {
-                q.push(t2, e2);
-            }
-        }
-        log.upcalls.last().expect("every operation completes").0
-    }
-
-    /// A deposit, a page fetch and a masked-CAS acquire/release pair,
-    /// one after another, on the 2025 profile with `nic` in place of
-    /// its `NicConfig`.
-    fn run_2025(nic: NicConfig) -> Log {
-        let hw = HwProfile {
-            nic,
-            ..HwProfile::rnic_2025()
-        };
-        let mut comm = Comm::with_model(hw.model(2), hw.nic, hw.net, 2, 0);
-        let (a, b) = (NicId::new(0), NicId::new(1));
-        let mut log = Log::default();
-        let desc = SendDesc {
-            dst: b,
-            bytes: 4096,
-            kind: MsgKind::Deposit,
-            tag: Tag::new(1),
-        };
-        let post = comm.post_send(Time::ZERO, a, desc);
-        let t = settle(&mut comm, post, &mut log);
-        let post = comm.fetch(t, a, b, 4096, 7, Tag::new(2));
-        let t = settle(&mut comm, post, &mut log);
-        let lock = |expect, new| CasWord {
-            cell: 0,
-            expect,
-            new,
-            mask: u64::MAX,
-            wait: expect == 0,
-        };
-        let post = comm.masked_cas(t, a, b, lock(0, 1), Tag::new(3));
-        let t = settle(&mut comm, post, &mut log);
-        let post = comm.masked_cas(t, a, b, lock(1, 0), Tag::new(4));
-        settle(&mut comm, post, &mut log);
-        log
-    }
-
-    #[test]
-    fn rnic_2025_reads_no_nic_engine_timing() {
-        let nic = HwProfile::rnic_2025().nic;
-        let other = NicConfig {
-            post_overhead: Dur::from_us(11),
-            pick_cost: Dur::from_us(12),
-            inject_cost: Dur::from_us(13),
-            recv_cost: Dur::from_us(14),
-            fetch_service: Dur::from_us(15),
-            lock_service: Dur::from_us(16),
-            coll_service: Dur::from_us(17),
-            grant_notify: Dur::from_us(18),
-            dma_setup: Dur::from_us(19),
-            pci_bandwidth: 1_000_000,
-            post_queue_capacity: 1,
-            pipelined_sends: !nic.pipelined_sends,
-            gather_per_run: Dur::from_us(20),
-            ..nic
-        };
-        let want = run_2025(nic);
-        assert_eq!(want.upcalls.len(), 4, "one completion per operation");
-        assert_eq!(run_2025(other), want);
-    }
+    use genima_sim::Time;
 
     #[test]
     fn default_profile_is_the_paper_testbed() {
         let p = HwProfile::default();
         assert_eq!(p.name, "LANai-1999");
         assert_eq!(p.nic, NicConfig::lanai());
+        assert_eq!(p.board, Board::Lanai(LanaiConfig::paper()));
         assert_eq!(p.net, NetConfig::myrinet());
         assert_eq!(p.host, MemConfig::pentium_pro());
         assert!(!p.is_rdma());

@@ -38,5 +38,5 @@ pub use queue::{EventQueue, QueueStats};
 pub use resource::Resource;
 pub use rng::{RunSeed, SplitMix64};
 pub use smallvec::InlineVec;
-pub use stats::{Accum, Counter, Histogram};
+pub use stats::{Accum, Histogram};
 pub use time::{Dur, Time};

@@ -1,50 +1,6 @@
 //! Small statistics helpers used throughout the simulator.
 
-use std::fmt;
-
 use crate::time::Dur;
-
-/// A simple monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use genima_sim::Counter;
-/// let mut c = Counter::default();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.value(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Counter {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Returns the current count.
-    pub const fn value(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// An accumulator of durations: sum, count, min, max.
 ///
@@ -244,15 +200,6 @@ impl Default for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
 
     #[test]
     fn accum_tracks_min_max_mean() {

@@ -56,7 +56,7 @@ const PROTOCOL_DIRS: &[&str] = &[
     "crates/nic/src",
     "crates/obs/src",
     "crates/prof/src",
-    "crates/proto/src/system",
+    "crates/proto/src",
     "crates/rnic/src",
     "crates/serve/src",
 ];
@@ -70,10 +70,6 @@ const PROTOCOL_FILES: &[&str] = &[
     "crates/mem/src/protect.rs",
     "crates/sim/src/queue.rs",
     "crates/sim/src/smallvec.rs",
-    "crates/proto/src/column.rs",
-    "crates/proto/src/features.rs",
-    "crates/proto/src/sched.rs",
-    "crates/proto/src/version.rs",
     "crates/bench/src/bin/bench/mc.rs",
     "crates/bench/src/bin/bench/serving.rs",
 ];

@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use genima::HwProfile;
+use genima::{Board, HwProfile};
 use genima_net::{NetConfig, NicId};
 use genima_nic::{Comm, LockId, MsgKind, NicConfig, Post, SendDesc, SizeClass, Stage, Tag, Upcall};
 use genima_obs::{Recorder, SpanKind};
@@ -302,7 +302,10 @@ fn rnic_trio() -> (Comm, [NicId; 3]) {
 
 /// The on-demand-paging fault, by the profile's timing.
 fn odp_fault() -> Dur {
-    HwProfile::rnic_2025().rnic.expect("RDMA profile").odp_fault
+    match HwProfile::rnic_2025().board {
+        Board::Rnic(rnic) => rnic.odp_fault,
+        Board::Lanai(_) => panic!("the 2025 profile carries an RNIC"),
+    }
 }
 
 /// When the upcall `pick` selects surfaced.

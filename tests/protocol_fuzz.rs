@@ -20,8 +20,9 @@
 //! homes, which never give two adjacent pages one home, and once with
 //! the pages homed in one contiguous block per node.
 
+use genima_nic::{LanaiConfig, LockImpl};
 use genima_proto::{
-    ops_source, Addr, BarrierId, Column, FeatureSet, LockId, NodeId, Op, OpSource, PageId,
+    ops_source, Addr, BarrierId, Board, Column, FeatureSet, LockId, NodeId, Op, OpSource, PageId,
     SvmParams, SvmSystem, Topology, PAGE_SIZE,
 };
 use genima_sim::{Dur, SplitMix64};
@@ -202,12 +203,18 @@ proptest! {
             p.proto.pull_notices = true;
         });
         run_fuzz_with(seed, FeatureSet::genima(), 2, 2, |p| {
-            p.proto.lock_impl = genima_proto::LockImpl::RemoteAtomics;
+            p.hw.board = Board::Lanai(LanaiConfig {
+                lock_impl: LockImpl::RemoteAtomics,
+                ..LanaiConfig::paper()
+            });
         });
         run_fuzz_with(seed, FeatureSet::genima(), 2, 2, |p| {
             p.hw.nic.scatter_gather = true;
             p.hw.nic.broadcast = true;
-            p.hw.nic.pipelined_sends = true;
+            p.hw.board = Board::Lanai(LanaiConfig {
+                pipelined_sends: true,
+                ..LanaiConfig::paper()
+            });
             p.proto.pull_notices = true;
         });
     }
