@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use genima_proto::{FeatureSet, LockChange, LockId, LockTrace, PageId, ProcId, TraceEvent, TsMap};
+use genima_proto::{FeatureSet, LockChange, LockId, LockTrace, PageId, ProcId, TraceEvent};
 use genima_sim::Time;
 
 /// One invariant violation found while replaying a trace.
@@ -287,15 +287,16 @@ impl fmt::Display for Audit {
 }
 
 /// Returns the first `(writer, have, need)` for which `ts` fails to
-/// cover `required`, or `None` when covered.
-fn first_uncovered(ts: &TsMap, required: &TsMap) -> Option<(u32, u32, u32)> {
-    for (&writer, &need) in required {
-        let have = ts.get(&writer).copied().unwrap_or(0);
-        if have < need {
-            return Some((writer, have, need));
-        }
-    }
-    None
+/// cover `required`, or `None` when covered. Both are `(writer,
+/// interval)` pairs ascending by writer, walked together once; an
+/// absent writer reads as interval 0.
+fn first_uncovered(ts: &[(u32, u32)], required: &[(u32, u32)]) -> Option<(u32, u32, u32)> {
+    let mut have = ts.iter().peekable();
+    required.iter().find_map(|&(writer, need)| {
+        while have.next_if(|&&(w, _)| w < writer).is_some() {}
+        let got = have.peek().filter(|p| p.0 == writer).map_or(0, |p| p.1);
+        (got < need).then_some((writer, got, need))
+    })
 }
 
 /// Replays the protocol and lock traces of one run and checks every
@@ -514,8 +515,8 @@ mod tests {
     use super::*;
     use genima_nic::NicId;
 
-    fn ts(pairs: &[(u32, u32)]) -> TsMap {
-        pairs.iter().copied().collect()
+    fn ts(pairs: &[(u32, u32)]) -> Vec<(u32, u32)> {
+        pairs.to_vec()
     }
 
     #[test]
@@ -553,12 +554,22 @@ mod tests {
     }
 
     #[test]
+    fn one_walk_of_both_versions_finds_the_first_uncovered_writer() {
+        let have = [(0, 3), (2, 1), (5, 4)];
+        assert_eq!(first_uncovered(&have, &[(2, 1), (5, 4)]), None);
+        assert_eq!(first_uncovered(&have, &[(1, 1), (5, 9)]), Some((1, 0, 1)));
+        assert_eq!(first_uncovered(&have, &[(0, 3), (5, 5)]), Some((5, 4, 5)));
+        assert_eq!(first_uncovered(&have, &[(7, 1)]), Some((7, 0, 1)));
+        assert_eq!(first_uncovered(&[], &[]), None);
+    }
+
+    #[test]
     fn stale_fault_completion_is_flagged() {
         let ev = [TraceEvent::FaultDone {
             at: Time::from_ns(20),
             proc: 2,
             page: PageId::new(7),
-            ts: TsMap::new(),
+            ts: Vec::new(),
             required: ts(&[(0, 1)]),
         }];
         let audit = audit_traces(FeatureSet::base(), 2, &ev, &[]);

@@ -51,7 +51,7 @@ pub use ops::{ops_source, Op, OpSource, OpVec, ServeClass};
 pub use report::{OpLatency, RunReport, ServeLatency};
 pub use sched::{ChanKey, Choice, EventPicker, FifoPicker, Mutation, SchedObj};
 pub use system::{SvmParams, SvmSystem};
-pub use trace::{TraceEvent, TsMap};
+pub use trace::TraceEvent;
 pub use vclock::VClock;
 
 pub use genima_mem::{Addr, PageId, PAGE_SIZE};

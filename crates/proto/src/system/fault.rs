@@ -6,6 +6,7 @@ use genima_mem::{Access, Diff, Page, PageId, PagePool};
 use genima_nic::{LockId, MsgKind, Tag};
 use genima_sim::{Dur, Time};
 
+use super::page::{self, Fault, Fetched, Need, Request};
 use super::{Block, Flow, NodeRt, Pending, ProcRt, ProcState, SvmSystem, SysEvent, Waiters};
 use crate::ids::{NodeId, ProcId};
 use crate::interval::DirtyPage;
@@ -55,25 +56,15 @@ impl SvmSystem {
             return Flow::Continue;
         }
 
-        if self.node_copy(node, page).is_some_and(|c| {
-            Self::covers_node_required(&c.ts, &self.procs[p], &self.nodes[node], page)
-        }) {
+        let at_home = self.home_of(page).index() == node;
+        let fetching = self.nodes[node].inflight.get(page).is_some();
+        let copy = self.node_copy(node, page).map(|c| &c.ts);
+        let decision = page::fault(copy, self.reader_need(node, p, page), at_home, fetching);
+        if decision == Fault::Hit {
             // Valid copy on the node: protection change only.
-            let mpro = self.book_mprotect(p, 1, 1);
-            let base_cost = trap + self.p.proto.fault_finish + mpro;
-            let twin_cost = if write {
-                self.twin_cost(node, page)
-            } else {
-                Dur::ZERO
-            };
-            self.procs[p].clock += base_cost + twin_cost;
-            self.procs[p].bd.data += base_cost;
-            self.procs[p].bd.acqrel += twin_cost;
-            if write {
-                self.make_writable(p, node, page);
-            } else {
-                self.procs[p].pt.set(page, Access::Read);
-            }
+            let (finish, twin) = self.map_faulted(p, node, page, write);
+            self.procs[p].clock += trap + finish + twin;
+            self.procs[p].bd.data += trap + finish;
             return Flow::Continue;
         }
 
@@ -84,13 +75,13 @@ impl SvmSystem {
         self.procs[p].clock += trap;
         self.procs[p].bd.data += trap;
         self.procs[p].cur = Some((op, prog));
-        let home = self.home_of(page).index();
-        let at_home = node == home;
-        let lead = if at_home {
-            let waiters = self.home_pages.waiters.get(page);
-            waiters.and_then(|w| w.first()).copied()
-        } else {
-            self.nodes[node].inflight.get(page).map(|w| w.lead)
+        let lead = match decision {
+            Fault::AwaitHome => {
+                let waiters = self.home_pages.waiters.get(page);
+                waiters.and_then(|w| w.first()).copied()
+            }
+            Fault::Join => self.nodes[node].inflight.get(page).map(|w| w.lead),
+            Fault::Fetch | Fault::Hit => None,
         };
         let fetch_op = match lead {
             Some(lead) => self.fetch_op_of(lead),
@@ -102,19 +93,24 @@ impl SvmSystem {
             started: now,
             op: fetch_op,
         });
-        if at_home {
-            self.home_pages.waiters.slot(page).push(p);
-        } else if let Some(waiters) = self.nodes[node].inflight.get_mut(page) {
-            waiters.join(&mut self.procs, p);
-        } else {
-            self.nodes[node].inflight.insert(page, Waiters::new(p));
-            if self.p.features.remote_fetch() {
-                self.issue_rf(now, p, page);
-            } else {
-                let mut required = self.spare_versions.pop().unwrap_or_default();
-                self.node_required_into(&mut required, node, p, page);
-                self.request_page(now, node, page, required, fetch_op);
+        match decision {
+            Fault::AwaitHome => self.home_pages.waiters.slot(page).push(p),
+            Fault::Join => {
+                let waiters = self.nodes[node].inflight.get_mut(page);
+                let waiters = waiters.expect("a joined fetch is in flight");
+                waiters.join(&mut self.procs, p);
             }
+            Fault::Fetch => {
+                self.nodes[node].inflight.insert(page, Waiters::new(p));
+                if self.p.features.remote_fetch() {
+                    self.issue_rf(now, p, page);
+                } else {
+                    let mut required = self.spare_versions.pop().unwrap_or_default();
+                    self.reader_need(node, p, page).build_into(&mut required);
+                    self.request_page(now, node, page, required, fetch_op);
+                }
+            }
+            Fault::Hit => unreachable!("a hit returned above"),
         }
         Flow::Stop
     }
@@ -247,10 +243,8 @@ impl SvmSystem {
         self.absorb_post(post);
     }
 
-    /// A Base-protocol page reply arrived. The reply's version was
-    /// checked against the requirement *at request time*; co-located
-    /// writers may have flushed newer diffs since, in which case
-    /// installing would roll back their writes — re-request instead.
+    /// A Base page reply arrived: install it, or re-request
+    /// ([`page::fetched`]).
     pub(crate) fn base_reply_arrived(
         &mut self,
         t: Time,
@@ -260,74 +254,68 @@ impl SvmSystem {
         data: Option<Page>,
         op: u64,
     ) {
-        if Self::covers_inflight_required(&ts, &self.procs, &self.nodes[node], page) {
-            // The copy's previous version is the next spare.
-            let old = std::mem::replace(&mut self.nodes[node].copies.slot(page).ts, ts);
-            self.spare_versions.push(old);
-            self.install_copy(t, node, page, data);
-            return;
-        }
-        // Stale reply: ask the home again with the tightened
-        // requirement (served once the missing diffs are applied),
-        // built in the map the stale version came in.
-        let mut need = ts;
-        self.inflight_required_into(&mut need, node, page);
-        self.note_fetch_retry(t, node, page, op);
-        self.request_page(t, node, page, need, op);
-    }
-
-    /// Makes `need` the joined version requirement of every process
-    /// waiting on an in-flight fetch of `page` at `node`, evaluated
-    /// *now* (includes the node's current local-flush watermark). Built
-    /// only where the requirement itself travels: a re-request message,
-    /// a trace event.
-    fn inflight_required_into(&self, need: &mut VersionMap, node: usize, page: PageId) {
-        need.set(self.nodes[node].local_flushed.pairs(page));
-        let waiters = self.nodes[node].inflight.get(page);
-        for w in waiters.into_iter().flat_map(|w| w.iter(&self.procs)) {
-            need.join(self.procs[w].required.pairs(page));
+        let need = Self::fetch_need(&self.procs, &self.nodes[node], page);
+        match page::fetched(&ts, need) {
+            Fetched::Install => {
+                // The copy's previous version is the next spare.
+                let old = std::mem::replace(&mut self.nodes[node].copies.slot(page).ts, ts);
+                self.spare_versions.push(old);
+                self.install_copy(t, node, page, data);
+            }
+            Fetched::Stale => {
+                // Ask the home again with the grown need (served once
+                // the missing diffs are applied), built in the map the
+                // stale version came in.
+                let mut need = ts;
+                Self::fetch_need(&self.procs, &self.nodes[node], page).build_into(&mut need);
+                self.note_fetch_retry(t, node, page, op);
+                self.request_page(t, node, page, need, op);
+            }
         }
     }
 
-    /// Returns `true` if `have` covers [`Self::inflight_required_into`],
-    /// without building it: covering a join is covering each operand.
-    fn covers_inflight_required(
-        have: &VersionMap,
-        procs: &[ProcRt],
-        node: &NodeRt,
+    /// What the fetch of `page` in flight at `node` needs of the copy
+    /// it brings ([`page::fetch_need`]), evaluated now.
+    fn fetch_need<'a>(
+        procs: &'a [ProcRt],
+        node: &'a NodeRt,
         page: PageId,
-    ) -> bool {
+    ) -> Need<impl Iterator<Item = &'a [(u32, u32)]>> {
         let waiters = node.inflight.get(page).into_iter();
-        have.covers(node.local_flushed.pairs(page))
-            && waiters
-                .flat_map(|w| w.iter(procs))
-                .all(|w| have.covers(procs[w].required.pairs(page)))
+        let required = waiters
+            .flat_map(|w| w.iter(procs))
+            .map(move |w| procs[w].required.pairs(page));
+        page::fetch_need(node.local_flushed.pairs(page), required)
     }
 
-    /// A remote-fetched page arrived; validate its timestamp against
-    /// every waiter's requirement and either install it or retry.
+    /// A remote-fetched page arrived: install it, or retry after a
+    /// backoff ([`page::fetched`]).
     pub(crate) fn rf_completed(&mut self, t: Time, proc: usize, page: PageId, op: u64) {
         let node = self.p.topo.node_of(ProcId::new(proc)).index();
         if self.nodes[node].inflight.get(page).is_none() {
             return; // superseded
         }
         let hp = self.home_pages.copies.slot(page);
-        if Self::covers_inflight_required(&hp.ts, &self.procs, &self.nodes[node], page) {
-            // The copy takes the home's version into the buffer its
-            // previous version left behind.
-            let copy = self.nodes[node].copies.slot(page);
-            copy.ts.clone_from(&hp.ts);
-            let data = self
-                .p
-                .data_mode
-                .then(|| pooled_copy(&mut self.pool, hp.data.as_ref()));
-            self.install_copy(t, node, page, data);
-        } else {
-            self.note_fetch_retry(t, node, page, op);
-            self.q.push(
-                t + self.p.proto.fetch_retry_backoff,
-                SysEvent::RetryFetch(proc, page),
-            );
+        let need = Self::fetch_need(&self.procs, &self.nodes[node], page);
+        match page::fetched(&hp.ts, need) {
+            Fetched::Install => {
+                // The copy takes the home's version into the buffer its
+                // previous version left behind.
+                let copy = self.nodes[node].copies.slot(page);
+                copy.ts.clone_from(&hp.ts);
+                let data = self
+                    .p
+                    .data_mode
+                    .then(|| pooled_copy(&mut self.pool, hp.data.as_ref()));
+                self.install_copy(t, node, page, data);
+            }
+            Fetched::Stale => {
+                self.note_fetch_retry(t, node, page, op);
+                self.q.push(
+                    t + self.p.proto.fetch_retry_backoff,
+                    SysEvent::RetryFetch(proc, page),
+                );
+            }
         }
     }
 
@@ -386,16 +374,15 @@ impl SvmSystem {
             self.pool.recycle(old_data);
         }
         if self.trace.is_some() {
-            let ts = ts_map(copy.ts.pairs());
+            let ts = copy.ts.pairs().to_vec();
             let mut required = VersionMap::new();
-            self.inflight_required_into(&mut required, node, page);
-            let required = ts_map(required.pairs());
+            Self::fetch_need(&self.procs, &self.nodes[node], page).build_into(&mut required);
             self.emit(TraceEvent::PageInstalled {
                 at: t,
                 node,
                 page,
                 ts,
-                required,
+                required: required.pairs().to_vec(),
             });
         }
         let mut next = self.nodes[node].inflight.take(page).map(|w| w.lead);
@@ -403,6 +390,21 @@ impl SvmSystem {
             next = self.procs[p].next_waiter.take();
             self.complete_fault(t, p, page);
         }
+    }
+
+    /// Maps `page` for `p` once its fault is resolved, writable with a
+    /// twin (charged to acq/rel) for a write: returns the finish cost,
+    /// `mprotect` included, and the twin's.
+    fn map_faulted(&mut self, p: usize, node: usize, page: PageId, write: bool) -> (Dur, Dur) {
+        let finish = self.p.proto.fault_finish + self.book_mprotect(p, 1, 1);
+        if !write {
+            self.procs[p].pt.set(page, Access::Read);
+            return (finish, Dur::ZERO);
+        }
+        let twin = self.twin_cost(node, page);
+        self.procs[p].bd.acqrel += twin;
+        self.make_writable(p, node, page);
+        (finish, twin)
     }
 
     /// Finishes a blocked page fault for `p` at time `t`.
@@ -419,28 +421,23 @@ impl SvmSystem {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         if self.trace.is_some() {
             let copy = self.node_copy(node, page);
-            let ts = copy.map(|c| ts_map(c.ts.pairs())).unwrap_or_default();
+            let ts = copy.map(|c| c.ts.pairs().to_vec()).unwrap_or_default();
             let mut required = VersionMap::new();
-            self.node_required_into(&mut required, node, p, page);
-            let required = ts_map(required.pairs());
+            self.reader_need(node, p, page).build_into(&mut required);
             self.emit(TraceEvent::FaultDone {
                 at: t,
                 proc: p,
                 page,
                 ts,
-                required,
+                required: required.pairs().to_vec(),
             });
         }
-        let mpro = self.book_mprotect(p, 1, 1);
-        let base_cost = self.p.proto.fault_finish + mpro;
-        let twin_cost = if write {
-            self.twin_cost(node, page)
-        } else {
-            Dur::ZERO
-        };
-        let end = t + base_cost + twin_cost;
-        self.procs[p].bd.data += t.saturating_since(started) + base_cost;
-        self.procs[p].bd.acqrel += twin_cost;
+        let (finish, twin) = self.map_faulted(p, node, page, write);
+        if write {
+            self.opened_in_place(p, node, page.index()..page.index() + 1);
+        }
+        let end = t + finish + twin;
+        self.procs[p].bd.data += t.saturating_since(started) + finish;
         self.op_hist.fetch.record(t.saturating_since(started));
         self.obs_record(|o| {
             o.span_op(
@@ -453,19 +450,13 @@ impl SvmSystem {
                 fetch_op,
             );
         });
-        if write {
-            self.make_writable(p, node, page);
-            self.opened_in_place(p, node, page.index()..page.index() + 1);
-        } else {
-            self.procs[p].pt.set(page, Access::Read);
-        }
         self.procs[p].clock = end;
         self.procs[p].state = ProcState::Runnable;
         self.q.push(end, SysEvent::Resume(p));
     }
 
-    /// The Base home handler serves a page request: reply now or defer
-    /// until the missing diffs arrive.
+    /// The Base home handler serves a page request now, or defers it
+    /// ([`page::request`]).
     pub(crate) fn home_serve_page_request(
         &mut self,
         t: Time,
@@ -476,12 +467,15 @@ impl SvmSystem {
         op: u64,
     ) {
         let have = &self.home_pages.copies.slot(page).ts;
-        if have.covers(required.pairs()) {
-            self.spare_versions.push(required);
-            self.reply_page(t, home, requester, page, op);
-        } else {
-            let deferred = self.home_pages.pending_reqs.slot(page);
-            deferred.push((requester, required, op));
+        match page::request(have, &required) {
+            Request::Serve => {
+                self.spare_versions.push(required);
+                self.reply_page(t, home, requester, page, op);
+            }
+            Request::Defer => {
+                let deferred = self.home_pages.pending_reqs.slot(page);
+                deferred.push((requester, required, op));
+            }
         }
     }
 
@@ -508,34 +502,23 @@ impl SvmSystem {
         self.send(t, src, dst, bytes, MsgKind::Deposit, tag);
     }
 
-    /// Makes `req` the version requirement for `p` fetching `page`:
-    /// the diffs its applied write notices demand, *plus* whatever this
-    /// node's own writers have already flushed for the page (never
-    /// install a version that rolls back local writes). Built only
-    /// where the requirement itself travels: a Base page request, a
-    /// trace event.
-    fn node_required_into(&self, req: &mut VersionMap, node: usize, p: usize, page: PageId) {
-        req.set(self.procs[p].required.pairs(page));
-        req.join(self.nodes[node].local_flushed.pairs(page));
-    }
-
-    /// Returns `true` if `have` covers [`Self::node_required_into`],
-    /// without building it: covering a join is covering each operand.
-    fn covers_node_required(have: &VersionMap, proc: &ProcRt, node: &NodeRt, page: PageId) -> bool {
-        have.covers(proc.required.pairs(page)) && have.covers(node.local_flushed.pairs(page))
+    /// What `p` on `node` needs of a copy of `page`
+    /// ([`page::reader_need`]).
+    fn reader_need(
+        &self,
+        node: usize,
+        p: usize,
+        page: PageId,
+    ) -> Need<impl Iterator<Item = &[(u32, u32)]>> {
+        page::reader_need(
+            self.procs[p].required.pairs(page),
+            self.nodes[node].local_flushed.pairs(page),
+        )
     }
 
     /// Applies a diff (or just its timestamp, in dirty-range mode) to
-    /// the home copy, then wakes whatever the new version satisfies:
-    /// home-local faulting processes and, in the Base protocol,
-    /// deferred remote page requests.
-    ///
-    /// A diff strictly older than what the home already applied for
-    /// this writer is dropped: two diff messages from one writer can
-    /// overtake each other in flight (they differ in size), and
-    /// applying the older content after the newer would regress the
-    /// home copy. An equal interval number is applied again: each
-    /// interval flushes a page once, so it can only be a repeat.
+    /// the home copy, unless [`page::diff`] drops it as older than the
+    /// home's version, then wakes whatever the new version satisfies.
     pub(crate) fn apply_diff_at_home(
         &mut self,
         t: Time,
@@ -546,7 +529,7 @@ impl SvmSystem {
         deposited: bool,
     ) {
         let hp = self.home_pages.copies.get(page);
-        if hp.is_some_and(|h| interval < h.ts.get(writer as u32)) {
+        if hp.is_some_and(|h| page::diff(&h.ts, writer as u32, interval) == page::Diff::Drop) {
             return;
         }
         let home = self.home_of(page).index();
@@ -608,38 +591,29 @@ impl SvmSystem {
             interval,
         });
         let home = self.home_of(page).index();
-        let hp = self.home_pages.copies.slot(page);
-        hp.ts.raise(writer as u32, interval);
-
         // Decide who the new version satisfies, then wake them. Nothing
         // below advances the home copy's version (completing a fault or
-        // sending a reply only reads it), so deciding first is exact and
-        // needs no snapshot of the version.
-        let applied = &hp.ts;
-        let procs = &self.procs;
+        // sending a reply only reads it), so deciding first is exact.
+        // The served list allocates only when a request is served.
         let mut woken = std::mem::take(&mut self.scratch_procs);
-        woken.clear();
-        self.home_pages.waiters.slot(page).retain(|&p| {
-            let ready = applied.covers(procs[p].required.pairs(page));
-            if ready {
-                woken.push(p);
-            }
-            !ready
-        });
-        // Deferred Base requests; allocates only when one is served.
-        let mut served: Vec<(usize, u64)> = Vec::new();
-        if let Some(deferred) = self.home_pages.pending_reqs.get_mut(page) {
-            let spares = &mut self.spare_versions;
-            deferred.retain_mut(|(req_node, req, req_op)| {
-                let ready = applied.covers(req.pairs());
-                if ready {
-                    served.push((*req_node, *req_op));
-                    spares.push(std::mem::take(req));
-                }
-                !ready
-            });
-        }
-
+        let mut served = Vec::new();
+        let (table, procs) = (&mut self.home_pages, &self.procs);
+        let home_page = page::Home {
+            version: &mut table.copies.slot(page).ts,
+            waiters: table.waiters.slot(page),
+            deferred: table.pending_reqs.get_mut(page),
+        };
+        let required = |p: usize| procs[p].required.pairs(page);
+        let spares = &mut self.spare_versions;
+        page::raise_home(
+            home_page,
+            writer as u32,
+            interval,
+            required,
+            &mut woken,
+            &mut served,
+            spares,
+        );
         for &p in &woken {
             self.complete_fault(t, p, page);
         }
@@ -648,11 +622,6 @@ impl SvmSystem {
             self.reply_page(t, home, req_node, page, req_op);
         }
     }
-}
-
-/// A version as the trace carries it.
-fn ts_map(pairs: &[(u32, u32)]) -> crate::trace::TsMap {
-    pairs.iter().copied().collect()
 }
 
 /// A pooled page holding a copy of `src`, or zeros for a copy nothing

@@ -3,6 +3,7 @@
 
 use genima_mem::{PageId, PageVec};
 
+use super::page::Deferred;
 use super::{CopyState, SvmSystem};
 use crate::version::VersionMap;
 
@@ -11,10 +12,9 @@ pub(crate) struct HomeTable {
     /// The home copy of each page: per writer the latest interval
     /// whose diffs are applied here, and the contents (data mode).
     pub(crate) copies: PageVec<CopyState>,
-    /// Base: deferred page requests awaiting diffs — requester node,
-    /// the version it needs, and the fetch op it serves. Empty, and
-    /// never sized, where remote fetch replaces the request.
-    pub(crate) pending_reqs: PageVec<Vec<(usize, VersionMap, u64)>>,
+    /// Base: deferred page requests awaiting diffs. Empty, and never
+    /// sized, where remote fetch replaces the request.
+    pub(crate) pending_reqs: PageVec<Vec<Deferred>>,
     /// Home-local processes waiting for diffs.
     pub(crate) waiters: PageVec<Vec<usize>>,
 }

@@ -8,6 +8,7 @@ use genima_nic::{MsgKind, Tag};
 use genima_obs::{flow_diff_id, op_diff_id, FlowDir, SpanKind, Track};
 use genima_sim::{Dur, Time};
 
+use super::page;
 use super::{Bucket, Pending, Sink, SvmSystem};
 use crate::ids::{NodeId, ProcId};
 use crate::interval::{DirtyPage, PendingInterval};
@@ -208,10 +209,8 @@ impl SvmSystem {
             // (writer, interval, page) derives the same id, so deposit
             // and apply sides agree without a handshake.
             let dop = op_diff_id(p as u64, pi.interval as u64, page.index() as u64);
-            // A future fetch of this page by this node must not
-            // install a version older than this flush.
             let lf = &mut self.nodes[node].local_flushed;
-            lf.raise(page, p as u32, pi.interval);
+            page::flushed(lf, page, p as u32, pi.interval);
             let cost = self.p.hw.host.diff_cost(dp.runs());
             self.charge(sink, cost);
             let diff_start = cursor;

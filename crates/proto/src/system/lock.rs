@@ -17,8 +17,8 @@
 //! "timestamp and write notices are posted before the lock-cell
 //! clear; diffs are ordered by nothing but the version check" — a
 //! fetched copy that does not cover the reader's required version is
-//! refetched (`rf_completed`), and at the home the reader waits on the
-//! page (`home_pages.waiters`).
+//! refetched (`page::fetched`), and at the home the reader waits on the
+//! page until `page::raise_home` covers it.
 //!
 //! Where home pages are written in place, an acquire also re-opens the
 //! home pages the process wrote when it last held the same lock, while

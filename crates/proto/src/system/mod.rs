@@ -16,6 +16,7 @@ mod in_place;
 mod interval;
 mod lock;
 mod notice;
+mod page;
 mod route;
 mod sched_view;
 mod state;

@@ -8,6 +8,7 @@ use genima_nic::MsgKind;
 use genima_sim::Time;
 
 use super::interval::contiguous_groups;
+use super::page::{self, Noticed};
 use super::{Block, Bucket, Flow, Pending, ProcState, Sink, SvmSystem, SysEvent, WaitReason};
 use crate::ids::{NodeId, ProcId};
 use crate::trace::TraceEvent;
@@ -175,23 +176,23 @@ impl SvmSystem {
                     panic!("missing record for writer p{q} interval {i}")
                 };
                 for &page in rec {
-                    self.procs[p].required.raise(page, q as u32, i);
+                    page::notice(&mut self.procs[p].required, page, q as u32, i);
                     self.scratch_noticed.insert(page.index());
                 }
             }
             self.procs[p].seen[q] = to;
         }
 
-        // Conflict: an incoming notice invalidates a page this process
-        // is itself writing, and not in place. Close the interval here
-        // and flush every closed one, oldest first, so the page's diff
-        // reaches the home before the page is fetched again, under a
-        // number no later write to it shares. (A barrier exit has
-        // closed its interval: nothing is dirty.)
+        // Conflict ([`Noticed::Conflict`]): the page's diff must reach
+        // the home before it is fetched again, under a number no later
+        // write to it shares. (A barrier exit has closed its interval.)
         let node = my_node.index();
-        let noticed = &self.scratch_noticed;
-        let conflict = (self.procs[p].dirty.pages())
-            .any(|pg| noticed.contains(pg.index()) && !self.writes_in_place(node, pg));
+        let (noticed, pt) = (&self.scratch_noticed, &self.procs[p].pt);
+        let conflict = (self.procs[p].dirty.pages()).any(|pg| {
+            noticed.contains(pg.index())
+                && page::noticed(pt.access(pg), !self.writes_in_place(node, pg))
+                    == Noticed::Conflict
+        });
         if conflict {
             self.procs[p].clock = self.procs[p].clock.max(cursor);
             cursor = self.close_interval(cursor, p, bucket);
@@ -205,8 +206,10 @@ impl SvmSystem {
         self.scratch_noticed
             .drain(|index| pages.push(PageId::new(index)));
 
-        // Invalidate (grouped mprotect).
-        pages.retain(|&pg| self.procs[p].pt.access(pg) != Access::None);
+        // Invalidate (grouped mprotect). Past the conflict, no page
+        // named is written with a twin.
+        let pt = &self.procs[p].pt;
+        pages.retain(|&pg| page::noticed(pt.access(pg), false) == Noticed::Invalidate);
         if !pages.is_empty() {
             let mpro = self.book_mprotect(p, pages.len(), contiguous_groups(&pages));
             for &pg in &pages {

@@ -13,15 +13,10 @@
 //!
 //! [`SvmSystem::set_tracing`]: crate::SvmSystem::set_tracing
 
-use std::collections::BTreeMap;
-
 use genima_mem::PageId;
 use genima_sim::Time;
 
 use crate::vclock::VClock;
-
-/// A sparse per-writer timestamp snapshot: writer index → interval.
-pub type TsMap = BTreeMap<u32, u32>;
 
 /// One protocol-level trace event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,10 +40,11 @@ pub enum TraceEvent {
         node: usize,
         /// The page installed.
         page: PageId,
-        /// Timestamp of the installed version.
-        ts: TsMap,
-        /// Joined requirement of the waiting processes.
-        required: TsMap,
+        /// Timestamp of the installed version, as `(writer, interval)`
+        /// pairs ascending by writer.
+        ts: Vec<(u32, u32)>,
+        /// Joined requirement of the waiting processes, the same way.
+        required: Vec<(u32, u32)>,
     },
     /// A blocked page fault completed: process `proc` resumed with a
     /// copy of `page` carrying timestamp `ts`, while its vector clock
@@ -60,10 +56,11 @@ pub enum TraceEvent {
         proc: usize,
         /// The page faulted on.
         page: PageId,
-        /// Timestamp of the version the process now sees.
-        ts: TsMap,
-        /// The process's version requirement for the page.
-        required: TsMap,
+        /// Timestamp of the version the process now sees, as
+        /// `(writer, interval)` pairs ascending by writer.
+        ts: Vec<(u32, u32)>,
+        /// The process's version requirement for the page, the same way.
+        required: Vec<(u32, u32)>,
     },
     /// The diff of (`writer`, `interval`) was applied to the home copy
     /// of `page`. Per (page, writer), intervals must never regress.

@@ -4,8 +4,8 @@
 //! this copy contains". The protocol keeps one per home copy and one
 //! per cached copy (`CopyState::ts`), one per page a process
 //! must see (`required`) and one per page a node has flushed
-//! (`local_flushed`), and compares them on every fault and every
-//! fetch.
+//! (`local_flushed`); the page machine (`system/page.rs`) compares and
+//! raises them on every fault, fetch, notice, flush and diff.
 //!
 //! Two shapes hold them. A [`VersionMap`] is one version that stands
 //! alone — a copy's, or one travelling in a page request or reply:
@@ -481,8 +481,8 @@ pub(crate) mod tests {
             }
         }
 
-        /// The identity that lets the fault path drop `node_required`:
-        /// covering a join is covering both operands.
+        /// The identity `page::Need::met_by` rests on: covering a join
+        /// is covering both operands.
         #[test]
         fn prop_covers_distributes_over_join(
             v in proptest::collection::vec((0u32..7, 0u32..6), 0..8),

@@ -135,10 +135,9 @@ fn check_ni_locks_exclusive_and_live(
     Ok(())
 }
 
-/// Regression: promoted from `tests/comm_properties.proptest-regressions`
-/// (cc a020f91f…, shrinks to `requesters = [0, 0], hold_us = [1, 1]`) so
-/// the shrunken case runs deterministically on every `cargo test`. A
-/// duplicate requester must be deduplicated into one request and
+/// Regression: the case `requesters = [0, 0], hold_us = [1, 1]`, which
+/// the lock property once shrank to, run by name on every `cargo test`.
+/// A duplicate requester must be deduplicated into one request and
 /// produce exactly one grant — the original failure double-granted the
 /// lock to the same NIC.
 #[test]

@@ -244,12 +244,10 @@ fn regression_stale_reply_rollback() {
     }
 }
 
-/// Regression: promoted from `tests/protocol_fuzz.proptest-regressions`
-/// (cc 2c5370af…, shrinks to seed = 16791101178840247249) so the exact
-/// shrunken case runs deterministically on every `cargo test`, not only
-/// when proptest replays its seed file. Historically tripped validation
-/// on the delayed-diff columns; kept across the full 2x2 matrix plus
-/// the all-remote 4x1 shape.
+/// Regression: fuzz seed 16791101178840247249, a case the program
+/// fuzzer once shrank to, run by name on every `cargo test`.
+/// Historically tripped validation on the delayed-diff columns; kept
+/// across the full 2x2 matrix plus the all-remote 4x1 shape.
 #[test]
 fn regression_fuzz_seed_16791101178840247249() {
     let seed = 16791101178840247249u64;
@@ -261,11 +259,10 @@ fn regression_fuzz_seed_16791101178840247249() {
     run_fuzz(seed, Column::genima_2025(), 4, 1);
 }
 
-/// Regression: promoted from `tests/protocol_fuzz.proptest-regressions`
-/// (cc c0738985…, shrinks to seed = 3448139302961865587). Same
-/// promotion rationale as above; this seed also covers the §5 NI
-/// extension combinations that the `fuzz_ni_extensions` property
-/// exercises randomly.
+/// Regression: fuzz seed 3448139302961865587, a case the program
+/// fuzzer once shrank to, run by name on every `cargo test`. This seed
+/// also covers the §5 NI extension combinations that the
+/// `fuzz_ni_extensions` property exercises randomly.
 #[test]
 fn regression_fuzz_seed_3448139302961865587() {
     let seed = 3448139302961865587u64;
