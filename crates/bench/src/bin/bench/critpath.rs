@@ -47,7 +47,7 @@ pub const VIEWS: &[View] = &[View {
 /// `queue_retry` time on this application. An absolute bound, not a
 /// share of the row's own total: a saving that removes diff work from
 /// the total raises every remaining share. It read 0.236x while the
-/// home still twinned and diffed its own pages (DESIGN.md §28.2).
+/// home still twinned and diffed its own pages (DESIGN.md §10.2).
 const QUEUE_RETRY_VS_1999: (&str, f64) = ("Ocean-rowwise", 0.1);
 
 /// Ring capacity for attribution runs: large enough that no node's

@@ -76,7 +76,7 @@ const NAIVE_CAP: u64 = 4_000_000;
 
 /// Explores one (litmus, column) cell and pushes its row and gates.
 /// A CI-tier cell, and lock-handoff on GeNIMA-2025 (whose event-driven
-/// CAS handoff keeps it under the cap, DESIGN.md §28.1), must exhaust
+/// CAS handoff keeps it under the cap, DESIGN.md §10.1), must exhaust
 /// its schedule space and reach the litmus's outcome floor.
 fn explore_row(rep: &mut BenchReport, l: Litmus, c: Column, config: Config, tier: &str) {
     let what = format!("{}/{}", l.name, c.name());

@@ -227,29 +227,29 @@ pub const CELL_CLAIMS: [&str; 14] = [
     // re-protects, so Ocean's one-word critical section no longer waits
     // on 65 pages of diffs (0.189 while it did); the 1999 column keeps
     // the paper's order and with it §3.3's critical-section dilation
-    // (DESIGN.md §28.1).
+    // (DESIGN.md §10.1).
     "Ocean-rowwise/GeNIMA-2025: shares.lock <= 0.1",
     "Ocean-rowwise/GeNIMA: shares.lock >= 0.15",
     // GeNIMA-2025 writes a page at its home in place: LU's blocked homes
     // put every write of its own blocks there, so the barrier no longer
     // waits on twins, diffs and applies the home never needed (DESIGN.md
-    // §28.2). The 1999 column keeps diffing them.
+    // §10.2). The 1999 column keeps diffing them.
     "LU-contiguous/GeNIMA-2025: mean_breakdown.barrier_protocol_ms <= 0.1 x LU-contiguous/GeNIMA: mean_breakdown.barrier_protocol_ms",
     // An ODP fault parks the faulting fetch's queue pair, not the home's
     // whole receive engine, so the first touches of FFT's transpose and
     // Radix's permutation no longer stall every other fetch at the home
     // (0.92 and 1.20 x the 1999 data wait while they did: 2025 hardware
     // waited longer for Radix's data than the 33 MHz LANai; DESIGN.md
-    // §28.6).
+    // §10.6).
     "FFT/GeNIMA-2025: mean_breakdown.data_ms <= 0.6 x FFT/GeNIMA: mean_breakdown.data_ms",
     "Radix-local/GeNIMA-2025: mean_breakdown.data_ms <= 0.6 x Radix-local/GeNIMA: mean_breakdown.data_ms",
     // A GeNIMA-2025 write to the first page of a home run it wrote and
     // re-protected before re-opens the whole run in one fault, so
     // Ocean's sweeps no longer fault once per band page (1.0 x while
     // they did: the 1999 column, which twins every page it opens, still
-    // does; DESIGN.md §28.3), and a re-acquire of its reduction lock
+    // does; DESIGN.md §10.3), and a re-acquire of its reduction lock
     // re-opens the page the last holding wrote, so no critical section
-    // faults on it either (0.074 x while they did; §28.4).
+    // faults on it either (0.074 x while they did; §10.4).
     "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.06 x Ocean-rowwise/GeNIMA: counters.faults",
 ];
 

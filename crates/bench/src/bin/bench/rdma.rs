@@ -18,18 +18,18 @@
 //! * and by at least the floor [`VS_1999_FLOORS`] sets where a 2025
 //!   model fix bought it: 2.25x on Ocean-rowwise, whose 2025 time was
 //!   lock wait until the release stopped diffing inside the critical
-//!   section (DESIGN.md §28.1), then the home's diffs of its own pages
-//!   until it wrote them in place (§28.2), then a fault per page of every
-//!   rewrite until a run re-opened whole (§28.3), then a fault inside
+//!   section (DESIGN.md §10.1), then the home's diffs of its own pages
+//!   until it wrote them in place (§10.2), then a fault per page of every
+//!   rewrite until a run re-opened whole (§10.3), then a fault inside
 //!   every critical section until an acquire re-opened the page its
-//!   last holding wrote (§28.4); 2x on FFT, 2.8x on Radix-local and
+//!   last holding wrote (§10.4); 2x on FFT, 2.8x on Radix-local and
 //!   1.07x on LU-contiguous, whose page fetches queued behind ODP
 //!   faults until a fault parked its queue pair instead of the whole
-//!   NIC (§28.6) and then waited out a fault per page until the home
-//!   advised its NIC of every page it closed in place (§28.5),
+//!   NIC (§10.6) and then waited out a fault per page until the home
+//!   advised its NIC of every page it closed in place (§10.5),
 //! * and, on the applications whose homes write every page before any
 //!   remote process reads it (FFT, LU-contiguous, Ocean-rowwise), no
-//!   RNIC ODP fault in the measured region at all (§28.5).
+//!   RNIC ODP fault in the measured region at all (§10.5).
 
 use genima::{sequential_time, Column, FeatureSet, Json, RunConfig, Topology};
 use genima_obs::bench::row;

@@ -4,7 +4,7 @@
 //! file, naming each moved row by its `bench explain` label. `rdma`,
 //! `barrier`, `fault_matrix` and `serving` are rebuilt whole, byte for
 //! byte; `paper` without its §5 sizes and ablations, and `critpath` on
-//! Ocean-rowwise only (DESIGN.md §35).
+//! Ocean-rowwise only (DESIGN.md §14).
 
 use genima::Json;
 use genima_obs::BenchReport;

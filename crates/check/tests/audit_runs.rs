@@ -171,7 +171,7 @@ fn a_read_that_outruns_the_2025_releasers_diffs_waits_at_the_home_or_refetches()
 }
 
 /// GeNIMA-2025 re-opens the home pages a process wrote under a lock
-/// while its next acquire of that lock is in flight (DESIGN.md §28.4).
+/// while its next acquire of that lock is in flight (DESIGN.md §10.4).
 /// Here p0, at page 0's home, reads page 0 and then writes a word of it
 /// in two holdings, and p1 writes another word of it under the lock in
 /// between: the grant

@@ -1,8 +1,8 @@
 //! Allocation budget of the protocol hot path (ROADMAP item 1c).
 //!
-//! PR 13 made version timestamps allocation-free (DESIGN.md §21) and
-//! PR 15 took the first dirty run of a page and the initiator of an
-//! in-flight fetch off the heap (DESIGN.md §23). This test keeps that
+//! Version timestamps are allocation-free (DESIGN.md §4), and neither
+//! the first dirty run of a page nor the initiator of an in-flight
+//! fetch is on the heap (DESIGN.md §6, §4). This test keeps that
 //! from rotting silently: it counts heap allocations inside `try_run`
 //! on a lock-dominated and a diff-dominated workload, on all six
 //! columns, and fails when allocations per delivered event exceed the
@@ -14,14 +14,14 @@
 //! PR 17 holds the bytes those calls request to the same slack. Counts
 //! were spent by then; bytes were not — three quarters of what an LU
 //! run allocated was hash-map regrowth of per-page state, which the
-//! page columns (DESIGN.md §25) allocate once and exactly. Bytes
+//! page columns (DESIGN.md §4) allocate once and exactly. Bytes
 //! repeat exactly too.
 //!
 //! PR 18 added the serving rows. Water and Ocean close a few hundred
 //! intervals and send a few thousand grants; a key-value store closes
 //! an interval per write and sends a grant per operation, which is
 //! where the interval log and the recycled piggyback vector
-//! (DESIGN.md §26) are felt — on Base and GeNIMA, the two columns that
+//! (DESIGN.md §4) are felt — on Base and GeNIMA, the two columns that
 //! differ there. Before it the two read 0.156 / 0.076 allocations and
 //! 30.4 / 30.4 bytes per event, and the pooled wheel buffers took
 //! every batch row down with them (Water 0.090–0.247 and 17–34 bytes,
@@ -31,16 +31,16 @@
 //! `required` and `local_flushed` columns shrank from a 40-byte map to
 //! the 8-byte pair it almost always holds, the in-flight column became
 //! a list, and the versions a Base page request and reply carry are
-//! recycled (DESIGN.md §27). Before it LU read 32.6 / 43.1 bytes per
+//! recycled (DESIGN.md §4). Before it LU read 32.6 / 43.1 bytes per
 //! event, Ocean 111.9–132.2, and Water on Base and DW 0.055 / 0.035
 //! allocations: those ten are over the budget below.
 //!
 //! The LU row on GeNIMA-2025 bounds the list of in-place runs each
-//! process keeps there (DESIGN.md §28.3); it is the budget as it read
+//! process keeps there (DESIGN.md §10.3); it is the budget as it read
 //! before that list existed.
 //!
 //! The FFT rows on Base and GeNIMA moved here when the bench kind that
-//! gated them, and also timed the host, was deleted (DESIGN.md §34).
+//! gated them, and also timed the host, was deleted (DESIGN.md §14).
 //!
 //! When a change moves a number on purpose, print the new table with
 //! `BUDGET_PRINT=1 cargo test -p genima --test alloc_budget -- --nocapture`.
@@ -123,7 +123,7 @@ struct Workload {
 /// The batch workloads run 4 nodes x 2 procs, Water and Ocean on every
 /// column, LU (fetch-dominated: the columns are most of what it
 /// allocates) on the two that differ most and on GeNIMA-2025, where it
-/// writes the most in-place runs (DESIGN.md §28.3); the store serves 20 kops
+/// writes the most in-place runs (DESIGN.md §10.3); the store serves 20 kops
 /// for 100 ms on 4 x 1, the benchmark's shape; FFT (all-to-all
 /// transposes) runs on the two ends.
 fn workloads() -> Vec<Workload> {
@@ -182,13 +182,13 @@ fn allocations_per_event_stay_within_the_measured_budget() {
         assert!(
             allocs <= m_allocs * SLACK,
             "{app} on {col}: {allocs:.3} allocations per event, budget \
-             {m_allocs:.3} x {SLACK} — find the new allocation site (DESIGN.md §21, §23) \
+             {m_allocs:.3} x {SLACK} — find the new allocation site (DESIGN.md §4, §6) \
              or, if it is wanted, re-measure the table"
         );
         assert!(
             bytes <= m_bytes * SLACK,
             "{app} on {col}: {bytes:.1} bytes allocated per event, budget \
-             {m_bytes:.1} x {SLACK} — find what grows (DESIGN.md §25) or, if it is \
+             {m_bytes:.1} x {SLACK} — find what grows (DESIGN.md §4) or, if it is \
              wanted, re-measure the table"
         );
     }

@@ -224,7 +224,7 @@ fn mono_allowed(o: &[Vec<u64>]) -> bool {
 /// word of the same page under the lock; each observes the other's
 /// word. Where home writes go in place, the first holding's write is a
 /// protection upgrade, and p0's second acquire re-opens the page before
-/// the grant (DESIGN.md §28.4). If p1 held the lock in between, the grant
+/// the grant (DESIGN.md §10.4). If p1 held the lock in between, the grant
 /// must still invalidate the re-opened page and p0's write wait at the
 /// home for p1's diff, or p0 would read p1's word as zero.
 fn lock_reopen_programs() -> Vec<Vec<Op>> {
@@ -283,9 +283,9 @@ fn barrier_epoch_allowed(o: &[Vec<u64>]) -> bool {
 /// ODP first touch: p1 writes variable 0, homed at p0's node, under
 /// the lock, and p0 reads it under the same lock. The home never
 /// writes the page, so nothing advises its NI to map it (DESIGN.md
-/// §28.5): p1's fetch-for-write is the page's first remote touch and, on
+/// §10.5): p1's fetch-for-write is the page's first remote touch and, on
 /// an RDMA NIC with on-demand paging, takes a paging fault that parks
-/// its channel (§28.6). The lock still orders the two sections: p0 sees
+/// its channel (§10.6). The lock still orders the two sections: p0 sees
 /// zero or one, nothing else.
 fn odp_first_touch_programs() -> Vec<Vec<Op>> {
     vec![vec![acq(0), obs(0), rel(0)], vec![acq(0), w(0), rel(0)]]

@@ -174,12 +174,12 @@ fn facts_recorded_in_meta_are_gated_too() {
 #[test]
 fn oceans_lock_wait_creeping_back_is_rejected() {
     // Each GeNIMA-2025 row as it read while a release still diffed and
-    // re-protected inside the critical section (DESIGN.md §28.1) ...
+    // re-protected inside the critical section (DESIGN.md §10.1) ...
     let ocean = [("app", "Ocean-rowwise"), ("column", "GeNIMA-2025")];
     flip("rdma", &ocean, "speedup_vs_1999", 1.017, ">= 2.25");
     flip("paper", &ocean, "shares.lock", 0.189, "<= 0.1");
     // ... and as they read while the home still twinned, diffed and
-    // applied its own pages (DESIGN.md §28.2). The critpath row keeps its
+    // applied its own pages (DESIGN.md §10.2). The critpath row keeps its
     // segments summing to its total, so the 1999 comparison is the gate
     // that fires.
     flip("rdma", &ocean, "speedup_vs_1999", 1.577, ">= 2.25");
@@ -209,7 +209,7 @@ fn oceans_lock_wait_creeping_back_is_rejected() {
 fn the_odp_stall_creeping_back_is_rejected() {
     // Each GeNIMA-2025 row as it read while an ODP fault held the home's
     // whole receive engine, not just the faulting queue pair (DESIGN.md
-    // §28.6): 2025 hardware then waited longer for Radix's data than the
+    // §10.6): 2025 hardware then waited longer for Radix's data than the
     // 1999 LANai did.
     for (app, floor, vs_1999, data_ms) in [
         ("FFT", 2.0, 1.103, 227.24),
@@ -228,7 +228,7 @@ fn the_odp_stall_creeping_back_is_rejected() {
 fn a_fault_on_the_first_fetch_of_every_home_page_creeping_back_is_rejected() {
     // Each GeNIMA-2025 row as it read while a home left the pages it
     // closed in place for the first remote fetch to map, one ODP fault
-    // each (DESIGN.md §28.5).
+    // each (DESIGN.md §10.5).
     for (app, floor, vs_1999) in [
         ("FFT", 2.0, 1.66),
         ("Radix-local", 2.8, 2.2),
@@ -253,7 +253,7 @@ fn a_fault_on_the_first_fetch_of_every_home_page_creeping_back_is_rejected() {
 fn a_fault_per_page_of_oceans_rewrites_creeping_back_is_rejected() {
     // Each GeNIMA-2025 row as it read while a rewrite of a home run
     // faulted once per page instead of re-opening the run in one fault
-    // (DESIGN.md §28.3): as many faults as the 1999 column takes.
+    // (DESIGN.md §10.3): as many faults as the 1999 column takes.
     let ocean = [("app", "Ocean-rowwise"), ("column", "GeNIMA-2025")];
     flip("rdma", &ocean, "speedup_vs_1999", 2.037, ">= 2.25");
     let gate = "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.06 x";
@@ -265,7 +265,7 @@ fn a_fault_per_page_of_oceans_rewrites_creeping_back_is_rejected() {
 fn a_fault_in_every_critical_section_of_oceans_creeping_back_is_rejected() {
     // Each GeNIMA-2025 row as it read while a re-acquire left the page
     // its last holding wrote protected, so that every critical section
-    // faulted on it (DESIGN.md §28.4).
+    // faulted on it (DESIGN.md §10.4).
     let ocean = [("app", "Ocean-rowwise"), ("column", "GeNIMA-2025")];
     flip("rdma", &ocean, "speedup_vs_1999", 2.198, ">= 2.25");
     let gate = "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.06 x";

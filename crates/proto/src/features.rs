@@ -70,7 +70,7 @@ impl FeatureSet {
 
     /// GeNIMA as an RDMA NIC prices it: the lock is handed over before
     /// the releaser diffs, and writes at a page's home go into the
-    /// home copy in place (DESIGN.md §28). Needs RDMA hardware.
+    /// home copy in place (DESIGN.md §10). Needs RDMA hardware.
     pub const fn genima_2025() -> FeatureSet {
         FeatureSet(Rung::Genima2025)
     }
@@ -143,7 +143,7 @@ impl FeatureSet {
     /// included, because a refetch at LANai prices costs more than the
     /// wait. On an RNIC a refetch is one short round trip, so the
     /// critical section ends at the release and the version check on
-    /// every fetched copy orders the diffs (DESIGN.md §28.1).
+    /// every fetched copy orders the diffs (DESIGN.md §10.1).
     pub const fn hands_over_first(self) -> bool {
         match self.0 {
             Rung::Base | Rung::Dw | Rung::DwRf | Rung::DwRfDd | Rung::Genima => false,
@@ -153,7 +153,7 @@ impl FeatureSet {
 
     /// Whether a write made at a page's home goes into the home copy
     /// in place — HLRC's rule: no twin, no diff, no apply; closing the
-    /// interval raises the home copy's version (DESIGN.md §28.2). The
+    /// interval raises the home copy's version (DESIGN.md §10.2). The
     /// paper's rungs, calibrated to its breakdowns, twin and diff a
     /// home write like any other writer's.
     pub const fn home_writes_in_place(self) -> bool {

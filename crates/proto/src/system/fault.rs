@@ -38,7 +38,7 @@ impl SvmSystem {
 
         // Pure protection upgrade: page is readable, write needs a twin
         // — unless it starts a run written in place before, which then
-        // re-opens whole in one trap (DESIGN.md §28.3).
+        // re-opens whole in one trap (DESIGN.md §10.3).
         if write && acc == Access::Read {
             let (twin, mpro, opened) = match self.procs[p].in_place.write_fault(page.index()) {
                 Some(run) => (Dur::ZERO, self.reopen_run(p, node, run.clone()), run),
@@ -180,7 +180,7 @@ impl SvmSystem {
 
     /// Tells `p`'s in-place machine that a write fault made `opened`
     /// writable, if the pages are written in place: they may join the
-    /// scope of the lock `p` holds (DESIGN.md §28.4).
+    /// scope of the lock `p` holds (DESIGN.md §10.4).
     fn opened_in_place(&mut self, p: usize, node: usize, opened: Range<usize>) {
         if self.writes_in_place(node, PageId::new(opened.start)) {
             let locks = &self.nodes[node].locks;

@@ -1,5 +1,5 @@
 //! GeNIMA-2025's in-place home pages, per process, as a time-free
-//! machine (DESIGN.md §28.3–§28.4). A page written at its home takes no
+//! machine (DESIGN.md §10.3–§10.4). A page written at its home takes no
 //! twin, so opening it early costs one coalesced `mprotect`. The
 //! machine remembers which pages are worth opening early: the runs an
 //! interval's close re-protected, which a rewrite from a run's first

@@ -88,7 +88,7 @@ impl SvmSystem {
         // The home also advises its NI to map each run of such pages
         // (one call per run), so the first remote fetch of one takes no
         // paging fault: a reader may only fetch it after a
-        // synchronisation that follows this close (DESIGN.md §28.5).
+        // synchronisation that follows this close (DESIGN.md §10.5).
         let t = self.procs[p].clock;
         let nic = NodeId::new(node).nic();
         let mut advice = Dur::ZERO;

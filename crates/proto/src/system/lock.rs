@@ -23,7 +23,7 @@
 //! Where home pages are written in place, an acquire also re-opens the
 //! home pages the process wrote when it last held the same lock, while
 //! its request is in flight: "a re-open may precede the grant, and no
-//! access may" (DESIGN.md §28.4).
+//! access may" (DESIGN.md §10.4).
 
 use std::ops::Range;
 

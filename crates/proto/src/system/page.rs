@@ -1,5 +1,5 @@
 //! Home-based LRC's page-version rules as one clock-free machine
-//! (DESIGN.md §38). The versions stay in their page columns and are read
+//! (DESIGN.md §5). The versions stay in their page columns and are read
 //! and raised here through borrowed slices; each transition returns a
 //! decision, and `SvmSystem` carries it out with its timing and costs.
 
@@ -28,7 +28,7 @@ impl<'a, I: Iterator<Item = Pairs<'a>>> Need<I> {
 }
 
 /// A faulting process's need: its `required` version and what its
-/// node's writers have `flushed` (DESIGN.md §8.1).
+/// node's writers have `flushed` (DESIGN.md §5.1).
 pub(crate) fn reader_need<'a>(
     required: Pairs<'a>,
     flushed: Pairs<'a>,
@@ -84,7 +84,7 @@ pub(crate) enum Fetched {
 }
 
 /// `fetched`: a Base reply or a remote fetch brought a copy at `version`
-/// for a fetch with `need`, evaluated on arrival (DESIGN.md §8.2).
+/// for a fetch with `need`, evaluated on arrival (DESIGN.md §5.2).
 pub(crate) fn fetched<'a>(
     version: &VersionMap,
     need: Need<impl Iterator<Item = Pairs<'a>>>,
@@ -124,7 +124,7 @@ pub(crate) enum Noticed {
     Keep,
     Invalidate,
     /// Close the interval and flush every closed one, oldest first,
-    /// then invalidate (DESIGN.md §8.3).
+    /// then invalidate (DESIGN.md §5.3).
     Conflict,
 }
 
@@ -140,7 +140,7 @@ pub(crate) fn noticed(access: Access, twinned: bool) -> Noticed {
 
 /// `flushed`: `writer`'s diff of `interval` left its node: a copy the
 /// node installs from now on must hold it, or it would roll the node's
-/// own write back (DESIGN.md §8.1).
+/// own write back (DESIGN.md §5.1).
 pub(crate) fn flushed(local: &mut VersionCol, page: PageId, writer: u32, interval: u32) {
     local.raise(page, writer, interval);
 }

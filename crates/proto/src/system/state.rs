@@ -67,7 +67,7 @@ pub(crate) enum SysEvent {
 // Every push, slot sort and pop moves a whole queue entry, and every
 // slot buffer the wheel warms is a multiple of one: the two 88-byte
 // payloads (`Comm`, `Job`) set the size, and a wider variant must be
-// boxed rather than widen every event (DESIGN.md §23).
+// boxed rather than widen every event (DESIGN.md §3).
 const _: () = assert!(std::mem::size_of::<SysEvent>() <= 96);
 const _: () = assert!(EventQueue::<SysEvent>::ENTRY_BYTES <= 112);
 

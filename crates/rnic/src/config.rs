@@ -59,7 +59,7 @@ pub struct RnicConfig {
     /// consecutive pages: a system call that walks the page tables the
     /// way `mprotect` does and returns once the NIC's translations are
     /// in place. Priced as the host's coalesced `mprotect` over the
-    /// pages not yet mapped (DESIGN.md §28.5).
+    /// pages not yet mapped (DESIGN.md §10.5).
     pub odp_advise: MprotectModel,
     /// Fixed setup latency of one PCIe DMA transaction.
     pub pcie_setup: Dur,

@@ -65,7 +65,7 @@ impl HwProfile {
 
     /// A 2025 commodity cluster: 100 GbE RoCE fabric, PCIe Gen4 RNICs
     /// with doorbell batching, CQs, native SGE, ODP and masked
-    /// atomics, still on the paper's Pentium Pro hosts (DESIGN.md §37).
+    /// atomics, still on the paper's Pentium Pro hosts (DESIGN.md §7).
     /// Only data differs from 1999 here; the one protocol choice the
     /// board makes is the lock primitive, masked CAS.
     pub fn rnic_2025() -> HwProfile {

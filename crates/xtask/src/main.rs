@@ -37,9 +37,16 @@
 //! `// lint: allow-wildcard` or `// lint: allow-unwrap` comment on the
 //! offending line.
 //!
+//! `xtask doc-refs` keeps the documents live: every compound
+//! identifier DESIGN.md, README.md and EXPERIMENTS.md put in a code span
+//! names a word of some `.rs` file, and every `DESIGN.md §N` reference
+//! names a heading (module [`doc_refs`]). Tier-1 runs it as a test.
+//!
 //! `xtask obs-summary <file> [top]` rides along: it prints a top-N
 //! aggregation of a Chrome-trace timeline (per span kind and per node),
 //! or the NI monitor tables when given a `RunReport` JSON instead.
+
+mod doc_refs;
 
 use genima_obs::{monitor_tables, trace_top, Json};
 use std::path::{Path, PathBuf};
@@ -370,6 +377,26 @@ fn run_lint() -> ExitCode {
     }
 }
 
+fn run_doc_refs() -> ExitCode {
+    match doc_refs::check_tree(&repo_root()) {
+        Ok(findings) if findings.is_empty() => {
+            println!("xtask doc-refs: every name and section reference is live");
+            ExitCode::SUCCESS
+        }
+        Ok(findings) => {
+            for f in &findings {
+                eprintln!("{f}");
+            }
+            eprintln!("xtask doc-refs: {} finding(s)", findings.len());
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("xtask doc-refs: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn load_json(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     Json::parse(&text).map_err(|e| format!("{path}: {e}"))
@@ -404,12 +431,13 @@ fn run_obs_summary(path: &str, top: usize) -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: xtask lint | obs-summary <file> [top]";
+const USAGE: &str = "usage: xtask lint | doc-refs | obs-summary <file> [top]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => run_lint(),
+        Some("doc-refs") => run_doc_refs(),
         Some("obs-summary") => {
             let path = match args.next() {
                 Some(p) => p,

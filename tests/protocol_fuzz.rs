@@ -157,7 +157,7 @@ fn run_fuzz_with(
         let mut sys = SvmSystem::new(params.clone(), programs);
         if blocked {
             // Contiguous homes, as the applications place theirs, so that
-            // in-place runs longer than a page form (DESIGN.md §28.3).
+            // in-place runs longer than a page form (DESIGN.md §10.3).
             let block = NPAGES as usize / nodes;
             for n in 0..nodes {
                 sys.assign_homes(PageId::new(n * block), block, NodeId::new(n));
