@@ -29,9 +29,9 @@ fn main() {
     for features in FeatureSet::ALL {
         let run = run_app_audited(&app, topo, features);
         println!(
-            "{:<9} proto events {:>5}, NI lock events {:>4}, interrupts {:>4} -> {}",
+            "{:<9} events {:>5}, NI lock events {:>4}, interrupts {:>4} -> {}",
             features.name(),
-            run.audit.proto_events,
+            run.audit.events,
             run.audit.lock_events,
             run.report.counters.interrupts,
             if run.audit.is_clean() {

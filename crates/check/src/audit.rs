@@ -1,8 +1,9 @@
 //! Protocol-invariant auditing over recorded traces.
 //!
-//! [`audit_traces`] replays the structured event trace produced by
-//! `SvmSystem::set_tracing` and the NI lock-ownership trace produced by
-//! the firmware, and checks the paper's correctness invariants:
+//! [`audit_traces`] replays the one event stream a traced run records
+//! (`SvmSystem::set_tracing`): the protocol's events and the NI
+//! firmware's lock-ownership transitions, in emission order. One pass
+//! checks the paper's correctness invariants:
 //!
 //! 1. **Timestamp coverage** — a fetched page installed into a node's
 //!    cache, and the copy a faulting process resumes on, must carry a
@@ -14,8 +15,9 @@
 //! 3. **Diff ordering** — diffs apply to a home page in per-writer
 //!    interval order ([`Violation::DiffOrderRegression`]).
 //! 4. **Single lock owner** — replaying the firmware grant/transfer
-//!    chain from the lock's home, at most one NIC owns a lock at any
-//!    instant ([`Violation::LockDoubleOwner`],
+//!    chain from the lock's home in the order the firmware changed it,
+//!    at most one NIC owns a lock at a time
+//!    ([`Violation::LockDoubleOwner`],
 //!    [`Violation::LockPhantomRelease`]).
 //! 5. **Zero interrupts** — an interrupt-free configuration (full
 //!    GeNIMA) must record no host interrupt at all
@@ -29,7 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use genima_proto::{FeatureSet, LockChange, LockId, LockTrace, PageId, ProcId, TraceEvent};
+use genima_proto::{FeatureSet, LockId, PageId, TraceEvent};
 use genima_sim::Time;
 
 /// One invariant violation found while replaying a trace.
@@ -250,12 +252,12 @@ impl fmt::Display for Violation {
     }
 }
 
-/// The result of auditing one run's traces.
+/// The result of auditing one run's trace.
 #[derive(Clone, Debug, Default)]
 pub struct Audit {
-    /// Protocol events examined.
-    pub proto_events: usize,
-    /// NI lock-ownership events examined.
+    /// Events examined.
+    pub events: usize,
+    /// Of those, NI lock-ownership transitions.
     pub lock_events: usize,
     /// Every invariant violation found, in replay order.
     pub violations: Vec<Violation>,
@@ -273,8 +275,8 @@ impl fmt::Display for Audit {
         if self.is_clean() {
             write!(
                 f,
-                "audit clean over {} protocol and {} lock events",
-                self.proto_events, self.lock_events
+                "audit clean over {} events, {} of them NI lock transitions",
+                self.events, self.lock_events
             )
         } else {
             writeln!(f, "{} violation(s):", self.violations.len())?;
@@ -299,32 +301,26 @@ fn first_uncovered(ts: &[(u32, u32)], required: &[(u32, u32)]) -> Option<(u32, u
     })
 }
 
-/// Replays the protocol and lock traces of one run and checks every
-/// invariant described at module level.
+/// Replays the trace of one run and checks every invariant described
+/// at module level, in one pass.
 ///
 /// `features` selects the invariants that apply (the zero-interrupt
 /// check only binds interrupt-free configurations); `nnodes` is needed
 /// to seed the lock replay with each lock's home NIC (locks are
 /// assigned round-robin, `lock.index() % nnodes`, and a lock's home
 /// owns it until the first remote grant).
-pub fn audit_traces(
-    features: FeatureSet,
-    nnodes: usize,
-    proto: &[TraceEvent],
-    locks: &[LockTrace],
-) -> Audit {
+pub fn audit_traces(features: FeatureSet, nnodes: usize, trace: &[TraceEvent]) -> Audit {
     let mut audit = Audit {
-        proto_events: proto.len(),
-        lock_events: locks.len(),
-        violations: Vec::new(),
+        events: trace.len(),
+        ..Audit::default()
     };
 
-    // Replay in emission order, NOT timestamp order: protocol state
-    // mutates in execution order, while an event's `at` can be a
-    // process's lookahead cursor (a local-home flush stamps the
-    // flushing process's clock), so timestamps are not monotonic
-    // across processes. Emission order is the order the home copy
-    // actually changed in.
+    // Replay in emission order, NOT timestamp order: state mutates in
+    // execution order, while an event's `at` need not be monotonic. A
+    // local-home flush stamps the flushing process's lookahead cursor,
+    // and under the model checker's picker the firmware dispatches a
+    // lock's messages out of time order. Emission order is the order
+    // the home copy and the lock's owner actually changed in.
     //
     // Highest interval applied so far, per (home page, writer).
     let mut applied: BTreeMap<(PageId, usize), u32> = BTreeMap::new();
@@ -332,8 +328,10 @@ pub fn audit_traces(
     // (barrier, epoch), and nodes already released from that epoch.
     let mut coll_arrived: BTreeMap<(usize, u32), BTreeSet<usize>> = BTreeMap::new();
     let mut coll_released: BTreeSet<(usize, u32, usize)> = BTreeSet::new();
+    // Current owner per NI lock; a lock's home owns it from reset.
+    let mut owner: BTreeMap<LockId, Option<usize>> = BTreeMap::new();
 
-    for ev in proto {
+    for ev in trace {
         match ev {
             TraceEvent::Interrupt { at, node } => {
                 if features.interrupt_free() {
@@ -446,8 +444,7 @@ pub fn audit_traces(
                 vc,
                 arrived,
             } => {
-                for q in 0..vc.len() {
-                    let need = vc.get(ProcId::new(q));
+                for (q, &need) in vc.iter().enumerate() {
                     let have = arrived.get(q).copied().unwrap_or(0);
                     // A process's own intervals need no notices.
                     if q != *proc && have < need {
@@ -461,46 +458,27 @@ pub fn audit_traces(
                     }
                 }
             }
-        }
-    }
-
-    audit_locks(nnodes, locks, &mut audit);
-    audit
-}
-
-/// Replays the NI lock-ownership chain: per lock, exactly one owner at
-/// a time, starting from the lock's home NIC.
-fn audit_locks(nnodes: usize, locks: &[LockTrace], audit: &mut Audit) {
-    let mut sorted: Vec<&LockTrace> = locks.iter().collect();
-    sorted.sort_by_key(|t| t.at);
-
-    // Current owner per lock; a lock's home owns it from reset.
-    let mut owner: BTreeMap<LockId, Option<usize>> = BTreeMap::new();
-
-    for t in sorted {
-        let nic = t.nic.index();
-        let slot = owner
-            .entry(t.lock)
-            .or_insert_with(|| Some(t.lock.index() % nnodes));
-        match t.change {
-            LockChange::Acquired => match *slot {
-                Some(cur) if cur != nic => {
+            TraceEvent::LockAcquired { at, nic, lock } => {
+                audit.lock_events += 1;
+                let slot = owner.entry(*lock).or_insert(Some(lock.index() % nnodes));
+                if let Some(cur) = slot.filter(|&cur| cur != nic.index()) {
                     audit.violations.push(Violation::LockDoubleOwner {
-                        at: t.at,
-                        lock: t.lock,
-                        nic,
+                        at: *at,
+                        lock: *lock,
+                        nic: nic.index(),
                         owner: cur,
                     });
-                    *slot = Some(nic);
                 }
-                Some(_) | None => *slot = Some(nic),
-            },
-            LockChange::Released => {
-                if *slot != Some(nic) {
+                *slot = Some(nic.index());
+            }
+            TraceEvent::LockReleased { at, nic, lock } => {
+                audit.lock_events += 1;
+                let slot = owner.entry(*lock).or_insert(Some(lock.index() % nnodes));
+                if *slot != Some(nic.index()) {
                     audit.violations.push(Violation::LockPhantomRelease {
-                        at: t.at,
-                        lock: t.lock,
-                        nic,
+                        at: *at,
+                        lock: *lock,
+                        nic: nic.index(),
                         owner: *slot,
                     });
                 }
@@ -508,280 +486,8 @@ fn audit_locks(nnodes: usize, locks: &[LockTrace], audit: &mut Audit) {
             }
         }
     }
+    audit
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use genima_nic::NicId;
-
-    fn ts(pairs: &[(u32, u32)]) -> Vec<(u32, u32)> {
-        pairs.to_vec()
-    }
-
-    #[test]
-    fn covered_install_is_clean() {
-        let ev = [TraceEvent::PageInstalled {
-            at: Time::from_ns(10),
-            node: 0,
-            page: PageId::new(3),
-            ts: ts(&[(1, 5)]),
-            required: ts(&[(1, 4)]),
-        }];
-        assert!(audit_traces(FeatureSet::genima(), 2, &ev, &[]).is_clean());
-    }
-
-    #[test]
-    fn stale_install_is_flagged() {
-        let ev = [TraceEvent::PageInstalled {
-            at: Time::from_ns(10),
-            node: 1,
-            page: PageId::new(3),
-            ts: ts(&[(1, 2)]),
-            required: ts(&[(1, 4)]),
-        }];
-        let audit = audit_traces(FeatureSet::genima(), 2, &ev, &[]);
-        assert_eq!(audit.violations.len(), 1);
-        assert!(matches!(
-            audit.violations[0],
-            Violation::StaleInstall {
-                writer: 1,
-                have: 2,
-                need: 4,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn one_walk_of_both_versions_finds_the_first_uncovered_writer() {
-        let have = [(0, 3), (2, 1), (5, 4)];
-        assert_eq!(first_uncovered(&have, &[(2, 1), (5, 4)]), None);
-        assert_eq!(first_uncovered(&have, &[(1, 1), (5, 9)]), Some((1, 0, 1)));
-        assert_eq!(first_uncovered(&have, &[(0, 3), (5, 5)]), Some((5, 4, 5)));
-        assert_eq!(first_uncovered(&have, &[(7, 1)]), Some((7, 0, 1)));
-        assert_eq!(first_uncovered(&[], &[]), None);
-    }
-
-    #[test]
-    fn stale_fault_completion_is_flagged() {
-        let ev = [TraceEvent::FaultDone {
-            at: Time::from_ns(20),
-            proc: 2,
-            page: PageId::new(7),
-            ts: Vec::new(),
-            required: ts(&[(0, 1)]),
-        }];
-        let audit = audit_traces(FeatureSet::base(), 2, &ev, &[]);
-        assert!(matches!(
-            audit.violations[0],
-            Violation::StaleFault { proc: 2, .. }
-        ));
-    }
-
-    #[test]
-    fn diff_regression_is_flagged_but_repeats_are_not() {
-        let page = PageId::new(1);
-        let d = |at, interval| TraceEvent::DiffApplied {
-            at: Time::from_ns(at),
-            page,
-            writer: 0,
-            interval,
-        };
-        // 1, 2, 2 (early-flush repeat) is fine; then 1 regresses.
-        let ev = [d(1, 1), d(2, 2), d(3, 2), d(4, 1)];
-        let audit = audit_traces(FeatureSet::base(), 2, &ev, &[]);
-        assert_eq!(audit.violations.len(), 1);
-        assert!(matches!(
-            audit.violations[0],
-            Violation::DiffOrderRegression {
-                prev: 2,
-                got: 1,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn missing_notices_are_flagged() {
-        let mut vc = genima_proto::VClock::new(2);
-        vc.set(ProcId::new(1), 3);
-        let ev = [TraceEvent::SyncDone {
-            at: Time::from_ns(5),
-            proc: 0,
-            vc,
-            arrived: vec![0, 2],
-        }];
-        let audit = audit_traces(FeatureSet::base(), 1, &ev, &[]);
-        assert!(matches!(
-            audit.violations[0],
-            Violation::MissingNotices {
-                writer: 1,
-                have: 2,
-                need: 3,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn own_intervals_need_no_notices() {
-        let mut vc = genima_proto::VClock::new(2);
-        vc.set(ProcId::new(0), 9);
-        let ev = [TraceEvent::SyncDone {
-            at: Time::from_ns(5),
-            proc: 0,
-            vc,
-            arrived: vec![0, 0],
-        }];
-        assert!(audit_traces(FeatureSet::base(), 1, &ev, &[]).is_clean());
-    }
-
-    #[test]
-    fn interrupts_flagged_only_when_interrupt_free() {
-        let ev = [TraceEvent::Interrupt {
-            at: Time::from_ns(1),
-            node: 0,
-        }];
-        assert!(audit_traces(FeatureSet::base(), 2, &ev, &[]).is_clean());
-        let audit = audit_traces(FeatureSet::genima(), 2, &ev, &[]);
-        assert!(matches!(
-            audit.violations[0],
-            Violation::UnexpectedInterrupt { node: 0, .. }
-        ));
-    }
-
-    fn arrive(at: u64, node: usize, epoch: u32) -> TraceEvent {
-        TraceEvent::CollArrived {
-            at: Time::from_ns(at),
-            node,
-            barrier: 0,
-            epoch,
-        }
-    }
-
-    fn release(at: u64, node: usize, epoch: u32) -> TraceEvent {
-        TraceEvent::CollReleased {
-            at: Time::from_ns(at),
-            node,
-            barrier: 0,
-            epoch,
-        }
-    }
-
-    #[test]
-    fn full_barrier_epoch_is_clean() {
-        let ev = [
-            arrive(1, 0, 0),
-            arrive(2, 1, 0),
-            arrive(3, 2, 0),
-            release(4, 0, 0),
-            release(5, 1, 0),
-            release(6, 2, 0),
-            // Next epoch of the same barrier starts over.
-            arrive(7, 2, 1),
-            arrive(8, 0, 1),
-            arrive(9, 1, 1),
-            release(10, 0, 1),
-            release(11, 1, 1),
-            release(12, 2, 1),
-        ];
-        assert!(audit_traces(FeatureSet::genima(), 3, &ev, &[]).is_clean());
-    }
-
-    #[test]
-    fn early_barrier_exit_is_flagged() {
-        // Node 1 never arrives, yet node 0 is released.
-        let ev = [arrive(1, 0, 0), release(2, 0, 0)];
-        let audit = audit_traces(FeatureSet::genima(), 2, &ev, &[]);
-        assert_eq!(audit.violations.len(), 1);
-        assert!(matches!(
-            audit.violations[0],
-            Violation::EarlyBarrierExit {
-                node: 0,
-                epoch: 0,
-                have: 1,
-                need: 2,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn duplicate_barrier_exit_is_flagged() {
-        let ev = [
-            arrive(1, 0, 0),
-            arrive(2, 1, 0),
-            release(3, 0, 0),
-            release(4, 0, 0),
-        ];
-        let audit = audit_traces(FeatureSet::genima(), 2, &ev, &[]);
-        assert_eq!(audit.violations.len(), 1);
-        assert!(matches!(
-            audit.violations[0],
-            Violation::DuplicateBarrierExit { node: 0, .. }
-        ));
-    }
-
-    #[test]
-    fn lock_chain_from_home_is_clean() {
-        // Lock 0 homes at nic 0 on a 2-node cluster: the home cedes it,
-        // nic 1 gains it, cedes it back, nic 0 regains it.
-        let l = LockId::new(0);
-        let t = |at, nic, change| LockTrace {
-            at: Time::from_ns(at),
-            nic: NicId::new(nic),
-            lock: l,
-            change,
-        };
-        let trace = [
-            t(10, 0, LockChange::Released),
-            t(20, 1, LockChange::Acquired),
-            t(30, 1, LockChange::Released),
-            t(40, 0, LockChange::Acquired),
-        ];
-        assert!(audit_traces(FeatureSet::genima(), 2, &[], &trace).is_clean());
-    }
-
-    #[test]
-    fn double_grant_is_flagged() {
-        let l = LockId::new(0);
-        let t = |at, nic, change| LockTrace {
-            at: Time::from_ns(at),
-            nic: NicId::new(nic),
-            lock: l,
-            change,
-        };
-        // Home (nic 0) never ceded, yet nic 1 is granted the lock.
-        let trace = [t(20, 1, LockChange::Acquired)];
-        let audit = audit_traces(FeatureSet::genima(), 2, &[], &trace);
-        assert!(matches!(
-            audit.violations[0],
-            Violation::LockDoubleOwner {
-                nic: 1,
-                owner: 0,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn phantom_release_is_flagged() {
-        let l = LockId::new(1); // homes at nic 1 on 2 nodes
-        let trace = [LockTrace {
-            at: Time::from_ns(5),
-            nic: NicId::new(0),
-            lock: l,
-            change: LockChange::Released,
-        }];
-        let audit = audit_traces(FeatureSet::genima(), 2, &[], &trace);
-        assert!(matches!(
-            audit.violations[0],
-            Violation::LockPhantomRelease {
-                nic: 0,
-                owner: Some(1),
-                ..
-            }
-        ));
-    }
-}
+mod tests;

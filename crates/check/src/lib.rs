@@ -13,12 +13,12 @@
 //! * [`audit_traces`] replays the structured event trace of an actual
 //!   protocol run (page installs, fault completions, diff
 //!   applications, acquire completions, interrupts, NI lock ownership)
-//!   and checks the protocol's own invariants under each of the five
-//!   paper configurations.
+//!   and checks the protocol's own invariants under each of the six
+//!   evaluation columns.
 //!
 //! [`run_app_audited`] wires the second layer to a real run: it builds
 //! the cluster exactly like `genima::run_app`, switches tracing on,
-//! runs to completion and audits the drained traces. [`app_programs`]
+//! runs to completion and audits the drained trace. [`app_programs`]
 //! materialises an application's streams for the first layer.
 
 mod audit;
@@ -37,7 +37,7 @@ pub struct AuditedRun {
     pub features: FeatureSet,
     /// The full measurement report.
     pub report: RunReport,
-    /// The invariant audit over the run's traces.
+    /// The invariant audit over the run's trace.
     pub audit: Audit,
 }
 
@@ -68,11 +68,11 @@ pub fn check_app_races(app: &dyn App, topo: Topology) -> Result<Vec<Race>, Sched
 
 /// Runs `app` fault-free with tracing enabled on one evaluation
 /// [`Column`] (a bare [`FeatureSet`] means the 1999 LANai) and audits
-/// the protocol and NI lock traces against every applicable invariant.
+/// the run's trace against every applicable invariant.
 /// `Column::genima_2025()` audits the full GeNIMA protocol on the 2025
 /// RNIC with masked-CAS locks (the NI lock-chain replay sees no
 /// firmware grant events there; the protocol invariants and the
-/// interrupt-free cross-check still apply in full).
+/// zero-interrupt check still apply in full).
 ///
 /// Builds the cluster exactly like `genima::run_app`, so an audited
 /// run measures the same system as an ordinary one (tracing is purely
@@ -111,20 +111,7 @@ pub fn run_app_audited_with(
     // categories must account for the parallel time and interrupt-free
     // columns must report zero host interrupts.
     report.validate(&features)?;
-    let proto = sys.take_trace();
-    let locks = sys.take_lock_trace();
-    let mut audit = audit_traces(features, topo.nodes, &proto, &locks);
-
-    // Cross-check the interrupt counter against the trace: the counter
-    // increments even where tracing might miss an event, so an
-    // interrupt-free configuration must show zero in both.
-    if features.interrupt_free() && report.counters.interrupts > 0 && audit.is_clean() {
-        audit.violations.push(Violation::UnexpectedInterrupt {
-            at: genima_sim::Time::ZERO,
-            node: usize::MAX,
-        });
-    }
-
+    let audit = audit_traces(features, topo.nodes, &sys.take_trace());
     Ok(AuditedRun {
         features,
         report,

@@ -376,9 +376,8 @@ impl Explorer {
     ) -> RunVerdict {
         match result {
             Ok(_report) => {
-                let proto = sys.take_trace();
-                let locks = sys.take_lock_trace();
-                let audit = audit_traces(self.column.features, self.litmus.nodes, &proto, &locks);
+                let trace = sys.take_trace();
+                let audit = audit_traces(self.column.features, self.litmus.nodes, &trace);
                 if let Some(v) = audit.violations.first() {
                     return RunVerdict::Bad(format!("audit: {v}"));
                 }

@@ -1,8 +1,8 @@
 //! NI locks: the host calls, the arrival of chain messages, and the
-//! mapping of [`LockAction`]s onto the wire, the host, the ownership
-//! trace and the observability spans. The chain algorithm itself is
-//! [`ChainLock`](crate::lock::ChainLock); nothing here reads or writes
-//! its state except through its inputs.
+//! mapping of [`LockAction`]s onto the wire, the host, the trace's
+//! ownership events and the observability spans. The chain algorithm
+//! itself is [`ChainLock`](crate::lock::ChainLock); nothing here reads
+//! or writes its state except through its inputs.
 
 use genima_net::NicId;
 use genima_obs::{flow_lock_id, Flow, FlowDir, SpanKind, Track};
@@ -11,39 +11,13 @@ use genima_sim::Time;
 use super::{Comm, Post, Rx, Step};
 use crate::lock::{LockAction, LockId};
 use crate::msg::{LockOp, MsgKind, Packet, Tag, Upcall};
-use crate::trace::{LockChange, LockTrace};
+use crate::trace::TraceEvent;
 
 /// On-wire size (bytes) of a lock request or transfer; grants carry
 /// the protocol timestamp and are `NicConfig::lock_grant_bytes`.
 const LOCK_REQ_BYTES: u32 = 16;
 
 impl Comm {
-    /// Turns lock-ownership tracing on or off. Turning it on clears
-    /// any previously recorded events.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.trace = if on { Some(Vec::new()) } else { None };
-    }
-
-    /// Drains the recorded lock-ownership trace (empty when tracing
-    /// was never enabled).
-    pub fn take_lock_trace(&mut self) -> Vec<LockTrace> {
-        match self.trace.as_mut() {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
-        }
-    }
-
-    fn trace_lock(&mut self, at: Time, nic: NicId, lock: LockId, change: LockChange) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(LockTrace {
-                at,
-                nic,
-                lock,
-                change,
-            });
-        }
-    }
-
     /// The home NIC of `lock`.
     ///
     /// # Panics
@@ -161,7 +135,7 @@ impl Comm {
                 self.emit(t, nic, to, LOCK_REQ_BYTES, MsgKind::LockMsg(op), tag, out);
             }
             LockAction::Departed { to, tag } => {
-                self.trace_lock(t, nic, lock, LockChange::Released);
+                self.record(TraceEvent::LockReleased { at: t, nic, lock });
                 // A NIC handing the lock to itself never lost it.
                 if to != nic {
                     out.upcalls.push((t, Upcall::LockDeparted { nic, lock }));
@@ -174,7 +148,7 @@ impl Comm {
                 self.emit(t, nic, to, bytes, MsgKind::LockMsg(op), tag, out);
             }
             LockAction::Granted { tag } => {
-                self.trace_lock(t, nic, lock, LockChange::Acquired);
+                self.record(TraceEvent::LockAcquired { at: t, nic, lock });
                 self.grant_flow(t, nic, lock, tag, FlowDir::Finish);
                 let at = t + self.model.notify();
                 out.upcalls

@@ -7,7 +7,7 @@
 //!   retransmits and deduplicates packets and that books the LANai and
 //!   Net monitor stages.
 //! * [`lock`] — maps the pure chain machine ([`crate::lock::ChainLock`])
-//!   onto packets, upcalls, the ownership trace and spans.
+//!   onto packets, upcalls, ownership trace events and spans.
 //! * [`atomic`] — the same for the per-NIC atomic unit
 //!   ([`crate::atomic::AtomicUnit`]): local and remote, swap and CAS
 //!   requests take one path.
@@ -42,7 +42,7 @@ use crate::lock::{ChainLock, LockId};
 use crate::model::{FetchServe, LanaiModel, NiModel, NiStats};
 use crate::monitor::{Monitor, SizeClass, Stage};
 use crate::msg::{Event, MsgKind, Packet, SendDesc, Tag, Upcall};
-use crate::trace::LockTrace;
+use crate::trace::TraceEvent;
 
 pub use transport::RecoveryStats;
 use transport::Transport;
@@ -133,9 +133,11 @@ pub struct Comm {
     tx: Transport,
     /// Firmware lock chains, one per lock.
     locks: Vec<ChainLock>,
-    /// Lock-ownership transitions, recorded only while tracing is on
-    /// (`None` = disabled, the default: zero overhead).
-    trace: Option<Vec<LockTrace>>,
+    /// The run's one event trace: protocol events the host layer
+    /// records through [`Comm::record`] and the firmware's
+    /// lock-ownership transitions, in emission order (`None` =
+    /// disabled, the default: zero overhead).
+    trace: Option<Vec<TraceEvent>>,
     /// Firmware atomic units, one per NIC.
     atomics: Vec<AtomicUnit>,
     /// Firmware collective instances (tree barrier / all-reduce
@@ -236,6 +238,35 @@ impl Comm {
         match self.obs.as_ref() {
             Some(h) => h.borrow().op_for(tag.value()),
             None => 0,
+        }
+    }
+
+    /// Turns event tracing on or off. Turning it on clears any
+    /// previously recorded events. Tracing is observational only — it
+    /// never changes simulated timing or protocol behaviour.
+    pub fn set_tracing(&mut self, on: bool) {
+        self.trace = if on { Some(Vec::new()) } else { None };
+    }
+
+    /// `true` while tracing is on, so an emitter can skip building an
+    /// event nobody records.
+    pub fn tracing(&self) -> bool {
+        self.trace.is_some()
+    }
+
+    /// Appends `ev` to the trace when tracing is on.
+    pub fn record(&mut self, ev: TraceEvent) {
+        if let Some(t) = self.trace.as_mut() {
+            t.push(ev);
+        }
+    }
+
+    /// Drains the recorded trace (empty when tracing was never
+    /// enabled).
+    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+        match self.trace.as_mut() {
+            Some(t) => std::mem::take(t),
+            None => Vec::new(),
         }
     }
 

@@ -49,7 +49,7 @@ pub use model::{
 };
 pub use monitor::{Monitor, SizeClass, Stage, StageStats};
 pub use msg::{CasWord, CollOp, Event, LockOp, MsgKind, Packet, SendDesc, Tag, Upcall};
-pub use trace::{LockChange, LockTrace};
+pub use trace::TraceEvent;
 
 pub use genima_coll::{CollId, ReduceOp};
 pub use genima_net::{Fate, FaultInjector, NicId, NoFaults, PacketCtx};

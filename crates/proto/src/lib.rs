@@ -37,7 +37,6 @@ mod ops;
 mod report;
 pub mod sched;
 mod system;
-mod trace;
 mod vclock;
 mod version;
 
@@ -51,9 +50,8 @@ pub use ops::{ops_source, Op, OpSource, OpVec, ServeClass};
 pub use report::{OpLatency, RunReport, ServeLatency};
 pub use sched::{ChanKey, Choice, EventPicker, FifoPicker, Mutation, SchedObj};
 pub use system::{SvmParams, SvmSystem};
-pub use trace::TraceEvent;
 pub use vclock::VClock;
 
 pub use genima_mem::{Addr, PageId, PAGE_SIZE};
-pub use genima_nic::{FaultInjector, LockChange, LockId, LockTrace, NiStats, RecoveryStats};
+pub use genima_nic::{FaultInjector, LockId, NiStats, RecoveryStats, TraceEvent};
 pub use genima_rnic::{Board, HwProfile};

@@ -1,13 +1,12 @@
 //! Barriers: arrival, the two combiners (the node-0 host manager and
 //! the NI combining tree), episode completion, and release at a node.
 
-use genima_nic::{CollId, ReduceOp};
+use genima_nic::{CollId, ReduceOp, TraceEvent};
 use genima_sim::Time;
 
 use super::{Block, Bucket, Pending, ProcState, Sink, SvmSystem, WaitReason, EPS};
 use crate::config::BarrierImpl;
 use crate::ids::{BarrierId, NodeId, ProcId};
-use crate::trace::TraceEvent;
 use crate::vclock::VClock;
 
 impl SvmSystem {
@@ -78,7 +77,7 @@ impl SvmSystem {
         let coll = CollId::new(b.index() as u32);
         let nic = NodeId::new(node).nic();
         let epoch = self.comm.coll_epoch(coll, nic);
-        self.emit(TraceEvent::CollArrived {
+        self.comm.record(TraceEvent::CollArrived {
             at: cursor,
             node,
             barrier: b.index(),
@@ -127,7 +126,7 @@ impl SvmSystem {
             // manager's release point on the host path.
             self.barrier_episode_done(t, b);
         }
-        self.emit(TraceEvent::CollReleased {
+        self.comm.record(TraceEvent::CollReleased {
             at: t,
             node,
             barrier: b.index(),

@@ -3,7 +3,7 @@
 use std::ops::Range;
 
 use genima_mem::{Access, Diff, Page, PageId, PagePool};
-use genima_nic::{LockId, MsgKind, Tag};
+use genima_nic::{LockId, MsgKind, Tag, TraceEvent};
 use genima_sim::{Dur, Time};
 
 use super::page::{self, Fault, Fetched, Need, Request};
@@ -11,7 +11,6 @@ use super::{Block, Flow, NodeRt, Pending, ProcRt, ProcState, SvmSystem, SysEvent
 use crate::ids::{NodeId, ProcId};
 use crate::interval::DirtyPage;
 use crate::ops::Op;
-use crate::trace::TraceEvent;
 use crate::version::VersionMap;
 
 impl SvmSystem {
@@ -373,11 +372,11 @@ impl SvmSystem {
         if let Some(old_data) = std::mem::replace(&mut copy.data, data) {
             self.pool.recycle(old_data);
         }
-        if self.trace.is_some() {
+        if self.comm.tracing() {
             let ts = copy.ts.pairs().to_vec();
             let mut required = VersionMap::new();
             Self::fetch_need(&self.procs, &self.nodes[node], page).build_into(&mut required);
-            self.emit(TraceEvent::PageInstalled {
+            self.comm.record(TraceEvent::PageInstalled {
                 at: t,
                 node,
                 page,
@@ -419,12 +418,12 @@ impl SvmSystem {
             other => panic!("p{p} woken for {page} but in state {other:?}"),
         };
         let node = self.p.topo.node_of(ProcId::new(p)).index();
-        if self.trace.is_some() {
+        if self.comm.tracing() {
             let copy = self.node_copy(node, page);
             let ts = copy.map(|c| c.ts.pairs().to_vec()).unwrap_or_default();
             let mut required = VersionMap::new();
             self.reader_need(node, p, page).build_into(&mut required);
-            self.emit(TraceEvent::FaultDone {
+            self.comm.record(TraceEvent::FaultDone {
                 at: t,
                 proc: p,
                 page,
@@ -584,7 +583,7 @@ impl SvmSystem {
         interval: u32,
         page: PageId,
     ) {
-        self.emit(TraceEvent::DiffApplied {
+        self.comm.record(TraceEvent::DiffApplied {
             at: t,
             page,
             writer,

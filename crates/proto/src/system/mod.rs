@@ -27,6 +27,7 @@ use genima_mem::{PageId, PageVec, PAGE_SIZE};
 use genima_net::NicId;
 use genima_nic::{
     ChainLock, Comm, Event as CommEvent, LockId, LockImpl, MsgKind, Post, SendDesc, Step, Tag,
+    TraceEvent,
 };
 use genima_rnic::{Board, HwProfile};
 use genima_sim::{EventQueue, FixedState, InlineVec, PageBits, Time};
@@ -41,7 +42,6 @@ use crate::interval::{DirtySet, IntervalLog};
 use crate::ops::OpSource;
 use crate::report::RunReport;
 use crate::sched::{EventPicker, Mutation};
-use crate::trace::TraceEvent;
 use crate::vclock::VClock;
 use crate::version::VersionMap;
 
@@ -207,11 +207,8 @@ pub struct SvmSystem {
     pub(crate) counters: Counters,
     pub(crate) done_count: usize,
     pub(crate) measure_from: Time,
-    /// Protocol events recorded while tracing is on (`None` =
-    /// disabled, the default: zero overhead).
-    pub(crate) trace: Option<Vec<TraceEvent>>,
     /// Observability recorder for host-side spans (`None` = disabled,
-    /// the default: a single branch per emission site, like `trace`).
+    /// the default: a single branch per emission site, like tracing).
     pub(crate) obs: Option<genima_obs::ObsHandle>,
     /// Set when the communication layer reports an unrecoverable
     /// failure (e.g. an unreachable peer); the event loop drains out
@@ -313,7 +310,6 @@ impl SvmSystem {
             counters: Counters::default(),
             done_count: 0,
             measure_from: Time::ZERO,
-            trace: None,
             obs: None,
             fatal: None,
             pool: genima_mem::PagePool::new(),
@@ -351,34 +347,19 @@ impl SvmSystem {
         self.comm.set_fault_injector(injector);
     }
 
-    /// Turns protocol *and* NI event tracing on or off. Turning it on
-    /// clears any previously recorded events. Tracing is observational
-    /// only — it never changes simulated timing or protocol behaviour.
+    /// Turns event tracing on or off: protocol events and the NI's
+    /// lock-ownership transitions go to one stream, kept by the
+    /// communication layer. Turning it on clears any previously
+    /// recorded events. Tracing is observational only — it never
+    /// changes simulated timing or protocol behaviour.
     pub fn set_tracing(&mut self, on: bool) {
-        self.trace = if on { Some(Vec::new()) } else { None };
         self.comm.set_tracing(on);
     }
 
-    /// Drains the recorded protocol trace (empty when tracing was
-    /// never enabled).
+    /// Drains the recorded trace in emission order (empty when tracing
+    /// was never enabled).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        match self.trace.as_mut() {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
-        }
-    }
-
-    /// Drains the NI lock-ownership trace (empty when tracing was
-    /// never enabled).
-    pub fn take_lock_trace(&mut self) -> Vec<genima_nic::LockTrace> {
-        self.comm.take_lock_trace()
-    }
-
-    /// Records a trace event when tracing is enabled.
-    pub(crate) fn emit(&mut self, ev: TraceEvent) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(ev);
-        }
+        self.comm.take_trace()
     }
 
     /// Assigns `count` pages starting at `start` to `node` as their

@@ -4,14 +4,13 @@
 //! notices the new clock covers, invalidate, resume.
 
 use genima_mem::{Access, PageId};
-use genima_nic::MsgKind;
+use genima_nic::{MsgKind, TraceEvent};
 use genima_sim::Time;
 
 use super::interval::contiguous_groups;
 use super::page::{self, Noticed};
 use super::{Block, Bucket, Flow, Pending, ProcState, Sink, SvmSystem, SysEvent, WaitReason};
 use crate::ids::{NodeId, ProcId};
-use crate::trace::TraceEvent;
 use crate::vclock::VClock;
 
 impl SvmSystem {
@@ -286,11 +285,11 @@ impl SvmSystem {
     /// Applies invalidations and resumes the process (the final stage
     /// of every acquire and barrier exit).
     pub(crate) fn complete_sync(&mut self, t: Time, p: usize, reason: WaitReason) {
-        if self.trace.is_some() {
+        if self.comm.tracing() {
             let node = self.p.topo.node_of(ProcId::new(p)).index();
-            let vc = self.procs[p].vc.clone();
+            let vc = self.procs[p].vc.lanes().to_vec();
             let arrived = self.nodes[node].arrived.clone();
-            self.emit(TraceEvent::SyncDone {
+            self.comm.record(TraceEvent::SyncDone {
                 at: t,
                 proc: p,
                 vc,

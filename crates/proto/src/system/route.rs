@@ -3,12 +3,11 @@
 //! the destination's protocol handler (an interrupt) or is served on
 //! the spot. [`SvmSystem::serve`] is the one message → action table.
 
-use genima_nic::{LockOp, Upcall};
+use genima_nic::{LockOp, TraceEvent, Upcall};
 use genima_sim::{Dur, Time};
 
 use super::{Pending, SvmSystem, SysEvent};
 use crate::error::ProtoError;
-use crate::trace::TraceEvent;
 
 impl SvmSystem {
     /// Charges an interrupt on `node` at `t` with handler service
@@ -21,7 +20,7 @@ impl SvmSystem {
             "GeNIMA must never take an interrupt"
         );
         self.counters.interrupts += 1;
-        self.emit(TraceEvent::Interrupt { at: t, node });
+        self.comm.record(TraceEvent::Interrupt { at: t, node });
         let lat = self.p.proto.interrupt_latency;
         let node_rt = &mut self.nodes[node];
         let (start, done) = node_rt.handler.reserve(t + lat, svc);

@@ -54,6 +54,11 @@ impl VClock {
         self.v.len()
     }
 
+    /// The interval counts, one per process.
+    pub fn lanes(&self) -> &[u32] {
+        &self.v
+    }
+
     /// Returns `true` if the clock has no slots.
     pub fn is_empty(&self) -> bool {
         self.v.is_empty()

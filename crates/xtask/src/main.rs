@@ -57,6 +57,7 @@ use std::process::ExitCode;
 /// test modules). Scoping by directory means a file split or a new
 /// module cannot silently leave the gate.
 const PROTOCOL_DIRS: &[&str] = &[
+    "crates/check/src",
     "crates/coll/src",
     "crates/fault/src",
     "crates/mc/src",
