@@ -7,7 +7,7 @@
 
 use genima_apps::{App, WaterNsquared};
 use genima_check::{check_app_races, run_app_audited};
-use genima_proto::{FeatureSet, Topology};
+use genima_proto::{Column, Topology};
 
 fn main() {
     let topo = Topology::new(2, 2);
@@ -26,11 +26,11 @@ fn main() {
         Err(err) => println!("{}: schedule error: {err}", app.name()),
     }
 
-    for features in FeatureSet::ALL {
-        let run = run_app_audited(&app, topo, features);
+    for column in Column::all() {
+        let run = run_app_audited(&app, topo, column);
         println!(
-            "{:<9} events {:>5}, NI lock events {:>4}, interrupts {:>4} -> {}",
-            features.name(),
+            "{:<11} events {:>5}, NI lock events {:>4}, interrupts {:>4} -> {}",
+            column.name(),
             run.audit.events,
             run.audit.lock_events,
             run.report.counters.interrupts,

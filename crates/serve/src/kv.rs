@@ -15,15 +15,21 @@
 //! by construction, and the protocol columns differ only in how
 //! expensive those locks and page fetches are.
 
-use genima_apps::{App, Arrival, Layout, OpsBuilder, WorkloadSpec};
-use genima_proto::{ServeClass, Topology, PAGE_SIZE};
+use std::collections::VecDeque;
+
+use genima_apps::{App, Layout, Region, WorkloadSpec};
+use genima_proto::{LockId, Op, ServeClass, Topology, PAGE_SIZE};
 use genima_sim::{Dur, SplitMix64, Time};
 
-use crate::arrival::{OpenLoop, Pacing};
-use crate::zipf::{scatter, Zipf};
+use crate::arrival::Pacing;
+use crate::stream::{compute_us, Offer, Request};
+use crate::zipf::Zipf;
 
 /// Bytes per stored value; 64 values pack one 4 KB page (= one shard).
 pub const VALUE_BYTES: usize = 64;
+
+/// Keys per shard page.
+const KEYS_PER_PAGE: usize = PAGE_SIZE / VALUE_BYTES;
 
 /// Open-loop Zipf key-value serving workload.
 ///
@@ -48,18 +54,10 @@ pub struct KvServe {
     zipf_s: f64,
     /// Percentage of operations that are reads (0..=100).
     read_pct: u32,
-    /// Operations offered across the whole cluster.
-    ops: u64,
-    /// Simulated span the arrival process covers.
-    horizon: Dur,
-    /// Absolute time the first arrival may occur (after warmup).
-    start: Time,
-    /// Inter-arrival distribution.
-    pacing: Pacing,
     /// Host-side service compute per op (request parse + hash), µs.
     service_us: f64,
-    /// Seed for arrivals, key choice and the read/write coin.
-    seed: u64,
+    /// Operations offered, their window, pacing and seed.
+    offer: Offer,
 }
 
 impl KvServe {
@@ -71,9 +69,8 @@ impl KvServe {
     /// Panics unless `keys` is a power of two covering at least one
     /// page, or if `read_pct` exceeds 100.
     pub fn new(keys: usize, zipf_s: f64, read_pct: u32, ops: u64, horizon: Dur) -> KvServe {
-        let per_page = PAGE_SIZE / VALUE_BYTES;
         assert!(
-            keys.is_power_of_two() && keys >= per_page,
+            keys.is_power_of_two() && keys >= KEYS_PER_PAGE,
             "keys must be a power of two filling at least one page"
         );
         assert!(read_pct <= 100, "read_pct is a percentage");
@@ -81,36 +78,65 @@ impl KvServe {
             keys,
             zipf_s,
             read_pct,
-            ops,
-            horizon,
-            start: Time::from_ns(500_000),
-            pacing: Pacing::Poisson,
             service_us: 0.3,
-            seed: 0,
+            offer: Offer::new(ops, horizon),
         }
     }
 
     /// Replaces the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> KvServe {
-        self.seed = seed;
+        self.offer.seed = seed;
         self
     }
 
     /// Replaces the inter-arrival distribution.
     pub fn with_pacing(mut self, pacing: Pacing) -> KvServe {
-        self.pacing = pacing;
+        self.offer.pacing = pacing;
         self
     }
 
     /// Replaces the arrival-window start time.
     pub fn with_start(mut self, start: Time) -> KvServe {
-        self.start = start;
+        self.offer.start = start;
         self
     }
 
-    /// Keys per shard page.
-    fn keys_per_page(&self) -> usize {
-        PAGE_SIZE / VALUE_BYTES
+    /// The store: one page per shard, from the first page on.
+    fn store(&self) -> Region {
+        Layout::new().alloc_pages(self.keys / KEYS_PER_PAGE)
+    }
+}
+
+impl Request for KvServe {
+    const SALT: u64 = 0x6b76_7365_7276_6500;
+
+    fn max_ops(&self) -> usize {
+        6
+    }
+
+    /// Service compute, then the key's access under its shard lock.
+    fn push_ops(&self, t: Time, key: usize, rng: &mut SplitMix64, out: &mut VecDeque<Op>) {
+        let shard = LockId::new(key / KEYS_PER_PAGE);
+        let addr = self.store().addr((key * VALUE_BYTES) as u64);
+        let len = VALUE_BYTES as u32;
+        let is_read = rng.next_below(100) < self.read_pct as u64;
+        out.push_back(Op::WaitUntil(t));
+        out.extend(compute_us(self.service_us));
+        out.push_back(Op::Acquire(shard));
+        out.push_back(if is_read {
+            Op::Read { addr, len }
+        } else {
+            Op::Write { addr, len }
+        });
+        out.push_back(Op::Release(shard));
+        out.push_back(Op::ServeEnd {
+            class: if is_read {
+                ServeClass::Read
+            } else {
+                ServeClass::Write
+            },
+            issued: t,
+        });
     }
 }
 
@@ -125,78 +151,24 @@ impl App for KvServe {
             self.keys,
             self.zipf_s,
             self.read_pct,
-            self.ops,
-            self.horizon.as_ms()
+            self.offer.requests,
+            self.offer.horizon.as_ms()
         )
     }
 
     fn spec(&self, topo: Topology) -> WorkloadSpec {
-        let nprocs = topo.procs();
-        let kpp = self.keys_per_page();
-        let shards = self.keys / kpp;
-        let mut layout = Layout::new();
-        let store = layout.alloc_pages(shards);
+        let store = self.store();
         let zipf = Zipf::new(self.keys, self.zipf_s);
-
-        let base_ops = self.ops / nprocs as u64;
-        let extra = (self.ops % nprocs as u64) as usize;
-        let mut sources = Vec::with_capacity(nprocs);
-        for p in 0..nprocs {
-            let ops_pp = base_ops + u64::from(p < extra);
-            let mut rng =
-                SplitMix64::new(self.seed ^ 0x6b76_7365_7276_6500u64.wrapping_add(p as u64));
-            let arr_rng = rng.split();
-            let mut b = OpsBuilder::new();
-            b.barrier(0);
-            if let Some(gap) = self.horizon.as_ns().checked_div(ops_pp) {
-                let mean_gap = Dur::from_ns(gap.max(1));
-                let mut arr = OpenLoop::new(self.start, mean_gap, self.pacing, arr_rng);
-                for _ in 0..ops_pp {
-                    let t = arr.next_arrival();
-                    let key = scatter(zipf.sample(&mut rng), self.keys);
-                    let shard = key / kpp;
-                    let addr = store.addr((key * VALUE_BYTES) as u64);
-                    let is_read = rng.next_below(100) < self.read_pct as u64;
-                    b.wait_until(t);
-                    b.compute_us(self.service_us);
-                    b.acquire(shard);
-                    if is_read {
-                        b.read(addr, VALUE_BYTES as u32);
-                    } else {
-                        b.write(addr, VALUE_BYTES as u32);
-                    }
-                    b.release(shard);
-                    b.serve_end(
-                        if is_read {
-                            ServeClass::Read
-                        } else {
-                            ServeClass::Write
-                        },
-                        t,
-                    );
-                }
-            }
-            sources.push(b.into_source());
-        }
-
-        WorkloadSpec {
-            sources,
-            homes: store.homes_blocked(topo),
-            locks: shards,
-            bus_demand_per_proc: 25_000_000,
-            warmup_barrier: Some(genima_proto::BarrierId::new(0)),
-            arrival: Arrival::Open {
-                horizon: self.horizon,
-                offered_ops: self.ops,
-            },
-        }
+        let homes = store.homes_blocked(topo);
+        self.offer
+            .spec(topo, self.clone(), zipf, homes, store.pages())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genima_proto::Op;
+    use genima_apps::Arrival;
 
     fn ops_of(kv: &KvServe, topo: Topology) -> Vec<Vec<Op>> {
         kv.spec(topo)

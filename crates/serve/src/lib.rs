@@ -26,13 +26,16 @@
 //!   over an adjacency region, lock-free and read-only.
 //!
 //! Both workloads implement [`genima_apps::App`], so all six protocol
-//! columns run them unchanged; per-op latency lands in
+//! columns run them unchanged. Their streams are drawn on demand, one
+//! request at a time as the run consumes them, so a spec costs memory
+//! in processes and keys rather than in requests. Per-op latency lands in
 //! `RunReport::serve` via [`Op::ServeEnd`](genima_proto::Op::ServeEnd)
 //! and `bench serving` (in `genima-bench`) gates the tails
 //! (`BENCH_serving.json`).
 
 mod arrival;
 mod kv;
+mod stream;
 mod walk;
 mod zipf;
 

@@ -13,15 +13,21 @@
 //! The graph is read-only after initialization, so walks take no
 //! locks and the workload is race-free by construction.
 
-use genima_apps::{App, Arrival, Layout, OpsBuilder, WorkloadSpec};
-use genima_proto::{ServeClass, Topology, PAGE_SIZE};
+use std::collections::VecDeque;
+
+use genima_apps::{App, Layout, Region, WorkloadSpec};
+use genima_proto::{Op, ServeClass, Topology, PAGE_SIZE};
 use genima_sim::{Dur, SplitMix64, Time};
 
-use crate::arrival::{OpenLoop, Pacing};
-use crate::zipf::{scatter, Zipf};
+use crate::arrival::Pacing;
+use crate::stream::{compute_us, Offer, Request};
+use crate::zipf::Zipf;
 
 /// Bytes per adjacency row (vertex id + a handful of neighbor ids).
 pub const ROW_BYTES: usize = 64;
+
+/// Adjacency rows per page.
+const ROWS_PER_PAGE: usize = PAGE_SIZE / ROW_BYTES;
 
 /// Open-loop random-walk serving workload.
 ///
@@ -45,18 +51,10 @@ pub struct GraphWalk {
     walk_len: usize,
     /// Zipf skew of walk start vertices.
     zipf_s: f64,
-    /// Walks offered across the whole cluster.
-    walks: u64,
-    /// Simulated span the arrival process covers.
-    horizon: Dur,
-    /// Absolute time the first arrival may occur (after warmup).
-    start: Time,
-    /// Inter-arrival distribution.
-    pacing: Pacing,
     /// Host-side compute per hop (neighbor pick), µs.
     hop_us: f64,
-    /// Seed for arrivals, start vertices and hop choices.
-    seed: u64,
+    /// Walks offered, their window, pacing and seed.
+    offer: Offer,
 }
 
 impl GraphWalk {
@@ -74,9 +72,8 @@ impl GraphWalk {
         walks: u64,
         horizon: Dur,
     ) -> GraphWalk {
-        let per_page = PAGE_SIZE / ROW_BYTES;
         assert!(
-            vertices.is_power_of_two() && vertices >= per_page,
+            vertices.is_power_of_two() && vertices >= ROWS_PER_PAGE,
             "vertices must be a power of two filling at least one page"
         );
         assert!(walk_len > 0, "walks must take at least one hop");
@@ -84,31 +81,32 @@ impl GraphWalk {
             vertices,
             walk_len,
             zipf_s,
-            walks,
-            horizon,
-            start: Time::from_ns(500_000),
-            pacing: Pacing::Poisson,
             hop_us: 0.1,
-            seed: 0,
+            offer: Offer::new(walks, horizon),
         }
     }
 
     /// Replaces the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> GraphWalk {
-        self.seed = seed;
+        self.offer.seed = seed;
         self
     }
 
     /// Replaces the inter-arrival distribution.
     pub fn with_pacing(mut self, pacing: Pacing) -> GraphWalk {
-        self.pacing = pacing;
+        self.offer.pacing = pacing;
         self
     }
 
     /// Replaces the arrival-window start time.
     pub fn with_start(mut self, start: Time) -> GraphWalk {
-        self.start = start;
+        self.offer.start = start;
         self
+    }
+
+    /// The adjacency rows, from the first page on.
+    fn adjacency(&self) -> Region {
+        Layout::new().alloc_pages(self.vertices / ROWS_PER_PAGE)
     }
 }
 
@@ -119,6 +117,34 @@ fn next_hop(v: usize, salt: u64, mask: usize) -> usize {
         .wrapping_add(salt)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize
         & mask
+}
+
+impl Request for GraphWalk {
+    const SALT: u64 = 0x6777_616c_6b00_0000;
+
+    fn max_ops(&self) -> usize {
+        2 * self.walk_len + 2
+    }
+
+    /// `walk_len` dependent row reads from the start vertex `v`, each
+    /// followed by the hop's compute and a draw of the next hop (the
+    /// last draw is made and unused).
+    fn push_ops(&self, t: Time, mut v: usize, rng: &mut SplitMix64, out: &mut VecDeque<Op>) {
+        let adj = self.adjacency();
+        out.push_back(Op::WaitUntil(t));
+        for _ in 0..self.walk_len {
+            out.push_back(Op::Read {
+                addr: adj.addr((v * ROW_BYTES) as u64),
+                len: ROW_BYTES as u32,
+            });
+            out.extend(compute_us(self.hop_us));
+            v = next_hop(v, rng.next_u64(), self.vertices - 1);
+        }
+        out.push_back(Op::ServeEnd {
+            class: ServeClass::Walk,
+            issued: t,
+        });
+    }
 }
 
 impl App for GraphWalk {
@@ -132,66 +158,22 @@ impl App for GraphWalk {
             self.vertices,
             self.walk_len,
             self.zipf_s,
-            self.walks,
-            self.horizon.as_ms()
+            self.offer.requests,
+            self.offer.horizon.as_ms()
         )
     }
 
     fn spec(&self, topo: Topology) -> WorkloadSpec {
-        let nprocs = topo.procs();
-        let rows_per_page = PAGE_SIZE / ROW_BYTES;
-        let pages = self.vertices / rows_per_page;
-        let mut layout = Layout::new();
-        let adj = layout.alloc_pages(pages);
+        let adj = self.adjacency();
         let zipf = Zipf::new(self.vertices, self.zipf_s);
-        let mask = self.vertices - 1;
-
-        let base_walks = self.walks / nprocs as u64;
-        let extra = (self.walks % nprocs as u64) as usize;
-        let mut sources = Vec::with_capacity(nprocs);
-        for p in 0..nprocs {
-            let walks_pp = base_walks + u64::from(p < extra);
-            let mut rng =
-                SplitMix64::new(self.seed ^ 0x6777_616c_6b00_0000u64.wrapping_add(p as u64));
-            let arr_rng = rng.split();
-            let mut b = OpsBuilder::new();
-            b.barrier(0);
-            if let Some(gap) = self.horizon.as_ns().checked_div(walks_pp) {
-                let mean_gap = Dur::from_ns(gap.max(1));
-                let mut arr = OpenLoop::new(self.start, mean_gap, self.pacing, arr_rng);
-                for _ in 0..walks_pp {
-                    let t = arr.next_arrival();
-                    let mut v = scatter(zipf.sample(&mut rng), self.vertices);
-                    b.wait_until(t);
-                    for _ in 0..self.walk_len {
-                        b.read(adj.addr((v * ROW_BYTES) as u64), ROW_BYTES as u32);
-                        b.compute_us(self.hop_us);
-                        v = next_hop(v, rng.next_u64(), mask);
-                    }
-                    b.serve_end(ServeClass::Walk, t);
-                }
-            }
-            sources.push(b.into_source());
-        }
-
-        WorkloadSpec {
-            sources,
-            homes: adj.homes_blocked(topo),
-            locks: 0,
-            bus_demand_per_proc: 25_000_000,
-            warmup_barrier: Some(genima_proto::BarrierId::new(0)),
-            arrival: Arrival::Open {
-                horizon: self.horizon,
-                offered_ops: self.walks,
-            },
-        }
+        self.offer
+            .spec(topo, self.clone(), zipf, adj.homes_blocked(topo), 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genima_proto::Op;
 
     #[test]
     fn walks_are_dependent_reads_with_no_locks() {

@@ -1,9 +1,10 @@
-//! Property tests for the serving workload generators: seeded
+//! Property tests for the serving workload generators: the streams
+//! drawn on demand match the materialised oracle op for op, seeded
 //! determinism, Zipf skew sanity and open-loop arrival monotonicity.
 
-use genima_apps::App;
-use genima_proto::{Op, Topology};
-use genima_serve::{GraphWalk, KvServe, OpenLoop, Pacing, Zipf};
+use genima_apps::{App, Layout, OpsBuilder};
+use genima_proto::{Op, OpSource, ServeClass, Topology, PAGE_SIZE};
+use genima_serve::{scatter, GraphWalk, KvServe, OpenLoop, Pacing, Zipf, ROW_BYTES, VALUE_BYTES};
 use genima_sim::{Dur, SplitMix64, Time};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -21,6 +22,122 @@ fn streams_of(app: &dyn App, topo: Topology) -> Vec<Vec<Op>> {
             v
         })
         .collect()
+}
+
+/// Drains `src`, then checks that it stays drained.
+fn drain(src: &mut dyn OpSource) -> Result<Vec<Op>, TestCaseError> {
+    let mut v = Vec::new();
+    while let Some(op) = src.next_op() {
+        v.push(op);
+    }
+    for _ in 0..3 {
+        prop_assert!(src.next_op().is_none(), "a drained source yielded again");
+    }
+    Ok(v)
+}
+
+/// The open-loop offer both oracles take.
+struct Offer {
+    requests: u64,
+    horizon: Dur,
+    start: Time,
+    pacing: Pacing,
+    seed: u64,
+}
+
+/// The materialising generator the serving apps used before their
+/// streams were drawn on demand: per process, the warm-up barrier and
+/// then every request, each written by `request` for its arrival time
+/// and scattered Zipf item.
+fn oracle(
+    topo: Topology,
+    offer: &Offer,
+    salt: u64,
+    zipf: &Zipf,
+    mut request: impl FnMut(&mut OpsBuilder, Time, usize, &mut SplitMix64),
+) -> Vec<Vec<Op>> {
+    let nprocs = topo.procs();
+    let base = offer.requests / nprocs as u64;
+    let extra = (offer.requests % nprocs as u64) as usize;
+    (0..nprocs)
+        .map(|p| {
+            let pp = base + u64::from(p < extra);
+            let mut rng = SplitMix64::new(offer.seed ^ salt.wrapping_add(p as u64));
+            let arr_rng = rng.split();
+            let mut b = OpsBuilder::new();
+            b.barrier(0);
+            if let Some(gap) = offer.horizon.as_ns().checked_div(pp) {
+                let gap = Dur::from_ns(gap.max(1));
+                let mut arr = OpenLoop::new(offer.start, gap, offer.pacing, arr_rng);
+                for _ in 0..pp {
+                    let t = arr.next_arrival();
+                    let item = scatter(zipf.sample(&mut rng), zipf.n());
+                    request(&mut b, t, item, &mut rng);
+                }
+            }
+            let mut src = b.into_source();
+            std::iter::from_fn(|| src.next_op()).collect()
+        })
+        .collect()
+}
+
+/// `KvServe`'s streams as the oracle writes them.
+fn kv_oracle(topo: Topology, keys: usize, read_pct: u32, offer: &Offer) -> Vec<Vec<Op>> {
+    let kpp = PAGE_SIZE / VALUE_BYTES;
+    let store = Layout::new().alloc_pages(keys / kpp);
+    let zipf = Zipf::new(keys, 0.99);
+    oracle(
+        topo,
+        offer,
+        0x6b76_7365_7276_6500,
+        &zipf,
+        |b, t, key, rng| {
+            let shard = key / kpp;
+            let addr = store.addr((key * VALUE_BYTES) as u64);
+            let is_read = rng.next_below(100) < u64::from(read_pct);
+            b.wait_until(t);
+            b.compute_us(0.3);
+            b.acquire(shard);
+            if is_read {
+                b.read(addr, VALUE_BYTES as u32);
+            } else {
+                b.write(addr, VALUE_BYTES as u32);
+            }
+            b.release(shard);
+            let class = if is_read {
+                ServeClass::Read
+            } else {
+                ServeClass::Write
+            };
+            b.serve_end(class, t);
+        },
+    )
+}
+
+/// `GraphWalk`'s streams as the oracle writes them, with the hop hash
+/// restated.
+fn walk_oracle(topo: Topology, vertices: usize, walk_len: usize, offer: &Offer) -> Vec<Vec<Op>> {
+    let adj = Layout::new().alloc_pages(vertices / (PAGE_SIZE / ROW_BYTES));
+    let zipf = Zipf::new(vertices, 0.99);
+    oracle(
+        topo,
+        offer,
+        0x6777_616c_6b00_0000,
+        &zipf,
+        |b, t, mut v, rng| {
+            b.wait_until(t);
+            for _ in 0..walk_len {
+                b.read(adj.addr((v * ROW_BYTES) as u64), ROW_BYTES as u32);
+                b.compute_us(0.1);
+                v = (v as u64)
+                    .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                    .wrapping_add(rng.next_u64())
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize
+                    & (vertices - 1);
+            }
+            b.serve_end(ServeClass::Walk, t);
+        },
+    )
 }
 
 /// Checks the open-loop invariants on one generated stream: the
@@ -50,6 +167,50 @@ fn assert_open_loop_shape(stream: &[Op], start: Time) -> Result<(), TestCaseErro
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On every topology from 1x1 to 4x2 and under both pacings, each
+    /// process's stream drawn on demand is the oracle's, op for op,
+    /// and stays drained after its first `None`. Request counts run
+    /// from zero past the process count, so some processes serve
+    /// nothing and the rest split unevenly.
+    #[test]
+    fn streams_drawn_on_demand_match_the_materialised_oracle(
+        seed in any::<u64>(),
+        requests in 0u64..40,
+        read_idx in 0usize..3,
+        long_walks in any::<bool>(),
+    ) {
+        let read_pct = [0, 50, 100][read_idx];
+        let walk_len = if long_walks { 6 } else { 1 };
+        for nodes in 1..=4 {
+            for ppn in 1..=2 {
+                let topo = Topology::new(nodes, ppn);
+                for pacing in [Pacing::Poisson, Pacing::Uniform] {
+                    let start = Time::from_ns(200_000 + seed % 1_000);
+                    let horizon = Dur::from_ms(2);
+                    let offer = Offer { requests, horizon, start, pacing, seed };
+                    let kv = KvServe::new(1024, 0.99, read_pct, requests, horizon)
+                        .with_seed(seed)
+                        .with_pacing(pacing)
+                        .with_start(start);
+                    let walk = GraphWalk::new(4096, walk_len, 0.99, requests, horizon)
+                        .with_seed(seed)
+                        .with_pacing(pacing)
+                        .with_start(start);
+                    for (app, want) in [
+                        (&kv as &dyn App, kv_oracle(topo, 1024, read_pct, &offer)),
+                        (&walk, walk_oracle(topo, 4096, walk_len, &offer)),
+                    ] {
+                        let spec = app.spec(topo);
+                        prop_assert_eq!(spec.sources.len(), want.len());
+                        for (mut src, want) in spec.sources.into_iter().zip(want) {
+                            prop_assert_eq!(drain(src.as_mut())?, want, "{}", app.name());
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// The same `(seed, shape)` produces bit-identical op streams on
     /// every call — the property the bench's cross-column stream-hash
