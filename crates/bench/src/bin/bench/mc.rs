@@ -18,9 +18,9 @@
 //! report bounded coverage); DPOR prunes the calibration cell at least
 //! 5× against naive enumeration while exhausting it; the seeded mutant
 //! is caught within 10k schedules and its minimized counterexample
-//! replays after a round trip through its JSON form.
+//! replays bit for bit.
 
-use genima_mc::{corpus, litmus, Config, Explorer, Litmus, Mode, ScheduleTrace};
+use genima_mc::{corpus, litmus, Config, Explorer, Litmus, Mode};
 use genima_obs::bench::{meta, row};
 use genima_obs::{BenchReport, Json};
 use genima_proto::{Column, FeatureSet, Mutation};
@@ -193,13 +193,14 @@ pub fn run(args: &Args) -> BenchReport {
     };
     let l = litmus::by_name("mp").expect("mp litmus exists");
     let c = Column::lanai(FeatureSet::genima());
-    let hunt = Explorer::new(l, c, hunt_cfg).with_mutation(mutation).run();
+    let hunter = Explorer::new(l, c, hunt_cfg).with_mutation(mutation);
+    let hunt = hunter.run();
     let caught = hunt.violation.is_some();
-    // The trace replays after a round trip through the file format a
-    // counterexample is stored in.
+    // Replaying the minimized prefix reproduces every step and the
+    // violation itself.
     let replay_ok = hunt.violation.as_ref().is_some_and(|v| {
-        let trace = ScheduleTrace::new(l.name, c.name(), Some(mutation), v);
-        ScheduleTrace::parse(&trace.dump()).is_ok_and(|t| t == trace && t.verify().is_ok())
+        let (steps, desc) = hunter.replay(&v.prefix);
+        steps == v.steps && desc.as_deref() == Some(v.desc.as_str())
     });
     let minimized = hunt.violation.as_ref().map_or(0, |v| v.steps.len() as u64);
     let mut mutant = Json::obj();

@@ -29,7 +29,7 @@ fn main() {
     for column in Column::all() {
         let run = run_app_audited(&app, topo, column);
         println!(
-            "{:<11} events {:>5}, NI lock events {:>4}, interrupts {:>4} -> {}",
+            "{:<11} events {:>5}, lock events {:>4}, interrupts {:>4} -> {}",
             column.name(),
             run.audit.events,
             run.audit.lock_events,

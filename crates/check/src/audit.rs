@@ -1,8 +1,8 @@
 //! Protocol-invariant auditing over recorded traces.
 //!
 //! [`audit_traces`] replays the one event stream a traced run records
-//! (`SvmSystem::set_tracing`): the protocol's events and the NI
-//! firmware's lock-ownership transitions, in emission order. One pass
+//! (`SvmSystem::set_tracing`): the protocol's events and every lock
+//! primitive's ownership transitions, in emission order. One pass
 //! checks the paper's correctness invariants:
 //!
 //! 1. **Timestamp coverage** — a fetched page installed into a node's
@@ -14,11 +14,14 @@
 //!    already be present at the node ([`Violation::MissingNotices`]).
 //! 3. **Diff ordering** — diffs apply to a home page in per-writer
 //!    interval order ([`Violation::DiffOrderRegression`]).
-//! 4. **Single lock owner** — replaying the firmware grant/transfer
-//!    chain from the lock's home in the order the firmware changed it,
-//!    at most one NIC owns a lock at a time
-//!    ([`Violation::LockDoubleOwner`],
-//!    [`Violation::LockPhantomRelease`]).
+//! 4. **Single lock owner** — replaying every change of a lock's
+//!    owner in the order it happened, at most one NIC owns a lock at a
+//!    time ([`Violation::LockDoubleOwner`],
+//!    [`Violation::LockPhantomRelease`]). A lock starts owned by its
+//!    home. The NI chain (GeNIMA) and the host chain (Base to
+//!    DW+RF+DD) record each grant and departure; the atomics cell
+//!    (GeNIMA-2025) records each won attempt and releasing clear, and
+//!    states its clear start as a home release at time zero.
 //! 5. **Zero interrupts** — an interrupt-free configuration (full
 //!    GeNIMA) must record no host interrupt at all
 //!    ([`Violation::UnexpectedInterrupt`]).
@@ -257,7 +260,7 @@ impl fmt::Display for Violation {
 pub struct Audit {
     /// Events examined.
     pub events: usize,
-    /// Of those, NI lock-ownership transitions.
+    /// Of those, lock-ownership transitions.
     pub lock_events: usize,
     /// Every invariant violation found, in replay order.
     pub violations: Vec<Violation>,
@@ -275,7 +278,7 @@ impl fmt::Display for Audit {
         if self.is_clean() {
             write!(
                 f,
-                "audit clean over {} events, {} of them NI lock transitions",
+                "audit clean over {} events, {} of them lock transitions",
                 self.events, self.lock_events
             )
         } else {
@@ -328,7 +331,7 @@ pub fn audit_traces(features: FeatureSet, nnodes: usize, trace: &[TraceEvent]) -
     // (barrier, epoch), and nodes already released from that epoch.
     let mut coll_arrived: BTreeMap<(usize, u32), BTreeSet<usize>> = BTreeMap::new();
     let mut coll_released: BTreeSet<(usize, u32, usize)> = BTreeSet::new();
-    // Current owner per NI lock; a lock's home owns it from reset.
+    // Current owner per lock; a lock's home owns it from reset.
     let mut owner: BTreeMap<LockId, Option<usize>> = BTreeMap::new();
 
     for ev in trace {

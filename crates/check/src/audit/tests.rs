@@ -308,3 +308,30 @@ fn ownership_replays_in_emission_order_not_time_order() {
         ]
     );
 }
+
+#[test]
+fn two_wins_of_one_cell_without_a_clear_are_flagged() {
+    // Lock 1's atomics cell homes at nic 1 and starts clear, which the
+    // stream states as a home release at time zero. nic 0 wins it,
+    // then nic 1 wins it with no clear in between.
+    let won_twice = [released(0, 1, 1), acquired(10, 0, 1), acquired(20, 1, 1)];
+    let audit = audit_traces(FeatureSet::genima_2025(), 2, &won_twice);
+    assert_eq!(
+        audit.violations,
+        [Violation::LockDoubleOwner {
+            at: Time::from_ns(20),
+            lock: LockId::new(1),
+            nic: 1,
+            owner: 0,
+        }]
+    );
+    // With nic 0's clear between the wins, one NIC owns it at a time.
+    let handed_over = [
+        released(0, 1, 1),
+        acquired(10, 0, 1),
+        released(15, 0, 1),
+        acquired(20, 1, 1),
+    ];
+    let audit = audit_traces(FeatureSet::genima_2025(), 2, &handed_over);
+    assert!(audit.is_clean(), "{audit}");
+}

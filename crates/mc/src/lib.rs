@@ -24,8 +24,9 @@
 //!   consistency allows and forbids. The sets are protocol-column
 //!   independent: every column from Base to full GeNIMA must satisfy
 //!   the same memory model.
-//! * **Counterexamples** ([`trace`]) are minimized pick sequences,
-//!   serialized to JSON, and bit-identically replayable.
+//! * **Counterexamples** ([`Violation`]) are minimized forced pick
+//!   prefixes; [`Explorer::replay`] re-runs one and reproduces the
+//!   violation and every step bit for bit.
 //!
 //! Seeded mutants ([`genima_proto::Mutation`]) prove the oracles have
 //! teeth: `bench mc` explores `mp` on GeNIMA under
@@ -35,8 +36,6 @@
 
 pub mod explore;
 pub mod litmus;
-pub mod trace;
 
 pub use explore::{Config, ExploreReport, Explorer, Mode, Violation};
 pub use litmus::{corpus, Litmus};
-pub use trace::ScheduleTrace;

@@ -56,9 +56,8 @@ impl Comm {
     /// # Panics
     ///
     /// Panics if the NIC does not own the lock in released state.
-    pub fn lock_local_hold(&mut self, now: Time, nic: NicId, lock: LockId) -> Post {
+    pub fn lock_local_hold(&mut self, nic: NicId, lock: LockId) {
         self.locks[lock.index()].local_hold(nic);
-        Post::after(now + self.model.sync_cost(), Step::default())
     }
 
     /// Releases an NI lock held by `nic`'s host. If a successor is
@@ -87,23 +86,10 @@ impl Comm {
         if pkt.src != nic {
             self.book_dest(rx, svc_done, self.model.sync_cost());
         }
-        let (lock, action) = match op {
-            LockOp::Request { lock, requester } => (
-                lock,
-                Some(self.locks[lock.index()].on_request(nic, requester, pkt.tag)),
-            ),
-            LockOp::Transfer {
-                lock,
-                requester,
-                tag,
-            } => (
-                lock,
-                self.locks[lock.index()].on_transfer(nic, requester, tag),
-            ),
-            LockOp::Grant { lock, tag } => {
-                (lock, Some(self.locks[lock.index()].on_grant(nic, tag)))
-            }
-        };
+        let (LockOp::Request { lock, .. }
+        | LockOp::Transfer { lock, .. }
+        | LockOp::Grant { lock, .. }) = op;
+        let action = self.locks[lock.index()].on_message(nic, op, pkt.tag);
         self.obs_record(|o| {
             o.span_op(
                 SpanKind::NiLockService,

@@ -98,8 +98,8 @@ pub enum LockAction {
 
 /// Chain state of one lock across the cluster, and the algorithm over
 /// it. Pure: no clock, no network, no hardware model — the inputs are
-/// the three host calls and the three message arrivals, each naming
-/// the site (as a [`NicId`]) that runs it.
+/// the three host calls and a chain message's arrival, each naming the
+/// site (as a [`NicId`]) that runs it.
 #[derive(Clone, Debug)]
 pub struct ChainLock {
     id: LockId,
@@ -217,12 +217,22 @@ impl ChainLock {
         }
     }
 
+    /// A chain message reached `nic`; `tag` is the tag its packet
+    /// carries, which for a `Request` is the requester's acquire tag.
+    pub fn on_message(&mut self, nic: NicId, op: LockOp, tag: Tag) -> Option<LockAction> {
+        match op {
+            LockOp::Request { requester, .. } => Some(self.on_request(nic, requester, tag)),
+            LockOp::Transfer { requester, tag, .. } => self.on_transfer(nic, requester, tag),
+            LockOp::Grant { tag, .. } => Some(self.on_grant(nic, tag)),
+        }
+    }
+
     /// A `Request` reached the home `nic`: append `requester` to the
     /// chain and tell the previous tail whom to hand the lock to. The
     /// requester's acquire tag travelled with the request and is
     /// threaded through the transfer so the eventual grant carries it
     /// back.
-    pub fn on_request(&mut self, nic: NicId, requester: NicId, tag: Tag) -> LockAction {
+    fn on_request(&mut self, nic: NicId, requester: NicId, tag: Tag) -> LockAction {
         debug_assert_eq!(self.home, nic, "only the home processes requests");
         let prev = std::mem::replace(&mut self.tail, requester);
         LockAction::Send {
@@ -238,7 +248,7 @@ impl ChainLock {
 
     /// A `Transfer` reached chain member `nic`: hand the lock over now
     /// if it sits released here, else remember the successor.
-    pub fn on_transfer(&mut self, nic: NicId, requester: NicId, tag: Tag) -> Option<LockAction> {
+    fn on_transfer(&mut self, nic: NicId, requester: NicId, tag: Tag) -> Option<LockAction> {
         let slot = &mut self.slots[nic.index()];
         match slot.state {
             SlotState::Released => {
@@ -258,7 +268,7 @@ impl ChainLock {
     }
 
     /// A `Grant` reached `nic`.
-    pub fn on_grant(&mut self, nic: NicId, tag: Tag) -> LockAction {
+    fn on_grant(&mut self, nic: NicId, tag: Tag) -> LockAction {
         let slot = &mut self.slots[nic.index()];
         if slot.state == SlotState::HeldLocal {
             // A duplicated grant that slipped past sequence dedupe (a

@@ -5,11 +5,12 @@
 //! correctness-critical transitions into one buffer, in the order the
 //! simulator executes them: host interrupts, page installation and
 //! fault completion, diff application at the home, collective arrival
-//! and release, acquire/barrier completion, and NI lock-ownership
-//! changes. The `genima-check` crate replays the stream after a run
-//! and verifies the paper's protocol invariants (timestamp coverage,
-//! write notices before first post-acquire access, per-page diff
-//! ordering, one owner per NI lock, barrier epochs, and the
+//! and release, acquire/barrier completion, and lock-ownership
+//! changes, whichever primitive carries the lock. The `genima-check`
+//! crate replays the stream after a run and verifies the paper's
+//! protocol invariants (timestamp coverage, write notices before
+//! first post-acquire access, per-page diff ordering, one owner per
+//! lock, barrier epochs, and the
 //! zero-interrupt property of the full GeNIMA configuration).
 //!
 //! Tracing is off by default and costs nothing when disabled.
@@ -122,21 +123,24 @@ pub enum TraceEvent {
         /// Interval records present at the process's node, per writer.
         arrived: Vec<u32>,
     },
-    /// The firmware made `nic` the owner of `lock` (a grant arrived).
+    /// `nic` became the owner of `lock`: a chain grant arrived (at the
+    /// NI or at the host), or an atomics attempt won the home cell.
     /// Replayed from the lock's home in emission order, at most one
     /// NIC owns a lock at a time.
     LockAcquired {
-        /// Firmware time of the grant.
+        /// Time of the grant.
         at: Time,
         /// The new owner.
         nic: NicId,
         /// The lock concerned.
         lock: LockId,
     },
-    /// `nic` ceded `lock` (handed it to a successor or answered a
-    /// transfer while in the released-but-kept state).
+    /// `nic` ceded `lock`: a chain owner handed it to a successor (or
+    /// answered a transfer while in the released-but-kept state), or
+    /// an atomics holder cleared the home cell. A clear cell at the
+    /// start of a run is a release by its home at time zero.
     LockReleased {
-        /// Firmware time of the hand-over.
+        /// Time of the hand-over.
         at: Time,
         /// The ceding owner.
         nic: NicId,

@@ -28,11 +28,10 @@ pub enum ProtoError {
         /// Human-readable description of the violated invariant.
         detail: String,
     },
-    /// A controlled run drained its event queue with processes still
-    /// blocked. Surfaced (instead of the panic
-    /// [`SvmSystem::try_run`](crate::SvmSystem::try_run) raises)
-    /// because a schedule that wedges the protocol is a model-checking
-    /// *finding*, not a harness bug.
+    /// A run drained its event queue with processes still blocked.
+    /// Surfaced by [`SvmSystem::try_run`](crate::SvmSystem::try_run)
+    /// and its controlled form alike: a schedule that wedges the
+    /// protocol is a model-checking *finding*, not a harness bug.
     Deadlock {
         /// The unfinished processes and what they are blocked on.
         blocked: Vec<(usize, String)>,

@@ -288,15 +288,7 @@ pub enum Mutation {
 }
 
 impl Mutation {
-    /// Parses the CLI spelling of a mutation name.
-    pub fn parse(name: &str) -> Option<Mutation> {
-        match name {
-            "reorder-write-notice" => Some(Mutation::ReorderWriteNotice),
-            _ => None, // lint: allow-wildcard — open set of input strings
-        }
-    }
-
-    /// The CLI spelling of this mutation.
+    /// The name reports record for this mutation.
     pub fn name(&self) -> &'static str {
         match self {
             Mutation::ReorderWriteNotice => "reorder-write-notice",

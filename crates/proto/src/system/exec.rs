@@ -281,7 +281,6 @@ impl SvmSystem {
         let t = self.procs[p].clock;
         self.procs[p].state = ProcState::Done;
         self.procs[p].finished_at = Some(t);
-        self.done_count += 1;
     }
 
     /// Reads `len` bytes of `page` as visible to `p`'s node.

@@ -27,7 +27,7 @@
 
 use std::ops::Range;
 
-use genima_nic::{CasWord, LockAction, LockId, LockOp, MsgKind, Post, Tag};
+use genima_nic::{CasWord, LockAction, LockId, LockOp, MsgKind, Post, Tag, TraceEvent};
 use genima_sim::Time;
 
 use super::{
@@ -41,6 +41,28 @@ impl SvmSystem {
     /// chains and the atomics cells share).
     pub(crate) fn lock_home(&self, lock: LockId) -> usize {
         lock.index() % self.p.topo.nodes
+    }
+
+    /// The traced ownership stream starts where the locks do: a chain
+    /// lock owned by its home, which the auditor assumes, and an
+    /// atomics cell clear, which it is told here as a release by the
+    /// home at time zero.
+    pub(crate) fn trace_initial_locks(&mut self) {
+        let cells = matches!(
+            self.lock_strategy,
+            LockStrategy::AtomicSwapSpin | LockStrategy::AtomicCasWait
+        );
+        if !cells || !self.comm.tracing() {
+            return;
+        }
+        for lock in (0..self.locks.len()).map(LockId::new) {
+            let nic = NodeId::new(self.lock_home(lock)).nic();
+            self.comm.record(TraceEvent::LockReleased {
+                at: Time::ZERO,
+                nic,
+                lock,
+            });
+        }
     }
 
     /// Starts a lock acquire for `p`. Returns [`Flow::Stop`] when the
@@ -77,8 +99,7 @@ impl SvmSystem {
             if self.lock_strategy == LockStrategy::HostChain {
                 self.host_chains[l.index()].local_hold(nic);
             } else {
-                let post = self.comm.lock_local_hold(now, nic, l);
-                self.absorb_post(post);
+                self.comm.lock_local_hold(nic, l);
             }
             self.nodes[node].locks[l.index()].holder = Some(p);
             let cost = self.p.proto.local_lock;
@@ -141,29 +162,14 @@ impl SvmSystem {
         op: LockOp,
         upto: Option<Vec<u32>>,
     ) {
+        let (LockOp::Request { lock: l, .. }
+        | LockOp::Transfer { lock: l, .. }
+        | LockOp::Grant { lock: l, .. }) = op;
+        if let LockOp::Grant { .. } = op {
+            self.merge_upto(t, to, upto);
+        }
         let site = NodeId::new(to).nic();
-        let (l, action) = match op {
-            LockOp::Request { lock, requester } => (
-                lock,
-                Some(self.host_chains[lock.index()].on_request(site, requester, tag)),
-            ),
-            LockOp::Transfer {
-                lock,
-                requester,
-                tag,
-            } => (
-                lock,
-                self.host_chains[lock.index()].on_transfer(site, requester, tag),
-            ),
-            LockOp::Grant { lock, tag } => {
-                self.merge_upto(t, to, upto);
-                (
-                    lock,
-                    Some(self.host_chains[lock.index()].on_grant(site, tag)),
-                )
-            }
-        };
-        if let Some(action) = action {
+        if let Some(action) = self.host_chains[l.index()].on_message(site, op, tag) {
             self.apply_chain(t, to, l, action, Sink::Handler(to));
         }
     }
@@ -179,6 +185,7 @@ impl SvmSystem {
         action: LockAction,
         sink: Sink,
     ) -> Time {
+        let nic = NodeId::new(node).nic();
         match action {
             LockAction::Send { to, op, tag } => {
                 let to = to.index();
@@ -192,8 +199,8 @@ impl SvmSystem {
                 if to != node {
                     let tag = self.tag_op(msg, lop);
                     let bytes = self.p.proto.control_msg_bytes;
-                    let (src, dst) = (NodeId::new(node).nic(), NodeId::new(to).nic());
-                    return self.send(t, src, dst, bytes, MsgKind::HostMsg, tag);
+                    let dst = NodeId::new(to).nic();
+                    return self.send(t, nic, dst, bytes, MsgKind::HostMsg, tag);
                 }
                 match op {
                     // The home structures are in local memory.
@@ -206,6 +213,11 @@ impl SvmSystem {
                 t
             }
             LockAction::Departed { to, tag } => {
+                self.comm.record(TraceEvent::LockReleased {
+                    at: t,
+                    nic,
+                    lock: l,
+                });
                 let mut cursor = t;
                 if !self.p.features.direct_diffs() {
                     // Lazy diffs flush when the lock leaves the node.
@@ -220,6 +232,11 @@ impl SvmSystem {
                 })
             }
             LockAction::Granted { tag } => {
+                self.comm.record(TraceEvent::LockAcquired {
+                    at: t,
+                    nic,
+                    lock: l,
+                });
                 self.remote_lock_granted(t, tag.value() as usize, l);
                 t
             }
@@ -319,6 +336,12 @@ impl SvmSystem {
             return;
         }
         // Won the test-and-set.
+        let nic = self.p.topo.node_of(ProcId::new(p)).nic();
+        self.comm.record(TraceEvent::LockAcquired {
+            at: t,
+            nic,
+            lock: l,
+        });
         self.remote_lock_granted(t, p, l);
     }
 
@@ -429,6 +452,11 @@ impl SvmSystem {
                     // Clear the home cell; the store must causally
                     // follow the timestamp update above, which the
                     // in-order firmware path guarantees.
+                    self.comm.record(TraceEvent::LockReleased {
+                        at: cursor,
+                        nic,
+                        lock: l,
+                    });
                     let post = self.atomic_lock_cell(cursor, node, l, false, Tag::NONE);
                     cursor = self.absorb_post(post);
                 }

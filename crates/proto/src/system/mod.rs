@@ -205,7 +205,6 @@ pub struct SvmSystem {
     /// [`Op::ServeEnd`](crate::ops::Op::ServeEnd) markers; reset with `op_hist`.
     pub(crate) serve_hist: crate::report::ServeLatency,
     pub(crate) counters: Counters,
-    pub(crate) done_count: usize,
     pub(crate) measure_from: Time,
     /// Observability recorder for host-side spans (`None` = disabled,
     /// the default: a single branch per emission site, like tracing).
@@ -308,7 +307,6 @@ impl SvmSystem {
             op_hist: crate::report::OpLatency::default(),
             serve_hist: crate::report::ServeLatency::default(),
             counters: Counters::default(),
-            done_count: 0,
             measure_from: Time::ZERO,
             obs: None,
             fatal: None,
@@ -385,10 +383,8 @@ impl SvmSystem {
     ///
     /// # Panics
     ///
-    /// Panics if the event budget (`max_events`) is exceeded, which
-    /// indicates a protocol livelock, if a [`Op::Validate`](crate::ops::Op::Validate) check
-    /// fails, or if the communication layer reports an unrecoverable
-    /// failure (use [`SvmSystem::try_run`] to handle that gracefully).
+    /// Panics on any error [`SvmSystem::try_run`] returns (use it to
+    /// handle those gracefully), and where `try_run` panics.
     pub fn run(&mut self) -> RunReport {
         match self.try_run() {
             Ok(report) => report,
@@ -396,13 +392,14 @@ impl SvmSystem {
         }
     }
 
-    /// Runs the cluster until every process finishes or the
-    /// communication layer reports an unrecoverable failure.
+    /// Runs the cluster until every process finishes or the run
+    /// cannot go on.
     ///
     /// A node that exhausts its retransmission attempts to a peer
     /// surfaces [`ProtoError::PeerUnreachable`] here instead of
-    /// wedging the event loop: the run stops cleanly and its partial
-    /// state remains inspectable.
+    /// wedging the event loop, and a queue that drains while a process
+    /// is still blocked surfaces [`ProtoError::Deadlock`]: the run
+    /// stops cleanly and its partial state remains inspectable.
     ///
     /// # Panics
     ///
@@ -410,26 +407,16 @@ impl SvmSystem {
     /// indicates a protocol livelock, or if a [`Op::Validate`](crate::ops::Op::Validate) check
     /// fails.
     pub fn try_run(&mut self) -> Result<RunReport, ProtoError> {
-        self.start();
-        while let Some((t, ev)) = self.q.pop() {
-            self.step(t, ev)?;
-        }
-        let blocked = self.unfinished();
-        assert!(
-            blocked.is_empty(),
-            "deadlock: {} of {} processes finished; blocked: {blocked:?}",
-            self.done_count,
-            self.procs.len(),
-        );
-        Ok(self.build_report())
+        self.run_events(|sys, _| Ok(sys.q.pop()))
     }
 
     /// The first step of a run: size every page column for the shared
     /// extent known so far — `assign_homes` has named it, or it is
-    /// still zero and the columns grow as pages are touched — and make
-    /// every process runnable. Sized here and not at construction, so
-    /// the slots are first written where the run is about to use them
-    /// and a system that is built but never run costs nothing.
+    /// still zero and the columns grow as pages are touched — tell the
+    /// trace where the locks start, and make every process runnable.
+    /// Sized here and not at construction, so the slots are first
+    /// written where the run is about to use them and a system that is
+    /// built but never run costs nothing.
     fn start(&mut self) {
         let extent = self.shared_extent;
         for proc in &mut self.procs {
@@ -443,6 +430,7 @@ impl SvmSystem {
         self.home_pages
             .size_to(extent, !self.p.features.remote_fetch());
         self.scratch_noticed.size_to(extent);
+        self.trace_initial_locks();
         for p in 0..self.procs.len() {
             self.q.push(Time::ZERO, SysEvent::Resume(p));
         }
@@ -472,40 +460,43 @@ impl SvmSystem {
     /// Runs the cluster under a controlled scheduler: at every step the
     /// picker chooses which pending channel head fires next (see
     /// [`crate::sched`]). With [`crate::sched::FifoPicker`] this is
-    /// equivalent to [`SvmSystem::try_run`].
-    ///
-    /// Unlike `try_run`, a deadlock (every process blocked with no
-    /// pending events) is surfaced as [`ProtoError::Deadlock`] rather
-    /// than a panic, because a controlled schedule that wedges the
-    /// protocol is a *finding*, not a harness bug.
+    /// equivalent to [`SvmSystem::try_run`], errors included: a
+    /// schedule that wedges the protocol is a [`ProtoError::Deadlock`],
+    /// and a picker that stops the run early is [`ProtoError::Halted`].
     ///
     /// # Panics
     ///
-    /// Panics if the event budget (`max_events`) is exceeded, if a
-    /// [`Op::Validate`](crate::ops::Op::Validate) check fails, or if the picker returns an
+    /// Panics where `try_run` panics, or if the picker returns an
     /// out-of-range index.
     pub fn try_run_with_picker(
         &mut self,
         picker: &mut dyn EventPicker,
     ) -> Result<RunReport, ProtoError> {
-        self.start();
-        let mut step = 0u64;
-        loop {
-            let choices = self.sched_choices();
+        self.run_events(|sys, step| {
+            let choices = sys.sched_choices();
             if choices.is_empty() {
-                break;
+                return Ok(None);
             }
-            let next_seq = self.q.next_seq();
-            let i = match picker.pick(step, next_seq, &choices) {
-                Some(i) => i,
-                None => return Err(ProtoError::Halted),
-            };
+            let i = picker
+                .pick(step, sys.q.next_seq(), &choices)
+                .ok_or(ProtoError::Halted)?;
             assert!(i < choices.len(), "picker index {i} out of range");
-            let seq = choices[i].seq;
-            let (t, ev) = self
-                .q
-                .remove_clamped(seq)
-                .expect("picked choice must be pending");
+            let picked = sys.q.remove_clamped(choices[i].seq);
+            Ok(Some(picked.expect("picked choice must be pending")))
+        })
+    }
+
+    /// The one event loop of a run: start, then deliver what `next`
+    /// takes off the queue at each step (counted from zero) until it
+    /// takes nothing, then finish. A process still blocked then is a
+    /// deadlock.
+    fn run_events(
+        &mut self,
+        mut next: impl FnMut(&mut Self, u64) -> Result<Option<(Time, SysEvent)>, ProtoError>,
+    ) -> Result<RunReport, ProtoError> {
+        self.start();
+        let mut step = 0;
+        while let Some((t, ev)) = next(self, step)? {
             self.step(t, ev)?;
             step += 1;
         }

@@ -477,6 +477,22 @@ fn event_budget_catches_livelock() {
     SvmSystem::new(p, srcs).run();
 }
 
+/// A free-running run whose queue drains with a process still blocked
+/// returns the deadlock, naming that process, as a controlled run does.
+#[test]
+fn a_deadlocked_run_returns_the_blocked_process() {
+    for f in Column::all() {
+        let srcs = vec![boxed(vec![Op::Barrier(BarrierId::new(0))]), boxed(vec![])];
+        match SvmSystem::new(params(f, 2, 1), srcs).try_run() {
+            Err(ProtoError::Deadlock { blocked }) => {
+                let procs: Vec<usize> = blocked.iter().map(|&(p, _)| p).collect();
+                assert_eq!(procs, [0], "{f}: {blocked:?}");
+            }
+            other => panic!("{f}: expected a deadlock, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 #[should_panic(expected = "need exactly one op source per processor")]
 fn wrong_source_count_panics() {
@@ -716,7 +732,7 @@ fn run_counting_host_hops(
             holders.extend(holder);
         }
     }
-    assert_eq!(sys.done_count, nodes);
+    assert!(sys.unfinished().is_empty());
     (host_msgs, sys.counters.interrupts, holders)
 }
 
@@ -840,7 +856,7 @@ fn a_recycled_piggyback_carries_exactly_the_senders_notice_board() {
             sender = h;
         }
     }
-    assert_eq!(sys.done_count, 3);
+    assert!(sys.unfinished().is_empty());
     // Every acquire but p0's first crossed the wire, on one vector.
     assert_eq!(grants.len(), order.len() - 1);
     assert_eq!(sys.spare_upto.len(), 1);
@@ -1000,7 +1016,7 @@ fn no_interval_stays_pending_across_a_2025_release() {
             assert!(proc.pending_intervals.is_empty(), "p{i} at {t}");
         }
     }
-    assert_eq!(sys.done_count, 4);
+    assert!(sys.unfinished().is_empty());
     assert!(sys.counters.local_lock_acquires > 0, "no local handoff");
     assert!(sys.counters.remote_lock_acquires > 1, "no remote handoff");
 }
