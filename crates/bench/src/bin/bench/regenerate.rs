@@ -3,8 +3,9 @@
 //! the rows with the report's own gates and compares them with the
 //! file, naming each moved row by its `bench explain` label. `rdma`,
 //! `barrier`, `fault_matrix` and `serving` are rebuilt whole, byte for
-//! byte; `paper` without its §5 sizes and ablations, and `critpath` on
-//! Ocean-rowwise only (DESIGN.md §14).
+//! byte; `paper` without its §5 sizes and ablations, `critpath` on
+//! Ocean-rowwise only, and `mc` on the odp-first-touch litmus only
+//! (DESIGN.md §14).
 
 use genima::Json;
 use genima_obs::BenchReport;
@@ -25,10 +26,11 @@ fn checked_in(kind: &str, apps: &str) -> (String, Json, Kind, Args) {
     (text, file, run, args)
 }
 
-/// `file` with only the rows `keep` selects.
-fn narrowed(file: &Json, keep: impl Fn(&&Json) -> bool) -> Json {
+/// `file` with only the rows `keep` selects, and `meta` for its own.
+fn narrowed(file: &Json, meta: Option<&Json>, keep: impl Fn(&&Json) -> bool) -> Json {
     let mut out = Json::obj();
-    for key in ["bench", "seed", "meta", "gates"] {
+    out.set("meta", meta.cloned().unwrap_or(Json::Null));
+    for key in ["bench", "seed", "gates"] {
         out.set(key, file.get(key).cloned().unwrap_or(Json::Null));
     }
     let kept = rows(file).iter().filter(keep).cloned().collect();
@@ -95,7 +97,7 @@ fn four_sweeps_rewrite_their_files() {
 fn paper_cells_rebuild_with_their_gates() {
     let (_, file, _, args) = checked_in("paper", "");
     let built = paper::finish(paper::cells(&args), &args, &paper::CELL_CLAIMS).to_json();
-    let cells = narrowed(&file, |r| {
+    let cells = narrowed(&file, file.get("meta"), |r| {
         text(r, "kind").is_some_and(|k| k != "size" && k != "ablation")
     });
     regenerated(&built, &cells).unwrap_or_else(|e| panic!("BENCH_paper.json:\n{e}"));
@@ -104,9 +106,23 @@ fn paper_cells_rebuild_with_their_gates() {
 #[test]
 fn critpath_ocean_rebuilds_with_its_gates() {
     let (_, file, run, args) = checked_in("critpath", "Ocean-rowwise");
-    let ocean = narrowed(&file, |r| text(r, "app") == Some("Ocean-rowwise"));
+    let ocean = narrowed(&file, file.get("meta"), |r| {
+        text(r, "app") == Some("Ocean-rowwise")
+    });
     let built = run(&args).to_json();
     regenerated(&built, &ocean).unwrap_or_else(|e| panic!("BENCH_critpath.json:\n{e}"));
+}
+
+/// odp-first-touch's six cells and their gates. A run narrowed to named
+/// litmus tests records no calibration or mutant, so `meta` is left out.
+#[test]
+fn mc_odp_first_touch_rebuilds_with_its_gates() {
+    let (_, file, run, args) = checked_in("mc", "odp-first-touch");
+    let built = run(&args).to_json();
+    let odp = narrowed(&file, built.get("meta"), |r| {
+        text(r, "litmus") == Some("odp-first-touch")
+    });
+    regenerated(&built, &odp).unwrap_or_else(|e| panic!("BENCH_mc.json:\n{e}"));
 }
 
 #[test]

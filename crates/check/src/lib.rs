@@ -22,10 +22,12 @@
 //! materialises an application's streams for the first layer.
 
 mod audit;
+mod exec;
 mod race;
 
 pub use audit::{audit_traces, Audit, Violation};
-pub use race::{detect_races, AccessSite, Race, ScheduleError, CELL_BYTES};
+pub use exec::{sc_outcomes, ScheduleError};
+pub use race::{detect_races, AccessSite, Race, CELL_BYTES};
 
 use genima_apps::App;
 use genima_proto::{Column, FeatureSet, Op, ProtoError, RunReport, SvmSystem, Topology};
@@ -70,9 +72,9 @@ pub fn check_app_races(app: &dyn App, topo: Topology) -> Result<Vec<Race>, Sched
 /// [`Column`] (a bare [`FeatureSet`] means the 1999 LANai) and audits
 /// the run's trace against every applicable invariant.
 /// `Column::genima_2025()` audits the full GeNIMA protocol on the 2025
-/// RNIC with masked-CAS locks (the NI lock-chain replay sees no
-/// firmware grant events there; the protocol invariants and the
-/// zero-interrupt check still apply in full).
+/// RNIC with masked-CAS locks, whose atomics cell traces its ownership
+/// changes like the NI lock chain: every invariant applies, the
+/// single-owner lock replay included.
 ///
 /// Builds the cluster exactly like `genima::run_app`, so an audited
 /// run measures the same system as an ordinary one (tracing is purely

@@ -1,15 +1,9 @@
 //! Happens-before race detection over application operation streams.
 //!
-//! The detector executes the per-process [`Op`] streams under a
-//! deterministic round-robin scheduler that honours lock exclusion and
-//! barrier arrival, maintaining FastTrack-style vector clocks:
-//!
-//! * each process `p` carries a clock `C_p` (initially `C_p[p] = 1`);
-//! * `Release(l)` stores `C_p` into the lock clock `L_l` and then
-//!   bumps `C_p[p]`;
-//! * `Acquire(l)` joins `L_l` into `C_p`;
-//! * a barrier joins the clocks of every arriving process and bumps
-//!   each process's own slot.
+//! The detector runs the per-process [`Op`] streams on the op-stream
+//! executor (`exec.rs`) in round-robin order, each process until it
+//! blocks, and judges each access by the FastTrack-style vector clock
+//! the executor keeps for its process.
 //!
 //! Shared accesses are checked at **byte-range precision** against a
 //! shadow memory indexed by 64-byte cell: each cell holds, per
@@ -29,9 +23,11 @@
 //! so no race is lost. Touching same-epoch segments merge, and a cell
 //! spans only 64 bytes, so the per-cell set stays small.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use genima_proto::{BarrierId, LockId, Op, ProcId, VClock};
+use genima_proto::{Op, ProcId, VClock};
+
+use crate::exec::{Executor, Hooks, ScheduleError};
 
 /// Shadow-cell granularity in bytes.
 pub const CELL_BYTES: u64 = 64;
@@ -59,42 +55,6 @@ pub struct Race {
     pub second: AccessSite,
 }
 
-/// The op streams could not be executed to completion.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ScheduleError {
-    /// No process can make progress (lock cycle or barrier mismatch).
-    Deadlock {
-        /// The blocked processes and what each waits on.
-        blocked: Vec<(usize, String)>,
-    },
-    /// A process released a lock it does not hold.
-    ReleaseWithoutHold {
-        /// The offending process.
-        proc: usize,
-        /// Index of the release in its stream.
-        op_index: usize,
-        /// The lock concerned.
-        lock: LockId,
-    },
-}
-
-impl std::fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScheduleError::Deadlock { blocked } => {
-                write!(f, "op streams deadlock; blocked: {blocked:?}")
-            }
-            ScheduleError::ReleaseWithoutHold {
-                proc,
-                op_index,
-                lock,
-            } => write!(f, "p{proc} op #{op_index} releases {lock} it does not hold"),
-        }
-    }
-}
-
-impl std::error::Error for ScheduleError {}
-
 /// One recorded access within a cell: the epoch and the byte range
 /// (relative to the cell base) it covered.
 #[derive(Clone, Copy)]
@@ -109,7 +69,7 @@ struct Seg {
 
 /// Shadow state of one 64-byte cell: the last write and last read per
 /// process that touched it, with their byte ranges.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Cell {
     writes: Vec<Seg>,
     reads: Vec<Seg>,
@@ -124,82 +84,54 @@ fn ordered(c: &VClock, q: usize, cq: u32) -> bool {
     cq <= c.get(ProcId::new(q))
 }
 
-/// What a process is blocked on.
-enum Waiting {
-    Lock(LockId),
-    Barrier(BarrierId),
-}
-
-struct LockState {
-    holder: Option<usize>,
-    clock: VClock,
-}
-
 /// The detector state over one set of op streams.
-struct Detector {
-    clocks: Vec<VClock>,
+#[derive(Clone, Default)]
+pub(crate) struct Detector {
     cells: HashMap<u64, Cell>,
-    reported: std::collections::HashSet<u64>,
-    races: Vec<Race>,
+    reported: HashSet<u64>,
+    pub(crate) races: Vec<Race>,
 }
 
-impl Detector {
-    fn new(nprocs: usize) -> Detector {
-        let clocks = (0..nprocs)
-            .map(|p| {
-                let mut c = VClock::new(nprocs);
-                // Epochs start at 1 so two never-synchronised accesses
-                // are unordered (a slot of 0 would order everything).
-                c.set(ProcId::new(p), 1);
-                c
-            })
-            .collect();
-        Detector {
-            clocks,
-            cells: HashMap::new(),
-            reported: std::collections::HashSet::new(),
-            races: Vec::new(),
-        }
-    }
-
-    fn access(&mut self, p: usize, op_index: usize, addr: u64, len: u64, write: bool) {
+impl Hooks for Detector {
+    /// Checks the access against every cell it touches and records it
+    /// there.
+    fn access(&mut self, p: usize, op_index: usize, op: &Op, clock: &VClock) {
+        let (addr, len, write) = match op {
+            Op::Read { addr, len } | Op::Observe { addr, len } => (addr, *len as u64, false),
+            Op::Validate { addr, expected } => (addr, expected.len() as u64, false),
+            Op::Write { addr, len } => (addr, *len as u64, true),
+            Op::WriteData { addr, data } => (addr, data.len() as u64, true),
+            // Pure timing / bookkeeping markers: no shared accesses.
+            Op::Compute(_)
+            | Op::WaitUntil(_)
+            | Op::ServeEnd { .. }
+            | Op::Acquire(_)
+            | Op::Release(_)
+            | Op::Barrier(_) => return,
+        };
         if len == 0 {
             return;
         }
-        let first_cell = addr / CELL_BYTES;
-        let last_cell = (addr + len - 1) / CELL_BYTES;
-        for cell_id in first_cell..=last_cell {
+        let (addr, me) = (addr.value(), clock.get(ProcId::new(p)));
+        for cell_id in addr / CELL_BYTES..(addr + len).div_ceil(CELL_BYTES) {
             let base = cell_id * CELL_BYTES;
-            let start = addr.max(base) - base;
-            let end = (addr + len).min(base + CELL_BYTES) - base;
-            self.touch_cell(cell_id, p, op_index, write, start as u32, end as u32);
-        }
-    }
-
-    fn touch_cell(
-        &mut self,
-        cell_id: u64,
-        p: usize,
-        op_index: usize,
-        write: bool,
-        start: u32,
-        end: u32,
-    ) {
-        let me = self.clocks[p].get(ProcId::new(p));
-        let mut race: Option<Race> = None;
-        let cell = self.cells.entry(cell_id).or_default();
-
-        for seg in &cell.writes {
-            if seg.proc != p
-                && overlaps(seg, start, end)
-                && !ordered(&self.clocks[p], seg.proc, seg.clock)
-            {
-                race = Some(Race {
-                    cell_base: cell_id * CELL_BYTES,
+            let start = (addr.max(base) - base) as u32;
+            let end = ((addr + len).min(base + CELL_BYTES) - base) as u32;
+            let cell = self.cells.entry(cell_id).or_default();
+            // A write conflicts with earlier writes and reads, a read
+            // with earlier writes only; the writes are searched first.
+            let reads = if write { &cell.reads[..] } else { &[] };
+            let race = (cell.writes.iter().map(|s| (s, true)))
+                .chain(reads.iter().map(|s| (s, false)))
+                .find(|(s, _)| {
+                    s.proc != p && overlaps(s, start, end) && !ordered(clock, s.proc, s.clock)
+                })
+                .map(|(s, was_write)| Race {
+                    cell_base: base,
                     first: AccessSite {
-                        proc: seg.proc,
-                        op_index: seg.op_index,
-                        write: true,
+                        proc: s.proc,
+                        op_index: s.op_index,
+                        write: was_write,
                     },
                     second: AccessSite {
                         proc: p,
@@ -207,67 +139,41 @@ impl Detector {
                         write,
                     },
                 });
-                break;
-            }
-        }
-        if write && race.is_none() {
-            for seg in &cell.reads {
-                if seg.proc != p
-                    && overlaps(seg, start, end)
-                    && !ordered(&self.clocks[p], seg.proc, seg.clock)
-                {
-                    race = Some(Race {
-                        cell_base: cell_id * CELL_BYTES,
-                        first: AccessSite {
-                            proc: seg.proc,
-                            op_index: seg.op_index,
-                            write: false,
-                        },
-                        second: AccessSite {
-                            proc: p,
-                            op_index,
-                            write: true,
-                        },
-                    });
-                    break;
+            let seg = Seg {
+                proc: p,
+                clock: me,
+                op_index,
+                start,
+                end,
+            };
+            let slot = if write {
+                &mut cell.writes
+            } else {
+                &mut cell.reads
+            };
+            // Drop own segments the new range fully covers at an equal or
+            // later epoch: a future access that would conflict with the
+            // dropped segment also conflicts with this one, and this one's
+            // epoch races whenever the older epoch would have.
+            slot.retain(|s| !(s.proc == p && s.clock <= me && start <= s.start && s.end <= end));
+            match slot
+                .iter_mut()
+                .find(|s| s.proc == p && s.clock == me && s.end >= start && end >= s.start)
+            {
+                // Same epoch, touching ranges: widen in place (one logical
+                // access split across ops).
+                Some(s) => {
+                    s.start = s.start.min(start);
+                    s.end = s.end.max(end);
+                    s.op_index = op_index;
                 }
+                None => slot.push(seg),
             }
-        }
 
-        let seg = Seg {
-            proc: p,
-            clock: me,
-            op_index,
-            start,
-            end,
-        };
-        let slot = if write {
-            &mut cell.writes
-        } else {
-            &mut cell.reads
-        };
-        // Drop own segments the new range fully covers at an equal or
-        // later epoch: a future access that would conflict with the
-        // dropped segment also conflicts with this one, and this one's
-        // epoch races whenever the older epoch would have.
-        slot.retain(|s| !(s.proc == p && s.clock <= me && start <= s.start && s.end <= end));
-        match slot
-            .iter_mut()
-            .find(|s| s.proc == p && s.clock == me && s.end >= start && end >= s.start)
-        {
-            // Same epoch, touching ranges: widen in place (one logical
-            // access split across ops).
-            Some(s) => {
-                s.start = s.start.min(start);
-                s.end = s.end.max(end);
-                s.op_index = op_index;
-            }
-            None => slot.push(seg),
-        }
-
-        if let Some(r) = race {
-            if self.reported.insert(cell_id) {
-                self.races.push(r);
+            if let Some(r) = race {
+                if self.reported.insert(cell_id) {
+                    self.races.push(r);
+                }
             }
         }
     }
@@ -277,161 +183,33 @@ impl Detector {
 ///
 /// Returns every detected race, at most one per 64-byte cell, in
 /// detection order. An empty vector means the streams are race-free
-/// under the happens-before relation induced by their locks and
-/// barriers.
+/// under the happens-before relation their locks and barriers induce
+/// in round-robin order: each process in turn runs until it blocks.
 ///
 /// # Errors
 ///
 /// Returns a [`ScheduleError`] when the streams cannot be executed to
 /// completion (deadlock, or a release without a matching hold).
 pub fn detect_races(programs: &[Vec<Op>]) -> Result<Vec<Race>, ScheduleError> {
-    let nprocs = programs.len();
-    let mut det = Detector::new(nprocs);
-    let mut cursor = vec![0usize; nprocs];
-    let mut waiting: Vec<Option<Waiting>> = (0..nprocs).map(|_| None).collect();
-    let mut locks: HashMap<LockId, LockState> = HashMap::new();
-    let mut barrier_arrived: HashMap<BarrierId, Vec<usize>> = HashMap::new();
-
-    let done = |cursor: &[usize], p: usize| cursor[p] >= programs[p].len();
-
-    loop {
-        if (0..nprocs).all(|p| done(&cursor, p)) {
-            return Ok(det.races);
-        }
+    let mut exec = Executor::new(programs, Detector::default());
+    while !exec.finished() {
         let mut progress = false;
-        for p in 0..nprocs {
-            // Re-check the wait condition for a blocked process.
-            match waiting[p] {
-                Some(Waiting::Lock(l)) => {
-                    let st = locks.entry(l).or_insert_with(|| LockState {
-                        holder: None,
-                        clock: VClock::new(nprocs),
-                    });
-                    if st.holder.is_none() {
-                        st.holder = Some(p);
-                        let lc = st.clock.clone();
-                        det.clocks[p].join(&lc);
-                        waiting[p] = None;
-                        cursor[p] += 1;
-                        progress = true;
-                    } else {
-                        continue;
-                    }
-                }
-                Some(Waiting::Barrier(_)) => continue,
-                None => {}
-            }
-
-            // Run until this process blocks or finishes.
-            while cursor[p] < programs[p].len() {
-                let i = cursor[p];
-                match &programs[p][i] {
-                    Op::Compute(_) => {}
-                    // Pure timing / bookkeeping markers: no shared
-                    // accesses, no synchronization edges.
-                    Op::WaitUntil(_) | Op::ServeEnd { .. } => {}
-                    Op::Read { addr, len } => {
-                        det.access(p, i, addr.value(), *len as u64, false);
-                    }
-                    Op::Validate { addr, expected } => {
-                        det.access(p, i, addr.value(), expected.len() as u64, false);
-                    }
-                    Op::Observe { addr, len } => {
-                        det.access(p, i, addr.value(), *len as u64, false);
-                    }
-                    Op::Write { addr, len } => {
-                        det.access(p, i, addr.value(), *len as u64, true);
-                    }
-                    Op::WriteData { addr, data } => {
-                        det.access(p, i, addr.value(), data.len() as u64, true);
-                    }
-                    Op::Acquire(l) => {
-                        let st = locks.entry(*l).or_insert_with(|| LockState {
-                            holder: None,
-                            clock: VClock::new(nprocs),
-                        });
-                        match st.holder {
-                            None => {
-                                st.holder = Some(p);
-                                let lc = st.clock.clone();
-                                det.clocks[p].join(&lc);
-                            }
-                            Some(h) if h == p => {} // re-entrant hold
-                            Some(_) => {
-                                waiting[p] = Some(Waiting::Lock(*l));
-                                break;
-                            }
-                        }
-                    }
-                    Op::Release(l) => {
-                        let Some(st) = locks.get_mut(l) else {
-                            return Err(ScheduleError::ReleaseWithoutHold {
-                                proc: p,
-                                op_index: i,
-                                lock: *l,
-                            });
-                        };
-                        if st.holder != Some(p) {
-                            return Err(ScheduleError::ReleaseWithoutHold {
-                                proc: p,
-                                op_index: i,
-                                lock: *l,
-                            });
-                        }
-                        st.clock = det.clocks[p].clone();
-                        st.holder = None;
-                        det.clocks[p].bump(ProcId::new(p));
-                    }
-                    Op::Barrier(b) => {
-                        let arrived = barrier_arrived.entry(*b).or_default();
-                        arrived.push(p);
-                        if arrived.len() == nprocs {
-                            // Everyone is here: join all clocks, bump
-                            // each slot, release everyone.
-                            let members = std::mem::take(arrived);
-                            let mut joined = VClock::new(nprocs);
-                            for &q in &members {
-                                joined.join(&det.clocks[q]);
-                            }
-                            for &q in &members {
-                                det.clocks[q] = joined.clone();
-                                det.clocks[q].bump(ProcId::new(q));
-                                if q != p {
-                                    waiting[q] = None;
-                                    cursor[q] += 1;
-                                }
-                            }
-                        } else {
-                            waiting[p] = Some(Waiting::Barrier(*b));
-                            break;
-                        }
-                    }
-                }
-                cursor[p] += 1;
+        for p in 0..programs.len() {
+            while exec.step(p)? {
                 progress = true;
             }
         }
         if !progress {
-            let blocked = (0..nprocs)
-                .filter(|&p| !done(&cursor, p))
-                .map(|p| {
-                    let what = match &waiting[p] {
-                        Some(Waiting::Lock(l)) => format!("{l}"),
-                        Some(Waiting::Barrier(b)) => format!("barrier{}", b.index()),
-                        None => "runnable?".to_string(),
-                    };
-                    (p, what)
-                })
-                .collect();
-            return Err(ScheduleError::Deadlock { blocked });
+            return Err(exec.deadlock());
         }
     }
+    Ok(exec.hooks.races)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genima_proto::Addr;
+    use genima_proto::{Addr, BarrierId, LockId};
 
     fn w(addr: u64, len: u32) -> Op {
         Op::Write {

@@ -45,7 +45,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use genima_check::audit_traces;
+use genima_check::{audit_traces, sc_outcomes};
 use genima_proto::{ChanKey, Choice, Column, EventPicker, Mutation, ProtoError, SvmSystem};
 
 use crate::litmus::Litmus;
@@ -320,6 +320,9 @@ enum RunVerdict {
 /// schedule.
 pub struct Explorer {
     litmus: Litmus,
+    /// The litmus's processes, one per node.
+    nodes: usize,
+    allowed: BTreeSet<Vec<Vec<u64>>>,
     column: Column,
     mutation: Option<Mutation>,
     config: Config,
@@ -327,14 +330,31 @@ pub struct Explorer {
 
 impl Explorer {
     /// Creates an explorer for one litmus on one evaluation column
-    /// (protocol feature set + hardware generation).
+    /// (protocol feature set + hardware generation), and computes the
+    /// outcomes the litmus allows.
+    ///
+    /// # Panics
+    ///
+    /// If the litmus's programs race or cannot finish under some
+    /// synchronisation order: release consistency then promises no
+    /// outcome set to check against.
     pub fn new(litmus: Litmus, column: Column, config: Config) -> Explorer {
+        let programs = (litmus.programs)();
+        let allowed = sc_outcomes(&programs).unwrap_or_else(|e| panic!("{}: {e}", litmus.name));
         Explorer {
             litmus,
+            nodes: programs.len(),
+            allowed,
             column,
             mutation: None,
             config,
         }
+    }
+
+    /// Every outcome the litmus allows: its programs' sequentially
+    /// consistent outcomes ([`sc_outcomes`]).
+    pub fn allowed(&self) -> &BTreeSet<Vec<Vec<u64>>> {
+        &self.allowed
     }
 
     /// Seeds a protocol mutation into every run (see [`Mutation`]).
@@ -377,12 +397,12 @@ impl Explorer {
         match result {
             Ok(_report) => {
                 let trace = sys.take_trace();
-                let audit = audit_traces(self.column.features, self.litmus.nodes, &trace);
+                let audit = audit_traces(self.column.features, self.nodes, &trace);
                 if let Some(v) = audit.violations.first() {
                     return RunVerdict::Bad(format!("audit: {v}"));
                 }
                 let outcome = sys.take_observations();
-                if !(self.litmus.allowed)(&outcome) {
+                if !self.allowed.contains(&outcome) {
                     return RunVerdict::Bad(format!("forbidden outcome {outcome:?}"));
                 }
                 RunVerdict::Clean(outcome)

@@ -20,10 +20,12 @@
 //!   deadlock detection, and per-litmus *allowed outcome sets*.
 //! * **Litmus tests** ([`litmus`]) encode the classic LRC shapes —
 //!   message passing, store buffering, IRIW, lock handoff, and
-//!   barrier-epoch publication — with the outcomes lazy release
-//!   consistency allows and forbids. The sets are protocol-column
-//!   independent: every column from Base to full GeNIMA must satisfy
-//!   the same memory model.
+//!   barrier-epoch publication — as programs only. Each is
+//!   data-race-free, so lazy release consistency allows exactly its
+//!   sequentially consistent outcomes, which
+//!   [`genima_check::sc_outcomes`] computes from the programs. The sets
+//!   are protocol-column independent: every column from Base to full
+//!   GeNIMA must satisfy the same memory model.
 //! * **Counterexamples** ([`Violation`]) are minimized forced pick
 //!   prefixes; [`Explorer::replay`] re-runs one and reproduces the
 //!   violation and every step bit for bit.

@@ -1,12 +1,17 @@
-//! The LRC litmus corpus: small programs whose allowed/forbidden
-//! outcome sets define what lazy release consistency promises.
+//! The LRC litmus corpus: small programs that probe what lazy release
+//! consistency promises.
 //!
 //! Each litmus places one shared variable per page (so invalidations
 //! and diffs are exercised page-by-page), writes small constants into
-//! variables, and collects outcomes with [`Op::Observe`]. The allowed
-//! sets are *protocol-column independent*: Base through full GeNIMA
-//! implement the same memory model, so a forbidden outcome on any
-//! column is a protocol bug, not a weaker consistency choice.
+//! variables, and collects outcomes with [`Op::Observe`]. No litmus
+//! states its allowed outcomes: every program synchronizes every access
+//! with locks or barriers, release consistency gives a data-race-free
+//! program exactly its sequentially consistent results, and
+//! [`genima_check::sc_outcomes`] computes those from the programs (and
+//! refuses a racy one). The allowed sets are *protocol-column
+//! independent*: Base through full GeNIMA implement the same memory
+//! model, so an outcome outside the set on any column is a protocol
+//! bug, not a weaker consistency choice.
 //!
 //! Shapes come in two tiers. [`corpus`] is the CI tier: two-process
 //! shapes whose state spaces exhaust on every column in seconds.
@@ -14,19 +19,13 @@
 //! `lock-handoff`) whose inequivalent-schedule counts on the NI-rich
 //! columns run into the millions: exhaustive on the cheap columns
 //! locally, bounded elsewhere.
-//!
-//! All programs synchronize every access with locks or barriers —
-//! LRC only constrains data-race-free programs, and
-//! [`genima_check::detect_races`] verifies each litmus is DRF before
-//! exploration starts.
 
 use genima_proto::{
-    ops_source, Addr, BarrierId, Column, FeatureSet, LockId, Op, OpSource, SvmSystem, Topology,
-    PAGE_SIZE,
+    ops_source, Addr, BarrierId, Column, LockId, Op, OpSource, SvmSystem, Topology, PAGE_SIZE,
 };
 
-/// One litmus shape: topology, programs, and the LRC-allowed outcome
-/// set.
+/// One litmus shape: its programs, one process per node. What it may
+/// observe is computed from them ([`genima_check::sc_outcomes`]).
 #[derive(Clone, Copy)]
 pub struct Litmus {
     /// Short CLI name (`mp`, `sb`, `iriw`, `lock-handoff`,
@@ -34,19 +33,8 @@ pub struct Litmus {
     pub name: &'static str,
     /// What the shape tests.
     pub desc: &'static str,
-    /// Cluster nodes.
-    pub nodes: usize,
-    /// Processes per node.
-    pub ppn: usize,
     /// Builds the per-process operation streams.
     pub programs: fn() -> Vec<Vec<Op>>,
-    /// Returns `true` if the outcome (per-process observation vectors)
-    /// is allowed under lazy release consistency.
-    pub allowed: fn(&[Vec<u64>]) -> bool,
-    /// Exhaustive exploration must find at least this many distinct
-    /// outcomes — evidence the checker actually reaches the
-    /// interesting interleavings rather than one FIFO schedule.
-    pub min_outcomes: usize,
 }
 
 /// Byte address of litmus variable `v` (one variable per page).
@@ -111,10 +99,6 @@ fn mp_programs() -> Vec<Vec<Op>> {
     ]
 }
 
-fn mp_allowed(o: &[Vec<u64>]) -> bool {
-    matches!((o[1][0], o[1][1]), (0, 0) | (1, 1))
-}
-
 /// Store buffering: each process writes its own variable (under that
 /// variable's lock) and then reads the other's. Both reads returning
 /// zero would need both locks acquired "before" the other's release —
@@ -124,10 +108,6 @@ fn sb_programs() -> Vec<Vec<Op>> {
         vec![acq(0), w(0), rel(0), acq(1), obs(1), rel(1)],
         vec![acq(1), w(1), rel(1), acq(0), obs(0), rel(0)],
     ]
-}
-
-fn sb_allowed(o: &[Vec<u64>]) -> bool {
-    !(o[0][0] == 0 && o[1][0] == 0)
 }
 
 /// IRIW: two independent writers, two readers observing in opposite
@@ -141,12 +121,6 @@ fn iriw_programs() -> Vec<Vec<Op>> {
         vec![acq(0), obs(0), rel(0), acq(1), obs(1), rel(1)],
         vec![acq(1), obs(1), rel(1), acq(0), obs(0), rel(0)],
     ]
-}
-
-fn iriw_allowed(o: &[Vec<u64>]) -> bool {
-    // p2 saw x=1 then y=0, and p3 saw y=1 then x=0: each orders its
-    // second writer after the first, in contradiction.
-    !(o[2] == [1, 0] && o[3] == [1, 0])
 }
 
 /// Lock handoff: three processes take one global lock; p0 marks its
@@ -167,24 +141,6 @@ fn lock_handoff_programs() -> Vec<Vec<Op>> {
     ]
 }
 
-fn lock_handoff_allowed(o: &[Vec<u64>]) -> bool {
-    // Predicted observations for each total hold order: a process sees
-    // slot j iff process j held before it.
-    const ORDERS: [[usize; 3]; 6] = [
-        [0, 1, 2],
-        [0, 2, 1],
-        [1, 0, 2],
-        [1, 2, 0],
-        [2, 0, 1],
-        [2, 1, 0],
-    ];
-    ORDERS.iter().any(|order| {
-        let pos = |p: usize| order.iter().position(|&q| q == p).unwrap(); // lint: allow-unwrap
-        let saw = |i: usize, j: usize| u64::from(pos(j) < pos(i));
-        o[1] == [saw(1, 0)] && o[2] == [saw(2, 0), saw(2, 1)]
-    })
-}
-
 /// Lost update: both processes read-modify-write one variable under
 /// the same lock (p0 stores 1, p1 stores 2), observing the old value
 /// first. Whoever holds the lock second must see the first holder's
@@ -197,11 +153,6 @@ fn lost_update_programs() -> Vec<Vec<Op>> {
     ]
 }
 
-fn lost_update_allowed(o: &[Vec<u64>]) -> bool {
-    // p0 first: p0 saw 0, p1 saw 1. p1 first: p1 saw 0, p0 saw 2.
-    matches!((o[0][0], o[1][0]), (0, 1) | (2, 0))
-}
-
 /// Coherence monotonicity: one process writes 1 then 2 into a single
 /// variable in separate critical sections; a reader observes it twice
 /// inside one critical section. Reads going backwards (2 then 1, or
@@ -212,11 +163,6 @@ fn mono_programs() -> Vec<Vec<Op>> {
         vec![acq(0), wv(0, 1), rel(0), acq(0), wv(0, 2), rel(0)],
         vec![acq(0), obs(0), obs(0), rel(0)],
     ]
-}
-
-fn mono_allowed(o: &[Vec<u64>]) -> bool {
-    let (a, b) = (o[1][0], o[1][1]);
-    a <= b && b <= 2
 }
 
 /// Lock re-open: p0, at the home of the one page, reads its word and
@@ -244,22 +190,12 @@ fn lock_reopen_programs() -> Vec<Vec<Op>> {
     ]
 }
 
-fn lock_reopen_allowed(o: &[Vec<u64>]) -> bool {
-    // p0 reads its own word before any store; p1 holds first, between
-    // p0's holdings, or last.
-    o[0][0] == 0 && matches!((o[0][1], o[1][0]), (1, 0) | (1, 1) | (0, 2))
-}
-
 /// Lock-then-barrier chaining: the writer publishes under a lock and
 /// then crosses the barrier; the reader crosses the barrier and reads
 /// without the lock. The barrier join must carry the lock-protected
 /// interval, so zero is forbidden.
 fn mp_bar_programs() -> Vec<Vec<Op>> {
     vec![vec![acq(0), w(0), rel(0), bar(0)], vec![bar(0), obs(0)]]
-}
-
-fn mp_bar_allowed(o: &[Vec<u64>]) -> bool {
-    o[1] == [1]
 }
 
 /// Barrier-epoch publication: everyone writes its variable, crosses
@@ -276,10 +212,6 @@ fn barrier_epoch_programs() -> Vec<Vec<Op>> {
         .collect()
 }
 
-fn barrier_epoch_allowed(o: &[Vec<u64>]) -> bool {
-    o.iter().all(|p| p == &[1])
-}
-
 /// ODP first touch: p1 writes variable 0, homed at p0's node, under
 /// the lock, and p0 reads it under the same lock. The home never
 /// writes the page, so nothing advises its NI to map it (DESIGN.md
@@ -291,82 +223,46 @@ fn odp_first_touch_programs() -> Vec<Vec<Op>> {
     vec![vec![acq(0), obs(0), rel(0)], vec![acq(0), w(0), rel(0)]]
 }
 
-fn odp_first_touch_allowed(o: &[Vec<u64>]) -> bool {
-    matches!(o[0][0], 0 | 1)
-}
-
 /// The CI litmus corpus: every shape here is exhaustively explorable
 /// on every protocol column (Base through full GeNIMA) in seconds to
 /// a couple of minutes on one core, and `bench mc` gates each cell
-/// exhaustive and at or above its `min_outcomes`.
+/// exhaustive and reaching every outcome its programs allow.
 pub fn corpus() -> Vec<Litmus> {
     vec![
         Litmus {
             name: "mp",
             desc: "message passing via one lock",
-            nodes: 2,
-            ppn: 1,
             programs: mp_programs,
-            allowed: mp_allowed,
-            min_outcomes: 2,
         },
         Litmus {
             name: "lost-update",
             desc: "locked read-modify-write never loses a store",
-            nodes: 2,
-            ppn: 1,
             programs: lost_update_programs,
-            allowed: lost_update_allowed,
-            min_outcomes: 2,
         },
         Litmus {
             name: "mono",
             desc: "same-variable writes observed in interval order",
-            nodes: 2,
-            ppn: 1,
             programs: mono_programs,
-            allowed: mono_allowed,
-            // The reader's section lands before, between, or after the
-            // writer's two sections: (0,0), (1,1), (2,2) at least.
-            min_outcomes: 3,
         },
         Litmus {
             name: "lock-reopen",
             desc: "a lock's home pages re-opened before its grant",
-            nodes: 2,
-            ppn: 1,
             programs: lock_reopen_programs,
-            allowed: lock_reopen_allowed,
-            // p1's section lands before, between, or after p0's two.
-            min_outcomes: 3,
         },
         Litmus {
             name: "mp-bar",
             desc: "barrier join carries lock-protected intervals",
-            nodes: 2,
-            ppn: 1,
             programs: mp_bar_programs,
-            allowed: mp_bar_allowed,
-            min_outcomes: 1,
         },
         Litmus {
             name: "barrier-epoch",
             desc: "pre-barrier writes visible after the epoch",
-            nodes: 2,
-            ppn: 1,
             programs: barrier_epoch_programs,
-            allowed: barrier_epoch_allowed,
-            min_outcomes: 1,
         },
         Litmus {
             name: "odp-first-touch",
             desc: "a fetch-for-write faults in an unadvised home page",
-            nodes: 2,
-            ppn: 1,
             programs: odp_first_touch_programs,
-            allowed: odp_first_touch_allowed,
-            // p0's section lands before or after p1's.
-            min_outcomes: 2,
         },
     ]
 }
@@ -380,31 +276,17 @@ pub fn extended() -> Vec<Litmus> {
         Litmus {
             name: "sb",
             desc: "store buffering with per-variable locks",
-            nodes: 2,
-            ppn: 1,
             programs: sb_programs,
-            allowed: sb_allowed,
-            min_outcomes: 2,
         },
         Litmus {
             name: "iriw",
             desc: "independent reads of independent writes",
-            nodes: 4,
-            ppn: 1,
             programs: iriw_programs,
-            allowed: iriw_allowed,
-            min_outcomes: 2,
         },
         Litmus {
             name: "lock-handoff",
             desc: "three-way lock handoff carries full history",
-            nodes: 3,
-            ppn: 1,
             programs: lock_handoff_programs,
-            allowed: lock_handoff_allowed,
-            // Every one of the six total hold orders yields a distinct
-            // observation tuple, and all six are reachable.
-            min_outcomes: 6,
         },
     ]
 }
@@ -419,22 +301,16 @@ pub fn by_name(name: &str) -> Option<Litmus> {
 }
 
 impl Litmus {
-    /// Builds a fresh system for one exploration run on the 1999
-    /// LANai.
-    pub fn build(&self, features: FeatureSet) -> SvmSystem {
-        self.build_on(Column::lanai(features))
-    }
-
-    /// Builds a fresh system for one exploration run on an arbitrary
-    /// evaluation column (feature set + hardware generation), so the
-    /// GeNIMA-2025 RNIC column is model-checked with the same litmus
-    /// corpus as the paper's five.
+    /// Builds a fresh system for one exploration run on an evaluation
+    /// column (feature set + hardware generation), so the GeNIMA-2025
+    /// RNIC column is model-checked with the same litmus corpus as the
+    /// paper's five. Each program runs alone on its own node.
     pub fn build_on(&self, column: Column) -> SvmSystem {
-        let topo = Topology::new(self.nodes, self.ppn);
-        let mut params = column.params(topo);
+        let programs = (self.programs)();
+        let mut params = column.params(Topology::new(programs.len(), 1));
         params.data_mode = true;
         params.locks = 4;
-        let sources: Vec<Box<dyn OpSource>> = (self.programs)()
+        let sources: Vec<Box<dyn OpSource>> = programs
             .into_iter()
             .map(|ops| Box::new(ops_source(ops)) as Box<dyn OpSource>)
             .collect();
@@ -444,18 +320,31 @@ impl Litmus {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn all_shapes() -> Vec<Litmus> {
         corpus().into_iter().chain(extended()).collect()
     }
 
+    /// The outcomes the named litmus allows.
+    fn allowed(name: &str) -> BTreeSet<Vec<Vec<u64>>> {
+        let l = by_name(name).expect("a litmus");
+        genima_check::sc_outcomes(&(l.programs)()).expect("a race-free litmus")
+    }
+
+    /// One outcome from its per-process observations.
+    fn outcome<const N: usize>(obs: [&[u64]; N]) -> Vec<Vec<u64>> {
+        obs.map(<[u64]>::to_vec).to_vec()
+    }
+
     #[test]
     fn every_litmus_is_race_free() {
+        // Under every synchronisation order, not only round-robin.
         for l in all_shapes() {
-            let races =
-                genima_check::detect_races(&(l.programs)()).expect("litmus must be schedulable");
-            assert!(races.is_empty(), "{}: races {races:?}", l.name);
+            let sc = genima_check::sc_outcomes(&(l.programs)());
+            assert!(sc.is_ok(), "{}: {sc:?}", l.name);
         }
     }
 
@@ -470,12 +359,13 @@ mod tests {
     #[test]
     fn fifo_outcomes_are_allowed() {
         for l in all_shapes() {
+            let allowed = allowed(l.name);
             for c in Column::all() {
                 let mut sys = l.build_on(c);
                 sys.run();
                 let o = sys.take_observations();
                 assert!(
-                    (l.allowed)(&o),
+                    allowed.contains(&o),
                     "{} on {c}: FIFO outcome {o:?} forbidden",
                     l.name
                 );
@@ -485,37 +375,67 @@ mod tests {
 
     #[test]
     fn lock_handoff_order_logic() {
-        // Hold order 1, 0, 2: p1 saw nothing, p2 saw both slots.
-        assert!(lock_handoff_allowed(&[vec![], vec![0], vec![1, 1]]));
-        // Hold order 2, 0, 1: p2 saw nothing, p1 saw p0's slot.
-        assert!(lock_handoff_allowed(&[vec![], vec![1], vec![0, 0]]));
+        // Exactly one outcome per total hold order: a process sees
+        // slot j iff process j held before it.
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        let by_order: BTreeSet<_> = orders
+            .iter()
+            .map(|order: &[usize; 3]| {
+                let pos = |p| order.iter().position(|&q| q == p);
+                let saw = |i, j| u64::from(pos(j) < pos(i));
+                outcome([&[], &[saw(1, 0)], &[saw(2, 0), saw(2, 1)]])
+            })
+            .collect();
+        assert_eq!(allowed("lock-handoff"), by_order);
         // Broken transitivity: p1 saw p0 and p2 saw p1, yet p2 missed
         // p0's slot — no total order explains that.
-        assert!(!lock_handoff_allowed(&[vec![], vec![1], vec![0, 1]]));
+        assert!(!by_order.contains(&outcome([&[], &[1], &[0, 1]])));
         // p2 saw p1's slot but p1 claims it held after p0 while p2
         // missed p0 — also unexplainable.
-        assert!(!lock_handoff_allowed(&[vec![], vec![0], vec![1, 0]]));
+        assert!(!by_order.contains(&outcome([&[], &[0], &[1, 0]])));
+    }
+
+    #[test]
+    fn mono_reads_one_value_per_critical_section() {
+        // The reader's section lands before, between, or after the
+        // writer's two; inside it both reads agree.
+        let want = [0, 1, 2].map(|v| outcome([&[], &[v, v]]));
+        assert_eq!(allowed("mono"), BTreeSet::from(want));
     }
 
     #[test]
     fn allowed_sets_reject_the_classic_forbidden_outcomes() {
-        assert!(!mp_allowed(&[vec![], vec![1, 0]]));
-        assert!(mp_allowed(&[vec![], vec![1, 1]]));
-        assert!(!sb_allowed(&[vec![0], vec![0]]));
-        assert!(sb_allowed(&[vec![1], vec![0]]));
-        assert!(!iriw_allowed(&[vec![], vec![], vec![1, 0], vec![1, 0]]));
-        assert!(iriw_allowed(&[vec![], vec![], vec![1, 1], vec![1, 0]]));
-        assert!(!barrier_epoch_allowed(&[vec![1], vec![0]]));
-        // Lost update: both holders observing zero means the second
-        // grant dropped the first holder's store.
-        assert!(!lost_update_allowed(&[vec![0], vec![0]]));
-        assert!(lost_update_allowed(&[vec![2], vec![0]]));
-        // Monotonicity: reads must never go backwards.
-        assert!(!mono_allowed(&[vec![], vec![2, 1]]));
-        assert!(!mono_allowed(&[vec![], vec![1, 0]]));
-        assert!(mono_allowed(&[vec![], vec![1, 2]]));
-        assert!(!mp_bar_allowed(&[vec![], vec![0]]));
-        assert!(!odp_first_touch_allowed(&[vec![2], vec![]]));
+        let cases: [(&str, Vec<Vec<u64>>, bool); 15] = [
+            ("mp", outcome([&[], &[1, 0]]), false),
+            ("mp", outcome([&[], &[1, 1]]), true),
+            ("sb", outcome([&[0], &[0]]), false),
+            ("sb", outcome([&[1], &[0]]), true),
+            ("iriw", outcome([&[], &[], &[1, 0], &[1, 0]]), false),
+            ("iriw", outcome([&[], &[], &[1, 1], &[1, 0]]), true),
+            ("barrier-epoch", outcome([&[1], &[0]]), false),
+            // Lost update: both holders observing zero means the
+            // second grant dropped the first holder's store.
+            ("lost-update", outcome([&[0], &[0]]), false),
+            ("lost-update", outcome([&[2], &[0]]), true),
+            // Monotonicity: reads never go backwards, and one critical
+            // section sees one value.
+            ("mono", outcome([&[], &[2, 1]]), false),
+            ("mono", outcome([&[], &[1, 0]]), false),
+            ("mono", outcome([&[], &[1, 2]]), false),
+            ("mp-bar", outcome([&[], &[0]]), false),
+            ("odp-first-touch", outcome([&[2], &[]]), false),
+            ("odp-first-touch", outcome([&[1], &[]]), true),
+        ];
+        for (name, o, ok) in cases {
+            assert_eq!(allowed(name).contains(&o), ok, "{name}: {o:?}");
+        }
     }
 
     #[test]

@@ -16,34 +16,31 @@ impl SvmSystem {
     /// pending event of every delivery channel, sorted by
     /// `(time, seq)`. Empty exactly when the event queue is drained.
     pub fn sched_choices(&self) -> Vec<Choice> {
-        let mut heads: Vec<Choice> = Vec::new();
+        // Each channel's earliest `(time, seq)`, with its channel and event.
+        let mut heads = Vec::new();
         for (time, seq, ev) in self.q.iter_pending() {
             let key = self.chan_of(ev);
-            match heads.iter_mut().find(|c| c.key == key) {
-                Some(c) if (c.time, c.seq) <= (time, seq) => {}
-                Some(c) => {
-                    c.time = time;
-                    c.seq = seq;
-                }
-                None => heads.push(Choice {
+            match heads.iter_mut().find(|(_, _, k, _)| *k == key) {
+                Some((t, s, ..)) if (*t, *s) <= (time, seq) => {}
+                Some(head) => *head = (time, seq, key, ev),
+                None => heads.push((time, seq, key, ev)),
+            }
+        }
+        heads.sort_by_key(|&(time, seq, ..)| (time, seq));
+        // Label and footprint only the heads.
+        heads
+            .into_iter()
+            .map(|(time, seq, key, ev)| {
+                let (label, footprint) = self.describe(ev);
+                Choice {
                     key,
                     time,
                     seq,
-                    label: String::new(),
-                    footprint: Vec::new(),
-                }),
-            }
-        }
-        heads.sort_by_key(|c| (c.time, c.seq));
-        // Fill labels/footprints only for the surviving heads.
-        for c in &mut heads {
-            if let Some((_, _, ev)) = self.q.iter_pending().find(|&(_, s, _)| s == c.seq) {
-                let (label, footprint) = self.describe(ev);
-                c.label = label;
-                c.footprint = footprint;
-            }
-        }
-        heads
+                    label,
+                    footprint,
+                }
+            })
+            .collect()
     }
 
     /// The delivery channel of a pending event.
