@@ -17,18 +17,16 @@
 //! report, so the file prints what its run printed. The process exits
 //! non-zero iff `BenchReport::check` — the same call `bench show` makes
 //! on the written file — rejects the report. `APP...` narrows the
-//! application sweep of `paper`, `rdma` and `critpath`, `LITMUS...` the
-//! litmus tests `mc` explores, and any other kind refuses both; `--seed`
+//! application sweep of `paper`, `LITMUS...` the litmus tests `mc`
+//! explores, and any other kind refuses both; `--seed`
 //! is the [`RunSeed`] every run of the sweep uses and the seed the
 //! report records.
 
 mod barrier;
-mod critpath;
 mod explain;
 mod fault_matrix;
 mod mc;
 mod paper;
-mod rdma;
 #[cfg(test)]
 mod regenerate;
 mod serving;
@@ -56,20 +54,15 @@ type Kind = fn(&Args) -> BenchReport;
 /// A report's tables, from its JSON.
 type Print = fn(&Json) -> String;
 
-const KINDS: [(&str, Kind, Print); 7] = [
+const KINDS: [(&str, Kind, Print); 5] = [
     ("paper", paper::run, paper::print),
     ("fault_matrix", fault_matrix::run, |r| {
         views(r, fault_matrix::VIEWS)
     }),
     ("barrier", barrier::run, |r| views(r, barrier::VIEWS)),
-    ("rdma", rdma::run, |r| views(r, rdma::VIEWS)),
-    ("critpath", critpath::run, |r| views(r, critpath::VIEWS)),
     ("serving", serving::run, |r| views(r, serving::VIEWS)),
     ("mc", mc::run, mc::print),
 ];
-
-/// The kinds whose application sweep `APP...` narrows.
-const NARROWS: [&str; 3] = ["paper", "rdma", "critpath"];
 
 /// One column of a table: its header, the dotted path of the field it
 /// shows in each row, and the decimals a number prints to.
@@ -147,7 +140,7 @@ fn usage() -> ! {
 /// # Errors
 ///
 /// What is wrong with the words; [`main`] prints it above the usage
-/// and exits 2. `APP...` is refused by a kind not in [`NARROWS`].
+/// and exits 2. `APP...` is refused by every kind but `paper`.
 fn parse_args(
     mut it: impl Iterator<Item = String>,
 ) -> Result<(&'static str, Kind, Print, Args), String> {
@@ -171,7 +164,7 @@ fn parse_args(
             test if name == "mc" => args
                 .litmus
                 .push(litmus::by_name(test).ok_or(format!("unknown litmus: {test}"))?),
-            app if !NARROWS.contains(&name) => {
+            app if name != "paper" => {
                 return Err(format!("bench {name} takes no APP: {app}"));
             }
             app => args
@@ -348,8 +341,8 @@ mod tests {
     }
 
     /// A kind that does not narrow refuses `APP...` rather than run its
-    /// whole sweep, every kind an unknown app, and `mc` an unknown
-    /// litmus test; [`main`] exits 2.
+    /// whole sweep, `paper` an unknown app, `mc` an unknown litmus test,
+    /// and the driver a kind folded into `paper`; [`main`] exits 2.
     #[test]
     fn only_the_kinds_that_narrow_take_apps() {
         let parse = |line: &str| parse_args(line.split_whitespace().map(String::from)).err();
@@ -357,10 +350,12 @@ mod tests {
             let refused = format!("bench {kind} takes no APP: FFT");
             assert_eq!(parse(&format!("{kind} --seed 7 FFT")), Some(refused));
         }
-        for kind in NARROWS {
-            assert_eq!(parse(&format!("{kind} --seed 7 FFT LU-contiguous")), None);
-            let unknown = parse(&format!("{kind} FFT Nope"));
-            assert_eq!(unknown.as_deref(), Some("unknown app: Nope"));
+        assert_eq!(parse("paper --seed 7 FFT LU-contiguous"), None);
+        let unknown = parse("paper FFT Nope");
+        assert_eq!(unknown.as_deref(), Some("unknown app: Nope"));
+        for kind in ["rdma", "critpath"] {
+            let unknown = format!("unknown kind: {kind}");
+            assert_eq!(parse(&format!("{kind} FFT")), Some(unknown));
         }
         assert_eq!(parse("mc --seed 7 mp lock-reopen"), None);
         assert_eq!(parse("mc FFT").as_deref(), Some("unknown litmus: FFT"));
@@ -371,12 +366,10 @@ mod tests {
 
     #[test]
     fn show_prints_one_line_per_row_of_every_checked_in_report() {
-        let views: [(&str, &[View]); 7] = [
+        let views: [(&str, &[View]); 5] = [
             ("paper", paper::VIEWS),
             ("fault_matrix", fault_matrix::VIEWS),
             ("barrier", barrier::VIEWS),
-            ("rdma", rdma::VIEWS),
-            ("critpath", critpath::VIEWS),
             ("serving", serving::VIEWS),
             ("mc", mc::VIEWS),
         ];

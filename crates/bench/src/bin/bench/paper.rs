@@ -4,12 +4,18 @@
 //!
 //! Rows, one key set per `kind`:
 //!
-//! * `cell` — one per (application, column) on 4×4: parallel time,
-//!   speedup, category shares, the mean breakdown (Figure 3, Tables
-//!   1–2), every protocol counter, the firmware monitor's contention
-//!   ratios keyed by size class and stage (Tables 3–4; `null` where a
-//!   stage saw no packet, the paper's `-`) beside the class's packet
-//!   count, and the pinned bytes summed over nodes;
+//! * `cell` — one traced run per (application, column) on 4×4:
+//!   parallel time, speedup, category shares, the mean breakdown
+//!   (Figure 3, Tables 1–2), every protocol counter, the firmware
+//!   monitor's contention ratios keyed by size class and stage (Tables
+//!   3–4; `null` where a stage saw no packet, the paper's `-`) beside
+//!   the class's packet count, the pinned bytes summed over nodes; the
+//!   hardware profile, the RNIC's own counters (doorbells, CQEs, ODP
+//!   faults) and the per-op-kind latency tails; and the critical-path
+//!   attribution of the run's trace (`genima-prof`): the audited ops,
+//!   their interrupt / firmware / wire / host-handler / queue-retry
+//!   segment totals, the interrupt share and each op class's
+//!   p50/p95/p99;
 //! * `origin` — the Origin 2000 model on 4×4 and 8×4 (Figures 1/4,
 //!   Table 5);
 //! * `genima_8x4` — GeNIMA on 8×4 (Table 5);
@@ -17,29 +23,35 @@
 //! * `ablation` — one per variant of each study in [`ABLATIONS`].
 //!
 //! Gates: every line of [`CELL_CLAIMS`] and [`ABLATION_CLAIMS`] — the
-//! paper's shape claims and each ablation's finding, as data; per
-//! application, GeNIMA beats Base (Barnes-spatial loses), the Origin
-//! beats Base, GeNIMA gains from 16 to 32 processors and the Origin
-//! beats it there, Base takes interrupts and the interrupt-free columns
-//! none, and large messages see a LANai ratio ≤ 3 on the 1999 columns;
-//! the GeNIMA improvement falls with problem size; and the headline
-//! means stay in their [`AVG_IMPROVEMENT`] bands. `APP...` narrows the
-//! sweep; a gate whose rows it leaves out is not declared.
+//! paper's shape claims, the 2025 hardware's floors and each
+//! ablation's finding, as data; per application, GeNIMA beats Base
+//! (Barnes-spatial loses), the Origin beats Base, GeNIMA gains from 16
+//! to 32 processors and the Origin beats it there, Base takes
+//! interrupts and the interrupt-free columns none, large messages see a
+//! LANai ratio ≤ 3 on the 1999 columns, GeNIMA-2025 beats GeNIMA and
+//! rings doorbells and posts CQEs where the LANai GeNIMA has none; per
+//! cell, the critical-path segments sum to `total_ns`, with interrupt
+//! time on Base's and none on the interrupt-free columns'; every
+//! audited op's segments sum to its latency; the GeNIMA improvement
+//! falls with problem size; and the headline means stay in their
+//! [`AVG_IMPROVEMENT`] bands. `APP...` narrows the sweep; a gate whose
+//! rows it leaves out is not declared.
 
 use std::collections::HashMap;
 
 use genima::{
     app_by_name, run_app_on_hwdsm, sequential_time, App, Board, Column, Dur, FeatureSet, Json,
-    RunReport, SvmParams, Topology,
+    ObsConfig, ObsReport, RunConfig, RunReport, SvmParams, Topology,
 };
 use genima_apps::{all_apps, Fft, WaterNsquared, WorkloadSpec};
 use genima_nic::{LanaiConfig, LockImpl, SizeClass, Stage};
-use genima_obs::bench::{meta, row, times};
-use genima_obs::BenchReport;
+use genima_obs::bench::{meta, row, row_sum, times};
+use genima_obs::{BenchReport, OpClass};
+use genima_prof::{profile, Segment, Truncated};
 
 use crate::{
-    gate_failed_runs, gate_interrupt_free, gate_six_columns, rows, table, text, topo_json, views,
-    Args, Col, View,
+    gate_failed_runs, gate_interrupt_free, gate_six_columns, rows, run_cell, table, text,
+    topo_json, views, Args, Col, View,
 };
 
 /// A change to one run on top of its column's paper parameters: the
@@ -207,7 +219,7 @@ const ABLATIONS: [(&str, &str, &[Variant]); 9] = [
 /// What the paper claims of the 4×4 cells beyond the gates [`cells`]
 /// declares per application, in the grammar of [`Paper::claim`]. A cell
 /// is keyed `app/column`.
-pub const CELL_CLAIMS: [&str; 14] = [
+pub const CELL_CLAIMS: [&str; 22] = [
     // §3.3: remote fetch cuts FFT's data wait (the paper: ~45%), NI
     // locks cut Water-nsquared's lock time (~60%), and direct diffs turn
     // each of Barnes-spatial's scattered runs into a message (>30x).
@@ -251,6 +263,36 @@ pub const CELL_CLAIMS: [&str; 14] = [
     // re-opens the page the last holding wrote, so no critical section
     // faults on it either (0.074 x while they did; §10.4).
     "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.06 x Ocean-rowwise/GeNIMA: counters.faults",
+    // What the RNIC must buy an application over the LANai since a 2025
+    // model fix removed what held it back. Ocean's lock wait: the
+    // release hands the lock over before it diffs and re-protects (1.017
+    // x while it diffed first), the home writes its own pages in place
+    // (1.577 x while it diffed them), a rewrite of a home run re-opens it
+    // in one fault (2.037 x while every page faulted), and a re-acquire
+    // re-opens the home page its last holding wrote while the request is
+    // in flight (2.198 x while the critical section faulted on it).
+    "Ocean-rowwise/GeNIMA-2025: speedup >= 2.25 x Ocean-rowwise/GeNIMA",
+    // Data wait: an ODP fault parks its queue pair, not the home's whole
+    // receive engine (1.103 and 1.379 x while it held the engine), and
+    // the home advises its NIC of the pages it closes in place, so their
+    // first remote fetch takes no fault (1.661, 2.202 and 1.063 x while
+    // every first fetch faulted; DESIGN.md §10.5, §10.6).
+    "FFT/GeNIMA-2025: speedup >= 2 x FFT/GeNIMA",
+    "Radix-local/GeNIMA-2025: speedup >= 2.8 x Radix-local/GeNIMA",
+    "LU-contiguous/GeNIMA-2025: speedup >= 1.07 x LU-contiguous/GeNIMA",
+    // The homes of these write every page in place before any remote
+    // process reads it, so the home's prefetch advice leaves them no ODP
+    // fault after the warm-up (6 144, 8 160 and 12 while every first
+    // remote fetch faulted).
+    "FFT/GeNIMA-2025: ni.odp_faults == 0",
+    "LU-contiguous/GeNIMA-2025: ni.odp_faults == 0",
+    "Ocean-rowwise/GeNIMA-2025: ni.odp_faults == 0",
+    // An absolute bound on Ocean's critical-path queue and retry time,
+    // not a share of the row's own total: a saving that removes diff
+    // work from the total raises every remaining share. It read 0.236 x
+    // while the home still twinned and diffed its own pages (DESIGN.md
+    // §10.2).
+    "Ocean-rowwise/GeNIMA-2025: segments_ns.queue_retry <= 0.1 x Ocean-rowwise/GeNIMA",
 ];
 
 /// What each ablation finds, keyed `study/column/variant`.
@@ -308,6 +350,11 @@ const AVG_IMPROVEMENT: [(&str, f64, f64); 2] = [
 /// The one application GeNIMA slows down (§3.3).
 const REGRESSES: &str = "Barnes-spatial";
 
+/// Ring capacity for the traced cells: large enough that no node's
+/// timeline truncates on the application suite (the profiler refuses
+/// truncated traces, so an overflow here is a failed run).
+const ATTRIBUTION_RING: usize = 1 << 20;
+
 const STAGES: [(&str, Stage); 4] = [
     ("source", Stage::Source),
     ("lanai", Stage::Lanai),
@@ -336,6 +383,8 @@ pub struct Paper {
     seqs: HashMap<&'static str, Dur>,
     failed: u64,
     unresolved: u64,
+    /// Audited ops whose segments do not sum to their latency.
+    mismatched_ops: u64,
 }
 
 impl Paper {
@@ -409,6 +458,21 @@ impl Paper {
 /// The plain listings: one line per row of a kind.
 pub const VIEWS: &[View] = &[
     View {
+        title: "critical-path time per segment, summed over each run's ops",
+        kind: Some("cell"),
+        cols: &[
+            ("app", "app", 0),
+            ("column", "column", 0),
+            ("ops", "ops", 0),
+            ("interrupt(ns)", "segments_ns.interrupt", 0),
+            ("firmware(ns)", "segments_ns.firmware", 0),
+            ("wire(ns)", "segments_ns.wire", 0),
+            ("host(ns)", "segments_ns.host_handler", 0),
+            ("queue(ns)", "segments_ns.queue_retry", 0),
+            ("intr share", "interrupt_share", 3),
+        ],
+    },
+    View {
         title: "Problem sizes (section 5)",
         kind: Some("size"),
         cols: &[
@@ -463,12 +527,11 @@ pub fn print(report: &Json) -> String {
         "genima_8x4" => Some("GeNIMA 8x4".to_string()),
         _ => None,
     };
-    let num = |a: &str, c: &str, path: &str| {
+    let row_of = |a: &str, c: &str| {
         let mut of = rows(report).iter().filter(|r| text(r, "app") == Some(a));
-        of.find(|r| column(r).as_deref() == Some(c))?
-            .at(path)?
-            .as_f64()
+        of.find(|r| column(r).as_deref() == Some(c))
     };
+    let num = |a: &str, c: &str, path: &str| row_of(a, c)?.at(path)?.as_f64();
     let cells = rows(report)
         .iter()
         .filter(|r| text(r, "kind") == Some("cell"));
@@ -561,6 +624,34 @@ pub fn print(report: &Json) -> String {
 
     let title = "Table 5: speedups, 32 processors";
     out += &per_app(title, &["GeNIMA", "GeNIMA 8x4", "Origin 8x4"]);
+
+    // vs-1999 is a cell's speedup over the 1999 GeNIMA cell's.
+    let mut hardware = Vec::new();
+    for a in &apps {
+        for c in ["GeNIMA", "GeNIMA-2025"] {
+            let Some(r) = row_of(a, c) else { continue };
+            let mut r = r.clone();
+            let vs = num(a, c, "speedup").zip(num(a, "GeNIMA", "speedup"));
+            r.set("vs_1999", opt(vs.map(|(s, lanai)| s / lanai)));
+            hardware.push(r);
+        }
+    }
+    let cols = [
+        ("app", "app", 0),
+        ("hw", "hw", 0),
+        ("time(ms)", "parallel_ms", 2),
+        ("speedup", "speedup", 2),
+        ("vs-1999", "vs_1999", 2),
+        ("intr", "counters.interrupts", 0),
+        ("doorbells", "ni.doorbells", 0),
+        ("cqes", "ni.cqes", 0),
+        ("odp", "ni.odp_faults", 0),
+    ];
+    out += &table(
+        "the GeNIMA protocol on 1999 and 2025 NI hardware",
+        &hardware,
+        &cols,
+    );
     out += &views(report, VIEWS);
     let headline = [
         ("ten applications", "avg_improvement_pct", 2),
@@ -591,15 +682,15 @@ fn contention(r: &RunReport) -> Json {
     classes
 }
 
-/// The `key` object of the report's own JSON.
-fn part(r: &RunReport, key: &str) -> Json {
-    let full = r.to_json_value();
+/// The `key` object of a report's own JSON, `full`.
+fn part(full: &Json, key: &str) -> Json {
     full.get(key)
         .expect("a report's JSON has every part")
         .clone()
 }
 
 fn cell_row(app: &str, column: &str, seq: Dur, r: &RunReport) -> Json {
+    let full = r.to_json_value();
     let mut cell = Json::obj();
     cell.set("kind", "cell".into());
     cell.set("app", app.into());
@@ -608,12 +699,66 @@ fn cell_row(app: &str, column: &str, seq: Dur, r: &RunReport) -> Json {
     cell.set("parallel_ms", r.parallel_time().as_ms().into());
     cell.set("speedup", r.speedup(seq).into());
     for key in ["shares", "counters", "mean_breakdown"] {
-        cell.set(key, part(r, key));
+        cell.set(key, part(&full, key));
     }
     cell.set("contention", contention(r));
     let pinned = r.pinned_shared_bytes.iter().sum();
     cell.set("pinned_bytes", Json::u64(pinned));
+    for key in ["hw", "ni", "op_latency"] {
+        cell.set(key, part(&full, key));
+    }
     cell
+}
+
+/// Appends a traced cell's critical-path attribution to its row: the
+/// audited ops, their segment totals and interrupt share, and each op
+/// class's latency percentiles. Returns how many ops' segments do not
+/// sum to their latency, each reported.
+///
+/// # Errors
+///
+/// The trace is truncated (a ring evicted records), so no op's
+/// attribution can be trusted complete.
+fn critical_path(what: &str, obs: &ObsReport, cell: &mut Json) -> Result<u64, Truncated> {
+    let prof = profile(obs);
+    let ops = prof.audited_ops()?;
+    let mut mismatched = 0;
+    for op in ops.iter().filter(|op| op.breakdown.total() != op.latency) {
+        eprintln!(
+            "FAIL {what}: op {:#x} attribution {} ns != latency {} ns",
+            op.op,
+            op.breakdown.total().as_ns(),
+            op.latency.as_ns()
+        );
+        mismatched += 1;
+    }
+    let total = prof.total_breakdown();
+    let sum_ns = total.total().as_ns();
+    let share = if sum_ns > 0 {
+        total.interrupt.as_ns() as f64 / sum_ns as f64
+    } else {
+        0.0
+    };
+    cell.set("ops", (ops.len() as u64).into());
+    cell.set("total_ns", sum_ns.into());
+    let segments = Segment::ALL.map(|seg| (seg.name(), total.get(seg).as_ns().into()));
+    cell.set("segments_ns", obj(segments));
+    cell.set("interrupt_share", share.into());
+    let by_class = prof.by_class();
+    let class = |class: OpClass| {
+        let s = by_class.get(&class)?;
+        let p = |h: Dur| h.as_ns().into();
+        Some(obj([
+            ("class", class.name().into()),
+            ("count", s.count.into()),
+            ("p50_ns", p(s.hist.p50())),
+            ("p95_ns", p(s.hist.p95())),
+            ("p99_ns", p(s.hist.p99())),
+        ]))
+    };
+    let classes = OpClass::ALL.into_iter().filter_map(class).collect();
+    cell.set("classes", Json::Arr(classes));
+    Ok(mismatched)
 }
 
 /// `variant` is `[study, app, column, variant]`.
@@ -630,7 +775,7 @@ fn ablation_row(variant: [&str; 4], seq: Dur, r: &RunReport) -> Json {
     let c = r.counters;
     row.set("diff_messages", Json::u64(c.diffs + c.diff_run_messages));
     row.set("mprotect_ms", r.mean_breakdown().mprotect.as_ms().into());
-    row.set("counters", part(r, "counters"));
+    row.set("counters", part(&r.to_json_value(), "counters"));
     row
 }
 
@@ -645,6 +790,7 @@ pub fn cells(args: &Args) -> Paper {
         seqs: HashMap::new(),
         failed: 0,
         unresolved: 0,
+        mismatched_ops: 0,
     };
     paper.rep.set_meta("topo", topo_json(p16));
     for app in &args.apps {
@@ -652,12 +798,28 @@ pub fn cells(args: &Args) -> Paper {
         paper.seqs.insert(a, seq);
         for column in Column::all() {
             let key = format!("{a}/{}", column.name());
-            let Some(r) = paper.run(&key, app.as_ref(), p16, column, Untouched) else {
+            let cfg = RunConfig::new(p16, column)
+                .with_seed(args.seed)
+                .with_obs(ObsConfig::with_capacity(ATTRIBUTION_RING));
+            let Some(out) = run_cell(&key, app.as_ref(), &cfg, &mut paper.failed) else {
                 continue;
             };
-            let i = paper.push(key.clone(), cell_row(a, column.name(), seq, &r));
+            let mut cell = cell_row(a, column.name(), seq, &out.report);
+            match critical_path(&key, &out.obs, &mut cell) {
+                Ok(mismatched) => paper.mismatched_ops += mismatched,
+                Err(truncated) => {
+                    eprintln!("FAIL {key}: {truncated}");
+                    paper.failed += 1;
+                    continue;
+                }
+            }
+            let i = paper.push(key.clone(), cell);
+            let name = format!("{key}: segments sum to total_ns");
+            let segments = row_sum(i, "segments_ns");
+            paper.rep.gate(name, segments, "==", row(i, "total_ns"));
             if column.features.interrupt_free() {
                 gate_interrupt_free(&mut paper.rep, &key, i, "counters.interrupts");
+                paper.claim(&format!("{key}: segments_ns.interrupt == 0"));
             }
             // Table 4 is the LANai's; the RNIC's engine queues large
             // messages up to 3.9x and has no 1999 counterpart.
@@ -695,6 +857,16 @@ pub fn cells(args: &Args) -> Paper {
             format!("{a}/GeNIMA 8x4: speedup > {a}/GeNIMA"),
             format!("{a}/Origin 8x4: speedup > {a}/GeNIMA 8x4"),
             format!("{a}/Base: counters.interrupts > 0"),
+            // The paper's thesis in the attribution itself.
+            format!("{a}/Base: segments_ns.interrupt > 0"),
+            // Modern hardware losing to a 33 MHz LANai would be a wrong
+            // model; the LANai has no RNIC counter to move.
+            format!("{a}/GeNIMA-2025: speedup > {a}/GeNIMA"),
+            format!("{a}/GeNIMA-2025: ni.doorbells > 0"),
+            format!("{a}/GeNIMA-2025: ni.cqes > 0"),
+            format!("{a}/GeNIMA: ni.doorbells == 0"),
+            format!("{a}/GeNIMA: ni.cqes == 0"),
+            format!("{a}/GeNIMA: ni.odp_faults == 0"),
         ] {
             paper.claim(&claim);
         }
@@ -757,7 +929,8 @@ pub fn run(args: &Args) -> BenchReport {
 }
 
 /// Declares `claims`, then the headline and the claim count (about the
-/// whole suite), all six columns and every run completed.
+/// whole suite), every audited op's attribution, all six columns and
+/// every run completed.
 pub fn finish(mut paper: Paper, args: &Args, claims: &[&str]) -> BenchReport {
     for claim in claims {
         paper.claim(claim);
@@ -787,6 +960,9 @@ pub fn finish(mut paper: Paper, args: &Args, claims: &[&str]) -> BenchReport {
         let gate = "every claim names a row";
         paper.rep.gate(gate, meta("unresolved_claims"), "==", 0u64);
     }
+    paper.rep.set_meta("mismatched_ops", paper.mismatched_ops);
+    let gate = "every audited op's attribution sums to its latency";
+    paper.rep.gate(gate, meta("mismatched_ops"), "==", 0u64);
     gate_six_columns(&mut paper.rep);
     gate_failed_runs(&mut paper.rep, paper.failed);
     paper.rep

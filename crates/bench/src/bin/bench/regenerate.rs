@@ -1,11 +1,10 @@
 //! The checked-in reports, rebuilt by `cargo test`. Each test runs a
 //! kind's own code at the seed its `BENCH_<kind>.json` records, checks
 //! the rows with the report's own gates and compares them with the
-//! file, naming each moved row by its `bench explain` label. `rdma`,
-//! `barrier`, `fault_matrix` and `serving` are rebuilt whole, byte for
-//! byte; `paper` without its §5 sizes and ablations, `critpath` on
-//! Ocean-rowwise only, and `mc` on the odp-first-touch litmus only
-//! (DESIGN.md §14).
+//! file, naming each moved row by its `bench explain` label. `barrier`,
+//! `fault_matrix` and `serving` are rebuilt whole, byte for byte;
+//! `paper` without its §5 sizes and ablations (its 60 traced cells
+//! whole), and `mc` on the odp-first-touch litmus only (DESIGN.md §14).
 
 use genima::Json;
 use genima_obs::BenchReport;
@@ -81,8 +80,8 @@ fn regenerated(built: &Json, file: &Json) -> Result<(), String> {
 /// `bench <kind> --seed <the file's> --json` rewrites each file byte for
 /// byte.
 #[test]
-fn four_sweeps_rewrite_their_files() {
-    for kind in ["rdma", "barrier", "fault_matrix", "serving"] {
+fn three_sweeps_rewrite_their_files() {
+    for kind in ["barrier", "fault_matrix", "serving"] {
         let (text, file, run, args) = checked_in(kind, "");
         let built = run(&args).to_json();
         regenerated(&built, &file).unwrap_or_else(|e| panic!("BENCH_{kind}.json:\n{e}"));
@@ -91,8 +90,9 @@ fn four_sweeps_rewrite_their_files() {
     }
 }
 
-/// Every application's cells, Origin and 8×4 rows, the cell claims and
-/// the headline: the paper's shapes, gated on rows rebuilt.
+/// Every application's traced cells, Origin and 8×4 rows, the cell
+/// claims and the headline: the paper's shapes, the 2025 hardware's
+/// floors and the critical-path attribution, gated on rows rebuilt.
 #[test]
 fn paper_cells_rebuild_with_their_gates() {
     let (_, file, _, args) = checked_in("paper", "");
@@ -101,16 +101,6 @@ fn paper_cells_rebuild_with_their_gates() {
         text(r, "kind").is_some_and(|k| k != "size" && k != "ablation")
     });
     regenerated(&built, &cells).unwrap_or_else(|e| panic!("BENCH_paper.json:\n{e}"));
-}
-
-#[test]
-fn critpath_ocean_rebuilds_with_its_gates() {
-    let (_, file, run, args) = checked_in("critpath", "Ocean-rowwise");
-    let ocean = narrowed(&file, file.get("meta"), |r| {
-        text(r, "app") == Some("Ocean-rowwise")
-    });
-    let built = run(&args).to_json();
-    regenerated(&built, &ocean).unwrap_or_else(|e| panic!("BENCH_critpath.json:\n{e}"));
 }
 
 /// odp-first-touch's six cells and their gates. A run narrowed to named

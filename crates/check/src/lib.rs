@@ -60,6 +60,12 @@ pub fn app_programs(app: &dyn App, topo: Topology) -> Vec<Vec<Op>> {
 
 /// Runs the race detector over `app`'s streams on `topo`.
 ///
+/// An empty result certifies one synchronisation order, round-robin
+/// ([`detect_races`]), not every order: a race that needs another
+/// process to take a lock first goes unseen. `exec.rs`'s
+/// `a_racy_program_is_refused` is such a program: this check passes
+/// it and [`sc_outcomes`], which tries every order, refuses it.
+///
 /// # Errors
 ///
 /// Propagates [`ScheduleError`] when the streams cannot be executed

@@ -129,7 +129,8 @@ impl BenchReport {
 
     /// Checks a parsed report: shape (string `bench`, integer `seed`,
     /// non-empty `rows` of objects where rows of the same `kind` share
-    /// one key set, a `gates` array), then every gate — references
+    /// one key set, a `gates` array naming no gate twice), then every
+    /// gate — references
     /// must resolve and the comparison, recomputed from the referenced
     /// fields, must hold.
     ///
@@ -178,6 +179,14 @@ impl BenchReport {
         let Some(gates) = v.get("gates").and_then(Json::as_arr) else {
             return shape("missing `gates` array");
         };
+        let mut names: Vec<&str> = gates
+            .iter()
+            .filter_map(|g| g.get("name")?.as_str())
+            .collect();
+        names.sort_unstable();
+        if let Some(twice) = names.windows(2).find(|w| w[0] == w[1]) {
+            return shape(&format!("gate `{}` is declared twice", twice[0]));
+        }
         let errors: Vec<String> = gates
             .iter()
             .filter_map(|g| eval(g, rows, meta).err())
@@ -418,6 +427,17 @@ mod tests {
             let v = Json::parse(&good.replace(from, to)).expect("fixture parses");
             assert_eq!(errors(&v), vec![why.to_string()], "{to}");
         }
+    }
+
+    #[test]
+    fn a_gate_name_declared_twice_is_rejected() {
+        let v = report(|r| {
+            r.gate("GeNIMA is interrupt-free", row(1, "interrupts"), "==", 0u64);
+            r.gate("Base wire", row(0, "segments_ns.wire"), "==", 30u64);
+            r.gate("GeNIMA is interrupt-free", meta("failed_runs"), "==", 0u64);
+        });
+        let twice = "gate `GeNIMA is interrupt-free` is declared twice";
+        assert_eq!(errors(&v), vec![twice.to_string()]);
     }
 
     #[test]

@@ -66,13 +66,17 @@ impl Json {
         Json::Obj(Vec::new())
     }
 
-    /// Inserts a key into an object (panics on non-objects — a
+    /// Sets a key of an object: a new key goes last, an existing one
+    /// takes `value` in its place (panics on non-objects — a
     /// programming error, not a data error).
     pub fn set(&mut self, key: impl Into<String>, value: Json) -> &mut Json {
-        if let Json::Obj(entries) = self {
-            entries.push((key.into(), value));
-        } else {
+        let Json::Obj(entries) = self else {
             panic!("Json::set on a non-object");
+        };
+        let key = key.into();
+        match entries.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, old)) => *old = value,
+            None => entries.push((key, value)),
         }
         self
     }
@@ -199,7 +203,8 @@ impl Json {
         }
     }
 
-    /// Parses JSON text.
+    /// Parses JSON text. An object that repeats a key is an error: it
+    /// holds two values for one field.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
@@ -363,7 +368,12 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            if entries.iter().any(|(k, _)| *k == key) {
+                self.pos = at;
+                return Err(self.err(&format!("repeated key {key:?} in object")));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -576,6 +586,22 @@ mod tests {
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("").is_err());
         assert!(Json::parse("\"\\ud800\"").is_err());
+    }
+
+    #[test]
+    fn set_replaces_an_existing_key_in_place() {
+        let mut j = Json::obj();
+        j.set("a", Json::u64(1)).set("b", Json::u64(2));
+        j.set("a", Json::u64(3));
+        assert_eq!(j.dump(), r#"{"a":3,"b":2}"#);
+    }
+
+    #[test]
+    fn an_object_that_repeats_a_key_does_not_parse() {
+        let e = Json::parse(r#"{"a": 1, "b": {"a": 2}, "a": 3}"#).expect_err("repeated");
+        assert_eq!(e.what, r#"repeated key "a" in object"#);
+        // The second `"a"` of the outer object.
+        assert_eq!(e.pos, 24);
     }
 
     #[test]

@@ -59,15 +59,7 @@ fn rejects(kind: &str, gate: &str, mutate: impl FnOnce(&mut Json)) {
 
 #[test]
 fn every_checked_in_report_passes_unmodified() {
-    for kind in [
-        "paper",
-        "fault_matrix",
-        "barrier",
-        "rdma",
-        "critpath",
-        "serving",
-        "mc",
-    ] {
+    for kind in ["paper", "fault_matrix", "barrier", "serving", "mc"] {
         let v = load(kind);
         assert_eq!(v.get("bench").and_then(Json::as_str), Some(kind));
         assert_eq!(BenchReport::check(&v), Ok(()), "BENCH_{kind}.json");
@@ -82,9 +74,21 @@ fn flip(kind: &str, matching: &[(&str, &str)], field: &str, value: impl Into<Jso
 
 const GENIMA: &[(&str, &str)] = &[("column", "GeNIMA")];
 
+/// Sets `app`'s GeNIMA-2025 cell's speedup to `k` times its GeNIMA
+/// cell's — the 2025 hardware buying `k` over the 1999 LANai — and
+/// expects the gate named like `gate` to fire.
+fn vs_1999(app: &str, k: f64, gate: &str) {
+    rejects("paper", gate, |v| {
+        let lanai = num(v, &cell(app, "GeNIMA"), "speedup");
+        *at(row(v, &cell(app, "GeNIMA-2025")), "speedup") = Json::num(k * lanai);
+    });
+}
+
 #[test]
 fn a_host_interrupt_on_a_genima_row_is_rejected() {
-    flip("rdma", GENIMA, "interrupts", 1u64, "zero host interrupts");
+    let rnic = cell("FFT", "GeNIMA-2025");
+    let field = "counters.interrupts";
+    flip("paper", &rnic, field, 1u64, "zero host interrupts");
     flip(
         "serving",
         GENIMA,
@@ -105,8 +109,7 @@ fn a_host_interrupt_on_a_genima_row_is_rejected() {
 
 #[test]
 fn a_lost_comparison_is_rejected() {
-    let rnic = [("column", "GeNIMA-2025")];
-    flip("rdma", &rnic, "speedup_vs_1999", 0.9, "beats 1999");
+    vs_1999("FFT", 0.9, "FFT/GeNIMA-2025: speedup > FFT/GeNIMA");
     let tree = [("mode", "ni-tree-4")];
     flip(
         "barrier",
@@ -143,14 +146,14 @@ fn a_base_tail_under_twice_genimas_is_rejected() {
 
 #[test]
 fn critpath_attribution_is_gated_to_the_nanosecond() {
-    let (base, genima) = ([("column", "Base")], [("column", "GeNIMA")]);
-    rejects("critpath", "segments sum to total_ns", |v| {
+    let (base, genima) = (cell("FFT", "Base"), cell("FFT", "GeNIMA"));
+    rejects("paper", "FFT/Base: segments sum to total_ns", |v| {
         let wire = num(v, &base, "segments_ns.wire");
         *at(row(v, &base), "segments_ns.wire") = Json::num(wire + 1.0);
     });
     // One nanosecond of interrupt time on a GeNIMA critical path; the
     // sum gate is kept satisfied so the thesis gate is the one firing.
-    rejects("critpath", "no interrupt time on the critical path", |v| {
+    rejects("paper", "FFT/GeNIMA: segments_ns.interrupt == 0", |v| {
         let total = num(v, &genima, "total_ns");
         *at(row(v, &genima), "segments_ns.interrupt") = Json::u64(1);
         *at(row(v, &genima), "total_ns") = Json::num(total + 1.0);
@@ -163,8 +166,12 @@ fn facts_recorded_in_meta_are_gated_too() {
     rejects("serving", gate, |v| {
         *at(v, "meta.repeat_identical") = false.into();
     });
-    rejects("critpath", "every run completed", |v| {
+    rejects("paper", "every run completed", |v| {
         *at(v, "meta.failed_runs") = 1u64.into();
+    });
+    let gate = "every audited op's attribution sums to its latency";
+    rejects("paper", gate, |v| {
+        *at(v, "meta.mismatched_ops") = 1u64.into();
     });
     rejects("mc", "prunes >= 5x", |v| {
         *at(v, "meta.calibration.prune_ratio") = 4.0.into();
@@ -175,18 +182,18 @@ fn facts_recorded_in_meta_are_gated_too() {
 fn oceans_lock_wait_creeping_back_is_rejected() {
     // Each GeNIMA-2025 row as it read while a release still diffed and
     // re-protected inside the critical section (DESIGN.md §10.1) ...
-    let ocean = [("app", "Ocean-rowwise"), ("column", "GeNIMA-2025")];
-    flip("rdma", &ocean, "speedup_vs_1999", 1.017, ">= 2.25");
+    let ocean = cell("Ocean-rowwise", "GeNIMA-2025");
+    vs_1999("Ocean-rowwise", 1.017, ">= 2.25 x");
     flip("paper", &ocean, "shares.lock", 0.189, "<= 0.1");
     // ... and as they read while the home still twinned, diffed and
-    // applied its own pages (DESIGN.md §10.2). The critpath row keeps its
+    // applied its own pages (DESIGN.md §10.2). The cell keeps its
     // segments summing to its total, so the 1999 comparison is the gate
     // that fires.
-    flip("rdma", &ocean, "speedup_vs_1999", 1.577, ">= 2.25");
+    vs_1999("Ocean-rowwise", 1.577, ">= 2.25 x");
     let queue = "segments_ns.queue_retry";
-    let gate = "queue_retry <= 0.1 x Ocean-rowwise/GeNIMA: segments_ns.queue_retry";
-    rejects("critpath", gate, |v| {
-        let ocean_1999 = [("app", "Ocean-rowwise"), ("column", "GeNIMA")];
+    let gate = "segments_ns.queue_retry <= 0.1 x Ocean-rowwise/GeNIMA";
+    rejects("paper", gate, |v| {
+        let ocean_1999 = cell("Ocean-rowwise", "GeNIMA");
         let then = 0.236 * num(v, &ocean_1999, queue);
         let moved = then - num(v, &ocean, queue);
         let total = num(v, &ocean, "total_ns");
@@ -211,13 +218,12 @@ fn the_odp_stall_creeping_back_is_rejected() {
     // whole receive engine, not just the faulting queue pair (DESIGN.md
     // §10.6): 2025 hardware then waited longer for Radix's data than the
     // 1999 LANai did.
-    for (app, floor, vs_1999, data_ms) in [
+    for (app, floor, k, data_ms) in [
         ("FFT", 2.0, 1.103, 227.24),
         ("Radix-local", 2.8, 1.379, 218.34),
     ] {
-        let rnic = [("app", app), ("column", "GeNIMA-2025")];
-        let gate = format!("{app}: speedup_vs_1999 >= {floor}");
-        flip("rdma", &rnic, "speedup_vs_1999", vs_1999, &gate);
+        let gate = format!("{app}/GeNIMA-2025: speedup >= {floor} x {app}/GeNIMA");
+        vs_1999(app, k, &gate);
         let gate = format!("{app}/GeNIMA-2025: mean_breakdown.data_ms <= 0.6 x");
         let field = "mean_breakdown.data_ms";
         flip("paper", &cell(app, "GeNIMA-2025"), field, data_ms, &gate);
@@ -229,23 +235,22 @@ fn a_fault_on_the_first_fetch_of_every_home_page_creeping_back_is_rejected() {
     // Each GeNIMA-2025 row as it read while a home left the pages it
     // closed in place for the first remote fetch to map, one ODP fault
     // each (DESIGN.md §10.5).
-    for (app, floor, vs_1999) in [
+    for (app, floor, k) in [
         ("FFT", 2.0, 1.66),
         ("Radix-local", 2.8, 2.2),
         ("LU-contiguous", 1.07, 1.063),
     ] {
-        let rnic = [("app", app), ("column", "GeNIMA-2025")];
-        let gate = format!("{app}: speedup_vs_1999 >= {floor}");
-        flip("rdma", &rnic, "speedup_vs_1999", vs_1999, &gate);
+        let gate = format!("{app}/GeNIMA-2025: speedup >= {floor} x {app}/GeNIMA");
+        vs_1999(app, k, &gate);
     }
     for (app, faults) in [
         ("FFT", 6_144u64),
         ("LU-contiguous", 8_160),
         ("Ocean-rowwise", 12),
     ] {
-        let rnic = [("app", app), ("column", "GeNIMA-2025")];
-        let gate = format!("{app}/GeNIMA-2025: no ODP fault");
-        flip("rdma", &rnic, "odp_faults", faults, &gate);
+        let gate = format!("{app}/GeNIMA-2025: ni.odp_faults == 0");
+        let rnic = cell(app, "GeNIMA-2025");
+        flip("paper", &rnic, "ni.odp_faults", faults, &gate);
     }
 }
 
@@ -254,8 +259,7 @@ fn a_fault_per_page_of_oceans_rewrites_creeping_back_is_rejected() {
     // Each GeNIMA-2025 row as it read while a rewrite of a home run
     // faulted once per page instead of re-opening the run in one fault
     // (DESIGN.md §10.3): as many faults as the 1999 column takes.
-    let ocean = [("app", "Ocean-rowwise"), ("column", "GeNIMA-2025")];
-    flip("rdma", &ocean, "speedup_vs_1999", 2.037, ">= 2.25");
+    vs_1999("Ocean-rowwise", 2.037, ">= 2.25 x");
     let gate = "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.06 x";
     let cell = cell("Ocean-rowwise", "GeNIMA-2025");
     flip("paper", &cell, "counters.faults", 16_068u64, gate);
@@ -266,8 +270,7 @@ fn a_fault_in_every_critical_section_of_oceans_creeping_back_is_rejected() {
     // Each GeNIMA-2025 row as it read while a re-acquire left the page
     // its last holding wrote protected, so that every critical section
     // faulted on it (DESIGN.md §10.4).
-    let ocean = [("app", "Ocean-rowwise"), ("column", "GeNIMA-2025")];
-    flip("rdma", &ocean, "speedup_vs_1999", 2.198, ">= 2.25");
+    vs_1999("Ocean-rowwise", 2.198, ">= 2.25 x");
     let gate = "Ocean-rowwise/GeNIMA-2025: counters.faults <= 0.06 x";
     let cell = cell("Ocean-rowwise", "GeNIMA-2025");
     flip("paper", &cell, "counters.faults", 1_188u64, gate);

@@ -31,8 +31,8 @@ impl OpLatency {
     /// Per-op-kind tail latency as JSON: `{fetch|lock|barrier:
     /// {n, p50_us, p95_us, p99_us}}`. Used both inside the
     /// [`RunReport`] JSON (under `op_latency`) and by bench
-    /// reports (`bench fault_matrix`, `bench rdma`) so every row
-    /// carries p50/p95/p99 per op kind, not just means.
+    /// reports (`bench fault_matrix`'s rows, `bench paper`'s cells) so
+    /// every row carries p50/p95/p99 per op kind, not just means.
     pub fn json(&self) -> Json {
         let hist = |h: &Histogram| {
             let mut row = Json::obj();
