@@ -30,9 +30,10 @@ impl WorkloadSpec {
     /// Builds the SVM cluster that runs this workload: sizes `params`
     /// from the spec's hints (lock count, bus demand, warmup barrier),
     /// hands the op streams to the processors and assigns the page
-    /// homes. This is the one way a workload becomes a system — every
-    /// runner, auditor and ablation goes through it, so they all
-    /// measure the same cluster.
+    /// homes. This is the one way a workload becomes a system, and
+    /// `genima::run_app_configured` its one caller outside tests: every
+    /// run, audit and ablation goes through it, so they all measure the
+    /// same cluster.
     pub fn into_system(self, mut params: SvmParams) -> SvmSystem {
         params.locks = self.locks.max(1);
         params.bus_demand_per_proc = self.bus_demand_per_proc;

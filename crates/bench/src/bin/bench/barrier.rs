@@ -119,7 +119,7 @@ pub fn run(args: &Args) -> BenchReport {
             let Some(run) = run_cell(&what, &app, &cfg, &mut failed) else {
                 continue;
             };
-            if let Err(e) = run.report.validate(&cfg.column.features) {
+            if let Err(e) = run.report.validate(&cfg.params.features) {
                 eprintln!("FAIL {what}: {e}");
                 failed += 1;
             }

@@ -3,9 +3,9 @@
 //! time, recovery counters and what the injector actually did.
 //!
 //! For each drop rate (0 %, 1 %, 5 %, 10 %, each faulty row also
-//! duplicating and delaying packets) the matrix runs Ocean with a
-//! [`PlanInjector`] installed and replays the run's traces through the
-//! genima-check protocol auditor.
+//! duplicating and delaying packets) the matrix runs Ocean under that
+//! [`FaultPlan`] and replays the run's traces through the genima-check
+//! protocol auditor.
 //!
 //! Gates: every run completes (no wedge, no livelock); every protocol
 //! invariant holds under loss, duplication and reordering exactly as
@@ -13,9 +13,10 @@
 //! recovery lives in the NI firmware model, so the host-free property
 //! survives faults.
 
+use genima::RunConfig;
 use genima_apps::OceanRowwise;
 use genima_check::run_app_audited_with;
-use genima_fault::{FaultPlan, PlanInjector, RunSeed};
+use genima_fault::FaultPlan;
 use genima_obs::bench::row;
 use genima_obs::{BenchReport, Json};
 use genima_proto::{Column, Topology};
@@ -63,7 +64,6 @@ fn plan_at(drop: f64) -> FaultPlan {
 pub fn run(args: &Args) -> BenchReport {
     let app = OceanRowwise::with_grid(GRID, 2);
     let topo = Topology::new(NODES, 1);
-    let seed = RunSeed::new(args.seed);
     let mut rep = BenchReport::new("fault_matrix", args.seed);
     rep.set_meta("grid", GRID as u64);
     rep.set_meta("nodes", NODES as u64);
@@ -71,14 +71,10 @@ pub fn run(args: &Args) -> BenchReport {
     for &drop in &[0.0, 0.01, 0.05, 0.10] {
         for column in Column::all() {
             let what = format!("{} at drop {drop}", column.name());
-            let plan = plan_at(drop);
-            let injector = PlanInjector::new(plan.clone(), seed);
-            let stats = injector.stats_handle();
-            let run = match run_app_audited_with(&app, topo, column, |sys| {
-                if plan.is_active() {
-                    sys.set_fault_injector(Box::new(injector));
-                }
-            }) {
+            let cfg = RunConfig::new(topo, column)
+                .with_seed(args.seed)
+                .with_faults(plan_at(drop));
+            let run = match run_app_audited_with(&app, &cfg) {
                 Ok(run) => run,
                 Err(e) => {
                     eprintln!("FAIL {what}: run aborted: {e}");
@@ -93,7 +89,7 @@ pub fn run(args: &Args) -> BenchReport {
                     run.audit.violations.first()
                 );
             }
-            let f = stats.borrow();
+            let f = run.faults;
             let (recovery, interrupts) = (run.report.recovery, run.report.counters.interrupts);
             let mut cell = Json::obj();
             cell.set("drop_rate", drop.into());

@@ -77,9 +77,8 @@ enum Switch {
 use Switch::*;
 
 impl Switch {
-    fn apply(self, p: &mut SvmParams, spec: &mut WorkloadSpec) {
+    fn apply(self, p: &mut SvmParams) {
         match self {
-            Untouched => {}
             PostQueue(depth) => lanai(p).post_queue_capacity = depth,
             Pipelined(on) => lanai(p).pipelined_sends = on,
             PullNotices => p.proto.pull_notices = true,
@@ -88,12 +87,30 @@ impl Switch {
             ScatterGather => p.hw.nic.scatter_gather = true,
             Broadcast(on) => p.hw.nic.broadcast = on,
             RemoteAtomics => lanai(p).lock_impl = LockImpl::RemoteAtomics,
-            FirstTouch => {
-                spec.homes.clear();
-                p.first_touch_homes = true;
-            }
-            Striped => spec.homes.clear(),
+            FirstTouch => p.first_touch_homes = true,
+            Untouched | Striped => {}
         }
+    }
+}
+
+/// An application with its page homes dropped, the run of the
+/// [`FirstTouch`] and [`Striped`] switches: every page is placed by
+/// [`SvmParams::first_touch_homes`] or striped round-robin.
+struct Homeless<'a>(&'a dyn App);
+
+impl App for Homeless<'_> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn problem(&self) -> String {
+        self.0.problem()
+    }
+
+    fn spec(&self, topo: Topology) -> WorkloadSpec {
+        let mut spec = self.0.spec(topo);
+        spec.homes.clear();
+        spec
     }
 }
 
@@ -388,33 +405,21 @@ pub struct Paper {
 }
 
 impl Paper {
+    fn new(seed: u64) -> Paper {
+        Paper {
+            rep: BenchReport::new("paper", seed),
+            keys: HashMap::new(),
+            seqs: HashMap::new(),
+            failed: 0,
+            unresolved: 0,
+            mismatched_ops: 0,
+        }
+    }
+
     fn push(&mut self, key: String, row: Json) -> usize {
         let i = self.rep.push(row);
         self.keys.insert(key, i);
         i
-    }
-
-    /// Runs `app` on `column` with `switch` applied; an aborted run is
-    /// reported and counted, and has no row.
-    fn run(
-        &mut self,
-        what: &str,
-        app: &dyn App,
-        topo: Topology,
-        column: Column,
-        switch: Switch,
-    ) -> Option<RunReport> {
-        let mut params = column.params(topo);
-        let mut spec = app.spec(topo);
-        switch.apply(&mut params, &mut spec);
-        match spec.into_system(params).try_run() {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("FAIL {what}: run aborted: {e}");
-                self.failed += 1;
-                None
-            }
-        }
     }
 
     /// Declares `KEY: FIELD OP RHS` as a gate of that name: `rows[KEY]`'s
@@ -784,14 +789,7 @@ fn ablation_row(variant: [&str; 4], seq: Dur, r: &RunReport) -> Json {
 pub fn cells(args: &Args) -> Paper {
     let (p16, p32) = (Topology::new(4, 4), Topology::new(8, 4));
     let genima = Column::lanai(FeatureSet::genima());
-    let mut paper = Paper {
-        rep: BenchReport::new("paper", args.seed),
-        keys: HashMap::new(),
-        seqs: HashMap::new(),
-        failed: 0,
-        unresolved: 0,
-        mismatched_ops: 0,
-    };
+    let mut paper = Paper::new(args.seed);
     paper.rep.set_meta("topo", topo_json(p16));
     for app in &args.apps {
         let (a, seq) = (app.name(), sequential_time(app.as_ref()));
@@ -840,7 +838,9 @@ pub fn cells(args: &Args) -> Paper {
             paper.push(format!("{a}/Origin {label}"), row);
         }
         let key = format!("{a}/GeNIMA 8x4");
-        if let Some(r) = paper.run(&key, app.as_ref(), p32, genima, Untouched) {
+        let cfg = RunConfig::new(p32, genima);
+        if let Some(out) = run_cell(&key, app.as_ref(), &cfg, &mut paper.failed) {
+            let r = out.report;
             let mut row = Json::obj();
             row.set("kind", "genima_8x4".into());
             row.set("app", a.into());
@@ -888,11 +888,12 @@ pub fn run(args: &Args) -> BenchReport {
         let seq = sequential_time(app.as_ref());
         let key = format!("{a}/{size}");
         let [base, genima] = [FeatureSet::base(), FeatureSet::genima()]
-            .map(|f| paper.run(&key, app.as_ref(), p16, Column::lanai(f), Untouched));
+            .map(|f| RunConfig::new(p16, f))
+            .map(|cfg| run_cell(&key, app.as_ref(), &cfg, &mut paper.failed));
         let (Some(base), Some(genima)) = (base, genima) else {
             continue;
         };
-        let (b, g) = (base.speedup(seq), genima.speedup(seq));
+        let (b, g) = (base.report.speedup(seq), genima.report.speedup(seq));
         let mut row = Json::obj();
         row.set("kind", "size".into());
         row.set("app", a.into());
@@ -910,22 +911,35 @@ pub fn run(args: &Args) -> BenchReport {
         }
     }
 
-    for (study, a, variants) in ABLATIONS {
+    ablations(&mut paper, args, |_| true);
+    finish(paper, args, &[&CELL_CLAIMS[..], &ABLATION_CLAIMS].concat())
+}
+
+/// The ablation studies `keep` selects among those whose application
+/// `args` names: a row per variant, each run through [`run_cell`] on
+/// 4×4 with its [`Switch`] applied.
+fn ablations(paper: &mut Paper, args: &Args, keep: impl Fn(&str) -> bool) {
+    let p16 = Topology::new(4, 4);
+    for (study, a, variants) in ABLATIONS.into_iter().filter(|(study, ..)| keep(study)) {
         let Some(app) = args.apps.iter().find(|app| app.name() == a) else {
             continue;
         };
+        let app = app.as_ref();
+        let seq = *paper.seqs.entry(a).or_insert_with(|| sequential_time(app));
+        let homeless = Homeless(app);
         for &(column, variant, switch) in variants {
             let key = format!("{study}/{column}/{variant}");
             let on = Column::by_name(column).expect("an ablation runs on an evaluation column");
-            if let Some(r) = paper.run(&key, app.as_ref(), p16, on, switch) {
-                paper.push(
-                    key,
-                    ablation_row([study, a, column, variant], paper.seqs[a], &r),
-                );
+            let mut cfg = RunConfig::new(p16, on);
+            switch.apply(&mut cfg.params);
+            let homes_dropped = matches!(switch, FirstTouch | Striped);
+            let run: &dyn App = if homes_dropped { &homeless } else { app };
+            if let Some(out) = run_cell(&key, run, &cfg, &mut paper.failed) {
+                let row = ablation_row([study, a, column, variant], seq, &out.report);
+                paper.push(key, row);
             }
         }
     }
-    finish(paper, args, &[&CELL_CLAIMS[..], &ABLATION_CLAIMS].concat())
 }
 
 /// Declares `claims`, then the headline and the claim count (about the
@@ -965,5 +979,19 @@ pub fn finish(mut paper: Paper, args: &Args, claims: &[&str]) -> BenchReport {
     paper.rep.gate(gate, meta("mismatched_ops"), "==", 0u64);
     gate_six_columns(&mut paper.rep);
     gate_failed_runs(&mut paper.rep, paper.failed);
+    paper.rep
+}
+
+/// The ablation `study` alone: its rows and the claims about them.
+#[cfg(test)]
+pub fn study(args: &Args, study: &str) -> BenchReport {
+    let mut paper = Paper::new(args.seed);
+    ablations(&mut paper, args, |s| s == study);
+    let prefix = format!("{study}/");
+    for claim in ABLATION_CLAIMS.iter().filter(|c| c.starts_with(&prefix)) {
+        paper.claim(claim);
+    }
+    assert_eq!(paper.unresolved, 0, "a claim of {study} names no row");
+    assert_eq!(paper.failed, 0, "a run of {study} aborted");
     paper.rep
 }

@@ -3,8 +3,9 @@
 //! the rows with the report's own gates and compares them with the
 //! file, naming each moved row by its `bench explain` label. `barrier`,
 //! `fault_matrix` and `serving` are rebuilt whole, byte for byte;
-//! `paper` without its §5 sizes and ablations (its 60 traced cells
-//! whole), and `mc` on the odp-first-touch litmus only (DESIGN.md §14).
+//! `paper` without its §5 sizes and ablations but for the `homes` study
+//! (its 60 traced cells whole), and `mc` on the odp-first-touch litmus
+//! only (DESIGN.md §14).
 
 use genima::Json;
 use genima_obs::BenchReport;
@@ -101,6 +102,21 @@ fn paper_cells_rebuild_with_their_gates() {
         text(r, "kind").is_some_and(|k| k != "size" && k != "ablation")
     });
     regenerated(&built, &cells).unwrap_or_else(|e| panic!("BENCH_paper.json:\n{e}"));
+}
+
+/// The `homes` study's three FFT rows and its four claims: the one
+/// ablation whose runs drop the application's homes ([`paper::study`]).
+/// A study alone records no headline, so `meta` is left out.
+#[test]
+fn paper_homes_study_rebuilds_with_its_claims() {
+    let (_, file, _, args) = checked_in("paper", "FFT");
+    let built = paper::study(&args, "homes").to_json();
+    let gates = built.get("gates").and_then(Json::as_arr).map(<[Json]>::len);
+    assert_eq!(gates, Some(4), "the homes study's claims");
+    let homes = narrowed(&file, built.get("meta"), |r| {
+        text(r, "study") == Some("homes")
+    });
+    regenerated(&built, &homes).unwrap_or_else(|e| panic!("BENCH_paper.json:\n{e}"));
 }
 
 /// odp-first-touch's six cells and their gates. A run narrowed to named

@@ -16,9 +16,9 @@
 //!   and checks the protocol's own invariants under each of the six
 //!   evaluation columns.
 //!
-//! [`run_app_audited`] wires the second layer to a real run: it builds
-//! the cluster exactly like `genima::run_app`, switches tracing on,
-//! runs to completion and audits the drained trace. [`app_programs`]
+//! [`run_app_audited`] wires the second layer to a real run: it runs
+//! the application through `genima::run_app_configured` with tracing
+//! on and audits the trace the run returns. [`app_programs`]
 //! materialises an application's streams for the first layer.
 
 mod audit;
@@ -29,8 +29,9 @@ pub use audit::{audit_traces, Audit, Violation};
 pub use exec::{sc_outcomes, ScheduleError};
 pub use race::{detect_races, AccessSite, Race, CELL_BYTES};
 
+use genima::{run_app_configured, FaultStats, RunConfig};
 use genima_apps::App;
-use genima_proto::{Column, FeatureSet, Op, ProtoError, RunReport, SvmSystem, Topology};
+use genima_proto::{Column, FeatureSet, Op, ProtoError, RunReport, Topology};
 
 /// One application run with tracing enabled and its audit result.
 #[derive(Debug, Clone)]
@@ -39,6 +40,8 @@ pub struct AuditedRun {
     pub features: FeatureSet,
     /// The full measurement report.
     pub report: RunReport,
+    /// What the fault injector did (all zero for a clean run).
+    pub faults: FaultStats,
     /// The invariant audit over the run's trace.
     pub audit: Audit,
 }
@@ -82,16 +85,18 @@ pub fn check_app_races(app: &dyn App, topo: Topology) -> Result<Vec<Race>, Sched
 /// changes like the NI lock chain: every invariant applies, the
 /// single-owner lock replay included.
 ///
-/// Builds the cluster exactly like `genima::run_app`, so an audited
-/// run measures the same system as an ordinary one (tracing is purely
-/// observational).
+/// The clean case of [`run_app_audited_with`]: the run is
+/// `genima::run_app`'s with tracing on, and tracing is purely
+/// observational, so an audited run measures the same system as an
+/// ordinary one.
 pub fn run_app_audited(app: &dyn App, topo: Topology, column: impl Into<Column>) -> AuditedRun {
-    run_app_audited_with(app, topo, column, |_| {}).expect("a fault-free audited run cannot abort")
+    run_app_audited_with(app, &RunConfig::new(topo, column))
+        .expect("a fault-free audited run cannot abort")
 }
 
-/// Like [`run_app_audited`], but lets `configure` adjust the built
-/// [`SvmSystem`] before the run — typically to install a fault
-/// injector — and surfaces a run abort instead of panicking.
+/// Runs `app` under `cfg` through `genima::run_app_configured` with
+/// tracing on, checks the report and audits the trace, surfacing a run
+/// abort instead of panicking.
 ///
 /// This is how the fault sweeps audit faulty runs: recovery machinery
 /// (retransmits, duplicate suppression, backoff) must preserve every
@@ -103,26 +108,21 @@ pub fn run_app_audited(app: &dyn App, topo: Topology, column: impl Into<Column>)
 /// retransmission budget against an unresponsive peer, and
 /// [`ProtoError::InvalidReport`] when the finished run's report fails
 /// [`RunReport::validate`].
-pub fn run_app_audited_with(
-    app: &dyn App,
-    topo: Topology,
-    column: impl Into<Column>,
-    configure: impl FnOnce(&mut SvmSystem),
-) -> Result<AuditedRun, ProtoError> {
-    let column = column.into();
-    let features = column.features;
-    let mut sys = app.spec(topo).into_system(column.params(topo));
-    sys.set_tracing(true);
-    configure(&mut sys);
-    let report = sys.try_run()?;
+pub fn run_app_audited_with(app: &dyn App, cfg: &RunConfig) -> Result<AuditedRun, ProtoError> {
+    let traced = RunConfig {
+        trace: true,
+        ..cfg.clone()
+    };
+    let out = run_app_configured(app, &traced)?;
     // Self-consistency of the measurements themselves: breakdown
     // categories must account for the parallel time and interrupt-free
     // columns must report zero host interrupts.
-    report.validate(&features)?;
-    let audit = audit_traces(features, topo.nodes, &sys.take_trace());
+    out.report.validate(&out.features)?;
+    let audit = audit_traces(out.features, cfg.params.topo.nodes, &out.trace);
     Ok(AuditedRun {
-        features,
-        report,
+        features: out.features,
+        report: out.report,
+        faults: out.faults,
         audit,
     })
 }

@@ -2,6 +2,7 @@
 //! configuration with tracing on and replay the trace against the
 //! protocol invariants.
 
+use genima::RunConfig;
 use genima_apps::{App, BarnesOriginal, OceanRowwise, WaterNsquared};
 use genima_check::{audit_traces, detect_races, run_app_audited, run_app_audited_with};
 use genima_fault::{FaultPlan, PlanInjector};
@@ -274,12 +275,11 @@ fn genima_2025_audits_clean_at_ten_percent_loss() {
     let app = OceanRowwise::with_grid(96, 2);
     let topo = Topology::new(4, 1);
     let plan = FaultPlan::new().drop_rate(0.10).duplicate_rate(0.05);
-    let injector = PlanInjector::new(plan, RunSeed::new(0x2025));
-    let stats = injector.stats_handle();
-    let run = run_app_audited_with(&app, topo, Column::genima_2025(), |sys| {
-        sys.set_fault_injector(Box::new(injector));
-    })
-    .unwrap_or_else(|e| panic!("GeNIMA-2025 aborted under 10% loss: {e}"));
+    let cfg = RunConfig::new(topo, Column::genima_2025())
+        .with_seed(0x2025)
+        .with_faults(plan);
+    let run = run_app_audited_with(&app, &cfg)
+        .unwrap_or_else(|e| panic!("GeNIMA-2025 aborted under 10% loss: {e}"));
     assert!(
         run.audit.is_clean(),
         "invariant violations under faults: {:?}",
@@ -289,7 +289,7 @@ fn genima_2025_audits_clean_at_ten_percent_loss() {
         run.report.counters.interrupts, 0,
         "recovery must not reintroduce host interrupts"
     );
-    let s = stats.borrow();
+    let s = run.faults;
     assert!(s.dropped > 0, "10% loss must actually hit live traffic");
     assert_eq!(
         run.report.recovery.retransmits, s.dropped,
@@ -340,8 +340,9 @@ fn lock_ownership_is_traced_on_every_column() {
     }
 }
 
-/// `run_app_audited{,_with}` take a column or a bare feature set; the
-/// feature set is that column on the 1999 LANai, not a second recipe.
+/// `run_app_audited` and `RunConfig::new` take a column or a bare
+/// feature set; the feature set is that column on the 1999 LANai, not a
+/// second recipe.
 #[test]
 fn a_feature_set_audits_as_its_lanai_column() {
     let topo = Topology::new(2, 2);
@@ -353,8 +354,8 @@ fn a_feature_set_audits_as_its_lanai_column() {
         assert_eq!(bare.report.to_json(), on_column.report.to_json());
         assert_eq!(bare.audit.events, on_column.audit.events);
 
-        let bare = run_app_audited_with(&app, topo, features, |_| {}).expect("clean run");
-        let on_column = run_app_audited_with(&app, topo, column, |_| {}).expect("clean run");
+        let [bare, on_column] = [RunConfig::new(topo, features), RunConfig::new(topo, column)]
+            .map(|cfg| run_app_audited_with(&app, &cfg).expect("clean run"));
         assert_eq!(bare.report.to_json(), on_column.report.to_json());
         assert_eq!(bare.features, on_column.features);
     }

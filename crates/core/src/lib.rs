@@ -3,13 +3,15 @@
 //! (ISCA 1999) as a deterministic cluster simulator.
 //!
 //! This is the top-level crate: it ties the workload generators
-//! (`genima-apps`) to the SVM protocol engine (`genima-proto`), the
-//! communication stack (`genima-nic` over `genima-net`), the memory
-//! system (`genima-mem`), and the hardware-DSM reference
-//! (`genima-hwdsm`): one way to run an application on a cluster, on the
-//! Origin model and sequentially, which `bench paper` (in
-//! `genima-bench`) uses to regenerate every table and figure of the
-//! paper's evaluation.
+//! (`genima-apps`) to the SVM protocol engine (`genima-proto`, which
+//! owns the communication stack and the memory system), the fault
+//! injector (`genima-fault`), span recording (`genima-obs`) and the
+//! hardware-DSM reference (`genima-hwdsm`): one way to run an
+//! application on a cluster ([`run_app_configured`], whose
+//! [`RunConfig`] carries the run's whole [`SvmParams`]), on the Origin
+//! model and sequentially. `bench paper` (in `genima-bench`) runs every
+//! table, figure and ablation of the paper's evaluation through it, and
+//! `genima-check` audits its traced runs.
 //!
 //! # Quickstart
 //!

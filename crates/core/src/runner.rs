@@ -4,22 +4,24 @@ use genima_apps::App;
 use genima_fault::{FaultPlan, FaultStats, PlanInjector};
 use genima_hwdsm::{HwDsm, HwDsmConfig, HwReport};
 use genima_obs::{ObsConfig, ObsReport, Recorder};
-use genima_proto::{BarrierImpl, Column, FeatureSet, ProtoError, RunReport, Topology};
+use genima_proto::{
+    BarrierImpl, Column, FeatureSet, ProtoError, RunReport, SvmParams, Topology, TraceEvent,
+};
 use genima_sim::{Dur, RunSeed};
 
 /// Everything a whole-run invocation can vary besides the application:
-/// cluster shape, evaluation column, the single workspace-level RNG
-/// seed, and the fault plan.
+/// the system's parameters (cluster shape, protocol variant on its
+/// hardware, and whatever a study tunes on top), the single
+/// workspace-level RNG seed, the fault plan and what the run records.
 ///
 /// One [`RunSeed`] drives every pseudo-random stream in the run (fault
 /// fates and delay amounts, each from its own named sub-stream), so a
 /// faulty run is reproducible from one `--seed` value.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// Cluster shape.
-    pub topo: Topology,
-    /// Protocol variant on its hardware generation.
-    pub column: Column,
+    /// The system the run builds, before the application sizes it
+    /// (lock count, bus demand, warm-up barrier).
+    pub params: SvmParams,
     /// Workspace-level seed all randomness derives from.
     pub seed: RunSeed,
     /// What goes wrong; [`FaultPlan::none`] for a clean run.
@@ -27,32 +29,23 @@ pub struct RunConfig {
     /// Span recording; [`ObsConfig::off`] keeps the run observation-free
     /// (no recorder is allocated and no emission branch is taken).
     pub obs: ObsConfig,
-    /// Barrier implementation override; `None` keeps the feature-set
-    /// default (NI-tree collectives on GeNIMA, the host-side node-0
-    /// manager everywhere else). Benches use this to isolate the
-    /// host-barrier vs NI-barrier axis on an otherwise identical run.
-    pub barrier: Option<BarrierImpl>,
-    /// Degraded-mode fault handling: when a peer exhausts its
-    /// retransmission budget, recover per-transaction (synchronisation
-    /// traffic heals over the management channel; a lost fetch fails
-    /// into the latency histogram, and nothing else can fail) instead
-    /// of aborting the whole run. Off by default so existing callers
-    /// keep the fail-stop `Err(PeerUnreachable)` contract.
-    pub degraded: bool,
+    /// Record the protocol's event trace into
+    /// [`ConfiguredOutcome::trace`] (what `genima-check` audits). Purely
+    /// observational: the run is the same with it on or off.
+    pub trace: bool,
 }
 
 impl RunConfig {
-    /// A clean-run configuration with the workspace default seed. A
-    /// bare [`FeatureSet`] means that feature set on the 1999 LANai.
+    /// A clean-run configuration of `column`'s parameters on `topo`
+    /// with the workspace default seed. A bare [`FeatureSet`] means
+    /// that feature set on the 1999 LANai.
     pub fn new(topo: Topology, column: impl Into<Column>) -> RunConfig {
         RunConfig {
-            topo,
-            column: column.into(),
+            params: column.into().params(topo),
             seed: RunSeed::default(),
             faults: FaultPlan::none(),
             obs: ObsConfig::off(),
-            barrier: None,
-            degraded: false,
+            trace: false,
         }
     }
 
@@ -74,15 +67,23 @@ impl RunConfig {
         self
     }
 
-    /// Forces a barrier implementation regardless of the feature set.
+    /// Forces a barrier implementation in place of the column's
+    /// default (NI-tree collectives on the interrupt-free columns, the
+    /// host-side node-0 manager everywhere else). Benches use this to
+    /// isolate the host-barrier vs NI-barrier axis on an otherwise
+    /// identical run.
     pub fn with_barrier(mut self, barrier: BarrierImpl) -> RunConfig {
-        self.barrier = Some(barrier);
+        self.params.barrier = barrier;
         self
     }
 
-    /// Enables or disables degraded-mode fault handling.
+    /// Enables or disables degraded-mode fault handling
+    /// ([`SvmParams::degraded`]): when a peer exhausts its
+    /// retransmission budget, recover per-transaction instead of
+    /// aborting the whole run. Off by default, so a run keeps the
+    /// fail-stop `Err(PeerUnreachable)` contract.
     pub fn with_degraded(mut self, degraded: bool) -> RunConfig {
-        self.degraded = degraded;
+        self.params.degraded = degraded;
         self
     }
 }
@@ -98,6 +99,9 @@ pub struct ConfiguredOutcome {
     pub faults: FaultStats,
     /// Recorded spans (empty unless [`RunConfig::obs`] was enabled).
     pub obs: ObsReport,
+    /// The protocol's event trace in emission order (empty unless
+    /// [`RunConfig::trace`] was set).
+    pub trace: Vec<TraceEvent>,
 }
 
 /// Runs `app` fault-free on one evaluation [`Column`] — a feature set
@@ -137,12 +141,7 @@ pub fn run_app(app: &dyn App, topo: Topology, column: impl Into<Column>) -> Conf
 /// retransmission budget against an unresponsive peer (e.g. an
 /// [`FaultPlan::outage`] longer than the full backoff schedule).
 pub fn run_app_configured(app: &dyn App, cfg: &RunConfig) -> Result<ConfiguredOutcome, ProtoError> {
-    let mut params = cfg.column.params(cfg.topo);
-    if let Some(b) = cfg.barrier {
-        params.barrier = b;
-    }
-    params.degraded = cfg.degraded;
-    let mut sys = app.spec(cfg.topo).into_system(params);
+    let mut sys = app.spec(cfg.params.topo).into_system(cfg.params.clone());
     let stats = if cfg.faults.is_active() {
         let injector = PlanInjector::new(cfg.faults.clone(), cfg.seed);
         let handle = injector.stats_handle();
@@ -151,16 +150,18 @@ pub fn run_app_configured(app: &dyn App, cfg: &RunConfig) -> Result<ConfiguredOu
     } else {
         None
     };
-    let recorder = Recorder::shared(cfg.topo.nodes, &cfg.obs);
+    let recorder = Recorder::shared(cfg.params.topo.nodes, &cfg.obs);
     if let Some(h) = recorder.as_ref() {
         sys.set_observer(h.clone());
     }
+    sys.set_tracing(cfg.trace);
     let report = sys.try_run()?;
     Ok(ConfiguredOutcome {
-        features: cfg.column.features,
+        features: cfg.params.features,
         report,
         faults: stats.map(|h| *h.borrow()).unwrap_or_default(),
         obs: recorder.map(|h| h.borrow_mut().take()).unwrap_or_default(),
+        trace: sys.take_trace(),
     })
 }
 
@@ -174,45 +175,34 @@ pub fn run_app_configured(app: &dyn App, cfg: &RunConfig) -> Result<ConfiguredOu
 /// trivial synchronization). Initialization before the warmup barrier
 /// is excluded on both sides, per SPLASH-2 guidelines.
 pub fn sequential_time(app: &dyn App) -> Dur {
-    let topo = Topology::new(1, 1);
-    let spec = app.spec(topo);
     let cfg = HwDsmConfig {
         // A uniprocessor pays plain memory-hierarchy costs.
-        remote_miss: genima_sim::Dur::from_ns(300),
-        local_miss: genima_sim::Dur::from_ns(150),
-        lock_op: genima_sim::Dur::from_ns(500),
-        barrier_op: genima_sim::Dur::ZERO,
+        remote_miss: Dur::from_ns(300),
+        local_miss: Dur::from_ns(150),
+        lock_op: Dur::from_ns(500),
+        barrier_op: Dur::ZERO,
         ..HwDsmConfig::origin2000()
     };
-    HwDsm::with_config(
-        cfg,
-        topo,
-        spec.sources,
-        spec.locks.max(1),
-        spec.warmup_barrier,
-    )
-    .run()
-    .finish
+    run_on_hwdsm(app, Topology::new(1, 1), cfg).finish
 }
 
 /// Runs `app` on the hardware-DSM reference machine (Origin 2000
 /// model) with the same operation streams.
 pub fn run_app_on_hwdsm(app: &dyn App, topo: Topology) -> HwReport {
+    run_on_hwdsm(app, topo, HwDsmConfig::origin2000())
+}
+
+/// Runs `app`'s streams on `topo` on the hardware-DSM model `cfg`.
+fn run_on_hwdsm(app: &dyn App, topo: Topology, cfg: HwDsmConfig) -> HwReport {
     let spec = app.spec(topo);
-    HwDsm::with_config(
-        HwDsmConfig::origin2000(),
-        topo,
-        spec.sources,
-        spec.locks.max(1),
-        spec.warmup_barrier,
-    )
-    .run()
+    let locks = spec.locks.max(1);
+    HwDsm::with_config(cfg, topo, spec.sources, locks, spec.warmup_barrier).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genima_apps::OceanRowwise;
+    use genima_apps::{OceanRowwise, WaterNsquared};
 
     #[test]
     fn parallel_beats_sequential_for_a_stencil() {
@@ -252,6 +242,33 @@ mod tests {
             let column = run_app(&app, topo, Column::lanai(features));
             assert_eq!(bare.report.to_json(), column.report.to_json());
             assert_eq!(bare.features, features);
+        }
+    }
+
+    /// Tracing is observational: with the trace on, every column's
+    /// report is the one it makes with the trace off, clean and under
+    /// loss.
+    #[test]
+    fn tracing_moves_no_report() {
+        let app = WaterNsquared::with_molecules(256, 1);
+        let lossy = FaultPlan::new().drop_rate(0.05);
+        for column in Column::all() {
+            for faults in [FaultPlan::none(), lossy.clone()] {
+                let cfg = RunConfig::new(Topology::new(2, 2), column)
+                    .with_seed(5)
+                    .with_faults(faults);
+                let traced = RunConfig {
+                    trace: true,
+                    ..cfg.clone()
+                };
+                let [off, on] = [&cfg, &traced].map(|c| match run_app_configured(&app, c) {
+                    Ok(out) => out,
+                    Err(e) => panic!("{column}: {e}"),
+                });
+                assert!(off.trace.is_empty() && !on.trace.is_empty(), "{column}");
+                assert_eq!(off.report.to_json(), on.report.to_json(), "{column}");
+                assert_eq!(off.faults, on.faults, "{column}");
+            }
         }
     }
 

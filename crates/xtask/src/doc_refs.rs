@@ -1,6 +1,6 @@
 //! `xtask doc-refs`: the documents name only what the tree has.
 //!
-//! Two rules, no flag and no allowlist:
+//! Three rules, no flag and no allowlist:
 //!
 //! 1. **Names.** In DESIGN.md, README.md and EXPERIMENTS.md, every
 //!    inline code span outside a fenced block that is a compound
@@ -16,6 +16,12 @@
 //!    README.md, EXPERIMENTS.md or a `SKILL.md` must name a `##` or
 //!    `###` heading of DESIGN.md. Inside DESIGN.md every bare `§N[.M]`
 //!    is such a reference too, except one written `paper §N`.
+//! 3. **Dependencies.** Every `[dependencies]` entry of a
+//!    `crates/*/Cargo.toml` must be named in that crate's `src/`: its
+//!    name, hyphens read as underscores, is a word of the code there
+//!    (`use` and `pub use` count; comments and string literals do not).
+//!    A crate only tests or examples name is a `[dev-dependencies]`
+//!    entry.
 //!
 //! Cargo build directories (any directory holding a `CACHEDIR.TAG`, and
 //! any named `target`) and `.git` are not part of the tree.
@@ -39,6 +45,7 @@ fn refers(rel: &str) -> bool {
 
 const DEAD_NAME: &str = "code span names nothing in any `.rs` file";
 const DEAD_SECTION: &str = "section reference names no `##`/`###` heading of DESIGN.md";
+const UNUSED_DEPENDENCY: &str = "dependency the crate's `src/` never names";
 
 fn is_word(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
@@ -275,6 +282,32 @@ fn dead_sections(file: &str, text: &str, heads: &BTreeSet<String>, bare: bool) -
         .collect()
 }
 
+/// Rule 3 over one crate: each `[dependencies]` entry of `manifest`
+/// whose name is no word of `code`, the crate's `src/` stripped of
+/// comments and string literals.
+fn unused_dependencies(file: &str, manifest: &str, code: &HashSet<String>) -> Vec<Finding> {
+    let mut section = "";
+    let mut findings = Vec::new();
+    for (i, line) in manifest.lines().enumerate() {
+        let line = line.trim();
+        if line.starts_with('[') {
+            section = line;
+            continue;
+        }
+        let name = line.split(['.', '=', ' ']).next().unwrap_or(line);
+        let entry = section == "[dependencies]" && !name.is_empty() && !name.starts_with('#');
+        if entry && !code.contains(&name.replace('-', "_")) {
+            findings.push(Finding {
+                file: file.to_string(),
+                line: i + 1,
+                rule: UNUSED_DEPENDENCY,
+                text: name.to_string(),
+            });
+        }
+    }
+    findings
+}
+
 /// Lists, sorted and root-relative, every file below `dir` outside
 /// `.git` and cargo build directories.
 fn tree_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
@@ -303,7 +336,7 @@ fn tree_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result
     Ok(())
 }
 
-/// Both rules over the tree at `root`; `Err` names what could not be read.
+/// The three rules over the tree at `root`; `Err` names what could not be read.
 pub(crate) fn check_tree(root: &Path) -> Result<Vec<Finding>, String> {
     let read = |rel: &str| {
         std::fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))
@@ -324,6 +357,18 @@ pub(crate) fn check_tree(root: &Path) -> Result<Vec<Finding>, String> {
     findings.extend(dead_sections("DESIGN.md", &design, &heads, true));
     for rel in files.iter().filter(|f| refers(f)) {
         findings.extend(dead_sections(rel, &read(rel)?, &heads, false));
+    }
+    let manifests = files.iter().filter(|f| f.split('/').count() == 3);
+    for manifest in manifests.filter(|f| f.starts_with("crates/") && f.ends_with("/Cargo.toml")) {
+        let src = manifest.replace("Cargo.toml", "src/");
+        let mut code = HashSet::new();
+        let sources = files
+            .iter()
+            .filter(|f| f.starts_with(&src) && f.ends_with(".rs"));
+        for rel in sources {
+            words_of(&super::strip_noncode(&read(rel)?), &mut code);
+        }
+        findings.extend(unused_dependencies(manifest, &read(manifest)?, &code));
     }
     Ok(findings)
 }
@@ -439,6 +484,23 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].text, "§8.1");
         assert!(dead_sections("page.rs", &at("// @ §8.\n"), &heads, false).is_empty());
+    }
+
+    #[test]
+    fn a_dependency_the_source_never_names_is_reported() {
+        let manifest = "[package]\nname = \"x\"\n\n[dependencies]\n\
+                        genima-sim.workspace = true\n\
+                        genima-net = { path = \"../net\" }\n\
+                        # genima-mem once\n\
+                        genima-obs.workspace = true\n\
+                        genima-nic.workspace = true\n\n\
+                        [dev-dependencies]\nproptest.workspace = true\n";
+        let src = "use genima_sim::Time;\npub use genima_obs::Json;\n\
+                   /// [`genima_net::Packet`]\nfn f() -> &'static str { \"genima_nic\" }\n";
+        let code = words(&super::super::strip_noncode(src));
+        let f = unused_dependencies("crates/x/Cargo.toml", manifest, &code);
+        let at: Vec<(usize, &str)> = f.iter().map(|f| (f.line, f.text.as_str())).collect();
+        assert_eq!(at, [(6, "genima-net"), (9, "genima-nic")]);
     }
 
     #[test]

@@ -37,10 +37,12 @@
 //! `// lint: allow-wildcard` or `// lint: allow-unwrap` comment on the
 //! offending line.
 //!
-//! `xtask doc-refs` keeps the documents live: every compound
-//! identifier DESIGN.md, README.md and EXPERIMENTS.md put in a code span
-//! names a word of some `.rs` file, and every `DESIGN.md §N` reference
-//! names a heading (module [`doc_refs`]). Tier-1 runs it as a test.
+//! `xtask doc-refs` keeps the documents and manifests live: every
+//! compound identifier DESIGN.md, README.md and EXPERIMENTS.md put in a
+//! code span names a word of some `.rs` file, every `DESIGN.md §N`
+//! reference names a heading, and every `[dependencies]` entry of a
+//! crate is named in its `src/` (module [`doc_refs`]). Tier-1 runs it
+//! as a test.
 //!
 //! `xtask obs-summary <file> [top]` rides along: it prints a top-N
 //! aggregation of a Chrome-trace timeline (per span kind and per node),

@@ -39,7 +39,7 @@ fn genima_apps_complete_with_zero_host_protocol() {
         let run = run_app_configured(app.as_ref(), &cfg)
             .unwrap_or_else(|e| panic!("{}: clean run aborted: {e}", app.name()));
         run.report
-            .validate(&cfg.column.features)
+            .validate(&cfg.params.features)
             .unwrap_or_else(|e| panic!("{}: {e}", app.name()));
         assert!(
             run.report.ni_barrier,
@@ -266,7 +266,7 @@ fn lossy_genima_run_keeps_zero_host_protocol() {
         "the plan must actually drop packets"
     );
     run.report
-        .validate(&cfg.column.features)
+        .validate(&cfg.params.features)
         .expect("report validates");
     assert_eq!(run.report.counters.interrupts, 0);
     assert_eq!(run.report.counters.barrier_manager_msgs, 0);

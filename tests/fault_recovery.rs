@@ -3,13 +3,13 @@
 //! protocol sweeps under loss, and graceful reporting of dead peers.
 
 use genima::{
-    run_app, run_app_configured, FaultPlan, FeatureSet, HwProfile, PlanInjector, ProtoError,
-    RunConfig, RunReport, RunSeed, Topology,
+    run_app, run_app_configured, Column, FaultPlan, FeatureSet, HwProfile, PlanInjector,
+    ProtoError, RunConfig, RunReport, RunSeed, Topology,
 };
-use genima_apps::OceanRowwise;
-use genima_check::{run_app_audited, run_app_audited_with};
+use genima_apps::{App, OceanRowwise};
+use genima_check::{audit_traces, run_app_audited, run_app_audited_with, Audit};
 use genima_net::{NetConfig, NicId};
-use genima_nic::{Comm, MsgKind, NicConfig, NoFaults, Post, SendDesc, Tag, Upcall};
+use genima_nic::{Comm, FaultInjector, MsgKind, NicConfig, NoFaults, Post, SendDesc, Tag, Upcall};
 use genima_sim::{Dur, EventQueue, Time};
 use proptest::prelude::*;
 
@@ -28,6 +28,28 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport, what: &str) {
     );
 }
 
+/// Runs `app` on `features` with `injector` installed and tracing on,
+/// the system built as `run_app_configured` builds it, and audits the
+/// trace.
+fn audited_with(
+    app: &dyn App,
+    topo: Topology,
+    features: FeatureSet,
+    injector: Box<dyn FaultInjector>,
+) -> (RunReport, Audit) {
+    let mut sys = app
+        .spec(topo)
+        .into_system(Column::lanai(features).params(topo));
+    sys.set_fault_injector(injector);
+    sys.set_tracing(true);
+    let report = sys.try_run().expect("inert run cannot abort");
+    report
+        .validate(&features)
+        .expect("inert run reports validly");
+    let audit = audit_traces(features, topo.nodes, &sys.take_trace());
+    (report, audit)
+}
+
 /// Installing the inert injector — or a compiled `FaultPlan::none()` —
 /// must leave every observable of a run bit-identical to not
 /// installing one at all. The sequencing/dedup bookkeeping may run, but
@@ -38,21 +60,13 @@ fn inert_injectors_are_bit_identical_to_clean_runs() {
     let topo = Topology::new(4, 1);
     for features in [FeatureSet::base(), FeatureSet::genima()] {
         let clean = run_app_audited(&app, topo, features);
-        let inert = run_app_audited_with(&app, topo, features, |sys| {
-            sys.set_fault_injector(Box::new(NoFaults));
-        })
-        .expect("inert run cannot abort");
-        let none_plan = run_app_audited_with(&app, topo, features, |sys| {
-            sys.set_fault_injector(Box::new(PlanInjector::new(
-                FaultPlan::none(),
-                RunSeed::default(),
-            )));
-        })
-        .expect("none-plan run cannot abort");
-        assert_reports_identical(&clean.report, &inert.report, "NoFaults");
-        assert_reports_identical(&clean.report, &none_plan.report, "FaultPlan::none");
-        assert!(inert.audit.is_clean());
-        assert!(none_plan.audit.is_clean());
+        let inert = audited_with(&app, topo, features, Box::new(NoFaults));
+        let none_plan = PlanInjector::new(FaultPlan::none(), RunSeed::default());
+        let none_plan = audited_with(&app, topo, features, Box::new(none_plan));
+        assert_reports_identical(&clean.report, &inert.0, "NoFaults");
+        assert_reports_identical(&clean.report, &none_plan.0, "FaultPlan::none");
+        assert!(inert.1.is_clean());
+        assert!(none_plan.1.is_clean());
     }
 }
 
@@ -62,7 +76,7 @@ fn inert_injectors_are_bit_identical_to_clean_runs() {
 fn configured_clean_run_matches_run_app() {
     let app = OceanRowwise::with_grid(128, 2);
     let cfg = RunConfig::new(Topology::new(2, 2), FeatureSet::genima()).with_seed(7);
-    let plain = run_app(&app, cfg.topo, cfg.column.features);
+    let plain = run_app(&app, cfg.params.topo, cfg.params.features);
     let configured = run_app_configured(&app, &cfg).expect("clean run cannot abort");
     assert_reports_identical(&plain.report, &configured.report, "RunConfig");
     assert_eq!(configured.faults.packets, 0, "no injector consulted");
@@ -80,12 +94,11 @@ fn all_columns_recover_from_five_percent_loss() {
         .duplicate_rate(0.05)
         .delay(0.10, Dur::from_us(250));
     for features in FeatureSet::ALL {
-        let injector = PlanInjector::new(plan.clone(), RunSeed::new(0xFA117));
-        let stats = injector.stats_handle();
-        let run = run_app_audited_with(&app, topo, features, |sys| {
-            sys.set_fault_injector(Box::new(injector));
-        })
-        .unwrap_or_else(|e| panic!("{features}: aborted under 5% loss: {e}"));
+        let cfg = RunConfig::new(topo, features)
+            .with_seed(0xFA117)
+            .with_faults(plan.clone());
+        let run = run_app_audited_with(&app, &cfg)
+            .unwrap_or_else(|e| panic!("{features}: aborted under 5% loss: {e}"));
         assert!(
             run.audit.is_clean(),
             "{features}: invariant violations under faults: {:?}",
@@ -97,7 +110,7 @@ fn all_columns_recover_from_five_percent_loss() {
                 "recovery must not reintroduce host interrupts"
             );
         }
-        let s = stats.borrow();
+        let s = run.faults;
         assert!(s.packets > 0, "{features}: injector never consulted");
         assert_eq!(
             run.report.recovery.retransmits, s.dropped,
