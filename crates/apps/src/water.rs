@@ -5,7 +5,10 @@
 //! array under **fine-grained per-molecule locks** — the paper's
 //! canonical victim of frequent lock/notice traffic: its eager-notice
 //! messages clog the NI FIFOs in DW, and only NI locks (whose messages
-//! never enter the host-bound FIFO) recover the loss (§3.3).
+//! never enter the host-bound FIFO) recover the loss (§3.3). Like the
+//! paper's processes, each simulated process issues those updates as
+//! it runs: its stream is drawn one phase or lock episode at a time,
+//! so a spec holds no operations (DESIGN.md §12).
 //!
 //! **Water-spatial** decomposes space into cells; processes read the
 //! boundary cells of their neighbours and take far fewer locks, so it
@@ -16,9 +19,12 @@
 //! molecules with 2 timesteps — the per-molecule locking rate per unit
 //! compute, which drives the result, is preserved.
 
-use genima_proto::{Topology, PAGE_SIZE};
+use std::collections::VecDeque;
 
-use crate::common::{proc_rng, Arrival, Layout, OpsBuilder, WorkloadSpec};
+use genima_proto::{BarrierId, LockId, Op, OpSource, Topology, PAGE_SIZE};
+use genima_sim::{Dur, SplitMix64};
+
+use crate::common::{proc_rng, Arrival, Layout, OpsBuilder, Region, WorkloadSpec};
 use crate::App;
 
 /// Bytes per molecule record.
@@ -83,42 +89,25 @@ impl App for WaterNsquared {
         // between lock episodes.
         let compute_per_episode_us = (pairs_per_proc as f64 / episodes as f64) * 4.0;
 
-        let mut sources = Vec::with_capacity(p);
-        for me in 0..p {
-            let mut rng = proc_rng("water-nsq", genima_proto::ProcId::new(me));
-            let mut ops = OpsBuilder::new();
-            let my_mols = mols.chunk(me, p);
-            ops.write(my_mols.base(), my_mols.bytes() as u32);
-            ops.barrier(0);
-
-            let mut bar = 1;
-            for _step in 0..self.steps {
-                // Intra-molecular phase: local compute.
-                ops.compute_us((n / p) as f64 * 20.0);
-                ops.barrier(bar);
-                bar += 1;
-                // Force phase: batched pair computation, then a
-                // fine-grained locked update of a molecule's force.
-                for e in 0..episodes {
-                    ops.compute_us(compute_per_episode_us);
-                    // The updated molecule walks the ring starting
-                    // after our own chunk (n/2 following molecules).
-                    let mol =
-                        (me * (n / p) + 1 + (e * 37 + rng.next_below(7) as usize) % (n / 2)) % n;
-                    ops.acquire(mol % nlocks);
-                    ops.write(forces.addr(mol as u64 * FORCE_BYTES), 24);
-                    ops.release(mol % nlocks);
-                }
-                ops.barrier(bar);
-                bar += 1;
-                // Update phase: advance own molecules (home-local).
-                ops.compute_us((n / p) as f64 * 8.0);
-                ops.write(my_mols.base(), my_mols.bytes() as u32);
-                ops.barrier(bar);
-                bar += 1;
-            }
-            sources.push(ops.into_source());
-        }
+        let sources = (0..p)
+            .map(|me| {
+                Box::new(NsquaredOps {
+                    me,
+                    procs: p,
+                    molecules: n,
+                    nlocks,
+                    steps: self.steps,
+                    episodes,
+                    compute_per_episode_us,
+                    my_mols: mols.chunk(me, p),
+                    forces,
+                    rng: proc_rng("water-nsq", genima_proto::ProcId::new(me)),
+                    step: 0,
+                    phase: Phase::Start,
+                    pending: VecDeque::with_capacity(PHASE_OPS),
+                }) as Box<dyn OpSource>
+            })
+            .collect();
 
         let mut homes = mols.homes_blocked(topo);
         homes.extend(forces.homes_blocked(topo));
@@ -127,9 +116,144 @@ impl App for WaterNsquared {
             homes,
             locks: nlocks,
             bus_demand_per_proc: 25_000_000,
-            warmup_barrier: Some(genima_proto::BarrierId::new(0)),
+            warmup_barrier: Some(BarrierId::new(0)),
             arrival: Arrival::Closed,
         }
+    }
+}
+
+/// Most ops one phase or episode of [`NsquaredOps`] yields.
+const PHASE_OPS: usize = 4;
+
+/// Where a Water-nsquared process stands in its stream: the part it
+/// draws next.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// Initialise own molecules, then the warm-up barrier.
+    Start,
+    /// A step's intra-molecular phase: local compute, then a barrier.
+    Intra,
+    /// Lock episode `e` of a step's force phase: batched pair
+    /// computation, then a locked update of one molecule's force.
+    Episode(usize),
+    /// The barrier ending the force phase, then the update phase:
+    /// advance own molecules (home-local) and a barrier.
+    Update,
+    /// Every step drawn.
+    Done,
+}
+
+/// One Water-nsquared process's stream, drawn one phase or lock episode
+/// at a time as the run consumes it. Fused, and it allocates nothing
+/// once built: `pending` holds at most one phase ([`PHASE_OPS`]).
+struct NsquaredOps {
+    me: usize,
+    procs: usize,
+    molecules: usize,
+    nlocks: usize,
+    steps: usize,
+    episodes: usize,
+    compute_per_episode_us: f64,
+    my_mols: Region,
+    forces: Region,
+    rng: SplitMix64,
+    /// Steps fully drawn.
+    step: usize,
+    /// The part drawn next.
+    phase: Phase,
+    /// Ops drawn and not yet consumed.
+    pending: VecDeque<Op>,
+}
+
+impl NsquaredOps {
+    fn compute_us(&mut self, us: f64) {
+        if us > 0.0 {
+            self.pending.push_back(Op::Compute(Dur::from_us_f64(us)));
+        }
+    }
+
+    fn barrier(&mut self, b: usize) {
+        self.pending.push_back(Op::Barrier(BarrierId::new(b)));
+    }
+
+    fn write_own(&mut self) {
+        self.pending.push_back(Op::Write {
+            addr: self.my_mols.base(),
+            len: self.my_mols.bytes() as u32,
+        });
+    }
+
+    /// The phase that opens step `self.step`, or `Done` past the last.
+    fn step_or_done(&self) -> Phase {
+        if self.step < self.steps {
+            Phase::Intra
+        } else {
+            Phase::Done
+        }
+    }
+
+    /// Lock episode `e`, or the update phase past the last episode.
+    fn episode_or_update(&self, e: usize) -> Phase {
+        if e < self.episodes {
+            Phase::Episode(e)
+        } else {
+            Phase::Update
+        }
+    }
+
+    /// Draws the next phase into `pending`.
+    fn refill(&mut self) {
+        let (n, p) = (self.molecules, self.procs);
+        // A step's three barriers are `bar`, `bar + 1` and `bar + 2`.
+        let bar = 1 + 3 * self.step;
+        self.phase = match self.phase {
+            Phase::Start => {
+                self.write_own();
+                self.barrier(0);
+                self.step_or_done()
+            }
+            Phase::Intra => {
+                self.compute_us((n / p) as f64 * 20.0);
+                self.barrier(bar);
+                self.episode_or_update(0)
+            }
+            Phase::Episode(e) => {
+                self.compute_us(self.compute_per_episode_us);
+                // The updated molecule walks the ring starting after
+                // our own chunk (n/2 following molecules).
+                let mol =
+                    (self.me * (n / p) + 1 + (e * 37 + self.rng.next_below(7) as usize) % (n / 2))
+                        % n;
+                let lock = LockId::new(mol % self.nlocks);
+                self.pending.push_back(Op::Acquire(lock));
+                self.pending.push_back(Op::Write {
+                    addr: self.forces.addr(mol as u64 * FORCE_BYTES),
+                    len: 24,
+                });
+                self.pending.push_back(Op::Release(lock));
+                self.episode_or_update(e + 1)
+            }
+            Phase::Update => {
+                self.barrier(bar + 1);
+                self.compute_us((n / p) as f64 * 8.0);
+                self.write_own();
+                self.barrier(bar + 2);
+                self.step += 1;
+                self.step_or_done()
+            }
+            Phase::Done => Phase::Done,
+        };
+    }
+}
+
+impl OpSource for NsquaredOps {
+    fn next_op(&mut self) -> Option<Op> {
+        // A phase may draw nothing only once the stream is done:
+        // every other phase ends in a barrier or a release.
+        if self.pending.is_empty() {
+            self.refill();
+        }
+        self.pending.pop_front()
     }
 }
 
@@ -243,7 +367,7 @@ impl App for WaterSpatial {
             homes,
             locks: nlocks,
             bus_demand_per_proc: 25_000_000,
-            warmup_barrier: Some(genima_proto::BarrierId::new(0)),
+            warmup_barrier: Some(BarrierId::new(0)),
             arrival: Arrival::Closed,
         }
     }
@@ -252,7 +376,95 @@ impl App for WaterSpatial {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genima_proto::Op;
+
+    /// The materialising loop Water-nsquared's `spec()` ran before its
+    /// streams were drawn on demand: process `me`'s whole stream.
+    fn nsquared_reference(app: &WaterNsquared, topo: Topology, me: usize) -> Vec<Op> {
+        let p = topo.procs();
+        let n = app.molecules;
+        let nlocks = 256.min(n);
+        let mut layout = Layout::new();
+        let mols = layout.alloc_bytes(n as u64 * MOL_BYTES);
+        let forces = layout.alloc_bytes(n as u64 * FORCE_BYTES);
+        let pairs_per_proc = n * n / 2 / p;
+        let episodes = n / 2 + n / p;
+        let compute_per_episode_us = (pairs_per_proc as f64 / episodes as f64) * 4.0;
+
+        let mut rng = proc_rng("water-nsq", genima_proto::ProcId::new(me));
+        let mut ops = OpsBuilder::new();
+        let my_mols = mols.chunk(me, p);
+        ops.write(my_mols.base(), my_mols.bytes() as u32);
+        ops.barrier(0);
+        let mut bar = 1;
+        for _step in 0..app.steps {
+            ops.compute_us((n / p) as f64 * 20.0);
+            ops.barrier(bar);
+            bar += 1;
+            for e in 0..episodes {
+                ops.compute_us(compute_per_episode_us);
+                let mol = (me * (n / p) + 1 + (e * 37 + rng.next_below(7) as usize) % (n / 2)) % n;
+                ops.acquire(mol % nlocks);
+                ops.write(forces.addr(mol as u64 * FORCE_BYTES), 24);
+                ops.release(mol % nlocks);
+            }
+            ops.barrier(bar);
+            bar += 1;
+            ops.compute_us((n / p) as f64 * 8.0);
+            ops.write(my_mols.base(), my_mols.bytes() as u32);
+            ops.barrier(bar);
+            bar += 1;
+        }
+        let mut src = ops.into_source();
+        std::iter::from_fn(|| src.next_op()).collect()
+    }
+
+    #[test]
+    fn nsquared_draws_the_reference_stream_op_for_op() {
+        for (molecules, steps, topo) in [
+            (64, 2, Topology::new(4, 2)),
+            (256, 1, Topology::new(2, 1)),
+            (512, 1, Topology::new(4, 4)),
+            (2048, 2, Topology::new(8, 4)),
+        ] {
+            let app = WaterNsquared::with_molecules(molecules, steps);
+            for (me, mut src) in app.spec(topo).sources.into_iter().enumerate() {
+                let case = format!("{molecules} molecules, {steps} steps, {topo:?}, p{me}");
+                for (i, want) in nsquared_reference(&app, topo, me).into_iter().enumerate() {
+                    assert_eq!(src.next_op(), Some(want), "{case}: op {i}");
+                }
+                // Fused: a drained source stays drained.
+                assert_eq!(src.next_op(), None, "{case}: yielded past the end");
+                assert_eq!(src.next_op(), None, "{case}: yielded again");
+            }
+        }
+    }
+
+    /// FNV-1a over each op's `Debug` text, with an `0xff` step after
+    /// each process: the fingerprint `bench serving` takes of a stream.
+    fn stream_hash(app: &dyn App, topo: Topology) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for mut src in app.spec(topo).sources {
+            while let Some(op) = src.next_op() {
+                for b in format!("{op:?}").bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+            h = (h ^ 0xff).wrapping_mul(0x100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn the_paper_stream_keeps_its_fingerprint() {
+        let app = WaterNsquared::paper();
+        for (topo, want) in [
+            (Topology::new(2, 1), 0x20c5_bc82_9345_de84),
+            (Topology::new(4, 4), 0x47cc_ecd8_e986_d071),
+            (Topology::new(8, 4), 0xbd62_34ad_0527_f62d),
+        ] {
+            assert_eq!(stream_hash(&app, topo), want, "{topo:?}");
+        }
+    }
 
     #[test]
     fn nsquared_takes_many_fine_grained_locks() {

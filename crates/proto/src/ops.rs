@@ -120,14 +120,16 @@ pub enum Op {
 
 /// A stream of operations for one simulated process.
 ///
-/// The batch applications of `genima-apps` and small tests
-/// materialise their streams as an [`OpVec`]. The serving workloads
-/// of `genima-serve` are lazy: they draw each request as the run
-/// consumes the previous one. A lazy source is fused (after its first
-/// `None` it keeps returning `None`) and allocates nothing per
-/// operation. Its [`program`](OpSource::program) is `None`, so the
-/// controlled scheduler gives it the coarse footprint; no serving
-/// workload is in the model checker's corpus.
+/// Nine of the ten batch applications of `genima-apps` and small
+/// tests materialise their streams as an [`OpVec`]. Two kinds of
+/// stream are lazy: the serving workloads of `genima-serve` draw each
+/// request as the run consumes the previous one, and Water-nsquared
+/// draws one phase or lock episode at a time. A lazy source is fused
+/// (after its first `None` it keeps returning `None`) and allocates
+/// nothing per operation. Its [`program`](OpSource::program) is
+/// `None`, so the controlled scheduler gives it the coarse footprint;
+/// no application or serving workload is in the model checker's
+/// corpus.
 pub trait OpSource {
     /// Returns the next operation, or `None` when the process is done.
     fn next_op(&mut self) -> Option<Op>;

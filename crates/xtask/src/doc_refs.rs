@@ -16,12 +16,12 @@
 //!    README.md, EXPERIMENTS.md or a `SKILL.md` must name a `##` or
 //!    `###` heading of DESIGN.md. Inside DESIGN.md every bare `§N[.M]`
 //!    is such a reference too, except one written `paper §N`.
-//! 3. **Dependencies.** Every `[dependencies]` entry of a
-//!    `crates/*/Cargo.toml` must be named in that crate's `src/`: its
-//!    name, hyphens read as underscores, is a word of the code there
-//!    (`use` and `pub use` count; comments and string literals do not).
-//!    A crate only tests or examples name is a `[dev-dependencies]`
-//!    entry.
+//! 3. **Dependencies.** Every `[dependencies]` entry of the root
+//!    package's `Cargo.toml` and of each `crates/*/Cargo.toml` must be
+//!    named in that package's `src/`: its name, hyphens read as
+//!    underscores, is a word of the code there (`use` and `pub use`
+//!    count; comments and string literals do not). A crate only tests
+//!    or examples name is a `[dev-dependencies]` entry.
 //!
 //! Cargo build directories (any directory holding a `CACHEDIR.TAG`, and
 //! any named `target`) and `.git` are not part of the tree.
@@ -45,7 +45,7 @@ fn refers(rel: &str) -> bool {
 
 const DEAD_NAME: &str = "code span names nothing in any `.rs` file";
 const DEAD_SECTION: &str = "section reference names no `##`/`###` heading of DESIGN.md";
-const UNUSED_DEPENDENCY: &str = "dependency the crate's `src/` never names";
+const UNUSED_DEPENDENCY: &str = "dependency the package's `src/` never names";
 
 fn is_word(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
@@ -308,6 +308,33 @@ fn unused_dependencies(file: &str, manifest: &str, code: &HashSet<String>) -> Ve
     findings
 }
 
+/// The manifests rule 3 checks: the root package's and each crate's.
+fn package_manifests(files: &[String]) -> impl Iterator<Item = &String> {
+    files.iter().filter(|f| {
+        f.as_str() == "Cargo.toml"
+            || (f.starts_with("crates/") && f.ends_with("/Cargo.toml") && f.split('/').count() == 3)
+    })
+}
+
+/// Rule 3 over the package whose manifest is `manifest`, its `src/`
+/// beside it, among the tree's `files`.
+fn package_findings(root: &Path, files: &[String], manifest: &str) -> Result<Vec<Finding>, String> {
+    let src = manifest.replace("Cargo.toml", "src/");
+    let mut code = HashSet::new();
+    let sources = files
+        .iter()
+        .filter(|f| f.starts_with(&src) && f.ends_with(".rs"));
+    for rel in sources {
+        words_of(&super::strip_noncode(&read(root, rel)?), &mut code);
+    }
+    Ok(unused_dependencies(manifest, &read(root, manifest)?, &code))
+}
+
+/// The text of the tree's file `rel`; `Err` names it.
+fn read(root: &Path, rel: &str) -> Result<String, String> {
+    std::fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))
+}
+
 /// Lists, sorted and root-relative, every file below `dir` outside
 /// `.git` and cargo build directories.
 fn tree_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
@@ -338,37 +365,25 @@ fn tree_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result
 
 /// The three rules over the tree at `root`; `Err` names what could not be read.
 pub(crate) fn check_tree(root: &Path) -> Result<Vec<Finding>, String> {
-    let read = |rel: &str| {
-        std::fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))
-    };
     let mut files = Vec::new();
     tree_files(root, Path::new(""), &mut files)
         .map_err(|e| format!("cannot list the tree: {e}"))?;
     let mut words = HashSet::new();
     for rel in files.iter().filter(|f| f.ends_with(".rs")) {
-        words_of(&read(rel)?, &mut words);
+        words_of(&read(root, rel)?, &mut words);
     }
-    let design = read("DESIGN.md")?;
+    let design = read(root, "DESIGN.md")?;
     let heads = headings(&design);
     let mut findings = Vec::new();
     for doc in NAMED_DOCS {
-        findings.extend(dead_names(doc, &read(doc)?, &words));
+        findings.extend(dead_names(doc, &read(root, doc)?, &words));
     }
     findings.extend(dead_sections("DESIGN.md", &design, &heads, true));
     for rel in files.iter().filter(|f| refers(f)) {
-        findings.extend(dead_sections(rel, &read(rel)?, &heads, false));
+        findings.extend(dead_sections(rel, &read(root, rel)?, &heads, false));
     }
-    let manifests = files.iter().filter(|f| f.split('/').count() == 3);
-    for manifest in manifests.filter(|f| f.starts_with("crates/") && f.ends_with("/Cargo.toml")) {
-        let src = manifest.replace("Cargo.toml", "src/");
-        let mut code = HashSet::new();
-        let sources = files
-            .iter()
-            .filter(|f| f.starts_with(&src) && f.ends_with(".rs"));
-        for rel in sources {
-            words_of(&super::strip_noncode(&read(rel)?), &mut code);
-        }
-        findings.extend(unused_dependencies(manifest, &read(manifest)?, &code));
+    for manifest in package_manifests(&files) {
+        findings.extend(package_findings(root, &files, manifest)?);
     }
     Ok(findings)
 }
@@ -501,6 +516,27 @@ mod tests {
         let f = unused_dependencies("crates/x/Cargo.toml", manifest, &code);
         let at: Vec<(usize, &str)> = f.iter().map(|f| (f.line, f.text.as_str())).collect();
         assert_eq!(at, [(6, "genima-net"), (9, "genima-nic")]);
+    }
+
+    #[test]
+    fn the_root_package_declares_only_what_its_src_names() {
+        let files: Vec<String> = [
+            "Cargo.toml",
+            "benchmark/Cargo.toml",
+            "crates/x/Cargo.toml",
+            "crates/x/tests/Cargo.toml",
+            "src/lib.rs",
+        ]
+        .map(String::from)
+        .into();
+        let checked: Vec<&str> = package_manifests(&files).map(String::as_str).collect();
+        assert_eq!(checked, ["Cargo.toml", "crates/x/Cargo.toml"]);
+        let root = super::super::repo_root();
+        let mut tree = Vec::new();
+        tree_files(&root, Path::new(""), &mut tree).expect("listable tree");
+        let findings = package_findings(&root, &tree, "Cargo.toml").expect("readable tree");
+        let report: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
+        assert!(findings.is_empty(), "{}", report.join("\n"));
     }
 
     #[test]
