@@ -298,11 +298,7 @@ impl OpsBuilder {
 /// Deterministic per-process jitter helper: a seeded SplitMix64 stream
 /// derived from the application name and process id.
 pub fn proc_rng(app: &str, proc: ProcId) -> genima_sim::SplitMix64 {
-    let mut seed = 0xcbf2_9ce4_8422_2325u64;
-    for b in app.bytes() {
-        seed = (seed ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    seed ^= proc.index() as u64;
+    let seed = genima_sim::fnv1a(genima_sim::FNV_OFFSET, app.as_bytes()) ^ proc.index() as u64;
     genima_sim::SplitMix64::new(seed)
 }
 

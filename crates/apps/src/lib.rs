@@ -75,6 +75,20 @@ pub fn all_apps() -> Vec<Box<dyn App>> {
     ]
 }
 
+/// A stable fingerprint of the traffic `app` generates on `topo`:
+/// FNV-1a over the `Debug` text of every operation of every process's
+/// stream, with an `0xff` step after each process.
+pub fn stream_hash(app: &dyn App, topo: Topology) -> u64 {
+    let mut h = genima_sim::FNV_OFFSET;
+    for mut src in app.spec(topo).sources {
+        while let Some(op) = src.next_op() {
+            h = genima_sim::fnv1a(h, format!("{op:?}").as_bytes());
+        }
+        h = genima_sim::fnv1a(h, &[0xff]);
+    }
+    h
+}
+
 /// Looks an application up by its paper name (case-insensitive).
 pub fn app_by_name(name: &str) -> Option<Box<dyn App>> {
     all_apps()

@@ -376,6 +376,7 @@ impl App for WaterSpatial {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream_hash;
 
     /// The materialising loop Water-nsquared's `spec()` ran before its
     /// streams were drawn on demand: process `me`'s whole stream.
@@ -437,21 +438,6 @@ mod tests {
                 assert_eq!(src.next_op(), None, "{case}: yielded again");
             }
         }
-    }
-
-    /// FNV-1a over each op's `Debug` text, with an `0xff` step after
-    /// each process: the fingerprint `bench serving` takes of a stream.
-    fn stream_hash(app: &dyn App, topo: Topology) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for mut src in app.spec(topo).sources {
-            while let Some(op) = src.next_op() {
-                for b in format!("{op:?}").bytes() {
-                    h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-                }
-            }
-            h = (h ^ 0xff).wrapping_mul(0x100_0000_01b3);
-        }
-        h
     }
 
     #[test]

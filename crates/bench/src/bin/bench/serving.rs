@@ -24,7 +24,7 @@
 //! * a repeated GeNIMA run is bit-identical (seeded determinism).
 
 use genima::RunConfig;
-use genima_apps::App;
+use genima_apps::{stream_hash, App};
 use genima_fault::FaultPlan;
 use genima_nic::NicId;
 use genima_obs::bench::{meta, row, times};
@@ -98,21 +98,6 @@ fn churn_plan() -> FaultPlan {
         victim = victim % (NODES - 1) + 1;
     }
     plan
-}
-
-/// FNV-1a over the Debug rendering of every op in every stream: a
-/// cheap, stable fingerprint of the generated traffic.
-fn stream_hash(app: &dyn App, topo: Topology) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for mut src in app.spec(topo).sources {
-        while let Some(op) = src.next_op() {
-            for b in format!("{op:?}").bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        h = (h ^ 0xff).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 pub fn run(args: &Args) -> BenchReport {

@@ -11,17 +11,7 @@
 
 use genima::{run_app, Column};
 use genima_apps::{App, Fft, OceanRowwise, WaterNsquared};
-
-/// FNV-1a over the full JSON text: cheap, dependency-free, and any
-/// single-byte drift flips it.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use genima_sim::{fnv1a, FNV_OFFSET};
 
 fn apps() -> Vec<(&'static str, Box<dyn App>)> {
     vec![
@@ -62,7 +52,8 @@ fn run_reports_match_pre_pass_golden_hashes() {
         for column in Column::all() {
             let out = run_app(app.as_ref(), topo, column);
             let json = out.report.to_json();
-            got.push((name, column.name(), fnv1a(json.as_bytes())));
+            // FNV-1a over the full JSON text: any single-byte drift flips it.
+            got.push((name, column.name(), fnv1a(FNV_OFFSET, json.as_bytes())));
         }
     }
     if std::env::var("GOLDEN_PRINT").is_ok() {

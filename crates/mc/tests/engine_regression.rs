@@ -11,15 +11,7 @@
 
 use genima_mc::{litmus, Config, Explorer};
 use genima_proto::{Column, FeatureSet};
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use genima_sim::{fnv1a, FNV_OFFSET};
 
 /// Pre-pass golden values: (litmus, column, schedules, steps_total,
 /// FNV-1a over the FIFO replay's "key label" lines).
@@ -56,7 +48,7 @@ fn schedule_counts_and_fifo_replay_match_the_heap_engine() {
             column.name(),
             rep.schedules,
             rep.steps_total,
-            fnv1a(text.as_bytes()),
+            fnv1a(FNV_OFFSET, text.as_bytes()),
         ));
     }
     if std::env::var("GOLDEN_PRINT").is_ok() {

@@ -70,7 +70,7 @@ impl Comm {
         // Local firmware op: no wire.
         let host_free = self.model.host_ctrl(now, src);
         let done = self.model.sync_service(host_free, src, true);
-        let mut step = Step::default();
+        let mut step = self.take_step();
         self.run_atomic(done, src, src, op, tag, &mut step);
         Post::after(host_free, step)
     }

@@ -81,7 +81,7 @@ impl Comm {
         // table on the send-side service loop.
         let svc_done = self.model.coll_service(host_free, nic, true);
         self.combine_span(nic, coll, epoch, host_free, svc_done);
-        let mut step = Step::default();
+        let mut step = self.take_step();
         self.run_coll(svc_done, coll, &mut step, |cs, actions| {
             cs.local_arrive_into(nic.index() as u32, vals, actions);
         });

@@ -44,7 +44,7 @@ impl Comm {
     pub fn lock_acquire(&mut self, now: Time, nic: NicId, lock: LockId, tag: Tag) -> Post {
         let host_free = self.model.host_ctrl(now, nic);
         let action = self.locks[lock.index()].acquire(nic, tag);
-        let mut step = Step::default();
+        let mut step = self.take_step();
         self.apply_lock(host_free, nic, lock, action, &mut step);
         Post::after(host_free, step)
     }
@@ -70,7 +70,7 @@ impl Comm {
     pub fn lock_release(&mut self, now: Time, nic: NicId, lock: LockId) -> Post {
         let host_free = self.model.host_ctrl(now, nic);
         let done = self.model.sync_service(host_free, nic, true);
-        let mut step = Step::default();
+        let mut step = self.take_step();
         if let Some(action) = self.locks[lock.index()].release(nic) {
             self.apply_lock(done, nic, lock, action, &mut step);
         }

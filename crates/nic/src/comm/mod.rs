@@ -18,10 +18,9 @@
 //! the receive dispatcher. A host transfer of any size is split into
 //! packets of at most `NetConfig::max_packet` bytes and completes once,
 //! when its last fragment lands (the paper's VMMC, §3.1). The machines
-//! hand their actions back by value or into a reused buffer: no path
-//! through here allocates.
-
-#![allow(clippy::field_reassign_with_default)]
+//! hand their actions back by value or into a reused buffer, and every
+//! `Post` and `Step` draws its lists from a free list the caller refills
+//! through [`Comm::recycle`]: once warm, no path through here allocates.
 
 mod atomic;
 mod coll;
@@ -34,7 +33,7 @@ use std::ops::Range;
 use genima_coll::{Action, CollId, CollState};
 use genima_net::{NetConfig, NicId};
 use genima_obs::{ObsHandle, Recorder, SpanKind, Track};
-use genima_sim::{Dur, FixedState, InlineVec, Time};
+use genima_sim::{Dur, FixedState, Time};
 
 use crate::atomic::{AtomicOp, AtomicUnit};
 use crate::config::{LanaiConfig, NicConfig};
@@ -51,19 +50,19 @@ use transport::Transport;
 /// processor is free to continue, plus any simulation events to
 /// schedule.
 ///
-/// The event and upcall lists use inline storage ([`InlineVec`]): the
-/// common case is one event per post, and fault injection multiplies
-/// the number of posts without changing that per-post shape, so the
-/// hot path allocates nothing.
-#[derive(Debug, Default)]
+/// The event and upcall lists come from [`Comm`]'s free list: a caller
+/// that hands them back through [`Comm::recycle`] once it has
+/// scheduled them keeps the hot path free of allocation, however many
+/// events a post carries.
+#[derive(Debug)]
 pub struct Post {
     /// The instant the posting host processor regains control.
     pub host_free: Time,
     /// Internal events to schedule (feed back via [`Comm::handle`]).
-    pub events: InlineVec<(Time, Event)>,
+    pub events: Vec<(Time, Event)>,
     /// Upcalls that became known immediately (e.g. a locally granted
     /// lock); delivered to the protocol layer at the given time.
-    pub upcalls: InlineVec<(Time, Upcall)>,
+    pub upcalls: Vec<(Time, Upcall)>,
 }
 
 impl Post {
@@ -78,17 +77,23 @@ impl Post {
     }
 }
 
-/// Result of processing one internal event.
+/// Result of processing one internal event. Its lists come from, and
+/// go back to, the same free list as a [`Post`]'s.
 #[derive(Debug, Default)]
 pub struct Step {
     /// Follow-up internal events to schedule.
-    pub events: InlineVec<(Time, Event)>,
+    pub events: Vec<(Time, Event)>,
     /// Completion notifications for the protocol layer.
-    pub upcalls: InlineVec<(Time, Upcall)>,
+    pub upcalls: Vec<(Time, Upcall)>,
 }
 
 /// On-wire size (bytes) of a remote-fetch request.
 const FETCH_REQ_BYTES: u32 = 16;
+
+/// Emptied steps `Comm::with_model` reserves, each with room for this
+/// many upcalls and twice as many events: a run's first calls take
+/// their lists from set-up, not from the run.
+const SPARE: usize = 4;
 
 /// The cluster-wide communication system: one NI per node plus the
 /// switch fabric, the firmware lock tables, and the performance
@@ -152,6 +157,9 @@ pub struct Comm {
     /// Fragments still to land, per tagged transfer of more than one
     /// packet.
     pending: HashMap<Tag, u32, FixedState>,
+    /// Emptied steps whose lists the next `Post` or `Step` reuses
+    /// ([`Comm::recycle`] refills it).
+    spare: Vec<Step>,
 }
 
 /// Receive-side context of the packet being served, resolved once in
@@ -206,7 +214,26 @@ impl Comm {
             coll_fanout: 4,
             coll_scratch: Vec::new(),
             pending: HashMap::default(),
+            spare: (0..SPARE)
+                .map(|_| Step {
+                    events: Vec::with_capacity(2 * SPARE),
+                    upcalls: Vec::with_capacity(SPARE),
+                })
+                .collect(),
         }
+    }
+
+    /// Hands back the lists of a [`Post`] or [`Step`] whose events and
+    /// upcalls the caller has scheduled: the next one reuses them.
+    pub fn recycle(&mut self, mut events: Vec<(Time, Event)>, mut upcalls: Vec<(Time, Upcall)>) {
+        events.clear();
+        upcalls.clear();
+        self.spare.push(Step { events, upcalls });
+    }
+
+    /// An empty step, its lists from the free list when it has one.
+    fn take_step(&mut self) -> Step {
+        self.spare.pop().unwrap_or_default()
     }
 
     /// Hardware-mechanism counters of the underlying NI model
@@ -347,16 +374,16 @@ impl Comm {
         if frags > 1 && tag != Tag::NONE {
             self.pending.insert(tag, frags);
         }
-        let mut out = Post::default();
-        out.host_free = now;
+        let mut out = Post::after(now, self.take_step());
         let mut remaining = bytes;
         for _ in 0..frags {
             let b = remaining.min(net.max_packet);
             remaining -= b;
-            let p = post_one(self, out.host_free, b);
+            let mut p = post_one(self, out.host_free, b);
             out.host_free = p.host_free;
-            out.events.extend(p.events);
-            out.upcalls.extend(p.upcalls);
+            out.events.append(&mut p.events);
+            out.upcalls.append(&mut p.upcalls);
+            self.recycle(p.events, p.upcalls);
         }
         out
     }
@@ -370,10 +397,9 @@ impl Comm {
     /// stalls until a slot frees.
     fn post_packet(&mut self, now: Time, src: NicId, desc: SendDesc) -> Post {
         assert_ne!(src, desc.dst, "intra-node messages do not use the NI");
-        let mut post = Post::default();
         let hp = self.model.host_post(now, src);
         let posted_at = hp.posted_at;
-        post.host_free = posted_at;
+        let mut post = Post::after(posted_at, self.take_step());
         if hp.doorbell {
             let op = self.obs_op(desc.tag);
             self.obs_record(|o| {
@@ -444,9 +470,8 @@ impl Comm {
     ) -> Post {
         assert!(self.cfg.broadcast, "broadcast without NicConfig::broadcast");
         assert!(!dsts.is_empty(), "broadcast needs at least one destination");
-        let mut post = Post::default();
         let posted_at = self.model.host_post(now, src).posted_at;
-        post.host_free = posted_at;
+        let mut post = Post::after(posted_at, self.take_step());
 
         let (dma_done, source_expected) = self.model.bcast_source(posted_at, src, bytes);
         self.monitor.record(
@@ -516,7 +541,7 @@ impl Comm {
                 queued_ns,
                 faulted,
             } => {
-                let mut step = Step::default();
+                let mut step = self.take_step();
                 let op = self.obs_op(packet.tag);
                 if faulted {
                     let rx = Rx {
@@ -537,7 +562,7 @@ impl Comm {
     /// Destination-side processing of an arrived packet: admission and
     /// wire accounting, once per packet, then [`Comm::receive`].
     fn deliver(&mut self, now: Time, pkt: Packet) -> Step {
-        let mut step = Step::default();
+        let mut step = self.take_step();
         let Some(now) = self.admit(now, &pkt) else {
             return step;
         };

@@ -1,3 +1,5 @@
+#![allow(clippy::field_reassign_with_default)]
+
 use super::*;
 use genima_coll::ReduceOp;
 use genima_net::{Fate, FaultInjector, PacketCtx};

@@ -12,7 +12,7 @@
 
 use genima_net::{Fate, FaultInjector, NetConfig, NetTiming, Network, NicId, PacketCtx};
 use genima_obs::{SpanKind, Track};
-use genima_sim::{Dur, InlineVec, Time};
+use genima_sim::{Dur, Time};
 
 use super::{Comm, Step};
 use crate::monitor::Stage;
@@ -114,7 +114,7 @@ impl Transport {
 }
 
 /// Where the outgoing pipeline pushes what it schedules.
-type Events = InlineVec<(Time, Event)>;
+type Events = Vec<(Time, Event)>;
 
 impl Comm {
     /// Installs a fault injector: from now on every wire packet is
@@ -304,7 +304,7 @@ impl Comm {
     /// or in degraded mode take the management channel if the packet
     /// [`never_dies`].
     pub(super) fn retransmit(&mut self, now: Time, pkt: Packet, attempt: u32) -> Step {
-        let mut step = Step::default();
+        let mut step = self.take_step();
         if attempt >= self.cfg.max_send_attempts {
             if self.tx.degraded && never_dies(&pkt) {
                 // One slow out-of-band hop, injector bypassed. The packet

@@ -291,14 +291,17 @@ impl SvmSystem {
     }
 
     /// Writes bytes into `node`'s copy of `page` — the write side of
-    /// [`SvmSystem::node_copy`], choosing the table by field so the
-    /// page pool stays borrowable beside it.
+    /// [`SvmSystem::node_copy`]: the home copy is filled in on its
+    /// first write, any other copy must have been fetched.
     pub(crate) fn write_bytes(&mut self, node: usize, page: PageId, off: usize, data: &[u8]) {
-        let copy = if self.home_of(page).index() == node {
-            self.home_pages.copies.slot(page)
+        let at_home = self.home_of(page).index() == node;
+        let copies = &mut self.nodes[node].copies;
+        let copy = if at_home {
+            copies.slot(page)
         } else {
-            let cached = self.nodes[node].copies.get_mut(page);
-            cached.expect("write to a page the node has no copy of")
+            copies
+                .get_mut(page)
+                .expect("write to a page the node has no copy of")
         };
         let dst = copy.data.get_or_insert_with(|| self.pool.zeroed());
         dst.write(off, data);

@@ -6,6 +6,7 @@ use genima_mem::{Access, Diff, Page, PageId, PagePool};
 use genima_nic::{LockId, MsgKind, Tag, TraceEvent};
 use genima_sim::{Dur, Time};
 
+use super::home::UNWRITTEN;
 use super::page::{self, Fault, Fetched, Need, Request};
 use super::{Block, Flow, NodeRt, Pending, ProcRt, ProcState, SvmSystem, SysEvent, Waiters};
 use crate::ids::{NodeId, ProcId};
@@ -294,13 +295,17 @@ impl SvmSystem {
         if self.nodes[node].inflight.get(page).is_none() {
             return; // superseded
         }
-        let hp = self.home_pages.copies.slot(page);
-        let need = Self::fetch_need(&self.procs, &self.nodes[node], page);
+        let home = self.home_of(page).index();
+        let [home_node, fetcher] = (self.nodes)
+            .get_disjoint_mut([home, node])
+            .expect("a remote fetch reads another node's home copy");
+        let hp = home_node.copies.get(page).unwrap_or(&UNWRITTEN);
+        let need = Self::fetch_need(&self.procs, fetcher, page);
         match page::fetched(&hp.ts, need) {
             Fetched::Install => {
                 // The copy takes the home's version into the buffer its
                 // previous version left behind.
-                let copy = self.nodes[node].copies.slot(page);
+                let copy = fetcher.copies.slot(page);
                 copy.ts.clone_from(&hp.ts);
                 let data = self
                     .p
@@ -465,7 +470,7 @@ impl SvmSystem {
         required: VersionMap,
         op: u64,
     ) {
-        let have = &self.home_pages.copies.slot(page).ts;
+        let have = &self.nodes[home].copies.slot(page).ts;
         match page::request(have, &required) {
             Request::Serve => {
                 self.spare_versions.push(required);
@@ -480,7 +485,7 @@ impl SvmSystem {
 
     /// Sends the home copy of `page` and its version to `requester`.
     fn reply_page(&mut self, t: Time, home: usize, requester: usize, page: PageId, op: u64) {
-        let hp = self.home_pages.copies.slot(page);
+        let hp = self.nodes[home].copies.slot(page);
         let mut ts = self.spare_versions.pop().unwrap_or_default();
         ts.clone_from(&hp.ts);
         let data = self
@@ -527,11 +532,11 @@ impl SvmSystem {
         diff: Option<Diff>,
         deposited: bool,
     ) {
-        let hp = self.home_pages.copies.get(page);
+        let home = self.home_of(page).index();
+        let hp = self.nodes[home].copies.get(page);
         if hp.is_some_and(|h| page::diff(&h.ts, writer as u32, interval) == page::Diff::Drop) {
             return;
         }
-        let home = self.home_of(page).index();
         let dop = genima_obs::op_diff_id(writer as u64, interval as u64, page.index() as u64);
         self.obs_record(|o| {
             if deposited {
@@ -566,7 +571,7 @@ impl SvmSystem {
             }
         });
         if let (Some(d), true) = (diff, self.p.data_mode) {
-            let hp = self.home_pages.copies.slot(page);
+            let hp = self.nodes[home].copies.slot(page);
             d.apply(hp.data.get_or_insert_with(|| self.pool.zeroed()));
         }
         self.raise_home_version(t, writer, interval, page);
@@ -598,7 +603,7 @@ impl SvmSystem {
         let mut served = Vec::new();
         let (table, procs) = (&mut self.home_pages, &self.procs);
         let home_page = page::Home {
-            version: &mut table.copies.slot(page).ts,
+            version: &mut self.nodes[home].copies.slot(page).ts,
             waiters: table.waiters.slot(page),
             deferred: table.pending_reqs.get_mut(page),
         };

@@ -9,9 +9,6 @@ use crate::version::VersionMap;
 
 #[derive(Default)]
 pub(crate) struct HomeTable {
-    /// The home copy of each page: per writer the latest interval
-    /// whose diffs are applied here, and the contents (data mode).
-    pub(crate) copies: PageVec<CopyState>,
     /// Base: deferred page requests awaiting diffs. Empty, and never
     /// sized, where remote fetch replaces the request.
     pub(crate) pending_reqs: PageVec<Vec<Deferred>>,
@@ -23,7 +20,6 @@ impl HomeTable {
     /// Sizes the columns for pages `0..extent`; the deferred requests
     /// only if pages are requested by message (`requests`).
     pub(crate) fn size_to(&mut self, extent: usize, requests: bool) {
-        self.copies.size_to(extent);
         if requests {
             self.pending_reqs.size_to(extent);
         }
@@ -32,7 +28,7 @@ impl HomeTable {
 }
 
 /// A home copy no diff and no local write has reached yet.
-static UNWRITTEN: CopyState = CopyState {
+pub(crate) static UNWRITTEN: CopyState = CopyState {
     ts: VersionMap::new(),
     data: None,
 };
@@ -44,10 +40,11 @@ impl SvmSystem {
     /// reaches it; elsewhere it is what the node has cached, if
     /// anything. [`SvmSystem::write_bytes`] is the write side.
     pub(crate) fn node_copy(&self, node: usize, page: PageId) -> Option<&CopyState> {
+        let copy = self.nodes[node].copies.get(page);
         if self.home_of(page).index() == node {
-            Some(self.home_pages.copies.get(page).unwrap_or(&UNWRITTEN))
+            Some(copy.unwrap_or(&UNWRITTEN))
         } else {
-            self.nodes[node].copies.get(page)
+            copy
         }
     }
 

@@ -26,11 +26,10 @@ use std::collections::{BTreeMap, HashMap};
 use genima_mem::{PageId, PageVec, PAGE_SIZE};
 use genima_net::NicId;
 use genima_nic::{
-    ChainLock, Comm, Event as CommEvent, LockId, LockImpl, MsgKind, Post, SendDesc, Step, Tag,
-    TraceEvent,
+    ChainLock, Comm, LockId, LockImpl, MsgKind, Post, SendDesc, Step, Tag, TraceEvent,
 };
 use genima_rnic::{Board, HwProfile};
-use genima_sim::{EventQueue, FixedState, InlineVec, PageBits, Time};
+use genima_sim::{EventQueue, FixedState, PageBits, Time};
 
 pub(crate) use self::state::*;
 use crate::breakdown::Counters;
@@ -534,10 +533,10 @@ impl SvmSystem {
     }
 
     pub(crate) fn absorb_post(&mut self, post: Post) -> Time {
-        self.push_comm(post.events);
-        for (t, u) in post.upcalls {
-            self.q.push(t, SysEvent::Up(u));
-        }
+        self.absorb_step(Step {
+            events: post.events,
+            upcalls: post.upcalls,
+        });
         post.host_free
     }
 
@@ -562,20 +561,19 @@ impl SvmSystem {
         self.absorb_post(post)
     }
 
-    pub(crate) fn absorb_step(&mut self, step: Step) {
-        self.push_comm(step.events);
-        for (t, u) in step.upcalls {
-            self.q.push(t, SysEvent::Up(u));
-        }
-    }
-
-    /// Queues communication events, one entry each: everything a
-    /// `Post`/`Step` emits has left `transport::inject` through serial
-    /// LANai and link bookings, so no two share an instant.
-    fn push_comm(&mut self, events: InlineVec<(Time, CommEvent)>) {
-        for (t, e) in events {
+    /// Queues a step's communication events, one entry each, then its
+    /// upcalls, and hands the emptied lists back to `comm`. Everything
+    /// a `Post`/`Step` emits has left `transport::inject` through
+    /// serial LANai and link bookings, so no two events share an
+    /// instant.
+    pub(crate) fn absorb_step(&mut self, mut step: Step) {
+        for (t, e) in step.events.drain(..) {
             self.q.push(t, SysEvent::Comm(e));
         }
+        for (t, u) in step.upcalls.drain(..) {
+            self.q.push(t, SysEvent::Up(u));
+        }
+        self.comm.recycle(step.events, step.upcalls);
     }
 
     /// Allocates a tag bound to `pending`.

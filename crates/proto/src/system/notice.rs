@@ -42,7 +42,6 @@ impl SvmSystem {
                 cursor = self.send(cursor, my_nic, dst_nic, bytes, MsgKind::Deposit, tag);
             }
             self.counters.notice_messages += 1;
-            self.nodes[node].sent_upto[dst][p] = interval;
         }
         if replicate {
             let post = self

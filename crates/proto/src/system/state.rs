@@ -345,8 +345,9 @@ pub(crate) struct NodeRt {
     pub(crate) handler: Resource,
     /// Per writer: highest interval whose record has arrived here.
     pub(crate) arrived: Vec<u32>,
-    /// Cached copies of remote pages. A page is absent until a fetch
-    /// installs it, which is what makes the first touch fetch.
+    /// The home copy of a page homed here, else the cached copy of a
+    /// remote page: absent until a fetch installs it, which is what
+    /// makes the first touch fetch. Read through `SvmSystem::node_copy`.
     pub(crate) copies: PageVec<CopyState>,
     /// Per page: the highest interval each *local* writer has flushed
     /// to the home. A fetched copy must cover these — otherwise the
@@ -357,8 +358,9 @@ pub(crate) struct NodeRt {
     pub(crate) locks: Vec<NodeLock>,
     /// Round-robin victim for interrupt-steal accounting.
     pub(crate) steal_rr: usize,
-    /// Piggyback watermark: per destination node, per writer, the
-    /// highest interval already carried there by this node's messages.
+    /// Base's piggyback watermark (only `piggyback` uses it): per
+    /// destination node, per writer, the highest interval already
+    /// carried there by this node's messages.
     pub(crate) sent_upto: Vec<Vec<u32>>,
     /// NI-tree barriers: local arrivals collected per barrier until
     /// the last one posts the node's contribution to the firmware

@@ -916,12 +916,12 @@ fn travelling_versions_are_recycled_not_rebuilt() {
         .pending_reqs
         .get(page)
         .is_none_or(Vec::is_empty));
-    let copies = (sys.nodes.iter()).filter_map(|n| n.copies.get(page));
+    let copies = (0..sys.nodes.len()).filter_map(|n| sys.node_copy(n, page));
     let spilled = (sys.procs.iter().map(|p| &p.required))
         .chain(sys.nodes.iter().map(|n| &n.local_flushed))
         .flat_map(|col| col.spilled());
     let live = (sys.spare_versions.iter())
-        .chain(copies.chain(sys.home_pages.copies.get(page)).map(|c| &c.ts))
+        .chain(copies.map(|c| &c.ts))
         .chain(spilled)
         .filter(|v| !v.is_inline())
         .count();
@@ -1049,7 +1049,7 @@ fn a_2025_home_write_takes_no_twin_diff_or_apply_and_a_1999_one_all_three() {
             })
             .collect();
         assert_eq!(applied.len(), 1, "{column}: one update of the home copy");
-        let home = sys.home_pages.copies.get(PageId::new(0));
+        let home = sys.node_copy(sys.home_of(PageId::new(0)).index(), PageId::new(0));
         let version = home.map(|c| c.ts.get(0));
         assert_eq!(version, Some(1), "{column}: home copy misses p0's interval");
         let finish = sys.procs[0].finished_at.expect("p0 finished");

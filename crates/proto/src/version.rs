@@ -28,9 +28,9 @@ use genima_mem::PageId;
 /// Pairs kept in place before the map moves to a heap buffer.
 const INLINE: usize = 4;
 
-// `genima_sim::InlineVec` has the same inline-then-spill shape, but its
-// `Option` slots cannot be viewed as one slice, and every operation
-// here is a search or a merge walk over a sorted slice.
+// The inline buffer is a plain array, not `Option` slots, so either
+// form is viewed as one slice: every operation here is a search or a
+// merge walk over a sorted slice.
 enum Repr {
     Inline { len: u8, buf: [(u32, u32); INLINE] },
     Heap(Vec<(u32, u32)>),

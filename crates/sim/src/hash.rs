@@ -48,6 +48,26 @@ impl Hasher for FixedHasher {
     }
 }
 
+/// The 64-bit FNV-1a offset basis: the state [`fnv1a`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the 64-bit FNV-1a `state`, which starts at
+/// [`FNV_OFFSET`] or goes on from an earlier call's result.
+///
+/// # Example
+///
+/// ```
+/// use genima_sim::{fnv1a, FNV_OFFSET};
+/// assert_eq!(fnv1a(FNV_OFFSET, b""), FNV_OFFSET);
+/// assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+/// assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"a"), b"b"), fnv1a(FNV_OFFSET, b"ab"));
+/// ```
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;

@@ -28,15 +28,13 @@ mod hash;
 mod queue;
 mod resource;
 mod rng;
-mod smallvec;
 mod stats;
 mod time;
 
 pub use bits::PageBits;
-pub use hash::{FixedHasher, FixedState};
+pub use hash::{fnv1a, FixedHasher, FixedState, FNV_OFFSET};
 pub use queue::{EventQueue, QueueStats};
 pub use resource::Resource;
 pub use rng::{RunSeed, SplitMix64};
-pub use smallvec::InlineVec;
 pub use stats::{Accum, Histogram};
 pub use time::{Dur, Time};

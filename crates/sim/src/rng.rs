@@ -1,5 +1,7 @@
 //! A tiny deterministic pseudo-random generator.
 
+use crate::hash::{fnv1a, FNV_OFFSET};
+
 /// SplitMix64 pseudo-random generator.
 ///
 /// Used for workload jitter and randomized placement inside the
@@ -105,11 +107,7 @@ impl RunSeed {
     /// one SplitMix64 scramble so nearby seeds do not produce nearby
     /// sub-seeds.
     pub fn derive(self, domain: &str) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325 ^ self.seed;
-        for &b in domain.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = fnv1a(FNV_OFFSET ^ self.seed, domain.as_bytes());
         SplitMix64::new(h).next_u64()
     }
 

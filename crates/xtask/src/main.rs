@@ -79,7 +79,6 @@ const PROTOCOL_FILES: &[&str] = &[
     "crates/mem/src/pool.rs",
     "crates/mem/src/protect.rs",
     "crates/sim/src/queue.rs",
-    "crates/sim/src/smallvec.rs",
     "crates/bench/src/bin/bench/mc.rs",
     "crates/bench/src/bin/bench/serving.rs",
 ];
