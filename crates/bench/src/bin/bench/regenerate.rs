@@ -3,9 +3,9 @@
 //! the rows with the report's own gates and compares them with the
 //! file, naming each moved row by its `bench explain` label. `barrier`,
 //! `fault_matrix` and `serving` are rebuilt whole, byte for byte;
-//! `paper` without its §5 sizes and ablations but for the `homes` study
-//! (its 60 traced cells whole), and `mc` on the odp-first-touch litmus
-//! only (DESIGN.md §14).
+//! `paper` without its §5 sizes and ablations but for the `homes`,
+//! `notices` and `broadcast` studies (its 60 traced cells whole), and
+//! `mc` on the odp-first-touch litmus only (DESIGN.md §14).
 
 use genima::Json;
 use genima_obs::BenchReport;
@@ -117,6 +117,24 @@ fn paper_homes_study_rebuilds_with_its_claims() {
         text(r, "study") == Some("homes")
     });
     regenerated(&built, &homes).unwrap_or_else(|e| panic!("BENCH_paper.json:\n{e}"));
+}
+
+/// The two write-notice studies on Water-nsquared: `notices` (Base's
+/// piggyback, push on DW and GeNIMA, GeNIMA's pull) and `broadcast`
+/// (push with one replicated post), each with its claims. Nothing else
+/// in tier-1 runs pull or a replicated push.
+#[test]
+fn paper_notice_studies_rebuild_with_their_claims() {
+    let (_, file, _, args) = checked_in("paper", "Water-nsquared");
+    for (study, claims) in [("notices", 4), ("broadcast", 1)] {
+        let built = paper::study(&args, study).to_json();
+        let gates = built.get("gates").and_then(Json::as_arr).map(<[Json]>::len);
+        assert_eq!(gates, Some(claims), "the {study} study's claims");
+        let rows = narrowed(&file, built.get("meta"), |r| {
+            text(r, "study") == Some(study)
+        });
+        regenerated(&built, &rows).unwrap_or_else(|e| panic!("BENCH_paper.json, {study}:\n{e}"));
+    }
 }
 
 /// odp-first-touch's six cells and their gates. A run narrowed to named

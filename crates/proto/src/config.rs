@@ -87,9 +87,11 @@ pub struct ProtoConfig {
     /// pushing them with remote deposit at releases — the design
     /// alternative §2 discusses and rejects (it found push's smaller,
     /// earlier messages pipeline better; pull trades release cost for
-    /// acquire cost). Only meaningful on rungs whose
+    /// acquire cost). An acquire or a barrier exit fetches what its
+    /// node lacks, one fetch per node and writer. A rung whose
     /// [`FeatureSet::eager_notices`](crate::FeatureSet::eager_notices)
-    /// holds.
+    /// fails piggybacks whatever this says, and pull wins over the NI
+    /// broadcast (DESIGN.md §18).
     pub pull_notices: bool,
 }
 

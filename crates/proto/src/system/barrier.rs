@@ -4,6 +4,7 @@
 use genima_nic::{CollId, ReduceOp, TraceEvent};
 use genima_sim::Time;
 
+use super::notices::SyncMsg;
 use super::{Block, Bucket, Pending, ProcState, Sink, SvmSystem, WaitReason, EPS};
 use crate::config::BarrierImpl;
 use crate::ids::{BarrierId, NodeId, ProcId};
@@ -32,9 +33,9 @@ impl SvmSystem {
             // side derives after incrementing.
             let ep = self.barriers.get(&b).map(|r| r.epoch).unwrap_or(0);
             let bop = genima_obs::op_barrier_id(b.index() as u64, ep + 1);
-            let deposit = self.p.features.eager_notices().then_some(64);
+            let msg = SyncMsg::Barrier { deposit_bytes: 64 };
             let vc = self.procs[p].vc.clone();
-            cursor = self.send_sync_msg(cursor, node, 0, deposit, vc.wire_bytes(), bop, |upto| {
+            cursor = self.send_sync_msg(cursor, node, 0, msg, vc.wire_bytes(), bop, |upto| {
                 Pending::BarrierArriveMsg {
                     barrier: b,
                     proc: p,
@@ -58,21 +59,19 @@ impl SvmSystem {
 
     /// NI-tree barrier: register one local arrival; the node's *last*
     /// arrival posts the contribution into the firmware combining
-    /// tree. The reduce vector carries the joined vector clock in its
-    /// first `nprocs` lanes and the node's write-notice watermarks
-    /// (`arrived`) in the next `nprocs` — max-reduced up the tree and
-    /// broadcast down, this replaces both the manager's clock join and
-    /// its piggyback bookkeeping.
+    /// tree. The reduce vector is what the notice machine's `lanes`
+    /// makes of the joined vector clock: the clock in its first
+    /// `nprocs` lanes and the node's write-notice watermarks in the
+    /// next `nprocs`, max-reduced up the tree and broadcast down in
+    /// place of the manager's clock join.
     fn coll_barrier_arrive(&mut self, cursor: Time, node: usize, b: BarrierId, p: usize) -> Time {
         let quorum = self.p.topo.procs_per_node;
         let arrivals = self.nodes[node].coll_combiner(b);
         let Some(joined) = arrivals.arrive(&self.procs[p].vc, quorum) else {
             return cursor;
         };
-        let nprocs = self.p.topo.procs();
         let mut vals = std::mem::take(&mut self.scratch_reduce);
-        vals.extend((0..nprocs).map(|q| joined.get(ProcId::new(q)) as u64));
-        vals.extend(self.nodes[node].arrived.iter().map(|&a| a as u64));
+        self.notices.lanes(node, &joined, &mut vals);
         self.nodes[node].coll_combiner(b).recycle(joined);
         let coll = CollId::new(b.index() as u32);
         let nic = NodeId::new(node).nic();
@@ -93,8 +92,9 @@ impl SvmSystem {
 
     /// The NI fan-out released `node` from one epoch of the collective
     /// backing barrier `b`: split the combined reduce vector back into
-    /// the joined vector clock and the global write-notice watermarks,
-    /// then wake the node's waiters exactly as a manager release would.
+    /// the joined vector clock and the watermarks the notice machine
+    /// merges (`released`), then wake the node's waiters exactly as a
+    /// manager release would.
     pub(crate) fn coll_completed(&mut self, t: Time, node: usize, coll: CollId, epoch: u32) {
         let b = BarrierId::new(coll.index());
         let nprocs = self.p.topo.procs();
@@ -114,11 +114,7 @@ impl SvmSystem {
             for (q, &v) in vals[..nprocs].iter().enumerate() {
                 joined.set(ProcId::new(q), v as u32);
             }
-            // `release_at_node` hands the vector back when it has
-            // merged it, so take it from where that one puts it.
-            let mut upto = self.spare_upto.pop().unwrap_or_default();
-            upto.extend(vals[nprocs..].iter().map(|&v| v as u32));
-            upto
+            self.notices.released(&vals[nprocs..])
         };
         if node == 0 {
             // The root exits first (its release precedes the fan-out),
@@ -133,7 +129,7 @@ impl SvmSystem {
             epoch,
         });
         let bop = genima_obs::op_barrier_id(b.index() as u64, epoch as u64);
-        self.release_at_node(t, b, node, &joined, Some(upto), bop);
+        self.release_at_node(t, b, node, &joined, upto, bop);
         self.scratch_joined = joined;
     }
 
@@ -174,10 +170,12 @@ impl SvmSystem {
         let mut cursor = t + EPS;
         self.release_at_node(cursor, b, 0, &joined, None, bop);
         let vc_bytes = joined.wire_bytes();
-        let deposit = self.p.features.eager_notices().then_some(32 + vc_bytes);
+        let msg = SyncMsg::Barrier {
+            deposit_bytes: 32 + vc_bytes,
+        };
         for node in 1..self.p.topo.nodes {
             self.counters.barrier_manager_msgs += 1;
-            cursor = self.send_sync_msg(cursor, 0, node, deposit, vc_bytes, bop, |upto| {
+            cursor = self.send_sync_msg(cursor, 0, node, msg, vc_bytes, bop, |upto| {
                 Pending::BarrierReleaseMsg {
                     barrier: b,
                     node,

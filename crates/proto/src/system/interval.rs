@@ -80,8 +80,8 @@ impl SvmSystem {
         debug_assert_eq!(self.records[p].last() + 1, i);
         self.records[p].push(&scratch);
         self.counters.intervals += 1;
+        self.notices.closed(p, i);
         let node = self.p.topo.node_of(ProcId::new(p)).index();
-        self.nodes[node].arrived[p] = i;
 
         // A page written in place is already in the home copy: the
         // interval's close is its update, and it has nothing to flush.
@@ -176,19 +176,6 @@ impl SvmSystem {
         let (closed, reprotect) = self.end_interval(p);
         self.charge_reprotect(p, bucket, reprotect);
         self.announce_interval(now, p, closed)
-    }
-
-    /// Under DW, announces the interval `p` just closed (if it closed
-    /// one) to the other nodes. Returns the advanced time cursor.
-    pub(crate) fn announce_interval(&mut self, now: Time, p: usize, closed: Option<u32>) -> Time {
-        let mut cursor = now;
-        if let Some(interval) = closed {
-            cursor = self.procs[p].clock;
-            if self.p.features.eager_notices() {
-                cursor = self.broadcast_record(cursor, p, interval);
-            }
-        }
-        self.procs[p].clock.max(cursor)
     }
 
     /// Flushes one closed interval's diffs to the homes — direct diffs

@@ -30,6 +30,7 @@ use std::ops::Range;
 use genima_nic::{CasWord, LockAction, LockId, LockOp, MsgKind, Post, Tag, TraceEvent};
 use genima_sim::Time;
 
+use super::notices::SyncMsg;
 use super::{
     Block, Bucket, Flow, LockStrategy, Pending, ProcState, Sink, SvmSystem, SysEvent, WaitReason,
     EPS,
@@ -227,7 +228,7 @@ impl SvmSystem {
                 let vc_bytes = self.locks[l.index()].vc.wire_bytes();
                 let lop = self.lock_wait_op(tag.value() as usize).unwrap_or(0);
                 let (to, op) = (to.index(), LockOp::Grant { lock: l, tag });
-                self.send_sync_msg(cursor, node, to, None, vc_bytes, lop, |upto| {
+                self.send_sync_msg(cursor, node, to, SyncMsg::Grant, vc_bytes, lop, |upto| {
                     Pending::LockMsg { to, tag, op, upto }
                 })
             }

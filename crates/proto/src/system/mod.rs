@@ -5,7 +5,8 @@
 //! streams ([`exec`]); page faults and the coherence machinery live in
 //! [`fault`]; each synchronisation mechanism has its own file —
 //! [`interval`], [`notice`], [`lock`], [`barrier`] — over the runtime
-//! types of [`state`].
+//! types of [`state`], and the clock-free machines [`page`] and
+//! [`notices`] decide page versions and write-notice routes.
 
 mod barrier;
 mod degraded;
@@ -16,6 +17,7 @@ mod in_place;
 mod interval;
 mod lock;
 mod notice;
+mod notices;
 mod page;
 mod route;
 mod sched_view;
@@ -31,6 +33,7 @@ use genima_nic::{
 use genima_rnic::{Board, HwProfile};
 use genima_sim::{EventQueue, FixedState, PageBits, Time};
 
+use self::notices::{NoticeRoute, Notices};
 pub(crate) use self::state::*;
 use crate::breakdown::Counters;
 use crate::config::{BarrierImpl, ProtoConfig};
@@ -156,8 +159,11 @@ pub struct SvmSystem {
     pub(crate) barriers: BTreeMap<BarrierId, BarrierRt>,
     /// Global store of interval records, per writer (content is
     /// immutable once created; visibility at each node is gated by
-    /// `NodeRt::arrived`).
+    /// the notice machine's watermarks).
     pub(crate) records: Vec<IntervalLog>,
+    /// The write-notice machine: every node's watermarks and the route
+    /// records take (DESIGN.md §18).
+    pub(crate) notices: Notices,
     pub(crate) home_pages: home::HomeTable,
     /// Per-page home override; an absent page falls back to the modulo
     /// placement in [`SvmSystem::home_of`].
@@ -180,9 +186,6 @@ pub struct SvmSystem {
     /// Emptied dirty sets handed back by `flush_interval`; the next
     /// interval to open takes one instead of growing a new buffer.
     pub(crate) spare_dirty: Vec<DirtySet>,
-    /// Piggyback vectors `merge_upto` emptied and handed back; the
-    /// next synchronisation message to carry one refills it.
-    pub(crate) spare_upto: Vec<Vec<u32>>,
     /// Versions that travelled in a Base page request or reply and were
     /// handed back: by the home when it served the request, by the
     /// requester when the reply's version displaced its copy's old one.
@@ -280,6 +283,7 @@ impl SvmSystem {
             host_chains,
             barriers: BTreeMap::new(),
             records: vec![IntervalLog::default(); nprocs],
+            notices: Notices::new(NoticeRoute::of(&params), params.topo),
             home_pages: home::HomeTable::default(),
             home_override: PageVec::new(),
             node_procs: (0..nnodes)
@@ -297,7 +301,6 @@ impl SvmSystem {
             scratch_reduce: Vec::new(),
             scratch_joined: VClock::new(nprocs),
             spare_dirty: Vec::new(),
-            spare_upto: Vec::new(),
             spare_versions: Vec::with_capacity(nprocs),
             shared_extent: 0,
             tags: HashMap::default(),

@@ -1,33 +1,28 @@
-//! Write notices: how interval records reach other nodes (eager
-//! deposit, piggyback on synchronisation messages, or pull), and the
-//! final stage of every acquire and barrier exit — wait for the
-//! notices the new clock covers, invalidate, resume.
+//! Write notices: carrying out what the notice machine
+//! (`notices.rs`) decides — the deposits at a close, the
+//! synchronisation messages, the fetches of pull — and the final stage
+//! of every acquire and barrier exit: wait for the notices the new
+//! clock covers, invalidate, resume.
 
 use genima_mem::{Access, PageId};
 use genima_nic::{MsgKind, TraceEvent};
 use genima_sim::Time;
 
 use super::interval::contiguous_groups;
+use super::notices::{Announce, Carry, Stage, SyncMsg};
 use super::page::{self, Noticed};
 use super::{Block, Bucket, Flow, Pending, ProcState, Sink, SvmSystem, SysEvent, WaitReason};
 use crate::ids::{NodeId, ProcId};
-use crate::vclock::VClock;
 
 impl SvmSystem {
-    /// Eagerly broadcasts an interval record to every other node via
-    /// remote deposit (the DW mechanism).
-    pub(crate) fn broadcast_record(&mut self, mut cursor: Time, p: usize, interval: u32) -> Time {
+    /// Deposits the interval record `p` just closed at every other
+    /// node, one post each or one post the NI replicates (paper §5's
+    /// broadcast). Returns the advanced time cursor.
+    fn post_record(&mut self, mut cursor: Time, p: usize, interval: u32, replicate: bool) -> Time {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
-        if self.p.proto.pull_notices {
-            // Pull mode (§2's alternative): nothing is pushed at the
-            // release; acquirers fetch what they need.
-            return cursor;
-        }
         let my_nic = NodeId::new(node).nic();
         let header = self.p.proto.notice_header_bytes;
         let bytes = self.records[p].wire_bytes(interval - 1..interval, header);
-        // §5 extension: one posted descriptor, replicated by the NI.
-        let replicate = self.p.hw.nic.broadcast && self.p.topo.nodes > 1;
         let mut dsts = Vec::new();
         for dst in (0..self.p.topo.nodes).filter(|&dst| dst != node) {
             let tag = self.tag(Pending::Notice {
@@ -53,78 +48,64 @@ impl SvmSystem {
         cursor
     }
 
-    /// Computes the piggyback payload carrying all records `from`
-    /// knows that it has not yet sent `to`: returns the per-writer
-    /// upper bounds and the payload size (Base protocol).
-    fn piggyback(&mut self, from: usize, to: usize) -> (Vec<u32>, u32) {
-        let mut upto = self.spare_upto.pop().unwrap_or_default();
-        upto.extend_from_slice(&self.nodes[from].arrived);
-        let mut bytes = 0;
-        for (q, &have) in upto.iter().enumerate() {
-            let sent = std::mem::replace(&mut self.nodes[from].sent_upto[to][q], have);
-            if have > sent {
-                bytes += self.records[q].wire_bytes(sent..have, self.p.proto.notice_header_bytes);
+    /// Announces the interval `p` just closed (if it closed one) as the
+    /// notice route says. Returns the advanced time cursor.
+    pub(crate) fn announce_interval(&mut self, now: Time, p: usize, closed: Option<u32>) -> Time {
+        let mut cursor = now;
+        if let Some(interval) = closed {
+            cursor = self.procs[p].clock;
+            match self.notices.announce() {
+                Announce::Stay => {}
+                Announce::Post { replicate } => {
+                    cursor = self.post_record(cursor, p, interval, replicate);
+                }
             }
         }
-        (upto, bytes)
+        self.procs[p].clock.max(cursor)
     }
 
-    /// Sends one synchronisation control message (barrier arrival,
-    /// barrier release, lock grant) from node `from` to node `to`.
-    /// With `deposit_bytes` it is a remote deposit of that size — the
-    /// DW barrier path, whose notices travel on their own. Otherwise
-    /// it is a host message carrying a `vc_bytes` timestamp and, unless
-    /// DW already pushed them, the piggybacked notices `to` has not
-    /// been sent. `make` builds the message around the piggyback.
-    /// Returns the advanced time cursor.
+    /// Sends one synchronisation control message `msg` (barrier
+    /// arrival, barrier release, lock grant) from node `from` to node
+    /// `to`, as the notice machine decides: a remote deposit, or a host
+    /// message carrying a `vc_bytes` timestamp and whatever records
+    /// ride on it. `make` builds the message around the carried
+    /// watermarks. Returns the advanced time cursor.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn send_sync_msg(
         &mut self,
         cursor: Time,
         from: usize,
         to: usize,
-        deposit_bytes: Option<u32>,
+        msg: SyncMsg,
         vc_bytes: u32,
         op: u64,
         make: impl FnOnce(Option<Vec<u32>>) -> Pending,
     ) -> Time {
         let (src, dst) = (NodeId::new(from).nic(), NodeId::new(to).nic());
-        if let Some(bytes) = deposit_bytes {
-            let tag = self.tag_op(make(None), op);
-            self.send(cursor, src, dst, bytes, MsgKind::Deposit, tag)
-        } else {
-            let (upto, rec_bytes) = if self.p.features.eager_notices() {
-                (None, 0)
-            } else {
-                let (upto, bytes) = self.piggyback(from, to);
-                (Some(upto), bytes)
-            };
-            let bytes = self.p.proto.control_msg_bytes + vc_bytes + rec_bytes;
-            let tag = self.tag_op(make(upto), op);
-            self.send(cursor, src, dst, bytes, MsgKind::HostMsg, tag)
-        }
-    }
-
-    /// Merges carried record visibility into a node's notice board.
-    pub(crate) fn merge_upto(&mut self, t: Time, node: usize, upto: Option<Vec<u32>>) {
-        let Some(mut upto) = upto else { return };
-        let mut advanced = false;
-        for (q, u) in upto.drain(..).enumerate() {
-            if self.nodes[node].arrived[q] < u {
-                self.nodes[node].arrived[q] = u;
-                advanced = true;
+        let (records, header) = (&self.records, self.p.proto.notice_header_bytes);
+        let mut rec_bytes = 0;
+        let carry = self.notices.carry(from, to, msg, |q, sent| {
+            rec_bytes += records[q].wire_bytes(sent, header);
+        });
+        match carry {
+            Carry::Deposit(bytes) => {
+                let tag = self.tag_op(make(None), op);
+                self.send(cursor, src, dst, bytes, MsgKind::Deposit, tag)
+            }
+            Carry::Host(upto) => {
+                let bytes = self.p.proto.control_msg_bytes + vc_bytes + rec_bytes;
+                let tag = self.tag_op(make(upto), op);
+                self.send(cursor, src, dst, bytes, MsgKind::HostMsg, tag)
             }
         }
-        self.spare_upto.push(upto);
-        if advanced {
-            self.check_notice_waiters(t, node);
-        }
     }
 
-    /// Returns `true` if all records needed by `vc` have arrived at
-    /// `node`.
-    fn notices_covered(&self, node: usize, vc: &VClock) -> bool {
-        (0..self.p.topo.procs()).all(|q| self.nodes[node].arrived[q] >= vc.get(ProcId::new(q)))
+    /// Merges carried watermarks into a node's, and wakes whom they
+    /// cover.
+    pub(crate) fn merge_upto(&mut self, t: Time, node: usize, upto: Option<Vec<u32>>) {
+        if upto.is_some_and(|upto| self.notices.merge(node, upto)) {
+            self.check_notice_waiters(t, node);
+        }
     }
 
     /// Wakes processes whose notice flags are now satisfied.
@@ -139,7 +120,7 @@ impl SvmSystem {
                     Block::PageFault { .. } | Block::LockWait { .. } | Block::BarrierWait { .. },
                 ) => continue,
             };
-            if self.notices_covered(node, &self.procs[p].vc) {
+            if self.notices.covered(node, &self.procs[p].vc) {
                 let wait = t.saturating_since(started);
                 match reason {
                     WaitReason::Lock => self.procs[p].bd.lock += wait,
@@ -230,37 +211,32 @@ impl SvmSystem {
         // synchronization that covers them, i.e. skip the arrival
         // guard. Only adversarial schedules expose this.
         let unguarded = self.mutation == Some(crate::sched::Mutation::ReorderWriteNotice);
-        if unguarded || self.notices_covered(node, &self.procs[p].vc) {
+        let stage = self.notices.stage(node, &self.procs[p].vc);
+        if unguarded || stage == Stage::Covered {
             self.complete_sync(t, p, reason);
         } else {
             self.procs[p].state = ProcState::Blocked(Block::NoticeWait { started: t, reason });
-            if self.p.proto.pull_notices {
+            if stage == Stage::Pull {
                 self.pull_missing_notices(t, p);
             }
         }
         Flow::Stop
     }
 
-    /// Pull mode: fetch the interval records the blocked acquirer is
-    /// missing, one point-to-point remote fetch per lagging writer's
-    /// node (§2's design alternative to eager push).
+    /// Pull: fetch the interval records the blocked acquirer is
+    /// missing, one point-to-point remote fetch per lagging writer
+    /// (§2's design alternative to eager push).
     fn pull_missing_notices(&mut self, t: Time, p: usize) {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         let my_nic = NodeId::new(node).nic();
         for q in 0..self.p.topo.procs() {
             let want = self.procs[p].vc.get(ProcId::new(q));
-            if self.nodes[node].arrived[q] >= want {
+            let Some(missing) = self.notices.pull(node, q, want) else {
                 continue;
-            }
+            };
             let qnode = self.p.topo.node_of(ProcId::new(q)).index();
-            debug_assert_ne!(qnode, node, "local records are always arrived");
-            // The writer's node holds every record the releaser's
-            // clock covers (the release happened before this acquire).
-            let have = self.nodes[qnode].arrived[q];
-            debug_assert!(have >= want);
-            let from = self.nodes[node].arrived[q];
             let header = self.p.proto.notice_header_bytes;
-            let bytes = self.records[q].wire_bytes(from..want, header).max(16);
+            let bytes = self.records[q].wire_bytes(missing, header).max(16);
             let tag = self.tag(Pending::NoticeFetch {
                 node,
                 writer: q,
@@ -287,7 +263,7 @@ impl SvmSystem {
         if self.comm.tracing() {
             let node = self.p.topo.node_of(ProcId::new(p)).index();
             let vc = self.procs[p].vc.lanes().to_vec();
-            let arrived = self.nodes[node].arrived.clone();
+            let arrived = self.notices.arrived(node).to_vec();
             self.comm.record(TraceEvent::SyncDone {
                 at: t,
                 proc: p,

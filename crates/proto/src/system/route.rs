@@ -170,9 +170,9 @@ impl SvmSystem {
                 interval: upto,
             }
             | Pending::NoticeFetch { node, writer, upto } => {
-                let a = &mut self.nodes[node].arrived[writer];
-                *a = (*a).max(upto);
-                self.check_notice_waiters(t, node);
+                if self.notices.delivered(node, writer, upto) {
+                    self.check_notice_waiters(t, node);
+                }
             }
             Pending::DiffMsg {
                 writer,

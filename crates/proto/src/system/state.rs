@@ -343,8 +343,6 @@ impl Inflight {
 pub(crate) struct NodeRt {
     /// The floating protocol process servicing interrupts.
     pub(crate) handler: Resource,
-    /// Per writer: highest interval whose record has arrived here.
-    pub(crate) arrived: Vec<u32>,
     /// The home copy of a page homed here, else the cached copy of a
     /// remote page: absent until a fetch installs it, which is what
     /// makes the first touch fetch. Read through `SvmSystem::node_copy`.
@@ -358,10 +356,6 @@ pub(crate) struct NodeRt {
     pub(crate) locks: Vec<NodeLock>,
     /// Round-robin victim for interrupt-steal accounting.
     pub(crate) steal_rr: usize,
-    /// Base's piggyback watermark (only `piggyback` uses it): per
-    /// destination node, per writer, the highest interval already
-    /// carried there by this node's messages.
-    pub(crate) sent_upto: Vec<Vec<u32>>,
     /// NI-tree barriers: local arrivals collected per barrier until
     /// the last one posts the node's contribution to the firmware
     /// combining tree. A short list whose idle combiners are re-keyed
@@ -372,16 +366,13 @@ pub(crate) struct NodeRt {
 
 impl NodeRt {
     pub(crate) fn new(topo: Topology, locks: usize) -> NodeRt {
-        let (nprocs, nnodes) = (topo.procs(), topo.nodes);
         NodeRt {
             handler: Resource::new("protocol-handler"),
-            arrived: vec![0; nprocs],
             copies: PageVec::new(),
             local_flushed: VersionCol::default(),
             inflight: Inflight::new(topo.procs_per_node),
             locks: (0..locks).map(|_| NodeLock::default()).collect(),
             steal_rr: 0,
-            sent_upto: vec![vec![0; nprocs]; nnodes],
             coll_arrivals: Vec::new(),
         }
     }

@@ -841,7 +841,11 @@ fn a_recycled_piggyback_carries_exactly_the_senders_notice_board() {
                 continue;
             };
             grants.entry(tag).or_insert_with(|| {
-                assert_eq!(upto, &sys.nodes[sender].arrived, "grant n{sender} -> n{to}");
+                assert_eq!(
+                    upto,
+                    sys.notices.arrived(sender),
+                    "grant n{sender} -> n{to}"
+                );
                 (*to, upto.clone())
             });
         }
@@ -850,7 +854,7 @@ fn a_recycled_piggyback_carries_exactly_the_senders_notice_board() {
                 // The grant that made `h` the holder has been merged.
                 let (to, carried) = grants.values().last().expect("a remote holder was granted");
                 assert_eq!(*to, h);
-                let board = &sys.nodes[h].arrived;
+                let board = sys.notices.arrived(h);
                 assert!(board.iter().zip(carried).all(|(b, c)| b >= c), "n{h}");
             }
             sender = h;
@@ -859,7 +863,7 @@ fn a_recycled_piggyback_carries_exactly_the_senders_notice_board() {
     assert!(sys.unfinished().is_empty());
     // Every acquire but p0's first crossed the wire, on one vector.
     assert_eq!(grants.len(), order.len() - 1);
-    assert_eq!(sys.spare_upto.len(), 1);
+    assert_eq!(sys.notices.spare.len(), 1);
 }
 
 #[test]
