@@ -982,6 +982,12 @@ pub fn finish(mut paper: Paper, args: &Args, claims: &[&str]) -> BenchReport {
     paper.rep
 }
 
+/// The ablation studies as `(study, app)`, in the report's order.
+#[cfg(test)]
+pub fn studies() -> impl Iterator<Item = (&'static str, &'static str)> {
+    ABLATIONS.into_iter().map(|(study, app, _)| (study, app))
+}
+
 /// The ablation `study` alone: its rows and the claims about them.
 #[cfg(test)]
 pub fn study(args: &Args, study: &str) -> BenchReport {

@@ -3,9 +3,9 @@
 //! the rows with the report's own gates and compares them with the
 //! file, naming each moved row by its `bench explain` label. `barrier`,
 //! `fault_matrix` and `serving` are rebuilt whole, byte for byte;
-//! `paper` without its §5 sizes and ablations but for the `homes`,
-//! `notices` and `broadcast` studies (its 60 traced cells whole), and
-//! `mc` on the odp-first-touch litmus only (DESIGN.md §14).
+//! `paper` without its §5 sizes (its 60 traced cells whole, each
+//! ablation study alone), and `mc` on the odp-first-touch litmus only
+//! (DESIGN.md §14).
 
 use genima::Json;
 use genima_obs::BenchReport;
@@ -104,37 +104,39 @@ fn paper_cells_rebuild_with_their_gates() {
     regenerated(&built, &cells).unwrap_or_else(|e| panic!("BENCH_paper.json:\n{e}"));
 }
 
-/// The `homes` study's three FFT rows and its four claims: the one
-/// ablation whose runs drop the application's homes ([`paper::study`]).
-/// A study alone records no headline, so `meta` is left out.
-#[test]
-fn paper_homes_study_rebuilds_with_its_claims() {
-    let (_, file, _, args) = checked_in("paper", "FFT");
-    let built = paper::study(&args, "homes").to_json();
-    let gates = built.get("gates").and_then(Json::as_arr).map(<[Json]>::len);
-    assert_eq!(gates, Some(4), "the homes study's claims");
-    let homes = narrowed(&file, built.get("meta"), |r| {
-        text(r, "study") == Some("homes")
-    });
-    regenerated(&built, &homes).unwrap_or_else(|e| panic!("BENCH_paper.json:\n{e}"));
+/// Each study `pick` keeps, rebuilt alone (so without `meta`): rows, claims.
+fn studies_rebuild(pick: impl Fn(&str) -> bool) -> Vec<(usize, usize)> {
+    let mut rebuilt = vec![];
+    for (study, app) in paper::studies().filter(|&(s, _)| pick(s)) {
+        let (_, file, _, args) = checked_in("paper", app);
+        let built = paper::study(&args, study).to_json();
+        let of_study = |r: &&Json| text(r, "study") == Some(study);
+        let kept = narrowed(&file, built.get("meta"), of_study);
+        regenerated(&built, &kept).unwrap_or_else(|e| panic!("BENCH_paper.json, {study}:\n{e}"));
+        let gates = built.get("gates").and_then(Json::as_arr);
+        rebuilt.push((rows(&built).len(), gates.map_or(0, <[Json]>::len)));
+    }
+    rebuilt
 }
 
-/// The two write-notice studies on Water-nsquared: `notices` (Base's
-/// piggyback, push on DW and GeNIMA, GeNIMA's pull) and `broadcast`
-/// (push with one replicated post), each with its claims. Nothing else
-/// in tier-1 runs pull or a replicated push.
+/// `homes` on FFT: the one ablation whose runs drop the application's homes.
+#[test]
+fn paper_homes_study_rebuilds_with_its_claims() {
+    assert_eq!(studies_rebuild(|s| s == "homes"), [(3, 4)]);
+}
+
+/// The only runs of pull (`notices`) and of a replicated push (`broadcast`).
 #[test]
 fn paper_notice_studies_rebuild_with_their_claims() {
-    let (_, file, _, args) = checked_in("paper", "Water-nsquared");
-    for (study, claims) in [("notices", 4), ("broadcast", 1)] {
-        let built = paper::study(&args, study).to_json();
-        let gates = built.get("gates").and_then(Json::as_arr).map(<[Json]>::len);
-        assert_eq!(gates, Some(claims), "the {study} study's claims");
-        let rows = narrowed(&file, built.get("meta"), |r| {
-            text(r, "study") == Some(study)
-        });
-        regenerated(&built, &rows).unwrap_or_else(|e| panic!("BENCH_paper.json, {study}:\n{e}"));
-    }
+    let built = studies_rebuild(|s| s == "notices" || s == "broadcast");
+    assert_eq!(built, [(4, 4), (2, 1)]);
+}
+
+/// The other six studies; with the three above, all nine: 30 rows, 25 claims.
+#[test]
+fn paper_studies_rebuild_with_their_claims() {
+    let built = studies_rebuild(|s| !["homes", "notices", "broadcast"].contains(&s));
+    assert_eq!(built, [(5, 2), (4, 2), (2, 2), (5, 4), (3, 2), (2, 4)]);
 }
 
 /// odp-first-touch's six cells and their gates. A run narrowed to named

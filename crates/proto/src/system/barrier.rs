@@ -197,8 +197,7 @@ impl SvmSystem {
         op: u64,
     ) {
         self.merge_upto(t, node, upto);
-        for i in 0..self.node_procs[node].len() {
-            let p = self.node_procs[node][i];
+        for p in self.p.topo.procs_of(NodeId::new(node)).map(ProcId::index) {
             let started = match &self.procs[p].state {
                 ProcState::Blocked(Block::BarrierWait { barrier, started }) if *barrier == b => {
                     *started

@@ -16,7 +16,7 @@
 //! | what the transport gave up | resolved by | outcome |
 //! |---|---|---|
 //! | untagged packet, or `LockMsg` / `CollMsg` / `AtomicReply` | `transport::retransmit` | management channel, one `retry_timeout` later (`mgmt_deliveries`) |
-//! | tagged host transaction whose record is its whole effect (`Notice`, `NoticeFetch`, `DiffMsg`, `DiffTsUpdate`, host-chain `LockMsg`, barrier arrive / release) | [`SvmSystem::degraded_give_up`] | [`SvmSystem::serve`] as if it had arrived ([`degraded_heals`](crate::Counters)) |
+//! | tagged host transaction whose record is its whole effect (`Notice`, `Diff`, host-chain `LockMsg`, barrier arrive / release) | [`SvmSystem::degraded_give_up`] | [`SvmSystem::serve`] as if it had arrived ([`degraded_heals`](crate::Counters)) |
 //! | the requester's own atomic attempt (`AtomicLockTry`) | `degraded_give_up` | `RetrySpin` after `lock_spin_backoff` (`degraded_heals`) |
 //! | fetch class (`PageRequestMsg`, `PageReply`, `FetchPage`) | `degraded_give_up` | `fail_fetch` ([`failed_ops`](crate::Counters)) |
 //! | tag already consumed | `degraded_give_up` | [`degraded_lost_msgs`](crate::Counters) |
@@ -73,9 +73,7 @@ impl SvmSystem {
             }
             // The record carries the message's whole protocol effect.
             Pending::Notice { .. }
-            | Pending::NoticeFetch { .. }
-            | Pending::DiffMsg { .. }
-            | Pending::DiffTsUpdate { .. }
+            | Pending::Diff { .. }
             | Pending::LockMsg { .. }
             | Pending::BarrierArriveMsg { .. }
             | Pending::BarrierReleaseMsg { .. } => {

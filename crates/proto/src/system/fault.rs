@@ -345,7 +345,7 @@ impl SvmSystem {
                 .and_then(|c| c.data.as_ref());
             if let Some(old) = old {
                 let mut scratch = std::mem::take(&mut self.diff_scratch);
-                for &q in &self.node_procs[node] {
+                for q in self.p.topo.procs_of(NodeId::new(node)).map(ProcId::index) {
                     // Open interval: writes live in the old node copy.
                     // The tracked scan covers exactly this writer's
                     // ranges; looping over every local writer covers

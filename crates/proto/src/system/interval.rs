@@ -1,5 +1,6 @@
 //! Intervals and diffs: closing a process's interval, flushing its
-//! diffs to the homes, and charging the work.
+//! diffs to the homes by the run's [`DiffRoute`], and charging the
+//! work.
 
 use std::ops::Range;
 
@@ -9,9 +10,53 @@ use genima_obs::{flow_diff_id, op_diff_id, FlowDir, SpanKind, Track};
 use genima_sim::{Dur, Time};
 
 use super::page;
-use super::{Bucket, Pending, Sink, SvmSystem};
+use super::{Bucket, Pending, Sink, SvmParams, SvmSystem};
 use crate::ids::{NodeId, ProcId};
 use crate::interval::{DirtyPage, PendingInterval};
+
+/// How a closed interval's diffs reach the homes, and where a release
+/// flushes them. Resolved once per run, in `SvmSystem::new`: the choice
+/// is the rung's and, for `gather`, the NI's. A page whose home is the
+/// writer's own node takes no message on any route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DiffRoute {
+    /// Base, DW and DW+RF: one packed host message per page, which
+    /// interrupts the home. A node's diffs wait until a lock leaves the
+    /// node (the host chain's departure) or a barrier, so a hand-over
+    /// to a co-located process moves none.
+    Lazy,
+    /// DW+RF+DD and GeNIMA: direct diffs, deposited into the home copy
+    /// one per contiguous run and then the timestamp, or (`gather`,
+    /// paper §5's scatter-gather) all of a page's runs and the
+    /// timestamp in one message. The paper's order: a release that
+    /// lets the lock leave the node flushes every local writer's diffs
+    /// first, so the critical section includes them (paper §3.3).
+    Eager { gather: bool },
+    /// GeNIMA-2025: deposited as [`DiffRoute::Eager`], but the release
+    /// hands the lock over first and then flushes its own diffs, on
+    /// both branches, and re-protects. Timestamp and write notices are
+    /// posted before the hand-over; the diffs are ordered by nothing
+    /// but the version check: a fetched copy that does not cover the
+    /// reader's required version is refetched (`page::fetched`), and
+    /// at the home the reader waits on the page until `page::raise_home`
+    /// covers it (DESIGN.md §10.1).
+    HandsOverFirst { gather: bool },
+}
+
+impl DiffRoute {
+    /// The route a run takes: lazy below direct diffs, then the rung's
+    /// release order, gathered where the NI can.
+    pub(crate) fn of(p: &SvmParams) -> DiffRoute {
+        let gather = p.hw.nic.scatter_gather;
+        if !p.features.direct_diffs() {
+            DiffRoute::Lazy
+        } else if p.features.hands_over_first() {
+            DiffRoute::HandsOverFirst { gather }
+        } else {
+            DiffRoute::Eager { gather }
+        }
+    }
+}
 
 impl SvmSystem {
     pub(crate) fn charge(&mut self, sink: Sink, d: Dur) {
@@ -178,9 +223,8 @@ impl SvmSystem {
         self.announce_interval(now, p, closed)
     }
 
-    /// Flushes one closed interval's diffs to the homes — direct diffs
-    /// (one deposit per run) under DD, packed diff messages otherwise.
-    /// Returns the advanced time cursor.
+    /// Flushes one closed interval's diffs to the homes by the run's
+    /// [`DiffRoute`]. Returns the advanced time cursor.
     fn flush_interval(
         &mut self,
         mut cursor: Time,
@@ -224,61 +268,58 @@ impl SvmSystem {
                 self.charge(sink, apply);
                 cursor += apply;
                 self.apply_diff_at_home(cursor, p, pi.interval, page, diff, false);
-            } else if self.p.features.direct_diffs() {
-                let tag = self.tag_op(
-                    Pending::DiffTsUpdate {
-                        writer: p,
-                        interval: pi.interval,
-                        page,
-                        diff,
-                    },
-                    dop,
-                );
-                if self.p.hw.nic.scatter_gather {
-                    // §5 extension: one scatter-gather message carries
-                    // all runs plus the timestamp.
-                    let (bytes, runs) = (dp.bytes() + 16, dp.runs() as u32);
-                    let kind = MsgKind::GatherDeposit { runs };
-                    cursor = self.send(cursor, my_nic, hn, bytes, kind, tag);
-                    self.counters.diff_run_messages += 1;
-                } else {
-                    // One deposit per contiguous run, then the timestamp.
-                    for (_, len) in dp.ranges.iter() {
-                        cursor = self.send(cursor, my_nic, hn, len, MsgKind::Deposit, Tag::NONE);
-                        self.counters.diff_run_messages += 1;
-                    }
-                    cursor = self.send(cursor, my_nic, hn, 16, MsgKind::Deposit, tag);
-                }
-                // The deposit starts a flow arrow; the apply at the
-                // home finishes it under the same id.
-                let id = flow_diff_id(p as u64, pi.interval as u64, page.index() as u64);
-                self.obs_record(|o| {
-                    o.instant_flow_op(
-                        SpanKind::DirectDiffDeposit,
-                        node,
-                        Track::Host,
-                        cursor,
-                        page.index() as u64,
-                        genima_obs::Flow {
-                            id,
-                            dir: FlowDir::Start,
-                        },
-                        dop,
-                    );
-                });
             } else {
-                // Packed diff in one host message (interrupts the home).
-                let bytes = 16 + dp.bytes();
-                let tag = self.tag_op(
-                    Pending::DiffMsg {
-                        writer: p,
-                        interval: pi.interval,
-                        page,
-                        diff,
-                    },
-                    dop,
-                );
-                cursor = self.send(cursor, my_nic, hn, bytes, MsgKind::HostMsg, tag);
+                let msg = Pending::Diff {
+                    writer: p,
+                    interval: pi.interval,
+                    page,
+                    diff,
+                };
+                let tag = self.tag_op(msg, dop);
+                match self.diff_route {
+                    DiffRoute::Lazy => {
+                        // Packed diff in one host message (interrupts
+                        // the home).
+                        let bytes = 16 + dp.bytes();
+                        cursor = self.send(cursor, my_nic, hn, bytes, MsgKind::HostMsg, tag);
+                    }
+                    DiffRoute::Eager { gather } | DiffRoute::HandsOverFirst { gather } => {
+                        if gather {
+                            // §5 extension: one scatter-gather message
+                            // carries all runs plus the timestamp.
+                            let (bytes, runs) = (dp.bytes() + 16, dp.runs() as u32);
+                            let kind = MsgKind::GatherDeposit { runs };
+                            cursor = self.send(cursor, my_nic, hn, bytes, kind, tag);
+                            self.counters.diff_run_messages += 1;
+                        } else {
+                            // One deposit per contiguous run, then the
+                            // timestamp.
+                            for (_, len) in dp.ranges.iter() {
+                                let kind = MsgKind::Deposit;
+                                cursor = self.send(cursor, my_nic, hn, len, kind, Tag::NONE);
+                                self.counters.diff_run_messages += 1;
+                            }
+                            cursor = self.send(cursor, my_nic, hn, 16, MsgKind::Deposit, tag);
+                        }
+                        // The deposit starts a flow arrow; the apply at
+                        // the home finishes it under the same id.
+                        let id = flow_diff_id(p as u64, pi.interval as u64, page.index() as u64);
+                        self.obs_record(|o| {
+                            o.instant_flow_op(
+                                SpanKind::DirectDiffDeposit,
+                                node,
+                                Track::Host,
+                                cursor,
+                                page.index() as u64,
+                                genima_obs::Flow {
+                                    id,
+                                    dir: FlowDir::Start,
+                                },
+                                dop,
+                            );
+                        });
+                    }
+                }
             }
             // The twin is consumed by this flush; return its buffer to
             // the pool for the next twin/copy/reply on this node.
@@ -313,9 +354,8 @@ impl SvmSystem {
     /// `node` (the lock is about to leave the node, or a barrier
     /// requires global visibility).
     pub(crate) fn flush_node_pending(&mut self, mut cursor: Time, node: usize, sink: Sink) -> Time {
-        for i in 0..self.node_procs[node].len() {
-            let p = self.node_procs[node][i];
-            cursor = self.flush_pending_of(cursor, p, sink);
+        for p in self.p.topo.procs_of(NodeId::new(node)) {
+            cursor = self.flush_pending_of(cursor, p.index(), sink);
         }
         cursor
     }

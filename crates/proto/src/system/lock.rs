@@ -8,17 +8,8 @@
 //! the home and the previous tail), [`EPS`] for a hop that stays on
 //! the node, and the lazy-diff flush before the lock leaves.
 //!
-//! When a release's diffs are flushed is the rung's
-//! ([`crate::FeatureSet::hands_over_first`]). The paper's rungs keep
-//! its order: a releaser's diffs leave before the lock leaves its
-//! node (eagerly at the release under direct diffs, lazily at the
-//! departure otherwise), so the critical section includes them.
-//! GeNIMA-2025 hands the lock over first; its ordering rule is
-//! "timestamp and write notices are posted before the lock-cell
-//! clear; diffs are ordered by nothing but the version check" — a
-//! fetched copy that does not cover the reader's required version is
-//! refetched (`page::fetched`), and at the home the reader waits on the
-//! page until `page::raise_home` covers it.
+//! Where a release flushes its diffs, before or after the lock leaves
+//! the node, is the run's [`DiffRoute`].
 //!
 //! Where home pages are written in place, an acquire also re-opens the
 //! home pages the process wrote when it last held the same lock, while
@@ -30,6 +21,7 @@ use std::ops::Range;
 use genima_nic::{CasWord, LockAction, LockId, LockOp, MsgKind, Post, Tag, TraceEvent};
 use genima_sim::Time;
 
+use super::interval::DiffRoute;
 use super::notices::SyncMsg;
 use super::{
     Block, Bucket, Flow, LockStrategy, Pending, ProcState, Sink, SvmSystem, SysEvent, WaitReason,
@@ -219,11 +211,11 @@ impl SvmSystem {
                     nic,
                     lock: l,
                 });
-                let mut cursor = t;
-                if !self.p.features.direct_diffs() {
+                let cursor = match self.diff_route {
                     // Lazy diffs flush when the lock leaves the node.
-                    cursor = self.flush_node_pending(cursor, node, sink);
-                }
+                    DiffRoute::Lazy => self.flush_node_pending(t, node, sink),
+                    DiffRoute::Eager { .. } | DiffRoute::HandsOverFirst { .. } => t,
+                };
                 // The grant carries the lock's timestamp.
                 let vc_bytes = self.locks[l.index()].vc.wire_bytes();
                 let lop = self.lock_wait_op(tag.value() as usize).unwrap_or(0);
@@ -397,8 +389,7 @@ impl SvmSystem {
     /// notices, set the lock's timestamp, hand the lock over (locally,
     /// or through the chain or the home cell), flush diffs, re-protect.
     /// The first three always run in that order; where the hand-over
-    /// sits among the last three is the rung's
-    /// ([`crate::FeatureSet::hands_over_first`]).
+    /// sits among the last three is the [`DiffRoute`]'s.
     pub(crate) fn do_release(&mut self, now: Time, p: usize, l: LockId) {
         let node = self.p.topo.node_of(ProcId::new(p)).index();
         assert_eq!(
@@ -416,13 +407,16 @@ impl SvmSystem {
             );
         });
         let sink = Sink::Proc(p, Bucket::AcqRel);
-        let hands_over_first = self.p.features.hands_over_first();
+        let route = self.diff_route;
 
         // Close the interval. The paper's order re-protects on the
         // spot, inside the critical section.
         let (closed, reprotect) = self.end_interval(p);
-        if !hands_over_first {
-            self.charge_reprotect(p, Bucket::AcqRel, reprotect);
+        match route {
+            DiffRoute::Lazy | DiffRoute::Eager { .. } => {
+                self.charge_reprotect(p, Bucket::AcqRel, reprotect);
+            }
+            DiffRoute::HandsOverFirst { .. } => {}
         }
         // Post its write notices.
         let mut cursor = self.announce_interval(now, p, closed);
@@ -441,11 +435,12 @@ impl SvmSystem {
             self.procs[next].vc.join(&self.locks[l.index()].vc);
             self.lock_granted(cursor + self.p.proto.local_lock, next, l);
         } else {
-            if !hands_over_first && self.p.features.direct_diffs() {
+            match route {
                 // The lock may leave the node: the paper's order
-                // flushes every local writer's diffs first, eagerly
-                // under direct diffs.
-                cursor = self.flush_node_pending(cursor, node, sink);
+                // flushes every local writer's diffs first.
+                DiffRoute::Eager { .. } => cursor = self.flush_node_pending(cursor, node, sink),
+                // At the departure, or after the hand-over.
+                DiffRoute::Lazy | DiffRoute::HandsOverFirst { .. } => {}
             }
             let nic = NodeId::new(node).nic();
             match self.lock_strategy {
@@ -475,7 +470,7 @@ impl SvmSystem {
             }
         }
 
-        if hands_over_first {
+        if let DiffRoute::HandsOverFirst { .. } = route {
             // The critical section ended at the hand-over. The releaser
             // now diffs its own interval — on both branches, so nothing
             // stays pending for a co-located process to flush later and

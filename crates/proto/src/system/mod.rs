@@ -33,6 +33,7 @@ use genima_nic::{
 use genima_rnic::{Board, HwProfile};
 use genima_sim::{EventQueue, FixedState, PageBits, Time};
 
+use self::interval::DiffRoute;
 use self::notices::{NoticeRoute, Notices};
 pub(crate) use self::state::*;
 use crate::breakdown::Counters;
@@ -148,6 +149,7 @@ pub struct SvmParams {
 pub struct SvmSystem {
     pub(crate) p: SvmParams,
     pub(crate) lock_strategy: LockStrategy,
+    pub(crate) diff_route: DiffRoute,
     pub(crate) comm: Comm,
     pub(crate) q: EventQueue<SysEvent>,
     pub(crate) procs: Vec<ProcRt>,
@@ -168,9 +170,6 @@ pub struct SvmSystem {
     /// Per-page home override; an absent page falls back to the modulo
     /// placement in [`SvmSystem::home_of`].
     pub(crate) home_override: PageVec<NodeId>,
-    /// Processor indices of each node, precomputed once (the flush,
-    /// notice and barrier wake paths used to re-collect this per call).
-    pub(crate) node_procs: Vec<Vec<usize>>,
     /// Reusable page-list buffer for the flush/invalidation hot paths
     /// (take, fill, put back — no steady-state allocation).
     pub(crate) scratch_pages: Vec<PageId>,
@@ -266,6 +265,7 @@ impl SvmSystem {
         };
         SvmSystem {
             lock_strategy,
+            diff_route: DiffRoute::of(&params),
             comm,
             q: EventQueue::new(),
             procs: sources
@@ -286,15 +286,6 @@ impl SvmSystem {
             notices: Notices::new(NoticeRoute::of(&params), params.topo),
             home_pages: home::HomeTable::default(),
             home_override: PageVec::new(),
-            node_procs: (0..nnodes)
-                .map(|n| {
-                    params
-                        .topo
-                        .procs_of(NodeId::new(n))
-                        .map(|p| p.index())
-                        .collect()
-                })
-                .collect(),
             scratch_pages: Vec::new(),
             scratch_noticed: PageBits::default(),
             scratch_procs: Vec::new(),

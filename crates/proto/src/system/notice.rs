@@ -28,7 +28,7 @@ impl SvmSystem {
             let tag = self.tag(Pending::Notice {
                 node: dst,
                 writer: p,
-                interval,
+                upto: interval,
             });
             let dst_nic = NodeId::new(dst).nic();
             if replicate {
@@ -110,8 +110,7 @@ impl SvmSystem {
 
     /// Wakes processes whose notice flags are now satisfied.
     pub(crate) fn check_notice_waiters(&mut self, t: Time, node: usize) {
-        for i in 0..self.node_procs[node].len() {
-            let p = self.node_procs[node][i];
+        for p in self.p.topo.procs_of(NodeId::new(node)).map(ProcId::index) {
             let (started, reason) = match &self.procs[p].state {
                 ProcState::Blocked(Block::NoticeWait { started, reason }) => (*started, *reason),
                 ProcState::Runnable
@@ -237,7 +236,7 @@ impl SvmSystem {
             let qnode = self.p.topo.node_of(ProcId::new(q)).index();
             let header = self.p.proto.notice_header_bytes;
             let bytes = self.records[q].wire_bytes(missing, header).max(16);
-            let tag = self.tag(Pending::NoticeFetch {
+            let tag = self.tag(Pending::Notice {
                 node,
                 writer: q,
                 upto: want,

@@ -124,6 +124,11 @@ impl Notices {
         }
     }
 
+    /// The route the run's records take.
+    pub(crate) fn route(&self) -> NoticeRoute {
+        self.route
+    }
+
     /// Per writer: the highest interval whose record has reached `node`.
     pub(crate) fn arrived(&self, node: usize) -> &[u32] {
         let procs = self.topo.procs();

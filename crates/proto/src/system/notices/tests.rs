@@ -1,4 +1,5 @@
-//! The notice machine, clock-free: the route table, one test per
+//! The notice machine, clock-free: the route table (and beside it the
+//! diff route's, the other route resolved once per run), one test per
 //! transition, then a model of processes that pass a lock and meet at a
 //! barrier, driven through the same transitions and enumerated
 //! exhaustively at small scope on every route.
@@ -49,6 +50,44 @@ fn the_route_is_the_rungs_then_pull_then_the_broadcast() {
             assert_eq!(NoticeRoute::of(&p), want, "{case} nodes={nodes}");
         }
     }
+}
+
+/// Lazy below direct diffs whatever the NI can gather, then the rung's
+/// release order, gathered where the NI can. With the lock strategy,
+/// the notice route and remote fetch, the diff route makes a run
+/// interrupt-free.
+#[test]
+fn the_diff_route_is_the_rungs_then_the_gather() {
+    use crate::system::interval::DiffRoute;
+    use crate::system::LockStrategy;
+    for column in Column::all() {
+        for gather in [false, true] {
+            let mut p = column.params(Topology::new(4, 2));
+            p.hw.nic.scatter_gather = gather;
+            let f = column.features;
+            let want = if f <= FeatureSet::dw_rf() {
+                DiffRoute::Lazy
+            } else if f == FeatureSet::genima_2025() {
+                DiffRoute::HandsOverFirst { gather }
+            } else {
+                DiffRoute::Eager { gather }
+            };
+            let (route, case) = (
+                DiffRoute::of(&p),
+                format!("{} gather={gather}", column.name()),
+            );
+            assert_eq!(route, want, "{case}");
+            let free = LockStrategy::of(&p) != LockStrategy::HostChain
+                && NoticeRoute::of(&p) != NoticeRoute::Piggyback
+                && route != DiffRoute::Lazy
+                && f.remote_fetch();
+            assert_eq!(f.interrupt_free(), free, "{case}");
+        }
+    }
+    // The RNIC gathers every page's runs into one message.
+    let p = Column::from(FeatureSet::genima_2025()).params(Topology::new(4, 2));
+    let route = DiffRoute::of(&p);
+    assert_eq!(route, DiffRoute::HandsOverFirst { gather: true });
 }
 
 #[test]

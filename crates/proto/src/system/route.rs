@@ -6,6 +6,7 @@
 use genima_nic::{LockOp, TraceEvent, Upcall};
 use genima_sim::{Dur, Time};
 
+use super::interval::DiffRoute;
 use super::{Pending, SvmSystem, SysEvent};
 use crate::error::ProtoError;
 
@@ -102,7 +103,7 @@ impl SvmSystem {
             Pending::PageRequestMsg { page, .. } => {
                 Some((self.home_of(*page).index(), proto.svc_page_request))
             }
-            Pending::DiffMsg { page, .. } => {
+            Pending::Diff { page, .. } => {
                 Some((self.home_of(*page).index(), self.p.hw.host.diff_apply))
             }
             Pending::LockMsg { to, op, .. } => match op {
@@ -118,8 +119,6 @@ impl SvmSystem {
             Pending::PageReply { .. }
             | Pending::FetchPage { .. }
             | Pending::Notice { .. }
-            | Pending::NoticeFetch { .. }
-            | Pending::DiffTsUpdate { .. }
             | Pending::NiLockWait { .. }
             | Pending::AtomicLockTry { .. } => None,
         }
@@ -164,28 +163,20 @@ impl SvmSystem {
                 data,
             } => self.base_reply_arrived(t, node, page, ts, data, op),
             Pending::FetchPage { proc, page } => self.rf_completed(t, proc, page, op),
-            Pending::Notice {
-                node,
-                writer,
-                interval: upto,
-            }
-            | Pending::NoticeFetch { node, writer, upto } => {
+            Pending::Notice { node, writer, upto } => {
                 if self.notices.delivered(node, writer, upto) {
                     self.check_notice_waiters(t, node);
                 }
             }
-            Pending::DiffMsg {
+            Pending::Diff {
                 writer,
                 interval,
                 page,
                 diff,
-            } => self.apply_diff_at_home(t, writer, interval, page, diff, false),
-            Pending::DiffTsUpdate {
-                writer,
-                interval,
-                page,
-                diff,
-            } => self.apply_diff_at_home(t, writer, interval, page, diff, true),
+            } => {
+                let deposited = self.diff_route != DiffRoute::Lazy;
+                self.apply_diff_at_home(t, writer, interval, page, diff, deposited);
+            }
             Pending::LockMsg {
                 to,
                 tag,

@@ -6,6 +6,8 @@
 use genima_mem::PageId;
 use genima_nic::{CollOp, Event as CommEvent, LockId, LockOp, MsgKind, Packet, Tag, Upcall};
 
+use super::interval::DiffRoute;
+use super::notices::NoticeRoute;
 use super::{Pending, SvmSystem, SysEvent};
 use crate::ids::ProcId;
 use crate::ops::Op;
@@ -131,7 +133,7 @@ impl SvmSystem {
             SysEvent::Job(node, pending, _) => {
                 let (what, obj) = match pending {
                     Pending::PageRequestMsg { page, .. } => ("pagereq", self.page_obj(*page)),
-                    Pending::DiffMsg { page, .. } => ("applydiff", self.page_obj(*page)),
+                    Pending::Diff { page, .. } => ("applydiff", self.page_obj(*page)),
                     Pending::LockMsg {
                         op: LockOp::Request { lock, .. } | LockOp::Transfer { lock, .. },
                         ..
@@ -146,8 +148,6 @@ impl SvmSystem {
                     Pending::PageReply { .. }
                     | Pending::FetchPage { .. }
                     | Pending::Notice { .. }
-                    | Pending::NoticeFetch { .. }
-                    | Pending::DiffTsUpdate { .. }
                     | Pending::LockMsg {
                         op: LockOp::Grant { .. },
                         ..
@@ -232,42 +232,31 @@ impl SvmSystem {
                 let fp = vec![copy, proc_obj, node_obj, self.page_obj(*page)];
                 (format!("fetch {page:?}>p{proc}"), fp)
             }
-            Pending::Notice {
-                node,
-                writer,
-                interval,
-            } => (
-                format!("notice w{writer}i{interval}>n{node}"),
-                vec![SchedObj::Arrived {
-                    node: *node,
-                    writer: *writer,
-                }],
-            ),
-            Pending::NoticeFetch { node, writer, upto } => (
-                format!("noticefetch w{writer}..{upto}>n{node}"),
-                vec![SchedObj::Arrived {
-                    node: *node,
-                    writer: *writer,
-                }],
-            ),
-            Pending::DiffMsg {
+            Pending::Notice { node, writer, upto } => {
+                let label = match self.notices.route() {
+                    NoticeRoute::Pull => format!("noticefetch w{writer}..{upto}>n{node}"),
+                    NoticeRoute::Piggyback | NoticeRoute::Push { .. } => {
+                        format!("notice w{writer}i{upto}>n{node}")
+                    }
+                };
+                let (node, writer) = (*node, *writer);
+                (label, vec![SchedObj::Arrived { node, writer }])
+            }
+            Pending::Diff {
                 writer,
                 interval,
                 page,
                 ..
-            } => (
-                format!("diff w{writer}i{interval} {page:?}"),
-                self.home_fp(*page),
-            ),
-            Pending::DiffTsUpdate {
-                writer,
-                interval,
-                page,
-                ..
-            } => (
-                format!("diffts w{writer}i{interval} {page:?}"),
-                vec![self.page_obj(*page)],
-            ),
+            } => match self.diff_route {
+                DiffRoute::Lazy => (
+                    format!("diff w{writer}i{interval} {page:?}"),
+                    self.home_fp(*page),
+                ),
+                DiffRoute::Eager { .. } | DiffRoute::HandsOverFirst { .. } => (
+                    format!("diffts w{writer}i{interval} {page:?}"),
+                    vec![self.page_obj(*page)],
+                ),
+            },
             Pending::LockMsg { to, tag, op, .. } => {
                 let proc = tag.value() as usize;
                 let hop = |lock: &LockId| {

@@ -89,27 +89,18 @@ pub(crate) enum Pending {
     },
     /// RF: page fetch completion at the requester.
     FetchPage { proc: usize, page: PageId },
-    /// DW: an interval record deposited into a node's notice region.
+    /// Interval records of `writer` up to `upto` on their way to
+    /// `node`: one deposited into its notice region at the close
+    /// (push), or a fetch of the missing ones completing (pull).
     Notice {
-        node: usize,
-        writer: usize,
-        interval: u32,
-    },
-    /// Pull mode: a remote fetch of missing interval records completed.
-    NoticeFetch {
         node: usize,
         writer: usize,
         upto: u32,
     },
-    /// Base: a packed diff arriving at the home (host message).
-    DiffMsg {
-        writer: usize,
-        interval: u32,
-        page: PageId,
-        diff: Option<Diff>,
-    },
-    /// DD: the timestamp update that completes a direct-diff train.
-    DiffTsUpdate {
+    /// `writer`'s diff of `page` for `interval` on its way to the home:
+    /// a packed host message, or the timestamp that completes a direct
+    /// diff's deposits ([`DiffRoute`](super::interval::DiffRoute)).
+    Diff {
         writer: usize,
         interval: u32,
         page: PageId,
