@@ -6,7 +6,10 @@
 //! feature column), so the sweep isolates the host-barrier vs
 //! NI-barrier axis: `host` is the node-0 manager (O(nodes) serialized
 //! host messages per episode), `ni-tree-K` the k-ary NI-tree
-//! collective (O(log_K nodes) firmware hops, no host messages).
+//! collective (O(log_K nodes) firmware hops, no host messages). A tree
+//! contribution is the node's joined vector clock, one lane per
+//! processor; the write notices travel as their own deposits on both
+//! paths, and every exit waits for the ones its clock names.
 //!
 //! Gates: the best NI-tree fanout beats the host manager at 16 nodes
 //! and beyond, no run takes a host interrupt, and no NI-tree run sends

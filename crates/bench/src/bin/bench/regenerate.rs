@@ -4,8 +4,8 @@
 //! file, naming each moved row by its `bench explain` label. `barrier`,
 //! `fault_matrix` and `serving` are rebuilt whole, byte for byte;
 //! `paper` without its §5 sizes (its 60 traced cells whole, each
-//! ablation study alone), and `mc` on the odp-first-touch litmus only
-//! (DESIGN.md §14).
+//! ablation study alone), and `mc` on three litmus tests, each alone:
+//! odp-first-touch, mp-bar and barrier-epoch (DESIGN.md §14).
 
 use genima::Json;
 use genima_obs::BenchReport;
@@ -139,29 +139,33 @@ fn paper_studies_rebuild_with_their_claims() {
     assert_eq!(built, [(5, 2), (4, 2), (2, 2), (5, 4), (3, 2), (2, 4)]);
 }
 
-/// odp-first-touch's six cells and their gates. A run narrowed to named
-/// litmus tests records no calibration or mutant, so `meta` is left out.
+/// Each litmus test's six cells and their gates, rebuilt alone: the one
+/// ODP park, and the two whose schedules turn on a barrier exit waiting
+/// for its notices. A run narrowed to named litmus tests records no
+/// calibration or mutant, so `meta` is left out.
 #[test]
-fn mc_odp_first_touch_rebuilds_with_its_gates() {
-    let (_, file, run, args) = checked_in("mc", "odp-first-touch");
-    let built = run(&args).to_json();
-    let odp = narrowed(&file, built.get("meta"), |r| {
-        text(r, "litmus") == Some("odp-first-touch")
-    });
-    regenerated(&built, &odp).unwrap_or_else(|e| panic!("BENCH_mc.json:\n{e}"));
+fn mc_litmus_rows_rebuild_with_their_gates() {
+    for litmus in ["odp-first-touch", "mp-bar", "barrier-epoch"] {
+        let (_, file, run, args) = checked_in("mc", litmus);
+        let built = run(&args).to_json();
+        let of_litmus = narrowed(&file, built.get("meta"), |r| {
+            text(r, "litmus") == Some(litmus)
+        });
+        regenerated(&built, &of_litmus).unwrap_or_else(|e| panic!("BENCH_mc.json, {litmus}:\n{e}"));
+    }
 }
 
 #[test]
 fn a_moved_row_is_named_by_its_label_and_field() {
     let (text, file, ..) = checked_in("barrier", "");
     assert_eq!(regenerated(&file, &file), Ok(()));
-    // Row 5's, the first of its value.
-    let moved = text.replacen("\"barrier_us\":166.435,", "\"barrier_us\":167.435,", 1);
+    // Row 6's, the first of its value.
+    let moved = text.replacen("\"barrier_us\":164.185,", "\"barrier_us\":165.185,", 1);
     let e = regenerated(&Json::parse(&moved).expect("a report"), &file).expect_err("moved");
     let lines: Vec<&str> = e.lines().map(str::trim).collect();
-    let label = "row 5 (nodes=8 mode=ni-tree-2 fanout=2)";
+    let label = "row 6 (nodes=8 mode=ni-tree-4 fanout=4)";
     assert_eq!(
         lines[..2],
-        [label, "barrier_us: 166.435 -> 167.435 (+0.6%)"]
+        [label, "barrier_us: 164.185 -> 165.185 (+0.6%)"]
     );
 }

@@ -176,6 +176,64 @@ fn a_read_that_outruns_the_2025_releasers_diffs_waits_at_the_home_or_refetches()
     }
 }
 
+/// A barrier exit waits for the write notices its joined clock names,
+/// on the NI tree as at an acquire: the tree combines clocks, not
+/// notices. p0 writes a page it is the home of and joins a barrier; the
+/// first packet from node 0 to node 1 is the notice of that write, and
+/// delaying it delays p1's exit one for one.
+#[test]
+fn a_tree_barrier_exit_waits_for_the_notice_deposit_it_needs() {
+    let b = BarrierId::new(0);
+    let writer = vec![
+        Op::WriteData {
+            addr: Addr::new(0),
+            data: vec![7; 8],
+        },
+        Op::Barrier(b),
+    ];
+    let programs = [writer, vec![Op::Barrier(b)]];
+    let (n0, n1) = (NodeId::new(0).nic(), NodeId::new(1).nic());
+    for column in [Column::from(FeatureSet::genima()), Column::genima_2025()] {
+        // When p1 leaves the barrier with the notice `delay` late.
+        let exit = |delay: u64| {
+            let mut params = column.params(Topology::new(2, 1));
+            params.data_mode = true;
+            let srcs = programs.iter().cloned();
+            let srcs = srcs.map(|ops| Box::new(ops_source(ops)) as _).collect();
+            let mut sys = SvmSystem::new(params, srcs);
+            sys.assign_homes(PageId::new(0), 1, NodeId::new(0));
+            let plan = FaultPlan::new().delay_nth(n0, n1, 1, Dur::from_us(delay));
+            sys.set_fault_injector(Box::new(PlanInjector::new(plan, RunSeed::new(1))));
+            sys.set_tracing(true);
+            sys.run();
+            let trace = sys.take_trace();
+            let audit = audit_traces(column.features, 2, &trace);
+            assert!(audit.is_clean(), "{column}, {delay} us late: {audit}");
+            let exits = trace.iter().filter_map(|e| match e {
+                TraceEvent::SyncDone {
+                    at,
+                    proc: 1,
+                    vc,
+                    arrived,
+                } => Some((*at, vc[0], arrived[0])),
+                _ => None,
+            });
+            let exits: Vec<(Time, u32, u32)> = exits.collect();
+            assert_eq!(exits.len(), 1, "{column}: {exits:?}");
+            let (at, want, have) = exits[0];
+            assert!(want >= 1 && have >= want, "{column}: {exits:?}");
+            at
+        };
+        let (on_time, late, later) = (exit(0), exit(300), exit(600));
+        assert!(late > on_time, "{column}: the exit did not wait");
+        assert_eq!(
+            later.saturating_since(late),
+            Dur::from_us(300),
+            "{column}: the exit did not move with the notice"
+        );
+    }
+}
+
 /// GeNIMA-2025 re-opens the home pages a process wrote under a lock
 /// while its next acquire of that lock is in flight (DESIGN.md §10.4).
 /// Here p0, at page 0's home, reads page 0 and then writes a word of it

@@ -7,7 +7,7 @@
 //! collective lives entirely in NI firmware state machines — a
 //! configurable k-ary fan-in/fan-out tree providing a **barrier** and
 //! an **all-reduce** (element-wise u64 sum or max, enough to join
-//! vector clocks and write-notice watermarks), whose fan-out stage
+//! vector clocks), whose fan-out stage
 //! broadcasts the combined result. No host
 //! is interrupted and no host polls; hosts only post their local
 //! contribution and later notice a completion flag in NI memory,

@@ -28,20 +28,20 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("ocean", "DW", 0x7d722b518cd2dd0e),
     ("ocean", "DW+RF", 0x1d93a4873ccea42d),
     ("ocean", "DW+RF+DD", 0xa40ad8d52f188987),
-    ("ocean", "GeNIMA", 0x2f3b9dbe148aa8f2),
-    ("ocean", "GeNIMA-2025", 0x964f16ba828d7c93),
+    ("ocean", "GeNIMA", 0x94b8be965d0d03b6),
+    ("ocean", "GeNIMA-2025", 0xd54aadb94223bf9f),
     ("fft", "Base", 0x81ba6feecbf92cd7),
     ("fft", "DW", 0xeb7a5974e76d6d7e),
     ("fft", "DW+RF", 0x12e87b7ad410bc23),
     ("fft", "DW+RF+DD", 0x12e87b7ad410bc23),
-    ("fft", "GeNIMA", 0x33d8a07c08af771c),
-    ("fft", "GeNIMA-2025", 0x0c351574ffefdd0a),
+    ("fft", "GeNIMA", 0x957ee3721fa36385),
+    ("fft", "GeNIMA-2025", 0x0dc654dcf1667023),
     ("water-nsq", "Base", 0xb47e6510755451eb),
     ("water-nsq", "DW", 0xfa702d20cbd8201a),
     ("water-nsq", "DW+RF", 0xdc9eeca0db8cd283),
     ("water-nsq", "DW+RF+DD", 0xccb7b22b55a6ebb3),
-    ("water-nsq", "GeNIMA", 0xfd6a93af029fd1bc),
-    ("water-nsq", "GeNIMA-2025", 0x01bc2f0b8cc7b8b7),
+    ("water-nsq", "GeNIMA", 0x248b51305a5a945a),
+    ("water-nsq", "GeNIMA-2025", 0x1aa191be2231583b),
 ];
 
 #[test]

@@ -9,9 +9,10 @@ use genima_sim::Dur;
 /// everyone once the last arrival lands. The NI-tree barrier moves the
 /// whole episode into firmware (`genima-coll`): the last local arrival
 /// posts one contribution to a k-ary combining tree of NIs, which
-/// max-reduces the joined vector clock and write-notice watermarks up
-/// the tree and broadcasts them down — no manager messages, no host
-/// processing on any intermediate node.
+/// max-reduces the joined vector clock up the tree and broadcasts it
+/// down — no manager messages, no host processing on any intermediate
+/// node. The tree carries no write notices, so it needs a notice route
+/// that delivers them on its own (pushed or pulled, not piggybacked).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BarrierImpl {
     /// Centralized manager on node 0 (Base through DW+RF+DD).

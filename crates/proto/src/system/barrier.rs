@@ -59,10 +59,8 @@ impl SvmSystem {
 
     /// NI-tree barrier: register one local arrival; the node's *last*
     /// arrival posts the contribution into the firmware combining
-    /// tree. The reduce vector is what the notice machine's `lanes`
-    /// makes of the joined vector clock: the clock in its first
-    /// `nprocs` lanes and the node's write-notice watermarks in the
-    /// next `nprocs`, max-reduced up the tree and broadcast down in
+    /// tree. The reduce vector is the node's joined vector clock, one
+    /// lane per process, max-reduced up the tree and broadcast down in
     /// place of the manager's clock join.
     fn coll_barrier_arrive(&mut self, cursor: Time, node: usize, b: BarrierId, p: usize) -> Time {
         let quorum = self.p.topo.procs_per_node;
@@ -71,7 +69,7 @@ impl SvmSystem {
             return cursor;
         };
         let mut vals = std::mem::take(&mut self.scratch_reduce);
-        self.notices.lanes(node, &joined, &mut vals);
+        vals.extend(joined.lanes().iter().map(|&v| u64::from(v)));
         self.nodes[node].coll_combiner(b).recycle(joined);
         let coll = CollId::new(b.index() as u32);
         let nic = NodeId::new(node).nic();
@@ -91,31 +89,28 @@ impl SvmSystem {
     }
 
     /// The NI fan-out released `node` from one epoch of the collective
-    /// backing barrier `b`: split the combined reduce vector back into
-    /// the joined vector clock and the watermarks the notice machine
-    /// merges (`released`), then wake the node's waiters exactly as a
-    /// manager release would.
+    /// backing barrier `b`: decode the combined reduce vector into the
+    /// joined vector clock, then wake the node's waiters exactly as a
+    /// manager release would. The tree carries no notices: each exit
+    /// waits for, or fetches, the records its clock names.
     pub(crate) fn coll_completed(&mut self, t: Time, node: usize, coll: CollId, epoch: u32) {
         let b = BarrierId::new(coll.index());
         let nprocs = self.p.topo.procs();
         // The combined vector is borrowed from NI memory; decode it
         // into owned protocol state before touching anything else.
         let mut joined = std::mem::replace(&mut self.scratch_joined, VClock::new(0));
-        let upto = {
-            let (res_epoch, vals) = self
-                .comm
-                .coll_result(coll)
-                .expect("completed collective must hold a result");
-            assert_eq!(
-                res_epoch, epoch,
-                "collective result advanced past the released epoch"
-            );
-            assert_eq!(vals.len(), 2 * nprocs, "reduce vector width mismatch");
-            for (q, &v) in vals[..nprocs].iter().enumerate() {
-                joined.set(ProcId::new(q), v as u32);
-            }
-            self.notices.released(&vals[nprocs..])
-        };
+        let (res_epoch, vals) = self
+            .comm
+            .coll_result(coll)
+            .expect("completed collective must hold a result");
+        assert_eq!(
+            res_epoch, epoch,
+            "collective result advanced past the released epoch"
+        );
+        assert_eq!(vals.len(), nprocs, "reduce vector width mismatch");
+        for (q, &v) in vals.iter().enumerate() {
+            joined.set(ProcId::new(q), v as u32);
+        }
         if node == 0 {
             // The root exits first (its release precedes the fan-out),
             // so episode-global bookkeeping lives here — mirroring the
@@ -129,7 +124,7 @@ impl SvmSystem {
             epoch,
         });
         let bop = genima_obs::op_barrier_id(b.index() as u64, epoch as u64);
-        self.release_at_node(t, b, node, &joined, upto, bop);
+        self.release_at_node(t, b, node, &joined, bop);
         self.scratch_joined = joined;
     }
 
@@ -168,7 +163,7 @@ impl SvmSystem {
         let bop = genima_obs::op_barrier_id(b.index() as u64, bar.epoch);
         self.barrier_episode_done(t, b);
         let mut cursor = t + EPS;
-        self.release_at_node(cursor, b, 0, &joined, None, bop);
+        self.release_at_node(cursor, b, 0, &joined, bop);
         let vc_bytes = joined.wire_bytes();
         let msg = SyncMsg::Barrier {
             deposit_bytes: 32 + vc_bytes,
@@ -193,10 +188,8 @@ impl SvmSystem {
         b: BarrierId,
         node: usize,
         joined: &VClock,
-        upto: Option<Vec<u32>>,
         op: u64,
     ) {
-        self.merge_upto(t, node, upto);
         for p in self.p.topo.procs_of(NodeId::new(node)).map(ProcId::index) {
             let started = match &self.procs[p].state {
                 ProcState::Blocked(Block::BarrierWait { barrier, started }) if *barrier == b => {

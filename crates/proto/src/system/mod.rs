@@ -234,13 +234,21 @@ impl SvmSystem {
     /// # Panics
     ///
     /// Panics if `sources.len()` differs from the topology's processor
-    /// count.
+    /// count, or if `params` pair the NI-tree barrier with piggybacked
+    /// notices: the tree carries no notices, so nothing would bring a
+    /// barrier exit the records it waits for.
     pub fn new(params: SvmParams, sources: Vec<Box<dyn OpSource>>) -> SvmSystem {
         let nprocs = params.topo.procs();
         assert_eq!(
             sources.len(),
             nprocs,
             "need exactly one op source per processor"
+        );
+        let notice_route = NoticeRoute::of(&params);
+        assert!(
+            !(matches!(params.barrier, BarrierImpl::NiTree { .. })
+                && notice_route == NoticeRoute::Piggyback),
+            "the NI-tree barrier carries no notices, so it needs eager notices"
         );
         let nnodes = params.topo.nodes;
         let mut comm = Comm::with_model(
@@ -283,7 +291,7 @@ impl SvmSystem {
             host_chains,
             barriers: BTreeMap::new(),
             records: vec![IntervalLog::default(); nprocs],
-            notices: Notices::new(NoticeRoute::of(&params), params.topo),
+            notices: Notices::new(notice_route, params.topo),
             home_pages: home::HomeTable::default(),
             home_override: PageVec::new(),
             scratch_pages: Vec::new(),

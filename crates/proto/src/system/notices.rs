@@ -247,30 +247,6 @@ impl Notices {
         debug_assert!(self.arrived(home)[writer] >= want);
         Some(have..want)
     }
-
-    /// `lanes`: what `node`'s contribution to the NI tree's Max-reduce
-    /// carries: the joined clock `joined`, then the node's watermarks.
-    pub(crate) fn lanes(&self, node: usize, joined: &VClock, vals: &mut Vec<u64>) {
-        vals.extend(joined.lanes().iter().map(|&v| v as u64));
-        vals.extend(self.arrived(node).iter().map(|&a| a as u64));
-    }
-
-    /// `released`: what the combined watermark lanes of an NI-tree
-    /// barrier deliver where it releases: the watermarks to
-    /// [`Notices::merge`], or nothing under [`NoticeRoute::Pull`],
-    /// whose exits fetch what they miss as an acquire does. (Push takes
-    /// the lanes on trust, though its deposits may still be in flight:
-    /// DESIGN.md §18.)
-    pub(crate) fn released(&mut self, watermarks: &[u64]) -> Option<Vec<u32>> {
-        match self.route {
-            NoticeRoute::Pull => None,
-            NoticeRoute::Piggyback | NoticeRoute::Push { .. } => {
-                let mut upto = self.spare.pop().unwrap_or_default();
-                upto.extend(watermarks.iter().map(|&v| v as u32));
-                Some(upto)
-            }
-        }
-    }
 }
 
 #[cfg(test)]

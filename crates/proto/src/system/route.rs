@@ -193,7 +193,10 @@ impl SvmSystem {
                 node,
                 vc,
                 upto,
-            } => self.release_at_node(t, barrier, node, &vc, upto, op),
+            } => {
+                self.merge_upto(t, node, upto);
+                self.release_at_node(t, barrier, node, &vc, op);
+            }
         }
     }
 }

@@ -500,6 +500,16 @@ fn wrong_source_count_panics() {
     SvmSystem::new(p, vec![boxed(vec![])]);
 }
 
+/// Base piggybacks its notices on host messages, and the NI tree sends
+/// none, so the pair would leave a barrier exit waiting for ever.
+#[test]
+#[should_panic(expected = "the NI-tree barrier carries no notices")]
+fn a_tree_barrier_on_piggybacked_notices_panics() {
+    let mut p = params(FeatureSet::base(), 2, 1);
+    p.barrier = crate::config::BarrierImpl::NiTree { fanout: 2 };
+    SvmSystem::new(p, vec![boxed(vec![]), boxed(vec![])]);
+}
+
 #[test]
 fn report_pin_accounting_scales_with_extent() {
     let srcs: Vec<Box<dyn OpSource>> = (0..2)
